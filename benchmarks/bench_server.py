@@ -3,7 +3,7 @@
 Boots a :class:`repro.server.SketchServer` in-process on an ephemeral
 port and drives it with a mixed workload of concurrent HTTP clients:
 ingest workers POST distinct-key update batches while query workers
-interleave ``GET /query`` reads (a mix of cold and version-cached hits,
+interleave ``GET /v1/query`` reads (a mix of cold and version-cached hits,
 since every ingest bumps the engine version).  Two gates:
 
 * **throughput** — the sustained mixed request rate must reach
@@ -71,7 +71,7 @@ from repro.server import (
     encode_batches,
 )
 from repro.service.queries import Query, query_value_json
-from repro.service.store import SketchStore
+from repro.service.store import IngestRequest, SketchStore
 from repro.wal import WriteAheadLog, recover_store
 
 SALT = 7
@@ -197,16 +197,18 @@ async def _drive(store, batches, ingest_workers: int, query_workers: int) -> dic
         # itself is workload-dependent and not gated)
         health = server.health.evaluate()
         series_samples = server.series.n_samples
-        # per-route latency quantiles from the server's own histograms
-        latency = {
-            label: histogram.to_dict()
-            for label, route in (
-                ("ingest", "POST /ingest"),
-                ("query", "GET /query"),
+        # per-route latency quantiles from the server's own histograms,
+        # looked up by the label the router gives each /v1 route
+        latency = {}
+        for label, method, path in (
+            ("ingest", "POST", "/v1/ingest"),
+            ("query", "GET", "/v1/query"),
+        ):
+            histogram = server.metrics.route_histogram(
+                server.router.label(method, path)
             )
-            if (histogram := server.metrics.route_histogram(route))
-            is not None
-        }
+            if histogram is not None:
+                latency[label] = histogram.to_dict()
     finally:
         done.set()
         await server.shutdown()
@@ -242,8 +244,8 @@ def bench_load(
     """
     batches = make_batches(n_updates, batch_rows)
     serial = make_store()
-    for instance, keys, values in batches:
-        serial.ingest("bench", instance, keys, values)
+    for batch in batches:
+        serial.submit(IngestRequest(engine="bench", batches=(batch,)))
 
     numbers: dict = {}
     for _ in range(max(1, attempts)):
@@ -368,7 +370,7 @@ async def _nonfinite_probes(store, max_batch_rows) -> dict:
             statuses = {}
             status, _ = await client.request(
                 "POST",
-                "/ingest",
+                "/v1/ingest",
                 body=(
                     b'{"name": "bench", "instance": "mon",'
                     b' "keys": [1, 2], "values": [1.0, NaN]}'
@@ -377,7 +379,7 @@ async def _nonfinite_probes(store, max_batch_rows) -> dict:
             statuses["json"] = status
             status, _ = await client.request(
                 "POST",
-                "/ingest",
+                "/v1/ingest",
                 params={"name": "bench"},
                 body=b"instance,key,value\nmon,1,nan\n",
                 content_type="text/csv",
@@ -387,7 +389,7 @@ async def _nonfinite_probes(store, max_batch_rows) -> dict:
             blob[-8:] = struct.pack("<d", float("nan"))
             status, _ = await client.request(
                 "POST",
-                "/ingest",
+                "/v1/ingest",
                 params={"name": "bench"},
                 body=bytes(blob),
                 content_type=BATCH_CONTENT_TYPE,
@@ -649,8 +651,8 @@ def bench_multiproc_ingest(
 
     serial = make_store()
     started = time.perf_counter()
-    for instance, keys, values in batches:
-        serial.ingest("bench", instance, keys, values)
+    for batch in batches:
+        serial.submit(IngestRequest(engine="bench", batches=(batch,)))
     serial_seconds = time.perf_counter() - started
     serial_blob = codec.to_bytes(serial.engine("bench"))
 
@@ -662,8 +664,8 @@ def bench_multiproc_ingest(
             store.start_workers(n_workers)
             try:
                 attempt_started = time.perf_counter()
-                for instance, keys, values in batches:
-                    store.ingest("bench", instance, keys, values)
+                for batch in batches:
+                    store.submit(IngestRequest(engine="bench", batches=(batch,)))
                 # the fold is part of the work: timing stops only once
                 # the parent holds the fully merged engine
                 blob = codec.to_bytes(store.engine("bench", sync=True))

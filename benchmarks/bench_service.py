@@ -30,7 +30,7 @@ import numpy as np
 from repro.sampling.seeds import SeedAssigner
 from repro.service.codec import from_bytes, to_bytes
 from repro.service.queries import Query, QueryPlanner
-from repro.service.store import SketchStore
+from repro.service.store import IngestRequest, SketchStore
 
 SALT = 7
 
@@ -63,6 +63,13 @@ def make_store(kind: str = "bottom_k") -> SketchStore:
     return store
 
 
+def ingest(store: SketchStore, instance, keys, values) -> int:
+    """Submit one column batch to the ``bench`` engine."""
+    return store.submit(
+        IngestRequest(engine="bench", batches=((instance, keys, values),))
+    )
+
+
 def bench_concurrent_ingest(
     n_updates: int, thread_counts=(1, 2, 4)
 ) -> dict:
@@ -71,7 +78,7 @@ def bench_concurrent_ingest(
 
     serial = make_store()
     for keys, values in batches:
-        serial.ingest("bench", "d", keys, values)
+        ingest(serial, "d", keys, values)
 
     throughput = {}
     for n_threads in thread_counts:
@@ -80,7 +87,7 @@ def bench_concurrent_ingest(
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
             list(
                 pool.map(
-                    lambda batch: store.ingest("bench", "d", *batch),
+                    lambda batch: ingest(store, "d", *batch),
                     batches,
                 )
             )
@@ -106,7 +113,7 @@ def bench_snapshot_restore(n_keys: int) -> dict:
     """Codec encode/decode latency on a retained set of ``n_keys``."""
     store = make_store("poisson")
     for keys, values in make_batches(n_keys, n_batches=16, seed=1):
-        store.ingest("bench", "d", keys, values)
+        ingest(store, "d", keys, values)
     engine = store.engine("bench")
     retained = sum(
         len(sketch.entries) for sketch in engine.shard_sketches("d")
@@ -145,9 +152,8 @@ def bench_query_cache(n_keys: int, min_speedup: float) -> dict:
     keys = generator.choice(1 << 40, size=n_keys, replace=False)
     values = generator.random(n_keys) + 0.01
     split = (2 * n_keys) // 3
-    store.ingest("bench", "mon", keys[:split], values[:split])
-    store.ingest("bench", "tue", keys[n_keys - split:],
-                 values[n_keys - split:])
+    ingest(store, "mon", keys[:split], values[:split])
+    ingest(store, "tue", keys[n_keys - split:], values[n_keys - split:])
 
     planner = QueryPlanner(store)
     query = Query.distinct("mon", "tue")

@@ -11,8 +11,8 @@ and writes their wall times and throughputs to a ``BENCH_PR<n>.json``
 file at the repository root, so successive PRs leave a comparable perf
 trail::
 
-    PYTHONPATH=src python benchmarks/record.py --out BENCH_PR10.json
-    PYTHONPATH=src python benchmarks/record.py --smoke --out BENCH_PR10.json
+    PYTHONPATH=src python benchmarks/record.py --out BENCH_PR12.json
+    PYTHONPATH=src python benchmarks/record.py --smoke --out BENCH_PR12.json
 
 After writing (or with ``--compare-only``, instead of benching at all)
 the record is diffed against every earlier ``BENCH_PR*.json``:
@@ -26,7 +26,10 @@ the record is diffed against every earlier ``BENCH_PR*.json``:
 * latency quantiles (``p50_seconds`` .. ``p99_seconds``) are **soft
   and direction-reversed** — an *increase* beyond ``--max-regression``
   warns, but tail latency under a saturating load generator is too
-  noisy to gate.
+  noisy to gate;
+* a metric the most recent prior recording carries but the new record
+  lacks **fails** the run: a benchmark that stops reporting a number
+  must not drop out of the trajectory unnoticed.
 
 Comparisons between a ``--smoke`` record and full-workload priors are
 downgraded to warnings as well (different workload sizes).  Inside
@@ -109,7 +112,8 @@ def compare_records(
     Returns ``(hard_failures, messages)``: every shared metric produces
     a human-readable message; drops beyond ``max_regression`` on hard
     (``_per_second``) metrics of a workload-comparable prior also land
-    in ``hard_failures``.
+    in ``hard_failures``, and so does every metric of the latest prior
+    recording that ``new_record`` lacks.
     """
     def fmt(value: float) -> str:
         # latency quantiles are fractions of a second; ",.1f" would
@@ -169,6 +173,14 @@ def compare_records(
         messages.append(
             f"  note: exactly one of {new_name} and {name} is a smoke "
             "record; their regressions only warn (workload sizes differ)"
+        )
+    # a metric the latest prior recording carries must not silently
+    # leave the trajectory (smoke or not: workload size keeps the keys)
+    _, latest_path, latest = history[-1]
+    for metric in sorted(set(throughput_metrics(latest)) - set(new_metrics)):
+        messages.append(f"  MISSING   {metric}  [in {latest_path.name}]")
+        failures.append(
+            f"{metric} is in {latest_path.name} but missing from {new_name}"
         )
     return failures, messages
 
@@ -258,7 +270,7 @@ def record_benchmarks(smoke: bool) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default="BENCH_PR10.json",
+    parser.add_argument("--out", default="BENCH_PR12.json",
                         help="output file name (written at the repo root)")
     parser.add_argument("--smoke", action="store_true",
                         help="smaller workloads for a quick run")

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.sampling.seeds import SeedAssigner
 from repro.server import AsyncSketchClient, ServerConfig, SketchServer
-from repro.service import Query, SketchStore
+from repro.service import IngestRequest, Query, SketchStore
 
 N_CLIENTS = 4
 N_BATCHES = 32
@@ -111,8 +111,8 @@ def main() -> None:
     asyncio.run(drive(store, batches))
 
     serial = make_store()
-    for instance, keys, values in batches:
-        serial.ingest("traffic", instance, keys, values)
+    for batch in batches:
+        serial.submit(IngestRequest(engine="traffic", batches=(batch,)))
     assert store.engine("traffic") == serial.engine("traffic")
     print("concurrent HTTP ingest == serial ingest: bit-exact")
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.sampling.seeds import SeedAssigner
-from repro.service import Query, SketchStore
+from repro.service import IngestRequest, Query, SketchStore
 
 
 def main() -> None:
@@ -31,8 +31,15 @@ def main() -> None:
         "traffic", "poisson", threshold=0.25,
         seed_assigner=SeedAssigner(salt=7), n_shards=8,
     )
-    store.ingest("traffic", "monday", keys[:20_000], values[:20_000])
-    store.ingest("traffic", "tuesday", keys[10_000:], values[10_000:])
+    store.submit(
+        IngestRequest(
+            engine="traffic",
+            batches=(
+                ("monday", keys[:20_000], values[:20_000]),
+                ("tuesday", keys[10_000:], values[10_000:]),
+            ),
+        )
+    )
     print(f"ingested 40,000 updates; version = {store.version('traffic')}")
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -55,7 +62,9 @@ def main() -> None:
     cached = restored.query("traffic", distinct)
     print(f"repeat query served from cache: {cached.from_cache}")
 
-    restored.ingest("traffic", "monday", [999_999], [1.0])
+    restored.submit(
+        IngestRequest(engine="traffic", batches=(("monday", [999_999], [1.0]),))
+    )
     fresh = restored.query("traffic", distinct)
     print(
         "after one more ingest the cache is invalidated: "

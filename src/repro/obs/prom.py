@@ -62,7 +62,7 @@ def _format_value(value: float) -> str:
 
 
 def sample_line(name: str, labels: Mapping[str, object] | None, value: float) -> str:
-    """One exposition sample, e.g. ``name{route="GET /query"} 3``."""
+    """One exposition sample, e.g. ``name{route="GET /v1/query"} 3``."""
     if labels:
         rendered = ",".join(
             f'{key}="{_escape_label(labels[key])}"' for key in sorted(labels)

@@ -8,11 +8,11 @@ network, standard-library only:
   streams with size limits and a typed :class:`HttpError` channel;
 * :mod:`repro.server.routing` — the exact-path method router (404/405
   with ``Allow``);
-* :mod:`repro.server.app` — :class:`SketchServer`: ``POST /ingest``
-  (JSON/CSV/binary batches, per-engine backpressure), ``GET /query``
-  through the version-cached planner, ``POST /snapshot`` / ``POST
-  /merge`` codec-backed persistence, ``GET /healthz`` / ``GET
-  /metrics``.  Store work runs on a thread-pool executor; graceful
+* :mod:`repro.server.app` — :class:`SketchServer`, serving under
+  ``/v1``: ``POST /v1/ingest`` (JSON/CSV/binary batches, per-engine
+  backpressure), ``GET /v1/query`` through the version-cached planner,
+  ``POST /v1/snapshot`` / ``POST /v1/merge`` codec-backed persistence,
+  ``GET /v1/healthz`` / ``GET /v1/metrics``.  Store work runs on a thread-pool executor; graceful
   shutdown drains requests and snapshots engines that changed since the
   last snapshot;
 * :mod:`repro.server.wire` — the columnar binary batch format behind

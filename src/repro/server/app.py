@@ -9,11 +9,9 @@ loop never blocks on shard locks or estimator math.
 
 Endpoints
 ---------
-The canonical surface lives under the versioned ``/v1`` prefix; every
-bare legacy path (``/ingest``, ``/query``, ...) keeps serving the
-byte-identical response but carries a ``Deprecation`` header plus a
-``Link: <successor>; rel="successor-version"`` pointer.  The whole
-table is generated from one route spec (:data:`ROUTE_SPEC`).
+Every endpoint lives under the versioned ``/v1`` prefix; any other path
+is ``404``.  The whole table is generated from one route spec
+(:data:`ROUTE_SPEC`).
 
 =======  ===============  =================================================
 method   path             action
@@ -113,13 +111,13 @@ from repro.server.wire import (
     encode_replica,
 )
 from repro.service.queries import Query, query_value_json
-from repro.service.store import IngestRequest, SketchStore
+from repro.service.store import IngestRequest, SketchStore, group_rows
 
 __all__ = ["ROUTE_SPEC", "RawResponse", "SketchServer"]
 
 #: The one route spec the dispatch table is generated from: ``(method,
 #: path, handler attribute)``.  :meth:`Router.from_spec` mounts each
-#: entry under ``/v1`` and keeps the bare path as a deprecated alias.
+#: entry under ``/v1``.
 ROUTE_SPEC: tuple[tuple[str, str, str], ...] = (
     ("GET", "/healthz", "_handle_healthz"),
     ("GET", "/statusz", "_handle_statusz"),
@@ -486,17 +484,12 @@ class SketchServer:
             if not keep_alive:
                 return
 
-    def _route_label(self, request: Request) -> str:
-        """Bounded-cardinality route label for latency metrics: known
-        paths keep their name, everything else collapses into one."""
-        if self.router.known_path(request.path):
-            return f"{request.method} {request.path}"
-        return f"{request.method} (unmatched)"
-
     async def _dispatch(self, request: Request) -> tuple[int, object, tuple]:
         request_id = _adopt_request_id(request.headers.get("x-request-id"))
-        route = self._route_label(request)
-        self.metrics.record_request(request.method, request.path)
+        # bounded-cardinality label: the registered route, or one
+        # shared label for every unknown path or method
+        route = self.router.label(request.method, request.path)
+        self.metrics.record_request(route)
         self._active_requests += 1
         extra_headers: tuple = ()
         started = time.perf_counter()
@@ -527,12 +520,6 @@ class SketchServer:
         if self.slow_log.observe(route, elapsed, status=status, request_id=request_id):
             self.metrics.record_slow_request()
         self.metrics.record_response(status)
-        canonical = self.router.deprecation(request.path)
-        if canonical is not None:
-            extra_headers += (
-                ("Deprecation", "true"),
-                ("Link", f'<{canonical}>; rel="successor-version"'),
-            )
         return status, payload, extra_headers + (("X-Request-Id", request_id),)
 
     async def _in_executor(self, fn, *args, **kwargs):
@@ -1036,14 +1023,13 @@ class SketchServer:
         # small payloads parse faster than an executor hop costs; large
         # ones would stall every other connection, so they hop
         if len(request.body) > self.config.parse_inline_bytes:
-            name, plan, n_rows, n_batches = await self._in_executor(
-                self._parse_ingest, request
-            )
+            ingest, n_rows = await self._in_executor(self._parse_ingest, request)
         else:
-            name, plan, n_rows, n_batches = self._parse_ingest(request)
+            ingest, n_rows = self._parse_ingest(request)
+        name = ingest.engine
         if name not in self.store:
             raise UnknownStoreError(
-                f"unknown store {name!r}; create it first via POST /engines"
+                f"unknown store {name!r}; create it first via POST /v1/engines"
             )
         if n_rows > self.config.max_batch_rows:
             raise HttpError(
@@ -1062,7 +1048,7 @@ class SketchServer:
         self._pending[name] = pending + 1
         started = time.perf_counter()
         try:
-            version = await self._in_executor(self._apply_ingest, name, plan)
+            version = await self._in_executor(self.store.submit, ingest)
         finally:
             remaining = self._pending.get(name, 1) - 1
             if remaining > 0:
@@ -1073,48 +1059,15 @@ class SketchServer:
         return 200, {
             "name": name,
             "rows": n_rows,
-            "batches": n_batches,
+            "batches": len(ingest.batches),
             "version": version,
         }
 
-    def _apply_ingest(self, name: str, plan: tuple) -> int:
-        """Run a parsed ingest plan through the store; returns the new
-        version.  Every shape builds one :class:`IngestRequest` for
-        :meth:`SketchStore.submit` — binary and row plans coalesce
-        batches of the same instance, single-column plans ingest as-is.
-        """
-        if plan[0] == "columns":
-            _, instance, keys, values = plan
-            request = IngestRequest(
-                engine=name,
-                batches=((instance, keys, values),),
-                source="http",
-                coalesce=False,
-            )
-        elif plan[0] == "batches":
-            request = IngestRequest(
-                engine=name, batches=tuple(plan[1]), source="http"
-            )
-        else:
-            request = IngestRequest(
-                engine=name,
-                batches=tuple(
-                    (instance, [key], [float(value)])
-                    for instance, key, value in plan[1]
-                ),
-                source="http",
-            )
-        return self.store.submit(request)
+    def _parse_ingest(self, request: Request) -> tuple[IngestRequest, int]:
+        """Parse an ingest body into its store-ready
+        :class:`IngestRequest` plus the row count.
 
-    def _parse_ingest(self, request: Request) -> tuple[str, tuple, int, int]:
-        """Normalise an ingest request to a store-ready plan.
-
-        Returns ``(name, plan, n_rows, n_batches)`` where ``plan`` is
-        ``("columns", instance, keys, values)`` (one per-instance batch),
-        ``("rows", triples)`` (mixed instances, grouped by
-        :meth:`SketchStore.ingest_rows`), or ``("batches", wire_batches)``
-        (decoded binary columns for
-        :meth:`SketchStore.ingest_batches`).  Accepted shapes:
+        Accepted shapes:
 
         * JSON ``{"name", "instance", "keys": [...], "values": [...]}``;
         * JSON ``{"name", "rows": [[instance, key, value], ...]}``;
@@ -1124,6 +1077,9 @@ class SketchServer:
         * binary columnar batches (``?format=binary`` or ``Content-Type:
           application/x-repro-batch``, see :mod:`repro.server.wire`)
           with ``?name=`` in the query string.
+
+        Row-shaped bodies (JSON rows, CSV) are grouped into one batch
+        per instance by :func:`repro.service.store.group_rows`.
         """
         content_type = (
             request.headers.get("content-type", "").split(";")[0].strip().lower()
@@ -1150,9 +1106,7 @@ class SketchServer:
         with span("ingest.decode", fmt="json", bytes=len(request.body)):
             return self._parse_ingest_json(request)
 
-    def _parse_ingest_binary(
-        self, request: Request
-    ) -> tuple[str, tuple, int, int]:
+    def _parse_ingest_binary(self, request: Request) -> tuple[IngestRequest, int]:
         name = request.params.get("name")
         if not name:
             raise HttpError(400, "binary ingest requires ?name=<engine>")
@@ -1161,9 +1115,9 @@ class SketchServer:
         except SketchCodecError as exc:
             raise HttpError(400, f"malformed batch payload: {exc}") from exc
         n_rows = sum(len(batch.values) for batch in batches)
-        return name, ("batches", batches), n_rows, len(batches)
+        return IngestRequest(engine=name, batches=batches), n_rows
 
-    def _parse_ingest_json(self, request: Request) -> tuple[str, tuple, int, int]:
+    def _parse_ingest_json(self, request: Request) -> tuple[IngestRequest, int]:
         payload = request.json()
         if not isinstance(payload, dict):
             raise HttpError(400, "ingest body must be a JSON object")
@@ -1184,8 +1138,10 @@ class SketchServer:
                     )
                 instance, key, value = row
                 parsed.append((instance, key, self._number(value)))
-            n_batches = len({instance for instance, _, _ in parsed})
-            return name, ("rows", parsed), len(parsed), n_batches
+            return (
+                IngestRequest(engine=name, batches=group_rows(parsed)),
+                len(parsed),
+            )
         if "keys" in payload:
             if "instance" not in payload:
                 raise HttpError(400, "column-style ingest requires an 'instance'")
@@ -1200,11 +1156,11 @@ class SketchServer:
                     "must have matching length",
                 )
             values = [self._number(value) for value in values]
-            plan = ("columns", payload["instance"], keys, values)
-            return name, plan, len(keys), 1
+            batch = (payload["instance"], keys, values)
+            return IngestRequest(engine=name, batches=(batch,)), len(keys)
         raise HttpError(400, "ingest body needs either 'rows' or 'instance'+'keys'")
 
-    def _parse_ingest_csv(self, request: Request) -> tuple[str, tuple, int, int]:
+    def _parse_ingest_csv(self, request: Request) -> tuple[IngestRequest, int]:
         name = request.params.get("name")
         if not name:
             raise HttpError(400, "CSV ingest requires ?name=<engine>")
@@ -1242,8 +1198,10 @@ class SketchServer:
                     f"finite, got {row[2]!r}",
                 )
             parsed.append((row[0], key, value))
-        n_batches = len({instance for instance, _, _ in parsed})
-        return name, ("rows", parsed), len(parsed), n_batches
+        return (
+            IngestRequest(engine=name, batches=group_rows(parsed)),
+            len(parsed),
+        )
 
     @staticmethod
     def _number(value: object) -> float:

@@ -16,9 +16,8 @@ import contextlib
 import json
 import random
 import socket
-import warnings
 from typing import TYPE_CHECKING
-from urllib.parse import quote, urlencode, urlsplit
+from urllib.parse import quote, urlencode
 
 from repro.obs import current_request_id, new_request_id
 from repro.server.wire import (
@@ -48,16 +47,12 @@ class AsyncSketchClient:
     """One keep-alive HTTP connection to a :class:`SketchServer`.
 
     The typed endpoint methods target the versioned ``/v1`` API surface.
-    Construct from a ``base_url`` (the path component selects the API
-    prefix; an empty path means ``/v1``) or from ``host=``/``port=``
-    keywords.  Positional ``host``/``port`` still work but are
-    deprecated.
 
     Examples
     --------
     ::
 
-        async with AsyncSketchClient(base_url="http://127.0.0.1:8080") as client:
+        async with AsyncSketchClient(host="127.0.0.1", port=8080) as client:
             await client.ingest("traffic", "monday", keys, values)
             result = await client.query(
                 "traffic", "distinct", ["monday", "tuesday"])
@@ -65,57 +60,15 @@ class AsyncSketchClient:
 
     def __init__(
         self,
-        *args: object,
-        host: str | None = None,
-        port: int | object | None = None,
-        base_url: str | None = None,
+        *,
+        host: str,
+        port: int,
         retry_attempts: int = 4,
         retry_base: float = 0.05,
         retry_cap: float = 2.0,
     ) -> None:
-        if args:
-            warnings.warn(
-                "positional host/port arguments to AsyncSketchClient are "
-                "deprecated; pass host=/port= keywords or base_url=",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if len(args) > 2:
-                raise TypeError(
-                    "AsyncSketchClient takes at most (host, port) "
-                    f"positionally, got {len(args)} arguments"
-                )
-            if host is not None or (port is not None and len(args) == 2):
-                raise TypeError(
-                    "host/port passed both positionally and by keyword"
-                )
-            host = str(args[0])
-            if len(args) == 2:
-                port = args[1]
-        if base_url is not None:
-            if host is not None or port is not None:
-                raise ValueError(
-                    "pass either base_url or host/port, not both"
-                )
-            parsed = urlsplit(base_url)
-            if parsed.scheme != "http" or not parsed.hostname:
-                raise ValueError(
-                    "base_url must look like 'http://host:port[/v1]', "
-                    f"got {base_url!r}"
-                )
-            host = parsed.hostname
-            port = parsed.port if parsed.port is not None else 80
-            #: path prefix joined onto every typed endpoint; an empty
-            #: base-url path means the current default, ``/v1``
-            self.api_prefix = parsed.path.rstrip("/") or "/v1"
-        else:
-            if host is None or port is None:
-                raise TypeError(
-                    "AsyncSketchClient needs host= and port= (or base_url=)"
-                )
-            self.api_prefix = "/v1"
         self.host = str(host)
-        self.port = int(port)  # type: ignore[call-overload]
+        self.port = int(port)
         #: 503 (backpressure) retries before the error surfaces; 0
         #: restores the old fail-fast behaviour
         self.retry_attempts = int(retry_attempts)
@@ -336,23 +289,19 @@ class AsyncSketchClient:
     # ------------------------------------------------------------------
     # Endpoint surface
     # ------------------------------------------------------------------
-    def _path(self, suffix: str) -> str:
-        """Join the API prefix (``/v1`` by default) onto an endpoint."""
-        return self.api_prefix + suffix
-
     async def healthz(self, verbose: bool = False) -> dict:
         params = {"verbose": "1"} if verbose else None
-        return await self._checked("GET", self._path("/healthz"), params=params)
+        return await self._checked("GET", "/v1/healthz", params=params)
 
     async def statusz(self) -> str:
         """The ``/statusz`` page as HTML text."""
-        payload = await self._checked("GET", self._path("/statusz"))
+        payload = await self._checked("GET", "/v1/statusz")
         if isinstance(payload, (bytes, bytearray)):
             return bytes(payload).decode("utf-8", "replace")
         return str(payload)
 
     async def metrics(self) -> dict:
-        return await self._checked("GET", self._path("/metrics"))
+        return await self._checked("GET", "/v1/metrics")
 
     async def metrics_history(
         self, metric: str, window: float | None = None
@@ -362,13 +311,13 @@ class AsyncSketchClient:
         if window is not None:
             params["window"] = str(float(window))
         return await self._checked(
-            "GET", self._path("/metrics/history"), params=params
+            "GET", "/v1/metrics/history", params=params
         )
 
     async def create_engine(self, name: str, kind: str = "bottom_k", **config) -> dict:
         return await self._checked(
             "POST",
-            self._path("/engines"),
+            "/v1/engines",
             json_body={"name": name, "kind": kind, **config},
         )
 
@@ -377,25 +326,12 @@ class AsyncSketchClient:
     ) -> dict:
         return await self._checked(
             "POST",
-            self._path("/ingest"),
+            "/v1/ingest",
             json_body={
                 "name": name,
                 "instance": instance,
                 "keys": list(keys),
                 "values": [float(value) for value in values],
-            },
-        )
-
-    async def ingest_rows(self, name: str, rows: list) -> dict:
-        return await self._checked(
-            "POST",
-            self._path("/ingest"),
-            json_body={
-                "name": name,
-                "rows": [
-                    [instance, key, float(value)]
-                    for instance, key, value in rows
-                ],
             },
         )
 
@@ -415,7 +351,7 @@ class AsyncSketchClient:
         """
         return await self._checked(
             "POST",
-            self._path("/ingest"),
+            "/v1/ingest",
             params={"name": name},
             body=encode_batches(batches),
             content_type=BATCH_CONTENT_TYPE,
@@ -440,17 +376,17 @@ class AsyncSketchClient:
             params["int_instances"] = "1"
         if confidence:
             params["confidence"] = "1"
-        return await self._checked("GET", self._path("/query"), params=params)
+        return await self._checked("GET", "/v1/query", params=params)
 
     async def snapshot(self, path: object = None) -> dict:
         json_body = {"path": str(path)} if path is not None else {}
         return await self._checked(
-            "POST", self._path("/snapshot"), json_body=json_body
+            "POST", "/v1/snapshot", json_body=json_body
         )
 
     async def merge(self, path: object) -> dict:
         return await self._checked(
-            "POST", self._path("/merge"), json_body={"path": str(path)}
+            "POST", "/v1/merge", json_body={"path": str(path)}
         )
 
     # ------------------------------------------------------------------
@@ -474,7 +410,7 @@ class AsyncSketchClient:
         if follower:
             params["follower"] = str(follower)
         payload = await self._checked(
-            "GET", self._path("/replicate"), params=params
+            "GET", "/v1/replicate", params=params
         )
         if not isinstance(payload, (bytes, bytearray)):
             raise ClientResponseError(502, payload)

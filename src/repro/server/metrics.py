@@ -9,12 +9,12 @@ goes, not just how often.
 
 Two reporting surfaces share the same state:
 
-* :meth:`snapshot` — the JSON ``GET /metrics`` payload: counters,
+* :meth:`snapshot` — the JSON ``GET /v1/metrics`` payload: counters,
   ingest throughput, per-route latency quantiles, the query planner's
   cache hit rate, and a per-engine block built from the engines' cheap
   :meth:`~repro.streaming.StreamEngine.probe`;
 * :meth:`prometheus` — the same state in Prometheus text exposition
-  (``GET /metrics?format=prometheus``), with the route histograms
+  (``GET /v1/metrics?format=prometheus``), with the route histograms
   rendered as cumulative ``_bucket`` series.
 
 A third, *derived* surface feeds the time-series layer:
@@ -22,7 +22,7 @@ A third, *derived* surface feeds the time-series layer:
 latency quantiles and WAL state into one ``name -> (kind, value)``
 mapping that the server's background ticker hands to a
 :class:`repro.obs.SeriesCollector` every ``series_interval`` seconds —
-the data behind ``GET /metrics/history`` and the ``/statusz``
+the data behind ``GET /v1/metrics/history`` and the ``/statusz``
 sparklines.  :meth:`record_accuracy` additionally folds each confident
 query's estimated coefficient of variation into a per-query-kind
 histogram, so ``/metrics`` reports not just how fast queries are but
@@ -67,7 +67,7 @@ class ServerMetrics:
         self._responses_by_status: Counter[int] = Counter()
         self._route_histograms: dict[str, LatencyHistogram] = {}
         self._ingested_rows = 0
-        self._ingest_batches = 0
+        self._ingested_batches = 0
         self._ingest_seconds = 0.0
         self._rejected_oversized = 0
         self._rejected_backpressure = 0
@@ -77,9 +77,11 @@ class ServerMetrics:
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def record_request(self, method: str, path: str) -> None:
+    def record_request(self, route: str) -> None:
+        """Count one request under ``route``, a bounded-cardinality
+        route label (see :meth:`record_duration`)."""
         with self._lock:
-            self._requests_by_route[f"{method} {path}"] += 1
+            self._requests_by_route[route] += 1
 
     def record_response(self, status: int) -> None:
         with self._lock:
@@ -92,7 +94,7 @@ class ServerMetrics:
     def record_ingest(self, n_rows: int, seconds: float) -> None:
         with self._lock:
             self._ingested_rows += int(n_rows)
-            self._ingest_batches += 1
+            self._ingested_batches += 1
             self._ingest_seconds += float(seconds)
 
     def record_duration(self, route: str, seconds: float) -> None:
@@ -177,7 +179,7 @@ class ServerMetrics:
             requests = sum(self._requests_by_route.values())
             responses = sum(self._responses_by_status.values())
             ingested_rows = self._ingested_rows
-            ingest_batches = self._ingest_batches
+            ingested_batches = self._ingested_batches
             rejected_backpressure = self._rejected_backpressure
             rejected_oversized = self._rejected_oversized
             slow_requests = self._slow_requests
@@ -188,7 +190,7 @@ class ServerMetrics:
             "repro_ingest_rows_total": ("counter", float(ingested_rows)),
             "repro_ingest_batches_total": (
                 "counter",
-                float(ingest_batches),
+                float(ingested_batches),
             ),
             "repro_rejected_backpressure_total": (
                 "counter",
@@ -294,7 +296,7 @@ class ServerMetrics:
             }
             histograms = dict(self._route_histograms)
             ingested_rows = self._ingested_rows
-            ingest_batches = self._ingest_batches
+            ingested_batches = self._ingested_batches
             ingest_seconds = self._ingest_seconds
             rejected_oversized = self._rejected_oversized
             rejected_backpressure = self._rejected_backpressure
@@ -314,7 +316,7 @@ class ServerMetrics:
             "slow_requests": slow_requests,
             "ingest": {
                 "rows": ingested_rows,
-                "batches": ingest_batches,
+                "batches": ingested_batches,
                 "busy_seconds": ingest_seconds,
                 # sustained throughput over the server lifetime ...
                 "rows_per_second": _rate(ingested_rows, uptime),
@@ -364,7 +366,7 @@ class ServerMetrics:
             ),
             prom.counter(
                 "repro_requests_total",
-                "Requests received, by method and path.",
+                "Requests received, by route.",
                 [
                     ({"route": route}, count)
                     for route, count in sorted(payload["requests"].items())

@@ -6,121 +6,68 @@ HTTP bookkeeping that matter for clients: an unknown path is ``404``,
 while a known path hit with the wrong method is ``405`` carrying an
 ``Allow`` header listing the methods that would work.
 
-Since the v1 API redesign the table is *generated* from one route
-spec: :meth:`Router.from_spec` takes ``(method, path, handler)``
-entries and registers each endpoint twice — once under the versioned
-canonical path (``/v1`` + path) and once under the bare legacy path,
-flagged deprecated.  Legacy paths dispatch to the same handler (the
-response body is byte-identical) but :meth:`Router.deprecation` lets
-the server attach a ``Deprecation`` header pointing clients at the
-canonical path.
+The table is *generated* from one route spec: :meth:`Router.from_spec`
+mounts each ``(method, path, handler)`` entry under the versioned
+``/v1`` prefix.  Requests are labelled for metrics by the registered
+route they resolve to; everything else shares one
+:data:`UNMATCHED_LABEL`, so client-chosen paths and methods cannot grow
+the label set.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 
 from repro.server.protocol import HttpError
 
-__all__ = ["Route", "Router", "V1_PREFIX"]
+__all__ = ["Router", "UNMATCHED_LABEL", "V1_PREFIX"]
 
 #: Current API version prefix; ``Router.from_spec`` mounts every spec
-#: entry under it (and keeps the unprefixed path as a deprecated alias).
+#: entry under it.
 V1_PREFIX = "/v1"
 
-
-@dataclass(frozen=True)
-class Route:
-    """One registered ``(method, path)`` endpoint.
-
-    ``canonical`` is the preferred path for the same endpoint when this
-    registration is a deprecated alias (legacy unprefixed paths point at
-    their ``/v1`` twin); it is ``None`` for canonical routes.
-    """
-
-    method: str
-    path: str
-    handler: Callable
-    canonical: str | None = None
-
-    @property
-    def deprecated(self) -> bool:
-        return self.canonical is not None
+#: Metric label shared by every request that matches no registered
+#: ``(method, path)`` — 404s and 405s alike.
+UNMATCHED_LABEL = "(unmatched)"
 
 
 class Router:
     """A ``(method, path)`` dispatch table with 404/405 semantics."""
 
     def __init__(self) -> None:
-        self._table: dict[tuple[str, str], Route] = {}
+        self._handlers: dict[tuple[str, str], Callable] = {}
         self._methods_by_path: dict[str, set[str]] = {}
 
     @classmethod
-    def from_spec(
-        cls,
-        spec: Iterable[tuple[str, str, Callable]],
-        *,
-        prefix: str = V1_PREFIX,
-    ) -> Router:
-        """Build the full table from one route spec.
-
-        Each ``(method, path, handler)`` entry yields two registrations:
-        the canonical ``prefix + path`` and the legacy bare ``path`` as
-        a deprecated alias of the canonical one.
-        """
+    def from_spec(cls, spec: Iterable[tuple[str, str, Callable]]) -> Router:
+        """Build the table from one route spec, mounting each
+        ``(method, path, handler)`` entry at ``/v1`` + path."""
         router = cls()
         for method, path, handler in spec:
-            canonical = prefix + path
-            router.add(method, canonical, handler)
-            router.add(method, path, handler, canonical=canonical)
+            router.add(method, V1_PREFIX + path, handler)
         return router
 
-    def add(
-        self,
-        method: str,
-        path: str,
-        handler: Callable,
-        *,
-        canonical: str | None = None,
-    ) -> None:
-        """Register ``handler`` for ``method path``.
-
-        Passing ``canonical`` marks the registration as a deprecated
-        alias of that path.
-        """
+    def add(self, method: str, path: str, handler: Callable) -> None:
+        """Register ``handler`` for ``method path``."""
         method = method.upper()
         key = (method, path)
-        if key in self._table:
+        if key in self._handlers:
             raise ValueError(f"duplicate route {method} {path}")
-        self._table[key] = Route(method, path, handler, canonical)
+        self._handlers[key] = handler
         self._methods_by_path.setdefault(path, set()).add(method)
 
     def routes(self) -> list[tuple[str, str]]:
         """Registered ``(method, path)`` pairs, sorted by path."""
-        return sorted(self._table, key=lambda key: (key[1], key[0]))
+        return sorted(self._handlers, key=lambda key: (key[1], key[0]))
 
-    def known_path(self, path: str) -> bool:
-        """Whether any method is registered on ``path``.
-
-        Metric labels are derived from this: unknown paths collapse to
-        one ``(unmatched)`` label so arbitrary client-supplied paths
-        cannot explode the per-route label cardinality.
-        """
-        return path in self._methods_by_path
-
-    def deprecation(self, path: str) -> str | None:
-        """The canonical path ``path`` is a deprecated alias of, if any.
-
-        Method-independent on purpose: every alias of a path points at
-        the same canonical prefix twin, and the ``Deprecation`` header
-        must also ride on 405 responses for the legacy path.
-        """
-        for method in self._methods_by_path.get(path, ()):
-            route = self._table[(method, path)]
-            if route.canonical is not None:
-                return route.canonical
-        return None
+    def label(self, method: str, path: str) -> str:
+        """The bounded-cardinality metric label of a request: its
+        registered ``"METHOD /path"``, or :data:`UNMATCHED_LABEL` when
+        :meth:`resolve` would answer 404 or 405."""
+        method = method.upper()
+        if (method, path) in self._handlers:
+            return f"{method} {path}"
+        return UNMATCHED_LABEL
 
     def resolve(self, method: str, path: str) -> Callable:
         """The handler for ``method path``.
@@ -128,9 +75,9 @@ class Router:
         Raises ``HttpError(404)`` for unknown paths and ``HttpError(405)``
         (with an ``Allow`` header) for known paths with other methods.
         """
-        route = self._table.get((method.upper(), path))
-        if route is not None:
-            return route.handler
+        handler = self._handlers.get((method.upper(), path))
+        if handler is not None:
+            return handler
         allowed = self._methods_by_path.get(path)
         if allowed:
             raise HttpError(

@@ -7,7 +7,7 @@ columns at millions of rows per second.  This module defines the wire
 format that closes that gap: a self-describing little-endian blob whose
 key and value columns deserialize straight into the arrays
 :meth:`repro.streaming.StreamEngine.ingest` and
-:meth:`repro.service.SketchStore.ingest` already want — no per-row
+:meth:`repro.service.SketchStore.submit` already want — no per-row
 Python objects on the decode path, and non-finite values rejected in one
 vectorized :func:`numpy.isfinite` pass so the fast path is also the safe
 path.
@@ -15,7 +15,7 @@ path.
 A body carries a *pipelined sequence* of batches, so one request can
 amortize HTTP framing and executor-hop overhead over many logical
 batches; the server coalesces them per instance before ingesting
-(:meth:`repro.service.SketchStore.ingest_batches`).
+(one coalescing :meth:`repro.service.SketchStore.submit`).
 
 Layout
 ------

@@ -29,7 +29,7 @@ JSON lines (objects with ``instance`` / ``key`` / ``value`` fields;
 selected with ``--format jsonl`` or a ``.jsonl`` suffix), or binary
 columnar batch files (:mod:`repro.server.wire`; ``--format binary`` or a
 ``.rbat`` suffix).  ``convert`` re-encodes a CSV/JSONL stream into the
-binary format — the same bytes ``POST /ingest`` accepts as
+binary format — the same bytes ``POST /v1/ingest`` accepts as
 ``application/x-repro-batch`` — and ``ingest`` replays such a file
 through the coalescing fast path.  Non-finite update values are rejected
 on every path.  Every command prints a JSON summary to stdout, so the
@@ -50,7 +50,7 @@ from repro.exceptions import ReproError
 from repro.sampling.ranks import rank_family_from_name
 from repro.sampling.seeds import SeedAssigner
 from repro.service.queries import Query, query_value_json
-from repro.service.store import SketchStore
+from repro.service.store import IngestRequest, SketchStore, group_rows
 
 __all__ = ["main"]
 
@@ -186,7 +186,7 @@ def _cmd_ingest(args) -> dict:
     n_rows = 0
 
     def ingest(rows) -> int:
-        store.ingest_rows(args.name, rows)
+        store.submit(IngestRequest(engine=args.name, batches=group_rows(rows)))
         return len(rows)
 
     if args.threads > 1:
@@ -222,15 +222,15 @@ def _cmd_ingest(args) -> dict:
 def _ingest_binary(args, store, store_path: Path, input_path: Path) -> dict:
     """Replay a :mod:`repro.server.wire` batch file into the store.
 
-    The decoded columns go through the coalescing
-    :meth:`SketchStore.ingest_batches` fast path — the CLI twin of the
-    server's ``application/x-repro-batch`` ingest.
+    The decoded columns go through one coalescing
+    :meth:`SketchStore.submit` — the CLI twin of the server's
+    ``application/x-repro-batch`` ingest.
     """
     from repro.server.wire import decode_batches
 
     batches = decode_batches(input_path.read_bytes())
     n_rows = sum(len(batch.values) for batch in batches)
-    store.ingest_batches(args.name, batches)
+    store.submit(IngestRequest(engine=args.name, batches=batches))
     store.snapshot(store_path)
     return {
         "command": "ingest",
@@ -265,14 +265,8 @@ def _cmd_convert(args) -> dict:
         # one wire batch per instance within each window, preserving the
         # stream's batching envelope (the permutation guarantee makes
         # the exact grouping irrelevant to the final sketch state)
-        groups: dict[object, tuple[list, list]] = {}
-        for instance, key, value in rows:
-            columns = groups.setdefault(instance, ([], []))
-            columns[0].append(key)
-            columns[1].append(value)
-        for instance, (keys, values) in groups.items():
-            batches.append((instance, keys, values))
-            n_rows += len(keys)
+        batches.extend(group_rows(rows))
+        n_rows += len(rows)
     blob = encode_batches(batches)
     out_path = Path(args.out)
     out_path.write_bytes(blob)
@@ -372,7 +366,7 @@ def _create_from_spec(store: SketchStore, fields: dict) -> None:
     """Create an engine from a parsed ``--create`` spec.
 
     Delegates to :meth:`SketchStore.create_from_config` — the same
-    creation path as the HTTP ``POST /engines`` endpoint — so both
+    creation path as the HTTP ``POST /v1/engines`` endpoint — so both
     serving surfaces apply identical defaults.  The spec's ``shards``
     shorthand maps to the canonical ``n_shards`` key.
     """
@@ -568,7 +562,7 @@ def _build_parser() -> argparse.ArgumentParser:
     convert = commands.add_parser(
         "convert",
         help="re-encode a CSV/JSONL update stream as a binary batch "
-             "file (the POST /ingest application/x-repro-batch body)",
+             "file (the POST /v1/ingest application/x-repro-batch body)",
     )
     convert.add_argument("--input", required=True, help="update file")
     convert.add_argument("--out", required=True,

@@ -23,11 +23,10 @@ Reads (queries, snapshots, merges) are quiescent: they wait for in-flight
 ingests to drain and briefly block new ones, so every exported state and
 every version observed is a consistent point-in-time view.
 
-Every ingest surface — live API calls, binary batch groups, recovery
-replay — funnels through one validated call shape:
-:class:`IngestRequest` via :meth:`SketchStore.submit`.  The legacy
-``ingest`` / ``ingest_batches`` / ``replay_batch`` methods survive as
-thin deprecated shims over it.
+Every ingest surface — live API calls, binary batch groups, row
+triples (grouped by :func:`group_rows`), recovery replay — funnels
+through one validated call shape: :class:`IngestRequest` via
+:meth:`SketchStore.submit`.
 
 With :meth:`SketchStore.start_workers` the store swaps its in-process
 threaded execution for a multiprocess shard-worker plane
@@ -68,7 +67,7 @@ from repro.streaming.engine import StreamEngine
 if TYPE_CHECKING:
     from repro.service.queries import QueryPlanner
 
-__all__ = ["IngestRequest", "SketchStore"]
+__all__ = ["IngestRequest", "SketchStore", "group_rows"]
 
 
 class _StoreEntry:
@@ -111,16 +110,10 @@ class IngestRequest:
     ``batches``
         ``(instance, keys, values)`` column triples (one or many;
         :class:`repro.server.wire` ``WireBatch`` tuples work as-is).
-    ``source``
-        Informational origin tag (``"api"``, ``"replay"``, ...) carried
-        into trace spans.
     ``version``
         ``None`` for live ingest (the store assigns the next version);
         an explicit version turns the submit into a *replay* of a
         logged batch — quiescent, version-forced, exactly one batch.
-    ``wal_bypass``
-        Skip the write-ahead-log append for this submit (for callers
-        replaying batches that already live in the attached log).
     ``coalesce``
         Merge batches of the same instance into one column before
         ingesting (safe under the streaming permutation guarantee, and
@@ -130,9 +123,7 @@ class IngestRequest:
 
     engine: str
     batches: tuple = field(default=())
-    source: str = "api"
     version: int | None = None
-    wal_bypass: bool = False
     coalesce: bool = True
 
     def __post_init__(self) -> None:
@@ -140,11 +131,6 @@ class IngestRequest:
             raise InvalidParameterError(
                 "IngestRequest.engine must be a non-empty string, got "
                 f"{self.engine!r}"
-            )
-        if not isinstance(self.source, str) or not self.source:
-            raise InvalidParameterError(
-                "IngestRequest.source must be a non-empty string, got "
-                f"{self.source!r}"
             )
         normalized = tuple(tuple(batch) for batch in self.batches)
         for batch in normalized:
@@ -160,6 +146,24 @@ class IngestRequest:
                     "a version-forced (replay) IngestRequest carries "
                     f"exactly one batch, got {len(normalized)}"
                 )
+
+
+def group_rows(
+    rows: Iterable[tuple[object, object, float]],
+) -> tuple[tuple[object, list, list], ...]:
+    """Group ``(instance, key, value)`` triples into one ``(instance,
+    keys, values)`` batch per instance, in first-seen order — the
+    :attr:`IngestRequest.batches` shape of a row-oriented stream."""
+    groups: dict[object, tuple[list, list]] = {}
+    for instance, key, value in rows:
+        columns = groups.get(instance)
+        if columns is None:
+            columns = groups[instance] = ([], [])
+        columns[0].append(key)
+        columns[1].append(value)
+    return tuple(
+        (instance, keys, values) for instance, (keys, values) in groups.items()
+    )
 
 
 def _coalesce_batches(
@@ -223,6 +227,17 @@ def _checked_columns(keys: Sequence[object], values: object) -> np.ndarray:
     return column
 
 
+def _check_replay_version(name: str, entry: _StoreEntry, version: int) -> None:
+    """Refuse a replayed batch the store already holds (caller holds
+    ``entry.cond``): skipping applied records is the caller's job."""
+    if version <= entry.version:
+        raise InvalidParameterError(
+            f"replayed batch for {name!r} carries version {version} but "
+            f"the store is already at {entry.version}; skip-checks belong "
+            "to the caller"
+        )
+
+
 class SketchStore:
     """Named, versioned, concurrently ingestible sketch engines.
 
@@ -232,7 +247,9 @@ class SketchStore:
     >>> store = SketchStore()
     >>> _ = store.create("traffic", kind="poisson", threshold=0.5,
     ...                  seed_assigner=SeedAssigner(salt=7))
-    >>> store.ingest("traffic", "monday", ["alice", "bob"], [3.0, 1.0])
+    >>> store.submit(IngestRequest(
+    ...     engine="traffic",
+    ...     batches=(("monday", ["alice", "bob"], [3.0, 1.0]),)))
     1
     >>> store.version("traffic")
     1
@@ -727,7 +744,7 @@ class SketchStore:
         """Run one :class:`IngestRequest` — the single ingest choke point.
 
         Every surface funnels here: per-batch API ingest, grouped binary
-        batches, row triples (via the thin legacy shims), and recovery
+        batches, row triples (via :func:`group_rows`), and recovery
         replay (``request.version`` set).  Dispatches to the thread
         backend or the multiprocess shard workers, whichever is active.
         Returns the engine version after the request (the current
@@ -738,10 +755,13 @@ class SketchStore:
                 f"submit() takes an IngestRequest, got "
                 f"{type(request).__name__}"
             )
+        name = request.engine
+        entry = self._entry(name)
         if request.version is not None:
             instance, keys, values = request.batches[0]
-            return self._replay(request, instance, keys, values)
-        entry = self._entry(request.engine)
+            return self._replay(
+                name, entry, int(request.version), instance, keys, values
+            )
         triples = (
             _coalesce_batches(request.batches)
             if request.coalesce
@@ -749,9 +769,10 @@ class SketchStore:
         )
         version: int | None = None
         for instance, keys, values in triples:
-            version = self._ingest_one(
-                entry, request, instance, keys, values
-            )
+            if self._pool is not None:
+                version = self._dispatch(name, entry, instance, keys, values)
+            else:
+                version = self._ingest_one(name, entry, instance, keys, values)
         if version is None:
             with entry.cond:
                 return entry.version
@@ -759,26 +780,23 @@ class SketchStore:
 
     def _ingest_one(
         self,
+        name: str,
         entry: _StoreEntry,
-        request: IngestRequest,
         instance: object,
         keys: Sequence[object],
         values,
     ) -> int:
-        """One live batch through whichever backend is active.
+        """One live batch through the thread backend.
 
-        Thread backend: safe to call from many threads at once — batch
-        planning (hashing, sharding, sketch creation) is serialized on
-        the engine, while the per-shard sketch updates run under
+        Safe to call from many threads at once — batch planning
+        (hashing, sharding, sketch creation) is serialized on the
+        engine, while the per-shard sketch updates run under
         per-(instance, shard) locks so different shards make progress in
         parallel.  Returns the new version.
         """
-        name = request.engine
-        if self._pool is not None:
-            return self._dispatch_one(entry, request, instance, keys, values)
         with entry.cond:
             jobs = entry.engine.ingest_jobs(instance, keys, values)
-            if self._wal is not None and not request.wal_bypass:
+            if self._wal is not None:
                 # append-before-apply: the version this batch will carry
                 # once applied is the idempotence key recovery replays
                 # against.  version + in_flight is invariant under
@@ -809,16 +827,19 @@ class SketchStore:
                 entry.cond.notify_all()
         return version
 
-    def _dispatch_one(
+    def _dispatch(
         self,
+        name: str,
         entry: _StoreEntry,
-        request: IngestRequest,
         instance: object,
         keys: Sequence[object],
         values,
+        forced: int | None = None,
     ) -> int:
         """Wire-encode one batch and broadcast it to the shard workers.
 
+        ``forced`` is the recorded version of a replayed batch (``None``
+        for live ingest, which takes the next version).
         Append-before-dispatch: with a WAL attached the batch is logged
         (byte-identical to the record the thread backend writes) before
         any worker sees it, so a parent crash after the ack replays it
@@ -829,7 +850,6 @@ class SketchStore:
         from repro.cluster import WorkerCrashError
         from repro.server.wire import encode_batches
 
-        name = request.engine
         pool = self._pool
         # workers apply after the ack, so the rejections ingest_jobs
         # would have raised must happen parent-side first
@@ -837,12 +857,18 @@ class SketchStore:
         blob = encode_batches([(instance, keys, column)])
         with pool.lock:
             with entry.cond:
-                version = entry.version + 1
-                if self._wal is not None and not request.wal_bypass:
+                if forced is None:
+                    version = entry.version + 1
+                else:
+                    version = forced
+                    _check_replay_version(name, entry, version)
+                if self._wal is not None:
                     self._wal.append_batch_blob(name, version, blob)
             crashed = False
             with span(
-                "store.dispatch", engine=name, rows=int(column.shape[0])
+                "store.dispatch" if forced is None else "store.replay",
+                engine=name,
+                rows=int(column.shape[0]),
             ):
                 try:
                     pool.dispatch(name, blob)
@@ -857,7 +883,9 @@ class SketchStore:
 
     def _replay(
         self,
-        request: IngestRequest,
+        name: str,
+        entry: _StoreEntry,
+        version: int,
         instance: object,
         keys: Sequence[object],
         values,
@@ -869,53 +897,18 @@ class SketchStore:
         ingest would re-number them.  Runs quiescently (no concurrent
         ingest can interleave), bumps the version to the record's value,
         and — when this store has its *own* WAL attached (a durable
-        follower) and the request does not bypass it — logs the batch
-        before applying, same as a live ingest.  Returns the new
-        version.
+        follower) — logs the batch before applying, same as a live
+        ingest.  Returns the new version.
         """
-        name = request.engine
-        entry = self._entry(name)
-        version = int(request.version)  # type: ignore[arg-type]
-        pool = self._pool
-        if pool is not None:
-            from repro.cluster import WorkerCrashError
-            from repro.server.wire import encode_batches
-
-            column = _checked_columns(keys, values)
-            blob = encode_batches([(instance, keys, column)])
-            with pool.lock:
-                with entry.cond:
-                    if version <= entry.version:
-                        raise InvalidParameterError(
-                            f"replayed batch for {name!r} carries version "
-                            f"{version} but the store is already at "
-                            f"{entry.version}; skip-checks belong to the "
-                            "caller"
-                        )
-                    if self._wal is not None and not request.wal_bypass:
-                        self._wal.append_batch_blob(name, version, blob)
-                crashed = False
-                with span("store.replay", engine=name, rows=len(column)):
-                    try:
-                        pool.dispatch(name, blob)
-                    except WorkerCrashError:
-                        crashed = True
-                with entry.cond:
-                    entry.version = version
-                    entry.cond.notify_all()
-                if crashed:
-                    self._heal_workers()
-                return version
+        if self._pool is not None:
+            return self._dispatch(
+                name, entry, instance, keys, values, forced=version
+            )
         with entry.cond:
             while entry.in_flight:
                 entry.cond.wait()
-            if version <= entry.version:
-                raise InvalidParameterError(
-                    f"replayed batch for {name!r} carries version "
-                    f"{version} but the store is already at "
-                    f"{entry.version}; skip-checks belong to the caller"
-                )
-            if self._wal is not None and not request.wal_bypass:
+            _check_replay_version(name, entry, version)
+            if self._wal is not None:
                 self._wal.append_batch(name, version, instance, keys, values)
             jobs = entry.engine.ingest_jobs(instance, keys, values)
             with span("store.replay", engine=name, shards=len(jobs)):
@@ -924,91 +917,6 @@ class SketchStore:
             entry.version = version
             entry.cond.notify_all()
             return entry.version
-
-    # -- deprecated shims (pre-IngestRequest surface) -------------------
-    def ingest(
-        self, name: str, instance: object, keys: Sequence[object], values
-    ) -> int:
-        """Ingest one batch of ``(key, value)`` updates for ``instance``.
-
-        .. deprecated:: use :meth:`submit` with an
-           :class:`IngestRequest`; this shim forwards to it unchanged.
-        """
-        return self.submit(
-            IngestRequest(
-                engine=name,
-                batches=((instance, keys, values),),
-                coalesce=False,
-            )
-        )
-
-    def replay_batch(
-        self,
-        name: str,
-        instance: object,
-        keys: Sequence[object],
-        values,
-        version: int,
-    ) -> int:
-        """Apply a logged ingest batch, forcing its recorded version.
-
-        .. deprecated:: use :meth:`submit` with a version-forced
-           :class:`IngestRequest`; this shim forwards to it unchanged.
-        """
-        return self.submit(
-            IngestRequest(
-                engine=name,
-                batches=((instance, keys, values),),
-                source="replay",
-                version=int(version),
-            )
-        )
-
-    def ingest_rows(
-        self, name: str, rows: Iterable[tuple[object, object, float]]
-    ) -> int:
-        """Ingest ``(instance, key, value)`` triples, grouped by instance.
-
-        Returns the version after the last batch (the current version if
-        ``rows`` is empty).
-
-        .. deprecated:: use :meth:`submit` with an
-           :class:`IngestRequest`; this shim forwards to it unchanged.
-        """
-        batches = tuple(
-            (instance, [key], [float(value)])
-            for instance, key, value in rows
-        )
-        return self.submit(
-            IngestRequest(engine=name, batches=batches, source="rows")
-        )
-
-    def ingest_batches(
-        self,
-        name: str,
-        batches: Iterable[tuple[object, Sequence[object], Sequence[float]]],
-    ) -> int:
-        """Ingest ``(instance, keys, values)`` column batches, coalescing
-        batches of the same instance into one large column first.
-
-        This is the server half of the binary ingest fast path: a
-        pipelined :mod:`repro.server.wire` body decodes into many small
-        batches, and per-batch ingest cost (engine planning, lock
-        round-trips, chunk startup) would dominate.  The streaming
-        permutation guarantee makes coalescing safe — sketch state does
-        not depend on how a stream is batched — so the coalesced ingest
-        is state-identical to ingesting every batch separately.  Returns
-        the version after the last instance (the current version if
-        ``batches`` is empty).
-
-        .. deprecated:: use :meth:`submit` with an
-           :class:`IngestRequest`; this shim forwards to it unchanged.
-        """
-        return self.submit(
-            IngestRequest(
-                engine=name, batches=tuple(batches), source="batches"
-            )
-        )
 
     # ------------------------------------------------------------------
     # Quiescent reads

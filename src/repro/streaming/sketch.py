@@ -204,20 +204,7 @@ class _StreamingSketch:
             if not self._try_bulk(
                 chunk_keys, chunk_values, seeds, ranks, hashes[start:stop]
             ):
-                self._ingest_rows(chunk_keys, chunk_values, seeds, ranks)
-
-    def update_batch(
-        self,
-        keys: Sequence[object],
-        values,
-        hashes: np.ndarray | None = None,
-    ) -> None:
-        """Ingest one batch as a single chunk (compatibility alias for
-        :meth:`update_many`)."""
-        keys = list(keys)
-        self.update_many(
-            keys, values, chunk_size=max(len(keys), 1), hashes=hashes
-        )
+                self._apply_rows(chunk_keys, chunk_values, seeds, ranks)
 
     def _bulk_clean(self, hashes: np.ndarray) -> bool:
         """Whether a chunk can skip the per-row loop: keys certainly
@@ -248,7 +235,7 @@ class _StreamingSketch:
         return False to fall back to the per-row loop."""
         return False
 
-    def _ingest_rows(self, keys, values, seeds, ranks) -> None:
+    def _apply_rows(self, keys, values, seeds, ranks) -> None:
         """Per-row reference loop over one prepared chunk."""
         raise NotImplementedError
 
@@ -384,7 +371,7 @@ class StreamingBottomK(_StreamingSketch):
         elif len(self._values) == self.k + 1:
             self._full_max = -self._clean_top()[0]
 
-    def _ingest_rows(self, keys, values, seeds, ranks) -> None:
+    def _apply_rows(self, keys, values, seeds, ranks) -> None:
         for i in np.nonzero(values > 0.0)[0]:
             key = keys[i]
             if key in self._values:
@@ -711,7 +698,7 @@ class StreamingPoisson(_StreamingSketch):
         self._values[key] = value
         self._ranks[key] = rank
 
-    def _ingest_rows(self, keys, values, seeds, ranks) -> None:
+    def _apply_rows(self, keys, values, seeds, ranks) -> None:
         if self._inclusive:
             keep = ranks <= self.threshold
         else:

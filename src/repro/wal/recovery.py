@@ -18,7 +18,7 @@ from typing import NamedTuple
 from repro.exceptions import SketchCodecError, WalCorruptionError
 from repro.server.wire import decode_batches
 from repro.service import codec
-from repro.service.store import SketchStore
+from repro.service.store import IngestRequest, SketchStore
 from repro.wal.log import RECORD_BATCH, RECORD_ENGINE, WalRecord, WriteAheadLog
 
 __all__ = ["RecoveryReport", "apply_records", "recover_store"]
@@ -90,15 +90,22 @@ def apply_records(
                 f"batch record LSN {record.lsn} for {record.name!r} "
                 f"fails to decode: {exc}"
             ) from exc
-        for batch in batches:
-            store.replay_batch(
-                record.name,
-                batch.instance,
-                batch.keys,
-                batch.values,
-                record.version,
+        # the store logs one batch per version: any other count cannot
+        # be replayed under the record's single version
+        if len(batches) != 1:
+            raise WalCorruptionError(
+                f"batch record LSN {record.lsn} for {record.name!r} "
+                f"carries {len(batches)} batches; every batch record "
+                "holds exactly one"
             )
-            rows += len(batch.keys)
+        store.submit(
+            IngestRequest(
+                engine=record.name,
+                batches=batches,
+                version=record.version,
+            )
+        )
+        rows += len(batches[0].keys)
         applied += 1
     return applied, rows, skipped
 

@@ -20,6 +20,8 @@ from repro.sampling.seeds import SeedAssigner
 from repro.service.queries import Query
 from repro.service.store import SketchStore
 
+from ingest_helper import ingest
+
 pytestmark = pytest.mark.slow
 
 N_TRIALS = 250
@@ -53,7 +55,7 @@ class TestCi90Coverage:
                 "bk", "bottom_k", k=96,
                 seed_assigner=SeedAssigner(salt=1000 + trial),
             )
-            store.ingest("bk", "d", keys, values)
+            ingest(store, "bk", "d", keys, values)
             result = store.query(
                 "bk", Query("sum", ("d",), confidence=True)
             )
@@ -76,8 +78,8 @@ class TestCi90Coverage:
                 "traffic", "poisson", threshold=0.35,
                 seed_assigner=SeedAssigner(salt=5000 + trial),
             )
-            store.ingest("traffic", "mon", first, np.ones(len(first)))
-            store.ingest("traffic", "tue", second, np.ones(len(second)))
+            ingest(store, "traffic", "mon", first, np.ones(len(first)))
+            ingest(store, "traffic", "tue", second, np.ones(len(second)))
             result = store.query(
                 "traffic",
                 Query("distinct", ("mon", "tue"), confidence=True),

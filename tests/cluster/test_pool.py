@@ -24,6 +24,8 @@ from repro.sampling.seeds import SeedAssigner
 from repro.service import codec
 from repro.service.store import SketchStore
 
+from ingest_helper import ingest
+
 ENGINE = "t"
 N_SHARDS = 8
 
@@ -66,7 +68,7 @@ def make_batches(n_batches: int = 8, rows: int = 400, seed: int = 3):
 
 def load(store: SketchStore, batches) -> None:
     for instance, keys, values in batches:
-        store.ingest(ENGINE, instance, keys, values)
+        ingest(store, ENGINE, instance, keys, values)
 
 
 class TestOwnedSubset:
@@ -134,8 +136,8 @@ class TestPoolParity:
         pooled.start_workers(2)
         try:
             for index, (instance, keys, values) in enumerate(batches):
-                pooled.ingest(ENGINE, instance, keys, values)
-                serial.ingest(ENGINE, instance, keys, values)
+                ingest(pooled, ENGINE, instance, keys, values)
+                ingest(serial, ENGINE, instance, keys, values)
                 if index % 3 == 0:
                     # interleaved reads force multi-fold merges; the
                     # engines stay value-identical even where the byte
@@ -154,8 +156,8 @@ class TestPoolParity:
                 store.create("late", "bottom_k", **make_engine_kwargs("bottom_k"))
             batches = make_batches(n_batches=3)
             for instance, keys, values in batches:
-                pooled.ingest("late", instance, keys, values)
-                serial.ingest("late", instance, keys, values)
+                ingest(pooled, "late", instance, keys, values)
+                ingest(serial, "late", instance, keys, values)
             blob = codec.to_bytes(pooled.engine("late", sync=True))
         finally:
             pooled.stop_workers()

@@ -1,11 +1,8 @@
-"""The versioned ``/v1`` API surface and its legacy aliases.
+"""The versioned ``/v1`` API surface.
 
-Every endpoint in :data:`repro.server.app.ROUTE_SPEC` must serve under
-``/v1`` and under its bare legacy path; the legacy twin returns the
-identical body plus a ``Deprecation`` header and a
-``Link: <successor>; rel="successor-version"`` pointer.  Also covers
-the client-side half of the redesign: ``base_url`` construction and
-the deprecation of positional ``host``/``port``.
+Every endpoint in :data:`repro.server.app.ROUTE_SPEC` serves under
+``/v1`` and nowhere else: a bare path is ``404``, whatever the method.
+Also covers the client's single keyword-only constructor.
 """
 
 from __future__ import annotations
@@ -53,19 +50,17 @@ async def raw_post(
 
 
 class TestV1Surface:
-    def test_route_table_mounts_every_spec_entry_twice(self, run_scenario):
+    def test_route_table_mounts_every_spec_entry_under_v1(self, run_scenario):
         async def scenario(server, client):
-            registered = set(server.router.routes())
-            for method, path, _handler in ROUTE_SPEC:
-                assert (method, V1_PREFIX + path) in registered
-                assert (method, path) in registered
-            assert len(registered) == 2 * len(ROUTE_SPEC)
+            assert server.router.routes() == sorted(
+                ((method, V1_PREFIX + path) for method, path, _ in ROUTE_SPEC),
+                key=lambda key: (key[1], key[0]),
+            )
 
         run_scenario(scenario)
 
     def test_client_traffic_flows_through_v1(self, run_scenario):
         async def scenario(server, client):
-            assert client.api_prefix == "/v1"
             keys, values = make_columns(120)
             await client.ingest("traffic", "monday", keys, values)
             result = await client.query("traffic", "sum", ["monday"])
@@ -91,32 +86,27 @@ class TestV1Surface:
 
         run_scenario(scenario, store=make_store())
 
-    def test_get_bodies_identical_legacy_adds_deprecation(self, run_scenario):
+    def test_unprefixed_get_is_404_and_v1_unchanged(self, run_scenario):
         async def scenario(server, client):
             keys, values = make_columns(150)
             await client.ingest("traffic", "monday", keys, values)
             target = "/query?name=traffic&kind=sum&instances=monday&variant=l"
-            # warm the planner cache so both raw requests below re-serve
-            # the same cached result (otherwise from_cache would differ)
-            await client.query("traffic", "sum", ["monday"])
-            v1_status, v1_headers, v1_body = await raw_request(
-                server.port, "GET", V1_PREFIX + target
-            )
-            old_status, old_headers, old_body = await raw_request(
+            status, _headers, _body = await raw_request(
                 server.port, "GET", target
             )
-            assert v1_status == old_status == 200
-            assert v1_body == old_body
-            assert "deprecation" not in v1_headers
-            assert old_headers["deprecation"] == "true"
-            assert (
-                old_headers["link"]
-                == '</v1/query>; rel="successor-version"'
+            assert status == 404
+            status, headers, body = await raw_request(
+                server.port, "GET", V1_PREFIX + target
             )
+            assert status == 200
+            assert "deprecation" not in headers
+            assert json.loads(body)["version"] == 1
 
         run_scenario(scenario, store=make_store())
 
-    def test_legacy_post_ingest_serves_with_deprecation(self, run_scenario):
+    def test_unprefixed_post_ingest_is_404_and_applies_nothing(
+        self, run_scenario
+    ):
         async def scenario(server, client):
             keys, values = make_columns(40)
             body = json.dumps(
@@ -127,34 +117,51 @@ class TestV1Surface:
                     "values": values,
                 }
             ).encode()
-            status, headers, payload = await raw_post(
+            status, _headers, _payload = await raw_post(
                 server.port, "/ingest", body
             )
-            assert status == 200
-            assert headers["deprecation"] == "true"
-            assert headers["link"] == '</v1/ingest>; rel="successor-version"'
-            assert json.loads(payload)["version"] == 1
-            status, headers, payload = await raw_post(
+            assert status == 404
+            assert server.store.version("traffic") == 0
+            status, _headers, payload = await raw_post(
                 server.port, "/v1/ingest", body
             )
             assert status == 200
-            assert "deprecation" not in headers
-            assert json.loads(payload)["version"] == 2
+            assert json.loads(payload)["version"] == 1
 
         run_scenario(scenario, store=make_store())
 
-    def test_deprecation_rides_on_legacy_405(self, run_scenario):
+    def test_wrong_method_is_405_only_on_v1_paths(self, run_scenario):
         async def scenario(server, client):
-            status, headers, _body = await raw_request(
+            status, _headers, _body = await raw_request(
                 server.port, "DELETE", "/ingest"
             )
-            assert status == 405
-            assert headers["deprecation"] == "true"
+            assert status == 404
             status, headers, _body = await raw_request(
                 server.port, "DELETE", "/v1/ingest"
             )
             assert status == 405
-            assert "deprecation" not in headers
+            assert headers["allow"] == "POST"
+
+        run_scenario(scenario)
+
+    @pytest.mark.parametrize(
+        "method, path, attribute",
+        ROUTE_SPEC,
+        ids=[f"{method} {path}" for method, path, _ in ROUTE_SPEC],
+    )
+    def test_every_bare_spec_path_is_404(
+        self, run_scenario, method, path, attribute
+    ):
+        async def scenario(server, client):
+            status, headers, _body = await raw_request(
+                server.port, method, path
+            )
+            assert status == 404
+            assert "deprecation" not in headers and "link" not in headers
+            assert server.router.resolve(method, V1_PREFIX + path) == getattr(
+                server, attribute
+            )
+            assert server.router.label(method, path) == "(unmatched)"
 
         run_scenario(scenario)
 
@@ -169,54 +176,21 @@ class TestV1Surface:
 
 
 class TestClientConstruction:
-    def test_base_url_defaults_to_v1(self):
-        client = AsyncSketchClient(base_url="http://10.0.0.7:8080")
-        assert (client.host, client.port) == ("10.0.0.7", 8080)
-        assert client.api_prefix == "/v1"
-        assert client._path("/query") == "/v1/query"
-
-    def test_base_url_explicit_prefix(self):
-        client = AsyncSketchClient(base_url="http://10.0.0.7:8080/v1/")
-        assert client.api_prefix == "/v1"
-        client = AsyncSketchClient(base_url="http://10.0.0.7/v2")
-        assert (client.port, client.api_prefix) == (80, "/v2")
+    def test_host_and_port_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            AsyncSketchClient("127.0.0.1", 8080)  # type: ignore[misc]
+        client = AsyncSketchClient(host="127.0.0.1", port=8080)
+        assert (client.host, client.port) == ("127.0.0.1", 8080)
 
     @pytest.mark.parametrize(
-        "bad",
-        ["https://10.0.0.7:8080", "10.0.0.7:8080", "http://"],
+        "removed",
+        [{"base_url": "http://127.0.0.1:8080"}, {"api_prefix": "/v1"}],
+        ids=["base_url", "api_prefix"],
     )
-    def test_base_url_must_be_http(self, bad):
-        with pytest.raises(ValueError, match="base_url"):
-            AsyncSketchClient(base_url=bad)
-
-    def test_base_url_conflicts_with_host_port(self):
-        with pytest.raises(ValueError, match="not both"):
-            AsyncSketchClient(
-                host="127.0.0.1", port=1, base_url="http://127.0.0.1:1"
-            )
-
-    def test_positional_host_port_warns_but_works(self):
-        with pytest.warns(DeprecationWarning, match="positional"):
-            client = AsyncSketchClient("127.0.0.1", 8080)
-        assert (client.host, client.port) == ("127.0.0.1", 8080)
-        assert client.api_prefix == "/v1"
-
-    def test_positional_and_keyword_conflict(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="positional"):
-                AsyncSketchClient("127.0.0.1", 8080, host="other")
+    def test_removed_constructor_keywords_are_rejected(self, removed):
+        with pytest.raises(TypeError, match=next(iter(removed))):
+            AsyncSketchClient(host="127.0.0.1", port=8080, **removed)
 
     def test_missing_endpoint_arguments(self):
         with pytest.raises(TypeError, match="host"):
-            AsyncSketchClient()
-
-    def test_base_url_used_against_live_server(self, run_scenario):
-        async def scenario(server, client):
-            url = f"http://127.0.0.1:{server.port}"
-            async with AsyncSketchClient(base_url=url) as second:
-                keys, values = make_columns(30)
-                await second.ingest("traffic", "monday", keys, values)
-                result = await second.query("traffic", "sum", ["monday"])
-                assert result["version"] == 1
-
-        run_scenario(scenario, store=make_store())
+            AsyncSketchClient()  # type: ignore[call-arg]

@@ -22,6 +22,8 @@ from repro.server import AsyncSketchClient, ClientResponseError
 from repro.server.wire import BATCH_CONTENT_TYPE, encode_batches
 from repro.service import Query, SketchStore
 
+from ingest_helper import ingest
+
 SALT = 7
 
 
@@ -96,7 +98,7 @@ class TestBasics:
             # poisson without threshold is a client error
             status, payload = await client.request(
                 "POST",
-                "/engines",
+                "/v1/engines",
                 json_body={"name": "p", "kind": "poisson"},
             )
             assert status == 400
@@ -112,13 +114,18 @@ class TestBasics:
         async def scenario(server, client):
             # column style for monday, row style for tuesday
             await client.ingest("traffic", "monday", keys[:400], values[:400])
-            await client.ingest_rows(
-                "traffic",
-                [
-                    ("tuesday", key, value)
-                    for key, value in zip(keys[200:], values[200:])
-                ],
+            status, _ = await client.request(
+                "POST",
+                "/v1/ingest",
+                json_body={
+                    "name": "traffic",
+                    "rows": [
+                        ["tuesday", key, value]
+                        for key, value in zip(keys[200:], values[200:])
+                    ],
+                },
             )
+            assert status == 200
             result = await client.query("traffic", "distinct", ["monday", "tuesday"])
             assert not result["from_cache"]
             again = await client.query("traffic", "distinct", ["monday", "tuesday"])
@@ -127,8 +134,8 @@ class TestBasics:
             return result
 
         result = run_scenario(scenario, store=store)
-        reference.ingest("traffic", "monday", keys[:400], values[:400])
-        reference.ingest("traffic", "tuesday", keys[200:], values[200:])
+        ingest(reference, "traffic", "monday", keys[:400], values[:400])
+        ingest(reference, "traffic", "tuesday", keys[200:], values[200:])
         assert store.engine("traffic") == reference.engine("traffic")
         expected = reference.query("traffic", Query.distinct("monday", "tuesday"))
         assert result["value"]["estimate"] == float(expected.value.estimate)
@@ -149,7 +156,7 @@ class TestBasics:
         async def csv_scenario(server, client):
             status, payload = await client.request(
                 "POST",
-                "/ingest",
+                "/v1/ingest",
                 params={"name": "traffic"},
                 body=lines.encode(),
                 content_type="text/csv",
@@ -212,9 +219,9 @@ class TestBinaryIngest:
             )
 
         run_scenario(scenario, store=store)
-        reference.ingest("traffic", "monday", str_keys, values)
-        reference.ingest(
-            "traffic", "tuesday", [1, (2, "x"), None], [1.0, 2.0, 3.0]
+        ingest(reference, "traffic", "monday", str_keys, values)
+        ingest(
+            reference, "traffic", "tuesday", [1, (2, "x"), None], [1.0, 2.0, 3.0]
         )
         assert store.engine("traffic") == reference.engine("traffic")
 
@@ -222,7 +229,7 @@ class TestBinaryIngest:
         async def scenario(server, client):
             status, payload = await client.request(
                 "POST",
-                "/ingest",
+                "/v1/ingest",
                 body=encode_batches([("d", [1], [1.0])]),
                 content_type=BATCH_CONTENT_TYPE,
             )
@@ -236,7 +243,7 @@ class TestBinaryIngest:
             for body in (b"", b"junk", b"RBAT" + b"\xff" * 20):
                 status, payload = await client.request(
                     "POST",
-                    "/ingest",
+                    "/v1/ingest",
                     params={"name": "traffic"},
                     body=body,
                     content_type=BATCH_CONTENT_TYPE,
@@ -258,7 +265,7 @@ class TestBinaryIngest:
             ]
             status, payload = await client.request(
                 "POST",
-                "/ingest",
+                "/v1/ingest",
                 params={"name": "traffic"},
                 body=encode_batches(batches),
                 content_type=BATCH_CONTENT_TYPE,
@@ -278,7 +285,7 @@ class TestNonFiniteRejection:
     async def assert_rejected(server, client, *, body, content_type, params=None):
         status, payload = await client.request(
             "POST",
-            "/ingest",
+            "/v1/ingest",
             params=params or {"name": "traffic"},
             body=body,
             content_type=content_type,
@@ -324,7 +331,7 @@ class TestNonFiniteRejection:
             body = f"d,a,1.0\nd,b,{bad}\n".encode()
             status, payload = await client.request(
                 "POST",
-                "/ingest",
+                "/v1/ingest",
                 params={"name": "traffic"},
                 body=body,
                 content_type="text/csv",
@@ -359,7 +366,7 @@ class TestCsvHeaderHandling:
             body = b"\n\ninstance,key,value\nd,a,1.0\nd,b,2.0\n"
             status, payload = await client.request(
                 "POST",
-                "/ingest",
+                "/v1/ingest",
                 params={"name": "traffic"},
                 body=body,
                 content_type="text/csv",
@@ -375,7 +382,7 @@ class TestCsvHeaderHandling:
             body = b"\nd,a,1.0\n\n\nd,b,bogus\n"
             status, payload = await client.request(
                 "POST",
-                "/ingest",
+                "/v1/ingest",
                 params={"name": "traffic"},
                 body=body,
                 content_type="text/csv",
@@ -391,17 +398,17 @@ class TestErrorPaths:
     def test_malformed_requests_are_400(self, run_scenario):
         async def scenario(server, client):
             checks = [
-                ("POST", "/ingest", {"body": b"not json"}),
-                ("POST", "/ingest", {"json_body": ["not", "an", "object"]}),
-                ("POST", "/ingest", {"json_body": {"instance": "d"}}),
+                ("POST", "/v1/ingest", {"body": b"not json"}),
+                ("POST", "/v1/ingest", {"json_body": ["not", "an", "object"]}),
+                ("POST", "/v1/ingest", {"json_body": {"instance": "d"}}),
                 (
                     "POST",
-                    "/ingest",
+                    "/v1/ingest",
                     {"json_body": {"name": "traffic", "instance": "d"}},
                 ),
                 (
                     "POST",
-                    "/ingest",
+                    "/v1/ingest",
                     {
                         "json_body": {
                             "name": "traffic",
@@ -413,7 +420,7 @@ class TestErrorPaths:
                 ),
                 (
                     "POST",
-                    "/ingest",
+                    "/v1/ingest",
                     {
                         "json_body": {
                             "name": "traffic",
@@ -423,7 +430,7 @@ class TestErrorPaths:
                 ),
                 (
                     "POST",
-                    "/ingest",
+                    "/v1/ingest",
                     {
                         "json_body": {
                             "name": "traffic",
@@ -435,7 +442,7 @@ class TestErrorPaths:
                 ),
                 (
                     "POST",
-                    "/ingest",
+                    "/v1/ingest",
                     {
                         "json_body": {
                             "name": "traffic",
@@ -445,10 +452,10 @@ class TestErrorPaths:
                         }
                     },
                 ),
-                ("GET", "/query", {"params": {"name": "traffic"}}),
+                ("GET", "/v1/query", {"params": {"name": "traffic"}}),
                 (
                     "GET",
-                    "/query",
+                    "/v1/query",
                     {
                         "params": {
                             "name": "traffic",
@@ -459,11 +466,11 @@ class TestErrorPaths:
                 ),
                 (
                     "GET",
-                    "/query",
+                    "/v1/query",
                     {"params": {"name": "traffic", "kind": "distinct"}},
                 ),
-                ("POST", "/merge", {"json_body": {}}),
-                ("POST", "/snapshot", {"json_body": {}}),
+                ("POST", "/v1/merge", {"json_body": {}}),
+                ("POST", "/v1/snapshot", {"json_body": {}}),
             ]
             for method, path, kwargs in checks:
                 status, payload = await client.request(method, path, **kwargs)
@@ -478,7 +485,7 @@ class TestErrorPaths:
             assert status == 404
             status, payload = await client.request(
                 "POST",
-                "/ingest",
+                "/v1/ingest",
                 json_body={
                     "name": "ghost",
                     "instance": "d",
@@ -490,7 +497,7 @@ class TestErrorPaths:
             assert "ghost" in payload["error"]
             status, _ = await client.request(
                 "GET",
-                "/query",
+                "/v1/query",
                 params={
                     "name": "ghost",
                     "kind": "sum",
@@ -501,7 +508,7 @@ class TestErrorPaths:
             # a missing-but-confined peer file is 404
             status, _ = await client.request(
                 "POST",
-                "/merge",
+                "/v1/merge",
                 json_body={"path": "missing-peer.bin"},
             )
             assert status == 404
@@ -513,17 +520,17 @@ class TestErrorPaths:
         )
 
     def test_network_paths_are_confined_to_the_data_dir(self, run_scenario, tmp_path):
-        """/snapshot and /merge must never become an arbitrary
+        """/v1/snapshot and /v1/merge must never become an arbitrary
         file-write/read primitive for network clients."""
 
         async def scenario(server, client):
             for path in ("/etc/passwd", "../outside.bin"):
                 status, payload = await client.request(
-                    "POST", "/snapshot", json_body={"path": path}
+                    "POST", "/v1/snapshot", json_body={"path": path}
                 )
                 assert status == 403, (path, payload)
                 status, payload = await client.request(
-                    "POST", "/merge", json_body={"path": path}
+                    "POST", "/v1/merge", json_body={"path": path}
                 )
                 assert status == 403, (path, payload)
 
@@ -537,12 +544,12 @@ class TestErrorPaths:
     def test_network_paths_rejected_without_data_dir(self, run_scenario):
         async def scenario(server, client):
             status, payload = await client.request(
-                "POST", "/snapshot", json_body={"path": "anywhere.bin"}
+                "POST", "/v1/snapshot", json_body={"path": "anywhere.bin"}
             )
             assert status == 403
             assert "data directory" in payload["error"]
             status, _ = await client.request(
-                "POST", "/merge", json_body={"path": "anywhere.bin"}
+                "POST", "/v1/merge", json_body={"path": "anywhere.bin"}
             )
             assert status == 403
 
@@ -550,9 +557,9 @@ class TestErrorPaths:
 
     def test_wrong_method_is_405(self, run_scenario):
         async def scenario(server, client):
-            status, _ = await client.request("DELETE", "/query")
+            status, _ = await client.request("DELETE", "/v1/query")
             assert status == 405
-            status, _ = await client.request("GET", "/ingest")
+            status, _ = await client.request("GET", "/v1/ingest")
             assert status == 405
 
         run_scenario(scenario)
@@ -562,7 +569,7 @@ class TestErrorPaths:
             keys, values = make_columns(21)
             status, payload = await client.request(
                 "POST",
-                "/ingest",
+                "/v1/ingest",
                 json_body={
                     "name": "traffic",
                     "instance": "d",
@@ -581,7 +588,7 @@ class TestErrorPaths:
         async def scenario(server, client):
             status, payload = await client.request(
                 "POST",
-                "/ingest",
+                "/v1/ingest",
                 body=b"x" * 4096,
                 content_type="text/csv",
                 params={"name": "traffic"},
@@ -629,7 +636,7 @@ class TestBackpressure:
                 assert server._pending.get("traffic") == 1
                 status, payload = await client.request(
                     "POST",
-                    "/ingest",
+                    "/v1/ingest",
                     json_body={
                         "name": "traffic",
                         "instance": "d",
@@ -721,7 +728,7 @@ class TestShutdown:
     def test_explicit_snapshot_and_merge_round_trip(self, run_scenario, tmp_path):
         peer_store = make_store()
         keys, values = make_columns(400, seed=5)
-        peer_store.ingest("traffic", "monday", keys[:250], values[:250])
+        ingest(peer_store, "traffic", "monday", keys[:250], values[:250])
         peer_path = peer_store.snapshot(tmp_path / "peer.bin")
         main_store = make_store()
 
@@ -740,7 +747,7 @@ class TestShutdown:
         )
         merged = SketchStore.restore(saved["path"])
         reference = make_store()
-        reference.ingest("traffic", "monday", keys, values)
+        ingest(reference, "traffic", "monday", keys, values)
         assert merged.engine("traffic") == reference.engine("traffic")
 
 
@@ -780,7 +787,7 @@ class TestObservability:
             status, headers, _ = await raw_request(
                 server.port,
                 "GET",
-                "/healthz",
+                "/v1/healthz",
                 headers=(("X-Request-Id", "trace-me-42"),),
             )
             assert status == 200
@@ -790,7 +797,7 @@ class TestObservability:
 
     def test_request_id_generated_when_missing_or_bogus(self, run_scenario):
         async def scenario(server, client):
-            _, headers, _ = await raw_request(server.port, "GET", "/healthz")
+            _, headers, _ = await raw_request(server.port, "GET", "/v1/healthz")
             generated = headers["x-request-id"]
             assert len(generated) == 16
             int(generated, 16)
@@ -798,7 +805,7 @@ class TestObservability:
             _, headers, _ = await raw_request(
                 server.port,
                 "GET",
-                "/healthz",
+                "/v1/healthz",
                 headers=(("X-Request-Id", "x" * 300),),
             )
             assert headers["x-request-id"] != "x" * 300
@@ -818,7 +825,7 @@ class TestObservability:
             await client.healthz()
             first = client.last_request_id
             assert first is not None
-            status, _ = await client.request("GET", "/healthz", request_id="pinned-id")
+            status, _ = await client.request("GET", "/v1/healthz", request_id="pinned-id")
             assert status == 200
             assert client.last_request_id == "pinned-id"
 
@@ -830,7 +837,7 @@ class TestObservability:
             await client.ingest("traffic", "monday", keys, values)
             await client.query("traffic", "sum", ["monday"])
             status, headers, body = await raw_request(
-                server.port, "GET", "/metrics?format=prometheus"
+                server.port, "GET", "/v1/metrics?format=prometheus"
             )
             assert status == 200
             assert headers["content-type"].startswith("text/plain; version=0.0.4")
@@ -846,26 +853,31 @@ class TestObservability:
     def test_metrics_unknown_format_rejected(self, run_scenario):
         async def scenario(server, client):
             status, payload = await client.request(
-                "GET", "/metrics", params={"format": "xml"}
+                "GET", "/v1/metrics", params={"format": "xml"}
             )
             assert status == 400
             assert "format" in payload["error"]
 
         run_scenario(scenario)
 
-    def test_unmatched_routes_collapse_in_latency_labels(self, run_scenario):
+    def test_unmatched_requests_share_one_label(self, run_scenario):
         async def scenario(server, client):
-            for path in ("/a", "/b", "/c"):
-                status, _ = await client.request("GET", path)
+            # twice, so the metrics route itself is in both snapshots
+            await client.metrics()
+            before = await client.metrics()
+            for index in range(200):
+                status, _ = await client.request("GET", f"/v1/nope-{index}")
                 assert status == 404
-            metrics = await client.metrics()
-            unmatched = [
-                route
-                for route in metrics["latency"]
-                if "(unmatched)" in route
-            ]
-            assert unmatched == ["GET (unmatched)"]
-            assert metrics["latency"]["GET (unmatched)"]["count"] == 3
+            for index in range(20):
+                status, _ = await client.request(f"JUNK{index}", "/v1/query")
+                assert status == 405
+            after = await client.metrics()
+            for family in ("requests", "latency"):
+                assert set(after[family]) - set(before[family]) == {
+                    "(unmatched)"
+                }
+            assert after["requests"]["(unmatched)"] == 220
+            assert after["latency"]["(unmatched)"]["count"] == 220
 
         run_scenario(scenario)
 

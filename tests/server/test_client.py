@@ -74,7 +74,7 @@ class TestMalformedContentLength:
             async with ScriptedServer(responses) as server:
                 async with AsyncSketchClient(host="127.0.0.1", port=server.port) as client:
                     with pytest.raises(ConnectionResetError, match="banana"):
-                        await client.request("GET", "/healthz")
+                        await client.request("GET", "/v1/healthz")
 
         run(scenario())
 
@@ -84,7 +84,7 @@ class TestMalformedContentLength:
             async with ScriptedServer(responses) as server:
                 async with AsyncSketchClient(host="127.0.0.1", port=server.port) as client:
                     with pytest.raises(ConnectionResetError, match="-5"):
-                        await client.request("GET", "/healthz")
+                        await client.request("GET", "/v1/healthz")
 
         run(scenario())
 
@@ -98,7 +98,7 @@ class TestMalformedContentLength:
                 async with AsyncSketchClient(host="127.0.0.1", port=server.port) as client:
                     with pytest.raises(ConnectionResetError):
                         await client.request(
-                            "POST", "/ingest", json_body={"name": "x"}
+                            "POST", "/v1/ingest", json_body={"name": "x"}
                         )
                 # a second canned response remains: only one request hit
                 # the wire
@@ -120,7 +120,7 @@ class TestMalformedContentLength:
                     with pytest.raises(
                         ConnectionResetError, match="duplicate"
                     ):
-                        await client.request("GET", "/healthz")
+                        await client.request("GET", "/v1/healthz")
 
         run(scenario())
 
@@ -135,7 +135,7 @@ class TestMalformedContentLength:
             ]
             async with ScriptedServer(responses) as server:
                 async with AsyncSketchClient(host="127.0.0.1", port=server.port) as client:
-                    status, payload = await client.request("GET", "/healthz")
+                    status, payload = await client.request("GET", "/v1/healthz")
                     assert status == 200
                     assert payload == {}
 
@@ -152,7 +152,7 @@ class TestMalformedContentLength:
             ]
             async with ScriptedServer(responses) as server:
                 async with AsyncSketchClient(host="127.0.0.1", port=server.port) as client:
-                    status, payload = await client.request("GET", "/healthz")
+                    status, payload = await client.request("GET", "/v1/healthz")
                     assert status == 200
                     assert payload == {"status": "ok"}
                     assert client.last_request_id == "abc123"

@@ -18,6 +18,8 @@ from repro.sampling.seeds import SeedAssigner
 from repro.server import AsyncSketchClient
 from repro.service import Query, SketchStore
 
+from ingest_helper import ingest
+
 SALT = 11
 N_CLIENTS = 4
 N_BATCHES = 24
@@ -111,7 +113,7 @@ def test_concurrent_http_ingest_matches_serial(run_scenario, kind):
 
     serial_store = build_store(kind)
     for instance, keys, values in batches:
-        serial_store.ingest("load", instance, keys, values)
+        ingest(serial_store, "load", instance, keys, values)
 
     # bit-exact parity: every shard sketch of every instance identical
     assert concurrent_store.engine("load") == serial_store.engine("load")

@@ -130,14 +130,14 @@ class TestSnapshot:
 
     def test_latency_block_per_route(self):
         harness = MetricsHarness()
-        harness.metrics.record_duration("GET /query", 0.002)
-        harness.metrics.record_duration("GET /query", 0.004)
-        harness.metrics.record_duration("POST /ingest", 0.050)
+        harness.metrics.record_duration("GET /v1/query", 0.002)
+        harness.metrics.record_duration("GET /v1/query", 0.004)
+        harness.metrics.record_duration("POST /v1/ingest", 0.050)
         payload = harness.snapshot()
         latency = payload["latency"]
-        assert latency["GET /query"]["count"] == 2
-        assert latency["POST /ingest"]["count"] == 1
-        assert 0.001 <= latency["GET /query"]["p50_seconds"] <= 0.006
+        assert latency["GET /v1/query"]["count"] == 2
+        assert latency["POST /v1/ingest"]["count"] == 1
+        assert 0.001 <= latency["GET /v1/query"]["p50_seconds"] <= 0.006
         merged = harness.metrics.merged_histogram()
         assert merged.count == 3
 
@@ -150,15 +150,15 @@ class TestSnapshot:
 class TestPrometheus:
     def test_exposition_contains_expected_families(self):
         harness = MetricsHarness()
-        harness.metrics.record_request("GET", "/query")
+        harness.metrics.record_request("GET /v1/query")
         harness.metrics.record_response(200)
-        harness.metrics.record_duration("GET /query", 0.002)
+        harness.metrics.record_duration("GET /v1/query", 0.002)
         harness.metrics.record_ingest(100, 0.01)
         text = harness.prometheus(pending={"traffic": 1})
         assert text.endswith("\n")
         for family in (
             "repro_uptime_seconds",
-            'repro_requests_total{route="GET /query"} 1',
+            'repro_requests_total{route="GET /v1/query"} 1',
             'repro_responses_total{status="200"} 1',
             "repro_request_duration_seconds_bucket",
             "repro_ingest_rows_total 100",
@@ -173,13 +173,13 @@ class TestPrometheus:
     def test_bucket_series_cumulative_per_route(self):
         harness = MetricsHarness()
         for seconds in (0.001, 0.002, 0.004):
-            harness.metrics.record_duration("GET /query", seconds)
+            harness.metrics.record_duration("GET /v1/query", seconds)
         text = harness.prometheus()
         bucket_lines = [
             line
             for line in text.splitlines()
             if line.startswith("repro_request_duration_seconds_bucket")
-            and 'route="GET /query"' in line
+            and 'route="GET /v1/query"' in line
         ]
         values = [float(line.rpartition(" ")[2]) for line in bucket_lines]
         assert values == sorted(values)
@@ -193,7 +193,7 @@ class TestConcurrency:
 
         def hammer(worker: int) -> None:
             for index in range(per_thread):
-                harness.metrics.record_request("GET", "/query")
+                harness.metrics.record_request("GET /v1/query")
                 harness.metrics.record_response(200 if index % 2 else 503)
                 harness.metrics.record_duration(f"route-{worker % 2}", index / 1e5)
                 harness.metrics.record_ingest(2, 1e-4)
@@ -204,7 +204,7 @@ class TestConcurrency:
 
         total = per_thread * n_threads
         payload = harness.snapshot()
-        assert payload["requests"]["GET /query"] == total
+        assert payload["requests"]["GET /v1/query"] == total
         assert sum(payload["responses"].values()) == total
         assert payload["ingest"]["rows"] == 2 * total
         assert payload["ingest"]["batches"] == total

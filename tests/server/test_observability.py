@@ -95,7 +95,7 @@ class TestStatusz:
         async def scenario(server, client):
             await fill_engine(client)
             sample_series(server)
-            status, page = await client.request("GET", "/statusz")
+            status, page = await client.request("GET", "/v1/statusz")
             assert status == 200
             assert isinstance(page, str)
             assert page.startswith("<!DOCTYPE html>")
@@ -118,7 +118,7 @@ class TestMetricsHistory:
     def test_requires_metric_and_knows_its_names(self, run_scenario):
         async def scenario(server, client):
             sample_series(server)
-            status, payload = await client.request("GET", "/metrics/history")
+            status, payload = await client.request("GET", "/v1/metrics/history")
             assert status == 400
             assert "repro_requests_total" in payload["error"]
 
@@ -139,7 +139,7 @@ class TestMetricsHistory:
             for window in ("abc", "-1"):
                 status, payload = await client.request(
                     "GET",
-                    "/metrics/history",
+                    "/v1/metrics/history",
                     params={
                         "metric": "repro_requests_total",
                         "window": window,
@@ -273,7 +273,7 @@ class TestQueryConfidence:
             await fill_engine(client, n=200)
             await client.query("t", "sum", ["mon"], confidence=True)
             status, payload = await client.request(
-                "GET", "/metrics", params={"format": "prometheus"}
+                "GET", "/v1/metrics", params={"format": "prometheus"}
             )
             assert status == 200
             text = (

@@ -19,6 +19,8 @@ from repro.server import (
 )
 from repro.service import SketchStore, codec
 
+from ingest_helper import ingest
+
 ENGINE_CONFIG = {
     "threshold": 0.05,
     "salt": 7,
@@ -61,7 +63,7 @@ class TestReplicateEndpoint:
         async def scenario(server, client):
             for since in ("-1", "abc"):
                 status, payload = await client.request(
-                    "GET", "/replicate", params={"since": since}
+                    "GET", "/v1/replicate", params={"since": since}
                 )
                 assert status == 400, payload
                 assert "since" in payload["error"]
@@ -155,9 +157,9 @@ class TestFollowerCatchUp:
     ):
         local = ("local-day", [f"edge-{j}" for j in range(6)], [2.0] * 6)
         follower = _local_store()
-        follower.ingest("t", *local)
+        ingest(follower, "t", *local)
         expected = _local_store()
-        expected.ingest("t", *local)
+        ingest(expected, "t", *local)
 
         async def scenario(server, client):
             await create_and_fill(client, 3)
@@ -213,7 +215,7 @@ class TestWalMetrics:
             assert wal_stats["last_lsn"] == 4
             assert wal_stats["fsync_policy"] == "interval"
             status, text = await client.request(
-                "GET", "/metrics", params={"format": "prometheus"}
+                "GET", "/v1/metrics", params={"format": "prometheus"}
             )
             assert status == 200
             for family in (
@@ -234,7 +236,7 @@ class TestWalMetrics:
             payload = await client.metrics()
             assert payload["wal"] is None
             _, text = await client.request(
-                "GET", "/metrics", params={"format": "prometheus"}
+                "GET", "/v1/metrics", params={"format": "prometheus"}
             )
             assert "repro_wal_" not in text
 

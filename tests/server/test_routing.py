@@ -1,12 +1,12 @@
 """Router semantics: exact-path dispatch, 404 vs 405, Allow header,
-and the spec-generated ``/v1`` + legacy-alias table."""
+bounded metric labels, and the spec-generated ``/v1`` table."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.server.protocol import HttpError
-from repro.server.routing import V1_PREFIX, Router
+from repro.server.routing import UNMATCHED_LABEL, V1_PREFIX, Router
 
 
 def handler_a():
@@ -60,41 +60,27 @@ class TestFromSpec:
         ("POST", "/ingest", handler_b),
     ]
 
-    def test_each_entry_registers_canonical_and_legacy(self):
+    def test_each_entry_mounts_under_v1_only(self):
         router = Router.from_spec(self.SPEC)
         assert router.routes() == [
-            ("POST", "/ingest"),
-            ("GET", "/query"),
-            ("POST", "/v1/ingest"),
-            ("GET", "/v1/query"),
+            ("POST", V1_PREFIX + "/ingest"),
+            ("GET", V1_PREFIX + "/query"),
         ]
 
-    def test_both_paths_dispatch_the_same_handler(self):
+    def test_v1_paths_dispatch_and_bare_paths_404(self):
         router = Router.from_spec(self.SPEC)
         assert router.resolve("GET", "/v1/query") is handler_a
-        assert router.resolve("GET", "/query") is handler_a
         assert router.resolve("POST", "/v1/ingest") is handler_b
-        assert router.resolve("POST", "/ingest") is handler_b
+        for method, path in (("GET", "/query"), ("DELETE", "/ingest")):
+            with pytest.raises(HttpError) as excinfo:
+                router.resolve(method, path)
+            assert excinfo.value.status == 404
 
-    def test_legacy_paths_are_deprecated_aliases(self):
+    def test_labels_are_registered_routes_or_unmatched(self):
         router = Router.from_spec(self.SPEC)
-        assert router.deprecation("/query") == V1_PREFIX + "/query"
-        assert router.deprecation("/ingest") == V1_PREFIX + "/ingest"
-        assert router.deprecation("/v1/query") is None
-        assert router.deprecation("/v1/ingest") is None
-        assert router.deprecation("/nope") is None
-
-    def test_known_path_covers_both_registrations(self):
-        router = Router.from_spec(self.SPEC)
-        assert router.known_path("/v1/query")
-        assert router.known_path("/query")
-        assert not router.known_path("/v2/query")
-
-    def test_wrong_method_on_legacy_path_still_405(self):
-        router = Router.from_spec(self.SPEC)
-        with pytest.raises(HttpError) as excinfo:
-            router.resolve("DELETE", "/ingest")
-        assert excinfo.value.status == 405
-        # the Deprecation header decision is method-independent, so the
-        # dispatcher can attach it to this 405 as well
-        assert router.deprecation("/ingest") == "/v1/ingest"
+        assert router.label("GET", "/v1/query") == "GET /v1/query"
+        assert router.label("get", "/v1/query") == "GET /v1/query"
+        # unknown paths and wrong methods on known paths share one label
+        assert router.label("GET", "/query") == UNMATCHED_LABEL
+        assert router.label("GET", "/v2/query") == UNMATCHED_LABEL
+        assert router.label("DELETE", "/v1/query") == UNMATCHED_LABEL

@@ -15,7 +15,9 @@ import pytest
 from repro.sampling.seeds import SeedAssigner
 from repro.service.cli import main
 from repro.service.queries import Query
-from repro.service.store import SketchStore
+from repro.service.store import IngestRequest, SketchStore, group_rows
+
+from ingest_helper import ingest
 
 SALT = 7
 THRESHOLD = 0.5
@@ -53,7 +55,7 @@ def reference_store(rows) -> SketchStore:
         "traffic", "poisson", threshold=THRESHOLD,
         seed_assigner=SeedAssigner(salt=SALT),
     )
-    store.ingest_rows("traffic", rows)
+    store.submit(IngestRequest(engine="traffic", batches=group_rows(rows)))
     return store
 
 
@@ -189,7 +191,7 @@ class TestCliEndToEnd:
         direct.create(
             "bk", "bottom_k", k=8, seed_assigner=SeedAssigner(salt=1),
         )
-        direct.ingest("bk", "d", list(range(50)), [1.5] * 50)
+        ingest(direct, "bk", "d", list(range(50)), [1.5] * 50)
         assert store.engine("bk") == direct.engine("bk")
 
     def test_query_confidence_flag(self, tmp_path, capsys, rows):
@@ -460,9 +462,7 @@ class TestRecoverCommand:
             seed_assigner=SeedAssigner(salt=SALT),
         )
         for i in range(3):
-            store.ingest(
-                "traffic", "d", [f"k{i}-{j}" for j in range(4)], [1.0] * 4
-            )
+            ingest(store, "traffic", "d", [f"k{i}-{j}" for j in range(4)], [1.0] * 4)
         wal.close()
         return store
 

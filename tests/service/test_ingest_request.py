@@ -1,9 +1,7 @@
-"""The :class:`IngestRequest` funnel and its deprecated shims.
+"""The :class:`IngestRequest` funnel.
 
-Every write path into :class:`SketchStore` now flows through one
-``submit(IngestRequest)`` entry point; the old ``ingest`` /
-``ingest_rows`` / ``ingest_batches`` / ``replay_batch`` methods are
-thin shims over it and must stay behaviourally identical.
+Every write path into :class:`SketchStore` flows through one
+``submit(IngestRequest)`` entry point.
 """
 
 from __future__ import annotations
@@ -14,6 +12,8 @@ import pytest
 from repro.sampling.seeds import SeedAssigner
 from repro.service import codec
 from repro.service.store import IngestRequest, SketchStore
+
+from ingest_helper import ingest
 
 
 def build_store(kind="bottom_k", **kwargs):
@@ -42,9 +42,7 @@ class TestIngestRequestValidation:
     def test_defaults(self):
         request = IngestRequest(engine="traffic")
         assert request.batches == ()
-        assert request.source == "api"
         assert request.version is None
-        assert not request.wal_bypass
         assert request.coalesce
 
     def test_engine_must_be_nonempty_string(self):
@@ -52,10 +50,6 @@ class TestIngestRequestValidation:
             IngestRequest(engine="")
         with pytest.raises(ValueError, match="engine"):
             IngestRequest(engine=None)  # type: ignore[arg-type]
-
-    def test_source_must_be_nonempty_string(self):
-        with pytest.raises(ValueError, match="source"):
-            IngestRequest(engine="traffic", source="")
 
     def test_batches_normalized_to_triples(self):
         keys, values = make_columns(8)
@@ -81,6 +75,13 @@ class TestIngestRequestValidation:
             )
         with pytest.raises(ValueError, match="version"):
             IngestRequest(engine="traffic", batches=(), version=3)
+
+    @pytest.mark.parametrize(
+        "field, value", [("source", "http"), ("wal_bypass", True)]
+    )
+    def test_removed_fields_are_rejected(self, field, value):
+        with pytest.raises(TypeError, match=field):
+            IngestRequest(engine="traffic", **{field: value})
 
     def test_frozen(self):
         request = IngestRequest(engine="traffic")
@@ -119,7 +120,7 @@ class TestSubmit:
         # one coalesced application: a single version bump
         assert split.version("traffic") == 1
         whole = build_store()
-        whole.ingest("traffic", "mon", keys, values)
+        ingest(whole, "traffic", "mon", keys, values)
         assert codec.to_bytes(split.engine("traffic")) == codec.to_bytes(
             whole.engine("traffic")
         )
@@ -140,7 +141,6 @@ class TestSubmit:
             engine="traffic",
             batches=[("mon", keys, values)],
             version=1,
-            source="replay",
         )
         assert store.submit(replay) == 1
         before = codec.to_bytes(store.engine("traffic"))
@@ -150,61 +150,3 @@ class TestSubmit:
             store.submit(replay)
         assert codec.to_bytes(store.engine("traffic")) == before
 
-
-class TestDeprecatedShims:
-    def test_shims_match_submit_bit_exactly(self):
-        keys, values = make_columns(400)
-        rows = [("mon", int(key), float(value)) for key, value in
-                zip(keys[:50], values[:50])]
-
-        via_shims = build_store()
-        via_shims.ingest("traffic", "mon", keys[:200], values[:200])
-        via_shims.ingest_batches(
-            "traffic", [("tue", keys[200:], values[200:])]
-        )
-        via_shims.ingest_rows("traffic", rows)
-
-        via_submit = build_store()
-        via_submit.submit(
-            IngestRequest(
-                engine="traffic",
-                batches=[("mon", keys[:200], values[:200])],
-                coalesce=False,
-            )
-        )
-        via_submit.submit(
-            IngestRequest(
-                engine="traffic",
-                batches=[("tue", keys[200:], values[200:])],
-                source="batches",
-            )
-        )
-        via_submit.submit(
-            IngestRequest(
-                engine="traffic",
-                batches=[
-                    (instance, [key], [value])
-                    for instance, key, value in rows
-                ],
-                source="rows",
-            )
-        )
-        assert codec.to_bytes(via_shims.engine("traffic")) == codec.to_bytes(
-            via_submit.engine("traffic")
-        )
-        assert via_shims.version("traffic") == via_submit.version("traffic")
-
-    def test_replay_batch_shim_forces_version(self):
-        keys, values = make_columns(60)
-        store = build_store()
-        store.replay_batch("traffic", "mon", keys, values, 1)
-        assert store.version("traffic") == 1
-        before = codec.to_bytes(store.engine("traffic"))
-        with pytest.raises(ValueError, match="already at"):
-            store.replay_batch("traffic", "mon", keys, values, 1)
-        assert codec.to_bytes(store.engine("traffic")) == before
-
-    def test_shims_are_marked_deprecated(self):
-        for name in ("ingest", "ingest_rows", "ingest_batches",
-                     "replay_batch"):
-            assert "deprecated" in getattr(SketchStore, name).__doc__

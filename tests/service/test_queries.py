@@ -14,6 +14,8 @@ from repro.service.queries import Query, QueryPlanner
 from repro.service.store import SketchStore
 from repro.streaming import query as streaming_query
 
+from ingest_helper import ingest
+
 
 def make_columns(n=2500, seed=3):
     generator = np.random.default_rng(seed)
@@ -31,8 +33,8 @@ def oblivious_store():
         seed_assigner=SeedAssigner(salt=11), n_shards=4,
     )
     keys, values = make_columns()
-    store.ingest("traffic", "mon", keys[:1800], values[:1800])
-    store.ingest("traffic", "tue", keys[900:], values[900:])
+    ingest(store, "traffic", "mon", keys[:1800], values[:1800])
+    ingest(store, "traffic", "tue", keys[900:], values[900:])
     return store
 
 
@@ -44,8 +46,8 @@ def pps_store():
         seed_assigner=SeedAssigner(salt=4), n_shards=2,
     )
     keys, values = make_columns(800, seed=5)
-    store.ingest("flows", "mon", keys[:600], values[:600] / 100.0)
-    store.ingest("flows", "tue", keys[300:], values[300:] / 100.0)
+    ingest(store, "flows", "mon", keys[:600], values[:600] / 100.0)
+    ingest(store, "flows", "tue", keys[300:], values[300:] / 100.0)
     return store
 
 
@@ -101,7 +103,7 @@ class TestRouting:
             "bk", "bottom_k", k=64, seed_assigner=SeedAssigner(salt=2),
         )
         keys, values = make_columns(1200, seed=9)
-        store.ingest("bk", "d", keys, values)
+        ingest(store, "bk", "d", keys, values)
         result = store.query("bk", Query.sum("d"))
         assert result.value == store.sample(
             "bk", "d"
@@ -163,7 +165,7 @@ class TestCache:
     def test_ingest_invalidates_cache(self, oblivious_store):
         query = Query.distinct("mon", "tue")
         first = oblivious_store.query("traffic", query)
-        oblivious_store.ingest("traffic", "mon", [123456789], [1.0])
+        ingest(oblivious_store, "traffic", "mon", [123456789], [1.0])
         after = oblivious_store.query("traffic", query)
         assert not after.from_cache
         assert after.version == first.version + 1

@@ -26,6 +26,8 @@ from repro.service.confidence import CONFIDENCE_LEVEL, query_confidence
 from repro.service.queries import Query
 from repro.service.store import SketchStore
 
+from ingest_helper import ingest
+
 
 def make_columns(n=2000, seed=13):
     generator = np.random.default_rng(seed)
@@ -43,8 +45,8 @@ def oblivious_store():
         seed_assigner=SeedAssigner(salt=11), n_shards=4,
     )
     keys, values = make_columns()
-    store.ingest("traffic", "mon", keys[:1400], values[:1400])
-    store.ingest("traffic", "tue", keys[700:], values[700:])
+    ingest(store, "traffic", "mon", keys[:1400], values[:1400])
+    ingest(store, "traffic", "tue", keys[700:], values[700:])
     return store
 
 
@@ -55,7 +57,7 @@ def bottom_k_store():
         "bk", "bottom_k", k=64, seed_assigner=SeedAssigner(salt=2),
     )
     keys, values = make_columns(1200, seed=9)
-    store.ingest("bk", "d", keys, values)
+    ingest(store, "bk", "d", keys, values)
     return store
 
 
@@ -166,8 +168,8 @@ class TestRefusals:
             seed_assigner=SeedAssigner(salt=4), n_shards=2,
         )
         keys, values = make_columns(800, seed=5)
-        store.ingest("flows", "mon", keys[:600], values[:600] / 100.0)
-        store.ingest("flows", "tue", keys[300:], values[300:] / 100.0)
+        ingest(store, "flows", "mon", keys[:600], values[:600] / 100.0)
+        ingest(store, "flows", "tue", keys[300:], values[300:] / 100.0)
         return store
 
     def test_dominance_refused(self, pps_store):

@@ -15,8 +15,10 @@ from repro.exceptions import (
 )
 from repro.sampling.ranks import PpsRanks
 from repro.sampling.seeds import SeedAssigner
-from repro.service.store import SketchStore
+from repro.service.store import IngestRequest, SketchStore, group_rows
 from repro.streaming.engine import StreamEngine
+
+from ingest_helper import ingest
 
 
 def make_batches(n_keys=6000, n_batches=12, seed=0, instances=("d",)):
@@ -55,13 +57,13 @@ class TestConcurrentIngest:
 
         serial = build_store(kind)
         for instance, keys, values in batches:
-            serial.ingest("traffic", instance, keys, values)
+            ingest(serial, "traffic", instance, keys, values)
 
         concurrent = build_store(kind)
         with ThreadPoolExecutor(max_workers=4) as pool:
             list(
                 pool.map(
-                    lambda batch: concurrent.ingest("traffic", *batch),
+                    lambda batch: ingest(concurrent, "traffic", *batch),
                     batches,
                 )
             )
@@ -81,7 +83,7 @@ class TestConcurrentIngest:
         store = build_store("poisson")
         with ThreadPoolExecutor(max_workers=5) as pool:
             ingest_futures = [
-                pool.submit(store.ingest, "traffic", *batch)
+                pool.submit(ingest, store, "traffic", *batch)
                 for batch in batches
             ]
             read_futures = [
@@ -94,7 +96,7 @@ class TestConcurrentIngest:
         # matches serial ingest
         serial = build_store("poisson")
         for batch in batches:
-            serial.ingest("traffic", *batch)
+            ingest(serial, "traffic", *batch)
         assert store.engine("traffic") == serial.engine("traffic")
 
 
@@ -103,9 +105,7 @@ class TestRegistryAndVersions:
         store = build_store()
         assert store.version("traffic") == 0
         for expected in (1, 2, 3):
-            version = store.ingest(
-                "traffic", "d", [expected], [float(expected)]
-            )
+            version = ingest(store, "traffic", "d", [expected], [float(expected)])
             assert version == expected == store.version("traffic")
 
     def test_unknown_name_raises_typed_error(self):
@@ -113,7 +113,7 @@ class TestRegistryAndVersions:
         with pytest.raises(UnknownStoreError):
             store.engine("nope")
         with pytest.raises(UnknownStoreError):
-            store.ingest("nope", "d", [1], [1.0])
+            ingest(store, "nope", "d", [1], [1.0])
         assert issubclass(UnknownStoreError, KeyError)
 
     def test_duplicate_and_invalid_creation(self):
@@ -131,23 +131,27 @@ class TestRegistryAndVersions:
 
     def test_failed_ingest_changes_nothing(self):
         store = build_store()
-        store.ingest("traffic", "d", [1, 2], [1.0, 2.0])
+        ingest(store, "traffic", "d", [1, 2], [1.0, 2.0])
         before = store.engine("traffic").state_dict()
         bad_values = np.ones(50)
         bad_values[-1] = -1.0  # would otherwise fail mid-apply
         with pytest.raises(InvalidParameterError, match="nonnegative"):
-            store.ingest("traffic", "d", list(range(100, 150)), bad_values)
+            ingest(store, "traffic", "d", list(range(100, 150)), bad_values)
         # atomic rejection: no partial shard updates, no version bump
         assert store.version("traffic") == 1
         assert store.engine("traffic").state_dict() == before
 
-    def test_ingest_rows_groups_by_instance(self):
-        store = build_store(kind="poisson")
+    def test_group_rows_groups_by_instance(self):
         rows = [("mon", 1, 2.0), ("tue", 2, 3.0), ("mon", 3, 4.0)]
-        store.ingest_rows("traffic", rows)
+        assert group_rows(rows) == (
+            ("mon", [1, 3], [2.0, 4.0]),
+            ("tue", [2], [3.0]),
+        )
+        store = build_store(kind="poisson")
+        store.submit(IngestRequest(engine="traffic", batches=group_rows(rows)))
         direct = build_store(kind="poisson")
-        direct.ingest("traffic", "mon", [1, 3], [2.0, 4.0])
-        direct.ingest("traffic", "tue", [2], [3.0])
+        ingest(direct, "traffic", "mon", [1, 3], [2.0, 4.0])
+        ingest(direct, "traffic", "tue", [2], [3.0])
         assert store.engine("traffic") == direct.engine("traffic")
 
 
@@ -165,8 +169,8 @@ class TestPersistence:
         for instance, keys, values in make_batches(
             n_keys=2000, instances=("mon", "tue")
         ):
-            store.ingest("traffic", instance, keys, values)
-            store.ingest("pps", instance, keys, values)
+            ingest(store, "traffic", instance, keys, values)
+            ingest(store, "pps", instance, keys, values)
         path = store.snapshot(tmp_path / "store.bin")
 
         restored = SketchStore.restore(path)
@@ -180,13 +184,13 @@ class TestPersistence:
         batches = make_batches(n_keys=2000, instances=("mon",))
         store = build_store()
         for batch in batches[:6]:
-            store.ingest("traffic", *batch)
+            ingest(store, "traffic", *batch)
         restored = SketchStore.restore(
             store.snapshot(tmp_path / "mid.bin")
         )
         for batch in batches[6:]:
-            store.ingest("traffic", *batch)
-            restored.ingest("traffic", *batch)
+            ingest(store, "traffic", *batch)
+            ingest(restored, "traffic", *batch)
         assert restored.engine("traffic") == store.engine("traffic")
         assert (
             restored.engine("traffic").state_dict()
@@ -199,14 +203,14 @@ class TestFanIn:
         batches = make_batches(instances=("mon", "tue"))
         reference = build_store("poisson")
         for batch in batches:
-            reference.ingest("traffic", *batch)
+            ingest(reference, "traffic", *batch)
 
         half = len(batches) // 2
         peers = []
         for index, part in enumerate((batches[:half], batches[half:])):
             peer = build_store("poisson")
             for batch in part:
-                peer.ingest("traffic", *batch)
+                ingest(peer, "traffic", *batch)
             peers.append(peer.snapshot(tmp_path / f"peer{index}.bin"))
 
         merged = SketchStore.restore(peers[0])
@@ -224,7 +228,7 @@ class TestFanIn:
             "other", "poisson", threshold=0.5,
             seed_assigner=SeedAssigner(salt=2),
         )
-        peer.ingest("other", "d", [1, 2], [1.0, 2.0])
+        ingest(peer, "other", "d", [1, 2], [1.0, 2.0])
         local.merge_snapshot(peer.snapshot(tmp_path / "peer.bin"))
         assert set(local.names()) == {"traffic", "other"}
         assert local.engine("other") == peer.engine("other")
@@ -253,13 +257,13 @@ class TestFanIn:
 
     def test_merge_leaves_peer_untouched(self, tmp_path):
         local = build_store("poisson")
-        local.ingest("traffic", "d", [1], [1.0])
+        ingest(local, "traffic", "d", [1], [1.0])
         peer = build_store("poisson")
-        peer.ingest("traffic", "d", [2], [2.0])
+        ingest(peer, "traffic", "d", [2], [2.0])
         before = peer.engine("traffic").state_dict()
         local.merge_store(peer)
         assert peer.engine("traffic").state_dict() == before
-        local.ingest("traffic", "d", [3], [3.0])
+        ingest(local, "traffic", "d", [3], [3.0])
         assert peer.engine("traffic").state_dict() == before
 
 
@@ -276,7 +280,7 @@ class TestRegisterCustomEngine:
             n_shards=2,
         )
         store.register("custom", engine)
-        store.ingest("custom", "d", [1, 2, 3, 4], [1.0, 2.0, 3.0, 4.0])
+        ingest(store, "custom", "d", [1, 2, 3, 4], [1.0, 2.0, 3.0, 4.0])
         assert len(store.sample("custom", "d")) == 3
         with pytest.raises(SketchCodecError):
             store.snapshot(tmp_path / "nope.bin")
@@ -289,14 +293,14 @@ class TestSnapshotMarked:
             "t", "poisson", threshold=0.5,
             seed_assigner=SeedAssigner(salt=7),
         )
-        store.ingest("t", "mon", ["a", "b"], [1.0, 2.0])
+        ingest(store, "t", "mon", ["a", "b"], [1.0, 2.0])
         path, marks = store.snapshot_marked(tmp_path / "s.bin")
         assert marks == {
             "t": (store.version("t"), store.engine("t").change_tick)
         }
         assert SketchStore.restore(path).engine("t") == store.engine("t")
         # further ingest moves the live state past the recorded marks
-        store.ingest("t", "mon", ["c"], [1.0])
+        ingest(store, "t", "mon", ["c"], [1.0])
         assert marks["t"] != (
             store.version("t"), store.engine("t").change_tick
         )
@@ -313,7 +317,7 @@ class TestCorruptSnapshot:
         for instance, keys, values in make_batches(
             n_keys=600, n_batches=3
         ):
-            store.ingest("traffic", instance, keys, values)
+            ingest(store, "traffic", instance, keys, values)
         path = tmp_path / "store.bin"
         store.snapshot(path)
         return path

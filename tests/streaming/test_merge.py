@@ -21,7 +21,9 @@ def make_data(n: int = 150, seed: int = 1) -> dict[int, float]:
 
 def bottom_k_of(data, assigner, k=12, instance=0):
     sketch = StreamingBottomK(k=k, instance=instance, seed_assigner=assigner)
-    sketch.update_batch(list(data), list(data.values()))
+    sketch.update_many(
+        list(data), list(data.values()), chunk_size=max(len(data), 1)
+    )
     return sketch
 
 
@@ -30,7 +32,9 @@ def poisson_of(data, assigner, threshold=0.4, instance=0, family=None):
         threshold, instance=instance, rank_family=family,
         seed_assigner=assigner,
     )
-    sketch.update_batch(list(data), list(data.values()))
+    sketch.update_many(
+        list(data), list(data.values()), chunk_size=max(len(data), 1)
+    )
     return sketch
 
 

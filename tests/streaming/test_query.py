@@ -41,8 +41,8 @@ def uniform_sketches(day1, day2, p1=0.5, p2=0.4, salt=17):
     assigner = SeedAssigner(salt=salt)
     s1 = StreamingPoisson(p1, instance="day1", seed_assigner=assigner)
     s2 = StreamingPoisson(p2, instance="day2", seed_assigner=assigner)
-    s1.update_batch(list(day1), list(day1.values()))
-    s2.update_batch(list(day2), list(day2.values()))
+    s1.update_many(list(day1), list(day1.values()), chunk_size=len(day1))
+    s2.update_many(list(day2), list(day2.values()), chunk_size=len(day2))
     return s1, s2, assigner
 
 
@@ -160,8 +160,8 @@ class TestMaxDominance:
                               rank_family=PpsRanks(), seed_assigner=assigner)
         s2 = StreamingPoisson(1.0 / tau_star[1], instance="day2",
                               rank_family=PpsRanks(), seed_assigner=assigner)
-        s1.update_batch(list(day1), list(day1.values()))
-        s2.update_batch(list(day2), list(day2.values()))
+        s1.update_many(list(day1), list(day1.values()), chunk_size=len(day1))
+        s2.update_many(list(day2), list(day2.values()), chunk_size=len(day2))
         dataset = MultiInstanceDataset({"day1": day1, "day2": day2})
         offline = max_dominance_estimates(
             dataset, ["day1", "day2"], tau_star, assigner
@@ -191,7 +191,7 @@ class TestDatasetView:
         assigner = SeedAssigner(salt=2)
         sketch = StreamingBottomK(k=10, instance="day1",
                                   seed_assigner=assigner)
-        sketch.update_batch(list(day1), list(day1.values()))
+        sketch.update_many(list(day1), list(day1.values()), chunk_size=len(day1))
         view = dataset_view((sketch,))
         assert view.instance("day1") == sketch.to_sample().entries
 
@@ -201,7 +201,7 @@ class TestRankConditioning:
         day1, _ = two_instances(200)
         sketch = StreamingBottomK(k=80, instance="day1",
                                   seed_assigner=SeedAssigner(salt=5))
-        sketch.update_batch(list(day1), list(day1.values()))
+        sketch.update_many(list(day1), list(day1.values()), chunk_size=len(day1))
         even = lambda key: key % 2 == 0  # noqa: E731
         estimate = rank_conditioning_total(sketch, even)
         truth = sum(v for k, v in day1.items() if even(k))
@@ -223,8 +223,8 @@ class TestIndependenceRequirement:
         s1 = StreamingPoisson(0.5, instance="a", seed_assigner=assigner)
         s2 = StreamingPoisson(0.4, instance="b", seed_assigner=assigner)
         keys = [f"k{i}" for i in range(20)]
-        s1.update_batch(keys, np.ones(20))
-        s2.update_batch(keys, np.full(20, 2.0))
+        s1.update_many(keys, np.ones(20), chunk_size=len(keys))
+        s2.update_many(keys, np.full(20, 2.0), chunk_size=len(keys))
         return s1, s2
 
     def test_adapters_reject_coordinated_sketches(self):

@@ -41,7 +41,7 @@ class TestStreamingBottomK:
     def test_to_sample_supports_rank_conditioning(self):
         data = make_data()
         sketch = StreamingBottomK(k=60, seed_assigner=SeedAssigner(salt=1))
-        sketch.update_batch(list(data), list(data.values()))
+        sketch.update_many(list(data), list(data.values()), chunk_size=len(data))
         estimate = sketch.to_sample().rank_conditioning_total()
         assert estimate == pytest.approx(sum(data.values()), rel=0.5)
 
@@ -76,7 +76,7 @@ class TestStreamingBottomK:
         data = make_data(60)
         assigner = SeedAssigner(salt=6)
         sketch = StreamingBottomK(k=10, seed_assigner=assigner)
-        sketch.update_batch(list(data), list(data.values()))
+        sketch.update_many(list(data), list(data.values()), chunk_size=len(data))
         key = next(iter(sketch.to_sample().keys))
         sketch.update(key, 5.0)
         data[key] += 5.0
@@ -89,7 +89,7 @@ class TestStreamingBottomK:
     def test_contains_and_len(self):
         data = make_data(50)
         sketch = StreamingBottomK(k=10, seed_assigner=SeedAssigner(salt=2))
-        sketch.update_batch(list(data), list(data.values()))
+        sketch.update_many(list(data), list(data.values()), chunk_size=len(data))
         assert len(sketch) == 10
         sample = sketch.to_sample()
         for key in sample.keys:
@@ -100,7 +100,7 @@ class TestStreamingBottomK:
     def test_discard_counter_tracks_evictions(self):
         data = make_data(100)
         sketch = StreamingBottomK(k=5, seed_assigner=SeedAssigner())
-        sketch.update_batch(list(data), list(data.values()))
+        sketch.update_many(list(data), list(data.values()), chunk_size=len(data))
         assert sketch.n_discarded_keys == 100 - 6
         assert sketch.n_updates == 100
 
@@ -111,13 +111,13 @@ class TestStreamingBottomK:
         with pytest.raises(InvalidParameterError):
             sketch.update("a", -1.0)
         with pytest.raises(InvalidParameterError):
-            sketch.update_batch(["a", "b"], [1.0])
+            sketch.update_many(["a", "b"], [1.0], chunk_size=2)
 
     def test_negative_integer_keys(self):
         data = {k: float(abs(k) % 7 + 1) for k in range(-40, 40)}
         assigner = SeedAssigner(salt=11)
         sketch = StreamingBottomK(k=12, seed_assigner=assigner)
-        sketch.update_batch(list(data), list(data.values()))
+        sketch.update_many(list(data), list(data.values()), chunk_size=len(data))
         offline = bottom_k_sample(data, 12, seed_assigner=assigner)
         assert sketch.to_sample().entries == offline.entries
 
@@ -125,7 +125,7 @@ class TestStreamingBottomK:
         data = {f"user-{i}": float(i % 9 + 1) for i in range(80)}
         assigner = SeedAssigner(salt=11)
         sketch = StreamingBottomK(k=12, seed_assigner=assigner)
-        sketch.update_batch(list(data), list(data.values()))
+        sketch.update_many(list(data), list(data.values()), chunk_size=len(data))
         offline = bottom_k_sample(data, 12, seed_assigner=assigner)
         assert sketch.to_sample().entries == offline.entries
 
@@ -135,7 +135,7 @@ class TestStreamingPoisson:
         data = make_data()
         assigner = SeedAssigner(salt=7)
         sketch = StreamingPoisson(0.35, instance="a", seed_assigner=assigner)
-        sketch.update_batch(list(data), list(data.values()))
+        sketch.update_many(list(data), list(data.values()), chunk_size=len(data))
         offline = poisson_uniform_sample(
             data, 0.35, seed_assigner=assigner, instance="a"
         )
@@ -169,7 +169,7 @@ class TestStreamingPoisson:
         sketch = StreamingPoisson(
             0.2, rank_family=PpsRanks(), seed_assigner=SeedAssigner(salt=1)
         )
-        sketch.update_batch(list(data), list(data.values()))
+        sketch.update_many(list(data), list(data.values()), chunk_size=len(data))
         estimate = sketch.to_sample().horvitz_thompson_total()
         assert estimate == pytest.approx(sum(data.values()), rel=0.25)
 
@@ -218,7 +218,7 @@ class TestStreamingPoisson:
         small = StreamingPoisson(0.5, seed_assigner=assigner)
         large = StreamingPoisson(0.5, seed_assigner=assigner)
         keys = [f"k{i}" for i in range(100)]
-        small.update_batch(keys, np.full(100, 0.001))
-        large.update_batch(keys, np.full(100, 1000.0))
+        small.update_many(keys, np.full(100, 0.001), chunk_size=len(keys))
+        large.update_many(keys, np.full(100, 1000.0), chunk_size=len(keys))
         assert set(small.entries) == set(large.entries)
         assert isinstance(small.rank_family, UniformRanks)

@@ -22,6 +22,8 @@ from repro.wal.log import (
     _U32,
 )
 
+from ingest_helper import ingest
+
 #: engine name every helper-built store registers
 ENGINE = "t"
 
@@ -71,7 +73,7 @@ def batch(i: int, rows: int = 5) -> tuple[str, list[str], list[float]]:
 def fill(store: SketchStore, n_batches: int, rows: int = 5) -> None:
     for i in range(n_batches):
         instance, keys, values = batch(i, rows)
-        store.ingest(ENGINE, instance, keys, values)
+        ingest(store, ENGINE, instance, keys, values)
 
 
 def control_after(n_batches: int, kind: str = "poisson", rows: int = 5):

@@ -87,7 +87,7 @@ def post_batch(port: int, i: int) -> None:
         }
     ).encode()
     request = urllib.request.Request(
-        f"http://127.0.0.1:{port}/ingest",
+        f"http://127.0.0.1:{port}/v1/ingest",
         data=body,
         headers={"Content-Type": "application/json"},
     )

@@ -13,9 +13,12 @@ import pytest
 
 import faults
 from repro.exceptions import InvalidParameterError, WalCorruptionError
+from repro.server.wire import encode_batches
 from repro.service import codec
-from repro.service.store import SketchStore
+from repro.service.store import IngestRequest, SketchStore
 from repro.wal import WriteAheadLog, apply_records, recover_store
+
+from ingest_helper import ingest
 
 
 def engine_bytes(store) -> bytes:
@@ -104,7 +107,7 @@ class TestCrashWindows:
         store.snapshot_marked(snapshot, checkpoint_wal=False)
         for i in range(3, 6):
             instance, keys, values = faults.batch(i)
-            store.ingest(faults.ENGINE, instance, keys, values)
+            ingest(store, faults.ENGINE, instance, keys, values)
         wal.close()
         report = reopen_and_recover(tmp_path / "wal", snapshot)
         assert engine_bytes(report.store) == codec.to_bytes(
@@ -167,6 +170,34 @@ class TestEngineRecords:
         with pytest.raises(WalCorruptionError, match="ghost"):
             reopen_and_recover(tmp_path / "wal")
 
+    @pytest.mark.parametrize("n_batches", [0, 2])
+    def test_batch_record_must_hold_exactly_one_batch(
+        self, tmp_path, n_batches
+    ):
+        # one record is one version: a record decoding to any other
+        # batch count is corruption, refused before any of it applies
+        store, wal = faults.build_wal_store(tmp_path / "wal")
+        faults.fill(store, 1)
+        blob = encode_batches(
+            [faults.batch(i) for i in range(1, 1 + n_batches)]
+        )
+        lsn = wal.append_batch_blob(faults.ENGINE, 2, blob)
+        wal.close()
+        reader = WriteAheadLog(tmp_path / "wal", fsync="off")
+        try:
+            records, _ = reader.read_all()
+        finally:
+            reader.close()
+        recovered = SketchStore()
+        with pytest.raises(
+            WalCorruptionError, match=rf"LSN {lsn} .* {n_batches} batches"
+        ):
+            apply_records(recovered, records)
+        assert recovered.version(faults.ENGINE) == 1
+        assert engine_bytes(recovered) == codec.to_bytes(
+            faults.control_after(1)
+        )
+
 
 class TestReplayBatchGuards:
     def test_stale_version_is_the_callers_bug(self, tmp_path):
@@ -174,4 +205,10 @@ class TestReplayBatchGuards:
         faults.fill(store, 2)
         instance, keys, values = faults.batch(0)
         with pytest.raises(InvalidParameterError, match="version"):
-            store.replay_batch(faults.ENGINE, instance, keys, values, 1)
+            store.submit(
+                IngestRequest(
+                    engine=faults.ENGINE,
+                    batches=((instance, keys, values),),
+                    version=1,
+                )
+            )

@@ -18,6 +18,8 @@ import pytest
 import faults
 from repro.service import codec
 
+from ingest_helper import ingest
+
 N_WORKERS = 2
 
 
@@ -54,7 +56,7 @@ class TestWorkerCrashRecovery:
 
         control = faults.build_store(kind)
         for instance, keys, values in batches:
-            control.ingest(faults.ENGINE, instance, keys, values)
+            ingest(control, faults.ENGINE, instance, keys, values)
         control_blob = codec.to_bytes(control.engine(faults.ENGINE))
 
         store, wal = faults.build_wal_store(tmp_path / "wal", kind)
@@ -62,14 +64,14 @@ class TestWorkerCrashRecovery:
         try:
             half = len(batches) // 2
             for instance, keys, values in batches[:half]:
-                store.ingest(faults.ENGINE, instance, keys, values)
+                ingest(store, faults.ENGINE, instance, keys, values)
             victim = store.worker_probes()[0]["pid"]
             os.kill(victim, signal.SIGKILL)
             # keep loading through the crash: a dispatch or the final
             # fold notices the dead slot, respawns it, and replays the
             # WAL tail into the fresh incarnation
             for instance, keys, values in batches[half:]:
-                store.ingest(faults.ENGINE, instance, keys, values)
+                ingest(store, faults.ENGINE, instance, keys, values)
             recovered = codec.to_bytes(
                 store.engine(faults.ENGINE, sync=True)
             )
@@ -91,19 +93,19 @@ class TestWorkerCrashRecovery:
         batches = make_batches(n_batches=6)
         control = faults.build_store("bottom_k")
         for instance, keys, values in batches:
-            control.ingest(faults.ENGINE, instance, keys, values)
+            ingest(control, faults.ENGINE, instance, keys, values)
 
         store, wal = faults.build_wal_store(tmp_path / "wal", "bottom_k")
         store.start_workers(N_WORKERS)
         try:
             for instance, keys, values in batches[:-1]:
-                store.ingest(faults.ENGINE, instance, keys, values)
+                ingest(store, faults.ENGINE, instance, keys, values)
             # quiesce: every batch above is applied and acked
             store.engine(faults.ENGINE, sync=True)
             victim = store.worker_probes()[1]["pid"]
             os.kill(victim, signal.SIGKILL)
             instance, keys, values = batches[-1]
-            store.ingest(faults.ENGINE, instance, keys, values)
+            ingest(store, faults.ENGINE, instance, keys, values)
             recovered = store.engine(faults.ENGINE, sync=True)
             assert_respawned(store, victim)
             assert recovered == control.engine(faults.ENGINE)

@@ -32,8 +32,10 @@ from repro.exceptions import InvalidParameterError
 __all__ = [
     "DistinctCountEstimate",
     "categorize_keys",
+    "check_variant",
     "distinct_count_ht",
     "distinct_count_l",
+    "distinct_estimate",
     "distinct_ht_variance",
     "distinct_l_variance",
 ]
@@ -106,6 +108,41 @@ def categorize_keys(
     return categories
 
 
+def check_variant(variant: str) -> str:
+    """The normalised (lowercase) name of a distinct-count variant:
+    ``"l"`` or ``"ht"``."""
+    normalised = str(variant).lower()
+    if normalised not in ("l", "ht"):
+        raise InvalidParameterError(
+            f"unknown distinct-count variant {variant!r}; use 'l' or 'ht'"
+        )
+    return normalised
+
+
+def distinct_estimate(
+    counts: Mapping[str, int], p1: float, p2: float, variant: str = "l"
+) -> DistinctCountEstimate:
+    """The Section 8.1 estimate from the five category counts.
+
+    ``HT`` counts only keys whose membership in *both* sets is determined:
+    ``|F11 ∪ F10 ∪ F01| / (p1 p2)``.  ``L`` also exploits the
+    partial-information categories ``F1?``, ``F?1``, ``F10`` and ``F01``.
+    """
+    if check_variant(variant) == "ht":
+        determined = counts["F11"] + counts["F10"] + counts["F01"]
+        return DistinctCountEstimate(
+            estimate=determined / (p1 * p2), counts=counts, estimator="HT"
+        )
+    union_probability = p1 + p2 - p1 * p2
+    estimate = (
+        (counts["F1?"] + counts["F?1"] + counts["F11"]) / union_probability
+        + counts["F10"] / (p1 * union_probability)
+        + counts["F01"] / (p2 * union_probability)
+    )
+    return DistinctCountEstimate(estimate=estimate, counts=counts,
+                                 estimator="L")
+
+
 def distinct_count_ht(
     sample1: Iterable[object],
     sample2: Iterable[object],
@@ -115,19 +152,13 @@ def distinct_count_ht(
     seeds2: SeedLookup | Mapping[object, float],
     predicate: KeyPredicate | None = None,
 ) -> DistinctCountEstimate:
-    """The HT distinct-count estimate (Section 8.1).
-
-    Only keys whose membership in *both* sets is determined contribute:
-    ``|F11 ∪ F10 ∪ F01| / (p1 p2)``.
-    """
+    """The HT distinct-count estimate (Section 8.1); see
+    :func:`distinct_estimate`."""
     categories = categorize_keys(
         sample1, sample2, p1, p2, seeds1, seeds2, predicate
     )
     counts = {name: len(keys) for name, keys in categories.items()}
-    determined = counts["F11"] + counts["F10"] + counts["F01"]
-    estimate = determined / (p1 * p2)
-    return DistinctCountEstimate(estimate=estimate, counts=counts,
-                                 estimator="HT")
+    return distinct_estimate(counts, p1, p2, "ht")
 
 
 def distinct_count_l(
@@ -139,20 +170,13 @@ def distinct_count_l(
     seeds2: SeedLookup | Mapping[object, float],
     predicate: KeyPredicate | None = None,
 ) -> DistinctCountEstimate:
-    """The L distinct-count estimate (Section 8.1), which exploits the
-    partial-information categories ``F1?``, ``F?1``, ``F10`` and ``F01``."""
+    """The L distinct-count estimate (Section 8.1); see
+    :func:`distinct_estimate`."""
     categories = categorize_keys(
         sample1, sample2, p1, p2, seeds1, seeds2, predicate
     )
     counts = {name: len(keys) for name, keys in categories.items()}
-    union_probability = p1 + p2 - p1 * p2
-    estimate = (
-        (counts["F1?"] + counts["F?1"] + counts["F11"]) / union_probability
-        + counts["F10"] / (p1 * union_probability)
-        + counts["F01"] / (p2 * union_probability)
-    )
-    return DistinctCountEstimate(estimate=estimate, counts=counts,
-                                 estimator="L")
+    return distinct_estimate(counts, p1, p2, "l")
 
 
 def distinct_ht_variance(distinct: float, p1: float, p2: float) -> float:

@@ -72,12 +72,12 @@ def _hash_label(label: object) -> int:
 def key_hashes(keys: Sequence[object]) -> np.ndarray:
     """Hash a key column to well-mixed ``uint64`` values.
 
-    Nonnegative integer keys are hashed fully vectorised; other key types
-    (including negative integers, which cannot be cast to ``uint64``
-    directly) fall back to a per-key hash.  The result feeds both the seed
-    assignment (via :meth:`SeedAssigner.seeds_from_hashes`) and key sharding
-    in the streaming engine, so a key's shard and its seeds derive from one
-    hash pass.
+    Integer keys are hashed fully vectorised; other key types, and Python
+    integers outside ``[0, 2**64)``, fall back to a per-key hash.  The
+    result feeds both the seed assignment (via
+    :meth:`SeedAssigner.seeds_from_hashes`) and key sharding in the
+    streaming engine, so a key's shard and its seeds derive from one hash
+    pass.
     """
     if isinstance(keys, np.ndarray) and keys.dtype.kind in "iu":
         # A NumPy integer column hashes without building per-key Python
@@ -87,13 +87,17 @@ def key_hashes(keys: Sequence[object]) -> np.ndarray:
         with np.errstate(over="ignore"):
             return splitmix64(keys.astype(np.uint64))
     keys = list(keys)
+    # one C-level pass over the key types instead of a per-key isinstance
     if keys and all(
-        isinstance(k, (int, np.integer))
-        and not isinstance(k, bool)
-        and 0 <= k <= 0xFFFFFFFFFFFFFFFF
-        for k in keys
+        issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
+        for kind in set(map(type, keys))
     ):
-        return splitmix64(np.asarray(keys, dtype=np.uint64))
+        try:
+            # NumPy integer scalars wrap modulo 2**64 like ``_hash_label``;
+            # Python ints outside [0, 2**64) raise and take the fallback
+            return splitmix64(np.array(keys, dtype=np.uint64))
+        except OverflowError:
+            pass
     return splitmix64(
         np.array([_hash_label(k) for k in keys], dtype=np.uint64)
     )
@@ -182,5 +186,4 @@ class SeedAssigner:
         self, keys: Sequence[object], instance: object = 0
     ) -> dict[object, float]:
         """Return a ``{key: seed}`` mapping for ``keys`` in ``instance``."""
-        values = self.seeds(keys, instance=instance)
-        return {key: float(u) for key, u in zip(keys, values)}
+        return dict(zip(keys, self.seeds(keys, instance=instance).tolist()))

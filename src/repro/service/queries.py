@@ -34,6 +34,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
+from repro.aggregates.distinct import check_variant
 from repro.exceptions import InvalidParameterError
 from repro.obs import span
 from repro.service.confidence import query_confidence
@@ -62,7 +63,8 @@ class Query:
 
     kind: str
     instances: tuple
-    #: distinct-count variant: ``"l"`` (variance-optimal) or ``"ht"``
+    #: distinct-count variant: ``"l"`` (variance-optimal) or ``"ht"``,
+    #: case-insensitive; stored lowercase, and as ``"l"`` for other kinds
     variant: str = "l"
     #: per-key :class:`~repro.core.estimator_base.VectorEstimator` for
     #: multi-instance sum queries
@@ -83,6 +85,12 @@ class Query:
                 f"{_KINDS}"
             )
         object.__setattr__(self, "instances", tuple(self.instances))
+        # normalised, so ``HT`` and ``ht`` share one cache entry; other
+        # kinds ignore the variant, so it must not split their entries
+        variant = check_variant(self.variant)
+        object.__setattr__(
+            self, "variant", variant if self.kind == "distinct" else "l"
+        )
 
     # ------------------------------------------------------------------
     # Convenience constructors

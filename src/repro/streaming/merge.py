@@ -97,17 +97,20 @@ def merge_poisson(
                 "cannot merge Poisson sketches with thresholds "
                 f"{first.threshold} and {part.threshold}"
             )
-        for key, value in part._values.items():
-            old = merged._values.get(key)
-            if old is None:
-                merged._values[key] = value
-                merged._ranks[key] = part._ranks[key]
-            else:
-                total = old + value
+        # Fold the part wholesale: new keys append in the part's order and
+        # keys already merged keep their position.  Shared keys (none when
+        # the parts partition the keys, as engine shards do) then add up
+        # as ``old + value`` with the rank recomputed from the total.
+        shared = list(merged._values.keys() & part._values.keys())
+        old = [merged._values[key] for key in shared]
+        merged._values.update(part._values)
+        merged._ranks.update(part._ranks)
+        if shared:
+            seeds = merged.seed_assigner.seeds(shared, instance=merged.instance)
+            for key, before, seed in zip(shared, old, seeds.tolist()):
+                total = before + part._values[key]
                 merged._values[key] = total
-                merged._ranks[key] = merged._rank(
-                    total, merged.seed_assigner.seed(key, instance=merged.instance)
-                )
+                merged._ranks[key] = merged._rank(total, seed)
         merged.n_updates += part.n_updates
         merged.n_discarded_keys += part.n_discarded_keys
     return merged

@@ -22,14 +22,15 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from repro.aggregates.dataset import KeyPredicate, MultiInstanceDataset
 from repro.aggregates.distinct import (
+    CATEGORY_NAMES,
     DistinctCountEstimate,
-    distinct_count_ht,
-    distinct_count_l,
+    distinct_estimate,
 )
 from repro.batch.outcome_batch import OutcomeBatch
 from repro.core.estimator_base import VectorEstimator
@@ -37,6 +38,7 @@ from repro.core.max_weighted import MaxPpsHT, MaxPpsL
 from repro.exceptions import InvalidParameterError
 from repro.sampling.outcomes import VectorOutcome
 from repro.sampling.ranks import PpsRanks, UniformRanks
+from repro.sampling.seeds import key_hashes
 from repro.streaming.sketch import StreamingBottomK, StreamingPoisson
 
 __all__ = [
@@ -89,11 +91,52 @@ def _check_uniform(sketch: StreamingPoisson, name: str) -> float:
     return sketch.threshold
 
 
-def _seed_map(
-    sketch: StreamingPoisson, keys: Sequence[object]
-) -> dict[object, float]:
-    """Seeds of ``keys`` in the sketch's instance, one vectorised pass."""
-    return sketch.seed_assigner.seed_map(list(keys), instance=sketch.instance)
+def _outcome_columns(
+    sketches: Sequence[StreamingPoisson],
+    predicate: KeyPredicate | None,
+    include_seeds: bool,
+) -> tuple[list[object], np.ndarray, OutcomeBatch]:
+    """:func:`outcome_batch` plus the ``(n, r)`` retained-membership mask.
+
+    The union of the retained keys is hashed once; each sketch derives
+    its seed column from those hashes, and membership and values fill
+    their columns through C-level ``map`` passes over the entry dicts.
+    """
+    _check_family(sketches)
+    entry_maps = [sketch.entries for sketch in sketches]
+    union: dict[object, object] = {}
+    for entries in entry_maps:
+        union.update(entries)
+    keys = list(union) if predicate is None else list(filter(predicate, union))
+    n, r = len(keys), len(sketches)
+    retained = np.empty((n, r), dtype=bool)
+    values = np.empty((n, r), dtype=np.float64)
+    sampled = np.empty((n, r), dtype=bool)
+    seeds = np.empty((n, r), dtype=np.float64) if include_seeds else None
+    hashes = key_hashes(keys)
+    for index, (sketch, entries) in enumerate(zip(sketches, entry_maps)):
+        # Membership mask, not a value sentinel: a retained entry whose
+        # accumulated value is NaN must stay sampled (and propagate NaN
+        # loudly) rather than be reclassified as unretained.
+        retained[:, index] = np.fromiter(
+            map(entries.__contains__, keys), dtype=bool, count=n
+        )
+        values[:, index] = np.fromiter(
+            map(entries.get, keys, repeat(0.0)), dtype=np.float64, count=n
+        )
+        oblivious = isinstance(sketch.rank_family, UniformRanks)
+        if include_seeds or oblivious:
+            seed_column = sketch.seed_assigner.seeds_from_hashes(
+                hashes, instance=sketch.instance
+            )
+            if seeds is not None:
+                seeds[:, index] = seed_column
+        sampled[:, index] = retained[:, index]
+        if oblivious:
+            # a seed-selected but unretained key was observed to be zero
+            sampled[:, index] |= seed_column <= sketch.threshold
+    batch = OutcomeBatch(values=values, sampled=sampled, seeds=seeds)
+    return keys, retained, batch
 
 
 def outcome_batch(
@@ -115,47 +158,8 @@ def outcome_batch(
     Returns the key list (one batch row per key, in sketch-retention
     order) and the assembled :class:`~repro.batch.OutcomeBatch`.
     """
-    _check_family(sketches)
-    entry_maps = [sketch.entries for sketch in sketches]
-    keys: dict[object, None] = {}
-    for entries in entry_maps:
-        for key in entries:
-            if predicate is None or predicate(key):
-                keys.setdefault(key)
-    key_list = list(keys)
-    n = len(key_list)
-    r = len(sketches)
-    values = np.zeros((n, r), dtype=np.float64)
-    sampled = np.zeros((n, r), dtype=bool)
-    seeds = np.zeros((n, r), dtype=np.float64) if include_seeds else None
-    for index, sketch in enumerate(sketches):
-        entries = entry_maps[index]
-        # Membership mask, not a value sentinel: a retained entry whose
-        # accumulated value is NaN must stay sampled (and propagate NaN
-        # loudly) rather than be reclassified as unretained.
-        retained = np.fromiter(
-            (key in entries for key in key_list), dtype=bool, count=n
-        )
-        values[:, index] = np.fromiter(
-            (entries.get(key, 0.0) for key in key_list),
-            dtype=np.float64,
-            count=n,
-        )
-        oblivious = isinstance(sketch.rank_family, UniformRanks)
-        if include_seeds or oblivious:
-            # one vectorised seed pass per sketch instead of a hash per
-            # (key, sketch) pair
-            seed_column = sketch.seed_assigner.seeds(
-                key_list, instance=sketch.instance
-            )
-            if seeds is not None:
-                seeds[:, index] = seed_column
-        if oblivious:
-            # a seed-selected but unretained key was observed to be zero
-            sampled[:, index] = retained | (seed_column <= sketch.threshold)
-        else:
-            sampled[:, index] = retained
-    return key_list, OutcomeBatch(values=values, sampled=sampled, seeds=seeds)
+    keys, _, batch = _outcome_columns(sketches, predicate, include_seeds)
+    return keys, batch
 
 
 def vector_outcomes(
@@ -242,31 +246,34 @@ def distinct_count(
 ) -> DistinctCountEstimate:
     """Distinct count of two instances from weight-oblivious sketches.
 
-    Dispatches to the offline Section 8.1 estimators with the sketch
-    thresholds as inclusion probabilities and the shared seed assigner as
-    the seed oracle.
+    The Section 8.1 estimators with the sketch thresholds as inclusion
+    probabilities and the shared seed assigner as the seed oracle.  The
+    five key categories are counted from the outcome columns: ``F11`` is
+    retained by both sketches; a key retained by one sketch only is
+    ``F10``/``F01`` when the other sketch seed-selected it (observed
+    absent there) and ``F1?``/``F?1`` otherwise.
     """
     _check_independent((sketch1, sketch2), "distinct_count")
     p1 = _check_uniform(sketch1, "distinct_count")
     p2 = _check_uniform(sketch2, "distinct_count")
-    estimators = {"l": distinct_count_l, "ht": distinct_count_ht}
-    try:
-        estimate = estimators[variant.lower()]
-    except KeyError:
-        raise InvalidParameterError(
-            f"unknown distinct-count variant {variant!r}; use 'l' or 'ht'"
-        ) from None
-    entries1, entries2 = sketch1.entries, sketch2.entries
-    union = list({**entries1, **entries2})
-    return estimate(
-        entries1,
-        entries2,
-        p1,
-        p2,
-        _seed_map(sketch1, union),
-        _seed_map(sketch2, union),
-        predicate=predicate,
+    _, retained, batch = _outcome_columns(
+        (sketch1, sketch2), predicate, include_seeds=False
     )
+    in1, in2 = retained[:, 0], retained[:, 1]
+    sampled1, sampled2 = batch.sampled[:, 0], batch.sampled[:, 1]
+    only1, only2 = in1 & ~in2, in2 & ~in1
+    masks = (
+        in1 & in2,
+        only1 & ~sampled2,
+        only1 & sampled2,
+        only2 & ~sampled1,
+        only2 & sampled1,
+    )
+    counts = {
+        name: int(np.count_nonzero(mask))
+        for name, mask in zip(CATEGORY_NAMES, masks)
+    }
+    return distinct_estimate(counts, p1, p2, variant)
 
 
 def l1_distance(
@@ -286,19 +293,15 @@ def l1_distance(
     _check_independent((sketch1, sketch2), "l1_distance")
     p1 = _check_uniform(sketch1, "l1_distance")
     p2 = _check_uniform(sketch2, "l1_distance")
-    entries1, entries2 = sketch1.entries, sketch2.entries
-    union = list({**entries1, **entries2})
-    seeds1, seeds2 = _seed_map(sketch1, union), _seed_map(sketch2, union)
-    total = 0.0
-    for key in union:
-        if predicate is not None and not predicate(key):
-            continue
-        v1, v2 = entries1.get(key), entries2.get(key)
-        sampled1 = v1 is not None or seeds1[key] <= p1
-        sampled2 = v2 is not None or seeds2[key] <= p2
-        if sampled1 and sampled2:
-            total += abs((v1 or 0.0) - (v2 or 0.0)) / (p1 * p2)
-    return total
+    _, batch = outcome_batch(
+        (sketch1, sketch2), predicate=predicate, include_seeds=False
+    )
+    both = batch.sampled.all(axis=1)
+    values = batch.values[both]
+    terms = np.abs(values[:, 0] - values[:, 1]) / (p1 * p2)
+    # cumsum adds sequentially in union order (``sum`` would add
+    # pairwise), so the total is the one a per-key loop computes
+    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,53 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sampling.seeds import SeedAssigner, splitmix64, uniform_from_uint64
+from repro.sampling.seeds import (
+    SeedAssigner,
+    _hash_label,
+    key_hashes,
+    splitmix64,
+    uniform_from_uint64,
+)
+
+#: integer keys across every boundary the vectorised list path meets:
+#: bools, negatives, values at and beyond 2**64, NumPy scalars
+_INT_KEYS = st.one_of(
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.integers(min_value=2**64 - 3, max_value=2**64 + 3),
+    st.booleans(),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+    st.integers(min_value=0, max_value=2**64 - 1).map(np.uint64),
+    st.integers(min_value=-128, max_value=127).map(np.int8),
+)
+
+
+class TestKeyHashes:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(_INT_KEYS, st.text(max_size=4), st.floats(allow_nan=False)),
+            max_size=12,
+        )
+    )
+    def test_list_path_matches_per_key_hash(self, keys):
+        expected = splitmix64(
+            np.array([_hash_label(key) for key in keys], dtype=np.uint64)
+        )
+        assert key_hashes(keys).tolist() == expected.tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_INT_KEYS, min_size=1, max_size=12))
+    def test_int_lists_match_per_key_hash(self, keys):
+        expected = splitmix64(
+            np.array([_hash_label(key) for key in keys], dtype=np.uint64)
+        )
+        assert key_hashes(keys).tolist() == expected.tolist()
+
+    def test_bool_keys_hash_by_repr(self):
+        assert key_hashes([True]).tolist() != key_hashes([1]).tolist()
 
 
 class TestSplitMix:

@@ -479,6 +479,50 @@ class TestErrorPaths:
 
         run_scenario(scenario, store=make_store())
 
+    def test_query_variant_validated_before_any_work(self, run_scenario):
+        store = make_store()
+        keys, values = make_columns(300)
+        ingest(store, "traffic", "monday", keys[:200], values[:200])
+        ingest(store, "traffic", "tuesday", keys[100:], values[100:])
+        views = []
+        snapshot_view = store.snapshot_view
+
+        def spy(name, instances):
+            views.append((name, tuple(instances)))
+            return snapshot_view(name, instances)
+
+        store.snapshot_view = spy
+        pair = {"name": "traffic", "instances": "monday,tuesday"}
+
+        async def scenario(server, client):
+            for kind in ("distinct", "l1"):
+                status, payload = await client.request(
+                    "GET",
+                    "/v1/query",
+                    params={**pair, "kind": kind, "variant": "xyz"},
+                )
+                assert status == 400, payload
+                assert "variant" in payload["error"]
+            assert views == []
+            # the variant is case-insensitive: one computation, one entry
+            first = await client.query(
+                "traffic", "distinct", ["monday", "tuesday"], variant="HT"
+            )
+            second = await client.query(
+                "traffic", "distinct", ["monday", "tuesday"], variant="ht"
+            )
+            assert not first["from_cache"] and second["from_cache"]
+            assert second["value"]["estimator"] == "HT"
+            # non-distinct kinds ignore the variant, so it splits no entry
+            await client.query("traffic", "l1", ["monday", "tuesday"])
+            again = await client.query(
+                "traffic", "l1", ["monday", "tuesday"], variant="ht"
+            )
+            assert again["from_cache"]
+            assert len(views) == 2
+
+        run_scenario(scenario, store=store)
+
     def test_unknown_targets_are_404(self, run_scenario, tmp_path):
         async def scenario(server, client):
             status, _ = await client.request("GET", "/nope")

@@ -147,6 +147,14 @@ class TestRouting:
             oblivious_store.query("traffic", Query("custom", ("mon",)))
         with pytest.raises(UnknownStoreError):
             oblivious_store.query("nope", Query.sum("mon"))
+        with pytest.raises(InvalidParameterError, match="variant"):
+            Query.distinct("mon", "tue", variant="xyz")
+
+    def test_variant_is_normalised(self):
+        assert Query.distinct("mon", "tue", variant="HT").variant == "ht"
+        assert Query("l1", ("mon", "tue"), variant="ht") == Query.l1(
+            "mon", "tue"
+        )
 
 
 class TestCache:

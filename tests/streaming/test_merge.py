@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from repro.exceptions import InvalidParameterError
-from repro.sampling.ranks import ExpRanks, PpsRanks
-from repro.sampling.seeds import SeedAssigner
+from repro.sampling.ranks import ExpRanks, PpsRanks, UniformRanks
+from repro.sampling.seeds import SeedAssigner, key_hashes
+from repro.service.codec import to_bytes
+from repro.streaming.engine import StreamEngine
 from repro.streaming.merge import merge_bottom_k, merge_poisson, merge_sketches
 from repro.streaming.sketch import StreamingBottomK, StreamingPoisson
 
@@ -129,6 +131,82 @@ class TestMergePoisson:
         merged = merge_poisson(a, b)
         if "shared" in merged:
             assert merged.entries["shared"] == 5.0
+
+    @pytest.mark.parametrize(
+        "family, threshold",
+        [(UniformRanks(), 0.3), (PpsRanks(), 0.5), (ExpRanks(), 0.4)],
+        ids=["uniform", "pps", "exp"],
+    )
+    def test_engine_fold_is_byte_identical_to_one_sketch(
+        self, family, threshold
+    ):
+        """The shard fold equals one sketch fed the shards' streams
+        concatenated in shard order: entries, entry order and counters."""
+        assigner = SeedAssigner(salt=8)
+        engine = StreamEngine.poisson(
+            threshold, rank_family=family, seed_assigner=assigner, n_shards=4
+        )
+        generator = np.random.default_rng(2)
+        batches = []
+        for _ in range(3):
+            keys = [int(k) for k in generator.choice(10**9, 400, replace=False)]
+            keys += [f"user{k}" for k in generator.choice(10**9, 100)]
+            values = generator.random(len(keys)) * 4.0 + 0.1
+            engine.ingest("day", keys, values)
+            batches.append((keys, values))
+        shard_streams: list[list] = [[] for _ in range(4)]
+        for keys, values in batches:
+            shard_of = key_hashes(keys) % np.uint64(4)
+            for key, value, shard in zip(keys, values.tolist(), shard_of):
+                shard_streams[int(shard)].append((key, value))
+        stream = [update for shard in shard_streams for update in shard]
+        single = StreamingPoisson(
+            threshold, instance="day", rank_family=family,
+            seed_assigner=assigner,
+        )
+        single.update_many([key for key, _ in stream],
+                           [value for _, value in stream])
+        assert to_bytes(engine.sketch("day")) == to_bytes(single)
+
+    @pytest.mark.parametrize(
+        "family, threshold", [(UniformRanks(), 0.6), (PpsRanks(), 0.4)],
+        ids=["uniform", "pps"],
+    )
+    def test_arrival_split_parts_add_in_part_order(self, family, threshold):
+        """Parts split by arrival share keys: each shared key's value is
+        the sum over the parts in part order, its rank is recomputed from
+        that total, and keys keep their first-seen position."""
+        assigner = SeedAssigner(salt=6)
+        generator = np.random.default_rng(9)
+        keys = [int(k) for k in generator.choice(10**6, 300, replace=False)]
+        parts = []
+        for _ in range(3):
+            part = StreamingPoisson(
+                threshold, rank_family=family, seed_assigner=assigner
+            )
+            chosen = generator.choice(len(keys), 200, replace=False)
+            part.update_many(
+                [keys[i] for i in chosen], generator.random(200) * 3.0 + 0.1
+            )
+            parts.append(part)
+        merged = merge_poisson(*parts)
+        expected: dict = {}
+        owners: dict = {}
+        for part in parts:
+            for key, value in part.entries.items():
+                expected[key] = expected[key] + value if key in expected else value
+                owners.setdefault(key, []).append(part)
+        assert sum(len(o) > 1 for o in owners.values()) > 10
+        assert list(merged.entries) == list(expected)
+        assert merged.entries == expected
+        ranks = merged.candidate_ranks()
+        for key, holders in owners.items():
+            if len(holders) == 1:
+                assert ranks[key] == holders[0].candidate_ranks()[key]
+            else:
+                seed = assigner.seed(key, instance=0)
+                assert ranks[key] == float(family.rank(expected[key], seed))
+        assert merged.n_updates == sum(part.n_updates for part in parts)
 
     def test_threshold_mismatch_rejected(self):
         assigner = SeedAssigner()

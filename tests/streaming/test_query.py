@@ -103,27 +103,39 @@ class TestSumAggregate:
             sum_aggregate((s1,), MaxObliviousL([0.5, 0.4]))
 
 
+#: the streaming estimators must equal the offline ones to this tolerance
+PIN = 1e-12
+PREDICATES = [None, lambda key: key % 3 != 0]
+
+
 class TestDistinctCount:
-    def test_matches_offline_estimators(self):
+    @pytest.mark.parametrize("predicate", PREDICATES, ids=["all", "pred"])
+    def test_matches_offline_estimators(self, predicate):
         day1, day2 = two_instances()
         s1, s2, assigner = uniform_sketches(day1, day2)
         seeds1 = {k: assigner.seed(k, instance="day1")
                   for k in set(day1) | set(day2)}
         seeds2 = {k: assigner.seed(k, instance="day2")
                   for k in set(day1) | set(day2)}
-        offline_l = distinct_count_l(
-            s1.entries, s2.entries, 0.5, 0.4, seeds1, seeds2
-        )
-        offline_ht = distinct_count_ht(
-            s1.entries, s2.entries, 0.5, 0.4, seeds1, seeds2
-        )
-        assert distinct_count(s1, s2, "l").estimate == pytest.approx(
-            offline_l.estimate
-        )
-        assert distinct_count(s1, s2, "ht").estimate == pytest.approx(
-            offline_ht.estimate
-        )
-        assert distinct_count(s1, s2, "l").counts == offline_l.counts
+        for variant, offline_estimator in (
+            ("l", distinct_count_l), ("ht", distinct_count_ht)
+        ):
+            offline = offline_estimator(
+                s1.entries, s2.entries, 0.5, 0.4, seeds1, seeds2,
+                predicate=predicate,
+            )
+            streaming = distinct_count(s1, s2, variant, predicate=predicate)
+            assert streaming.counts == offline.counts
+            assert list(streaming.counts) == list(offline.counts)
+            assert streaming.estimator == offline.estimator
+            assert streaming.estimate == pytest.approx(
+                offline.estimate, rel=PIN, abs=PIN
+            )
+
+    def test_variant_is_case_insensitive(self):
+        day1, day2 = two_instances(60)
+        s1, s2, _ = uniform_sketches(day1, day2)
+        assert distinct_count(s1, s2, "HT") == distinct_count(s1, s2, "ht")
 
     def test_requires_uniform_sketches(self):
         assigner = SeedAssigner()
@@ -140,19 +152,53 @@ class TestDistinctCount:
             distinct_count(s1, s2, "nope")
 
 
+def l1_reference(s1, s2, predicate=None) -> float:
+    """The per-key loop the columnar :func:`l1_distance` replaces: same
+    terms, added one at a time in union order."""
+    entries1, entries2 = s1.entries, s2.entries
+    p1, p2 = s1.threshold, s2.threshold
+    total = 0.0
+    for key in {**entries1, **entries2}:
+        if predicate is not None and not predicate(key):
+            continue
+        v1, v2 = entries1.get(key), entries2.get(key)
+        sampled1 = v1 is not None or s1.seed_assigner.seed(key, s1.instance) <= p1
+        sampled2 = v2 is not None or s2.seed_assigner.seed(key, s2.instance) <= p2
+        if sampled1 and sampled2:
+            total += abs((v1 or 0.0) - (v2 or 0.0)) / (p1 * p2)
+    return total
+
+
 class TestL1Distance:
-    def test_matches_offline_pipeline(self):
+    @pytest.mark.parametrize("predicate", PREDICATES, ids=["all", "pred"])
+    def test_matches_offline_pipeline(self, predicate):
         day1, day2 = two_instances()
         s1, s2, assigner = uniform_sketches(day1, day2)
         dataset = MultiInstanceDataset({"day1": day1, "day2": day2})
         offline = l1_distance_ht(
-            dataset, ["day1", "day2"], [0.5, 0.4], assigner
+            dataset, ["day1", "day2"], [0.5, 0.4], assigner,
+            predicate=predicate,
         )
-        assert l1_distance(s1, s2) == pytest.approx(offline.estimate)
+        streaming = l1_distance(s1, s2, predicate=predicate)
+        assert streaming == pytest.approx(offline.estimate, rel=PIN, abs=PIN)
+
+    @pytest.mark.parametrize("predicate", PREDICATES, ids=["all", "pred"])
+    def test_bit_identical_to_per_key_loop(self, predicate):
+        day1, day2 = two_instances(seed=4)
+        s1, s2, _ = uniform_sketches(day1, day2)
+        assert l1_distance(s1, s2, predicate) == l1_reference(
+            s1, s2, predicate
+        )
+
+    def test_empty_union_is_zero(self):
+        day1, day2 = two_instances(60)
+        s1, s2, _ = uniform_sketches(day1, day2)
+        assert l1_distance(s1, s2, predicate=lambda key: False) == 0.0
 
 
 class TestMaxDominance:
-    def test_matches_offline_pipeline(self):
+    @pytest.mark.parametrize("predicate", PREDICATES, ids=["all", "pred"])
+    def test_matches_offline_pipeline(self, predicate):
         day1, day2 = two_instances()
         assigner = SeedAssigner(salt=23)
         tau_star = (12.0, 15.0)
@@ -164,11 +210,12 @@ class TestMaxDominance:
         s2.update_many(list(day2), list(day2.values()), chunk_size=len(day2))
         dataset = MultiInstanceDataset({"day1": day1, "day2": day2})
         offline = max_dominance_estimates(
-            dataset, ["day1", "day2"], tau_star, assigner
+            dataset, ["day1", "day2"], tau_star, assigner, predicate=predicate
         )
-        streaming = max_dominance(s1, s2)
-        assert streaming.ht == pytest.approx(offline.ht)
-        assert streaming.l == pytest.approx(offline.l)
+        streaming = max_dominance(s1, s2, predicate=predicate)
+        assert streaming.n_sampled_keys == offline.n_sampled_keys
+        assert streaming.ht == pytest.approx(offline.ht, rel=PIN, abs=PIN)
+        assert streaming.l == pytest.approx(offline.l, rel=PIN, abs=PIN)
 
     def test_requires_pps_sketches(self):
         day1, day2 = two_instances(60)

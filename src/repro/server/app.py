@@ -950,7 +950,7 @@ class SketchServer:
         for name in sorted(self.store.names()):
             try:
                 probe = self.store.engine(name).probe()
-                version = self.store.version_hint(name)
+                version, _ = self.store.state_hint(name)
             except UnknownStoreError:
                 continue
             lines.append(

@@ -263,7 +263,7 @@ class ServerMetrics:
         ``store.names()`` is a point-in-time snapshot; engines can be
         created or removed (e.g. by a concurrent merge/restore swap)
         while this loop runs, so a vanished name is skipped rather than
-        failing the whole scrape.  ``version_hint`` is deliberately the
+        failing the whole scrape.  ``state_hint`` is deliberately the
         lock-free read: a metrics scrape must not queue behind in-flight
         ingest batches for a number that is stale a moment later anyway.
         """
@@ -271,7 +271,7 @@ class ServerMetrics:
         for name in store.names():
             try:
                 probe = store.engine(name).probe()
-                version = store.version_hint(name)
+                version, _ = store.state_hint(name)
             except UnknownStoreError:
                 continue
             engines[name] = {

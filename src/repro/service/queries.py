@@ -7,9 +7,15 @@ estimator paths — the Section-8 aggregate estimators of
 :mod:`repro.aggregates` and the vectorized :mod:`repro.batch` kernels,
 via the :mod:`repro.streaming.query` adapters — and memoises results in a
 **version-keyed cache**: the cache key embeds the engine's monotone
-ingest version, so any ingest invalidates all cached results of that
-engine automatically and a hit is only ever served for the exact state it
-was computed from.
+ingest version and its replacement epoch, so any ingest or engine swap
+invalidates all cached results of that engine automatically and a hit is
+only ever served for the exact state it was computed from.
+
+The two-instance kinds (``distinct``, ``l1``, ``dominance``) read the
+store's memoised column views (:meth:`SketchStore.column_view`), so a
+miss on an instance pair already seen at this engine state folds and
+hashes nothing; ``sum`` and ``custom`` read fresh merged sketches
+(:meth:`SketchStore.snapshot_view`).
 
 Routing
 -------
@@ -50,6 +56,8 @@ from repro.streaming.sketch import StreamingBottomK, StreamingPoisson
 __all__ = ["Query", "QueryPlanner", "QueryResult", "query_value_json"]
 
 _KINDS = ("distinct", "sum", "dominance", "l1", "custom")
+#: the kinds that run on the store's memoised column views
+_COLUMN_KINDS = frozenset(("distinct", "dominance", "l1"))
 
 
 @dataclass(frozen=True)
@@ -152,9 +160,10 @@ class QueryResult:
 class QueryPlanner:
     """Routes queries to the estimator paths, caching by engine version.
 
-    The cache maps ``(store name, engine version, query)`` to the
-    computed value.  Because the store bumps the version on every ingest,
-    stale entries are never served; they age out of the LRU bound.
+    The cache maps ``(store name, engine version, epoch, query)`` to the
+    computed value.  Because the store bumps the version on every ingest
+    and the epoch on every engine replacement, stale entries are never
+    served; they age out of the LRU bound.
     Unhashable queries (e.g. list-valued instance labels) are computed
     but never cached.
     """
@@ -191,10 +200,10 @@ class QueryPlanner:
         return (id(value), value)
 
     @classmethod
-    def _cache_key(cls, name: str, version: int, query: Query):
+    def _cache_key(cls, name: str, state: tuple[int, int], query: Query):
         key = (
             name,
-            version,
+            state,
             query.kind,
             query.instances,
             query.variant,
@@ -244,8 +253,8 @@ class QueryPlanner:
         a miss leaves the counters untouched (the caller is expected to
         follow up with :meth:`run`).
         """
-        version = self._store.version_hint(name)
-        key = self._cache_key(name, version, query)
+        state = self._store.state_hint(name)
+        key = self._cache_key(name, state, query)
         if key is None:
             return None
         with self._lock:
@@ -253,7 +262,7 @@ class QueryPlanner:
                 self._cache.move_to_end(key)
                 self.hits += 1
                 value, confidence = self._cache[key]
-                return QueryResult(value, version, True, confidence)
+                return QueryResult(value, state[0], True, confidence)
         return None
 
     def run(self, name: str, query: Query) -> QueryResult:
@@ -267,23 +276,27 @@ class QueryPlanner:
                 span_attrs["cache"] = "hit"
                 return cached
             span_attrs["cache"] = "miss"
-            # A consistent view: the version the sketches are merged at is
+            # A consistent view: the version the sketches are read at is
             # the version the result is cached under (ingests between the
             # check above and here just cause a recompute at the newer
-            # version).
-            version, sketches = self._store.snapshot_view(
-                name, query.instances
-            )
+            # version).  The epoch is read around the view, and a result
+            # an engine replacement raced is returned but not cached.
+            epoch = self._store.state_hint(name)[1]
+            version, sketches = self._view(name, query)
             value = self._dispatch(sketches, query)
-            # computed against the same snapshot_view sketches as the
-            # value, so the quality payload describes exactly this
-            # estimate (and rides the cache entry with it)
+            # computed against the same sketches as the value, so the
+            # quality payload describes exactly this estimate (and rides
+            # the cache entry with it)
             confidence = (
                 query_confidence(sketches, query, value)
                 if query.confidence
                 else None
             )
-            key = self._cache_key(name, version, query)
+            key = (
+                self._cache_key(name, (version, epoch), query)
+                if self._store.state_hint(name)[1] == epoch
+                else None
+            )
             if key is not None:
                 with self._lock:
                     self.misses += 1
@@ -294,7 +307,7 @@ class QueryPlanner:
 
     def execute(self, name: str, query: Query):
         """Uncached execution (always recomputes, never stores)."""
-        _, sketches = self._store.snapshot_view(name, query.instances)
+        _, sketches = self._view(name, query)
         return self._dispatch(sketches, query)
 
     def clear_cache(self) -> None:
@@ -304,6 +317,14 @@ class QueryPlanner:
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
+    def _view(self, name: str, query: Query) -> tuple[int, list]:
+        """``(version, sketches)`` of the query's instances: memoised
+        column views for the two-instance kinds, fresh merged sketches
+        for the rest."""
+        if query.kind in _COLUMN_KINDS:
+            return self._store.column_view(name, query.instances)
+        return self._store.snapshot_view(name, query.instances)
+
     @staticmethod
     def _pair(sketches: list, kind: str) -> tuple:
         if len(sketches) != 2:

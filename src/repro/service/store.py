@@ -10,8 +10,10 @@ registry of named :class:`~repro.streaming.StreamEngine` instances with
   permutation guarantee), concurrent ingest of pre-aggregated updates
   produces sketches identical to serial ingest;
 * **monotone version counters** — every completed ingest bumps the named
-  engine's version, the invalidation signal for the query-result cache of
-  :class:`repro.service.queries.QueryPlanner`;
+  engine's version and every engine replacement its epoch; together they
+  key the query-result cache of :class:`repro.service.queries.QueryPlanner`
+  and the store's own memo of per-instance column views
+  (:meth:`SketchStore.column_view`);
 * **durability** — :meth:`snapshot` writes the whole store through the
   versioned binary codec and :meth:`restore` brings it back,
   state-identical;
@@ -63,6 +65,7 @@ from repro.sampling.ranks import RankFamily, rank_family_from_name
 from repro.sampling.seeds import SeedAssigner
 from repro.service import codec
 from repro.streaming.engine import StreamEngine
+from repro.streaming.query import SketchColumns
 
 if TYPE_CHECKING:
     from repro.service.queries import QueryPlanner
@@ -80,6 +83,8 @@ class _StoreEntry:
         "in_flight",
         "shard_locks",
         "synced_version",
+        "epoch",
+        "columns",
     )
 
     def __init__(self, engine: StreamEngine, version: int = 0) -> None:
@@ -96,6 +101,13 @@ class _StoreEntry:
         #: ``(synced_version, version]`` live as worker deltas (and WAL
         #: records — the crash-replay window for a respawned worker).
         self.synced_version = int(version)
+        #: replacement counter: :meth:`SketchStore.adopt` advances it when
+        #: it swaps the engine, which need not move the version, so every
+        #: cache of derived state keys on ``(version, epoch)``
+        self.epoch = 0
+        #: the column-view memo: ``((version, epoch), {instance:
+        #: SketchColumns})``, replaced wholesale when the key moves
+        self.columns: tuple[tuple[int, int] | None, dict] = (None, {})
 
 
 @dataclass(frozen=True)
@@ -653,7 +665,9 @@ class SketchStore:
         follower applying an engine-state record must overwrite whatever
         it currently holds.  Replacement waits for in-flight ingests to
         drain, keeps the version monotone (``max(local, version)``), and
-        logs an engine record when a WAL is attached.
+        logs an engine record when a WAL is attached.  The version may
+        stay put, so replacement advances the entry's epoch instead: the
+        query caches key on both.
         """
         if name not in self:
             self.register(name, engine, version=version)
@@ -670,6 +684,8 @@ class SketchStore:
                 )
             entry.engine = engine
             entry.version = new_version
+            entry.epoch += 1
+            entry.columns = (None, {})
             entry.synced_version = new_version
             entry.shard_locks.clear()
             pool = self._pool
@@ -711,8 +727,11 @@ class SketchStore:
         dispatched batches until a quiescent read folds the workers'
         deltas in; ``sync=True`` forces that fold first.  The default
         stays cheap (no worker round-trip) for observability probes
-        that tolerate staleness — query paths all read through
-        :meth:`snapshot_view` / :meth:`merged_sketch`, which sync.
+        that tolerate staleness.  Queries never read it: they go through
+        the quiescent reads :meth:`snapshot_view`, :meth:`column_view`
+        and :meth:`merged_sketch`, which sync.  Mutating the returned
+        engine directly bypasses the version, so cached query results and
+        memoised column views would not see the change.
         """
         if sync:
             with self._read(name) as entry:
@@ -725,17 +744,20 @@ class SketchStore:
         with entry.cond:
             return entry.version
 
-    def version_hint(self, name: str) -> int:
-        """Lock-free read of :meth:`version` — possibly a moment stale.
+    def state_hint(self, name: str) -> tuple[int, int]:
+        """Lock-free ``(version, epoch)`` of ``name`` — possibly a moment
+        stale; the pair keys every cache of query results.
 
         :meth:`version` waits on the per-engine condition lock, which an
         in-flight ingest holds while planning a whole batch; serving
         event loops that must never block (the HTTP server's cache
-        probe) read the counter without it.  Under the GIL the read is
-        atomic, and a stale value only makes a cache probe miss or
-        return a result correctly labelled with the older version.
+        probe, metrics scrapes) read the counters without it.  Under the
+        GIL each read is atomic, and a stale pair only makes a cache
+        probe miss or return a result correctly labelled with an older
+        state.
         """
-        return self._entry(name).version
+        entry = self._entry(name)
+        return entry.version, entry.epoch
 
     # ------------------------------------------------------------------
     # Ingest
@@ -956,6 +978,33 @@ class SketchStore:
                 entry.version,
                 [entry.engine.sketch(label) for label in instances],
             )
+
+    def column_view(
+        self, name: str, instances: Sequence[object]
+    ) -> tuple[int, list[SketchColumns]]:
+        """A consistent ``(version, column views)`` read of ``name``.
+
+        The views (:class:`~repro.streaming.query.SketchColumns`) of the
+        merged Poisson sketches are memoised per ``(version, epoch)``:
+        the first read of an instance folds its shards and hashes its
+        keys once, and every later read at the same state reuses that
+        work.  The memo holds one state at most; a read at a new state
+        replaces it wholesale.
+        """
+        with self._read(name) as entry:
+            key = (entry.version, entry.epoch)
+            memo_key, views = entry.columns
+            if memo_key != key:
+                views = {}
+                entry.columns = (key, views)
+            missing = [label for label in instances if label not in views]
+            if missing:
+                with span("store.columns", engine=name, instances=len(missing)):
+                    for label in missing:
+                        views[label] = SketchColumns.of(
+                            entry.engine.sketch(label)
+                        )
+            return entry.version, [views[label] for label in instances]
 
     def merged_sketch(self, name: str, instance: object):
         """The cross-shard merged sketch of one instance."""

@@ -26,6 +26,7 @@ and merging per-shard sketches equals the single-pass sketch.
 from repro.streaming.engine import StreamEngine
 from repro.streaming.merge import merge_bottom_k, merge_poisson, merge_sketches
 from repro.streaming.query import (
+    SketchColumns,
     StreamingDominanceEstimate,
     dataset_view,
     distinct_count,
@@ -38,6 +39,7 @@ from repro.streaming.query import (
 from repro.streaming.sketch import StreamingBottomK, StreamingPoisson
 
 __all__ = [
+    "SketchColumns",
     "StreamEngine",
     "StreamingBottomK",
     "StreamingPoisson",

@@ -12,6 +12,12 @@ All adapters only see what a sketch legitimately knows: the values of
 retained keys and, through the shared :class:`SeedAssigner`, the seed of
 *any* key — the known-seeds model of the paper.
 
+The Poisson adapters read a sketch through :class:`SketchColumns`, an
+immutable columnar view (keys, their hashes, values).  A caller that
+queries one instance many times — the store, which memoises views per
+engine version — builds the view once and passes it wherever a sketch
+is accepted; the join over views then hashes nothing.
+
 The multi-instance estimators assume instances were sampled
 *independently*; sketches built from a ``coordinated=True`` seed assigner
 (shared seeds across instances) are rejected here, because the same
@@ -22,7 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -37,11 +43,12 @@ from repro.core.estimator_base import VectorEstimator
 from repro.core.max_weighted import MaxPpsHT, MaxPpsL
 from repro.exceptions import InvalidParameterError
 from repro.sampling.outcomes import VectorOutcome
-from repro.sampling.ranks import PpsRanks, UniformRanks
-from repro.sampling.seeds import key_hashes
+from repro.sampling.ranks import PpsRanks, RankFamily, UniformRanks
+from repro.sampling.seeds import SeedAssigner, key_hashes
 from repro.streaming.sketch import StreamingBottomK, StreamingPoisson
 
 __all__ = [
+    "SketchColumns",
     "StreamingDominanceEstimate",
     "dataset_view",
     "distinct_count",
@@ -52,6 +59,57 @@ __all__ = [
     "sum_aggregate",
     "vector_outcomes",
 ]
+
+
+@dataclass(frozen=True, eq=False)
+class SketchColumns:
+    """Immutable columnar view of one Poisson sketch.
+
+    The sketch's configuration plus three aligned columns: ``keys`` in
+    retention (insertion) order, their :func:`key_hashes` and their
+    accumulated ``values``.  Both arrays are read-only, so one view can
+    be shared by any number of concurrent queries.
+    """
+
+    instance: object
+    threshold: float
+    rank_family: RankFamily
+    seed_assigner: SeedAssigner
+    keys: tuple
+    hashes: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        if not len(self.keys) == len(self.hashes) == len(self.values):
+            raise InvalidParameterError(
+                "keys, hashes and values must be aligned columns"
+            )
+        self.hashes.flags.writeable = False
+        self.values.flags.writeable = False
+
+    @classmethod
+    def of(cls, sketch: StreamingPoisson | SketchColumns) -> SketchColumns:
+        """The view of ``sketch``; a view is returned as is."""
+        if isinstance(sketch, cls):
+            return sketch
+        if not isinstance(sketch, StreamingPoisson):
+            raise InvalidParameterError(
+                "multi-instance queries take Poisson sketches, got "
+                f"{type(sketch).__name__}"
+            )
+        entries = sketch.entries
+        keys = tuple(entries)
+        return cls(
+            instance=sketch.instance,
+            threshold=sketch.threshold,
+            rank_family=sketch.rank_family,
+            seed_assigner=sketch.seed_assigner,
+            keys=keys,
+            hashes=key_hashes(keys),
+            values=np.fromiter(
+                entries.values(), dtype=np.float64, count=len(keys)
+            ),
+        )
 
 
 def _check_family(sketches: Sequence[StreamingPoisson]) -> None:
@@ -92,55 +150,84 @@ def _check_uniform(sketch: StreamingPoisson, name: str) -> float:
 
 
 def _outcome_columns(
-    sketches: Sequence[StreamingPoisson],
+    sketches: Sequence[StreamingPoisson | SketchColumns],
     predicate: KeyPredicate | None,
     include_seeds: bool,
-) -> tuple[list[object], np.ndarray, OutcomeBatch]:
+    with_keys: bool = False,
+) -> tuple[list[object] | None, np.ndarray, OutcomeBatch]:
     """:func:`outcome_batch` plus the ``(n, r)`` retained-membership mask.
 
-    The union of the retained keys is hashed once; each sketch derives
-    its seed column from those hashes, and membership and values fill
-    their columns through C-level ``map`` passes over the entry dicts.
+    One join over the sketches' :class:`SketchColumns`: the union rows
+    are the first view's keys, then each further view's new keys in its
+    own order.  One ``dict.get`` pass per further view finds its row
+    positions, and the union hashes are the views' hashes at their new
+    rows, so no key is hashed here.  The union key list is built only
+    for a predicate or when ``with_keys`` asks for it (else ``None``).
     """
     _check_family(sketches)
-    entry_maps = [sketch.entries for sketch in sketches]
-    union: dict[object, object] = {}
-    for entries in entry_maps:
-        union.update(entries)
-    keys = list(union) if predicate is None else list(filter(predicate, union))
-    n, r = len(keys), len(sketches)
-    retained = np.empty((n, r), dtype=bool)
-    values = np.empty((n, r), dtype=np.float64)
-    sampled = np.empty((n, r), dtype=bool)
+    views = [SketchColumns.of(sketch) for sketch in sketches]
+    first = views[0]
+    n = len(first.keys)
+    need_keys = with_keys or predicate is not None
+    keys = list(first.keys) if need_keys else None
+    index = dict(zip(first.keys, range(n)))
+    positions: list[slice | np.ndarray] = [slice(0, n)]
+    hash_parts = [first.hashes]
+    for number, view in enumerate(views[1:], start=2):
+        rows = np.fromiter(
+            map(index.get, view.keys, repeat(-1)),
+            dtype=np.intp,
+            count=len(view.keys),
+        )
+        new = rows < 0
+        added = int(np.count_nonzero(new))
+        rows[new] = np.arange(n, n + added)
+        positions.append(rows)
+        hash_parts.append(view.hashes[new])
+        more = number < len(views)
+        if need_keys or more:
+            new_keys = list(compress(view.keys, new.tolist()))
+            if keys is not None:
+                keys.extend(new_keys)
+            if more:
+                # later views find keys first retained here
+                index.update(zip(new_keys, range(n, n + added)))
+        n += added
+    hashes = np.concatenate(hash_parts)
+    r = len(views)
+    # Membership mask, not a value sentinel: a retained entry whose
+    # accumulated value is NaN must stay sampled (and propagate NaN
+    # loudly) rather than be reclassified as unretained.
+    retained = np.zeros((n, r), dtype=bool)
+    values = np.zeros((n, r), dtype=np.float64)
+    for column, (view, rows) in enumerate(zip(views, positions)):
+        retained[rows, column] = True
+        values[rows, column] = view.values
+    if predicate is not None:
+        keep = np.fromiter(map(predicate, keys), dtype=bool, count=n)
+        keys = list(compress(keys, keep.tolist()))
+        retained, values, hashes = retained[keep], values[keep], hashes[keep]
+        n = len(keys)
+    sampled = retained.copy()
     seeds = np.empty((n, r), dtype=np.float64) if include_seeds else None
-    hashes = key_hashes(keys)
-    for index, (sketch, entries) in enumerate(zip(sketches, entry_maps)):
-        # Membership mask, not a value sentinel: a retained entry whose
-        # accumulated value is NaN must stay sampled (and propagate NaN
-        # loudly) rather than be reclassified as unretained.
-        retained[:, index] = np.fromiter(
-            map(entries.__contains__, keys), dtype=bool, count=n
-        )
-        values[:, index] = np.fromiter(
-            map(entries.get, keys, repeat(0.0)), dtype=np.float64, count=n
-        )
-        oblivious = isinstance(sketch.rank_family, UniformRanks)
+    for column, view in enumerate(views):
+        oblivious = isinstance(view.rank_family, UniformRanks)
         if include_seeds or oblivious:
-            seed_column = sketch.seed_assigner.seeds_from_hashes(
-                hashes, instance=sketch.instance
+            seed_column = view.seed_assigner.seeds_from_hashes(
+                hashes, instance=view.instance
             )
             if seeds is not None:
-                seeds[:, index] = seed_column
-        sampled[:, index] = retained[:, index]
-        if oblivious:
-            # a seed-selected but unretained key was observed to be zero
-            sampled[:, index] |= seed_column <= sketch.threshold
+                seeds[:, column] = seed_column
+            if oblivious:
+                # a seed-selected but unretained key was observed to be
+                # zero
+                sampled[:, column] |= seed_column <= view.threshold
     batch = OutcomeBatch(values=values, sampled=sampled, seeds=seeds)
     return keys, retained, batch
 
 
 def outcome_batch(
-    sketches: Sequence[StreamingPoisson],
+    sketches: Sequence[StreamingPoisson | SketchColumns],
     predicate: KeyPredicate | None = None,
     include_seeds: bool = True,
 ) -> tuple[list[object], OutcomeBatch]:
@@ -158,12 +245,14 @@ def outcome_batch(
     Returns the key list (one batch row per key, in sketch-retention
     order) and the assembled :class:`~repro.batch.OutcomeBatch`.
     """
-    keys, _, batch = _outcome_columns(sketches, predicate, include_seeds)
+    keys, _, batch = _outcome_columns(
+        sketches, predicate, include_seeds, with_keys=True
+    )
     return keys, batch
 
 
 def vector_outcomes(
-    sketches: Sequence[StreamingPoisson],
+    sketches: Sequence[StreamingPoisson | SketchColumns],
     predicate: KeyPredicate | None = None,
     include_seeds: bool = True,
 ) -> dict[object, VectorOutcome]:
@@ -179,7 +268,7 @@ def vector_outcomes(
 
 
 def sum_aggregate(
-    sketches: Sequence[StreamingPoisson],
+    sketches: Sequence[StreamingPoisson | SketchColumns],
     estimator: VectorEstimator,
     predicate: KeyPredicate | None = None,
     include_seeds: bool = True,
@@ -198,9 +287,7 @@ def sum_aggregate(
             f"got {len(sketches)} sketches"
         )
     _check_independent(sketches, "sum_aggregate")
-    _, batch = outcome_batch(
-        sketches, predicate=predicate, include_seeds=include_seeds
-    )
+    _, _, batch = _outcome_columns(sketches, predicate, include_seeds)
     return float(estimator.estimate_batch(batch).sum())
 
 
@@ -239,8 +326,8 @@ def rank_conditioning_total(
 
 
 def distinct_count(
-    sketch1: StreamingPoisson,
-    sketch2: StreamingPoisson,
+    sketch1: StreamingPoisson | SketchColumns,
+    sketch2: StreamingPoisson | SketchColumns,
     variant: str = "l",
     predicate: KeyPredicate | None = None,
 ) -> DistinctCountEstimate:
@@ -277,8 +364,8 @@ def distinct_count(
 
 
 def l1_distance(
-    sketch1: StreamingPoisson,
-    sketch2: StreamingPoisson,
+    sketch1: StreamingPoisson | SketchColumns,
+    sketch2: StreamingPoisson | SketchColumns,
     predicate: KeyPredicate | None = None,
 ) -> float:
     """HT estimate of the L1 distance from weight-oblivious sketches.
@@ -293,8 +380,8 @@ def l1_distance(
     _check_independent((sketch1, sketch2), "l1_distance")
     p1 = _check_uniform(sketch1, "l1_distance")
     p2 = _check_uniform(sketch2, "l1_distance")
-    _, batch = outcome_batch(
-        (sketch1, sketch2), predicate=predicate, include_seeds=False
+    _, _, batch = _outcome_columns(
+        (sketch1, sketch2), predicate, include_seeds=False
     )
     both = batch.sampled.all(axis=1)
     values = batch.values[both]
@@ -314,8 +401,8 @@ class StreamingDominanceEstimate:
 
 
 def max_dominance(
-    sketch1: StreamingPoisson,
-    sketch2: StreamingPoisson,
+    sketch1: StreamingPoisson | SketchColumns,
+    sketch2: StreamingPoisson | SketchColumns,
     predicate: KeyPredicate | None = None,
 ) -> StreamingDominanceEstimate:
     """Max-dominance norm of two instances from PPS sketches (Section 8.2).
@@ -335,9 +422,11 @@ def max_dominance(
     tau_star = (1.0 / sketch1.threshold, 1.0 / sketch2.threshold)
     estimator_ht = MaxPpsHT(tau_star)
     estimator_l = MaxPpsL(tau_star)
-    keys, batch = outcome_batch((sketch1, sketch2), predicate=predicate)
+    _, _, batch = _outcome_columns(
+        (sketch1, sketch2), predicate, include_seeds=True
+    )
     return StreamingDominanceEstimate(
         ht=float(estimator_ht.estimate_batch(batch).sum()),
         l=float(estimator_l.estimate_batch(batch).sum()),
-        n_sampled_keys=len(keys),
+        n_sampled_keys=batch.values.shape[0],
     )

@@ -484,14 +484,21 @@ class TestErrorPaths:
         keys, values = make_columns(300)
         ingest(store, "traffic", "monday", keys[:200], values[:200])
         ingest(store, "traffic", "tuesday", keys[100:], values[100:])
+        # every store read a query can make: the pair kinds read the
+        # memoised column views, the others fresh merged sketches
         views = []
-        snapshot_view = store.snapshot_view
 
-        def spy(name, instances):
-            views.append((name, tuple(instances)))
-            return snapshot_view(name, instances)
+        def spy(reader):
+            read = getattr(store, reader)
 
-        store.snapshot_view = spy
+            def spied(name, instances):
+                views.append((reader, name, tuple(instances)))
+                return read(name, instances)
+
+            return spied
+
+        for reader in ("column_view", "snapshot_view"):
+            setattr(store, reader, spy(reader))
         pair = {"name": "traffic", "instances": "monday,tuesday"}
 
         async def scenario(server, client):
@@ -519,7 +526,8 @@ class TestErrorPaths:
                 "traffic", "l1", ["monday", "tuesday"], variant="ht"
             )
             assert again["from_cache"]
-            assert len(views) == 2
+            pair_read = ("column_view", "traffic", ("monday", "tuesday"))
+            assert views == [pair_read, pair_read]
 
         run_scenario(scenario, store=store)
 

@@ -45,8 +45,8 @@ class VanishingStore:
     def engine(self, name: str):
         return self._inner.engine(name)
 
-    def version_hint(self, name: str) -> int:
-        return self._inner.version_hint(name)
+    def state_hint(self, name: str) -> tuple[int, int]:
+        return self._inner.state_hint(name)
 
 
 class TestRate:
@@ -111,7 +111,7 @@ class TestSnapshot:
         payload = harness.snapshot(pending={"traffic": 3})
         engine = payload["engines"]["traffic"]
         assert engine["pending_batches"] == 3
-        assert engine["version"] == harness.store.version_hint("traffic")
+        assert engine["version"] == harness.store.version("traffic")
         assert engine["n_updates"] == 0
         assert "shard_updates" in engine
 

@@ -12,6 +12,7 @@ from repro.sampling.ranks import PpsRanks
 from repro.sampling.seeds import SeedAssigner
 from repro.service.queries import Query, QueryPlanner
 from repro.service.store import SketchStore
+from repro.streaming import StreamEngine
 from repro.streaming import query as streaming_query
 
 from ingest_helper import ingest
@@ -250,6 +251,37 @@ class TestCache:
         assert not planner.run("traffic", queries[0]).from_cache
         with pytest.raises(InvalidParameterError, match="positive"):
             planner.resize(0)
+
+    @pytest.mark.parametrize("version", [0, 2])
+    def test_adopt_without_version_move_invalidates(
+        self, oblivious_store, version
+    ):
+        """Regression: ``adopt`` at a version <= the current one swaps the
+        engine without moving the version, and the version-keyed cache
+        kept serving the old engine's results."""
+        store = oblivious_store
+        queries = (
+            Query.sum("mon"),
+            Query("distinct", ("mon", "tue"), confidence=True),
+            Query.l1("mon", "tue"),
+        )
+        before = [store.query("traffic", query) for query in queries]
+        replacement = StreamEngine.poisson(
+            threshold=0.5, seed_assigner=SeedAssigner(salt=11), n_shards=4
+        )
+        keys, values = make_columns(1500, seed=8)
+        replacement.ingest("mon", keys[:1000], values[:1000])
+        replacement.ingest("tue", keys[500:], values[500:])
+        store.adopt("traffic", replacement, version=version)
+        assert store.version("traffic") == 2
+        planner = QueryPlanner(store)
+        for query, old in zip(queries, before):
+            after = store.query("traffic", query)
+            assert not after.from_cache
+            assert after.version == old.version
+            assert after.value == planner.execute("traffic", query)
+            assert after.value != old.value
+            assert store.query("traffic", query).from_cache
 
     def test_execute_bypasses_cache(self, oblivious_store):
         planner = QueryPlanner(oblivious_store)

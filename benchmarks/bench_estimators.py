@@ -1,8 +1,9 @@
 """Micro-benchmarks of the estimator and sampling primitives.
 
 Unlike the figure benchmarks (run once to regenerate a table), these measure
-raw throughput of the hot code paths: per-outcome estimation, per-key
-variance integration and single-instance sampling.
+raw throughput of the hot code paths: estimation of a list of outcomes
+(``estimate_many``), per-key variance integration and single-instance
+sampling.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ def test_max_oblivious_l_estimation_throughput(benchmark):
     outcomes = _oblivious_outcomes(2000)
 
     def run():
-        return sum(estimator.estimate(outcome) for outcome in outcomes)
+        return float(estimator.estimate_many(outcomes).sum())
 
     total = benchmark(run)
     assert total >= 0.0
@@ -53,7 +54,7 @@ def test_max_pps_l_estimation_throughput(benchmark):
     outcomes = _pps_outcomes(2000)
 
     def run():
-        return sum(estimator.estimate(outcome) for outcome in outcomes)
+        return float(estimator.estimate_many(outcomes).sum())
 
     total = benchmark(run)
     assert total >= 0.0
@@ -65,8 +66,7 @@ def test_max_pps_l_variance_integration(benchmark):
     data = [tuple(rng.uniform(0, 12, 2)) for _ in range(50)]
 
     def run():
-        return sum(estimator.variance(values, grid_size=801)
-                   for values in data)
+        return float(estimator.variance_many(data, grid_size=801).sum())
 
     total = benchmark(run)
     assert total >= 0.0
@@ -83,7 +83,7 @@ def test_or_known_seeds_estimation_throughput(benchmark):
     ]
 
     def run():
-        return sum(estimator.estimate(outcome) for outcome in outcomes)
+        return float(estimator.estimate_many(outcomes).sum())
 
     total = benchmark(run)
     assert total >= 0.0

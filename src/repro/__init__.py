@@ -24,9 +24,8 @@ The package is organised as follows:
 ``repro.batch``
     The columnar batch estimation engine: :class:`~repro.batch.
     OutcomeBatch` stores many per-key outcomes as 2-D value / mask / seed
-    arrays, and every closed-form estimator exposes a vectorized
-    ``estimate_batch`` that agrees with the scalar reference to
-    floating-point round-off.
+    arrays, and every closed-form estimator is one NumPy kernel behind its
+    ``estimate_batch`` (a single outcome is scored as a one-row batch).
 
 ``repro.exact``
     The vectorized exact-enumeration engine: the ``2^r`` outcome space of
@@ -34,7 +33,7 @@ The package is organised as follows:
     probability-weighted column reductions, and grid sweeps
     (``exact_moments_grid`` / ``exact_moments_value_grid``) that compute a
     whole figure curve in a handful of kernel calls — bit-for-bit equal to
-    the scalar reference.
+    ``exact_moments`` at every point.
 
 ``repro.aggregates``
     Sum aggregates over an instances x keys data set: distinct count,

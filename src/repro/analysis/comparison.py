@@ -11,7 +11,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from repro.core.estimator_base import VectorEstimator
-from repro.core.variance import exact_moments
+from repro.exact.grid import exact_moments_value_grid
 from repro.exceptions import InvalidParameterError
 from repro.sampling.dispersed import ObliviousPoissonScheme
 
@@ -79,7 +79,11 @@ def compare_estimators(
     vectors: Sequence[Sequence[float]],
     baseline: str | None = None,
 ) -> EstimatorComparison:
-    """Exact mean/variance of each estimator on each data vector."""
+    """Exact mean/variance of each estimator on each data vector.
+
+    Each estimator scores every vector's outcome space in one
+    :func:`~repro.exact.exact_moments_value_grid` call.
+    """
     if not estimators:
         raise InvalidParameterError("at least one estimator is required")
     names = tuple(estimators)
@@ -89,16 +93,19 @@ def compare_estimators(
         raise InvalidParameterError(
             f"baseline {baseline!r} is not among the estimators"
         )
-    rows = []
-    for vector in vectors:
-        vector = tuple(float(v) for v in vector)
-        means = {}
-        variances = {}
-        for name, estimator in estimators.items():
-            mean, variance = exact_moments(estimator, scheme, vector)
-            means[name] = mean
-            variances[name] = variance
-        rows.append({"vector": vector, "means": means, "variances": variances})
+    vectors = [tuple(float(v) for v in vector) for vector in vectors]
+    moments = {
+        name: exact_moments_value_grid(estimator, scheme, vectors)
+        for name, estimator in estimators.items()
+    } if vectors else {}
+    rows = [
+        {
+            "vector": vector,
+            "means": {name: float(moments[name][0][i]) for name in names},
+            "variances": {name: float(moments[name][1][i]) for name in names},
+        }
+        for i, vector in enumerate(vectors)
+    ]
     return EstimatorComparison(
         rows=tuple(rows), baseline=baseline, estimator_names=names
     )

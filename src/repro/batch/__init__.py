@@ -1,24 +1,23 @@
 """Columnar batch estimation engine.
 
-The scalar estimators of :mod:`repro.core` consume one
-:class:`~repro.sampling.outcomes.VectorOutcome` at a time, which makes
-large sum aggregates pay a Python-interpreter loop per key.  This package
-provides the columnar fast path:
+Estimators score outcomes as columns: a sum aggregate over many keys
+becomes one NumPy pass instead of a Python-interpreter loop per key.
 
 ``outcome_batch``
     :class:`OutcomeBatch` — ``n`` outcomes stored as ``(n, r)`` value /
     sampled-mask / seed arrays, interconvertible with scalar outcomes.
 ``kernels``
-    Pure NumPy kernels mirroring each scalar closed form; used by the
-    ``estimate_batch`` overrides on the core estimator classes.
+    Pure NumPy kernels, the only implementation of each closed-form
+    estimator; the core estimator classes call them from
+    ``estimate_batch`` (and score one outcome as a one-row batch).
 ``assemble``
     Builders that turn datasets + seed assigners into batches, hashing
     each key column once per instance.
 
-The scalar API remains the reference implementation:
-``VectorEstimator.estimate_many`` routes through ``estimate_batch`` when a
-vectorized override exists and falls back to the scalar loop otherwise,
-and the test-suite asserts bit-level (1e-12) parity between the paths.
+``VectorEstimator.estimate_many`` routes an iterable of outcomes through
+``estimate_batch`` when the outcomes form one batch and scores them one by
+one otherwise.  ``tests/batch/test_parity.py`` pins the kernels to scalar
+values frozen before the per-class formulas were removed.
 """
 
 from repro.batch.assemble import (

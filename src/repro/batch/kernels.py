@@ -1,10 +1,13 @@
-"""Vectorized NumPy kernels behind the batch estimators.
+"""The closed forms of the paper's estimators, as NumPy kernels.
 
-Each kernel is a pure function of column arrays (no estimator state) that
-mirrors, branch for branch, the scalar closed form of one estimator in
-:mod:`repro.core`.  Keeping the kernels free of any ``repro.core`` import
-lets the estimator classes call them without an import cycle, and keeps
-them independently testable against the scalar reference.
+Each kernel is a pure function of column arrays (no estimator state) and
+is the only implementation of its estimator's formula: the estimator
+classes of :mod:`repro.core` call it from ``estimate_batch``, score a
+single outcome as a one-row batch, and the exact-moment sweeps of
+:mod:`repro.exact` call it with per-row parameter columns.  Keeping the
+kernels free of any ``repro.core`` import lets the estimator classes call
+them without an import cycle.  ``tests/batch/test_parity.py`` pins them
+to scalar values frozen before the per-class formulas were removed.
 
 All kernels take the canonical :class:`~repro.batch.OutcomeBatch` column
 layout — ``values``/``sampled``/``seeds`` of shape ``(n, r)`` — and return
@@ -90,16 +93,18 @@ def max_l_uniform_kernel(
 
     The estimate is ``sum_i alpha_i u_i`` with ``u`` the descending sort of
     the determining vector (unsampled entries replaced by the largest
-    sampled value).
+    sampled value).  ``alphas`` is one ``(r,)`` coefficient row or an
+    ``(n, r)`` matrix with one row per outcome (the probability-grid sweeps
+    of :mod:`repro.exact.grid`).
     """
     top = masked_row_max(values, sampled)
     phi = np.where(sampled, values, top[:, None])
     ordered = np.sort(phi, axis=1)[:, ::-1]
-    # Elementwise multiply + reduce (not a BLAS dot) so the accumulation
-    # order matches the scalar reference bit for bit; the coefficient
-    # tables cancel heavily for small p, where reordering costs digits.
+    # Elementwise multiply + reduce (not a BLAS dot) keeps a fixed,
+    # sequential accumulation order; the coefficient tables cancel heavily
+    # for small p, where reordering costs digits.
     alphas = np.asarray(alphas, dtype=np.float64)
-    estimates = (ordered * alphas[None, :]).sum(axis=1)
+    estimates = (ordered * alphas).sum(axis=1)
     return np.where(sampled.any(axis=1), estimates, 0.0)
 
 
@@ -197,10 +202,10 @@ def pps_max_l_r2_kernel(
 ) -> np.ndarray:
     """The known-seed PPS ``max^(L)`` for ``r = 2`` (Figure 3 closed forms).
 
-    Mirrors :meth:`repro.core.max_weighted.MaxPpsL.estimate`: the
-    determining vector pairs each sampled value with the seed bound of the
-    unsampled entry, and the piecewise closed forms (Eqs. (25), (26), (29),
-    (30) with the corrected log argument) are applied after sorting.
+    The determining vector pairs each sampled value with the seed bound of
+    the unsampled entry, and the piecewise closed forms (Eqs. (25), (26),
+    (29), (30) with the corrected log argument, see
+    :class:`repro.core.max_weighted.MaxPpsL`) are applied after sorting.
     """
     v1, v2 = values[:, 0], values[:, 1]
     s1, s2 = sampled[:, 0], sampled[:, 1]
@@ -301,10 +306,9 @@ def known_seed_or_mapping(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Map known-seed weighted binary outcomes to weight-oblivious ones.
 
-    The columnar twin of
-    :func:`repro.core.or_estimators.map_known_seed_outcome_to_oblivious`:
-    sampled entries become value 1; unsampled entries whose seed certifies
-    a zero (``u_i <= p_i``) become sampled with value 0.
+    The outcome equivalence of Section 5: sampled entries become value 1;
+    unsampled entries whose seed certifies a zero (``u_i <= p_i``) become
+    sampled with value 0; the others stay unsampled.
 
     Returns the mapped ``(values, sampled)`` pair.
     """

@@ -42,7 +42,6 @@ __all__ = [
     "uniform_prefix_sums_grid",
     "uniform_max_l_coefficients",
     "uniform_max_l_coefficients_grid",
-    "max_l_r2_coefficients",
 ]
 
 
@@ -170,22 +169,3 @@ def uniform_max_l_coefficients(r: int, p: float) -> np.ndarray:
     p = check_probability(p)
     return np.array(_uniform_max_l_coefficients_cached(int(r), float(p)))
 
-
-def max_l_r2_coefficients(p1: float, p2: float) -> tuple[float, float]:
-    """Coefficients of ``max^(L)`` for ``r = 2`` with heterogeneous ``p``.
-
-    Eq. (12) of the paper: with a determining vector ``(v_1, v_2)`` sorted so
-    that ``v_1 >= v_2`` (and ``p`` permuted accordingly), the estimate is
-    ``alpha_1 v_1 + alpha_2 v_2`` with
-
-    .. math::
-
-        \\alpha_1 = \\frac{1}{p_1 (p_1 + p_2 - p_1 p_2)}, \\qquad
-        \\alpha_2 = -\\frac{1 - p_1}{p_1 (p_1 + p_2 - p_1 p_2)}.
-    """
-    p1 = check_probability(p1, "p1")
-    p2 = check_probability(p2, "p2")
-    union = p1 + p2 - p1 * p2
-    alpha_1 = 1.0 / (p1 * union)
-    alpha_2 = -(1.0 - p1) / (p1 * union)
-    return alpha_1, alpha_2

@@ -6,10 +6,15 @@ estimate of its target function.  The interface also exposes the properties
 the paper cares about (unbiasedness, nonnegativity, monotonicity, Pareto
 optimality) as metadata so comparison harnesses can report them.
 
-Batches of outcomes are estimated through :meth:`VectorEstimator.
-estimate_batch`, which concrete estimators override with a vectorized
-NumPy implementation; the scalar :meth:`VectorEstimator.estimate` remains
-the reference the batch path is tested against.
+An estimator defines exactly one of its two estimate methods:
+
+* closed-form estimators define :meth:`VectorEstimator.estimate_batch`
+  over a kernel of :mod:`repro.batch.kernels` — the only place their
+  formula is written — and :meth:`VectorEstimator.estimate` scores one
+  outcome as a one-row batch;
+* estimators defined per outcome (lookup tables, caller-supplied
+  callables) define :meth:`VectorEstimator.estimate`, and
+  :meth:`VectorEstimator.estimate_batch` loops over the rows.
 """
 
 from __future__ import annotations
@@ -24,6 +29,20 @@ from repro.exceptions import InvalidOutcomeError
 from repro.sampling.outcomes import VectorOutcome
 
 __all__ = ["VectorEstimator"]
+
+
+def _estimate_one_row(self, outcome: VectorOutcome) -> float:
+    """``estimate`` of a batch-defined estimator: a one-row batch call."""
+    return float(self.estimate_batch(OutcomeBatch.from_outcomes([outcome]))[0])
+
+
+def _estimate_each_row(self, batch: OutcomeBatch) -> np.ndarray:
+    """``estimate_batch`` of an outcome-defined estimator: a row loop."""
+    return np.fromiter(
+        (self.estimate(outcome) for outcome in batch.iter_outcomes()),
+        dtype=np.float64,
+        count=len(batch),
+    )
 
 
 class VectorEstimator(ABC):
@@ -43,6 +62,23 @@ class VectorEstimator(ABC):
     #: estimator dominates it)
     is_pareto_optimal: bool = False
 
+    def __init_subclass__(cls, **kwargs) -> None:
+        """Derive the estimate method a subclass leaves abstract.
+
+        Runs before :class:`abc.ABCMeta` collects abstract methods, so a
+        class defining neither method keeps both abstract and cannot be
+        instantiated: the two derived methods never call each other.
+        """
+        super().__init_subclass__(**kwargs)
+        scalar_missing = getattr(cls.estimate, "__isabstractmethod__", False)
+        batch_missing = getattr(
+            cls.estimate_batch, "__isabstractmethod__", False
+        )
+        if scalar_missing and not batch_missing:
+            cls.estimate = _estimate_one_row  # type: ignore[method-assign]
+        elif batch_missing and not scalar_missing:
+            cls.estimate_batch = _estimate_each_row  # type: ignore[method-assign]
+
     @property
     @abstractmethod
     def r(self) -> int:
@@ -52,32 +88,22 @@ class VectorEstimator(ABC):
     def estimate(self, outcome: VectorOutcome) -> float:
         """Return the estimate for one outcome."""
 
+    @abstractmethod
     def estimate_batch(self, batch: OutcomeBatch) -> np.ndarray:
-        """Vector of estimates for a columnar batch of outcomes.
-
-        The base implementation is the scalar reference loop; concrete
-        estimators override it with a vectorized NumPy kernel.  Overrides
-        must agree with the scalar loop to floating-point round-off and
-        raise the same exceptions on invalid batches.
-        """
-        return np.fromiter(
-            (self.estimate(outcome) for outcome in batch.iter_outcomes()),
-            dtype=np.float64,
-            count=len(batch),
-        )
+        """Vector of estimates for a columnar batch of outcomes."""
 
     @property
     def has_batch_path(self) -> bool:
-        """Whether this estimator overrides :meth:`estimate_batch`."""
-        return type(self).estimate_batch is not VectorEstimator.estimate_batch
+        """Whether this estimator defines :meth:`estimate_batch` itself."""
+        return type(self).estimate_batch is not _estimate_each_row
 
     def estimate_many(self, outcomes: Iterable[VectorOutcome]) -> np.ndarray:
         """Vector of estimates for an iterable of outcomes.
 
-        Routes through the columnar :meth:`estimate_batch` fast path when
-        the estimator provides one and the outcomes are homogeneous (same
-        ``r`` and seed availability); otherwise falls back to the scalar
-        loop.  An empty iterable yields a shape-``(0,)`` float64 array.
+        Routes through the columnar :meth:`estimate_batch` when the
+        estimator defines one and the outcomes are homogeneous (same ``r``
+        and seed availability); otherwise calls :meth:`estimate` per
+        outcome.  An empty iterable yields a shape-``(0,)`` float64 array.
         """
         outcomes = list(outcomes)
         if not outcomes:
@@ -86,14 +112,14 @@ class VectorEstimator(ABC):
             try:
                 batch = OutcomeBatch.from_outcomes(outcomes)
             except InvalidOutcomeError:
-                pass  # heterogeneous outcomes: the scalar loop handles them
+                pass  # heterogeneous outcomes: score them one by one
             else:
                 return self.estimate_batch(batch)
         return np.array([self.estimate(outcome) for outcome in outcomes],
                         dtype=np.float64)
 
     def _check_batch(self, batch: OutcomeBatch) -> None:
-        """Shared r-compatibility check for batch overrides."""
+        """Shared r-compatibility check for batch definitions."""
         if batch.r != self.r:
             raise InvalidOutcomeError(
                 f"outcome has {batch.r} entries, estimator expects {self.r}"

@@ -95,32 +95,30 @@ class HorvitzThompsonOblivious(VectorEstimator):
     def r(self) -> int:
         return len(self.probabilities)
 
-    def estimate(self, outcome: VectorOutcome) -> float:
-        if outcome.r != self.r:
-            raise InvalidOutcomeError(
-                f"outcome has {outcome.r} entries, estimator expects {self.r}"
-            )
-        if not outcome.is_full:
-            return 0.0
-        values = [outcome.values[i] for i in range(self.r)]
-        return float(self.function(values)) / self._all_sampled_probability
-
     def estimate_batch(self, batch: OutcomeBatch) -> np.ndarray:
-        """Vectorized Eq. (10): ``f(v) / prod_i p_i`` on full rows."""
+        """Eq. (10): ``f(v) / prod_i p_i`` on full rows."""
         self._check_batch(batch)
         full = batch.all_sampled()
-        f_values = np.zeros(len(batch), dtype=np.float64)
+        return ht_oblivious_kernel(
+            self.f_values(batch.values, full),
+            full,
+            self._all_sampled_probability,
+        )
+
+    def f_values(self, values: np.ndarray, full: np.ndarray) -> np.ndarray:
+        """``f`` of each full row of an ``(n, r)`` value matrix, 0 elsewhere.
+
+        ``f`` is applied only to the full rows, so a validating function
+        (e.g. the Boolean primitives) never sees an unsampled entry.
+        """
+        f_values = np.zeros(len(values), dtype=np.float64)
         if self.batch_function is not None:
-            # Apply only on full rows so a validating function (e.g. the
-            # Boolean primitives) sees exactly what the scalar path sees.
             if np.any(full):
-                f_values[full] = self.batch_function(batch.values[full])
+                f_values[full] = self.batch_function(values[full])
         else:
             for row in np.nonzero(full)[0]:
-                f_values[row] = float(self.function(list(batch.values[row])))
-        return ht_oblivious_kernel(
-            f_values, full, self._all_sampled_probability
-        )
+                f_values[row] = float(self.function(list(values[row])))
+        return f_values
 
     def variance(self, values: Sequence[float]) -> float:
         """Exact variance for data ``values`` (Eq. (10))."""

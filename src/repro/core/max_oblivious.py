@@ -117,37 +117,19 @@ class MaxObliviousL(VectorEstimator):
         Unsampled entries are set to the largest sampled value (zero for the
         empty outcome).
         """
-        self._check(outcome)
+        if outcome.r != self.r:
+            raise InvalidOutcomeError(
+                f"outcome has {outcome.r} entries, estimator expects {self.r}"
+            )
         top = outcome.max_sampled()
         return tuple(
             outcome.values[i] if i in outcome.sampled else top
             for i in range(self.r)
         )
 
-    def estimate(self, outcome: VectorOutcome) -> float:
-        self._check(outcome)
-        if outcome.is_empty:
-            return 0.0
-        phi = self.determining_vector(outcome)
-        if self._uniform:
-            ordered = np.sort(np.asarray(phi, dtype=float))[::-1]
-            # Same multiply + reduce as the batch kernel (bit-level parity).
-            return float((self._alphas * ordered).sum())
-        return self._estimate_r2(phi)
-
-    def _estimate_r2(self, phi: tuple[float, ...]) -> float:
-        p1, p2 = self.probabilities
-        union = p1 + p2 - p1 * p2
-        v1, v2 = phi
-        if v1 >= v2:
-            larger, smaller, p_larger = v1, v2, p1
-        else:
-            larger, smaller, p_larger = v2, v1, p2
-        return (larger - (1.0 - p_larger) * smaller) / (p_larger * union)
-
     def estimate_batch(self, batch: OutcomeBatch) -> np.ndarray:
-        """Vectorized ``max^(L)``: Eq. (12) for ``r = 2``, the Theorem 4.2
-        coefficient tables for uniform ``p``."""
+        """``max^(L)``: Eq. (12) for ``r = 2``, the Theorem 4.2 coefficient
+        tables for uniform ``p``."""
         self._check_batch(batch)
         if self._uniform:
             return max_l_uniform_kernel(
@@ -156,12 +138,6 @@ class MaxObliviousL(VectorEstimator):
         return max_l_r2_kernel(
             batch.values, batch.sampled, *self.probabilities
         )
-
-    def _check(self, outcome: VectorOutcome) -> None:
-        if outcome.r != self.r:
-            raise InvalidOutcomeError(
-                f"outcome has {outcome.r} entries, estimator expects {self.r}"
-            )
 
 
 class MaxObliviousU(VectorEstimator):
@@ -188,25 +164,8 @@ class MaxObliviousU(VectorEstimator):
     def r(self) -> int:
         return 2
 
-    def estimate(self, outcome: VectorOutcome) -> float:
-        if outcome.r != 2:
-            raise InvalidOutcomeError(
-                f"outcome has {outcome.r} entries, estimator expects 2"
-            )
-        p1, p2 = self.probabilities
-        slack = 1.0 + max(0.0, 1.0 - p1 - p2)
-        if outcome.is_empty:
-            return 0.0
-        if outcome.sampled == frozenset({0}):
-            return outcome.values[0] / (p1 * slack)
-        if outcome.sampled == frozenset({1}):
-            return outcome.values[1] / (p2 * slack)
-        v1, v2 = outcome.values[0], outcome.values[1]
-        numerator = max(v1, v2) - (v1 * (1.0 - p2) + v2 * (1.0 - p1)) / slack
-        return numerator / (p1 * p2)
-
     def estimate_batch(self, batch: OutcomeBatch) -> np.ndarray:
-        """Vectorized ``max^(U)`` over the four inclusion patterns."""
+        """``max^(U)`` over the four inclusion patterns."""
         self._check_batch(batch)
         return max_u_kernel(batch.values, batch.sampled, *self.probabilities)
 
@@ -235,29 +194,8 @@ class MaxObliviousUAsymmetric(VectorEstimator):
     def r(self) -> int:
         return 2
 
-    def estimate(self, outcome: VectorOutcome) -> float:
-        if outcome.r != 2:
-            raise InvalidOutcomeError(
-                f"outcome has {outcome.r} entries, estimator expects 2"
-            )
-        p1, p2 = self.probabilities
-        denominator2 = max(1.0 - p1, p2)
-        if outcome.is_empty:
-            return 0.0
-        if outcome.sampled == frozenset({0}):
-            return outcome.values[0] / p1
-        if outcome.sampled == frozenset({1}):
-            return outcome.values[1] / denominator2
-        v1, v2 = outcome.values[0], outcome.values[1]
-        numerator = (
-            max(v1, v2)
-            - p2 * (1.0 - p1) / denominator2 * v2
-            - (1.0 - p2) * v1
-        )
-        return numerator / (p1 * p2)
-
     def estimate_batch(self, batch: OutcomeBatch) -> np.ndarray:
-        """Vectorized ``max^(Uas)`` over the four inclusion patterns."""
+        """``max^(Uas)`` over the four inclusion patterns."""
         self._check_batch(batch)
         return max_uas_kernel(
             batch.values, batch.sampled, *self.probabilities

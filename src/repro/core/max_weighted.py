@@ -19,7 +19,6 @@ partial information exploited by ``max^(L)``.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -32,6 +31,35 @@ from repro.exceptions import InvalidOutcomeError, UnsupportedConfigurationError
 from repro.sampling.outcomes import VectorOutcome
 
 __all__ = ["MaxPpsHT", "MaxPpsL"]
+
+_SEEDS_REQUIRED = "PPS max estimators require known seeds in the outcome"
+#: Inclusion patterns scored per kernel call in ``MaxPpsL.moments_many``;
+#: a one-sampled pattern has up to ~2.5k knots at the default grid size,
+#: so one call stays under ~100k rows.
+_PATTERNS_PER_CALL = 32
+
+
+def _check_seeded(estimator: VectorEstimator, batch: OutcomeBatch) -> None:
+    estimator._check_batch(batch)
+    if batch.seeds is None:
+        raise InvalidOutcomeError(_SEEDS_REQUIRED)
+
+
+def _seed_knots(q_unsampled: float, grid_size: int) -> np.ndarray:
+    """Integration knots on ``(q, 1]`` for the seed of an unsampled entry.
+
+    The estimate diverges only logarithmically as the seed approaches
+    zero.  A geometric grid near the lower end point followed by a uniform
+    grid captures the log-shaped integrand accurately while avoiding the
+    singular end point itself.
+    """
+    lower = max(q_unsampled, 1e-12)
+    knee = min(max(lower * 10.0, 0.02), 1.0)
+    if knee > lower:
+        log_part = np.geomspace(lower, knee, max(grid_size // 4, 64))
+        linear_part = np.linspace(knee, 1.0, grid_size)
+        return np.unique(np.concatenate([log_part, linear_part]))
+    return np.linspace(lower, 1.0, grid_size)
 
 
 class MaxPpsHT(VectorEstimator):
@@ -54,25 +82,9 @@ class MaxPpsHT(VectorEstimator):
     def r(self) -> int:
         return len(self.tau_star)
 
-    def estimate(self, outcome: VectorOutcome) -> float:
-        self._check(outcome)
-        if outcome.is_empty:
-            return 0.0
-        top = outcome.max_sampled()
-        if top <= 0.0:
-            return 0.0
-        for i in range(self.r):
-            if i not in outcome.sampled:
-                if outcome.seeds[i] * self.tau_star[i] > top:
-                    return 0.0
-        probability = math.prod(
-            min(1.0, top / tau) for tau in self.tau_star
-        )
-        return top / probability
-
     def estimate_batch(self, batch: OutcomeBatch) -> np.ndarray:
-        """Vectorized inverse-probability PPS max estimate."""
-        self._check_batch_seeds(batch)
+        """Inverse-probability PPS max estimate per outcome."""
+        _check_seeded(self, batch)
         return pps_max_ht_kernel(
             batch.values,
             batch.sampled,
@@ -80,33 +92,15 @@ class MaxPpsHT(VectorEstimator):
             np.asarray(self.tau_star),
         )
 
-    def _check_batch_seeds(self, batch: OutcomeBatch) -> None:
-        self._check_batch(batch)
-        if batch.seeds is None:
-            raise InvalidOutcomeError(
-                "PPS max estimators require known seeds in the outcome"
-            )
-
     def variance(self, values: Sequence[float]) -> float:
         """Exact variance for data ``values``."""
-        values = [float(v) for v in values]
-        top = max(values)
-        if top <= 0.0:
-            return 0.0
-        probability = math.prod(
-            min(1.0, top / tau) for tau in self.tau_star
-        )
-        # top * top (exactly rounded) rather than top ** 2: libm pow can be
-        # one ulp off the true square, and variance_many squares with the
-        # exact multiply.
-        return top * top * (1.0 / probability - 1.0)
+        return float(self.variance_many([values])[0])
 
     def variance_many(self, values_matrix) -> np.ndarray:
         """Exact variances for a ``(n, r)`` matrix of data vectors.
 
-        Vectorized twin of :meth:`variance`: the inclusion probability is
-        accumulated threshold by threshold in the same order as the scalar
-        ``math.prod``, so each row agrees with the scalar call bit for bit.
+        The inclusion probability is accumulated threshold by threshold,
+        and the largest value is squared with an exact multiply.
         """
         values_matrix = np.asarray(values_matrix, dtype=np.float64)
         if values_matrix.ndim != 2 or values_matrix.shape[1] != self.r:
@@ -124,16 +118,6 @@ class MaxPpsHT(VectorEstimator):
             positive, safe_top * safe_top * (1.0 / probability - 1.0), 0.0
         )
 
-    def _check(self, outcome: VectorOutcome) -> None:
-        if outcome.r != self.r:
-            raise InvalidOutcomeError(
-                f"outcome has {outcome.r} entries, estimator expects {self.r}"
-            )
-        if outcome.seeds is None:
-            raise InvalidOutcomeError(
-                "PPS max estimators require known seeds in the outcome"
-            )
-
 
 class MaxPpsL(VectorEstimator):
     """The ``max^(L)`` estimator for two PPS samples with known seeds.
@@ -149,7 +133,17 @@ class MaxPpsL(VectorEstimator):
 
     and the closed forms of the bottom table of Figure 3 (equations (25),
     (26), (29) and (30) of the paper) give the estimate as a function of the
-    determining vector.
+    determining vector; :func:`repro.batch.kernels.pps_max_l_r2_kernel`
+    implements both steps.
+
+    Eq. (30) (``b <= tau_b <= a <= tau_a``, with ``a >= b`` the sorted
+    determining vector and ``tau_a``/``tau_b`` the thresholds of the
+    entries holding them) is misprinted in the paper: its log argument
+    reads ``((tau_a + tau_b - b) tau_a) / (tau_b (tau_a + tau_b - a))``.
+    Re-deriving the appendix integral (footnote 2 with lower limit
+    ``v - tau_2``) gives ``((tau_a + tau_b - b) tau_b) / (b tau_a)``, the
+    unique choice that keeps the estimator continuous across the case
+    boundaries and unbiased; the kernel uses it.
     """
 
     function_name = "max"
@@ -170,7 +164,12 @@ class MaxPpsL(VectorEstimator):
 
     def determining_vector(self, outcome: VectorOutcome) -> tuple[float, float]:
         """The determining vector ``phi(S)`` of a known-seed PPS outcome."""
-        self._check(outcome)
+        if outcome.r != 2:
+            raise InvalidOutcomeError(
+                f"outcome has {outcome.r} entries, estimator expects 2"
+            )
+        if outcome.seeds is None:
+            raise InvalidOutcomeError(_SEEDS_REQUIRED)
         tau1, tau2 = self.tau_star
         if outcome.is_empty:
             return (0.0, 0.0)
@@ -182,117 +181,27 @@ class MaxPpsL(VectorEstimator):
         v2 = outcome.values[1]
         return (min(outcome.seeds[0] * tau1, v2), v2)
 
-    def estimate(self, outcome: VectorOutcome) -> float:
-        phi = self.determining_vector(outcome)
-        return self.estimate_from_determining(*phi)
-
     def estimate_batch(self, batch: OutcomeBatch) -> np.ndarray:
-        """Vectorized Figure 3 closed forms over a batch of outcomes."""
-        self._check_batch(batch)
-        if batch.seeds is None:
-            raise InvalidOutcomeError(
-                "PPS max estimators require known seeds in the outcome"
-            )
+        """Figure 3 closed forms per outcome."""
+        _check_seeded(self, batch)
         return pps_max_l_r2_kernel(
             batch.values, batch.sampled, batch.seeds, *self.tau_star
         )
 
     def estimate_from_determining(self, phi1: float, phi2: float) -> float:
-        """Estimate as a function of the determining vector (Figure 3)."""
-        phi1, phi2 = float(phi1), float(phi2)
-        if phi1 < 0.0 or phi2 < 0.0:
-            raise InvalidOutcomeError("determining vector must be nonnegative")
-        if phi1 == 0.0 and phi2 == 0.0:
-            return 0.0
-        if min(phi1, phi2) <= 0.0:
-            # A determining vector of a nonempty outcome always has two
-            # positive entries (zero values are never sampled and the seed
-            # bound of an unsampled entry is positive).
-            raise InvalidOutcomeError(
-                "determining vector entries must be positive unless both are zero"
-            )
-        if phi1 >= phi2:
-            return self._sorted_estimate(
-                phi1, phi2, self.tau_star[0], self.tau_star[1]
-            )
-        return self._sorted_estimate(
-            phi2, phi1, self.tau_star[1], self.tau_star[0]
+        """Estimate as a function of the determining vector (Figure 3).
+
+        The determining vector of a fully sampled outcome is its value
+        vector, so this scores the outcome ``S = {0, 1}`` with ``v = phi``.
+        """
+        return float(
+            pps_max_l_r2_kernel(
+                np.array([[phi1, phi2]], dtype=np.float64),
+                np.ones((1, 2), dtype=bool),
+                np.zeros((1, 2)),
+                *self.tau_star,
+            )[0]
         )
-
-    @staticmethod
-    def _sorted_estimate(a: float, b: float, tau_a: float, tau_b: float) -> float:
-        """Figure 3 closed forms with ``a >= b``; ``tau_a``/``tau_b`` are the
-        thresholds of the entries holding ``a`` and ``b``."""
-        if a == b:
-            # Equal entries: Eq. (25).
-            q_a = min(1.0, a / tau_a)
-            q_b = min(1.0, a / tau_b)
-            return a / (q_a + (1.0 - q_a) * q_b)
-        if b >= tau_b:
-            # Eq. (26).
-            return b + (a - b) / min(1.0, a / tau_a)
-        if a >= tau_a:
-            # Case ``v >= tau_1``: the estimate equals the larger entry.
-            return a
-        total = tau_a + tau_b
-        if a <= tau_b:
-            # Eq. (29): both entries below both thresholds.
-            return (
-                tau_a * tau_b / (total - a)
-                + tau_a * tau_b * (tau_a - a) / (a * total)
-                * math.log((total - b) * a / (b * (total - a)))
-                + (a - b) * tau_a * tau_b * (tau_a - a)
-                / (a * (total - b) * (total - a))
-            )
-        # Eq. (30): b <= tau_b <= a <= tau_a.  Note: the log argument printed
-        # in the paper, ((tau_a + tau_b - b) tau_a) / (tau_b (tau_a + tau_b -
-        # a)), is a typo — re-deriving the appendix integral (footnote 2 with
-        # lower limit v - tau_2) gives ((tau_a + tau_b - b) tau_b) /
-        # (b tau_a), which is the unique choice that keeps the estimator
-        # continuous across the case boundaries and unbiased.
-        return (
-            tau_a + tau_b - tau_a * tau_b / a
-            + tau_a * tau_b * (tau_a - a) / (a * total)
-            * math.log((total - b) * tau_b / (b * tau_a))
-            + tau_b * (tau_a - a) * (tau_b - b) / ((total - b) * a)
-        )
-
-    @staticmethod
-    def _sorted_estimate_vector(
-        a: float, b: np.ndarray, tau_a: float, tau_b: float
-    ) -> np.ndarray:
-        """Vectorised Figure 3 closed forms for a fixed larger entry ``a``
-        and an array of smaller entries ``b`` (all ``0 < b <= a``)."""
-        b = np.asarray(b, dtype=float)
-        result = np.empty_like(b)
-        total = tau_a + tau_b
-
-        high = b >= tau_b                      # Eq. (26)
-        result[high] = b[high] + (a - b[high]) / min(1.0, a / tau_a)
-        low = ~high
-        if not np.any(low):
-            return result
-        if a >= tau_a:                         # the larger entry is certain
-            result[low] = a
-            return result
-        b_low = b[low]
-        if a <= tau_b:                         # Eq. (29)
-            values = (
-                tau_a * tau_b / (total - a)
-                + tau_a * tau_b * (tau_a - a) / (a * total)
-                * np.log((total - b_low) * a / (b_low * (total - a)))
-                + (a - b_low) * tau_a * tau_b * (tau_a - a)
-                / (a * (total - b_low) * (total - a))
-            )
-        else:                                  # Eq. (30), corrected log term
-            values = (
-                tau_a + tau_b - tau_a * tau_b / a
-                + tau_a * tau_b * (tau_a - a) / (a * total)
-                * np.log((total - b_low) * tau_b / (b_low * tau_a))
-                + tau_b * (tau_a - a) * (tau_b - b_low) / ((total - b_low) * a)
-            )
-        result[low] = values
-        return result
 
     # ------------------------------------------------------------------
     # Exact moments via one-dimensional numerical integration.
@@ -300,51 +209,9 @@ class MaxPpsL(VectorEstimator):
     def moments(
         self, values: Sequence[float], grid_size: int = 2001
     ) -> tuple[float, float]:
-        """Exact mean and variance of the estimator for data ``values``.
-
-        The expectation over outcomes decomposes into the four inclusion
-        patterns; the patterns with exactly one sampled entry require an
-        integral over the seed of the unsampled entry, evaluated with the
-        trapezoidal rule on ``grid_size`` points.
-        """
-        v1, v2 = (float(values[0]), float(values[1]))
-        if v1 < 0.0 or v2 < 0.0:
-            raise InvalidOutcomeError("values must be nonnegative")
-        tau1, tau2 = self.tau_star
-        q1 = min(1.0, v1 / tau1)
-        q2 = min(1.0, v2 / tau2)
-
-        mean = 0.0
-        second = 0.0
-
-        if q1 > 0.0 and q2 > 0.0:
-            est = self.estimate_from_determining(v1, v2)
-            weight = q1 * q2
-            mean += weight * est
-            second += weight * est ** 2
-
-        # Only entry 1 sampled: u2 uniform on (q2, 1].
-        if q1 > 0.0 and q2 < 1.0:
-            mean_piece, second_piece = self._one_sampled_moments(
-                sampled_value=v1, tau_sampled=tau1, tau_unsampled=tau2,
-                q_unsampled=q2, grid_size=grid_size,
-            )
-            weight = q1 * (1.0 - q2)
-            mean += weight * mean_piece
-            second += weight * second_piece
-
-        # Only entry 2 sampled: u1 uniform on (q1, 1].
-        if q2 > 0.0 and q1 < 1.0:
-            mean_piece, second_piece = self._one_sampled_moments(
-                sampled_value=v2, tau_sampled=tau2, tau_unsampled=tau1,
-                q_unsampled=q1, grid_size=grid_size,
-            )
-            weight = q2 * (1.0 - q1)
-            mean += weight * mean_piece
-            second += weight * second_piece
-
-        variance = second - mean ** 2
-        return mean, max(variance, 0.0)
+        """Exact mean and variance of the estimator for data ``values``."""
+        means, variances = self.moments_many([values], grid_size=grid_size)
+        return float(means[0]), float(variances[0])
 
     def variance(self, values: Sequence[float], grid_size: int = 2001) -> float:
         """Exact variance of the estimator for data ``values``."""
@@ -355,11 +222,15 @@ class MaxPpsL(VectorEstimator):
     ) -> tuple[np.ndarray, np.ndarray]:
         """Exact moments for a ``(n, 2)`` matrix of data vectors.
 
-        The integration grid of :meth:`moments` depends on the data vector,
-        so rows are evaluated one by one — but only once per *distinct*
-        vector: duplicate rows (ubiquitous in integer-valued workloads such
-        as flow counts) share the result.  Each row equals the scalar
-        :meth:`moments` call bit for bit.
+        The expectation over outcomes decomposes into the four inclusion
+        patterns.  A pattern with exactly one sampled entry needs an
+        integral over the seed of the unsampled entry, uniform on
+        ``(q, 1]`` given that the entry is not sampled, evaluated with the
+        trapezoidal rule on about ``grid_size`` knots.  Each *distinct*
+        vector is integrated once — duplicate rows (ubiquitous in
+        integer-valued workloads such as flow counts) share the result —
+        and one kernel call scores the both-sampled outcome and every knot
+        of up to ``_PATTERNS_PER_CALL`` patterns.
         """
         values_matrix = np.asarray(values_matrix, dtype=np.float64)
         if values_matrix.ndim != 2 or values_matrix.shape[1] != 2:
@@ -367,15 +238,60 @@ class MaxPpsL(VectorEstimator):
                 "values matrix must have shape (n, 2), "
                 f"got {values_matrix.shape}"
             )
+        if np.any(values_matrix < 0.0):
+            raise InvalidOutcomeError("values must be nonnegative")
         unique_rows, inverse = np.unique(
             values_matrix, axis=0, return_inverse=True
         )
-        means = np.empty(len(unique_rows))
-        variances = np.empty(len(unique_rows))
-        for index, row in enumerate(unique_rows):
-            means[index], variances[index] = self.moments(
-                (float(row[0]), float(row[1])), grid_size=grid_size
+        tau1, tau2 = self.tau_star
+        # (row, probability, sampled mask, q of the unsampled entry)
+        patterns: list[tuple[int, float, tuple[bool, bool], float | None]] = []
+        for row, (v1, v2) in enumerate(unique_rows.tolist()):
+            q1 = min(1.0, v1 / tau1)
+            q2 = min(1.0, v2 / tau2)
+            if q1 > 0.0 and q2 > 0.0:
+                patterns.append((row, q1 * q2, (True, True), None))
+            if q1 > 0.0 and q2 < 1.0:
+                patterns.append((row, q1 * (1.0 - q2), (True, False), q2))
+            if q2 > 0.0 and q1 < 1.0:
+                patterns.append((row, q2 * (1.0 - q1), (False, True), q1))
+
+        means = np.zeros(len(unique_rows))
+        seconds = np.zeros(len(unique_rows))
+        for start in range(0, len(patterns), _PATTERNS_PER_CALL):
+            chunk = patterns[start:start + _PATTERNS_PER_CALL]
+            knots = [
+                np.zeros(1) if q is None else _seed_knots(q, grid_size)
+                for _, _, _, q in chunk
+            ]
+            sizes = [len(points) for points in knots]
+            rows = [row for row, _, _, _ in chunk]
+            masks = [mask for _, _, mask, _ in chunk]
+            seed_column = np.concatenate(knots)
+            # The kernel reads the seed of unsampled entries only.
+            estimates = pps_max_l_r2_kernel(
+                np.repeat(unique_rows[rows], sizes, axis=0),
+                np.repeat(masks, sizes, axis=0),
+                np.column_stack([seed_column, seed_column]),
+                tau1,
+                tau2,
             )
+            pieces = np.split(estimates, np.cumsum(sizes)[:-1])
+            for (row, probability, _, q), points, piece in zip(
+                chunk, knots, pieces
+            ):
+                if q is None:
+                    piece_mean = float(piece[0])
+                    piece_second = piece_mean ** 2
+                else:
+                    width = 1.0 - q
+                    piece_mean = float(np.trapezoid(piece, points) / width)
+                    piece_second = float(
+                        np.trapezoid(piece ** 2, points) / width
+                    )
+                means[row] += probability * piece_mean
+                seconds[row] += probability * piece_second
+        variances = np.maximum(seconds - means ** 2, 0.0)
         return means[inverse], variances[inverse]
 
     def variance_many(
@@ -383,50 +299,3 @@ class MaxPpsL(VectorEstimator):
     ) -> np.ndarray:
         """Exact variances for a ``(n, 2)`` matrix of data vectors."""
         return self.moments_many(values_matrix, grid_size=grid_size)[1]
-
-    def _one_sampled_moments(
-        self,
-        sampled_value: float,
-        tau_sampled: float,
-        tau_unsampled: float,
-        q_unsampled: float,
-        grid_size: int,
-    ) -> tuple[float, float]:
-        """Conditional moments given that exactly one entry is sampled.
-
-        Conditioned on the other entry not being sampled, its seed is
-        uniform on ``(q_unsampled, 1]`` and the determining vector pairs the
-        sampled value with ``min(seed * tau_unsampled, sampled_value)``.
-        """
-        # The estimate diverges only logarithmically as the seed approaches
-        # zero.  A geometric grid near the lower end point followed by a
-        # uniform grid captures the log-shaped integrand accurately while
-        # avoiding the singular end point itself.
-        lower = max(q_unsampled, 1e-12)
-        knee = min(max(lower * 10.0, 0.02), 1.0)
-        if knee > lower:
-            log_part = np.geomspace(lower, knee, max(grid_size // 4, 64))
-            linear_part = np.linspace(knee, 1.0, grid_size)
-            seeds = np.unique(np.concatenate([log_part, linear_part]))
-        else:
-            seeds = np.linspace(lower, 1.0, grid_size)
-        bounds = np.minimum(seeds * tau_unsampled, sampled_value)
-        estimates = self._sorted_estimate_vector(
-            sampled_value, bounds, tau_sampled, tau_unsampled
-        )
-        width = 1.0 - q_unsampled
-        if width <= 0.0:  # pragma: no cover - guarded by caller
-            return 0.0, 0.0
-        mean = float(np.trapezoid(estimates, seeds) / width)
-        second = float(np.trapezoid(estimates ** 2, seeds) / width)
-        return mean, second
-
-    def _check(self, outcome: VectorOutcome) -> None:
-        if outcome.r != 2:
-            raise InvalidOutcomeError(
-                f"outcome has {outcome.r} entries, estimator expects 2"
-            )
-        if outcome.seeds is None:
-            raise InvalidOutcomeError(
-                "PPS max estimators require known seeds in the outcome"
-            )

@@ -15,7 +15,8 @@ Two sampling models are covered:
   certifies ``v_i = 0``.  The paper shows this model is outcome-equivalent
   to the weight-oblivious one; estimators
   :class:`OrKnownSeedsHT`, :class:`OrKnownSeedsL`, :class:`OrKnownSeedsU`
-  apply the mapping and delegate.
+  apply the mapping (:func:`repro.batch.kernels.known_seed_or_mapping`)
+  and delegate.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from repro.core.functions import boolean_or
 from repro.core.ht import HorvitzThompsonOblivious
 from repro.core.max_oblivious import MaxObliviousL, MaxObliviousU
 from repro.exceptions import InvalidOutcomeError
-from repro.sampling.outcomes import VectorOutcome
 
 __all__ = [
     "OrObliviousHT",
@@ -41,7 +41,6 @@ __all__ = [
     "OrKnownSeedsHT",
     "OrKnownSeedsL",
     "OrKnownSeedsU",
-    "map_known_seed_outcome_to_oblivious",
 ]
 
 
@@ -80,12 +79,8 @@ class OrObliviousL(VectorEstimator):
     def r(self) -> int:
         return len(self.probabilities)
 
-    def estimate(self, outcome: VectorOutcome) -> float:
-        _check_binary_outcome(outcome)
-        return self._max_l.estimate(outcome)
-
     def estimate_batch(self, batch: OutcomeBatch) -> np.ndarray:
-        """Vectorized ``OR^(L)``: binary check, then the ``max^(L)`` kernel."""
+        """``OR^(L)``: binary check, then the ``max^(L)`` kernel."""
         check_binary_columns(batch.values, batch.sampled)
         return self._max_l.estimate_batch(batch)
 
@@ -106,46 +101,10 @@ class OrObliviousU(VectorEstimator):
     def r(self) -> int:
         return 2
 
-    def estimate(self, outcome: VectorOutcome) -> float:
-        _check_binary_outcome(outcome)
-        return self._max_u.estimate(outcome)
-
     def estimate_batch(self, batch: OutcomeBatch) -> np.ndarray:
-        """Vectorized ``OR^(U)``: binary check, then the ``max^(U)`` kernel."""
+        """``OR^(U)``: binary check, then the ``max^(U)`` kernel."""
         check_binary_columns(batch.values, batch.sampled)
         return self._max_u.estimate_batch(batch)
-
-
-def map_known_seed_outcome_to_oblivious(
-    outcome: VectorOutcome, probabilities: Sequence[float]
-) -> VectorOutcome:
-    """Map a known-seed weighted outcome over binary data to the equivalent
-    weight-oblivious outcome (Section 5).
-
-    The mapping (per entry ``i`` with sampling probability ``p_i`` for a
-    ``1`` value):
-
-    * ``i in S``                          -> sampled with value 1;
-    * ``i not in S`` and ``u_i <= p_i``   -> sampled with value 0
-      (the known seed certifies the value is 0);
-    * ``i not in S`` and ``u_i > p_i``    -> not sampled.
-    """
-    if outcome.seeds is None:
-        raise InvalidOutcomeError(
-            "known-seed OR estimators require outcomes that carry seeds"
-        )
-    sampled: set[int] = set()
-    values: dict[int, float] = {}
-    for i in range(outcome.r):
-        if i in outcome.sampled:
-            sampled.add(i)
-            values[i] = 1.0
-        elif outcome.seeds[i] <= probabilities[i]:
-            sampled.add(i)
-            values[i] = 0.0
-    return VectorOutcome(
-        r=outcome.r, sampled=frozenset(sampled), values=values
-    )
 
 
 class _KnownSeedsOrBase(VectorEstimator):
@@ -164,16 +123,9 @@ class _KnownSeedsOrBase(VectorEstimator):
     def r(self) -> int:
         return len(self.probabilities)
 
-    def estimate(self, outcome: VectorOutcome) -> float:
-        _check_binary_outcome(outcome, allow_missing_values=True)
-        mapped = map_known_seed_outcome_to_oblivious(
-            outcome, self.probabilities
-        )
-        return self._oblivious.estimate(mapped)
-
     def estimate_batch(self, batch: OutcomeBatch) -> np.ndarray:
-        """Vectorized known-seed OR: apply the Section 5 outcome mapping
-        column-wise, then delegate to the weight-oblivious batch kernel."""
+        """Known-seed OR: apply the Section 5 outcome mapping column-wise,
+        then delegate to the weight-oblivious estimator."""
         check_binary_columns(batch.values, batch.sampled)
         if batch.seeds is None:
             raise InvalidOutcomeError(
@@ -211,15 +163,3 @@ class OrKnownSeedsU(_KnownSeedsOrBase):
     is_pareto_optimal = True
     _oblivious_class = OrObliviousU
 
-
-def _check_binary_outcome(
-    outcome: VectorOutcome, allow_missing_values: bool = False
-) -> None:
-    for value in outcome.values.values():
-        if float(value) not in (0.0, 1.0):
-            raise InvalidOutcomeError(
-                "OR estimators require binary values; got "
-                f"{value!r} in the outcome"
-            )
-    if allow_missing_values:
-        return

@@ -2,10 +2,10 @@
 
 Two complementary paths are offered:
 
-* :func:`exact_moments` enumerates the (finite) outcome space of a
-  weight-oblivious scheme and computes the exact mean and variance of any
-  estimator — used to validate unbiasedness and to generate the variance
-  curves of Figures 1 and 2;
+* :func:`exact_moments` (from :mod:`repro.exact.engine`) enumerates the
+  finite outcome space of a weight-oblivious scheme and computes the exact
+  mean and variance of any estimator — used to validate unbiasedness and
+  to generate the variance curves of Figures 1 and 2;
 * the closed forms quoted in the paper (Eqs. (1), (10), (23), (24) and the
   Figure 1 expressions), used as analytic cross-checks and by the
   sample-size planner of Figure 6.
@@ -18,6 +18,8 @@ from collections.abc import Sequence
 
 from repro._validation import check_probability, check_probability_vector
 from repro.core.estimator_base import VectorEstimator
+from repro.core.or_estimators import OrObliviousU
+from repro.exact.engine import exact_moments
 from repro.sampling.dispersed import ObliviousPoissonScheme
 
 __all__ = [
@@ -31,36 +33,6 @@ __all__ = [
     "figure1_max_u_variance",
     "figure1_max_ht_variance",
 ]
-
-
-def exact_moments(
-    estimator: VectorEstimator,
-    scheme: ObliviousPoissonScheme,
-    values: Sequence[float],
-) -> tuple[float, float]:
-    """Exact mean and variance of ``estimator`` on data ``values``.
-
-    The outcome space of the weight-oblivious Poisson scheme conditioned on
-    a data vector has ``2^r`` outcomes, enumerated exactly.  This is the
-    scalar reference implementation; the columnar engine in
-    :mod:`repro.exact` computes the same moments (bit for bit) from a
-    single enumerated :class:`~repro.batch.OutcomeBatch` and is what the
-    figure sweeps run on.
-
-    The variance is clamped at ``0.0``: ``second_moment - mean**2``
-    suffers catastrophic cancellation as ``p -> 1`` (where the true
-    variance vanishes) and can come out a tiny negative.
-    """
-    mean = 0.0
-    second_moment = 0.0
-    for outcome, probability in scheme.iter_outcomes(values):
-        estimate = estimator.estimate(outcome)
-        mean += probability * estimate
-        # estimate * estimate (exactly rounded) rather than estimate ** 2:
-        # libm pow can be one ulp off the true square, and the columnar
-        # engine squares with the exact multiply.
-        second_moment += probability * (estimate * estimate)
-    return mean, max(second_moment - mean * mean, 0.0)
 
 
 def exact_variance(
@@ -118,33 +90,12 @@ def or_u_variance(p1: float, p2: float, data: tuple[int, int]) -> float:
     of the four outcomes."""
     p1 = check_probability(p1, "p1")
     p2 = check_probability(p2, "p2")
-    data = (int(data[0]), int(data[1]))
-    if data == (0, 0):
-        return 0.0
-    slack = 1.0 + max(0.0, 1.0 - p1 - p2)
-    v1, v2 = data
-    or_value = 1.0
-
-    def estimate(sampled1: bool, sampled2: bool) -> float:
-        if not sampled1 and not sampled2:
-            return 0.0
-        if sampled1 and not sampled2:
-            return v1 / (p1 * slack)
-        if sampled2 and not sampled1:
-            return v2 / (p2 * slack)
-        numerator = max(v1, v2) - (
-            v1 * (1.0 - p2) + v2 * (1.0 - p1)
-        ) / slack
-        return numerator / (p1 * p2)
-
-    second_moment = 0.0
-    for sampled1 in (False, True):
-        for sampled2 in (False, True):
-            probability = (p1 if sampled1 else 1.0 - p1) * (
-                p2 if sampled2 else 1.0 - p2
-            )
-            second_moment += probability * estimate(sampled1, sampled2) ** 2
-    return second_moment - or_value ** 2
+    probabilities = (p1, p2)
+    return exact_moments(
+        OrObliviousU(probabilities),
+        ObliviousPoissonScheme(probabilities),
+        (float(data[0]), float(data[1])),
+    )[1]
 
 
 def figure1_max_ht_variance(v1: float, v2: float) -> float:

@@ -1,21 +1,21 @@
-"""Vectorized exact-enumeration engine.
+"""Exact-enumeration engine.
 
 Enumerates the ``2^r`` outcome space of a weight-oblivious Poisson scheme
 once as a columnar :class:`~repro.batch.OutcomeBatch` and computes exact
-estimator moments as probability-weighted column reductions — the hot path
-behind the paper's variance figures.  The scalar reference
-(:func:`repro.core.variance.exact_moments`) stays authoritative: every
-function here agrees with it bit for bit and raises the same exceptions.
+estimator moments as probability-weighted column reductions — the path
+behind :func:`repro.core.variance.exact_moments` and the paper's variance
+figures.  ``tests/exact/test_exact_parity.py`` pins it to moments frozen
+from the per-outcome enumeration it replaced.
 
 * :func:`enumerate_outcome_batch` — the outcome space + probability vector;
-* :func:`exact_moments_vectorized` — drop-in vectorized ``exact_moments``;
+* :func:`exact_moments` — exact mean and variance on one data vector;
 * :func:`exact_moments_value_grid` — one estimator, a grid of data vectors
   (Figure 1);
 * :func:`exact_moments_grid` — an estimator family over a probability grid
   (Figure 2), via per-row-parameter grid kernels with a per-point fallback.
 """
 
-from repro.exact.engine import accumulate_moments, exact_moments_vectorized
+from repro.exact.engine import accumulate_moments, exact_moments
 from repro.exact.enumeration import (
     enumerate_outcome_batch,
     enumeration_masks,
@@ -28,7 +28,7 @@ __all__ = [
     "enumerate_outcome_batch",
     "enumeration_masks",
     "outcome_probabilities",
-    "exact_moments_vectorized",
+    "exact_moments",
     "exact_moments_grid",
     "exact_moments_value_grid",
 ]

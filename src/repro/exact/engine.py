@@ -1,20 +1,18 @@
-"""Vectorized exact moments over an enumerated outcome space.
+"""Exact moments over an enumerated outcome space.
 
-The scalar reference (:func:`repro.core.variance.exact_moments`) walks the
-``2^r`` outcomes of a weight-oblivious scheme in Python, calling
-``estimator.estimate`` once per outcome.  The engine here computes the same
-moments from columns: the outcome space is enumerated once as an
+The outcome space of a weight-oblivious scheme is enumerated once as an
 :class:`~repro.batch.OutcomeBatch` (:mod:`repro.exact.enumeration`), every
 outcome is scored in one ``estimate_batch`` call, and the probability-
 weighted mean and second moment are accumulated outcome column by outcome
-column — the same sequential accumulation order as the scalar loop, so the
-two paths agree bit for bit (not merely to round-off).
+column in enumeration order.  :func:`accumulate_moments` is the only
+moment accumulation in the package: :func:`exact_moments` and the grid
+sweeps of :mod:`repro.exact.grid` all reduce through it, so a grid point
+and a single :func:`exact_moments` call agree bit for bit.
 
 Zero-probability outcomes (entries with ``p_i = 1`` left unsampled) are
-masked out of the accumulation, exactly as the scalar iterator skips them.
-Variances are clamped at ``0.0``: ``second_moment - mean**2`` suffers
-catastrophic cancellation for ``p -> 1`` and can come out a tiny negative
-in both paths (the scalar reference applies the same clamp).
+masked out of the accumulation.  Variances are clamped at ``0.0``:
+``second_moment - mean**2`` suffers catastrophic cancellation for
+``p -> 1`` and can come out a tiny negative.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ import numpy as np
 from repro.core.estimator_base import VectorEstimator
 from repro.exact.enumeration import enumerate_outcome_batch
 
-__all__ = ["accumulate_moments", "exact_moments_vectorized"]
+__all__ = ["accumulate_moments", "exact_moments"]
 
 
 def accumulate_moments(
@@ -36,11 +34,10 @@ def accumulate_moments(
 
     ``probabilities`` and ``estimates`` are ``(n, m)`` matrices: ``n``
     independent outcome spaces (grid points) of ``m`` outcomes each.
-    Accumulation runs column by column — the scalar enumeration order — so
-    every float matches the scalar ``mean += probability * estimate`` loop
-    bit for bit.  Zero-probability columns are masked out (the scalar
-    iterator never yields them, and masking also protects against
-    ``0 * inf`` from estimates of impossible outcomes).
+    Accumulation runs column by column (``mean += probability *
+    estimate``, the square as an exactly rounded ``estimate * estimate``).
+    Zero-probability columns are masked out, which also protects against
+    ``0 * inf`` from estimates of impossible outcomes.
     """
     probabilities = np.asarray(probabilities, dtype=np.float64)
     estimates = np.asarray(estimates, dtype=np.float64)
@@ -60,17 +57,16 @@ def accumulate_moments(
     return mean, np.maximum(second - mean * mean, 0.0)
 
 
-def exact_moments_vectorized(
+def exact_moments(
     estimator: VectorEstimator,
     scheme,
     values: Sequence[float],
 ) -> tuple[float, float]:
-    """Vectorized twin of :func:`repro.core.variance.exact_moments`.
+    """Exact mean and variance of ``estimator`` on data ``values``.
 
-    Enumerates the outcome space of ``scheme`` on ``values`` as one
-    columnar batch and scores it with ``estimator.estimate_batch``.
-    Returns ``(mean, variance)``; agrees with the scalar reference bit for
-    bit and raises the same exceptions on invalid inputs.
+    Conditioned on a data vector, the weight-oblivious Poisson ``scheme``
+    has ``2^r`` outcomes; they are enumerated as one batch and scored with
+    ``estimator.estimate_batch``.  Returns ``(mean, variance)``.
     """
     batch, probabilities = enumerate_outcome_batch(scheme, values)
     estimates = estimator.estimate_batch(batch)

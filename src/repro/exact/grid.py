@@ -13,14 +13,16 @@ Two sweep axes cover the paper's variance figures:
     stacked batch is scored by a *grid kernel* — a variant of the
     :mod:`repro.batch.kernels` closed forms taking per-row probability
     columns.  Estimator families without a registered grid kernel fall
-    back to one vectorized enumeration per grid point
-    (:func:`~repro.exact.engine.exact_moments_vectorized`), so the sweep
-    works for any estimator and the kernels are a pure fast path.
+    back to one :func:`~repro.exact.engine.exact_moments` call per grid
+    point, so the sweep works for any estimator and the kernels are a pure
+    fast path.
 
-Both sweeps reproduce the scalar reference
-(:func:`repro.core.variance.exact_moments` at every grid point) bit for
-bit: enumeration order, per-outcome probabilities, kernel arithmetic and
-moment accumulation all follow the scalar operation order exactly.
+A grid kernel calls the same :mod:`repro.batch.kernels` closed form as
+the estimator's ``estimate_batch``, with per-row parameter columns in
+place of scalars, and both sweeps reduce through
+:func:`~repro.exact.engine.accumulate_moments`; every grid point
+therefore equals :func:`~repro.exact.engine.exact_moments` on that point
+bit for bit.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ import numpy as np
 from repro.batch.kernels import (
     check_binary_columns,
     ht_oblivious_kernel,
-    masked_row_max,
     max_l_r2_kernel,
+    max_l_uniform_kernel,
     max_u_kernel,
     max_uas_kernel,
 )
@@ -47,7 +49,7 @@ from repro.core.max_oblivious import (
     MaxObliviousUAsymmetric,
 )
 from repro.core.or_estimators import OrObliviousL, OrObliviousU
-from repro.exact.engine import accumulate_moments, exact_moments_vectorized
+from repro.exact.engine import accumulate_moments, exact_moments
 from repro.exact.enumeration import enumeration_masks, outcome_probabilities
 from repro.exceptions import InvalidParameterError
 from repro.sampling.dispersed import ObliviousPoissonScheme
@@ -64,7 +66,7 @@ def exact_moments_value_grid(
 
     ``values_grid`` is ``(n_grid, r)``; returns ``(means, variances)`` of
     shape ``(n_grid,)``, equal bit for bit to calling
-    :func:`repro.core.variance.exact_moments` per row.
+    :func:`~repro.exact.engine.exact_moments` per row.
     """
     probabilities = np.asarray(scheme.probabilities, dtype=np.float64)
     r = len(probabilities)
@@ -109,7 +111,7 @@ def exact_moments_grid(
     -------
     ``(means, variances)`` of shape ``(n_grid,)``, equal bit for bit to
     constructing the estimator and scheme per grid point and calling
-    :func:`repro.core.variance.exact_moments`.
+    :func:`~repro.exact.engine.exact_moments`.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1:
@@ -163,12 +165,12 @@ def exact_moments_grid(
 def _per_point_sweep(
     estimator_factory, grid: np.ndarray, values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fallback: one vectorized enumeration per grid point."""
+    """Fallback: one enumeration per grid point."""
     means = np.empty(grid.shape[0])
     variances = np.empty(grid.shape[0])
     for index in range(grid.shape[0]):
         probabilities = tuple(grid[index])
-        means[index], variances[index] = exact_moments_vectorized(
+        means[index], variances[index] = exact_moments(
             estimator_factory(probabilities),
             ObliviousPoissonScheme(probabilities),
             values,
@@ -195,40 +197,35 @@ def _uniform_rows(probabilities: np.ndarray) -> np.ndarray:
     return np.all(probabilities == probabilities[:, :1], axis=1)
 
 
-def _max_l_uniform_rows(
-    values: np.ndarray, sampled: np.ndarray, p_column: np.ndarray
-) -> np.ndarray:
-    """Theorem 4.2 tables with one coefficient row per outcome row.
+def _uniform_alphas(r: int, p_column: np.ndarray) -> np.ndarray:
+    """Theorem 4.2 coefficients with one row per outcome row.
 
     The column repeats each grid point ``2^r`` times (outcome tiling), so
     the ``O(r^2)`` recursion runs once per distinct probability and the
-    rows are gathered back — each row's arithmetic is independent, so the
-    result is bit-identical to running the recursion on the full column.
+    rows are gathered back.
     """
     distinct, inverse = np.unique(p_column, return_inverse=True)
-    alphas = uniform_max_l_coefficients_grid(values.shape[1], distinct)[
-        inverse
-    ]
-    top = masked_row_max(values, sampled)
-    phi = np.where(sampled, values, top[:, None])
-    ordered = np.sort(phi, axis=1)[:, ::-1]
-    estimates = (alphas * ordered).sum(axis=1)
-    return np.where(sampled.any(axis=1), estimates, 0.0)
+    return uniform_max_l_coefficients_grid(r, distinct)[inverse]
 
 
 def _max_l_grid(estimator, values, sampled, probabilities):
+    r = values.shape[1]
     uniform = _uniform_rows(probabilities)
     if uniform.all():
-        return _max_l_uniform_rows(values, sampled, probabilities[:, 0])
-    if values.shape[1] != 2:
+        return max_l_uniform_kernel(
+            values, sampled, _uniform_alphas(r, probabilities[:, 0])
+        )
+    if r != 2:
         raise _NoGridKernel  # non-uniform closed forms exist for r = 2 only
     estimates = max_l_r2_kernel(
         values, sampled, probabilities[:, 0], probabilities[:, 1]
     )
     if uniform.any():
         rows = np.nonzero(uniform)[0]
-        estimates[rows] = _max_l_uniform_rows(
-            values[rows], sampled[rows], probabilities[rows, 0]
+        estimates[rows] = max_l_uniform_kernel(
+            values[rows],
+            sampled[rows],
+            _uniform_alphas(r, probabilities[rows, 0]),
         )
     return estimates
 
@@ -247,14 +244,9 @@ def _max_uas_grid(estimator, values, sampled, probabilities):
 
 def _ht_grid(estimator, values, sampled, probabilities):
     full = sampled.all(axis=1)
-    f_values = np.zeros(values.shape[0], dtype=np.float64)
-    if estimator.batch_function is not None:
-        if np.any(full):
-            f_values[full] = estimator.batch_function(values[full])
-    else:
-        for row in np.nonzero(full)[0]:
-            f_values[row] = float(estimator.function(list(values[row])))
-    return ht_oblivious_kernel(f_values, full, _row_product(probabilities))
+    return ht_oblivious_kernel(
+        estimator.f_values(values, full), full, _row_product(probabilities)
+    )
 
 
 def _or_l_grid(estimator, values, sampled, probabilities):

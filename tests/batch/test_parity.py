@@ -1,13 +1,19 @@
-"""Scalar-parity golden tests for the batch estimation engine.
+"""Golden tests for the estimator kernels against frozen scalar values.
 
-For every estimator with a vectorized ``estimate_batch``, randomized
-outcomes spanning the paper's regimes (dense, sparse, all-zero,
-single-entry, empty, and p -> 1 edge cases) must produce estimates equal
-to the scalar ``estimate`` loop to within 1e-12, and invalid batches must
-raise the same exceptions the scalar path raises.
+Until commit 9870eb7 every closed-form estimator also had a per-class
+scalar ``estimate``.  ``frozen_parity_estimates.json`` holds that scalar
+output for every outcome these tests draw (per test id, one entry per
+``assert_parity`` call).  Randomized outcomes spanning the paper's regimes
+(dense, sparse, all-zero, single-entry, empty, and p -> 1 edge cases)
+must produce those values to within 1e-12 through ``estimate``,
+``estimate_batch`` and ``estimate_many``, and invalid input must raise
+the same exceptions through ``estimate`` and ``estimate_batch``.
 """
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,10 +35,29 @@ from repro.core.or_estimators import (
     OrObliviousL,
     OrObliviousU,
 )
+from repro.core.estimator_base import VectorEstimator
 from repro.exceptions import InvalidOutcomeError
 from repro.sampling.outcomes import VectorOutcome
 
 TOLERANCE = dict(rtol=1e-12, atol=1e-12)
+FROZEN = json.loads(
+    Path(__file__).with_name("frozen_parity_estimates.json").read_text()
+)["cases"]
+
+
+@pytest.fixture
+def frozen(request):
+    """The frozen scalar estimates of this test, one entry per call."""
+    calls = iter(FROZEN[request.node.nodeid.split("::", 1)[1]])
+    yield calls
+    assert next(calls, None) is None, "a frozen call was not checked"
+
+
+def frozen_estimates(frozen, estimator, outcomes):
+    call = next(frozen)
+    assert call["estimator"] == type(estimator).__name__
+    assert len(call["estimates"]) == len(outcomes)
+    return np.array(call["estimates"], dtype=np.float64)
 
 
 # ----------------------------------------------------------------------
@@ -111,58 +136,67 @@ def known_seed_or_outcomes(rng, probabilities, n=200):
     return outcomes
 
 
-def assert_parity(estimator, outcomes):
+def assert_parity(frozen, estimator, outcomes):
+    expected = frozen_estimates(frozen, estimator, outcomes)
     batch = OutcomeBatch.from_outcomes(outcomes)
-    scalar = np.array([estimator.estimate(o) for o in outcomes], dtype=float)
-    batched = estimator.estimate_batch(batch)
-    assert batched.shape == scalar.shape
-    np.testing.assert_allclose(batched, scalar, **TOLERANCE)
-    np.testing.assert_allclose(
-        estimator.estimate_many(outcomes), scalar, **TOLERANCE
-    )
+    for path, actual in (
+        ("estimate", np.array([estimator.estimate(o) for o in outcomes])),
+        ("estimate_batch", estimator.estimate_batch(batch)),
+        ("estimate_many", estimator.estimate_many(outcomes)),
+    ):
+        assert actual.shape == expected.shape, path
+        np.testing.assert_allclose(actual, expected, err_msg=path, **TOLERANCE)
 
 
 # ----------------------------------------------------------------------
-# Golden parity per estimator family.
+# Frozen scalar values per estimator family.
 # ----------------------------------------------------------------------
 PROBABILITY_GRID = [(0.3, 0.7), (0.5, 0.5), (0.05, 0.95), (1.0, 1.0), (1.0, 0.4)]
 
 
 class TestObliviousMaxParity:
     @pytest.mark.parametrize("probabilities", PROBABILITY_GRID)
-    def test_ht(self, rng, probabilities):
-        assert_parity(MaxObliviousHT(probabilities), oblivious_outcomes(rng))
+    def test_ht(self, frozen, rng, probabilities):
+        assert_parity(
+            frozen, MaxObliviousHT(probabilities), oblivious_outcomes(rng)
+        )
 
     @pytest.mark.parametrize("probabilities", PROBABILITY_GRID)
-    def test_l_r2(self, rng, probabilities):
-        assert_parity(MaxObliviousL(probabilities), oblivious_outcomes(rng))
+    def test_l_r2(self, frozen, rng, probabilities):
+        assert_parity(
+            frozen, MaxObliviousL(probabilities), oblivious_outcomes(rng)
+        )
 
     @pytest.mark.parametrize("r", [1, 2, 3, 5])
     @pytest.mark.parametrize("p", [0.05, 0.3, 1.0])
-    def test_l_uniform(self, rng, r, p):
+    def test_l_uniform(self, frozen, rng, r, p):
         assert_parity(
-            MaxObliviousL((p,) * r), oblivious_outcomes(rng, r=r)
+            frozen, MaxObliviousL((p,) * r), oblivious_outcomes(rng, r=r)
         )
 
     @pytest.mark.parametrize("probabilities", PROBABILITY_GRID)
-    def test_u(self, rng, probabilities):
-        assert_parity(MaxObliviousU(probabilities), oblivious_outcomes(rng))
-
-    @pytest.mark.parametrize("probabilities", PROBABILITY_GRID)
-    def test_u_asymmetric(self, rng, probabilities):
+    def test_u(self, frozen, rng, probabilities):
         assert_parity(
-            MaxObliviousUAsymmetric(probabilities), oblivious_outcomes(rng)
+            frozen, MaxObliviousU(probabilities), oblivious_outcomes(rng)
         )
 
-    def test_generic_ht_function_fallback(self, rng):
-        """A custom scalar function without a batch twin still matches."""
+    @pytest.mark.parametrize("probabilities", PROBABILITY_GRID)
+    def test_u_asymmetric(self, frozen, rng, probabilities):
+        assert_parity(
+            frozen,
+            MaxObliviousUAsymmetric(probabilities),
+            oblivious_outcomes(rng),
+        )
+
+    def test_generic_ht_function_fallback(self, frozen, rng):
+        """A custom function without a batch twin still matches."""
         estimator = HorvitzThompsonOblivious(
             (0.4, 0.6),
             function=lambda values: min(values) + 0.5 * max(values),
             function_name="custom",
         )
         assert estimator.batch_function is None
-        assert_parity(estimator, oblivious_outcomes(rng))
+        assert_parity(frozen, estimator, oblivious_outcomes(rng))
 
 
 class TestOrParity:
@@ -170,8 +204,9 @@ class TestOrParity:
         "estimator_class", [OrObliviousHT, OrObliviousL, OrObliviousU]
     )
     @pytest.mark.parametrize("probabilities", PROBABILITY_GRID)
-    def test_oblivious(self, rng, estimator_class, probabilities):
+    def test_oblivious(self, frozen, rng, estimator_class, probabilities):
         assert_parity(
+            frozen,
             estimator_class(probabilities),
             oblivious_outcomes(rng, binary=True),
         )
@@ -180,8 +215,9 @@ class TestOrParity:
         "estimator_class", [OrKnownSeedsHT, OrKnownSeedsL, OrKnownSeedsU]
     )
     @pytest.mark.parametrize("probabilities", [(0.3, 0.7), (0.5, 0.5)])
-    def test_known_seeds(self, rng, estimator_class, probabilities):
+    def test_known_seeds(self, frozen, rng, estimator_class, probabilities):
         assert_parity(
+            frozen,
             estimator_class(probabilities),
             known_seed_or_outcomes(rng, probabilities),
         )
@@ -191,20 +227,20 @@ class TestPpsMaxParity:
     @pytest.mark.parametrize(
         "tau_star", [(8.0, 8.0), (8.0, 15.0), (2.0, 40.0)]
     )
-    def test_ht(self, rng, tau_star):
-        assert_parity(MaxPpsHT(tau_star), pps_outcomes(rng, tau_star))
+    def test_ht(self, frozen, rng, tau_star):
+        assert_parity(frozen, MaxPpsHT(tau_star), pps_outcomes(rng, tau_star))
 
-    def test_ht_r3(self, rng):
+    def test_ht_r3(self, frozen, rng):
         tau_star = (8.0, 15.0, 4.0)
-        assert_parity(MaxPpsHT(tau_star), pps_outcomes(rng, tau_star))
+        assert_parity(frozen, MaxPpsHT(tau_star), pps_outcomes(rng, tau_star))
 
     @pytest.mark.parametrize(
         "tau_star", [(8.0, 8.0), (8.0, 15.0), (2.0, 40.0)]
     )
-    def test_l(self, rng, tau_star):
-        assert_parity(MaxPpsL(tau_star), pps_outcomes(rng, tau_star))
+    def test_l(self, frozen, rng, tau_star):
+        assert_parity(frozen, MaxPpsL(tau_star), pps_outcomes(rng, tau_star))
 
-    def test_l_covers_every_closed_form(self, rng):
+    def test_l_covers_every_closed_form(self, frozen, rng):
         """Force outcomes through each Figure 3 case (Eqs. 25/26/29/30)."""
         tau_star = (10.0, 10.0)
         estimator = MaxPpsL(tau_star)
@@ -227,8 +263,8 @@ class TestPpsMaxParity:
         hetero_outcomes = [
             VectorOutcome.from_vector((9.0, 3.0), {0, 1}, seeds=[0.2, 0.3]),
         ]
-        assert_parity(estimator, outcomes)
-        assert_parity(hetero, hetero_outcomes)
+        assert_parity(frozen, estimator, outcomes)
+        assert_parity(frozen, hetero, hetero_outcomes)
 
 
 class TestExceptionParity:
@@ -301,20 +337,25 @@ class TestEstimateManyDispatch:
             assert result.shape == (0,)
             assert result.dtype == np.float64
 
-    def test_generator_input(self, rng):
+    def test_generator_input(self, frozen, rng):
         estimator = MaxObliviousL((0.3, 0.7))
         outcomes = oblivious_outcomes(rng, n=25)
-        expected = [estimator.estimate(o) for o in outcomes]
+        expected = frozen_estimates(frozen, estimator, outcomes)
+        np.testing.assert_allclose(
+            [estimator.estimate(o) for o in outcomes], expected, **TOLERANCE
+        )
         result = estimator.estimate_many(o for o in outcomes)
         np.testing.assert_allclose(result, expected, **TOLERANCE)
 
-    def test_heterogeneous_outcomes_fall_back_to_scalar(self):
+    def test_heterogeneous_outcomes_fall_back_to_scalar(self, frozen):
+        """Mixed seed availability cannot form one batch: ``estimate_many``
+        scores the outcomes one by one."""
         estimator = MaxObliviousL((0.5, 0.5))
         outcomes = [
             VectorOutcome.from_vector((3.0, 1.0), {0, 1}),
             VectorOutcome.from_vector((3.0, 1.0), {0, 1}, seeds=[0.2, 0.4]),
         ]
-        expected = [estimator.estimate(o) for o in outcomes]
+        expected = frozen_estimates(frozen, estimator, outcomes)
         np.testing.assert_allclose(
             estimator.estimate_many(outcomes), expected, **TOLERANCE
         )
@@ -333,3 +374,43 @@ class TestEstimateManyDispatch:
         np.testing.assert_allclose(
             fallback.estimate_batch(batch), [fallback.estimate(outcome)]
         )
+
+
+class TestEstimateDerivation:
+    """An estimator defines ``estimate`` or ``estimate_batch``; the base
+    class derives the other, and a class defining neither is abstract."""
+
+    class Neither(VectorEstimator):
+        r = 2
+
+    class BatchOnly(VectorEstimator):
+        r = 2
+
+        def estimate_batch(self, batch):
+            return batch.values.sum(axis=1)
+
+    class ScalarOnly(VectorEstimator):
+        r = 2
+
+        def estimate(self, outcome):
+            return float(sum(outcome.values.values()))
+
+    def test_defining_neither_method_cannot_instantiate(self):
+        with pytest.raises(TypeError, match="abstract"):
+            self.Neither()
+
+    @pytest.mark.parametrize(
+        "cls", [BatchOnly, ScalarOnly], ids=["batch_only", "scalar_only"]
+    )
+    def test_derived_method_agrees(self, cls):
+        outcomes = [
+            VectorOutcome.from_vector((3.0, 1.0), {0, 1}),
+            VectorOutcome.from_vector((3.0, 1.0), {1}),
+            VectorOutcome.from_vector((3.0, 1.0), set()),
+        ]
+        estimator = cls()
+        assert estimator.has_batch_path == (cls is self.BatchOnly)
+        assert [estimator.estimate(o) for o in outcomes] == [4.0, 1.0, 0.0]
+        batch = OutcomeBatch.from_outcomes(outcomes)
+        assert estimator.estimate_batch(batch).tolist() == [4.0, 1.0, 0.0]
+        assert estimator.estimate_many(outcomes).tolist() == [4.0, 1.0, 0.0]

@@ -5,13 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.batch.kernels import max_l_r2_kernel
 from repro.core.coefficients import (
-    max_l_r2_coefficients,
     uniform_max_l_coefficients,
     uniform_max_l_coefficients_grid,
     uniform_prefix_sums,
     uniform_prefix_sums_grid,
 )
+from repro.core.max_oblivious import MaxObliviousL
 from repro.exceptions import InvalidParameterError
 
 
@@ -128,10 +129,20 @@ class TestCoefficients:
         assert np.allclose(alphas[1:], 0.0)
 
 
+def r2_coefficients(p1, p2):
+    """Eq. (12) coefficients read off the ``r = 2`` kernel: a full outcome
+    with ``v_1 >= v_2`` is estimated as ``alpha_1 v_1 + alpha_2 v_2``."""
+    estimates = max_l_r2_kernel(
+        np.array([[1.0, 0.0], [1.0, 1.0]]), np.ones((2, 2), dtype=bool),
+        p1, p2,
+    )
+    return estimates[0], estimates[1] - estimates[0]
+
+
 class TestHeterogeneousR2:
     def test_matches_uniform_case(self):
         p = 0.45
-        a1, a2 = max_l_r2_coefficients(p, p)
+        a1, a2 = r2_coefficients(p, p)
         uniform = uniform_max_l_coefficients(2, p)
         assert a1 == pytest.approx(uniform[0])
         assert a2 == pytest.approx(uniform[1])
@@ -139,10 +150,10 @@ class TestHeterogeneousR2:
     def test_eq_12_formula(self):
         p1, p2 = 0.2, 0.6
         union = p1 + p2 - p1 * p2
-        a1, a2 = max_l_r2_coefficients(p1, p2)
+        a1, a2 = r2_coefficients(p1, p2)
         assert a1 == pytest.approx(1.0 / (p1 * union))
         assert a2 == pytest.approx(-(1.0 - p1) / (p1 * union))
 
     def test_invalid_probability(self):
         with pytest.raises(InvalidParameterError):
-            max_l_r2_coefficients(0.0, 0.5)
+            MaxObliviousL((0.0, 0.5))

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 
+from repro.batch import OutcomeBatch
+from repro.batch.kernels import known_seed_or_mapping
 from repro.core.or_estimators import (
     OrKnownSeedsHT,
     OrKnownSeedsL,
@@ -13,7 +16,6 @@ from repro.core.or_estimators import (
     OrObliviousHT,
     OrObliviousL,
     OrObliviousU,
-    map_known_seed_outcome_to_oblivious,
 )
 from repro.core.variance import (
     exact_moments,
@@ -92,6 +94,15 @@ class TestObliviousOr:
                                          abs=1e-9)
 
 
+def map_outcome(outcome, probabilities):
+    """The Section 5 mapping of one known-seed outcome, as an outcome."""
+    batch = OutcomeBatch.from_outcomes([outcome])
+    values, sampled = known_seed_or_mapping(
+        batch.sampled, batch.seeds, np.asarray(probabilities)
+    )
+    return OutcomeBatch(values=values, sampled=sampled).row(0)
+
+
 class TestKnownSeedMapping:
     def test_mapping_categories(self):
         probabilities = (0.4, 0.6)
@@ -101,7 +112,7 @@ class TestKnownSeedMapping:
             values={0: 1.0},
             seeds={0: 0.2, 1: 0.5},
         )
-        mapped = map_known_seed_outcome_to_oblivious(outcome, probabilities)
+        mapped = map_outcome(outcome, probabilities)
         # Entry 0 sampled -> value 1; entry 1 unsampled with seed 0.5 <= 0.6
         # -> certified zero.
         assert mapped.sampled == frozenset({0, 1})
@@ -115,13 +126,14 @@ class TestKnownSeedMapping:
             values={0: 1.0},
             seeds={0: 0.2, 1: 0.95},
         )
-        mapped = map_known_seed_outcome_to_oblivious(outcome, probabilities)
+        mapped = map_outcome(outcome, probabilities)
         assert mapped.sampled == frozenset({0})
 
     def test_mapping_requires_seeds(self):
         outcome = VectorOutcome.from_vector((1.0, 0.0), {0})
-        with pytest.raises(InvalidOutcomeError):
-            map_known_seed_outcome_to_oblivious(outcome, (0.5, 0.5))
+        for cls in (OrKnownSeedsHT, OrKnownSeedsL, OrKnownSeedsU):
+            with pytest.raises(InvalidOutcomeError):
+                cls((0.5, 0.5)).estimate(outcome)
 
 
 class TestKnownSeedsOr:

@@ -37,6 +37,18 @@ class InvalidParameterError(ReproError, ValueError):
     """Raised when a constructor or function argument is out of range."""
 
 
+class RowDecodeError(InvalidParameterError):
+    """Raised by the row decoders of :mod:`repro.service.store` on a bad
+    update row: ``position`` names it (``CSV line 3``, ``rows[2]``),
+    ``line`` is its 1-based text line if any, ``reason`` says why."""
+
+    def __init__(self, position: str, reason: str, line: int | None = None) -> None:
+        super().__init__(f"{position}: {reason}")
+        self.position = position
+        self.reason = reason
+        self.line = line
+
+
 class SketchCodecError(ReproError, ValueError):
     """Raised by :mod:`repro.service.codec` when bytes cannot be decoded
     (wrong magic, unsupported format version, truncated or trailing data,

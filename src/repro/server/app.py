@@ -17,7 +17,7 @@ is ``404``.  The whole table is generated from one route spec
 method   path             action
 =======  ===============  =================================================
 POST     /v1/engines      create a named engine (JSON config)
-POST     /v1/ingest       ingest a JSON or CSV update batch (bounded
+POST     /v1/ingest       ingest a JSON, CSV or binary update batch (bounded
                           per-engine backpressure; oversized batches 413)
 GET      /v1/query        distinct / sum / dominance / l1 through the
                           version-cached :class:`QueryPlanner`
@@ -58,7 +58,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import contextvars
-import csv
 import html
 import io
 import logging
@@ -76,7 +75,6 @@ from typing import NamedTuple
 from repro.exceptions import (
     InvalidParameterError,
     ReproError,
-    SketchCodecError,
     UnknownStoreError,
 )
 from repro import __version__
@@ -103,7 +101,6 @@ from repro.server.protocol import (
 )
 from repro.server.routing import Router
 from repro.server.wire import (
-    BATCH_CONTENT_TYPE,
     REPLICA_CONTENT_TYPE,
     REPLICA_MODE_STORE,
     REPLICA_MODE_WAL,
@@ -111,7 +108,14 @@ from repro.server.wire import (
     encode_replica,
 )
 from repro.service.queries import Query, query_value_json
-from repro.service.store import IngestRequest, SketchStore, group_rows
+from repro.service.store import (
+    INGEST_FORMATS,
+    IngestRequest,
+    SketchStore,
+    group_rows,
+    json_columns,
+    json_rows,
+)
 
 __all__ = ["ROUTE_SPEC", "RawResponse", "SketchServer"]
 
@@ -136,6 +140,13 @@ ROUTE_SPEC: tuple[tuple[str, str, str], ...] = (
 _HTTP_QUERY_KINDS = ("distinct", "sum", "dominance", "l1")
 
 _TRUE_VALUES = ("1", "true", "yes")
+
+#: the ingest formats served over HTTP, keyed by ``Content-Type``
+_HTTP_FORMAT_BY_CONTENT_TYPE = {
+    fmt.content_type: name
+    for name, fmt in INGEST_FORMATS.items()
+    if fmt.content_type is not None
+}
 
 
 #: incoming ``X-Request-Id`` values are adopted only when they look
@@ -1067,57 +1078,40 @@ class SketchServer:
         """Parse an ingest body into its store-ready
         :class:`IngestRequest` plus the row count.
 
-        Accepted shapes:
-
-        * JSON ``{"name", "instance", "keys": [...], "values": [...]}``;
-        * JSON ``{"name", "rows": [[instance, key, value], ...]}``;
-        * CSV body (``?format=csv`` or ``Content-Type: text/csv``) of
-          ``instance,key,value`` lines with ``?name=`` in the query
-          string (``?int_keys=1`` parses keys as integers);
-        * binary columnar batches (``?format=binary`` or ``Content-Type:
-          application/x-repro-batch``, see :mod:`repro.server.wire`)
-          with ``?name=`` in the query string.
-
-        Row-shaped bodies (JSON rows, CSV) are grouped into one batch
-        per instance by :func:`repro.service.store.group_rows`.
+        ``?format=``, or else the ``Content-Type``, picks the format from
+        :data:`repro.service.store.INGEST_FORMATS` (JSON by default).  A
+        JSON body names its engine (``{"name", "instance", "keys",
+        "values"}`` or ``{"name", "rows"}``); CSV and binary bodies name
+        it in ``?name=``.  The store's decoders reject a bad row before
+        any engine changes.
         """
-        content_type = (
-            request.headers.get("content-type", "").split(";")[0].strip().lower()
-        )
-        if content_type == "text/csv":
-            default_fmt = "csv"
-        elif content_type == BATCH_CONTENT_TYPE:
-            default_fmt = "binary"
-        else:
-            default_fmt = "json"
-        fmt = request.params.get("format", default_fmt)
-        if fmt == "binary":
-            with span("ingest.decode", fmt="binary", bytes=len(request.body)):
-                return self._parse_ingest_binary(request)
-        if fmt == "csv":
-            with span("ingest.decode", fmt="csv", bytes=len(request.body)):
-                return self._parse_ingest_csv(request)
-        if fmt != "json":
-            raise HttpError(
-                400,
-                f"unknown ingest format {fmt!r}; use 'json', 'csv' "
-                "or 'binary'",
+        fmt = request.params.get("format")
+        if fmt is None:
+            content_type = (
+                request.headers.get("content-type", "").split(";")[0].strip().lower()
             )
-        with span("ingest.decode", fmt="json", bytes=len(request.body)):
-            return self._parse_ingest_json(request)
-
-    def _parse_ingest_binary(self, request: Request) -> tuple[IngestRequest, int]:
-        name = request.params.get("name")
-        if not name:
-            raise HttpError(400, "binary ingest requires ?name=<engine>")
-        try:
-            batches = decode_batches(request.body)
-        except SketchCodecError as exc:
-            raise HttpError(400, f"malformed batch payload: {exc}") from exc
-        n_rows = sum(len(batch.values) for batch in batches)
+            fmt = _HTTP_FORMAT_BY_CONTENT_TYPE.get(content_type, "json")
+        elif fmt not in _HTTP_FORMAT_BY_CONTENT_TYPE.values():
+            served = ", ".join(map(repr, _HTTP_FORMAT_BY_CONTENT_TYPE.values()))
+            raise HttpError(400, f"unknown ingest format {fmt!r}; use {served}")
+        with span("ingest.decode", fmt=fmt, bytes=len(request.body)):
+            if fmt == "json":
+                name, batches = self._parse_ingest_json(request)
+            else:
+                name = request.params.get("name", "")
+                if not name:
+                    raise HttpError(400, f"{fmt} ingest requires ?name=<engine>")
+                rows = INGEST_FORMATS[fmt].rows
+                if rows is None:  # binary: columnar batches, decoded whole
+                    batches = tuple(decode_batches(request.body))
+                else:
+                    text = io.StringIO(request.text(), newline="")
+                    int_keys = _flag(request.params, "int_keys")
+                    batches = group_rows(rows(text, int_keys=int_keys))
+        n_rows = sum(len(values) for _, _, values in batches)
         return IngestRequest(engine=name, batches=batches), n_rows
 
-    def _parse_ingest_json(self, request: Request) -> tuple[IngestRequest, int]:
+    def _parse_ingest_json(self, request: Request) -> tuple[str, tuple]:
         payload = request.json()
         if not isinstance(payload, dict):
             raise HttpError(400, "ingest body must be a JSON object")
@@ -1128,92 +1122,17 @@ class SketchServer:
             rows = payload["rows"]
             if not isinstance(rows, list):
                 raise HttpError(400, "'rows' must be a list of triples")
-            parsed = []
-            for position, row in enumerate(rows):
-                if not isinstance(row, (list, tuple)) or len(row) != 3:
-                    raise HttpError(
-                        400,
-                        f"rows[{position}] is not an "
-                        "[instance, key, value] triple",
-                    )
-                instance, key, value = row
-                parsed.append((instance, key, self._number(value)))
-            return (
-                IngestRequest(engine=name, batches=group_rows(parsed)),
-                len(parsed),
-            )
+            return name, group_rows(json_rows(rows))
         if "keys" in payload:
             if "instance" not in payload:
                 raise HttpError(400, "column-style ingest requires an 'instance'")
-            keys = payload["keys"]
-            values = payload.get("values")
+            keys, values = payload["keys"], payload.get("values")
             if not isinstance(keys, list) or not isinstance(values, list):
                 raise HttpError(400, "'keys' and 'values' must be JSON arrays")
             if len(keys) != len(values):
-                raise HttpError(
-                    400,
-                    f"'keys' ({len(keys)}) and 'values' ({len(values)}) "
-                    "must have matching length",
-                )
-            values = [self._number(value) for value in values]
-            batch = (payload["instance"], keys, values)
-            return IngestRequest(engine=name, batches=(batch,)), len(keys)
+                raise HttpError(400, f"{len(keys)} keys but {len(values)} values")
+            return name, (json_columns(payload["instance"], keys, values),)
         raise HttpError(400, "ingest body needs either 'rows' or 'instance'+'keys'")
-
-    def _parse_ingest_csv(self, request: Request) -> tuple[IngestRequest, int]:
-        name = request.params.get("name")
-        if not name:
-            raise HttpError(400, "CSV ingest requires ?name=<engine>")
-        int_keys = _flag(request.params, "int_keys")
-        parsed = []
-        reader = csv.reader(io.StringIO(request.text()))
-        # line_number counts non-empty rows, so error positions stay
-        # meaningful in bodies with blank lines; the optional header is
-        # skipped wherever the first non-empty row lands (a leading
-        # blank line must not demote the header to data)
-        line_number = 0
-        for row in reader:
-            if not row:
-                continue
-            line_number += 1
-            if line_number == 1 and row == ["instance", "key", "value"]:
-                continue  # optional header
-            if len(row) != 3:
-                raise HttpError(
-                    400,
-                    f"CSV line {line_number}: expected instance,key,value;"
-                    f" got {len(row)} columns",
-                )
-            try:
-                key: object = int(row[1]) if int_keys else row[1]
-                value = float(row[2])
-            except ValueError as exc:
-                raise HttpError(
-                    400, f"CSV line {line_number}: bad update row: {exc}"
-                ) from exc
-            if not math.isfinite(value):
-                raise HttpError(
-                    400,
-                    f"CSV line {line_number}: update values must be "
-                    f"finite, got {row[2]!r}",
-                )
-            parsed.append((row[0], key, value))
-        return (
-            IngestRequest(engine=name, batches=group_rows(parsed)),
-            len(parsed),
-        )
-
-    @staticmethod
-    def _number(value: object) -> float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise HttpError(400, f"update values must be numbers, got {value!r}")
-        # the protocol layer already rejects NaN/Infinity *literals*, but
-        # JSON numbers like 1e999 overflow float parsing to inf
-        if not math.isfinite(value):
-            raise HttpError(
-                400, f"update values must be finite, got {value!r}"
-            )
-        return float(value)
 
     async def _handle_query(self, request: Request) -> tuple[int, dict]:
         params = request.params

@@ -57,6 +57,7 @@ import numpy as np
 
 from repro.exceptions import SketchCodecError
 from repro.service.codec import Reader, Writer, read_label, write_label
+from repro.service.store import INGEST_FORMATS
 
 __all__ = [
     "BATCH_CONTENT_TYPE",
@@ -74,7 +75,7 @@ __all__ = [
     "encode_replica",
 ]
 
-BATCH_CONTENT_TYPE = "application/x-repro-batch"
+BATCH_CONTENT_TYPE = INGEST_FORMATS["binary"].content_type
 MAGIC = b"RBAT"
 WIRE_VERSION = 1
 

@@ -26,31 +26,31 @@ at all under ``--fsync always``.
 
 Update streams are CSV (``instance,key,value`` columns, optional header),
 JSON lines (objects with ``instance`` / ``key`` / ``value`` fields;
-selected with ``--format jsonl`` or a ``.jsonl`` suffix), or binary
+``--format jsonl`` or a ``.jsonl``/``.ndjson`` suffix), or binary
 columnar batch files (:mod:`repro.server.wire`; ``--format binary`` or a
-``.rbat`` suffix).  ``convert`` re-encodes a CSV/JSONL stream into the
-binary format — the same bytes ``POST /v1/ingest`` accepts as
-``application/x-repro-batch`` — and ``ingest`` replays such a file
-through the coalescing fast path.  Non-finite update values are rejected
-on every path.  Every command prints a JSON summary to stdout, so the
-CLI composes with shell pipelines.
+``.rbat``/``.bin`` suffix), read through the server's own format table
+and row decoders (:mod:`repro.service.store`).  ``convert`` re-encodes a
+CSV/JSONL stream as the ``application/x-repro-batch`` bytes ``POST
+/v1/ingest`` accepts, and ``ingest`` replays such a file.  A bad row
+exits 2 with ``error: <file>:<line>: <reason>`` and writes no store
+file.  Every command prints a JSON summary to stdout, so the CLI
+composes with shell pipelines.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
-import math
 import sys
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from itertools import islice
 from pathlib import Path
 
-from repro.exceptions import ReproError
+from repro.exceptions import ReproError, RowDecodeError
 from repro.sampling.ranks import rank_family_from_name
 from repro.sampling.seeds import SeedAssigner
 from repro.service.queries import Query, query_value_json
-from repro.service.store import IngestRequest, SketchStore, group_rows
+from repro.service.store import INGEST_FORMATS, IngestRequest, SketchStore, group_rows
 
 __all__ = ["main"]
 
@@ -58,87 +58,42 @@ _DEFAULT_FAMILIES = {"bottom_k": "exp", "poisson": "uniform"}
 
 
 # ----------------------------------------------------------------------
-# Update-stream parsing
+# Update-stream reading
 # ----------------------------------------------------------------------
+#: the formats the CLI reads: those with file suffixes
+_CLI_FORMATS = tuple(name for name, fmt in INGEST_FORMATS.items() if fmt.suffixes)
+
+
 def _detect_format(path: Path, explicit: str) -> str:
     if explicit != "auto":
         return explicit
-    if path.suffix in (".jsonl", ".ndjson"):
-        return "jsonl"
-    if path.suffix in (".rbat", ".bin"):
-        return "binary"
-    return "csv"
+    return next(
+        (name for name, fmt in INGEST_FORMATS.items() if path.suffix in fmt.suffixes),
+        "csv",
+    )
 
 
 def _parse_key(key: str, int_keys: bool) -> object:
     return int(key) if int_keys else key
 
 
-def _finite(value: float, where: str) -> float:
-    # float('nan')/'inf' parse fine and NaN defeats every downstream
-    # ordering check, so the readers reject non-finite values up front
-    if not math.isfinite(value):
-        raise SystemExit(f"{where}: update values must be finite, got {value!r}")
-    return value
+def _read_batches(path: Path, fmt: str, args):
+    """Yield an update file's store batches, one group per submit: a
+    binary file whole, a text stream ``--batch-size`` decoded rows at a
+    time.  A bad row raises ``<file>:<line>: <reason>``."""
+    decode = INGEST_FORMATS[fmt].rows
+    if decode is None:
+        from repro.server.wire import decode_batches
 
-
-def _read_updates(path: Path, fmt: str, int_keys: bool):
-    """Yield ``(instance, key, value)`` triples from an update file."""
-    if fmt == "jsonl":
-        with path.open() as handle:
-            for line_number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    row = json.loads(line)
-                    triple = (
-                        row["instance"],
-                        int(row["key"]) if int_keys else row["key"],
-                        float(row["value"]),
-                    )
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise SystemExit(
-                        f"{path}:{line_number}: bad JSONL update: {exc}"
-                    ) from exc
-                _finite(triple[2], f"{path}:{line_number}")
-                yield triple
+        yield decode_batches(path.read_bytes())
         return
-    with path.open(newline="") as handle:
-        # line_number counts non-empty rows so the optional header is
-        # recognised even after leading blank lines, and error messages
-        # stay meaningful in files with blank separators
-        line_number = 0
-        for row in csv.reader(handle):
-            if not row:
-                continue
-            line_number += 1
-            if line_number == 1 and row == ["instance", "key", "value"]:
-                continue  # optional header
-            if len(row) != 3:
-                raise SystemExit(
-                    f"{path}:{line_number}: expected instance,key,value; "
-                    f"got {len(row)} columns"
-                )
-            try:
-                triple = row[0], _parse_key(row[1], int_keys), float(row[2])
-            except ValueError as exc:
-                raise SystemExit(
-                    f"{path}:{line_number}: bad update row: {exc}"
-                ) from exc
-            _finite(triple[2], f"{path}:{line_number}")
-            yield triple
-
-
-def _batched(iterable, batch_size: int):
-    batch = []
-    for item in iterable:
-        batch.append(item)
-        if len(batch) >= batch_size:
-            yield batch
-            batch = []
-    if batch:
-        yield batch
+    with path.open(newline="", encoding="utf-8") as handle:
+        rows = decode(handle, int_keys=args.int_keys)
+        try:
+            while window := list(islice(rows, args.batch_size)):
+                yield group_rows(window)
+        except RowDecodeError as exc:
+            raise RowDecodeError(f"{path}:{exc.line}", exc.reason, exc.line) from None
 
 
 # ----------------------------------------------------------------------
@@ -179,65 +134,31 @@ def _cmd_ingest(args) -> dict:
     _ensure_engine(store, args)
     input_path = Path(args.input)
     fmt = _detect_format(input_path, args.format)
-    if fmt == "binary":
-        return _ingest_binary(args, store, store_path, input_path)
-    updates = _read_updates(input_path, fmt, args.int_keys)
-    batches = _batched(updates, args.batch_size)
-    n_rows = 0
-
-    def ingest(rows) -> int:
-        store.submit(IngestRequest(engine=args.name, batches=group_rows(rows)))
-        return len(rows)
-
-    if args.threads > 1:
-        # Bounded submission: Executor.map would drain the whole update
-        # file into the futures queue; keep only O(threads) batches in
-        # flight so memory stays proportional to --batch-size.
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            in_flight = set()
-            for rows in batches:
-                in_flight.add(pool.submit(ingest, rows))
-                if len(in_flight) >= 2 * args.threads:
-                    done, in_flight = wait(
-                        in_flight, return_when=FIRST_COMPLETED
-                    )
-                    n_rows += sum(future.result() for future in done)
-            n_rows += sum(future.result() for future in in_flight)
-    else:
-        n_rows = sum(ingest(rows) for rows in batches)
+    n_batches = n_rows = 0
+    threads = max(1, args.threads)
+    # Bounded submission: Executor.map would drain the whole update file
+    # into the futures queue; keep only O(threads) groups in flight so
+    # memory stays proportional to --batch-size.
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        in_flight = set()
+        for batches in _read_batches(input_path, fmt, args):
+            n_batches += len(batches)
+            n_rows += sum(len(values) for _, _, values in batches)
+            request = IngestRequest(engine=args.name, batches=batches)
+            in_flight.add(pool.submit(store.submit, request))
+            if len(in_flight) >= 2 * threads:
+                done, in_flight = wait(in_flight, return_when=FIRST_COMPLETED)
+                for future in done:
+                    future.result()
+        for future in in_flight:
+            future.result()
     store.snapshot(store_path)
     return {
         "command": "ingest",
         "store": str(store_path),
         "name": args.name,
-        "rows_ingested": n_rows,
-        "version": store.version(args.name),
-        "instances": sorted(
-            str(label)
-            for label in store.engine(args.name).instance_labels
-        ),
-    }
-
-
-def _ingest_binary(args, store, store_path: Path, input_path: Path) -> dict:
-    """Replay a :mod:`repro.server.wire` batch file into the store.
-
-    The decoded columns go through one coalescing
-    :meth:`SketchStore.submit` — the CLI twin of the server's
-    ``application/x-repro-batch`` ingest.
-    """
-    from repro.server.wire import decode_batches
-
-    batches = decode_batches(input_path.read_bytes())
-    n_rows = sum(len(batch.values) for batch in batches)
-    store.submit(IngestRequest(engine=args.name, batches=batches))
-    store.snapshot(store_path)
-    return {
-        "command": "ingest",
-        "store": str(store_path),
-        "name": args.name,
-        "format": "binary",
-        "batches": len(batches),
+        "format": fmt,
+        "batches": n_batches,
         "rows_ingested": n_rows,
         "version": store.version(args.name),
         "instances": sorted(
@@ -253,20 +174,20 @@ def _cmd_convert(args) -> dict:
 
     input_path = Path(args.input)
     fmt = _detect_format(input_path, args.format)
-    if fmt == "binary":
+    if INGEST_FORMATS[fmt].rows is None:
         raise SystemExit(
             "convert reads CSV/JSONL update streams; "
             f"{input_path} already looks binary"
         )
-    updates = _read_updates(input_path, fmt, args.int_keys)
-    batches = []
-    n_rows = 0
-    for rows in _batched(updates, args.batch_size):
-        # one wire batch per instance within each window, preserving the
-        # stream's batching envelope (the permutation guarantee makes
-        # the exact grouping irrelevant to the final sketch state)
-        batches.extend(group_rows(rows))
-        n_rows += len(rows)
+    # one wire batch per instance within each window, preserving the
+    # stream's batching envelope (the permutation guarantee makes the
+    # exact grouping irrelevant to the final sketch state)
+    batches = [
+        batch
+        for group in _read_batches(input_path, fmt, args)
+        for batch in group
+    ]
+    n_rows = sum(len(values) for _, _, values in batches)
     blob = encode_batches(batches)
     out_path = Path(args.out)
     out_path.write_bytes(blob)
@@ -530,8 +451,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="store file (created when missing)")
     ingest.add_argument("--name", required=True, help="engine name")
     ingest.add_argument("--input", required=True, help="update file")
-    ingest.add_argument("--format",
-                        choices=("auto", "csv", "jsonl", "binary"),
+    ingest.add_argument("--format", choices=("auto", *_CLI_FORMATS),
                         default="auto",
                         help="input format (auto: by suffix — .jsonl/"
                              ".ndjson JSONL, .rbat/.bin binary batch "
@@ -567,8 +487,9 @@ def _build_parser() -> argparse.ArgumentParser:
     convert.add_argument("--input", required=True, help="update file")
     convert.add_argument("--out", required=True,
                          help="binary batch file to write (.rbat)")
-    convert.add_argument("--format", choices=("auto", "csv", "jsonl"),
-                         default="auto")
+    convert.add_argument("--format", default="auto", choices=(
+        "auto", *(name for name in _CLI_FORMATS if INGEST_FORMATS[name].rows)
+    ))
     convert.add_argument("--batch-size", type=int, default=8192,
                          help="rows per pipelined wire batch")
     convert.add_argument("--int-keys", action="store_true",
@@ -696,10 +617,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         result = args.run(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ReproError as exc:
+    except (FileNotFoundError, ReproError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(json.dumps(result, indent=1, sort_keys=True))

@@ -28,7 +28,8 @@ every version observed is a consistent point-in-time view.
 Every ingest surface — live API calls, binary batch groups, row
 triples (grouped by :func:`group_rows`), recovery replay — funnels
 through one validated call shape: :class:`IngestRequest` via
-:meth:`SketchStore.submit`.
+:meth:`SketchStore.submit`.  Both the HTTP server and the CLI read the
+text formats of :data:`INGEST_FORMATS` through the row decoders here.
 
 With :meth:`SketchStore.start_workers` the store swaps its in-process
 threaded execution for a multiprocess shard-worker plane
@@ -45,18 +46,22 @@ replayed from the WAL tail, so acknowledged batches survive worker
 
 from __future__ import annotations
 
+import csv
+import json
+import math
 import os
 import threading
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.exceptions import (
     InvalidParameterError,
+    RowDecodeError,
     SketchCodecError,
     UnknownStoreError,
 )
@@ -70,7 +75,8 @@ from repro.streaming.query import SketchColumns
 if TYPE_CHECKING:
     from repro.service.queries import QueryPlanner
 
-__all__ = ["IngestRequest", "SketchStore", "group_rows"]
+__all__ = ["INGEST_FORMATS", "IngestFormat", "IngestRequest", "SketchStore",
+           "csv_rows", "group_rows", "json_columns", "json_rows", "jsonl_rows"]
 
 
 class _StoreEntry:
@@ -176,6 +182,148 @@ def group_rows(
     return tuple(
         (instance, keys, values) for instance, (keys, values) in groups.items()
     )
+
+
+# -- Row decoders shared by HTTP and the CLI: rules raise ValueError(reason)
+_CSV_HEADER = ["instance", "key", "value"]
+
+#: JSON types no instance or key may have: the codec cannot encode a list
+#: or an object, so a WAL append refuses one and a retained one fails
+#: every later snapshot of the engine
+_BAD_LABEL_TYPES = frozenset({list, dict})
+_BAD_LABEL = "{} must not be a JSON list or object, got {!r}"
+
+
+def _int_key(key: object) -> int:
+    try:
+        return int(key)
+    except (TypeError, ValueError):
+        raise ValueError(f"int_keys needs integer keys, got {key!r}") from None
+
+
+def _csv_value(raw: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ValueError(f"update values must be numbers, got {raw!r}") from None
+    return _update_value(value)
+
+
+def _update_value(value: object) -> float:
+    """The value rule of every text format: a number, not a bool, finite."""
+    if value.__class__ not in (float, int):  # exact: bool subclasses int
+        raise ValueError(f"update values must be numbers, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):  # 1e999 is legal JSON and parses to inf
+        raise ValueError(f"update values must be finite, got {number!r}")
+    return number
+
+
+def _bad_label(labels: Sequence[object]) -> int | None:
+    """The label rule in one type pass: the first list/object's index."""
+    if _BAD_LABEL_TYPES.isdisjoint(map(type, labels)):
+        return None
+    return next(
+        i for i, label in enumerate(labels) if type(label) in _BAD_LABEL_TYPES
+    )
+
+
+def _json_row(instance, key, value, int_keys: bool = False) -> tuple:
+    labels = instance, key
+    bad = _bad_label(labels)
+    if bad is not None:
+        raise ValueError(_BAD_LABEL.format(("instance", "key")[bad], labels[bad]))
+    return instance, _int_key(key) if int_keys else key, _update_value(value)
+
+
+def csv_rows(lines: Iterable[str], *, int_keys: bool = False) -> Iterator[tuple]:
+    """Yield the ``(instance, key, value)`` rows of CSV ``lines``.  Blank
+    lines are skipped and not counted: the optional header may follow
+    them, and ``CSV line N`` counts non-empty lines."""
+    line = 0
+    for row in csv.reader(lines):
+        if not row:
+            continue
+        line += 1
+        if line == 1 and row == _CSV_HEADER:
+            continue
+        try:
+            if len(row) != 3:
+                raise ValueError(
+                    f"expected instance,key,value; got {len(row)} columns"
+                )
+            instance, key, raw = row
+            parsed = instance, _int_key(key) if int_keys else key, _csv_value(raw)
+        except ValueError as exc:
+            raise RowDecodeError(f"CSV line {line}", str(exc), line) from None
+        yield parsed
+
+
+def jsonl_rows(lines: Iterable[str], *, int_keys: bool = False) -> Iterator[tuple]:
+    """Yield the rows of JSON ``lines``, one ``{"instance", "key", "value"}``
+    object per non-blank line; ``JSONL line N`` counts every line."""
+    for line, text in enumerate(lines, start=1):
+        if not text.strip():
+            continue
+        try:
+            record = json.loads(text)  # a JSONDecodeError is a ValueError
+            if not isinstance(record, dict) or not record.keys() >= {*_CSV_HEADER}:
+                raise ValueError("expected an {instance, key, value} object")
+            row = _json_row(*(record[name] for name in _CSV_HEADER), int_keys)
+        except ValueError as exc:
+            raise RowDecodeError(f"JSONL line {line}", str(exc), line) from None
+        yield row
+
+
+def json_rows(rows: list) -> Iterator[tuple]:
+    """Yield the ``rows`` of a JSON ingest body: ``[instance, key, value]``
+    triples under the JSON row rule, a bad one named ``rows[i]``."""
+    for index, row in enumerate(rows):
+        try:
+            if not isinstance(row, list) or len(row) != 3:
+                raise ValueError("expected an [instance, key, value] triple")
+            parsed = _json_row(*row)
+        except ValueError as exc:
+            raise RowDecodeError(f"rows[{index}]", str(exc)) from None
+        yield parsed
+
+
+def json_columns(instance: object, keys: list, values: list) -> tuple:
+    """One batch from the columns of a JSON ingest body, a bad row named
+    ``instance``, ``keys[i]`` or ``values[i]``; one type pass checks keys."""
+    if type(instance) in _BAD_LABEL_TYPES:
+        raise RowDecodeError("instance", _BAD_LABEL.format("instance", instance))
+    bad = _bad_label(keys)
+    if bad is not None:
+        raise RowDecodeError(f"keys[{bad}]", _BAD_LABEL.format("key", keys[bad]))
+    column = []
+    try:
+        for index, value in enumerate(values):
+            column.append(_update_value(value))
+    except ValueError as exc:
+        raise RowDecodeError(f"values[{index}]", str(exc)) from None
+    return instance, keys, column
+
+
+class IngestFormat(NamedTuple):
+    """An ingest format: its HTTP content type (None: not served), CLI file
+    suffixes (empty: not read) and row decoder (None: decoded whole)."""
+
+    content_type: str | None
+    suffixes: tuple[str, ...]
+    rows: Callable[..., Iterator[tuple]] | None
+
+
+#: format name (HTTP ``?format=``, CLI ``--format``) -> format
+INGEST_FORMATS: dict[str, IngestFormat] = {
+    "json": IngestFormat("application/json", (), None),
+    "csv": IngestFormat("text/csv", (".csv",), csv_rows),
+    "jsonl": IngestFormat(None, (".jsonl", ".ndjson"), jsonl_rows),
+    "binary": IngestFormat("application/x-repro-batch", (".rbat", ".bin"), None),
+}
 
 
 def _coalesce_batches(

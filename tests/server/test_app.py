@@ -356,6 +356,55 @@ class TestNonFiniteRejection:
         run_scenario(scenario, store=make_store())
 
 
+class TestBadJsonLabels:
+    def test_list_or_object_labels_rejected_before_any_state_changes(
+        self, run_scenario
+    ):
+        """Regression: a list/dict key used to get its 400 only after the
+        engine version had advanced and the instance had been created."""
+
+        async def scenario(server, client):
+            bodies = [
+                (
+                    {"name": "traffic", "rows": [["d", "a", 1.0], ["d", [1], 2.0]]},
+                    "rows[1]",
+                ),
+                (
+                    {
+                        "name": "traffic",
+                        "instance": "e",
+                        "keys": ["a", {"k": 1}],
+                        "values": [1.0, 2.0],
+                    },
+                    "keys[1]",
+                ),
+                (
+                    {"name": "traffic", "rows": [[["d"], "a", 1.0]]},
+                    "rows[0]",
+                ),
+                (
+                    {
+                        "name": "traffic",
+                        "instance": {"i": 1},
+                        "keys": ["a"],
+                        "values": [1.0],
+                    },
+                    "instance",
+                ),
+            ]
+            for body, position in bodies:
+                status, payload = await client.request(
+                    "POST", "/v1/ingest", json_body=body
+                )
+                assert status == 400, payload
+                assert payload["error"].startswith(f"{position}: "), payload
+                assert "list or object" in payload["error"]
+                assert server.store.version("traffic") == 0
+                assert server.store.engine("traffic").instance_labels == []
+
+        run_scenario(scenario, store=make_store())
+
+
 class TestCsvHeaderHandling:
     def test_header_after_leading_blank_lines_is_skipped(self, run_scenario):
         """Regression: a leading blank line used to demote the header to

@@ -343,33 +343,69 @@ class TestConvertAndBinaryIngest:
 
 class TestMalformedUpdateStreams:
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
-    def test_csv_non_finite_values_rejected(self, tmp_path, bad):
+    def test_csv_non_finite_values_rejected(self, tmp_path, capsys, bad):
         write_csv(
             tmp_path / "u.csv",
             [("d", "a", "1.0"), ("d", "b", bad)],
             header=False,
         )
-        with pytest.raises(SystemExit, match="finite") as excinfo:
-            main([
-                "ingest", "--store", str(tmp_path / "s.bin"),
-                "--name", "t", "--input", str(tmp_path / "u.csv"),
-            ])
-        assert "u.csv:2" in str(excinfo.value)
+        code = main([
+            "ingest", "--store", str(tmp_path / "s.bin"),
+            "--name", "t", "--input", str(tmp_path / "u.csv"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "finite" in err
+        assert "u.csv:2" in err
         assert not (tmp_path / "s.bin").exists()
 
-    def test_jsonl_non_finite_values_rejected(self, tmp_path):
+    def test_jsonl_non_finite_values_rejected(self, tmp_path, capsys):
         path = tmp_path / "u.jsonl"
         path.write_text(
             json.dumps({"instance": "d", "key": "a", "value": 1.0})
             + "\n"
             + '{"instance": "d", "key": "b", "value": NaN}\n'
         )
-        with pytest.raises(SystemExit, match="finite") as excinfo:
-            main([
-                "ingest", "--store", str(tmp_path / "s.bin"),
-                "--name", "t", "--input", str(path),
-            ])
-        assert "u.jsonl:2" in str(excinfo.value)
+        code = main([
+            "ingest", "--store", str(tmp_path / "s.bin"),
+            "--name", "t", "--input", str(path),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "finite" in err
+        assert "u.jsonl:2" in err
+        assert not (tmp_path / "s.bin").exists()
+
+    @pytest.mark.parametrize(
+        "value, reason",
+        [
+            ('"1.5"', "must be numbers, got '1.5'"),
+            ("true", "must be numbers, got True"),
+            ("null", "must be numbers, got None"),
+        ],
+    )
+    def test_jsonl_values_follow_the_http_value_rule(
+        self, tmp_path, capsys, value, reason
+    ):
+        """Regression: JSONL used to coerce "1.5" and true to floats and
+        crash on null; it now applies the HTTP JSON value rule."""
+        path = tmp_path / "u.jsonl"
+        path.write_text(
+            '{"instance": "d", "key": "a", "value": 1.0}\n'
+            f'{{"instance": "d", "key": "b", "value": {value}}}\n'
+        )
+        for command in (
+            ["ingest", "--store", str(tmp_path / "s.bin"), "--name", "t"],
+            ["convert", "--out", str(tmp_path / "u.rbat")],
+        ):
+            code = main([*command, "--input", str(path)])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert f"u.jsonl:2: update values {reason}" in err
+        assert not (tmp_path / "s.bin").exists()
+        assert not (tmp_path / "u.rbat").exists()
 
     def test_header_after_leading_blank_line_is_skipped(
         self, tmp_path, capsys

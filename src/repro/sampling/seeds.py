@@ -26,7 +26,13 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["SeedAssigner", "key_hashes", "splitmix64", "uniform_from_uint64"]
+__all__ = [
+    "SeedAssigner",
+    "hash_key_column",
+    "key_hashes",
+    "splitmix64",
+    "uniform_from_uint64",
+]
 
 _UINT64_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 #: 2**-64 as a float; multiplying a uint64 by this maps it into [0, 1).
@@ -79,28 +85,46 @@ def key_hashes(keys: Sequence[object]) -> np.ndarray:
     streaming engine, so a key's shard and its seeds derive from one hash
     pass.
     """
+    return hash_key_column(keys)[0]
+
+
+def hash_key_column(keys: Sequence[object]) -> tuple[np.ndarray, bool]:
+    """:func:`key_hashes` of ``keys`` plus whether they are *canonical*.
+
+    A column is canonical when every key is int-like (an ``int`` or a
+    NumPy integer, not a ``bool``) or every key is a plain ``str``.  Two
+    equal keys of canonical columns always have equal hashes, so hash
+    equality can find the matches between such columns.  Other columns
+    cannot promise that: ``1 == 1.0 == True`` and ``np.str_("x") == "x"``
+    hash apart.  Unequal keys may still share a hash (``0`` and
+    ``2**64``), so a hash match is never proof of key equality.
+    """
     if isinstance(keys, np.ndarray) and keys.dtype.kind in "iu":
         # A NumPy integer column hashes without building per-key Python
         # objects.  Casting to uint64 wraps negatives modulo 2**64 —
         # exactly what ``_hash_label``'s ``int(label) & MASK`` computes —
         # so the vectorized path is bit-identical to the fallback.
         with np.errstate(over="ignore"):
-            return splitmix64(keys.astype(np.uint64))
+            return splitmix64(keys.astype(np.uint64)), True
     keys = list(keys)
     # one C-level pass over the key types instead of a per-key isinstance
-    if keys and all(
+    kinds = set(map(type, keys))
+    if all(
         issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
-        for kind in set(map(type, keys))
+        for kind in kinds
     ):
         try:
             # NumPy integer scalars wrap modulo 2**64 like ``_hash_label``;
             # Python ints outside [0, 2**64) raise and take the fallback
-            return splitmix64(np.array(keys, dtype=np.uint64))
+            return splitmix64(np.array(keys, dtype=np.uint64)), True
         except OverflowError:
-            pass
-    return splitmix64(
+            canonical = True
+    else:
+        canonical = kinds == {str}
+    hashes = splitmix64(
         np.array([_hash_label(k) for k in keys], dtype=np.uint64)
     )
+    return hashes, canonical
 
 
 class SeedAssigner:

@@ -165,7 +165,8 @@ class QueryPlanner:
     and the epoch on every engine replacement, stale entries are never
     served; they age out of the LRU bound.
     Unhashable queries (e.g. list-valued instance labels) are computed
-    but never cached.
+    but never cached; like every computing :meth:`run`, each counts as
+    a miss.
     """
 
     def __init__(self, store, max_cache_entries: int = 1024) -> None:
@@ -297,9 +298,10 @@ class QueryPlanner:
                 if self._store.state_hint(name)[1] == epoch
                 else None
             )
-            if key is not None:
-                with self._lock:
-                    self.misses += 1
+            with self._lock:
+                # every computed result is a miss, cached or not
+                self.misses += 1
+                if key is not None:
                     self._cache[key] = (value, confidence)
                     while len(self._cache) > self.max_cache_entries:
                         self._cache.popitem(last=False)

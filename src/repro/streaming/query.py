@@ -16,7 +16,12 @@ The Poisson adapters read a sketch through :class:`SketchColumns`, an
 immutable columnar view (keys, their hashes, values).  A caller that
 queries one instance many times — the store, which memoises views per
 engine version — builds the view once and passes it wherever a sketch
-is accepted; the join over views then hashes nothing.
+is accepted; the join over views then hashes nothing.  A view also
+memoises its hash sort order and its own keys' seeds, so a pair of
+int-keyed or str-keyed views joins with one ``np.searchsorted`` and
+computes seeds only for the keys a view does not retain.  Other key
+types, three or more views and hash collisions keep the exact
+``dict`` join.
 
 The multi-instance estimators assume instances were sampled
 *independently*; sketches built from a ``coordinated=True`` seed assigner
@@ -27,7 +32,7 @@ formulas silently return biased numbers under coordination.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress, repeat
 
 import numpy as np
@@ -44,7 +49,7 @@ from repro.core.max_weighted import MaxPpsHT, MaxPpsL
 from repro.exceptions import InvalidParameterError
 from repro.sampling.outcomes import VectorOutcome
 from repro.sampling.ranks import PpsRanks, RankFamily, UniformRanks
-from repro.sampling.seeds import SeedAssigner, key_hashes
+from repro.sampling.seeds import SeedAssigner, hash_key_column
 from repro.streaming.sketch import StreamingBottomK, StreamingPoisson
 
 __all__ = [
@@ -61,14 +66,41 @@ __all__ = [
 ]
 
 
+def _memoised(method):
+    """A read-only attribute computed by ``method`` on first use and kept
+    in the instance ``__dict__``.
+
+    :func:`functools.cached_property` on Python 3.11 takes one lock per
+    attribute shared by every instance, which would serialise concurrent
+    queries over different views.  Here two threads may both compute a
+    first value; ``setdefault`` keeps one, so every reader sees the same
+    object.
+    """
+    name = method.__name__
+
+    def get(self):
+        memo = self.__dict__
+        try:
+            return memo[name]
+        except KeyError:
+            return memo.setdefault(name, method(self))
+
+    return property(get, doc=method.__doc__)
+
+
 @dataclass(frozen=True, eq=False)
 class SketchColumns:
     """Immutable columnar view of one Poisson sketch.
 
     The sketch's configuration plus three aligned columns: ``keys`` in
     retention (insertion) order, their :func:`key_hashes` and their
-    accumulated ``values``.  Both arrays are read-only, so one view can
-    be shared by any number of concurrent queries.
+    accumulated ``values``.  ``canonical`` says whether equal keys of
+    this and another canonical view always share a hash
+    (:func:`~repro.sampling.seeds.hash_key_column`); only :meth:`of`,
+    which hashes the keys, sets it, and a view built directly keeps the
+    always exact ``False``.  Every array, including the lazily memoised
+    :attr:`join_index` and :attr:`own_seeds`, is read-only, so one view
+    can be shared by any number of concurrent queries.
     """
 
     instance: object
@@ -78,6 +110,7 @@ class SketchColumns:
     keys: tuple
     hashes: np.ndarray
     values: np.ndarray
+    canonical: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not len(self.keys) == len(self.hashes) == len(self.values):
@@ -86,6 +119,29 @@ class SketchColumns:
             )
         self.hashes.flags.writeable = False
         self.values.flags.writeable = False
+
+    @_memoised
+    def join_index(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(order, sorted hashes)`` for the sorted-hash pair join, or
+        ``None`` when a hash match cannot stand for a key match here: the
+        view is not canonical, or two of its keys share a hash."""
+        if not self.canonical:
+            return None
+        order = np.argsort(self.hashes)
+        ordered = self.hashes[order]
+        if np.any(ordered[1:] == ordered[:-1]):
+            return None
+        order.flags.writeable = ordered.flags.writeable = False
+        return order, ordered
+
+    @_memoised
+    def own_seeds(self) -> np.ndarray:
+        """The seed of every retained key in this view's instance."""
+        seeds = self.seed_assigner.seeds_from_hashes(
+            self.hashes, instance=self.instance
+        )
+        seeds.flags.writeable = False
+        return seeds
 
     @classmethod
     def of(cls, sketch: StreamingPoisson | SketchColumns) -> SketchColumns:
@@ -99,17 +155,20 @@ class SketchColumns:
             )
         entries = sketch.entries
         keys = tuple(entries)
-        return cls(
+        hashes, canonical = hash_key_column(keys)
+        view = cls(
             instance=sketch.instance,
             threshold=sketch.threshold,
             rank_family=sketch.rank_family,
             seed_assigner=sketch.seed_assigner,
             keys=keys,
-            hashes=key_hashes(keys),
+            hashes=hashes,
             values=np.fromiter(
                 entries.values(), dtype=np.float64, count=len(keys)
             ),
         )
+        object.__setattr__(view, "canonical", canonical)
+        return view
 
 
 def _check_family(sketches: Sequence[StreamingPoisson]) -> None:
@@ -149,6 +208,37 @@ def _check_uniform(sketch: StreamingPoisson, name: str) -> float:
     return sketch.threshold
 
 
+def _sorted_rows(first: SketchColumns, second: SketchColumns) -> np.ndarray | None:
+    """The row of each of ``second``'s keys among ``first``'s (``-1``
+    when absent), joined on the views' sorted hashes; ``None`` when only
+    the dict join is exact.
+
+    ``second``'s sorted hashes are searched in ``first``'s, and only the
+    matched pairs compare keys.  A matched pair whose keys differ is a
+    hash collision, and a view without a :attr:`SketchColumns.join_index`
+    may hold equal keys under different hashes; both leave the join to
+    the dict.
+    """
+    index1, index2 = first.join_index, second.join_index
+    if index1 is None or index2 is None:
+        return None
+    (order1, sorted1), (order2, sorted2) = index1, index2
+    rows = np.full(len(second.keys), -1, dtype=np.intp)
+    if not sorted1.size:
+        return rows
+    at = np.searchsorted(sorted1, sorted2)
+    np.minimum(at, sorted1.size - 1, out=at)
+    hit = sorted1[at] == sorted2
+    mine, theirs = order1[at[hit]], order2[hit]
+    keys1, keys2 = first.keys, second.keys
+    if [keys1[row] for row in mine.tolist()] != [
+        keys2[row] for row in theirs.tolist()
+    ]:
+        return None
+    rows[theirs] = mine
+    return rows
+
+
 def _outcome_columns(
     sketches: Sequence[StreamingPoisson | SketchColumns],
     predicate: KeyPredicate | None,
@@ -159,10 +249,15 @@ def _outcome_columns(
 
     One join over the sketches' :class:`SketchColumns`: the union rows
     are the first view's keys, then each further view's new keys in its
-    own order.  One ``dict.get`` pass per further view finds its row
-    positions, and the union hashes are the views' hashes at their new
-    rows, so no key is hashed here.  The union key list is built only
-    for a predicate or when ``with_keys`` asks for it (else ``None``).
+    own order.  A pair of views is joined on their memoised sorted
+    hashes (:func:`_sorted_rows`); three or more views, non-canonical
+    keys and hash collisions take one ``dict.get`` pass per further
+    view.  Both joins give the same rows.  The union hashes are the
+    views' hashes at their new rows, so no key is hashed here.  Each
+    view's retained rows take their seeds from
+    :attr:`SketchColumns.own_seeds`, so only the rows a view does not
+    retain get seeds computed.  The union key list is built only for a
+    predicate or when ``with_keys`` asks for it (else ``None``).
     """
     _check_family(sketches)
     views = [SketchColumns.of(sketch) for sketch in sketches]
@@ -170,15 +265,21 @@ def _outcome_columns(
     n = len(first.keys)
     need_keys = with_keys or predicate is not None
     keys = list(first.keys) if need_keys else None
-    index = dict(zip(first.keys, range(n)))
+    sorted_rows = _sorted_rows(*views) if len(views) == 2 else None
+    index = (
+        None if sorted_rows is not None else dict(zip(first.keys, range(n)))
+    )
     positions: list[slice | np.ndarray] = [slice(0, n)]
     hash_parts = [first.hashes]
     for number, view in enumerate(views[1:], start=2):
-        rows = np.fromiter(
-            map(index.get, view.keys, repeat(-1)),
-            dtype=np.intp,
-            count=len(view.keys),
-        )
+        if index is None:
+            rows = sorted_rows
+        else:
+            rows = np.fromiter(
+                map(index.get, view.keys, repeat(-1)),
+                dtype=np.intp,
+                count=len(view.keys),
+            )
         new = rows < 0
         added = int(np.count_nonzero(new))
         rows[new] = np.arange(n, n + added)
@@ -200,28 +301,36 @@ def _outcome_columns(
     # loudly) rather than be reclassified as unretained.
     retained = np.zeros((n, r), dtype=bool)
     values = np.zeros((n, r), dtype=np.float64)
+    seeds = np.empty((n, r), dtype=np.float64) if include_seeds else None
+    # A view's own seeds are its rows' seeds only where the union hashes
+    # are its own hashes: always for the first view and a sorted join,
+    # but the dict join may match ``1`` to the union's ``True``.
+    own = [True] + [sorted_rows is not None] * (r - 1)
     for column, (view, rows) in enumerate(zip(views, positions)):
         retained[rows, column] = True
         values[rows, column] = view.values
+        if seeds is not None and own[column]:
+            seeds[rows, column] = view.own_seeds
     if predicate is not None:
         keep = np.fromiter(map(predicate, keys), dtype=bool, count=n)
         keys = list(compress(keys, keep.tolist()))
         retained, values, hashes = retained[keep], values[keep], hashes[keep]
-        n = len(keys)
+        if seeds is not None:
+            seeds = seeds[keep]
     sampled = retained.copy()
-    seeds = np.empty((n, r), dtype=np.float64) if include_seeds else None
     for column, view in enumerate(views):
         oblivious = isinstance(view.rank_family, UniformRanks)
         if include_seeds or oblivious:
+            fresh = ~retained[:, column] if own[column] else slice(None)
             seed_column = view.seed_assigner.seeds_from_hashes(
-                hashes, instance=view.instance
+                hashes[fresh], instance=view.instance
             )
             if seeds is not None:
-                seeds[:, column] = seed_column
+                seeds[fresh, column] = seed_column
             if oblivious:
                 # a seed-selected but unretained key was observed to be
                 # zero
-                sampled[:, column] |= seed_column <= view.threshold
+                sampled[fresh, column] |= seed_column <= view.threshold
     batch = OutcomeBatch(values=values, sampled=sampled, seeds=seeds)
     return keys, retained, batch
 

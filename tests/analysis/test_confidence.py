@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro.analysis.confidence import (
+    _normal_quantile,
     chebyshev_interval,
     normal_interval,
 )
@@ -36,6 +38,14 @@ class TestIntervalConstruction:
         interval = normal_interval(10.0, 0.0)
         assert interval.lower == interval.upper == 10.0
         assert interval.width == 0.0
+
+    @pytest.mark.parametrize("confidence", [0.9, 0.95])
+    def test_cached_quantile_is_scipys_bit_for_bit(self, confidence):
+        expected = float(stats.norm.ppf(0.5 + confidence / 2))
+        for _ in range(2):  # the computing call, then the cached one
+            assert _normal_quantile(confidence) == expected
+        interval = normal_interval(0.0, 1.0, confidence)
+        assert interval.upper == expected
 
     def test_invalid_inputs(self):
         with pytest.raises(InvalidParameterError):

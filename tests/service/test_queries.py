@@ -290,6 +290,25 @@ class TestCache:
         assert planner.execute("traffic", query) == cached.value
         assert planner.hits == 0 and planner.misses == 1
 
+    def test_uncacheable_runs_count_as_misses(self, oblivious_store):
+        """Regression: ``run`` counted a miss only when it stored the
+        result, so a query whose cache key is unhashable was recomputed
+        on every call without ever showing in the miss rate."""
+
+        class EveryKey:
+            __hash__ = None  # a predicate that cannot key the cache
+
+            def __call__(self, key):
+                return True
+
+        planner = QueryPlanner(oblivious_store)
+        query = Query.distinct("mon", "tue", predicate=EveryKey())
+        for _ in range(2):
+            assert not planner.run("traffic", query).from_cache
+        stats = planner.cache_stats()
+        assert (stats["hits"], stats["misses"], stats["entries"]) == (0, 2, 0)
+        assert stats["hit_rate"] == 0.0
+
     def test_float_protocol(self, oblivious_store):
         result = oblivious_store.query("traffic", Query.sum("mon"))
         assert float(result) == float(result.value)

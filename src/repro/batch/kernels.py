@@ -238,13 +238,15 @@ def pps_max_l_r2_kernel(
     estimates = np.zeros(len(a), dtype=np.float64)
     remaining = nonempty & ~both_zero
 
-    # Eq. (25): equal entries.
+    # Eq. (25): equal entries.  Most rows of a served pair fall here, so
+    # the form is evaluated on the full columns and kept where it holds;
+    # the empty and both-zero rows it also visits divide 0 by 0.
     case = remaining & (a == b)
-    if np.any(case):
-        q_a = np.minimum(1.0, a[case] / tau_a[case])
-        q_b = np.minimum(1.0, a[case] / tau_b[case])
-        estimates[case] = a[case] / (q_a + (1.0 - q_a) * q_b)
-        remaining &= ~case
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q_a = np.minimum(1.0, a / tau_a)
+        q_b = np.minimum(1.0, a / tau_b)
+        np.copyto(estimates, a / (q_a + (1.0 - q_a) * q_b), where=case)
+    remaining &= ~case
 
     # Eq. (26): the smaller entry is certain (b >= tau_b).
     case = remaining & (b >= tau_b)

@@ -34,9 +34,11 @@ __all__ = [
     "uniform_from_uint64",
 ]
 
-_UINT64_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 #: 2**-64 as a float; multiplying a uint64 by this maps it into [0, 1).
 _INV_2_64 = float(np.ldexp(1.0, -64))
+#: the bounds of :func:`uniform_from_uint64`'s open interval
+_TINY = np.finfo(np.float64).tiny
+_BELOW_ONE = 1.0 - np.finfo(np.float64).epsneg
 
 
 def splitmix64(values: np.ndarray) -> np.ndarray:
@@ -47,12 +49,16 @@ def splitmix64(values: np.ndarray) -> np.ndarray:
     assumes.  The function is vectorised so that a whole key column can be
     hashed in one call.
     """
-    z = np.asarray(values, dtype=np.uint64).copy()
+    # One copied buffer updated in place: the input may be a read-only
+    # memoised column, and uint64 arithmetic already wraps modulo 2**64.
+    z = np.array(values, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        z = (z + np.uint64(0x9E3779B97F4A7C15)) & _UINT64_MASK
-        z = ((z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)) & _UINT64_MASK
-        z = ((z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)) & _UINT64_MASK
-        z = z ^ (z >> np.uint64(31))
+        z += np.uint64(0x9E3779B97F4A7C15)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
     return z
 
 
@@ -62,9 +68,11 @@ def uniform_from_uint64(values: np.ndarray) -> np.ndarray:
     The end points are excluded so that downstream divisions by the seed and
     logarithms of ``1 - u`` are always finite.
     """
-    u = np.asarray(values, dtype=np.uint64).astype(np.float64) * _INV_2_64
-    tiny = np.finfo(np.float64).tiny
-    return np.clip(u, tiny, 1.0 - np.finfo(np.float64).epsneg)
+    u = np.asarray(values, dtype=np.uint64).astype(np.float64)
+    u *= _INV_2_64
+    np.maximum(u, _TINY, out=u)
+    np.minimum(u, _BELOW_ONE, out=u)
+    return u
 
 
 def _hash_label(label: object) -> int:

@@ -4,8 +4,8 @@
 long-lived network service using nothing but the standard library: an
 ``asyncio`` accept loop speaking the minimal HTTP/1.1 of
 :mod:`repro.server.protocol`, with every store operation — ingest,
-query, snapshot, merge — pushed onto a thread-pool executor so the event
-loop never blocks on shard locks or estimator math.
+query, snapshot, merge — pushed onto a worker thread so the event loop
+never blocks on shard locks or estimator math.
 
 Endpoints
 ---------
@@ -39,8 +39,13 @@ GET      /v1/metrics/history  ring-buffered time series of one metric
 
 Concurrency model
 -----------------
-The event loop parses requests and serializes responses; ingest and
-query handlers ``await`` the executor.  Per-engine in-flight ingest
+The event loop parses requests and serializes responses.  Ingest,
+snapshot, merge, replication and the health/metrics pages ``await`` a
+thread pool of ``ServerConfig.ingest_threads``.  A query the result
+cache cannot answer runs on the one-thread query lane instead, so cold
+queries run one at a time rather than convoying on the GIL, and nothing
+else queues behind them.  Each hop records its queue wait as an
+``executor.wait`` span.  Per-engine in-flight ingest
 batches are bounded by ``ServerConfig.max_pending_batches`` — beyond the
 bound the server answers ``503`` with ``Retry-After`` instead of letting
 queues grow without bound.  Because the store's per-shard locking makes
@@ -48,9 +53,10 @@ concurrent ingest of pre-aggregated updates equal to serial ingest, any
 interleaving of HTTP clients yields bit-identical sketches.
 
 Graceful shutdown drains in-flight requests, closes idle keep-alive
-connections, and — when ``snapshot_path`` is configured — writes a final
-snapshot if any engine changed since the last one (the engines' cheap
-``probe``/version counters are the dirty check).
+connections, waits for the query lane and the pool, and — when
+``snapshot_path`` is configured — writes a final snapshot if any engine
+changed since the last one (the engines' cheap ``probe``/version
+counters are the dirty check).
 """
 
 from __future__ import annotations
@@ -83,7 +89,10 @@ from repro.obs import (
     HealthRule,
     SeriesCollector,
     SlowRequestLog,
+    SpanRecord,
     configure_json_logging,
+    current_request_id,
+    current_span_name,
     default_recorder,
     new_request_id,
     prom,
@@ -209,6 +218,27 @@ def _adopt_request_id(raw: str | None) -> str:
     return new_request_id()
 
 
+def _after_queue_wait(submitted: float, call):
+    """Record the executor queue wait since ``submitted`` as an
+    ``executor.wait`` span, then run ``call``.
+
+    Runs on the worker thread inside the request's copied context, so
+    the span carries the request's trace ID and nests under the span
+    that awaited the hop.
+    """
+    waited = time.perf_counter() - submitted
+    default_recorder().record(
+        SpanRecord(
+            trace_id=current_request_id(),
+            name="executor.wait",
+            parent=current_span_name(),
+            started_at=time.time() - waited,
+            duration_seconds=waited,
+        )
+    )
+    return call()
+
+
 def _set_nodelay(writer: asyncio.StreamWriter) -> None:
     """Disable Nagle on the connection.
 
@@ -299,6 +329,14 @@ class SketchServer:
             max_workers=self.config.ingest_threads,
             thread_name_prefix="sketch-server",
         )
+        # Cold queries run one at a time on their own thread.  A query is
+        # ~100 short NumPy calls, each releasing and retaking the GIL, so
+        # a second query thread adds convoying, not compute.  The cost: a
+        # query waiting in the store for an in-flight ingest on its
+        # engine holds the lane, and other engines' queries wait with it.
+        self._query_lane = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="sketch-query"
+        )
         self._server: asyncio.AbstractServer | None = None
         self._closing = False
         self._shutdown_done = False
@@ -372,6 +410,7 @@ class SketchServer:
             writer.close()
         if self._conn_tasks:
             await asyncio.wait(list(self._conn_tasks), timeout=drain_seconds)
+        self._query_lane.shutdown(wait=True)
         self._executor.shutdown(wait=True)
         if self._owns_pool:
             # fold outstanding worker deltas into the parent before the
@@ -534,13 +573,16 @@ class SketchServer:
         return status, payload, extra_headers + (("X-Request-Id", request_id),)
 
     async def _in_executor(self, fn, *args, **kwargs):
+        return await self._hop(self._executor, partial(fn, *args, **kwargs))
+
+    async def _hop(self, executor: ThreadPoolExecutor, call):
         # copy_context() carries the request ID and open-span contextvars
         # onto the executor thread, so spans recorded there still
         # correlate with the request that caused them
-        loop = asyncio.get_running_loop()
         context = contextvars.copy_context()
-        return await loop.run_in_executor(
-            self._executor, partial(context.run, partial(fn, *args, **kwargs))
+        return await asyncio.get_running_loop().run_in_executor(
+            executor,
+            partial(context.run, _after_queue_wait, time.perf_counter(), call),
         )
 
     # ------------------------------------------------------------------
@@ -1168,7 +1210,9 @@ class SketchServer:
         # executor hop when the result actually needs recomputing
         result = self.planner.peek(name, query)
         if result is None:
-            result = await self._in_executor(self.planner.run, name, query)
+            result = await self._hop(
+                self._query_lane, partial(self.planner.run, name, query)
+            )
         payload = {
             "name": name,
             "kind": kind,

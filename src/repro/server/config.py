@@ -27,8 +27,10 @@ class ServerConfig:
         Bind address.  ``port=0`` asks the OS for an ephemeral port
         (the bound port is reported by ``SketchServer.port``).
     ingest_threads:
-        Size of the thread-pool executor that runs store ingests and
-        queries, keeping shard-lock waits off the event loop.
+        Size of the thread-pool executor that runs store ingests,
+        snapshots, merges, replication and the health/metrics pages,
+        keeping shard-lock waits off the event loop.  Queries the result
+        cache cannot answer run on a separate one-thread query lane.
     workers:
         Number of shard-worker *processes* the store fans ingest out to
         (``repro.cluster.ShardWorkerPool``).  ``0`` — the default —

@@ -551,7 +551,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "ranks=...,salt=...,coordinated=...,"
                             "shards=...); repeatable")
     serve.add_argument("--threads", type=int, default=4,
-                       help="ingest/query executor threads")
+                       help="ingest executor threads (cold queries run "
+                            "on one dedicated thread)")
     serve.add_argument("--workers", type=int, default=0,
                        help="shard-worker processes for the multiprocess "
                             "ingest plane (0 keeps the in-process "

@@ -258,11 +258,15 @@ def _outcome_columns(
     :attr:`SketchColumns.own_seeds`, so only the rows a view does not
     retain get seeds computed.  The union key list is built only for a
     predicate or when ``with_keys`` asks for it (else ``None``).
+
+    The ``(n, r)`` arrays are column-major (``order="F"``): each view's
+    column is one contiguous 1-D array, written through integer rows,
+    which costs a fraction of a strided write into a row-major array.
     """
     _check_family(sketches)
     views = [SketchColumns.of(sketch) for sketch in sketches]
     first = views[0]
-    n = len(first.keys)
+    n = n_first = len(first.keys)
     need_keys = with_keys or predicate is not None
     keys = list(first.keys) if need_keys else None
     sorted_rows = _sorted_rows(*views) if len(views) == 2 else None
@@ -299,38 +303,48 @@ def _outcome_columns(
     # Membership mask, not a value sentinel: a retained entry whose
     # accumulated value is NaN must stay sampled (and propagate NaN
     # loudly) rather than be reclassified as unretained.
-    retained = np.zeros((n, r), dtype=bool)
-    values = np.zeros((n, r), dtype=np.float64)
-    seeds = np.empty((n, r), dtype=np.float64) if include_seeds else None
+    retained = np.zeros((n, r), dtype=bool, order="F")
+    values = np.zeros((n, r), dtype=np.float64, order="F")
+    seeds = (
+        np.empty((n, r), dtype=np.float64, order="F") if include_seeds else None
+    )
     # A view's own seeds are its rows' seeds only where the union hashes
     # are its own hashes: always for the first view and a sorted join,
     # but the dict join may match ``1`` to the union's ``True``.
     own = [True] + [sorted_rows is not None] * (r - 1)
     for column, (view, rows) in enumerate(zip(views, positions)):
-        retained[rows, column] = True
-        values[rows, column] = view.values
+        retained[:, column][rows] = True
+        values[:, column][rows] = view.values
         if seeds is not None and own[column]:
-            seeds[rows, column] = view.own_seeds
+            seeds[:, column][rows] = view.own_seeds
+    sampled = retained.copy(order="F")
+    for column, view in enumerate(views):
+        oblivious = isinstance(view.rank_family, UniformRanks)
+        if not (include_seeds or oblivious):
+            continue
+        # The rows a view does not retain: for the first view, the union
+        # rows the other views added after its own.
+        if column == 0:
+            fresh = slice(n_first, n)
+        elif own[column]:
+            fresh = np.flatnonzero(~retained[:, column])
+        else:
+            fresh = slice(None)
+        seed_column = view.seed_assigner.seeds_from_hashes(
+            hashes[fresh], instance=view.instance
+        )
+        if seeds is not None:
+            seeds[:, column][fresh] = seed_column
+        if oblivious:
+            # a seed-selected but unretained key was observed to be zero
+            sampled[:, column][fresh] |= seed_column <= view.threshold
     if predicate is not None:
         keep = np.fromiter(map(predicate, keys), dtype=bool, count=n)
         keys = list(compress(keys, keep.tolist()))
-        retained, values, hashes = retained[keep], values[keep], hashes[keep]
-        if seeds is not None:
-            seeds = seeds[keep]
-    sampled = retained.copy()
-    for column, view in enumerate(views):
-        oblivious = isinstance(view.rank_family, UniformRanks)
-        if include_seeds or oblivious:
-            fresh = ~retained[:, column] if own[column] else slice(None)
-            seed_column = view.seed_assigner.seeds_from_hashes(
-                hashes[fresh], instance=view.instance
-            )
-            if seeds is not None:
-                seeds[fresh, column] = seed_column
-            if oblivious:
-                # a seed-selected but unretained key was observed to be
-                # zero
-                sampled[fresh, column] |= seed_column <= view.threshold
+        retained, values, sampled, seeds = (
+            None if array is None else np.asfortranarray(array[keep])
+            for array in (retained, values, sampled, seeds)
+        )
     batch = OutcomeBatch(values=values, sampled=sampled, seeds=seeds)
     return keys, retained, batch
 
@@ -492,8 +506,7 @@ def l1_distance(
     _, _, batch = _outcome_columns(
         (sketch1, sketch2), predicate, include_seeds=False
     )
-    both = batch.sampled.all(axis=1)
-    values = batch.values[both]
+    values = batch.values[batch.all_sampled()]
     terms = np.abs(values[:, 0] - values[:, 1]) / (p1 * p2)
     # cumsum adds sequentially in union order (``sum`` would add
     # pairwise), so the total is the one a per-key loop computes

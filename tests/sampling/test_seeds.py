@@ -74,6 +74,49 @@ class TestSplitMix:
         uniforms = uniform_from_uint64(values)
         assert abs(float(np.mean(uniforms)) - 0.5) < 0.01
 
+    #: the uint64 boundaries and their frozen images
+    EDGES = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
+    EDGE_HASHES = [
+        0xE220A8397B1DCDAF,
+        0x910A2DEC89025CC1,
+        0x481EC0A212A9F3DB,
+        0xE4D971771B652C20,
+    ]
+
+    def test_frozen_edge_outputs(self):
+        hashes = splitmix64(self.EDGES)
+        assert hashes.dtype == np.uint64
+        assert hashes.tolist() == self.EDGE_HASHES
+        # 0 and 2**64 - 1 land on the open interval's clamped ends
+        assert uniform_from_uint64(self.EDGES).tolist() == [
+            np.finfo(np.float64).tiny,
+            2.0**-64,
+            0.5,
+            1.0 - np.finfo(np.float64).epsneg,
+        ]
+        assert uniform_from_uint64(hashes).tolist() == [
+            float.fromhex("0x1.c4415072f63bap-1"),
+            float.fromhex("0x1.22145bd91204cp-1"),
+            float.fromhex("0x1.207b02884aa7dp-2"),
+            float.fromhex("0x1.c9b2e2ee36ca6p-1"),
+        ]
+
+    def test_zero_dimensional_input(self):
+        # SeedAssigner mixes each instance in as one uint64 scalar
+        for value, expected in zip(self.EDGES.tolist(), self.EDGE_HASHES):
+            assert int(splitmix64(np.uint64(value))) == expected
+        assert float(uniform_from_uint64(np.uint64(5))) == 5 * 2.0**-64
+
+    def test_read_only_input_left_untouched(self):
+        values = self.EDGES.copy()
+        values.flags.writeable = False
+        hashes = splitmix64(values)
+        uniforms = uniform_from_uint64(hashes)
+        hashes.flags.writeable = False
+        assert uniform_from_uint64(hashes).tolist() == uniforms.tolist()
+        assert values.tolist() == [0, 1, 2**63, 2**64 - 1]
+        assert hashes.tolist() == self.EDGE_HASHES
+
 
 class TestSeedAssigner:
     def test_seed_in_unit_interval(self):

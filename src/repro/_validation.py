@@ -62,16 +62,6 @@ def check_positive_vector(
     )
 
 
-def check_nonnegative_vector(
-    values: Sequence[float], name: str = "values"
-) -> tuple[float, ...]:
-    """Validate a vector of nonnegative numbers."""
-    return tuple(
-        check_nonnegative(v, name=f"{name}[{i}]")
-        for i, v in enumerate(values)
-    )
-
-
 def check_unit_interval(value: float, name: str = "value") -> float:
     """Validate that ``value`` lies in ``[0, 1]`` and return it."""
     value = float(value)

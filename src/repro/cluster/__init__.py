@@ -9,12 +9,12 @@ worker, with *bit-exact* parity against single-process ingest.
 
 Layers:
 
-* :mod:`repro.cluster.ring` — SPSC shared-memory byte ring, the
-  parent -> worker frame transport (pipe fallback);
-* :mod:`repro.cluster.worker` — the worker process: applies its shard
-  group's slice of every batch via the engine's own routing;
-* :mod:`repro.cluster.pool` — :class:`ShardWorkerPool`: dispatch,
-  delta collection, per-worker probes, crash detection and respawn.
+* :mod:`repro.cluster.pool` — :func:`partition` routes each batch once
+  (row -> shard -> worker); :class:`ShardWorkerPool` pipes every worker
+  its slice, collects deltas, probes, and detects and respawns crashed
+  workers;
+* :mod:`repro.cluster.worker` — the worker process: ingests its slices
+  through the engine's own plan and ships its delta on ``collect``.
 
 The store integration lives in :meth:`repro.service.SketchStore.
 start_workers`; servers opt in with ``ServerConfig(workers=N)`` /
@@ -22,21 +22,17 @@ start_workers`; servers opt in with ``ServerConfig(workers=N)`` /
 """
 
 from repro.cluster.pool import (
-    DEFAULT_RING_BYTES,
     ClusterProtocolError,
     ShardWorkerPool,
     WorkerCrashError,
+    partition,
 )
-from repro.cluster.ring import RingClosedError, ShmRing
-from repro.cluster.worker import owned_subset, worker_main
+from repro.cluster.worker import worker_main
 
 __all__ = [
-    "DEFAULT_RING_BYTES",
     "ClusterProtocolError",
-    "RingClosedError",
     "ShardWorkerPool",
-    "ShmRing",
     "WorkerCrashError",
-    "owned_subset",
+    "partition",
     "worker_main",
 ]

@@ -2,12 +2,12 @@
 
 :class:`ShardWorkerPool` forks ``n_workers`` processes, each owning
 the shard group ``{s : s % n_workers == worker_id}`` of every engine.
-The parent broadcasts every wire-encoded batch to every worker (each
-applies only its owned rows), and reads fan back in by *collecting*
+The parent routes every batch once (:func:`partition`: one key-hash
+pass, the routing of :meth:`StreamEngine.ingest_jobs`) and pipes each
+worker only the rows it owns; reads fan back in by *collecting*
 per-worker engine deltas that the store folds through the associative
-sketch merge.  Frames to one worker travel over a shared-memory ring
-(:class:`repro.cluster.ring.ShmRing`; ``transport="pipe"`` falls back
-to ``multiprocessing`` pipes), replies come back over a pipe.
+sketch merge.  Each worker has one command pipe (parent -> worker) and
+one reply pipe (worker -> parent).
 
 Ordering is the only protocol invariant: frames to a worker are FIFO,
 so a ``collect`` observes every batch dispatched before it, and no
@@ -26,27 +26,63 @@ from __future__ import annotations
 import contextlib
 import multiprocessing
 import os
-import pickle
 import threading
+from collections.abc import Sequence
 from typing import Any
 
+import numpy as np
+
 from repro.exceptions import InvalidParameterError
-from repro.cluster.ring import RingClosedError, ShmRing
 from repro.cluster.worker import worker_main
+from repro.sampling.seeds import key_hashes
 
 __all__ = [
     "ClusterProtocolError",
-    "DEFAULT_RING_BYTES",
     "ShardWorkerPool",
     "WorkerCrashError",
+    "partition",
 ]
 
-#: per-worker command-ring capacity; batches are bounded by the HTTP
-#: layer's max_body_bytes (8 MiB default), so twice that never blocks
-#: a healthy dispatch on frame size
-DEFAULT_RING_BYTES = 16 * 1024 * 1024
+#: one worker's share of a batch: ``(instance, keys, values)``, or
+#: ``None`` when the worker owns none of its rows
+Slice = tuple[object, Sequence[object], np.ndarray] | None
 
-_TRANSPORTS = ("shm", "pipe")
+
+def partition(
+    instance: object,
+    keys: Sequence[object],
+    values: object,
+    n_shards: int,
+    n_workers: int,
+) -> list[Slice]:
+    """Split one column batch into each worker's rows.
+
+    Routing mirrors :meth:`StreamEngine.ingest_jobs` exactly — row ->
+    shard ``key_hashes(keys) % n_shards`` -> worker ``shard %
+    n_workers`` — and every slice keeps the batch order, so within each
+    shard a worker replays the update sequence of the serial engine.
+    A worker that owns no row gets ``None``.  An empty batch goes to
+    every worker: ingesting it still creates the instance, which every
+    delta must do for state parity with the serial engine.
+    """
+    column = np.asarray(values, dtype=float)
+    if column.size == 0 or n_workers == 1:
+        return [(instance, keys, column) for _ in range(n_workers)]
+    owners = key_hashes(keys) % np.uint64(n_shards) % np.uint64(n_workers)
+    slices: list[Slice] = []
+    for worker in range(n_workers):
+        index = np.flatnonzero(owners == np.uint64(worker))
+        if index.size == 0:
+            slices.append(None)
+        elif index.size == column.size:
+            slices.append((instance, keys, column))
+        elif isinstance(keys, np.ndarray):
+            slices.append((instance, keys[index], column[index]))
+        else:
+            slices.append(
+                (instance, [keys[i] for i in index.tolist()], column[index])
+            )
+    return slices
 
 
 class WorkerCrashError(RuntimeError):
@@ -72,12 +108,11 @@ class ClusterProtocolError(RuntimeError):
 
 
 class _Worker:
-    """One worker slot: process, transports, and flow counters."""
+    """One worker slot: process, pipes, and flow counters."""
 
     __slots__ = (
         "index",
         "process",
-        "ring",
         "command_conn",
         "reply_conn",
         "sent",
@@ -91,7 +126,6 @@ class _Worker:
         self,
         index: int,
         process: Any,
-        ring: ShmRing | None,
         command_conn: Any,
         reply_conn: Any,
         *,
@@ -101,7 +135,6 @@ class _Worker:
     ) -> None:
         self.index = index
         self.process = process
-        self.ring = ring
         self.command_conn = command_conn
         self.reply_conn = reply_conn
         self.sent = 0
@@ -114,34 +147,16 @@ class _Worker:
 class ShardWorkerPool:
     """N shard-worker processes behind dispatch/collect/respawn."""
 
-    def __init__(
-        self,
-        n_workers: int,
-        *,
-        transport: str = "shm",
-        ring_bytes: int = DEFAULT_RING_BYTES,
-        mp_method: str | None = None,
-    ) -> None:
+    def __init__(self, n_workers: int) -> None:
         if int(n_workers) < 1:
             raise InvalidParameterError(
                 f"n_workers must be >= 1, got {n_workers}"
             )
-        if transport not in _TRANSPORTS:
-            raise InvalidParameterError(
-                f"transport must be one of {_TRANSPORTS}, got {transport!r}"
-            )
-        if int(ring_bytes) <= 0:
-            raise InvalidParameterError(
-                f"ring_bytes must be positive, got {ring_bytes}"
-            )
-        if mp_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            mp_method = "fork" if "fork" in methods else "spawn"
         self.n_workers = int(n_workers)
-        self.transport = transport
-        self.mp_method = mp_method
-        self._ring_bytes = int(ring_bytes)
-        self._ctx = multiprocessing.get_context(mp_method)
+        methods = multiprocessing.get_all_start_methods()
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in methods else "spawn"
+        )
         #: serializes every pool interaction *and* the store's version /
         #: synced-version bookkeeping around it, so crash healing sees a
         #: consistent dispatched-vs-folded state across engines
@@ -180,26 +195,11 @@ class ShardWorkerPool:
         rows: int = 0,
         restarts: int = 0,
     ) -> _Worker:
-        ring: ShmRing | None = None
-        command_parent = command_child = None
-        if self.transport == "shm":
-            ring = ShmRing.create(self._ring_bytes)
-            # fork inherits the mapped segment; spawn re-attaches by name
-            ring_ref: object = ring if self.mp_method == "fork" else ring.name
-        else:
-            command_child, command_parent = self._ctx.Pipe(duplex=False)
-            ring_ref = None
+        command_child, command_parent = self._ctx.Pipe(duplex=False)
         reply_parent, reply_child = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=worker_main,
-            args=(
-                index,
-                self.n_workers,
-                os.getpid(),
-                ring_ref,
-                command_child,
-                reply_child,
-            ),
+            args=(os.getpid(), command_child, reply_child),
             name=f"repro-shard-worker-{index}",
             daemon=True,
         )
@@ -207,12 +207,10 @@ class ShardWorkerPool:
         # the child holds its own ends now; closing ours makes worker
         # death observable as EOF/broken pipe
         reply_child.close()
-        if command_child is not None:
-            command_child.close()
+        command_child.close()
         return _Worker(
             index,
             process,
-            ring,
             command_parent,
             reply_parent,
             batches=batches,
@@ -221,7 +219,7 @@ class ShardWorkerPool:
         )
 
     def stop(self, join_timeout: float = 5.0) -> None:
-        """Stop every worker and release the transports."""
+        """Stop every worker and close its pipes."""
         with self.lock:
             if self._closed:
                 return
@@ -234,18 +232,14 @@ class ShardWorkerPool:
                 if worker.process.is_alive():
                     worker.process.terminate()
                     worker.process.join(timeout=join_timeout)
-                self._release_transports(worker)
+                self._release(worker)
             self._workers = []
 
     @staticmethod
-    def _release_transports(worker: _Worker) -> None:
-        if worker.ring is not None:
-            worker.ring.close()
-        with contextlib.suppress(OSError):
-            worker.reply_conn.close()
-        if worker.command_conn is not None:
+    def _release(worker: _Worker) -> None:
+        for conn in (worker.command_conn, worker.reply_conn):
             with contextlib.suppress(OSError):
-                worker.command_conn.close()
+                conn.close()
         with contextlib.suppress(ValueError):
             worker.process.close()
 
@@ -254,17 +248,8 @@ class ShardWorkerPool:
     # ------------------------------------------------------------------
     def _send(self, worker: _Worker, message: tuple) -> None:
         try:
-            if worker.ring is not None:
-                frame = pickle.dumps(
-                    message, protocol=pickle.HIGHEST_PROTOCOL
-                )
-                worker.ring.push(
-                    frame,
-                    should_abort=lambda: not worker.process.is_alive(),
-                )
-            else:
-                worker.command_conn.send(message)
-        except (RingClosedError, BrokenPipeError, OSError) as exc:
+            worker.command_conn.send(message)
+        except OSError as exc:  # BrokenPipeError: the worker is gone
             raise WorkerCrashError([worker.index]) from exc
 
     def _pump(self, worker: _Worker, timeout: float) -> tuple | None:
@@ -307,40 +292,38 @@ class ShardWorkerPool:
     # ------------------------------------------------------------------
     # Dispatch / collect / drain
     # ------------------------------------------------------------------
-    def dispatch(self, name: str, blob: bytes) -> None:
-        """Broadcast one wire-encoded batch group to every worker.
+    def dispatch(self, name: str, slices: Sequence[Slice]) -> None:
+        """Send each worker its slice of one batch (see :func:`partition`).
 
-        Sends to every *live* worker even when some slots are dead, so
-        healthy workers never miss a batch; dead slots are reported in
-        one :class:`WorkerCrashError` afterwards (their copy is
-        recovered from the WAL tail after respawn).
+        Workers whose slice is ``None`` get no frame.  Sends to every
+        *live* owner even when some slots are dead, so healthy workers
+        never miss a batch; dead slots are reported in one
+        :class:`WorkerCrashError` afterwards (their rows are recovered
+        from the WAL tail after respawn).
         """
         with self.lock:
             dead: list[int] = []
-            for worker in self._workers:
-                self._fold_acks(worker)
-                # a push into a roomy ring "succeeds" even when the
-                # consumer is gone — probe liveness explicitly so the
-                # crash surfaces at dispatch time, not at the next fold
-                if not worker.process.is_alive():
-                    dead.append(worker.index)
+            for worker, batch in zip(self._workers, slices):
+                if batch is None:
                     continue
                 try:
-                    self._send(
-                        worker, ("batch", self._next_seq(), name, blob)
-                    )
-                    worker.sent += 1
+                    self._send_batch(worker, name, batch)
                 except WorkerCrashError:
                     dead.append(worker.index)
             if dead:
                 raise WorkerCrashError(dead)
 
-    def dispatch_to(self, index: int, name: str, blob: bytes) -> None:
-        """Send one batch group to a single worker (WAL-tail replay)."""
+    def dispatch_to(self, index: int, name: str, batch: Slice) -> None:
+        """Send one slice to a single worker (WAL-tail replay)."""
         with self.lock:
-            worker = self._workers[index]
-            self._send(worker, ("batch", self._next_seq(), name, blob))
-            worker.sent += 1
+            self._send_batch(self._workers[index], name, batch)
+
+    def _send_batch(self, worker: _Worker, name: str, batch: Slice) -> None:
+        # drain acks first: a worker parked on a full reply pipe would
+        # otherwise never read the command pipe this send blocks on
+        self._fold_acks(worker)
+        self._send(worker, ("batch", self._next_seq(), name, batch))
+        worker.sent += 1
 
     def register_engine(self, name: str, template_blob: bytes) -> None:
         """Broadcast an engine (reset template) to every worker.
@@ -487,7 +470,7 @@ class ShardWorkerPool:
                 old.process.join(timeout=5.0)
             else:
                 old.process.join(timeout=0.1)
-            self._release_transports(old)
+            self._release(old)
             # late replies of the dead incarnation are void: everything
             # they carried is regenerated by the caller's WAL-tail replay
             self._reply_stash.pop(index, None)
@@ -512,7 +495,6 @@ class ShardWorkerPool:
                         "worker": worker.index,
                         "pid": worker.process.pid,
                         "alive": bool(worker.process.is_alive()),
-                        "transport": self.transport,
                         "queue_depth": worker.sent - worker.acked,
                         "batches": worker.batches,
                         "rows": worker.rows,

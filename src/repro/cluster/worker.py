@@ -1,108 +1,45 @@
-"""Shard-worker process: applies its shard group's slice of every batch.
+"""Shard-worker process: applies the rows of its shard group.
 
 Each worker owns the shards ``s`` of every engine where ``s %
-n_workers == worker_id``.  For an incoming column batch it recomputes
-the engine's own key -> shard routing (``key_hashes(keys) %
-n_shards``), keeps only the rows whose shard it owns, and runs the
-engine's normal :meth:`StreamEngine.ingest_jobs` plan on that subset —
-so within every shard the update sequence is byte-for-byte the one the
-serial engine would have run, and the parent folding all worker deltas
-through the associative sketch merge reproduces the serial engine
-*bit-exactly* (each row is owned by exactly one worker, and
-``merge_from`` sums ``n_updates``).
+n_workers == worker_id``.  The parent routes every batch once
+(:func:`repro.cluster.pool.partition`) and pipes each worker only its
+own rows, in batch order; the worker runs the engine's normal
+:meth:`StreamEngine.ingest_jobs` plan on that slice — so within every
+shard the update sequence is byte-for-byte the one the serial engine
+would have run, and the parent folding all worker deltas through the
+associative sketch merge reproduces the serial engine *bit-exactly*
+(each row is owned by exactly one worker, and ``merge_from`` sums
+``n_updates``).
 
 The loop is deliberately dumb: frames arrive in FIFO order over one
-transport (shared-memory ring or pipe), and a ``collect`` frame
-therefore observes every batch dispatched before it.  ``collect``
-ships the engine's accumulated delta and resets it to an empty
-configured clone, making worker state a pure delta since the last
-fold.
+command pipe, and a ``collect`` frame therefore observes every batch
+dispatched before it.  ``collect`` ships the engine's accumulated
+delta and resets it to an empty configured clone, making worker state
+a pure delta since the last fold.  An idle worker sleeps in ``poll``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
-import pickle
 import traceback
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from repro.sampling.seeds import key_hashes
 from repro.service import codec
-from repro.server.wire import decode_batches
 from repro.streaming.engine import StreamEngine
-from repro.cluster.ring import RingClosedError, ShmRing
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from multiprocessing.connection import Connection
 
-__all__ = ["owned_subset", "worker_main"]
+__all__ = ["worker_main"]
 
 #: how often a blocked worker re-checks whether it was orphaned
 _IDLE_POLL_SECONDS = 0.2
 
 
-def owned_subset(
-    keys: object,
-    values: object,
-    n_shards: int,
-    n_workers: int,
-    worker_id: int,
-) -> tuple[object, np.ndarray]:
-    """The rows of a column batch whose shard this worker owns.
-
-    Routing mirrors :meth:`StreamEngine.ingest_jobs` exactly — shard =
-    ``key_hashes(keys) % n_shards`` — so the subset preserves the
-    original order within every owned shard.  Empty batches pass
-    through unchanged (ingesting them still creates the instance, which
-    every worker must do for state parity with the serial engine).
-    """
-    column = np.asarray(values, dtype=float)
-    if column.size == 0:
-        return keys, column
-    hashes = key_hashes(keys)
-    shard_ids = hashes % np.uint64(n_shards)
-    mask = (shard_ids % np.uint64(n_workers)) == np.uint64(worker_id)
-    if bool(mask.all()):
-        return keys, column
-    if isinstance(keys, np.ndarray):
-        subset_keys: object = keys[mask]
-    else:
-        keep = mask.tolist()
-        subset_keys = [key for key, kept in zip(keys, keep) if kept]
-    return subset_keys, column[mask]
-
-
-def _apply_batch(
-    engine: StreamEngine,
-    blob: bytes,
-    n_workers: int,
-    worker_id: int,
-) -> int:
-    """Apply one wire-encoded batch group; returns rows applied here."""
-    applied = 0
-    for batch in decode_batches(blob):
-        keys, values = owned_subset(
-            batch.keys, batch.values, engine.n_shards, n_workers, worker_id
-        )
-        if len(values) == 0 and len(batch.values) != 0:
-            # nothing owned and the instance exists store-wide via the
-            # worker that does own rows — skip the empty plan
-            continue
-        for job in engine.ingest_jobs(batch.instance, keys, values):
-            StreamEngine.run_job(job)
-        applied += len(values)
-    return applied
-
-
 def worker_main(
-    worker_id: int,
-    n_workers: int,
     parent_pid: int,
-    ring_ref: "ShmRing | str | None",
-    command_conn: "Connection | None",
+    command_conn: "Connection",
     reply_conn: "Connection",
 ) -> None:
     """Blocking frame loop of one shard worker (process entry point).
@@ -111,8 +48,8 @@ def worker_main(
 
     * ``("engine", name, blob)`` — adopt the engine state and remember
       the blob as the post-``collect`` reset template;
-    * ``("batch", seq, name, blob)`` — apply the owned subset of a
-      wire-encoded batch group, then ack;
+    * ``("batch", seq, name, (instance, keys, values))`` — ingest this
+      worker's slice of one batch, then ack;
     * ``("collect", seq, name)`` — ship the accumulated delta and reset;
     * ``("stop",)`` — exit.
 
@@ -121,47 +58,20 @@ def worker_main(
     A failing frame answers with ``error`` and keeps the loop alive —
     the parent decides whether that is fatal.
     """
-    ring: ShmRing | None
-    if isinstance(ring_ref, str):
-        ring = ShmRing.attach(ring_ref)
-    else:
-        ring = ring_ref
-
-    def orphaned() -> bool:
-        # reparented to init/subreaper: the parent is gone and nobody
-        # will ever send "stop"
-        return os.getppid() != parent_pid
-
     engines: dict[str, StreamEngine] = {}
     templates: dict[str, bytes] = {}
-
-    def next_message() -> tuple | None:
-        if ring is not None:
-            try:
-                frame = ring.pop(
-                    timeout=_IDLE_POLL_SECONDS, should_abort=orphaned
-                )
-            except RingClosedError:
-                return None
-            if frame is None:
-                return () if not orphaned() else None
-            return pickle.loads(frame)
-        assert command_conn is not None
-        if not command_conn.poll(_IDLE_POLL_SECONDS):
-            return () if not orphaned() else None
-        try:
-            received = command_conn.recv()
-        except (EOFError, OSError):
-            return None
-        return received
-
     try:
         while True:
-            message = next_message()
-            if message is None:
+            try:
+                if not command_conn.poll(_IDLE_POLL_SECONDS):
+                    # reparented to init/subreaper: the parent is gone
+                    # and nobody will ever send "stop"
+                    if os.getppid() != parent_pid:
+                        return
+                    continue
+                message = command_conn.recv()
+            except (EOFError, OSError):
                 return
-            if message == ():  # idle poll tick
-                continue
             kind = message[0]
             if kind == "stop":
                 return
@@ -171,11 +81,11 @@ def worker_main(
                     templates[name] = blob
                     engines[name] = codec.from_bytes(blob)
                 elif kind == "batch":
-                    _, seq, name, blob = message
-                    rows = _apply_batch(
-                        engines[name], blob, n_workers, worker_id
-                    )
-                    reply_conn.send(("ack", seq, name, rows))
+                    _, seq, name, (instance, keys, values) = message
+                    engine = engines[name]
+                    for job in engine.ingest_jobs(instance, keys, values):
+                        StreamEngine.run_job(job)
+                    reply_conn.send(("ack", seq, name, len(values)))
                 elif kind == "collect":
                     _, seq, name = message
                     engine = engines.get(name)
@@ -197,13 +107,9 @@ def worker_main(
                 )
                 try:
                     reply_conn.send(("error", seq, traceback.format_exc()))
-                except (BrokenPipeError, OSError):
+                except OSError:
                     return
     finally:
-        if ring is not None:
-            ring.close()
-        with contextlib.suppress(OSError):
-            reply_conn.close()
-        if command_conn is not None:
+        for conn in (command_conn, reply_conn):
             with contextlib.suppress(OSError):
-                command_conn.close()
+                conn.close()

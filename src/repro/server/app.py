@@ -1021,17 +1021,15 @@ class SketchServer:
             lines.append("<h2>shard workers</h2><table>")
             lines.append(
                 "<tr><th>worker</th><th>pid</th><th>alive</th>"
-                "<th>transport</th><th>queue depth</th><th>batches</th>"
-                "<th>restarts</th></tr>"
+                "<th>queue depth</th><th>batches</th><th>restarts</th></tr>"
             )
             for probe in worker_probes:
                 lines.append(
                     "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td>"
-                    "<td>{}</td><td>{}</td><td>{}</td></tr>".format(
+                    "<td>{}</td><td>{}</td></tr>".format(
                         probe.get("worker"),
                         probe.get("pid"),
                         probe.get("alive"),
-                        html.escape(str(probe.get("transport"))),
                         probe.get("queue_depth"),
                         probe.get("batches"),
                         probe.get("restarts"),

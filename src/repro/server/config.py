@@ -36,10 +36,11 @@ class ServerConfig:
         (``repro.cluster.ShardWorkerPool``).  ``0`` — the default —
         keeps the classic single-process threaded backend.  With
         ``workers=N`` each worker owns the shards ``s`` where ``s %
-        N == worker``, applies its slice of every batch locally, and
-        reads fold worker deltas back through the associative sketch
-        merge.  WAL appends stay in the parent (append-before-dispatch)
-        so durability semantics are unchanged.
+        N == worker``; the parent routes every batch once and pipes
+        each worker only the rows it owns, and reads fold worker deltas
+        back through the associative sketch merge.  WAL appends stay in
+        the parent (append-before-dispatch) so durability semantics are
+        unchanged.
     max_pending_batches:
         Per-engine bound on ingest batches that may be queued or running
         at once.  Requests beyond the bound are rejected with ``503`` and

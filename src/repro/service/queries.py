@@ -312,10 +312,6 @@ class QueryPlanner:
         _, sketches = self._view(name, query)
         return self._dispatch(sketches, query)
 
-    def clear_cache(self) -> None:
-        with self._lock:
-            self._cache.clear()
-
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------

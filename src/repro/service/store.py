@@ -33,15 +33,15 @@ text formats of :data:`INGEST_FORMATS` through the row decoders here.
 
 With :meth:`SketchStore.start_workers` the store swaps its in-process
 threaded execution for a multiprocess shard-worker plane
-(:mod:`repro.cluster`): batches are wire-encoded once, appended to the
-WAL *before* dispatch (unchanged kill-9 recovery semantics), and
-broadcast to N worker processes that each apply the rows of their own
-shard group.  Quiescent reads first *fold* the workers' accumulated
-deltas back into the parent engine through the associative sketch
-merge — bit-exact with single-process ingest, because every row is
-owned by exactly one worker.  A crashed worker is respawned and
-replayed from the WAL tail, so acknowledged batches survive worker
-``SIGKILL``.
+(:mod:`repro.cluster`): each batch is validated, routed once to the
+worker owning each row's shard, appended to the WAL *before* dispatch
+(unchanged kill-9 recovery semantics), and piped to each of the N
+worker processes as only the rows it owns.  Quiescent reads first
+*fold* the workers' accumulated deltas back into the parent engine
+through the associative sketch merge — bit-exact with single-process
+ingest, because every row is owned by exactly one worker.  A crashed
+worker is respawned and replayed its rows of the WAL tail, so
+acknowledged batches survive worker ``SIGKILL``.
 """
 
 from __future__ import annotations
@@ -362,31 +362,6 @@ def _coalesce_batches(
     return coalesced
 
 
-def _checked_columns(keys: Sequence[object], values: object) -> np.ndarray:
-    """Validate one column batch ahead of multiprocess dispatch.
-
-    The thread backend validates inside ``ingest_jobs`` *before* any
-    state changes; the dispatch path acknowledges before workers apply,
-    so the same rejections must happen parent-side first.
-    """
-    column = np.asarray(values, dtype=float)
-    if column.ndim != 1 or column.shape[0] != len(keys):
-        raise InvalidParameterError(
-            f"keys ({len(keys)}) and values (shape {column.shape}) must "
-            "be equal-length 1-D columns"
-        )
-    if column.size:
-        if not np.all(np.isfinite(column)):
-            raise InvalidParameterError(
-                "update values must be finite"
-            )
-        if bool((column < 0).any()):
-            raise InvalidParameterError(
-                "update weights must be nonnegative"
-            )
-    return column
-
-
 def _check_replay_version(name: str, entry: _StoreEntry, version: int) -> None:
     """Refuse a replayed batch the store already holds (caller holds
     ``entry.cond``): skipping applied records is the caller's job."""
@@ -461,14 +436,7 @@ class SketchStore:
         """Whether the multiprocess shard-worker backend is active."""
         return self._pool is not None
 
-    def start_workers(
-        self,
-        n_workers: int,
-        *,
-        transport: str = "shm",
-        ring_bytes: int | None = None,
-        mp_method: str | None = None,
-    ) -> None:
+    def start_workers(self, n_workers: int) -> None:
         """Swap ingest execution onto ``n_workers`` shard processes.
 
         Each worker owns the shards ``s % n_workers == worker_id`` of
@@ -477,10 +445,11 @@ class SketchStore:
         workers' deltas back through the associative merge, bit-exact
         with single-process ingest.  Call before serving concurrent
         traffic; engines registered later join the pool automatically.
-        Worker-mode ingest requires wire-encodable keys (the binary
-        ingest contract) and engines with a recorded configuration.
+        Worker-mode ingest requires engines with a recorded
+        configuration; as on the thread backend, keys need to be
+        wire-encodable only when a write-ahead log is attached.
         """
-        from repro.cluster import DEFAULT_RING_BYTES, ShardWorkerPool
+        from repro.cluster import ShardWorkerPool
 
         if self._pool is not None:
             raise InvalidParameterError(
@@ -491,14 +460,7 @@ class SketchStore:
             name: self._engine_template(name, self._entry(name).engine)
             for name in self.names()
         }
-        pool = ShardWorkerPool(
-            n_workers,
-            transport=transport,
-            ring_bytes=(
-                DEFAULT_RING_BYTES if ring_bytes is None else ring_bytes
-            ),
-            mp_method=mp_method,
-        )
+        pool = ShardWorkerPool(n_workers)
         pool.start()
         try:
             for name, blob in templates.items():
@@ -615,10 +577,13 @@ class SketchStore:
         Caller holds ``pool.lock``.  A respawned worker restarts from
         empty templates, so every batch in ``(synced_version, version]``
         of every engine — the delta the dead incarnation held — is
-        re-dispatched to it from the log.  Those windows never contain
-        engine records: ``adopt``/``merge_store`` advance the fold
-        frontier to the version they write.
+        decoded from the log and re-routed, and the fresh worker is sent
+        its slice.  Those windows never contain engine records:
+        ``adopt``/``merge_store`` advance the fold frontier to the
+        version they write.
         """
+        from repro.cluster import partition
+        from repro.server.wire import decode_batches
         from repro.wal.log import RECORD_BATCH
 
         pool = self._pool
@@ -640,19 +605,27 @@ class SketchStore:
         if windows:
             records, _ = self._wal.read_all()
         with span("store.heal_workers", dead=len(dead)) as attrs:
-            replayed = 0
             for index in dead:
                 pool.respawn(index)
-                for record in records:
-                    if record.kind != RECORD_BATCH:
-                        continue
-                    window = windows.get(record.name)
-                    if window is None:
-                        continue
-                    low, high = window
-                    if low < record.version <= high:
-                        pool.dispatch_to(index, record.name, record.payload)
-                        replayed += 1
+            replayed = 0
+            for record in records:
+                window = windows.get(record.name)
+                if record.kind != RECORD_BATCH or window is None:
+                    continue
+                low, high = window
+                if not low < record.version <= high:
+                    continue
+                n_shards = self._entries[record.name].engine.n_shards
+                for instance, keys, values in decode_batches(record.payload):
+                    slices = partition(
+                        instance, keys, values, n_shards, pool.n_workers
+                    )
+                    for index in dead:
+                        if slices[index] is not None:
+                            pool.dispatch_to(
+                                index, record.name, slices[index]
+                            )
+                            replayed += 1
             attrs["replayed_batches"] = replayed
 
     # ------------------------------------------------------------------
@@ -964,14 +937,16 @@ class SketchStore:
         per-(instance, shard) locks so different shards make progress in
         parallel.  Returns the new version.
         """
+        keys, values = StreamEngine.checked_columns(keys, values)
         with entry.cond:
-            jobs = entry.engine.ingest_jobs(instance, keys, values)
             if self._wal is not None:
                 # append-before-apply: the version this batch will carry
                 # once applied is the idempotence key recovery replays
                 # against.  version + in_flight is invariant under
                 # completions, so planned versions are the exact sequence
                 # the quiescent (snapshot-visible) counter runs through.
+                # A batch the log refuses is refused before planning
+                # changes any engine state.
                 self._wal.append_batch(
                     name,
                     entry.version + entry.in_flight + 1,
@@ -979,6 +954,7 @@ class SketchStore:
                     keys,
                     values,
                 )
+            jobs = entry.engine.ingest_jobs(instance, keys, values)
             for job in jobs:
                 entry.shard_locks.setdefault(
                     (instance, job.shard), threading.Lock()
@@ -1006,10 +982,12 @@ class SketchStore:
         values,
         forced: int | None = None,
     ) -> int:
-        """Wire-encode one batch and broadcast it to the shard workers.
+        """Route one batch and pipe each shard worker its rows.
 
         ``forced`` is the recorded version of a replayed batch (``None``
-        for live ingest, which takes the next version).
+        for live ingest, which takes the next version).  The batch is
+        validated first: workers apply after the ack, so the rejections
+        ``ingest_jobs`` would raise must happen parent-side.
         Append-before-dispatch: with a WAL attached the batch is logged
         (byte-identical to the record the thread backend writes) before
         any worker sees it, so a parent crash after the ack replays it
@@ -1017,14 +995,13 @@ class SketchStore:
         respawned slot.  The version bump lands *before* crash healing
         so the healed worker's replay window includes this batch.
         """
-        from repro.cluster import WorkerCrashError
-        from repro.server.wire import encode_batches
+        from repro.cluster import WorkerCrashError, partition
 
         pool = self._pool
-        # workers apply after the ack, so the rejections ingest_jobs
-        # would have raised must happen parent-side first
-        column = _checked_columns(keys, values)
-        blob = encode_batches([(instance, keys, column)])
+        keys, values = StreamEngine.checked_columns(keys, values)
+        slices = partition(
+            instance, keys, values, entry.engine.n_shards, pool.n_workers
+        )
         with pool.lock:
             with entry.cond:
                 if forced is None:
@@ -1033,15 +1010,17 @@ class SketchStore:
                     version = forced
                     _check_replay_version(name, entry, version)
                 if self._wal is not None:
-                    self._wal.append_batch_blob(name, version, blob)
+                    self._wal.append_batch(
+                        name, version, instance, keys, values
+                    )
             crashed = False
             with span(
                 "store.dispatch" if forced is None else "store.replay",
                 engine=name,
-                rows=int(column.shape[0]),
+                rows=len(values),
             ):
                 try:
-                    pool.dispatch(name, blob)
+                    pool.dispatch(name, slices)
                 except WorkerCrashError:
                     crashed = True
             with entry.cond:
@@ -1074,6 +1053,7 @@ class SketchStore:
             return self._dispatch(
                 name, entry, instance, keys, values, forced=version
             )
+        keys, values = StreamEngine.checked_columns(keys, values)
         with entry.cond:
             while entry.in_flight:
                 entry.cond.wait()

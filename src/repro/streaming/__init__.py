@@ -11,7 +11,7 @@ streams of ``(instance, key, value)`` updates:
 * :mod:`repro.streaming.merge` — associative, commutative sketch merging,
   the algebra behind shard-and-reduce parallelism;
 * :mod:`repro.streaming.engine` — :class:`StreamEngine`, batched NumPy
-  ingestion sharded by key hash with optional executor parallelism;
+  ingestion sharded by key hash;
 * :mod:`repro.streaming.query` — adapters producing
   :class:`~repro.sampling.outcomes.VectorOutcome` families and
   :class:`~repro.aggregates.dataset.MultiInstanceDataset` views so the

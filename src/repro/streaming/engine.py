@@ -7,10 +7,6 @@ per (instance, shard) pair with vectorised batch updates.  Because shards
 partition the key space, per-shard sketches merge exactly
 (:mod:`repro.streaming.merge`) into the sketch of the whole stream — the
 shard-and-reduce shape that later distribution work builds on.
-
-An optional executor (any object with a :meth:`map` method, e.g.
-``concurrent.futures.ThreadPoolExecutor``) runs the per-shard updates of a
-batch concurrently; by default they run inline.
 """
 
 from __future__ import annotations
@@ -32,6 +28,7 @@ from repro.streaming.merge import merge_sketches
 from repro.streaming.sketch import (
     StreamingBottomK,
     StreamingPoisson,
+    _validate_values,
     sketch_from_state,
 )
 
@@ -62,9 +59,6 @@ class StreamEngine:
         cases.
     n_shards:
         Number of key-hash shards per instance.
-    executor:
-        Optional executor with a ``map(fn, iterable)`` method used to run
-        the per-shard work of a batch concurrently.
 
     Examples
     --------
@@ -81,7 +75,6 @@ class StreamEngine:
         self,
         sketch_factory: Callable[[object], object],
         n_shards: int = 8,
-        executor=None,
     ) -> None:
         if n_shards <= 0:
             raise InvalidParameterError(
@@ -89,7 +82,6 @@ class StreamEngine:
             )
         self._factory = sketch_factory
         self.n_shards = int(n_shards)
-        self.executor = executor
         self._shards: dict[object, list] = {}
         self.n_updates = 0
         #: per-shard update counters (summed over instances) — the
@@ -117,7 +109,6 @@ class StreamEngine:
         rank_family: RankFamily | None = None,
         seed_assigner: SeedAssigner | None = None,
         n_shards: int = 8,
-        executor=None,
     ) -> "StreamEngine":
         """Engine maintaining a :class:`StreamingBottomK` per instance."""
         if seed_assigner is None:
@@ -133,7 +124,7 @@ class StreamEngine:
                 seed_assigner=seed_assigner,
             )
 
-        engine = cls(factory, n_shards=n_shards, executor=executor)
+        engine = cls(factory, n_shards=n_shards)
         engine.sketch_config = {
             "kind": "bottom_k",
             "k": int(k),
@@ -149,7 +140,6 @@ class StreamEngine:
         rank_family: RankFamily | None = None,
         seed_assigner: SeedAssigner | None = None,
         n_shards: int = 8,
-        executor=None,
     ) -> "StreamEngine":
         """Engine maintaining a :class:`StreamingPoisson` per instance."""
         if seed_assigner is None:
@@ -165,7 +155,7 @@ class StreamEngine:
                 seed_assigner=seed_assigner,
             )
 
-        engine = cls(factory, n_shards=n_shards, executor=executor)
+        engine = cls(factory, n_shards=n_shards)
         engine.sketch_config = {
             "kind": "poisson",
             "threshold": float(threshold),
@@ -197,37 +187,8 @@ class StreamEngine:
         :class:`repro.service.SketchStore`) run the returned jobs through
         :meth:`run_job` themselves.
         """
-        # NumPy key columns stay columnar end to end: they hash without
-        # per-key Python objects and shard-split by fancy indexing.
+        keys, values = self.checked_columns(keys, values)
         columnar = isinstance(keys, np.ndarray)
-        if columnar:
-            if keys.ndim != 1:
-                raise InvalidParameterError(
-                    f"a key column must be 1-D, got shape {keys.shape}"
-                )
-        else:
-            keys = list(keys)
-        values = np.asarray(values, dtype=float)
-        if values.shape != (len(keys),):
-            raise InvalidParameterError(
-                "keys and values must have matching length"
-            )
-        # Validate the whole batch before any state (sketch creation,
-        # counters, shard contents) changes: a bad value must not leave
-        # some shards updated and others not.  NaN fails every ordering
-        # comparison, so ``values.min() < 0`` alone would wave NaN
-        # through and poison the sketch heap invariants — check
-        # finiteness explicitly first.
-        if values.size:
-            finite = np.isfinite(values)
-            if not finite.all():
-                bad = int(np.flatnonzero(~finite)[0])
-                raise InvalidParameterError(
-                    f"update values must be finite, got {float(values[bad])!r} "
-                    f"at row {bad}"
-                )
-            if float(values.min()) < 0.0:
-                raise InvalidParameterError("values must be nonnegative")
         shards = self._instance_shards(instance)
         hashes = key_hashes(keys)
         self.n_updates += len(keys)
@@ -254,6 +215,37 @@ class StreamEngine:
         return jobs
 
     @staticmethod
+    def checked_columns(
+        keys: Sequence[object], values
+    ) -> tuple[Sequence[object], np.ndarray]:
+        """Validate one column batch; returns ``(keys, values)`` as
+        ingested: a 1-D NumPy key column as-is, any other key sequence
+        as a list, and the values as a float column.
+
+        The validation half of :meth:`ingest_jobs`, which runs it before
+        any state changes, so a bad row must not leave some shards
+        updated and others not.  The store runs it ahead of the
+        write-ahead log and the shard-worker dispatch, so every ingest
+        path rejects a batch with the same message.
+        """
+        # NumPy key columns stay columnar end to end: they hash without
+        # per-key Python objects and shard-split by fancy indexing.
+        if isinstance(keys, np.ndarray):
+            if keys.ndim != 1:
+                raise InvalidParameterError(
+                    f"a key column must be 1-D, got shape {keys.shape}"
+                )
+        else:
+            keys = list(keys)
+        values = np.asarray(values, dtype=float)
+        if values.shape != (len(keys),):
+            raise InvalidParameterError(
+                "keys and values must have matching length"
+            )
+        _validate_values(values)
+        return keys, values
+
+    @staticmethod
     def run_job(job: IngestJob) -> None:
         """Apply one shard job produced by :meth:`ingest_jobs`."""
         job.sketch.update_many(job.keys, job.values, hashes=job.hashes)
@@ -264,12 +256,8 @@ class StreamEngine:
         ``keys`` and ``values`` are parallel columns; integer key columns
         are hashed fully vectorised.
         """
-        jobs = self.ingest_jobs(instance, keys, values)
-        if self.executor is not None:
-            list(self.executor.map(self.run_job, jobs))
-        else:
-            for job in jobs:
-                self.run_job(job)
+        for job in self.ingest_jobs(instance, keys, values):
+            self.run_job(job)
 
     def ingest_updates(self, instances: Sequence[object], keys, values) -> None:
         """Ingest a mixed batch of ``(instance, key, value)`` updates."""

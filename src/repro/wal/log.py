@@ -476,10 +476,9 @@ class WriteAheadLog:
     def append_batch_blob(self, name: str, version: int, payload: bytes) -> int:
         """Append an already wire-encoded batch payload; returns its LSN.
 
-        The multiprocess dispatch path encodes a batch once and reuses
-        the same bytes for the log record and the worker rings, so the
-        record body is the :func:`repro.server.wire.encode_batches`
-        blob the caller already holds.
+        The record body is the :func:`repro.server.wire.encode_batches`
+        blob the caller already holds (:meth:`append_batch` encodes one
+        batch and delegates here).
         """
         return self._append(RECORD_BATCH, name, version, bytes(payload))
 

@@ -1,5 +1,6 @@
 """Multiprocess shard-worker plane: row partitioning, concurrent-vs-
-serial parity across the process boundary, probes, lifecycle.
+serial parity across the process boundary, probes, idle cost,
+lifecycle.
 
 The parity bar here is *byte-exact* ``codec.to_bytes`` equality — the
 ownership-transferring fold (:meth:`StreamEngine.fold_delta`) keeps
@@ -13,12 +14,14 @@ from __future__ import annotations
 import contextlib
 import os
 import signal
+import sys
 import time
 
 import numpy as np
 import pytest
 
-from repro.cluster import ShardWorkerPool, owned_subset
+from repro.cluster import ShardWorkerPool, partition
+from repro.exceptions import InvalidParameterError
 from repro.sampling.seeds import key_hashes
 from repro.sampling.seeds import SeedAssigner
 from repro.service import codec
@@ -48,21 +51,27 @@ def build_store(kind: str = "bottom_k") -> SketchStore:
     return store
 
 
-def make_batches(n_batches: int = 8, rows: int = 400, seed: int = 3):
+def make_batches(
+    n_batches: int = 8, rows: int = 400, seed: int = 3, keys: str = "int"
+):
     """Deterministic column batches over two instances.
 
     Every batch carries enough distinct keys that each of the workers'
     shard groups sees rows, which keeps the single-fold parity
-    byte-exact.
+    byte-exact.  ``keys="str"`` gives list columns of ``str`` keys
+    instead of NumPy integer columns.
     """
     generator = np.random.default_rng(seed)
     batches = []
     for instance in ("mon", "tue"):
-        keys = generator.choice(10**7, size=n_batches * rows, replace=False)
+        ids = generator.choice(10**7, size=n_batches * rows, replace=False)
         values = generator.random(n_batches * rows) * 8.0 + 0.05
         for start in range(0, n_batches * rows, rows):
             stop = start + rows
-            batches.append((instance, keys[start:stop], values[start:stop]))
+            column = ids[start:stop]
+            if keys == "str":
+                column = [f"user{key}" for key in column.tolist()]
+            batches.append((instance, column, values[start:stop]))
     return batches
 
 
@@ -71,17 +80,16 @@ def load(store: SketchStore, batches) -> None:
         ingest(store, ENGINE, instance, keys, values)
 
 
-class TestOwnedSubset:
+class TestPartition:
     def test_workers_partition_the_rows(self):
         generator = np.random.default_rng(0)
         keys = generator.choice(10**6, size=500, replace=False)
         values = generator.random(500)
-        n_workers = 3
         seen = []
-        for worker_id in range(n_workers):
-            subset_keys, subset_values = owned_subset(
-                keys, values, N_SHARDS, n_workers, worker_id
-            )
+        for batch in partition("i", keys, values, N_SHARDS, 3):
+            assert batch is not None
+            instance, subset_keys, subset_values = batch
+            assert instance == "i"
             assert len(subset_keys) == len(subset_values)
             seen.extend(int(key) for key in np.asarray(subset_keys))
         assert sorted(seen) == sorted(int(key) for key in keys)
@@ -90,35 +98,51 @@ class TestOwnedSubset:
         generator = np.random.default_rng(1)
         keys = generator.choice(10**6, size=300, replace=False)
         values = generator.random(300)
-        subset_keys, _ = owned_subset(keys, values, N_SHARDS, 4, 2)
+        _, subset_keys, subset_values = partition(
+            "i", keys, values, N_SHARDS, 4
+        )[2]
         shards = key_hashes(np.asarray(subset_keys)) % np.uint64(N_SHARDS)
         assert set(int(shard) % 4 for shard in shards) == {2}
+        # order-preserving: the slice is the batch with other rows removed
+        order = np.flatnonzero(np.isin(keys, subset_keys))
+        assert np.array_equal(keys[order], subset_keys)
+        assert np.array_equal(values[order], subset_values)
 
     def test_single_worker_passthrough(self):
         keys = ["a", "b", "c"]
         values = [1.0, 2.0, 3.0]
-        subset_keys, subset_values = owned_subset(
-            keys, values, N_SHARDS, 1, 0
+        [(_, subset_keys, subset_values)] = partition(
+            "i", keys, values, N_SHARDS, 1
         )
         assert subset_keys is keys
         assert subset_values.tolist() == values
 
-    def test_empty_batch_passes_through(self):
-        subset_keys, subset_values = owned_subset([], [], N_SHARDS, 4, 1)
-        assert list(subset_keys) == []
-        assert subset_values.size == 0
+    def test_empty_batch_goes_to_every_worker(self):
+        slices = partition("i", [], [], N_SHARDS, 4)
+        assert len(slices) == 4
+        for instance, subset_keys, subset_values in slices:
+            assert instance == "i"
+            assert list(subset_keys) == []
+            assert subset_values.size == 0
+
+    def test_worker_without_rows_gets_none(self):
+        # one key lands on exactly one worker's shard group
+        slices = partition("i", ["only"], [1.0], N_SHARDS, 4)
+        assert sum(batch is not None for batch in slices) == 1
+        [(_, subset_keys, _)] = [batch for batch in slices if batch]
+        assert subset_keys == ["only"]
 
 
 class TestPoolParity:
     @pytest.mark.parametrize("kind", ["bottom_k", "poisson"])
-    @pytest.mark.parametrize("transport", ["shm", "pipe"])
-    def test_pooled_ingest_matches_serial_byte_exact(self, kind, transport):
-        batches = make_batches()
+    @pytest.mark.parametrize("keys", ["int", "str"])
+    def test_pooled_ingest_matches_serial_byte_exact(self, kind, keys):
+        batches = make_batches(keys=keys)
         serial = build_store(kind)
         load(serial, batches)
 
         pooled = build_store(kind)
-        pooled.start_workers(4, transport=transport)
+        pooled.start_workers(4)
         try:
             assert pooled.has_workers
             load(pooled, batches)
@@ -195,7 +219,6 @@ class TestLifecycle:
             assert row["alive"]
             assert row["pid"] > 0
             assert row["pid"] != os.getpid()
-            assert row["transport"] == "shm"
             assert row["restarts"] == 0
         # both workers saw work: every batch spreads over all shards
         assert all(row["batches"] > 0 for row in probes)
@@ -238,6 +261,55 @@ class TestPoolPrimitives:
         with pytest.raises(ValueError):
             ShardWorkerPool(0)
 
-    def test_pool_validates_transport(self):
-        with pytest.raises(ValueError):
-            ShardWorkerPool(1, transport="carrier-pigeon")
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([1.0, -2.0, 3.0], "values must be nonnegative"),
+        ([1.0, float("nan"), 3.0], "must be finite, got nan at row 1"),
+    ],
+    ids=["negative", "nan"],
+)
+def test_bad_batch_gets_one_message_with_and_without_workers(values, message):
+    """The thread backend and the worker dispatch share one value rule."""
+    raised = []
+    for n_workers in (0, 2):
+        store = build_store()
+        if n_workers:
+            store.start_workers(n_workers)
+        try:
+            with pytest.raises(InvalidParameterError) as info:
+                ingest(store, ENGINE, "mon", ["a", "b", "c"], values)
+            assert store.version(ENGINE) == 0
+        finally:
+            store.stop_workers()
+        raised.append(str(info.value))
+    assert raised[0] == raised[1]
+    assert message in raised[0]
+
+
+def _cpu_seconds(pid: int) -> float:
+    """utime + stime of a process, from ``/proc/<pid>/stat``."""
+    with open(f"/proc/{pid}/stat") as handle:
+        fields = handle.read().rpartition(")")[2].split()
+    # fields[0] is the state (field 3); utime and stime are fields 14, 15
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads /proc/<pid>/stat"
+)
+def test_idle_workers_sleep():
+    """An idle worker blocks in ``poll`` instead of spinning."""
+    store = build_store()
+    store.start_workers(2)
+    try:
+        load(store, make_batches(n_batches=1))
+        store.engine(ENGINE, sync=True)
+        pids = [row["pid"] for row in store.worker_probes()]
+        before = [_cpu_seconds(pid) for pid in pids]
+        time.sleep(1.0)
+        used = [_cpu_seconds(pid) - start for pid, start in zip(pids, before)]
+    finally:
+        store.stop_workers()
+    assert all(seconds < 0.02 for seconds in used), used

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 
@@ -42,19 +40,6 @@ class TestStreamEngineBottomK:
             assert sample.entries == offline.entries
             assert sample.ranks == offline.ranks
             assert sample.threshold == offline.threshold
-
-    def test_executor_parallel_ingest_matches_serial(self):
-        keys, values = make_columns()
-        assigner = SeedAssigner(salt=1)
-        serial = StreamEngine.bottom_k(k=20, seed_assigner=assigner,
-                                       n_shards=4)
-        serial.ingest("d", keys, values)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            parallel = StreamEngine.bottom_k(
-                k=20, seed_assigner=assigner, n_shards=4, executor=pool
-            )
-            parallel.ingest("d", keys, values)
-            assert parallel.sample("d").entries == serial.sample("d").entries
 
     def test_multiple_instances_are_independent_sketches(self):
         keys, values = make_columns(100)

@@ -12,7 +12,11 @@ from __future__ import annotations
 import pytest
 
 import faults
-from repro.exceptions import InvalidParameterError, WalCorruptionError
+from repro.exceptions import (
+    InvalidParameterError,
+    SketchCodecError,
+    WalCorruptionError,
+)
 from repro.server.wire import encode_batches
 from repro.service import codec
 from repro.service.store import IngestRequest, SketchStore
@@ -200,6 +204,38 @@ class TestEngineRecords:
 
 
 class TestReplayBatchGuards:
+    @pytest.mark.parametrize("replay", [False, True])
+    def test_batch_the_log_refuses_changes_nothing(self, tmp_path, replay):
+        """A key the wire codec cannot encode is refused by the log
+        before the engine plans the batch: no counter, instance or
+        version moves, so the next snapshot agrees with WAL recovery."""
+        store, wal = faults.build_wal_store(tmp_path / "wal")
+        try:
+            faults.fill(store, 2)
+            engine = store.engine(faults.ENGINE)
+            before = (
+                engine_bytes(store),
+                engine.probe(),
+                engine.instance_labels,
+                store.version(faults.ENGINE),
+            )
+            request = IngestRequest(
+                engine=faults.ENGINE,
+                batches=(("fresh", [frozenset({1})], [1.0]),),
+                version=3 if replay else None,
+            )
+            with pytest.raises(SketchCodecError):
+                store.submit(request)
+            after = (
+                engine_bytes(store),
+                engine.probe(),
+                engine.instance_labels,
+                store.version(faults.ENGINE),
+            )
+        finally:
+            wal.close()
+        assert after == before
+
     def test_stale_version_is_the_callers_bug(self, tmp_path):
         store = faults.build_store()
         faults.fill(store, 2)

@@ -17,8 +17,10 @@ Layers:
   through the engine's own plan and ships its delta on ``collect``.
 
 The store integration lives in :meth:`repro.service.SketchStore.
-start_workers`; servers opt in with ``ServerConfig(workers=N)`` /
-``serve --workers N``.
+start_workers`; a served store opts in with ``serve --workers N`` (an
+embedding calls ``start_workers`` itself before handing the store to
+:class:`repro.server.SketchServer`, and ``stop_workers`` after its
+shutdown).
 """
 
 from repro.cluster.pool import (

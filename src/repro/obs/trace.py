@@ -12,9 +12,8 @@ request correlate by trace ID no matter which thread ran them.
 
 The ring buffer (:class:`TraceRecorder`) is deliberately small and
 lossy: it answers "what did the last N requests spend their time on"
-without unbounded memory.  For offline analysis, finished spans can
-additionally be appended to a JSONL file (``jsonl_path``) or dumped
-with :meth:`TraceRecorder.export_jsonl`.
+without unbounded memory.  For offline analysis, the buffered spans
+can be dumped with :meth:`TraceRecorder.export_jsonl`.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterator
+from typing import Iterator
 
 from repro.exceptions import InvalidParameterError
 
@@ -116,57 +115,17 @@ class SpanRecord:
 class TraceRecorder:
     """Bounded, thread-safe ring buffer of finished spans."""
 
-    def __init__(
-        self, capacity: int = 2048, jsonl_path: str | Path | None = None
-    ) -> None:
+    def __init__(self, capacity: int = 2048) -> None:
         if capacity <= 0:
             raise InvalidParameterError(f"capacity must be positive, got {capacity}")
         self._lock = threading.Lock()
         self._buffer: deque[SpanRecord] = deque(maxlen=int(capacity))
-        self._jsonl_path: Path | None = None
-        self._jsonl_file: IO[str] | None = None
         self.n_recorded = 0
-        if jsonl_path is not None:
-            self.configure(jsonl_path=jsonl_path)
-
-    @property
-    def capacity(self) -> int:
-        return self._buffer.maxlen or 0
-
-    def configure(
-        self,
-        capacity: int | None = None,
-        jsonl_path: str | Path | None = None,
-    ) -> None:
-        """Re-bound the ring and/or (re)target the live JSONL export.
-
-        ``jsonl_path=None`` leaves the current export target untouched;
-        pass ``jsonl_path=""`` to stop exporting.
-        """
-        with self._lock:
-            if capacity is not None:
-                if capacity <= 0:
-                    raise InvalidParameterError(
-                        f"capacity must be positive, got {capacity}"
-                    )
-                if capacity != self._buffer.maxlen:
-                    self._buffer = deque(self._buffer, maxlen=int(capacity))
-            if jsonl_path is not None:
-                if self._jsonl_file is not None:
-                    self._jsonl_file.close()
-                    self._jsonl_file = None
-                self._jsonl_path = Path(jsonl_path) if jsonl_path else None
 
     def record(self, record: SpanRecord) -> None:
         with self._lock:
             self._buffer.append(record)
             self.n_recorded += 1
-            if self._jsonl_path is not None:
-                if self._jsonl_file is None:
-                    self._jsonl_file = self._jsonl_path.open("a")
-                json.dump(record.to_json(), self._jsonl_file, sort_keys=True)
-                self._jsonl_file.write("\n")
-                self._jsonl_file.flush()
 
     def recent(self, n: int | None = None, name: str | None = None) -> list[SpanRecord]:
         """The most recent spans, newest last, optionally filtered by
@@ -201,13 +160,6 @@ class TraceRecorder:
     def clear(self) -> None:
         with self._lock:
             self._buffer.clear()
-
-    def close(self) -> None:
-        """Close the live JSONL export file, if one is open."""
-        with self._lock:
-            if self._jsonl_file is not None:
-                self._jsonl_file.close()
-                self._jsonl_file = None
 
     def __len__(self) -> int:
         with self._lock:

@@ -24,9 +24,9 @@ GET      /v1/query        distinct / sum / dominance / l1 through the
 POST     /v1/snapshot     persist the store through the binary codec
 POST     /v1/merge        fold a peer snapshot file into the store
 GET      /v1/replicate    WAL tail (or full store delta) since
-                          ?since=<lsn> for follower catch-up (requires
-                          ``wal_dir``); ``?follower=<id>`` opts into lag
-                          tracking
+                          ?since=<lsn> for follower catch-up (requires a
+                          WAL attached to the store); ``?follower=<id>``
+                          opts into lag tracking
 GET      /v1/healthz      liveness + uptime; ``?verbose=1`` adds the
                           health rule engine's verdict with reasons
 GET      /v1/statusz      human-readable status page (uptime, engines,
@@ -158,6 +158,10 @@ _HTTP_FORMAT_BY_CONTENT_TYPE = {
 }
 
 
+#: ingest bodies up to this size parse on the event loop, larger ones
+#: on the executor
+_PARSE_INLINE_BYTES = 64 * 1024
+
 #: incoming ``X-Request-Id`` values are adopted only when they look
 #: like header-safe tokens of sane length; anything else gets a fresh ID
 _MAX_REQUEST_ID_CHARS = 128
@@ -268,6 +272,11 @@ class SketchServer:
     Blocking use (the ``python -m repro.service serve`` CLI)::
 
         SketchServer(store, config).run()   # returns after SIGINT/SIGTERM
+
+    The server serves the store as its caller built it: the caller
+    attaches a write-ahead log or shard worker processes to the store
+    beforehand and stops them after :meth:`shutdown`, in the order of
+    the ``serve`` CLI's boot path.
     """
 
     def __init__(self, store: SketchStore, config: ServerConfig | None = None) -> None:
@@ -278,7 +287,6 @@ class SketchServer:
         self.store = store
         self.config = config if config is not None else ServerConfig()
         self.planner = store.planner()
-        self.planner.resize(self.config.max_cache_entries)
         self.metrics = ServerMetrics()
         if self.config.log_json:
             configure_json_logging()
@@ -289,41 +297,11 @@ class SketchServer:
         # the process-wide recorder: the service layers underneath span
         # into it too, so one ring holds a request's full story
         self.trace = default_recorder()
-        self.trace.configure(
-            capacity=self.config.trace_capacity,
-            jsonl_path=self.config.trace_jsonl_path,
-        )
         self.port: int | None = None
         self.router = Router.from_spec(
             (method, path, getattr(self, attribute))
             for method, path, attribute in ROUTE_SPEC
         )
-
-        # durability: open (or resume) the write-ahead log and attach it
-        # before serving, so the very first acknowledged ingest is
-        # logged.  Imported lazily — repro.wal pulls in the wire module,
-        # a module-level import here would cycle.
-        self._owns_wal = False
-        if self.config.wal_dir is not None and self.store.wal is None:
-            from repro.wal import WriteAheadLog
-
-            self.store.attach_wal(
-                WriteAheadLog(
-                    self.config.wal_dir,
-                    fsync=self.config.wal_fsync,
-                    fsync_interval=self.config.wal_fsync_interval,
-                    segment_bytes=self.config.wal_segment_bytes,
-                )
-            )
-            self._owns_wal = True
-
-        # multiprocess ingest plane: fan shard groups out to worker
-        # processes (repro.cluster).  Started after the WAL attach so a
-        # worker killed later can be replayed from the log tail.
-        self._owns_pool = False
-        if self.config.workers > 0 and not self.store.has_workers:
-            self.store.start_workers(self.config.workers)
-            self._owns_pool = True
 
         self._executor = ThreadPoolExecutor(
             max_workers=self.config.ingest_threads,
@@ -356,10 +334,7 @@ class SketchServer:
         # lag rules read, and the health rule engine itself (built last
         # so its probes can close over everything above, including an
         # attached WAL)
-        self.series = SeriesCollector(
-            interval=self.config.series_interval or 1.0,
-            capacity=self.config.series_capacity,
-        )
+        self.series = SeriesCollector(interval=self.config.series_interval or 1.0)
         #: follower id -> {"position": lsn, "last_poll": monotonic}
         self._followers: dict[str, dict] = {}
         self.health = HealthMonitor(self._build_health_rules())
@@ -412,28 +387,13 @@ class SketchServer:
             await asyncio.wait(list(self._conn_tasks), timeout=drain_seconds)
         self._query_lane.shutdown(wait=True)
         self._executor.shutdown(wait=True)
-        if self._owns_pool:
-            # fold outstanding worker deltas into the parent before the
-            # final snapshot looks at engine state
-            self.store.stop_workers()
-            self._owns_pool = False
-        if (
-            self.config.snapshot_on_shutdown
-            and self.config.snapshot_path is not None
-            and self._dirty_engines()
-        ):
+        # the snapshot reads engines through the store, which folds any
+        # outstanding worker deltas first
+        if self.config.snapshot_path is not None and self._dirty_engines():
             path = Path(self.config.snapshot_path)
             _, marks = self.store.snapshot_marked(path)
             self._clean_marks = dict(marks)
             self.last_shutdown_snapshot = path
-        if self._owns_wal and self.store.wal is not None:
-            # after the final snapshot: a clean shutdown leaves a
-            # checkpointed log, so the next boot replays (almost) nothing
-            self.store.wal.close()
-        if self.config.trace_jsonl_path is not None:
-            # stop the live JSONL export this server attached to the
-            # process-wide recorder (and close its file handle)
-            self.trace.configure(jsonl_path="")
         self._shutdown_done = True
 
     async def serve_forever(self, on_ready=None) -> None:
@@ -1073,7 +1033,7 @@ class SketchServer:
     async def _ingest_bounded(self, request: Request) -> tuple[int, dict]:
         # small payloads parse faster than an executor hop costs; large
         # ones would stall every other connection, so they hop
-        if len(request.body) > self.config.parse_inline_bytes:
+        if len(request.body) > _PARSE_INLINE_BYTES:
             ingest, n_rows = await self._in_executor(self._parse_ingest, request)
         else:
             ingest, n_rows = self._parse_ingest(request)
@@ -1300,8 +1260,8 @@ class SketchServer:
         if self.store.wal is None:
             raise HttpError(
                 400,
-                "replication requires a write-ahead log; start the "
-                "server with wal_dir / --wal-dir",
+                "replication requires a write-ahead log; attach one to "
+                "the store (serve --wal-dir)",
             )
         raw_since = request.params.get("since", "0")
         try:

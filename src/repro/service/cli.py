@@ -355,6 +355,9 @@ def _cmd_recover(args) -> dict:
 
 
 def _cmd_serve(args) -> dict:
+    """The one boot path of the server: recover the WAL (when any),
+    create the ``--create`` engines, start the shard workers, serve; on
+    the way out stop the workers, then close the log."""
     from repro.server import ServerConfig, SketchServer
 
     store_path = Path(args.store)
@@ -366,56 +369,55 @@ def _cmd_serve(args) -> dict:
         restored = True  # _recover_with_wal persisted the store file
     else:
         store = _load_store(store_path)
-    created_engines = []
-    for spec in args.create or ():
-        fields = _parse_engine_spec(spec)
-        if fields["name"] not in store:
-            _create_from_spec(store, fields)
-            created_engines.append(fields["name"])
-    config = ServerConfig(
-        host=args.host,
-        port=args.port,
-        ingest_threads=args.threads,
-        workers=args.workers,
-        max_pending_batches=args.max_pending_batches,
-        max_body_bytes=args.max_body_bytes,
-        max_batch_rows=args.max_batch_rows,
-        snapshot_path=store_path,
-        snapshot_on_shutdown=not args.no_snapshot_on_shutdown,
-        slow_request_ms=args.slow_ms,
-        log_json=args.log_json,
-        series_interval=args.series_interval,
-        health_target_p99=args.health_target_p99,
-        wal_dir=args.wal_dir,
-        wal_fsync=args.fsync,
-        wal_fsync_interval=args.fsync_interval,
-        wal_segment_bytes=args.wal_segment_bytes,
-    )
-    # the WAL (when any) is already recovered and attached, so the
-    # server adopts it instead of opening its own
-    server = SketchServer(store, config)
-    if restored and not created_engines:
-        # the store state came verbatim from --store; an idle server
-        # should not rewrite an identical snapshot at shutdown
-        server.mark_clean()
-
-    def on_ready(ready_server) -> None:
-        ready = {
-            "command": "serve",
-            "listening": f"{config.host}:{ready_server.port}",
-            "store": str(store_path),
-            "engines": store.names(),
-        }
-        if recovery is not None:
-            ready["wal_dir"] = recovery["wal_dir"]
-            ready["replayed_records"] = recovery["replayed_records"]
-        print(json.dumps(ready, sort_keys=True), flush=True)
-
     try:
+        created_engines = []
+        for spec in args.create or ():
+            fields = _parse_engine_spec(spec)
+            if fields["name"] not in store:
+                _create_from_spec(store, fields)
+                created_engines.append(fields["name"])
+        if args.workers:
+            store.start_workers(args.workers)
+        config = ServerConfig(
+            host=args.host,
+            port=args.port,
+            ingest_threads=args.threads,
+            max_pending_batches=args.max_pending_batches,
+            max_body_bytes=args.max_body_bytes,
+            max_batch_rows=args.max_batch_rows,
+            snapshot_path=store_path,
+            slow_request_ms=args.slow_ms,
+            log_json=args.log_json,
+            series_interval=args.series_interval,
+            health_target_p99=args.health_target_p99,
+        )
+        server = SketchServer(store, config)
+        if restored and not created_engines:
+            # the store state came verbatim from --store; an idle server
+            # should not rewrite an identical snapshot at shutdown
+            server.mark_clean()
+
+        def on_ready(ready_server) -> None:
+            ready = {
+                "command": "serve",
+                "listening": f"{config.host}:{ready_server.port}",
+                "store": str(store_path),
+                "engines": store.names(),
+            }
+            if recovery is not None:
+                ready["wal_dir"] = recovery["wal_dir"]
+                ready["replayed_records"] = recovery["replayed_records"]
+            print(json.dumps(ready, sort_keys=True), flush=True)
+
         server.run(on_ready=on_ready)
     finally:
-        if wal is not None:
-            wal.close()
+        # the shutdown snapshot already folded every worker delta; the
+        # log closes last, after it was checkpointed
+        try:
+            store.stop_workers()
+        finally:
+            if wal is not None:
+                wal.close()
     result = {
         "command": "serve",
         "shutdown": "clean",
@@ -570,8 +572,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--slow-ms", type=float, default=500.0,
                        help="log requests slower than this many "
                             "milliseconds (0 disables)")
-    serve.add_argument("--no-snapshot-on-shutdown", action="store_true",
-                       help="do not snapshot dirty engines on shutdown")
     serve.add_argument("--series-interval", type=float, default=1.0,
                        help="seconds between metrics time-series "
                             "samples (/metrics/history; 0 disables)")

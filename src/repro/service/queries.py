@@ -219,18 +219,6 @@ class QueryPlanner:
             return None
         return key
 
-    def resize(self, max_cache_entries: int) -> None:
-        """Change the LRU bound, evicting oldest entries if shrinking."""
-        if max_cache_entries <= 0:
-            raise InvalidParameterError(
-                "max_cache_entries must be positive, got "
-                f"{max_cache_entries}"
-            )
-        with self._lock:
-            self.max_cache_entries = int(max_cache_entries)
-            while len(self._cache) > self.max_cache_entries:
-                self._cache.popitem(last=False)
-
     def cache_stats(self) -> dict:
         """Hit/miss counters and current size, for monitoring surfaces."""
         with self._lock:

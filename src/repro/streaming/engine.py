@@ -11,6 +11,7 @@ shard-and-reduce shape that later distribution work builds on.
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from typing import NamedTuple
 
@@ -33,6 +34,23 @@ from repro.streaming.sketch import (
 )
 
 __all__ = ["IngestJob", "StreamEngine"]
+
+
+def _check_hashable(keys: Sequence[object]) -> None:
+    """Reject a key column holding an unhashable key, naming its row."""
+    try:
+        # one C-level pass; the per-row search runs only on failure
+        deque(map(hash, keys), maxlen=0)
+    except TypeError:
+        for row, key in enumerate(keys):
+            try:
+                hash(key)
+            except TypeError:
+                raise InvalidParameterError(
+                    "update keys must be hashable, got "
+                    f"{type(key).__name__} at row {row}"
+                ) from None
+        raise
 
 
 class IngestJob(NamedTuple):
@@ -226,7 +244,8 @@ class StreamEngine:
         any state changes, so a bad row must not leave some shards
         updated and others not.  The store runs it ahead of the
         write-ahead log and the shard-worker dispatch, so every ingest
-        path rejects a batch with the same message.
+        path rejects a batch with the same message.  Keys must be
+        hashable (the sketches key dicts by them).
         """
         # NumPy key columns stay columnar end to end: they hash without
         # per-key Python objects and shard-split by fancy indexing.
@@ -235,8 +254,11 @@ class StreamEngine:
                 raise InvalidParameterError(
                     f"a key column must be 1-D, got shape {keys.shape}"
                 )
+            if keys.dtype == object:
+                _check_hashable(keys)
         else:
             keys = list(keys)
+            _check_hashable(keys)
         values = np.asarray(values, dtype=float)
         if values.shape != (len(keys),):
             raise InvalidParameterError(

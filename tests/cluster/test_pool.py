@@ -262,25 +262,39 @@ class TestPoolPrimitives:
             ShardWorkerPool(0)
 
 
+def _engine_state(store: SketchStore) -> tuple:
+    engine = store.engine(ENGINE, sync=True)
+    return codec.to_bytes(engine), engine.probe(), engine.instance_labels
+
+
 @pytest.mark.parametrize(
-    "values, message",
+    "keys, values, message",
     [
-        ([1.0, -2.0, 3.0], "values must be nonnegative"),
-        ([1.0, float("nan"), 3.0], "must be finite, got nan at row 1"),
+        (["a", "b", "c"], [1.0, -2.0, 3.0], "values must be nonnegative"),
+        (["a", "b", "c"], [1.0, float("nan"), 3.0], "must be finite, got nan at row 1"),
+        (["a", ["x"], "c"], [1.0, 2.0, 3.0], "must be hashable, got list at row 1"),
+        (
+            np.array(["a", "b", {}], dtype=object),
+            [1.0, 2.0, 3.0],
+            "must be hashable, got dict at row 2",
+        ),
     ],
-    ids=["negative", "nan"],
+    ids=["negative", "nan", "unhashable", "unhashable-object-column"],
 )
-def test_bad_batch_gets_one_message_with_and_without_workers(values, message):
-    """The thread backend and the worker dispatch share one value rule."""
+def test_bad_batch_gets_one_message_with_and_without_workers(keys, values, message):
+    """The thread backend and the worker dispatch share one batch rule,
+    and a rejected batch leaves no engine state behind."""
     raised = []
     for n_workers in (0, 2):
         store = build_store()
         if n_workers:
             store.start_workers(n_workers)
         try:
+            before = _engine_state(store)
             with pytest.raises(InvalidParameterError) as info:
-                ingest(store, ENGINE, "mon", ["a", "b", "c"], values)
+                ingest(store, ENGINE, "mon", keys, values)
             assert store.version(ENGINE) == 0
+            assert _engine_state(store) == before
         finally:
             store.stop_workers()
         raised.append(str(info.value))

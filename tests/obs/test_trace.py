@@ -118,16 +118,6 @@ class TestTraceRecorder:
     def test_invalid_capacity_rejected(self):
         with pytest.raises(InvalidParameterError):
             TraceRecorder(capacity=0)
-        with pytest.raises(InvalidParameterError):
-            TraceRecorder().configure(capacity=-1)
-
-    def test_configure_rebounds_keeping_newest(self):
-        recorder = TraceRecorder(capacity=8)
-        for index in range(8):
-            with span(f"s{index}", recorder=recorder):
-                pass
-        recorder.configure(capacity=2)
-        assert [r.name for r in recorder.recent()] == ["s6", "s7"]
 
     def test_export_jsonl(self, tmp_path):
         recorder = TraceRecorder(capacity=16)
@@ -141,24 +131,6 @@ class TestTraceRecorder:
         assert payload["name"] == "a"
         assert payload["trace_id"] == "exported"
         assert payload["attrs"] == {"rows": 3}
-
-    def test_live_jsonl_export(self, tmp_path):
-        path = tmp_path / "live.jsonl"
-        recorder = TraceRecorder(capacity=16, jsonl_path=path)
-        try:
-            with span("a", recorder=recorder):
-                pass
-            with span("b", recorder=recorder):
-                pass
-            lines = path.read_text().splitlines()
-            assert [json.loads(line)["name"] for line in lines] == ["a", "b"]
-            # jsonl_path="" stops the export
-            recorder.configure(jsonl_path="")
-            with span("c", recorder=recorder):
-                pass
-            assert len(path.read_text().splitlines()) == 2
-        finally:
-            recorder.close()
 
     def test_clear(self):
         recorder = TraceRecorder(capacity=4)

@@ -12,6 +12,7 @@ import pytest
 
 from repro.server import AsyncSketchClient, ServerConfig, SketchServer
 from repro.service import SketchStore
+from repro.wal import WriteAheadLog
 
 
 @pytest.fixture
@@ -20,13 +21,21 @@ def run_scenario():
 
     ``scenario`` receives a started :class:`SketchServer` (ephemeral
     port) and one connected client; the server is shut down afterwards
-    even when the scenario fails.  Extra keyword arguments become
+    even when the scenario fails.  ``wal_dir`` attaches a
+    :class:`WriteAheadLog` (policy ``wal_fsync``) to the store and
+    closes it after shutdown; extra keyword arguments become
     :class:`ServerConfig` fields.
     """
 
-    def runner(scenario, store=None, **config_kwargs):
+    def runner(
+        scenario, store=None, wal_dir=None, wal_fsync="interval", **config_kwargs
+    ):
         async def main():
             target_store = store if store is not None else SketchStore()
+            wal = None
+            if wal_dir is not None:
+                wal = WriteAheadLog(wal_dir, fsync=wal_fsync)
+                target_store.attach_wal(wal)
             config_kwargs.setdefault("port", 0)
             server = SketchServer(target_store, ServerConfig(**config_kwargs))
             await server.start()
@@ -36,6 +45,8 @@ def run_scenario():
                     return await scenario(server, client)
             finally:
                 await server.shutdown()
+                if wal is not None:
+                    wal.close()
 
         return asyncio.run(main())
 

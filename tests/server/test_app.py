@@ -806,12 +806,6 @@ class TestShutdown:
         assert (tmp_path / "backup.bin").exists()
         assert snapshot_path.exists()
 
-    def test_config_cache_bound_reaches_planner(self, run_scenario):
-        async def scenario(server, client):
-            assert server.planner.max_cache_entries == 2
-
-        run_scenario(scenario, max_cache_entries=2)
-
     def test_clean_engines_are_not_resnapshotted(self, run_scenario, tmp_path):
         snapshot_path = tmp_path / "store.bin"
 

@@ -235,23 +235,6 @@ class TestCache:
         assert planner.run("traffic", queries[2]).from_cache
         assert not planner.run("traffic", queries[0]).from_cache
 
-    def test_resize_shrinks_lru(self, oblivious_store):
-        planner = QueryPlanner(oblivious_store)
-        queries = [
-            Query.sum("mon"),
-            Query.sum("tue"),
-            Query.distinct("mon", "tue"),
-        ]
-        for query in queries:
-            planner.run("traffic", query)
-        planner.resize(1)
-        assert len(planner._cache) == 1
-        # the newest entry survives the shrink
-        assert planner.run("traffic", queries[2]).from_cache
-        assert not planner.run("traffic", queries[0]).from_cache
-        with pytest.raises(InvalidParameterError, match="positive"):
-            planner.resize(0)
-
     @pytest.mark.parametrize("version", [0, 2])
     def test_adopt_without_version_move_invalidates(
         self, oblivious_store, version

@@ -165,6 +165,41 @@ def test_sigkill_then_recover_is_bit_exact(tmp_path, capsys):
     )
 
 
+def test_second_boot_resumes_the_log_it_did_not_recover(tmp_path, capsys):
+    """Two SIGKILLed ``serve`` boots over one store and one log, with no
+    ``recover`` between them: the second boot recovers the first's tail
+    itself, and its own acks continue the version sequence."""
+    store_path = tmp_path / "store.bin"
+    wal_dir = tmp_path / "wal"
+    first_boot = 3
+    for batches in (range(first_boot), range(first_boot, N_ACKED)):
+        process, port = start_server(store_path, wal_dir)
+        try:
+            for i in batches:
+                post_batch(port, i)
+        finally:
+            os.kill(process.pid, signal.SIGKILL)
+            process.wait(timeout=30)
+        assert process.returncode == -signal.SIGKILL
+
+    assert (
+        cli_main(
+            ["recover", "--store", str(store_path), "--wal-dir", str(wal_dir)]
+        )
+        == 0
+    )
+    report = json.loads(capsys.readouterr().out)
+    assert report["torn_tail"] is None
+    recovered = SketchStore.restore(store_path)
+    assert recovered.version(faults.ENGINE) == N_ACKED
+    control = SketchStore()
+    control.create_from_config(dict(ENGINE_SPEC))
+    faults.fill(control, N_ACKED)
+    assert codec.to_bytes(recovered.engine(faults.ENGINE)) == codec.to_bytes(
+        control.engine(faults.ENGINE)
+    )
+
+
 def test_sigkill_mid_request_lands_on_a_batch_boundary(tmp_path, capsys):
     """Kill while a request may be in flight: every acked batch must
     survive, and the store must land on an exact batch boundary —

@@ -28,6 +28,7 @@ import numpy as np
 
 __all__ = [
     "SeedAssigner",
+    "canonical_kinds",
     "hash_key_column",
     "key_hashes",
     "splitmix64",
@@ -117,22 +118,28 @@ def hash_key_column(keys: Sequence[object]) -> tuple[np.ndarray, bool]:
     keys = list(keys)
     # one C-level pass over the key types instead of a per-key isinstance
     kinds = set(map(type, keys))
-    if all(
-        issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
-        for kind in kinds
-    ):
+    canonical = canonical_kinds(kinds)
+    if canonical and str not in kinds:
         try:
             # NumPy integer scalars wrap modulo 2**64 like ``_hash_label``;
             # Python ints outside [0, 2**64) raise and take the fallback
             return splitmix64(np.array(keys, dtype=np.uint64)), True
         except OverflowError:
-            canonical = True
-    else:
-        canonical = kinds == {str}
+            pass
     hashes = splitmix64(
         np.array([_hash_label(k) for k in keys], dtype=np.uint64)
     )
     return hashes, canonical
+
+
+def canonical_kinds(kinds: Iterable[type]) -> bool:
+    """Whether keys of these types make a canonical column (see
+    :func:`hash_key_column`): all int-like or all plain ``str``."""
+    kinds = set(kinds)
+    return kinds == {str} or all(
+        issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
+        for kind in kinds
+    )
 
 
 class SeedAssigner:

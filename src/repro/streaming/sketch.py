@@ -23,15 +23,20 @@ assigner share per-key seeds exactly like the offline coordinated samples,
 and sketches are deterministic functions of the accumulated data — the
 property that makes them mergeable (see :mod:`repro.streaming.merge`).
 
-Bulk columns of updates go through :meth:`_StreamingSketch.update_many`,
-the chunked NumPy fast path: each chunk is hashed, seeded and ranked in one
-vectorised pass, and a "clean" chunk (distinct keys, none already retained)
-is folded into the sketch wholesale — one ``argpartition`` selects the
-bottom-k survivors, a threshold mask the Poisson ones — with the heap
-rebuilt only at chunk boundaries.  Chunks that replay retained keys or
-contain duplicates drop to the exact per-row loop, so the resulting sketch
-state is always identical to a sequence of scalar :meth:`update` calls,
-discard counter included.
+Bulk columns of updates go through :meth:`_StreamingSketch.update_many`:
+each chunk is hashed, seeded and ranked in one vectorised pass, then
+folded.  A Poisson row can change the sketch only if its rank passes or
+its key is retained; any other row just counts one discarded key.  So a
+vector mask picks those candidate rows and only they run the exact
+per-row loop, in row order.  A bottom-k chunk of distinct, not yet
+retained keys folds with one ``argpartition``, the heap rebuilt only at
+chunk boundaries.  Both folds find equal keys by equal hashes, which only
+canonical keys guarantee (see :func:`repro.sampling.seeds.hash_key_column`:
+``1 == 1.0`` hash apart); other chunks, and bottom-k chunks with repeats,
+replays or a rank tie at the cutoff, take the per-row loop.  Either way
+the sketch ends identical to a sequence of scalar :meth:`update` calls —
+entry order and discard counter included, so snapshots match byte for
+byte.
 
 Update semantics are *additive*: repeated updates of a key accumulate.
 Because ranks are nonincreasing in the value for every rank family, a key
@@ -48,6 +53,7 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Iterable, Mapping, Sequence
+from itertools import islice
 
 import numpy as np
 
@@ -60,9 +66,22 @@ from repro.sampling.ranks import (
     UniformRanks,
     rank_family_from_name,
 )
-from repro.sampling.seeds import SeedAssigner, key_hashes
+from repro.sampling.seeds import (
+    SeedAssigner,
+    canonical_kinds,
+    hash_key_column,
+    key_hashes,
+)
 
 __all__ = ["StreamingBottomK", "StreamingPoisson", "sketch_from_state"]
+
+
+def _in_sorted(hashes: np.ndarray, pool: np.ndarray) -> np.ndarray:
+    """Mask of the ``hashes`` found in the sorted array ``pool``."""
+    if not pool.size:
+        return np.zeros(hashes.shape, dtype=bool)
+    slots = np.minimum(np.searchsorted(pool, hashes), pool.size - 1)
+    return pool[slots] == hashes
 
 
 def _validate_values(values: np.ndarray) -> None:
@@ -124,32 +143,6 @@ class _StreamingSketch:
         seed = float(self.seed_assigner.seed(key, instance=self.instance))
         self._ingest(key, value, seed)
 
-    def _prepare_batch(
-        self,
-        keys: Sequence[object],
-        values,
-        hashes: np.ndarray | None,
-    ) -> tuple[list, np.ndarray, np.ndarray]:
-        """Validate a batch and compute its seeds in one vectorised pass.
-
-        ``hashes`` lets callers that already hashed the key column (the
-        sharding engine) skip rehashing it.
-        """
-        keys = list(keys)
-        values = np.asarray(values, dtype=float)
-        if values.shape != (len(keys),):
-            raise InvalidParameterError(
-                "keys and values must have matching length"
-            )
-        _validate_values(values)
-        if hashes is None:
-            hashes = key_hashes(keys)
-        seeds = self.seed_assigner.seeds_from_hashes(
-            hashes, instance=self.instance
-        )
-        self.n_updates += len(keys)
-        return keys, values, seeds
-
     def extend(self, stream: Iterable[tuple[object, float]]) -> None:
         """Ingest an iterable of ``(key, value)`` updates."""
         for key, value in stream:
@@ -165,15 +158,17 @@ class _StreamingSketch:
         """Chunked NumPy fast path over parallel ``keys`` / ``values``
         columns.
 
-        Each chunk is hashed, seeded and ranked in one vectorised pass;
-        when a chunk is "clean" (distinct keys, none already retained) the
-        whole chunk is folded into the sketch with array operations —
-        ``argpartition`` selects the surviving candidates for bottom-k, a
-        threshold mask for Poisson — and per-key Python work happens only
-        for the retained minority.  Chunks that replay retained keys or
-        contain duplicates fall back to the exact per-row loop, so the
-        final sketch state (entries, ranks, threshold, discard counter) is
-        always identical to a sequence of :meth:`update` calls.
+        Each chunk is hashed, seeded and ranked in one vectorised pass and
+        then folded by :meth:`_fold`, which touches key objects only for
+        the few rows that can change the sketch.  The fold needs hash
+        equality to find equal keys, so it runs only when the chunk and
+        the retained keys are canonical
+        (:func:`~repro.sampling.seeds.hash_key_column`); any other chunk,
+        and any chunk the fold declines, takes the exact per-row loop.
+        Either way the final sketch state (entries in insertion order,
+        ranks, threshold, discard counter) is identical to a sequence of
+        :meth:`update` calls.  ``hashes`` lets callers that already
+        hashed the key column (the sharding engine) skip rehashing it.
         """
         if chunk_size <= 0:
             raise InvalidParameterError(
@@ -192,51 +187,40 @@ class _StreamingSketch:
         # chunk cannot leave the sketch partially updated.
         _validate_values(values)
         if hashes is None:
-            hashes = key_hashes(keys)
+            hashes, canonical = hash_key_column(keys)
+        elif isinstance(keys, np.ndarray) and keys.dtype.kind in "iu":
+            canonical = True
+        else:
+            canonical = canonical_kinds(map(type, keys))
         for start in range(0, len(keys), chunk_size):
-            stop = start + chunk_size
-            chunk_keys, chunk_values, seeds = self._prepare_batch(
-                keys[start:stop], values[start:stop], hashes[start:stop]
+            rows = slice(start, start + chunk_size)
+            chunk_keys, chunk_values = keys[rows], values[rows]
+            seeds = self.seed_assigner.seeds_from_hashes(
+                hashes[rows], instance=self.instance
             )
             ranks = np.asarray(
                 self.rank_family.rank(chunk_values, seeds), dtype=float
             )
-            if not self._try_bulk(
-                chunk_keys, chunk_values, seeds, ranks, hashes[start:stop]
+            self.n_updates += len(chunk_values)
+            if not (
+                canonical
+                and self._fold(
+                    chunk_keys, chunk_values, seeds, ranks, hashes[rows]
+                )
             ):
-                self._apply_rows(chunk_keys, chunk_values, seeds, ranks)
+                self._apply_rows(
+                    chunk_keys, chunk_values, seeds, ranks,
+                    np.flatnonzero(chunk_values > 0.0),
+                )
 
-    def _bulk_clean(self, hashes: np.ndarray) -> bool:
-        """Whether a chunk can skip the per-row loop: keys certainly
-        distinct (distinct hashes) and certainly absent from the retained
-        set (no retained-hash overlap; collisions just fall back)."""
-        if np.unique(hashes).size != len(hashes):
-            return False
-        if self._values:
-            # the retained hashes are kept sorted, so membership is a
-            # binary search — np.isin would re-sort the whole retained
-            # set on every chunk, which dominates large-sketch ingest
-            retained = self._retained_hashes()
-            slots = np.minimum(
-                np.searchsorted(retained, hashes), retained.size - 1
-            )
-            if (retained[slots] == hashes).any():
-                return False
-        return True
+    def _fold(self, keys, values, seeds, ranks, hashes) -> bool:
+        """Fold one chunk of canonical keys with array operations; return
+        False to fall back to the per-row loop."""
+        raise NotImplementedError
 
-    def _retained_hashes(self) -> np.ndarray:
-        """Sorted hashes of the retained keys (recomputed per chunk;
-        subclasses with an unbounded retained set cache them
-        incrementally)."""
-        return np.sort(key_hashes(list(self._values)))
-
-    def _try_bulk(self, keys, values, seeds, ranks, hashes) -> bool:
-        """Fold one clean chunk into the sketch with array operations;
-        return False to fall back to the per-row loop."""
-        return False
-
-    def _apply_rows(self, keys, values, seeds, ranks) -> None:
-        """Per-row reference loop over one prepared chunk."""
+    def _apply_rows(self, keys, values, seeds, ranks, rows) -> None:
+        """Per-row reference loop over ``rows`` (positive-value row
+        indices, ascending) of one ranked chunk."""
         raise NotImplementedError
 
     def _ingest(self, key: object, value: float, seed: float) -> None:
@@ -371,8 +355,8 @@ class StreamingBottomK(_StreamingSketch):
         elif len(self._values) == self.k + 1:
             self._full_max = -self._clean_top()[0]
 
-    def _apply_rows(self, keys, values, seeds, ranks) -> None:
-        for i in np.nonzero(values > 0.0)[0]:
+    def _apply_rows(self, keys, values, seeds, ranks, rows) -> None:
+        for i in rows.tolist():
             key = keys[i]
             if key in self._values:
                 self._accumulate(key, float(values[i]), float(seeds[i]))
@@ -381,34 +365,38 @@ class StreamingBottomK(_StreamingSketch):
                     key, float(values[i]), float(seeds[i]), float(ranks[i])
                 )
 
-    def _try_bulk(self, keys, values, seeds, ranks, hashes) -> bool:
+    def _fold(self, keys, values, seeds, ranks, hashes) -> bool:
         """Fold a clean chunk with one ``argpartition`` instead of per-row
         heap updates.
 
-        With distinct, not-yet-retained keys and no rank ties at the
-        cutoff, the final retained set is exactly the ``k + 1`` smallest
-        ranks of (retained ∪ chunk), and every other key dies exactly once
-        — either rejected on arrival or evicted later — so the discard
-        counter advances by ``|retained| + |chunk| - |final|`` no matter
-        the arrival order.  The heap is rebuilt once per chunk ("heap only
-        across chunk boundaries").
+        A chunk is clean when its keys are distinct and none is retained
+        yet.  With canonical keys on both sides, distinct hashes prove
+        it; repeated or colliding hashes just decline the fold.  Then,
+        with no rank ties at the cutoff, the final retained set is exactly
+        the ``k + 1`` smallest ranks of (retained ∪ chunk), and every other
+        key dies exactly once — either rejected on arrival or evicted
+        later — so the discard counter advances by ``|retained| + |chunk|
+        - |final|`` no matter the arrival order.  The per-row loop would
+        leave the surviving old keys in place, with their heap entries,
+        and append the surviving new ones in row order, each with a fresh
+        heap entry; the fold builds exactly that.  It drops the stale
+        heap entries, which the loop would only skip: none can come back
+        to life, since a retained key's rank only falls, and an evicted
+        key returns only with a rank below the cutoff, which never rises,
+        while its stale ranks were above the cutoff it was evicted at.
         """
-        keep_rows = values > 0.0
         # Rows with non-finite rank are dropped silently, as in the
         # per-row loop (``_insert_new`` neither retains nor counts them).
-        keep_rows &= np.isfinite(ranks)
-        if not keep_rows.all():
-            rows = np.nonzero(keep_rows)[0]
-            keys = [keys[i] for i in rows]
-            values, seeds = values[rows], seeds[rows]
-            ranks, hashes = ranks[rows], hashes[rows]
-        if not keys:
+        rows = np.flatnonzero((values > 0.0) & np.isfinite(ranks))
+        if not rows.size:
             return True
-        if not self._bulk_clean(hashes):
-            return False
         old_keys = list(self._values)
-        n_old, n_new = len(old_keys), len(keys)
-        total = n_old + n_new
+        retained, canonical = hash_key_column(old_keys)
+        pooled = np.concatenate([retained, hashes[rows]])
+        if not canonical or np.unique(pooled).size != pooled.size:
+            return False
+        n_old = len(old_keys)
+        total = n_old + rows.size
         keep = min(self.k + 1, total)
         combined = np.concatenate(
             [
@@ -417,37 +405,34 @@ class StreamingBottomK(_StreamingSketch):
                     dtype=float,
                     count=n_old,
                 ),
-                ranks,
+                ranks[rows],
             ]
         )
+        kept = np.ones(total, dtype=bool)
         if total > keep:
             order = np.argpartition(combined, keep - 1)
-            selected = order[:keep]
-            if combined[selected].max() == combined[order[keep:]].min():
+            if combined[order[:keep]].max() == combined[order[keep:]].min():
                 # A rank tie at the cutoff is resolved by arrival order in
                 # the scalar path; replay it exactly instead.
                 return False
-        else:
-            selected = np.arange(total)
-        new_values: dict[object, float] = {}
-        new_ranks: dict[object, float] = {}
-        new_seeds: dict[object, float] = {}
-        heap: list[tuple[float, int, object]] = []
-        for index in selected.tolist():
-            if index < n_old:
-                key = old_keys[index]
-                value = self._values[key]
-                rank = self._ranks[key]
-                seed = self._seeds[key]
-            else:
-                row = index - n_old
-                key = keys[row]
-                value = float(values[row])
-                rank = float(ranks[row])
-                seed = float(seeds[row])
-            new_values[key] = value
+            kept[order[keep:]] = False
+        new_values = {
+            key: self._values[key]
+            for key, survives in zip(old_keys, kept[:n_old].tolist())
+            if survives
+        }
+        new_ranks = {key: self._ranks[key] for key in new_values}
+        new_seeds = {key: self._seeds[key] for key in new_values}
+        heap = [
+            entry for entry in self._heap
+            if new_ranks.get(entry[2]) == -entry[0]
+        ]
+        for row in rows[kept[n_old:]].tolist():
+            key = keys[row]
+            rank = float(ranks[row])
+            new_values[key] = float(values[row])
             new_ranks[key] = rank
-            new_seeds[key] = seed
+            new_seeds[key] = float(seeds[row])
             self._seq += 1
             heap.append((-rank, self._seq, key))
         heapq.heapify(heap)
@@ -455,11 +440,8 @@ class StreamingBottomK(_StreamingSketch):
             new_values, new_ranks, new_seeds,
         )
         self._heap = heap
-        self.n_discarded_keys += total - len(selected)
-        if len(new_ranks) == self.k + 1:
-            self._full_max = max(new_ranks.values())
-        else:
-            self._full_max = None
+        self.n_discarded_keys += total - keep
+        self._full_max = max(new_ranks.values()) if keep > self.k else None
         return True
 
     def _push(self, rank: float, key: object) -> None:
@@ -671,15 +653,15 @@ class StreamingPoisson(_StreamingSketch):
         self._inclusive = isinstance(self.rank_family, UniformRanks)
         self._values: dict[object, float] = {}
         self._ranks: dict[object, float] = {}
-        # Incremental retained-hash cache for the bulk path: the retained
-        # set is unbounded (unlike bottom-k's k + 1), so rehashing it per
-        # chunk would be quadratic over a long stream.  Valid only while
-        # its key count matches ``_values``; any scalar/fallback insert
-        # desynchronises the count and forces a rebuild.
+        # What :meth:`_fold` knows of the retained keys, brought up to date
+        # by :meth:`_sync_retained`: how many of them it has seen, their
+        # types, and (weighted families only) their sorted hashes.
+        self._synced = 0
+        self._kinds: set[type] = set()
         self._hash_cache = np.empty(0, dtype=np.uint64)
-        self._hash_cache_count = 0
 
-    def _keeps(self, rank: float) -> bool:
+    def _keeps(self, rank):
+        """Whether a rank (or each of an array of ranks) passes."""
         if self._inclusive:
             return rank <= self.threshold
         return rank < self.threshold
@@ -698,12 +680,9 @@ class StreamingPoisson(_StreamingSketch):
         self._values[key] = value
         self._ranks[key] = rank
 
-    def _apply_rows(self, keys, values, seeds, ranks) -> None:
-        if self._inclusive:
-            keep = ranks <= self.threshold
-        else:
-            keep = ranks < self.threshold
-        for i in np.nonzero(values > 0.0)[0]:
+    def _apply_rows(self, keys, values, seeds, ranks, rows) -> None:
+        keep = self._keeps(ranks)
+        for i in rows.tolist():
             key = keys[i]
             if key in self._values:
                 total = self._values[key] + float(values[i])
@@ -715,48 +694,60 @@ class StreamingPoisson(_StreamingSketch):
             else:
                 self.n_discarded_keys += 1
 
-    def _try_bulk(self, keys, values, seeds, ranks, hashes) -> bool:
-        """Fold a clean chunk with one threshold mask: retention is
-        per-key independent, so distinct new keys insert in bulk and the
-        rest advance the discard counter in one step."""
-        positive = values > 0.0
-        if not positive.all():
-            rows = np.nonzero(positive)[0]
-            keys = [keys[i] for i in rows]
-            values, ranks = values[rows], ranks[rows]
-            hashes = hashes[rows]
-        if not keys:
-            return True
-        if not self._bulk_clean(hashes):
+    def _fold(self, keys, values, seeds, ranks, hashes) -> bool:
+        """Run the per-row loop on the chunk's candidate rows only.
+
+        A row changes the sketch only if its rank passes or its key is
+        already retained (before the chunk, or by an earlier passing row);
+        any other positive row adds one to the discard counter and
+        nothing else.  The candidates are the positive rows that pass,
+        plus — for the weighted families, whose rank of one row can fail
+        while the key is retained — the positive rows whose hash matches
+        a retained key's or a passing row's.  With canonical keys equal
+        keys have equal hashes, so no row of a retained key escapes, and
+        a colliding hash only adds a candidate.  A weight-oblivious rank
+        is the key's seed whatever the value, and every retained key's
+        seed passed, so its candidates are just the passing rows.  The
+        loop sees the candidates in row order and the other rows leave
+        the entries alone, so the result is the full loop's, insertion
+        order included.
+        """
+        if not self._sync_retained():
             return False
-        if self._inclusive:
-            keep = ranks <= self.threshold
-        else:
-            keep = ranks < self.threshold
-        rows = np.nonzero(keep)[0]
-        # _bulk_clean just synchronised (or trivially matched) the hash
-        # cache, so the inserted hashes merge into the sorted cache in
-        # one O(retained + inserted) pass instead of a full re-sort.
-        retained = self._retained_hashes()
-        self._values.update(
-            (keys[i], float(values[i])) for i in rows.tolist()
-        )
-        self._ranks.update(
-            (keys[i], float(ranks[i])) for i in rows.tolist()
-        )
-        inserted = np.sort(hashes[rows])
-        self._hash_cache = np.insert(
-            retained, np.searchsorted(retained, inserted), inserted
-        )
-        self._hash_cache_count = len(self._values)
-        self.n_discarded_keys += int(len(keys) - rows.size)
+        positive = values > 0.0
+        candidate = positive & self._keeps(ranks)
+        if not self._inclusive:
+            passing = np.sort(hashes[candidate])
+            candidate |= positive & (
+                _in_sorted(hashes, self._hash_cache)
+                | _in_sorted(hashes, passing)
+            )
+        rows = np.flatnonzero(candidate)
+        self.n_discarded_keys += int(np.count_nonzero(positive)) - rows.size
+        self._apply_rows(keys, values, seeds, ranks, rows)
         return True
 
-    def _retained_hashes(self) -> np.ndarray:
-        if self._hash_cache_count != len(self._values):
-            self._hash_cache = np.sort(key_hashes(list(self._values)))
-            self._hash_cache_count = len(self._values)
-        return self._hash_cache
+    def _sync_retained(self) -> bool:
+        """Catch up with the keys retained since the last call; return
+        whether all retained keys are canonical.
+
+        A Poisson sketch never drops a retained key, and new keys append
+        to ``_values`` in insertion order (in every ingest path, merges
+        included), so the keys not seen yet are the newest ones.
+        """
+        added = len(self._values) - self._synced
+        if added:
+            new_keys = list(islice(reversed(self._values), added))
+            self._kinds.update(map(type, new_keys))
+            if not self._inclusive:
+                new_hashes = np.sort(key_hashes(new_keys))
+                self._hash_cache = np.insert(
+                    self._hash_cache,
+                    np.searchsorted(self._hash_cache, new_hashes),
+                    new_hashes,
+                )
+            self._synced = len(self._values)
+        return canonical_kinds(self._kinds)
 
     def __len__(self) -> int:
         return len(self._values)

@@ -16,8 +16,6 @@ import functools
 import math
 from dataclasses import dataclass
 
-from scipy import stats
-
 from repro._validation import check_nonnegative
 from repro.exceptions import InvalidParameterError
 
@@ -62,13 +60,25 @@ def _check_inputs(estimate: float, variance: float, confidence: float) -> None:
         )
 
 
+#: scipy's ``norm.ppf(0.95)`` bit for bit, the quantile of the served
+#: ``ci90`` level (the stdlib ``NormalDist.inv_cdf`` is a few ulps off)
+_Z90 = float.fromhex("0x1.a515209676abbp+0")
+
+
 @functools.lru_cache(maxsize=32)
 def _normal_quantile(confidence: float) -> float:
     """The two-sided normal quantile ``z`` of ``confidence``.
 
-    Memoised because ``scipy.stats.norm.ppf`` costs tens of microseconds
-    a call; the value is scipy's bit for bit.
+    The 0.90 level the server reports returns the constant ``_Z90``, so
+    serving never imports SciPy, whose import dominates a server's boot
+    time and memory.  Every other level calls ``scipy.stats.norm.ppf``,
+    imported on first use and memoised because it costs tens of
+    microseconds a call.  The value is scipy's bit for bit either way.
     """
+    if confidence == 0.90:
+        return _Z90
+    from scipy import stats
+
     return float(stats.norm.ppf(0.5 + confidence / 2.0))
 
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy import optimize
 
 from repro._validation import check_probability_vector
 from repro.core.order_based import DiscreteModel
@@ -61,6 +60,8 @@ def unbiased_nonnegative_exists(
     tolerance: float = 1e-7,
 ) -> FeasibilityResult:
     """Check whether an unbiased nonnegative estimator exists on ``model``."""
+    from scipy import optimize
+
     outcomes = list(model.outcomes)
     vectors = list(model.vectors)
     n = len(outcomes)

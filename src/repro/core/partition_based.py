@@ -23,7 +23,6 @@ from __future__ import annotations
 from collections.abc import Callable
 
 import numpy as np
-from scipy import optimize
 
 from repro.core.order_based import DerivedEstimator, DiscreteModel, Outcome, Vector
 from repro.exceptions import EstimatorDerivationError
@@ -180,6 +179,8 @@ class PartitionBasedDeriver:
         inequality_rhs: list[float],
     ) -> np.ndarray:
         """Minimise ``sum_i w_i x_i^2`` under linear constraints, ``x >= 0``."""
+        from scipy import optimize
+
         n = weights.size
         a_eq = np.array(equality_rows) if equality_rows else np.zeros((0, n))
         b_eq = np.array(equality_rhs) if equality_rhs else np.zeros(0)

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from repro.analysis.confidence import (
+    _Z90,
     _normal_quantile,
     chebyshev_interval,
     normal_interval,
@@ -15,6 +18,11 @@ from repro.aggregates.distinct import distinct_count_l, distinct_l_variance
 from repro.datasets.synthetic import set_pair_with_jaccard
 from repro.exceptions import InvalidParameterError
 from repro.sampling.seeds import SeedAssigner
+from repro.service.confidence import CONFIDENCE_LEVEL
+from repro.service.queries import Query
+from repro.service.store import SketchStore
+
+from ingest_helper import ingest
 
 
 class TestIntervalConstruction:
@@ -39,13 +47,35 @@ class TestIntervalConstruction:
         assert interval.lower == interval.upper == 10.0
         assert interval.width == 0.0
 
-    @pytest.mark.parametrize("confidence", [0.9, 0.95])
+    @pytest.mark.parametrize("confidence", [0.8, 0.9, 0.95, 0.99])
     def test_cached_quantile_is_scipys_bit_for_bit(self, confidence):
+        """0.90 is served from the ``_Z90`` constant, every other level
+        from the lazily imported ``scipy.stats``; both are scipy's."""
+        assert _Z90 == float(stats.norm.ppf(0.95))
         expected = float(stats.norm.ppf(0.5 + confidence / 2))
+        _normal_quantile.cache_clear()
         for _ in range(2):  # the computing call, then the cached one
             assert _normal_quantile(confidence) == expected
         interval = normal_interval(0.0, 1.0, confidence)
         assert interval.upper == expected
+
+    def test_served_ci90_payload_uses_scipys_quantile(self):
+        store = SketchStore()
+        store.create("t", "poisson", threshold=0.5,
+                     seed_assigner=SeedAssigner(salt=3), n_shards=2)
+        generator = np.random.default_rng(4)
+        ingest(store, "t", "mon", np.arange(2000),
+               generator.random(2000) * 5.0 + 0.01)
+        result = store.query("t", Query("sum", ("mon",), confidence=True))
+        value, payload = result.value, result.confidence
+        margin = float(stats.norm.ppf(0.95)) * math.sqrt(payload["variance"])
+        assert value - margin > 0.0  # the lower end is not clipped
+        assert payload["ci90"] == {
+            "lower": value - margin,
+            "upper": value + margin,
+            "confidence": CONFIDENCE_LEVEL,
+            "method": "normal",
+        }
 
     def test_invalid_inputs(self):
         with pytest.raises(InvalidParameterError):

@@ -254,7 +254,7 @@ def decode_batches(data: bytes) -> list[WireBatch]:
                 ) from exc
             keys = decoded
         elif key_tag == _KEY_TAGGED:
-            keys = [read_label(reader) for _ in range(n_rows)]
+            keys = reader.labels(n_rows)
         else:
             raise SketchCodecError(
                 f"batch {index}: unknown key tag {key_tag}"

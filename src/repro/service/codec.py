@@ -26,8 +26,12 @@ covering ``None``, booleans, 64-bit and big integers, floats, strings,
 bytes and (nested) tuples.
 
 Entry columns are stored columnar — all keys, then the value/rank/seed
-arrays as raw ``<f8`` buffers — so large Poisson sketches encode and
-decode at NumPy speed.
+arrays as raw ``<f8`` buffers — and decode as columns end to end: a key
+run whose labels are all 64-bit ints (tag 3, exactly 9 bytes each) is
+read as one strided NumPy view, any other run label by label, and the
+key, value and rank columns go straight into the sketches' columnar
+``from_state``.  Large Poisson sketches therefore encode and restore at
+NumPy speed.
 
 Decoding failures (bad magic, unsupported version, truncation, trailing
 garbage, corrupt payloads) raise
@@ -82,6 +86,9 @@ _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
 
 _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
+
+#: one ``_TAG_INT`` label as it sits in a key run: the tag, then the i64
+_INT_LABEL = np.dtype([("tag", "u1"), ("value", "<i8")])
 
 # tagged-union tags for keys / instance labels / salts
 _TAG_NONE = 0
@@ -203,6 +210,21 @@ class _Reader:
     def u32_column(self, count: int) -> np.ndarray:
         return np.frombuffer(self._take(4 * count), dtype="<u4")
 
+    def labels(self, count: int) -> list:
+        """Read a run of ``count`` tagged labels.
+
+        A run of ``_TAG_INT`` labels is a packed array of 9-byte
+        ``(tag, i64)`` records, so it decodes as one view; any other run
+        (or one cut short) goes label by label from the same offset,
+        which keeps every truncation and unknown-tag error.
+        """
+        if 9 * count <= len(self._data) - self._pos:
+            run = np.frombuffer(self._data, _INT_LABEL, count, self._pos)
+            if (run["tag"] == _TAG_INT).all():
+                self._pos += 9 * count
+                return run["value"].tolist()
+        return [_read_label(self) for _ in range(count)]
+
     def expect_end(self) -> None:
         if self._pos != len(self._data):
             raise SketchCodecError(
@@ -309,6 +331,15 @@ def _write_common(writer: _Writer, state: dict) -> None:
     writer.u64(state["n_discarded_keys"])
 
 
+def _read_coordinated(reader: _Reader) -> bool:
+    coordinated = reader.u8()
+    if coordinated > 1:
+        raise SketchCodecError(
+            f"coordinated flag must be 0 or 1, got {coordinated}"
+        )
+    return bool(coordinated)
+
+
 def _read_common(reader: _Reader) -> dict:
     state = {"instance": _read_label(reader)}
     state["rank_family"] = _read_family_name(reader)
@@ -319,12 +350,7 @@ def _read_common(reader: _Reader) -> dict:
             f"{type(salt).__name__}"
         )
     state["salt"] = salt
-    coordinated = reader.u8()
-    if coordinated > 1:
-        raise SketchCodecError(
-            f"coordinated flag must be 0 or 1, got {coordinated}"
-        )
-    state["coordinated"] = bool(coordinated)
+    state["coordinated"] = _read_coordinated(reader)
     state["n_updates"] = reader.u64()
     state["n_discarded_keys"] = reader.u64()
     return state
@@ -339,25 +365,20 @@ def _write_sketch_state(writer: _Writer, state: dict) -> None:
 
 
 def _write_sketch_body(writer: _Writer, state: dict) -> None:
-    kind = state["kind"]
     _write_common(writer, state)
-    entries = state["entries"]
-    if kind == "bottom_k":
+    if state["kind"] == "bottom_k":
         writer.u64(state["k"])
-        writer.u64(len(entries))
-        for entry in entries:
-            _write_label(writer, entry[0])
-        writer.f64_column([entry[1] for entry in entries])
-        writer.f64_column([entry[2] for entry in entries])
-        writer.f64_column([entry[3] for entry in entries])
-        writer.u32_column([entry[4] for entry in entries])
     else:
         writer.f64(state["threshold"])
-        writer.u64(len(entries))
-        for entry in entries:
-            _write_label(writer, entry[0])
-        writer.f64_column([entry[1] for entry in entries])
-        writer.f64_column([entry[2] for entry in entries])
+    keys = state["keys"]
+    writer.u64(len(keys))
+    for key in keys:
+        _write_label(writer, key)
+    writer.f64_column(state["values"])
+    writer.f64_column(state["ranks"])
+    if state["kind"] == "bottom_k":
+        writer.f64_column(state["seeds"])
+        writer.u32_column(state["positions"])
 
 
 def _read_sketch_state(reader: _Reader) -> dict:
@@ -365,36 +386,23 @@ def _read_sketch_state(reader: _Reader) -> dict:
 
 
 def _read_sketch_body(reader: _Reader, kind_byte: int) -> dict:
+    if kind_byte not in (_KIND_BOTTOM_K, _KIND_POISSON):
+        raise SketchCodecError(f"unknown sketch kind byte {kind_byte}")
+    state = _read_common(reader)
     if kind_byte == _KIND_BOTTOM_K:
-        state = _read_common(reader)
         state["kind"] = "bottom_k"
         state["k"] = reader.u64()
-        count = reader.u64()
-        keys = [_read_label(reader) for _ in range(count)]
-        values = reader.f64_column(count)
-        ranks = reader.f64_column(count)
-        seeds = reader.f64_column(count)
-        positions = reader.u32_column(count)
-        state["entries"] = tuple(
-            (keys[i], float(values[i]), float(ranks[i]), float(seeds[i]),
-             int(positions[i]))
-            for i in range(count)
-        )
-        return state
-    if kind_byte == _KIND_POISSON:
-        state = _read_common(reader)
+    else:
         state["kind"] = "poisson"
         state["threshold"] = reader.f64()
-        count = reader.u64()
-        keys = [_read_label(reader) for _ in range(count)]
-        values = reader.f64_column(count)
-        ranks = reader.f64_column(count)
-        state["entries"] = tuple(
-            (keys[i], float(values[i]), float(ranks[i]))
-            for i in range(count)
-        )
-        return state
-    raise SketchCodecError(f"unknown sketch kind byte {kind_byte}")
+    count = reader.u64()
+    state["keys"] = reader.labels(count)
+    state["values"] = reader.f64_column(count).tolist()
+    state["ranks"] = reader.f64_column(count).tolist()
+    if kind_byte == _KIND_BOTTOM_K:
+        state["seeds"] = reader.f64_column(count).tolist()
+        state["positions"] = reader.u32_column(count).tolist()
+    return state
 
 
 def _restore_sketch(state: dict):
@@ -444,7 +452,7 @@ def _read_engine_state(reader: _Reader) -> dict:
     if not isinstance(salt, int) or isinstance(salt, bool):
         raise SketchCodecError("seed-assigner salt must decode to an integer")
     state["salt"] = salt
-    state["coordinated"] = bool(reader.u8())
+    state["coordinated"] = _read_coordinated(reader)
     state["n_shards"] = reader.u32()
     state["n_updates"] = reader.u64()
     instances: dict[object, tuple] = {}

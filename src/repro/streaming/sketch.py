@@ -52,6 +52,7 @@ detect the approximate regime.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import islice
 
@@ -530,11 +531,13 @@ class StreamingBottomK(_StreamingSketch):
     def state_dict(self) -> dict:
         """Complete snapshot of the sketch state.
 
-        ``entries`` lists the retained keys in dict-insertion order as
-        ``(key, value, rank, seed, heap_position)`` tuples, where
-        ``heap_position`` is the key's index in :meth:`_entry_order`.
-        Restoring from this state (:meth:`from_state`) yields a sketch
-        whose subsequent updates are bit-identical to the live one.
+        The retained keys are columns in dict-insertion order: ``keys``,
+        ``values``, ``ranks``, ``seeds`` and ``positions``, where a
+        key's position is its index in :meth:`_entry_order`.
+        ``entries`` holds the same rows as ``(key, value, rank, seed,
+        position)`` tuples for callers that reorder rows.  Restoring from
+        this state (:meth:`from_state`) yields a sketch whose subsequent
+        updates are bit-identical to the live one.
         """
         position = {
             key: index for index, key in enumerate(self._entry_order())
@@ -542,15 +545,15 @@ class StreamingBottomK(_StreamingSketch):
         state = self._config_state()
         state["kind"] = "bottom_k"
         state["k"] = self.k
+        keys = list(self._values)
+        state["keys"] = keys
+        state["values"] = [self._values[key] for key in keys]
+        state["ranks"] = [self._ranks[key] for key in keys]
+        state["seeds"] = [self._seeds[key] for key in keys]
+        state["positions"] = [position[key] for key in keys]
         state["entries"] = tuple(
-            (
-                key,
-                self._values[key],
-                self._ranks[key],
-                self._seeds[key],
-                position[key],
-            )
-            for key in self._values
+            zip(keys, state["values"], state["ranks"], state["seeds"],
+                state["positions"])
         )
         return state
 
@@ -574,7 +577,10 @@ class StreamingBottomK(_StreamingSketch):
 
         The restored sketch is state-identical to the exported one: same
         :meth:`to_sample` snapshot and bit-identical behaviour on any
-        subsequent stream of updates.
+        subsequent stream of updates.  The dicts are built from the
+        ``keys``/``values``/``ranks``/``seeds`` columns in one pass each,
+        and the heap from ``positions``; a state that carries ``entries``
+        is built from those rows instead.
         """
         family = state["rank_family"]
         if isinstance(family, str):
@@ -587,31 +593,29 @@ class StreamingBottomK(_StreamingSketch):
                 salt=state["salt"], coordinated=bool(state["coordinated"])
             ),
         )
-        entries = tuple(state["entries"])
-        if len(entries) > sketch.k + 1:
+        keys, values, ranks, seeds, positions = _state_columns(
+            state, ("keys", "values", "ranks", "seeds", "positions")
+        )
+        if len(keys) > sketch.k + 1:
             raise InvalidParameterError(
-                f"bottom-k state holds {len(entries)} entries; at most "
+                f"bottom-k state holds {len(keys)} entries; at most "
                 f"k + 1 = {sketch.k + 1} can be retained"
             )
         sketch.n_updates = int(state["n_updates"])
         sketch.n_discarded_keys = int(state["n_discarded_keys"])
-        by_position = sorted(entries, key=lambda entry: entry[4])
+        sketch._values = _keyed_column(keys, values, "bottom-k")
+        sketch._ranks = dict(zip(keys, map(float, ranks)))
+        sketch._seeds = dict(zip(keys, map(float, seeds)))
+        by_position = sorted(range(len(keys)), key=positions.__getitem__)
         seq_of = {
-            entry[0]: seq for seq, entry in enumerate(by_position, start=1)
+            keys[index]: seq for seq, index in enumerate(by_position, start=1)
         }
-        heap: list[tuple[float, int, object]] = []
-        for key, value, rank, seed, _position in entries:
-            if key in sketch._values:
-                raise InvalidParameterError(
-                    f"bottom-k state repeats key {key!r}"
-                )
-            sketch._values[key] = float(value)
-            sketch._ranks[key] = float(rank)
-            sketch._seeds[key] = float(seed)
-            heap.append((-float(rank), seq_of[key], key))
+        heap = [
+            (-rank, seq_of[key], key) for key, rank in sketch._ranks.items()
+        ]
         heapq.heapify(heap)
         sketch._heap = heap
-        sketch._seq = len(entries)
+        sketch._seq = len(keys)
         if len(sketch._values) == sketch.k + 1:
             sketch._full_max = max(sketch._ranks.values())
         return sketch
@@ -799,19 +803,21 @@ class StreamingPoisson(_StreamingSketch):
     def state_dict(self) -> dict:
         """Complete snapshot of the sketch state.
 
-        ``entries`` lists the retained keys in dict-insertion order as
-        ``(key, value, rank)`` tuples; the order is preserved by
-        :meth:`from_state` so query paths that iterate the entries (and
-        therefore sum floats in that order) reproduce bit-identical
-        results.
+        The retained keys are columns in dict-insertion order: ``keys``,
+        ``values`` and ``ranks``; ``entries`` holds the same rows as
+        ``(key, value, rank)`` tuples for callers that reorder rows.
+        :meth:`from_state` keeps the order, so query paths that iterate
+        the entries (and therefore sum floats in that order) reproduce
+        bit-identical results.
         """
         state = self._config_state()
         state["kind"] = "poisson"
         state["threshold"] = self.threshold
-        state["entries"] = tuple(
-            (key, self._values[key], self._ranks[key])
-            for key in self._values
-        )
+        keys = list(self._values)
+        state["keys"] = keys
+        state["values"] = list(self._values.values())
+        state["ranks"] = [self._ranks[key] for key in keys]
+        state["entries"] = tuple(zip(keys, state["values"], state["ranks"]))
         return state
 
     def _eq_state(self) -> tuple:
@@ -830,7 +836,12 @@ class StreamingPoisson(_StreamingSketch):
 
     @classmethod
     def from_state(cls, state: Mapping) -> "StreamingPoisson":
-        """Rebuild a sketch from a :meth:`state_dict` snapshot."""
+        """Rebuild a sketch from a :meth:`state_dict` snapshot.
+
+        The ``keys``, ``values`` and ``ranks`` columns become the
+        sketch's dicts in one pass each; a state that carries
+        ``entries`` is built from those rows instead.
+        """
         family = state["rank_family"]
         if isinstance(family, str):
             family = rank_family_from_name(family)
@@ -844,14 +855,43 @@ class StreamingPoisson(_StreamingSketch):
         )
         sketch.n_updates = int(state["n_updates"])
         sketch.n_discarded_keys = int(state["n_discarded_keys"])
-        for key, value, rank in state["entries"]:
-            if key in sketch._values:
-                raise InvalidParameterError(
-                    f"Poisson state repeats key {key!r}"
-                )
-            sketch._values[key] = float(value)
-            sketch._ranks[key] = float(rank)
+        keys, values, ranks = _state_columns(
+            state, ("keys", "values", "ranks")
+        )
+        sketch._values = _keyed_column(keys, values, "Poisson")
+        sketch._ranks = dict(zip(keys, map(float, ranks)))
         return sketch
+
+
+def _state_columns(state: Mapping, names: tuple) -> tuple:
+    """The entry columns ``names`` of a sketch state, in order.
+
+    A state that carries ``entries`` (rows in the order of ``names``)
+    gives those rows transposed; any other gives its named columns.
+    """
+    if "entries" in state:
+        rows = tuple(state["entries"])
+        columns = tuple(zip(*rows)) if rows else ((),) * len(names)
+    else:
+        columns = tuple(state[name] for name in names)
+    if len({len(column) for column in columns}) > 1:
+        raise InvalidParameterError(
+            "sketch state columns differ in length: "
+            + ", ".join(
+                f"{name}={len(column)}" for name, column in zip(names, columns)
+            )
+        )
+    return columns
+
+
+def _keyed_column(keys: Sequence, column: Sequence, family: str) -> dict:
+    """``{key: float(value)}`` over two state columns; a key may appear
+    only once."""
+    keyed = dict(zip(keys, map(float, column)))
+    if len(keyed) != len(keys):
+        repeated = next(key for key, n in Counter(keys).items() if n > 1)
+        raise InvalidParameterError(f"{family} state repeats key {repeated!r}")
+    return keyed
 
 
 def sketch_from_state(state: Mapping):

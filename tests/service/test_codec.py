@@ -10,6 +10,9 @@ algebra: ``restore(merge(a, b)) == merge(restore(a), restore(b))``.
 
 from __future__ import annotations
 
+import re
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,6 +50,38 @@ streams = st.lists(
 weighted_families = st.sampled_from([ExpRanks(), PpsRanks()])
 all_families = st.sampled_from([ExpRanks(), PpsRanks(), UniformRanks()])
 salts = st.integers(min_value=0, max_value=10_000)
+
+#: ints equal to no key of the other shapes below (``True == 1``,
+#: ``1.0 == 1``, ``False == 0``), with both ``_TAG_INT`` extremes
+run_ints = st.one_of(
+    st.sampled_from([-(2**63), 2**63 - 1]),
+    st.integers(min_value=2, max_value=10**6),
+    st.integers(min_value=-(10**6), max_value=-1),
+)
+#: the key types a run can mix with its ints
+other_keys = {
+    "bigint": st.sampled_from([2**63, -(2**63) - 1, 2**64 + 7]),
+    "bool": st.booleans(),
+    "float": st.just(1.0),
+    "str": st.text(max_size=5),
+    "bytes": st.binary(max_size=4),
+    "tuple": st.tuples(st.integers(min_value=0, max_value=99), st.text(max_size=3)),
+    "np.int64": st.integers(min_value=10**7, max_value=10**8).map(np.int64),
+}
+
+
+@st.composite
+def key_runs(draw) -> list:
+    """Distinct keys: all ints, all strs, or ints with one key of
+    another type first, in the middle or last."""
+    shape = draw(st.sampled_from(["int", "str", *other_keys]))
+    if shape == "str":
+        return draw(st.lists(st.text(max_size=5), unique=True, max_size=12))
+    run = draw(st.lists(run_ints, unique=True, max_size=12))
+    if shape == "int":
+        return run
+    position = draw(st.sampled_from([0, len(run) // 2, len(run)]))
+    return [*run[:position], draw(other_keys[shape]), *run[position:]]
 
 
 def feed(sketch, stream) -> None:
@@ -170,6 +205,53 @@ class TestSketchRoundTrip:
             [from_bytes(to_bytes(part_a)), from_bytes(to_bytes(part_b))]
         )
         assert merged_then_restored == restored_then_merged
+
+
+class TestMixedKeyRuns:
+    @settings(max_examples=80, deadline=None)
+    @given(keys=key_runs(), salt=salts)
+    def test_key_run_roundtrips_with_its_types(self, keys, salt):
+        assigner = SeedAssigner(salt=salt)
+        for sketch in (
+            StreamingBottomK(k=max(len(keys), 1), seed_assigner=assigner),
+            StreamingPoisson(1.0, seed_assigner=assigner),
+        ):
+            feed(sketch, [(key, 1.0 + index) for index, key in enumerate(keys)])
+            assert list(sketch._values) == keys  # every key retained
+            blob = to_bytes(sketch)
+            restored = from_bytes(blob)
+            assert to_bytes(restored) == blob
+            assert restored.state_dict() == sketch.state_dict()
+            # NumPy ints come back as Python ints; a bool stays a bool
+            assert [type(key) for key in restored._values] == [
+                int if isinstance(key, np.integer) else type(key)
+                for key in keys
+            ]
+
+
+class TestColumnarState:
+    def make_sketches(self):
+        bottom_k = StreamingBottomK(k=8, seed_assigner=SeedAssigner(salt=6))
+        poisson = StreamingPoisson(1.0, seed_assigner=SeedAssigner(salt=6))
+        for sketch in (bottom_k, poisson):
+            feed(sketch, [(key, 1.0 + key) for key in (5, 3, 9, 1)])
+        return bottom_k, poisson
+
+    def test_columns_of_unequal_length_are_rejected(self):
+        for sketch in self.make_sketches():
+            state = dict(sketch.state_dict(), ranks=[0.5])
+            del state["entries"]
+            with pytest.raises(InvalidParameterError, match="ranks=1"):
+                type(sketch).from_state(state)
+
+    def test_reordered_entries_rows_win_over_the_columns(self):
+        # how a caller puts a sketch's keys in a canonical order
+        for sketch in self.make_sketches():
+            state = sketch.state_dict()
+            state["entries"] = tuple(sorted(state["entries"]))
+            rebuilt = type(sketch).from_state(state)
+            assert list(rebuilt._values) == [1, 3, 5, 9]
+            assert rebuilt == sketch
 
 
 class TestEngineRoundTrip:
@@ -311,3 +393,129 @@ class TestCodecErrors:
         assert MAGIC == b"RSVC"
         assert FORMAT_VERSION == 1
         assert self.make_blob()[:4] == MAGIC
+
+
+# ----------------------------------------------------------------------
+# Edges of the all-int key run and of the coordinated flag: numbered cases
+# ----------------------------------------------------------------------
+#: large enough that a tag flipped to ``_TAG_STR`` reads a string length
+#: no blob holds
+RUN_KEYS = (2**40 + 5, 2**40 + 6, 2**40 + 7)
+
+
+def int_run_blob(keys=RUN_KEYS) -> tuple[bytearray, int]:
+    """A Poisson sketch blob retaining ``keys``, and the offset where its
+    key run ends (the value and rank columns follow)."""
+    sketch = StreamingPoisson(1.0, seed_assigner=SeedAssigner(salt=4))
+    feed(sketch, [(key, 1.0) for key in keys])
+    blob = bytearray(to_bytes(sketch))
+    return blob, len(blob) - 16 * len(keys)
+
+
+def patched(blob: bytes, offset: int, data: bytes) -> bytes:
+    blob = bytearray(blob)
+    blob[offset : offset + len(data)] = data
+    return bytes(blob)
+
+
+def flag_offset(build) -> int:
+    """Offset of the first coordinated flag: the first byte at which the
+    blobs of ``build(False)`` and ``build(True)`` differ."""
+    plain, coordinated = to_bytes(build(False)), to_bytes(build(True))
+    return next(
+        offset
+        for offset, (a, b) in enumerate(zip(plain, coordinated))
+        if a != b
+    )
+
+
+def coordinated_engine(coordinated: bool) -> StreamEngine:
+    engine = StreamEngine.poisson(
+        0.5,
+        seed_assigner=SeedAssigner(salt=3, coordinated=coordinated),
+        n_shards=2,
+    )
+    engine.ingest("d", [1, 2, 3], [1.0, 2.0, 3.0])
+    return engine
+
+
+def coordinated_sketch(coordinated: bool) -> StreamingPoisson:
+    sketch = StreamingPoisson(
+        0.5, seed_assigner=SeedAssigner(salt=3, coordinated=coordinated)
+    )
+    feed(sketch, [(1, 1.0), (2, 2.0)])
+    return sketch
+
+
+class RunCase(NamedTuple):
+    id: str
+    blob: bytes
+    #: a fragment of the SketchCodecError; None: the blob restores and
+    #: re-encodes to itself
+    error: str | None = None
+
+
+_RUN, _RUN_END = int_run_blob()
+
+
+def tag_offset(index: int) -> int:
+    """Offset of the tag of ``RUN_KEYS[index]`` in ``_RUN``."""
+    return _RUN_END - 9 * (len(RUN_KEYS) - index)
+
+
+RUN_CASES = [
+    RunCase("run_001_empty_run", bytes(int_run_blob(keys=())[0])),
+    RunCase("run_002_all_int_run", bytes(_RUN)),
+    *(
+        RunCase(
+            f"run_{2 + cut:03d}_cut_{cut}_bytes_before_the_run_ends",
+            bytes(_RUN[: _RUN_END - cut]),
+            "truncated buffer",
+        )
+        for cut in range(1, 10)
+    ),
+    RunCase(
+        "run_012_tag_flipped_to_str_reads_the_int_as_a_length",
+        patched(_RUN, tag_offset(1), bytes([6])),
+        f"truncated buffer: needed {RUN_KEYS[1]} bytes",
+    ),
+    RunCase(
+        "run_013_unknown_tag",
+        patched(_RUN, tag_offset(2), bytes([0xEE])),
+        "unknown label tag 238",
+    ),
+    RunCase(
+        "run_014_repeated_int_key",
+        patched(
+            _RUN, tag_offset(1), _RUN[tag_offset(0) : tag_offset(0) + 9]
+        ),
+        f"invalid sketch state: Poisson state repeats key {RUN_KEYS[0]}",
+    ),
+    RunCase(
+        "run_015_engine_header_coordinated_byte_above_1",
+        patched(
+            to_bytes(coordinated_engine(True)),
+            flag_offset(coordinated_engine),
+            bytes([7]),
+        ),
+        "coordinated flag must be 0 or 1, got 7",
+    ),
+    RunCase(
+        "run_016_sketch_coordinated_byte_above_1",
+        patched(
+            to_bytes(coordinated_sketch(True)),
+            flag_offset(coordinated_sketch),
+            bytes([7]),
+        ),
+        "coordinated flag must be 0 or 1, got 7",
+    ),
+]
+
+
+@pytest.mark.parametrize("case", RUN_CASES, ids=[case.id for case in RUN_CASES])
+def test_run_case(case):
+    if case.error is None:
+        assert to_bytes(from_bytes(case.blob)) == case.blob
+    else:
+        with pytest.raises(SketchCodecError, match=re.escape(case.error)):
+            from_bytes(case.blob)

@@ -15,6 +15,7 @@ from repro.exceptions import (
 )
 from repro.sampling.ranks import PpsRanks
 from repro.sampling.seeds import SeedAssigner
+from repro.service.queries import Query, query_value_json
 from repro.service.store import IngestRequest, SketchStore, group_rows
 from repro.streaming.engine import StreamEngine
 
@@ -196,6 +197,74 @@ class TestPersistence:
             restored.engine("traffic").state_dict()
             == store.engine("traffic").state_dict()
         )
+
+
+def hourly_rows(n_hours, n_rows, seed=3, as_str=False):
+    """``(instance, keys, values)`` per hour over int64 keys (or their
+    ``str`` forms), half of each hour's keys shared by every hour."""
+    generator = np.random.default_rng(seed)
+    shared = generator.choice(2**62, size=n_rows // 2, replace=False)
+    rows = []
+    for hour in range(n_hours):
+        own = generator.choice(2**62, size=n_rows - shared.size, replace=False)
+        keys = np.concatenate([shared, own])
+        if as_str:
+            keys = [f"user{key}" for key in keys.tolist()]
+        values = 1.0 + 9.0 * generator.random(n_rows) ** 2
+        rows.append((f"h{hour:02d}", keys, values))
+    return rows
+
+
+#: the state each benchmark workload restores: its engine configs, its
+#: hourly rows and the ``(engine, kind, confidence)`` queries it serves
+SERVED_STATE_SHAPES = [
+    pytest.param(
+        [{"name": "bench", "kind": "poisson", "threshold": 0.005,
+          "ranks": "uniform", "salt": 7, "n_shards": 4}],
+        {"n_hours": 2, "n_rows": 40_000},
+        [("bench", "distinct", True), ("bench", "l1", False)],
+        id="ingest_engine_uniform_int64_keys",
+    ),
+    pytest.param(
+        [{"name": "hours", "kind": "poisson", "threshold": 0.05,
+          "ranks": "uniform", "salt": 11, "n_shards": 8},
+         {"name": "hours_pps", "kind": "poisson", "threshold": 0.02,
+          "ranks": "pps", "salt": 13, "n_shards": 8}],
+        {"n_hours": 3, "n_rows": 8000},
+        [("hours", "distinct", True), ("hours", "l1", False),
+         ("hours_pps", "dominance", False)],
+        id="hourly_uniform_and_pps_pair_int64_keys",
+    ),
+    pytest.param(
+        [{"name": "users", "kind": "bottom_k", "k": 64, "salt": 5,
+          "coordinated": True, "n_shards": 2}],
+        {"n_hours": 2, "n_rows": 3000, "as_str": True},
+        [("users", "sum", True)],
+        id="bottom_k_str_keys",
+    ),
+]
+
+
+@pytest.mark.parametrize("configs, hours, queries", SERVED_STATE_SHAPES)
+def test_snapshot_restore_snapshot_is_byte_identical(
+    tmp_path, configs, hours, queries
+):
+    store = SketchStore()
+    for config in configs:
+        store.create_from_config(config)
+    for instance, keys, values in hourly_rows(**hours):
+        for config in configs:
+            ingest(store, config["name"], instance, keys, values)
+    first = store.snapshot(tmp_path / "first.bin")
+    restored = SketchStore.restore(first)
+    second = restored.snapshot(tmp_path / "second.bin")
+    assert second.read_bytes() == first.read_bytes()
+    for name, kind, confidence in queries:
+        instances = ("h00",) if kind == "sum" else ("h00", "h01")
+        query = Query(kind, instances, confidence=confidence)
+        served, again = store.query(name, query), restored.query(name, query)
+        assert query_value_json(again.value) == query_value_json(served.value)
+        assert again.confidence == served.confidence
 
 
 class TestFanIn:

@@ -92,9 +92,9 @@ def sketch_of(instance, entries, threshold=0.5, rank_family=None):
             "n_updates": len(entries),
             "n_discarded_keys": 0,
             "threshold": threshold,
-            "entries": tuple(
-                (key, value, 0.0) for key, value in entries.items()
-            ),
+            "keys": list(entries),
+            "values": list(entries.values()),
+            "ranks": [0.0] * len(entries),
         }
     )
 

@@ -1082,8 +1082,10 @@ class SketchServer:
         :data:`repro.service.store.INGEST_FORMATS` (JSON by default).  A
         JSON body names its engine (``{"name", "instance", "keys",
         "values"}`` or ``{"name", "rows"}``); CSV and binary bodies name
-        it in ``?name=``.  The store's decoders reject a bad row before
-        any engine changes.
+        it in ``?name=``.  The store's decoders reject a malformed row
+        here, and :meth:`SketchStore.submit` validates the whole request
+        before it logs or applies any of it, so a 400 leaves every engine
+        as it was.
         """
         fmt = request.params.get("format")
         if fmt is None:

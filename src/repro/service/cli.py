@@ -298,7 +298,8 @@ def _create_from_spec(store: SketchStore, fields: dict) -> None:
 
 
 def _recover_with_wal(args, store_path: Path):
-    """Open the WAL, recover snapshot + tail, attach, re-persist.
+    """Open the WAL, recover snapshot + tail, attach, re-persist, and
+    return the heap recovery freed.
 
     Shared boot path of ``serve --wal-dir`` and ``recover``: after it
     returns, ``--store`` holds the recovered state, the replayed tail is
@@ -328,6 +329,7 @@ def _recover_with_wal(args, store_path: Path):
     except BaseException:
         wal.close()
         raise
+    _release_free_heap()
     summary = {
         "wal_dir": str(args.wal_dir),
         "snapshot_engines": report.snapshot_engines,
@@ -339,6 +341,24 @@ def _recover_with_wal(args, store_path: Path):
         "replay_seconds": report.replay_seconds,
     }
     return store, wal, summary
+
+
+def _release_free_heap() -> None:
+    """Return the heap pages recovery has freed to the OS.
+
+    Replay holds the whole log tail while the engines grow, so the heap
+    cannot shrink from its top once the tail is freed: how much of it
+    stays resident then depends on where glibc placed the last live
+    block (from 41 to 64 MiB after recovering a 500,000-row log).
+    ``malloc_trim`` hands back every free page wherever it lies.  A C
+    library without it keeps its pages.
+    """
+    import ctypes
+
+    try:
+        ctypes.CDLL("libc.so.6").malloc_trim(0)
+    except (OSError, AttributeError):
+        pass
 
 
 def _cmd_recover(args) -> dict:

@@ -28,12 +28,15 @@ every version observed is a consistent point-in-time view.
 Every ingest surface — live API calls, binary batch groups, row
 triples (grouped by :func:`group_rows`), recovery replay — funnels
 through one validated call shape: :class:`IngestRequest` via
-:meth:`SketchStore.submit`.  Both the HTTP server and the CLI read the
-text formats of :data:`INGEST_FORMATS` through the row decoders here.
+:meth:`SketchStore.submit`, one write pipeline.  It validates every
+group of a request before it logs or applies any, so a rejected request
+leaves the store as it was; then it logs, plans and applies the groups
+in turn.  Both the HTTP server and the CLI read the text formats of
+:data:`INGEST_FORMATS` through the row decoders here.
 
 With :meth:`SketchStore.start_workers` the store swaps its in-process
 threaded execution for a multiprocess shard-worker plane
-(:mod:`repro.cluster`): each batch is validated, routed once to the
+(:mod:`repro.cluster`): each validated batch is routed once to the
 worker owning each row's shard, appended to the WAL *before* dispatch
 (unchanged kill-9 recovery semantics), and piped to each of the N
 worker processes as only the rows it owns.  Quiescent reads first
@@ -55,7 +58,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -157,6 +160,13 @@ class IngestRequest:
                     "each IngestRequest batch must be an (instance, "
                     f"keys, values) triple, got {len(batch)} fields"
                 )
+            try:
+                hash(batch[0])
+            except TypeError:
+                raise InvalidParameterError(
+                    "each IngestRequest instance must be hashable, got "
+                    f"{type(batch[0]).__name__}"
+                ) from None
         object.__setattr__(self, "batches", normalized)
         if self.version is not None:
             if len(normalized) != 1:
@@ -884,12 +894,34 @@ class SketchStore:
     # Ingest
     # ------------------------------------------------------------------
     def submit(self, request: IngestRequest) -> int:
-        """Run one :class:`IngestRequest` — the single ingest choke point.
+        """Run one :class:`IngestRequest` — the single write pipeline.
 
         Every surface funnels here: per-batch API ingest, grouped binary
         batches, row triples (via :func:`group_rows`), and recovery
-        replay (``request.version`` set).  Dispatches to the thread
-        backend or the multiprocess shard workers, whichever is active.
+        replay (``request.version`` set).  A request is all or nothing:
+        it runs three steps, and a failure in the first changes nothing.
+
+        1. *Validate* every group (one per instance when
+           ``request.coalesce``) with no lock held, and with a
+           write-ahead log attached encode each group's log record, so a
+           key the log refuses fails here too.
+        2. *Log, plan and apply* each group in turn.  Under the engine's
+           lock the group takes its version, is appended to the log
+           (append-before-apply) and is planned; it is then applied on
+           the active backend: its shard jobs under per-(instance, shard)
+           locks, so writers to different shards run in parallel, or its
+           rows piped to the shard workers that own them (under the pool
+           lock; a crashed worker is respawned and replayed from the log
+           once the version is published).
+        3. A *replay* is the same pipeline with a forced version: it
+           waits for in-flight ingests to drain and refuses a version the
+           store already holds.
+
+        The log keeps one record, and the engine one version, per group.
+        A crash between two of a request's appends therefore recovers a
+        prefix of that request: a request is atomic against bad input,
+        not against a crash.
+
         Returns the engine version after the request (the current
         version when ``request.batches`` is empty).
         """
@@ -900,173 +932,85 @@ class SketchStore:
             )
         name = request.engine
         entry = self._entry(name)
-        if request.version is not None:
-            instance, keys, values = request.batches[0]
-            return self._replay(
-                name, entry, int(request.version), instance, keys, values
+        groups = [
+            (instance, *StreamEngine.checked_columns(keys, values))
+            for instance, keys, values in (
+                _coalesce_batches(request.batches)
+                if request.coalesce
+                else request.batches
             )
-        triples = (
-            _coalesce_batches(request.batches)
-            if request.coalesce
-            else list(request.batches)
-        )
+        ]
+        records: list[bytes] = []
+        if self._wal is not None:
+            from repro.server.wire import encode_batches
+
+            records = [encode_batches([group]) for group in groups]
+        pool = self._pool
+        if pool is not None:
+            from repro.cluster import WorkerCrashError, partition
+        forced = request.version
         version: int | None = None
-        for instance, keys, values in triples:
-            if self._pool is not None:
-                version = self._dispatch(name, entry, instance, keys, values)
-            else:
-                version = self._ingest_one(name, entry, instance, keys, values)
+        for instance, keys, values in groups:
+            if pool is not None:
+                work = partition(
+                    instance, keys, values, entry.engine.n_shards,
+                    pool.n_workers,
+                )
+            with pool.lock if pool is not None else nullcontext():
+                with entry.cond:
+                    if forced is None:
+                        # version + in_flight is invariant under
+                        # completions, so planned versions are the exact
+                        # sequence the quiescent counter runs through
+                        planned = entry.version + entry.in_flight + 1
+                    else:
+                        while entry.in_flight:
+                            entry.cond.wait()
+                        _check_replay_version(name, entry, forced)
+                        planned = forced
+                    if records:
+                        # popped: a record on disk is freed at once
+                        self._wal.append_batch_blob(name, planned, records.pop(0))
+                    if pool is None:
+                        work = [
+                            (
+                                entry.shard_locks.setdefault(
+                                    (instance, job.shard), threading.Lock()
+                                ),
+                                job,
+                            )
+                            for job in entry.engine.ingest_jobs(
+                                instance, keys, values
+                            )
+                        ]
+                    if forced is not None:
+                        # the completion below lands it on the forced one
+                        entry.version = forced - 1
+                    entry.in_flight += 1
+                crashed = False
+                try:
+                    with span("store.ingest", engine=name, rows=len(values)):
+                        if pool is None:
+                            for lock, job in work:
+                                with lock:
+                                    StreamEngine.run_job(job)
+                        else:
+                            try:
+                                pool.dispatch(name, work)
+                            except WorkerCrashError:
+                                crashed = True
+                finally:
+                    with entry.cond:
+                        entry.in_flight -= 1
+                        entry.version += 1
+                        version = entry.version
+                        entry.cond.notify_all()
+                if crashed:
+                    self._heal_workers()
         if version is None:
             with entry.cond:
                 return entry.version
         return version
-
-    def _ingest_one(
-        self,
-        name: str,
-        entry: _StoreEntry,
-        instance: object,
-        keys: Sequence[object],
-        values,
-    ) -> int:
-        """One live batch through the thread backend.
-
-        Safe to call from many threads at once — batch planning
-        (hashing, sharding, sketch creation) is serialized on the
-        engine, while the per-shard sketch updates run under
-        per-(instance, shard) locks so different shards make progress in
-        parallel.  Returns the new version.
-        """
-        keys, values = StreamEngine.checked_columns(keys, values)
-        with entry.cond:
-            if self._wal is not None:
-                # append-before-apply: the version this batch will carry
-                # once applied is the idempotence key recovery replays
-                # against.  version + in_flight is invariant under
-                # completions, so planned versions are the exact sequence
-                # the quiescent (snapshot-visible) counter runs through.
-                # A batch the log refuses is refused before planning
-                # changes any engine state.
-                self._wal.append_batch(
-                    name,
-                    entry.version + entry.in_flight + 1,
-                    instance,
-                    keys,
-                    values,
-                )
-            jobs = entry.engine.ingest_jobs(instance, keys, values)
-            for job in jobs:
-                entry.shard_locks.setdefault(
-                    (instance, job.shard), threading.Lock()
-                )
-            entry.in_flight += 1
-        try:
-            with span("store.ingest", engine=name, shards=len(jobs)):
-                for job in jobs:
-                    with entry.shard_locks[(instance, job.shard)]:
-                        StreamEngine.run_job(job)
-        finally:
-            with entry.cond:
-                entry.in_flight -= 1
-                entry.version += 1
-                version = entry.version
-                entry.cond.notify_all()
-        return version
-
-    def _dispatch(
-        self,
-        name: str,
-        entry: _StoreEntry,
-        instance: object,
-        keys: Sequence[object],
-        values,
-        forced: int | None = None,
-    ) -> int:
-        """Route one batch and pipe each shard worker its rows.
-
-        ``forced`` is the recorded version of a replayed batch (``None``
-        for live ingest, which takes the next version).  The batch is
-        validated first: workers apply after the ack, so the rejections
-        ``ingest_jobs`` would raise must happen parent-side.
-        Append-before-dispatch: with a WAL attached the batch is logged
-        (byte-identical to the record the thread backend writes) before
-        any worker sees it, so a parent crash after the ack replays it
-        on restart and a worker crash replays the un-folded tail to the
-        respawned slot.  The version bump lands *before* crash healing
-        so the healed worker's replay window includes this batch.
-        """
-        from repro.cluster import WorkerCrashError, partition
-
-        pool = self._pool
-        keys, values = StreamEngine.checked_columns(keys, values)
-        slices = partition(
-            instance, keys, values, entry.engine.n_shards, pool.n_workers
-        )
-        with pool.lock:
-            with entry.cond:
-                if forced is None:
-                    version = entry.version + 1
-                else:
-                    version = forced
-                    _check_replay_version(name, entry, version)
-                if self._wal is not None:
-                    self._wal.append_batch(
-                        name, version, instance, keys, values
-                    )
-            crashed = False
-            with span(
-                "store.dispatch" if forced is None else "store.replay",
-                engine=name,
-                rows=len(values),
-            ):
-                try:
-                    pool.dispatch(name, slices)
-                except WorkerCrashError:
-                    crashed = True
-            with entry.cond:
-                entry.version = version
-                entry.cond.notify_all()
-            if crashed:
-                self._heal_workers()
-        return version
-
-    def _replay(
-        self,
-        name: str,
-        entry: _StoreEntry,
-        version: int,
-        instance: object,
-        keys: Sequence[object],
-        values,
-    ) -> int:
-        """Apply a logged ingest batch, forcing its recorded version.
-
-        Recovery and replica catch-up re-apply batches that already have
-        a version assigned by the origin store; applying them as live
-        ingest would re-number them.  Runs quiescently (no concurrent
-        ingest can interleave), bumps the version to the record's value,
-        and — when this store has its *own* WAL attached (a durable
-        follower) — logs the batch before applying, same as a live
-        ingest.  Returns the new version.
-        """
-        if self._pool is not None:
-            return self._dispatch(
-                name, entry, instance, keys, values, forced=version
-            )
-        keys, values = StreamEngine.checked_columns(keys, values)
-        with entry.cond:
-            while entry.in_flight:
-                entry.cond.wait()
-            _check_replay_version(name, entry, version)
-            if self._wal is not None:
-                self._wal.append_batch(name, version, instance, keys, values)
-            jobs = entry.engine.ingest_jobs(instance, keys, values)
-            with span("store.replay", engine=name, shards=len(jobs)):
-                for job in jobs:
-                    StreamEngine.run_job(job)
-            entry.version = version
-            entry.cond.notify_all()
-            return entry.version
 
     # ------------------------------------------------------------------
     # Quiescent reads

@@ -128,7 +128,8 @@ class _TailAnomaly(Exception):
 class _SegmentScan(NamedTuple):
     base_lsn: int
     records: list[WalRecord]
-    frames: list[bytes]
+    #: ``(start, end)`` byte offsets of each record's frame in the segment
+    frames: list[tuple[int, int]]
     clean_end: int
     torn_offset: int | None
 
@@ -254,7 +255,7 @@ def _scan_segment(
             f"log (previous record was LSN {prev_lsn})"
         )
     records: list[WalRecord] = []
-    frames: list[bytes] = []
+    frames: list[tuple[int, int]] = []
     offset = SEGMENT_HEADER_BYTES
     expected = base_lsn
     torn_offset: int | None = None
@@ -285,7 +286,7 @@ def _scan_segment(
                 "checksum-valid but out of sequence; refusing to replay"
             )
         records.append(record)
-        frames.append(data[offset:end])
+        frames.append((offset, end))
         expected += 1
         offset = end
     clean_end = offset if torn_offset is None else torn_offset
@@ -645,7 +646,8 @@ class WriteAheadLog:
                 )
                 if upper <= since:
                     continue
-                scan = _scan_segment(path, path.read_bytes(), None, final=final)
+                data = path.read_bytes()
+                scan = _scan_segment(path, data, None, final=final)
                 if scan.torn_offset is not None:
                     # the live segment was flushed under this lock, so a
                     # short read here is on-disk damage, not a torn write
@@ -653,9 +655,9 @@ class WriteAheadLog:
                         f"{path}: unreadable record at offset "
                         f"{scan.torn_offset} while shipping the tail"
                     )
-                for record, frame in zip(scan.records, scan.frames):
+                for record, (start, end) in zip(scan.records, scan.frames):
                     if record.lsn > since:
-                        chunks.append(frame)
+                        chunks.append(data[start:end])
             return b"".join(chunks), self._last_lsn
 
     # ------------------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.exceptions import InvalidParameterError
 from repro.sampling.seeds import SeedAssigner
 from repro.service import codec
 from repro.service.store import IngestRequest, SketchStore
@@ -75,6 +76,18 @@ class TestIngestRequestValidation:
             )
         with pytest.raises(ValueError, match="version"):
             IngestRequest(engine="traffic", batches=(), version=3)
+
+    def test_ingest_request_001_unhashable_instance_rejected(self):
+        keys, values = make_columns(4)
+        store = build_store()
+        with pytest.raises(InvalidParameterError, match="instance must be hashable"):
+            store.submit(
+                IngestRequest(
+                    engine="traffic",
+                    batches=[("mon", keys, values), (["x"], [1], [1.0])],
+                )
+            )
+        assert store.version("traffic") == 0
 
     @pytest.mark.parametrize(
         "field, value", [("source", "http"), ("wal_bypass", True)]

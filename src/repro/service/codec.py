@@ -147,11 +147,12 @@ class _Writer:
 
 
 class _Reader:
-    """Bounds-checked little-endian byte source."""
+    """Bounds-checked little-endian byte source, reading ``data`` from
+    offset ``start`` on."""
 
-    def __init__(self, data: bytes) -> None:
+    def __init__(self, data: bytes, start: int = 0) -> None:
         self._data = bytes(data)
-        self._pos = 0
+        self._pos = start
 
     def _take(self, n: int) -> bytes:
         end = self._pos + n

@@ -277,3 +277,285 @@ class TestDecodeFuzz:
     def test_magic_matches_codec_conventions(self):
         assert len(MAGIC) == 4
         assert valid_blob()[:4] == MAGIC
+
+
+#: a body that takes every decode path: batch 0 has an int instance and an
+#: ``i64`` key column, batch 1 is empty under a str instance, batch 2 has
+#: ``utf-8`` str keys and batch 3 a tuple key in the tagged union
+RBAT_MIXED = [
+    (7, np.array([5, -3], dtype=np.int64), [1.0, 2.0]),
+    ("mon", np.array([], dtype=np.int64), []),
+    ("tue", ["a", "bc"], [0.5, 1.5]),
+    ("wed", [(1, "x")], [2.5]),
+]
+
+#: every read that decoding ``RBAT_MIXED`` makes, as ``(offset, size)``:
+#: cutting the body inside one of them fails that read and no earlier one
+RBAT_MIXED_READS = (
+    (0, 4), (4, 2), (6, 4),  # magic, version, n_batches
+    (10, 1), (11, 8), (19, 1), (20, 8), (28, 16), (44, 16),  # batch 0
+    (60, 1), (61, 8), (69, 3), (72, 1), (73, 8),  # batch 1, no rows
+    (81, 1), (82, 8), (90, 3), (93, 1), (94, 8),  # batch 2 header
+    (102, 8), (110, 3), (113, 16),  # key lengths, key bytes, values
+    (129, 1), (130, 8), (138, 3), (141, 1), (142, 8),  # batch 3 header
+    (150, 1), (151, 4), (155, 1), (156, 8),  # tuple tag, arity, int item
+    (164, 1), (165, 8), (173, 1), (174, 8),  # str item, values
+)
+
+NOT_UTF8 = (
+    "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+)
+
+
+def mixed_body(*patches: tuple[int, bytes], cut=None, tail=b"") -> bytes:
+    """``RBAT_MIXED`` encoded, with ``(offset, bytes)`` overwritten,
+    then cut to ``cut`` bytes and ``tail`` appended."""
+    body = bytearray(encode_batches(RBAT_MIXED))
+    for offset, data in patches:
+        body[offset : offset + len(data)] = data
+    return bytes(body[:cut]) + tail
+
+
+def f64(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+def decode_error(body: bytes) -> str:
+    with pytest.raises(SketchCodecError) as info:
+        decode_batches(body)
+    return str(info.value)
+
+
+class TestGoldenMessages:
+    """Every error text of the mixed body, pinned word for word.
+
+    Header-scanned batches and Reader-decoded ones report the same text.
+    The finiteness pass runs once per body, yet a body with a non-finite
+    value and a later defect (a truncation, an unknown tag, trailing
+    bytes) reports the non-finite value, as reading batch by batch
+    would (``rbat_013``).
+    """
+
+    def test_rbat_001_mixed_body_decodes(self):
+        decoded = decode_batches(mixed_body())
+        assert [batch.instance for batch in decoded] == [7, "mon", "tue", "wed"]
+        assert decoded[0].keys.tolist() == [5, -3]
+        assert decoded[1].keys.dtype == np.dtype("<i8")
+        assert len(decoded[1].keys) == 0
+        assert decoded[2].keys == ["a", "bc"]
+        assert decoded[3].keys == [(1, "x")]
+
+    def test_rbat_002_reads_tile_the_body(self):
+        ends = [offset + size for offset, size in RBAT_MIXED_READS]
+        starts = [offset for offset, _ in RBAT_MIXED_READS]
+        assert starts == [0] + ends[:-1]
+        assert ends[-1] == len(mixed_body())
+
+    def test_rbat_003_every_cut(self):
+        for offset, size in RBAT_MIXED_READS:
+            for cut in range(offset, offset + size):
+                assert decode_error(mixed_body(cut=cut)) == (
+                    f"truncated buffer: needed {size} bytes at offset "
+                    f"{offset}, only {cut - offset} left"
+                )
+
+    def test_rbat_004_bad_magic(self):
+        assert decode_error(mixed_body((0, b"RBAX"))) == (
+            "bad magic b'RBAX': not a repro batch payload"
+        )
+
+    @pytest.mark.parametrize("version", [0, 2])
+    def test_rbat_005_unsupported_versions(self, version):
+        assert decode_error(mixed_body((4, struct.pack("<H", version)))) == (
+            f"unsupported batch wire version {version}; this build reads "
+            "versions 1..1"
+        )
+
+    @pytest.mark.parametrize(
+        ("offset", "index"), [(19, 0), (72, 1), (93, 2), (141, 3)]
+    )
+    def test_rbat_006_unknown_key_tag(self, offset, index):
+        assert decode_error(mixed_body((offset, b"\x09"))) == (
+            f"batch {index}: unknown key tag 9"
+        )
+
+    @pytest.mark.parametrize("offset", [10, 60, 81, 150])
+    def test_rbat_007_unknown_label_tag(self, offset):
+        # instance labels of batches 0-2, then batch 3's tuple key
+        assert decode_error(mixed_body((offset, b"\x2a"))) == (
+            "unknown label tag 42"
+        )
+
+    def test_rbat_008_corrupt_utf8_str_key(self):
+        assert decode_error(mixed_body((111, b"\xff"))) == (
+            f"batch 2: corrupt utf-8 key payload: {NOT_UTF8}"
+        )
+
+    @pytest.mark.parametrize("offset", [173, 69, 90])
+    def test_rbat_009_corrupt_utf8_tagged_key_and_instances(self, offset):
+        # the str inside batch 3's tuple key, then two instance labels
+        assert decode_error(mixed_body((offset, b"\xff"))) == (
+            f"corrupt string payload: {NOT_UTF8}"
+        )
+
+    @pytest.mark.parametrize(
+        ("offset", "bad", "message"),
+        [
+            (52, float("nan"), "batch 0 (instance 7): non-finite update "
+             "value nan at row 1"),
+            (113, float("inf"), "batch 2 (instance 'tue'): non-finite "
+             "update value inf at row 0"),
+            (174, float("-inf"), "batch 3 (instance 'wed'): non-finite "
+             "update value -inf at row 0"),
+        ],
+    )
+    def test_rbat_010_non_finite_first_middle_last(self, offset, bad, message):
+        assert decode_error(mixed_body((offset, f64(bad)))) == message
+
+    def test_rbat_011_first_non_finite_batch_wins(self):
+        body = mixed_body((44, f64(float("nan"))), (174, f64(float("inf"))))
+        assert decode_error(body) == (
+            "batch 0 (instance 7): non-finite update value nan at row 0"
+        )
+
+    def test_rbat_012_one_trailing_byte(self):
+        assert decode_error(mixed_body(tail=b"\x00")) == (
+            "1 trailing bytes after the payload"
+        )
+
+    @pytest.mark.parametrize(
+        ("later", "defect"),
+        [([], {"cut": 150}), ([], {"tail": b"\x00"}), ([(93, b"\x09")], {})],
+    )
+    def test_rbat_013_non_finite_reported_before_later_defect(
+        self, later, defect
+    ):
+        body = mixed_body((52, f64(float("nan"))), *later, **defect)
+        assert decode_error(body) == (
+            "batch 0 (instance 7): non-finite update value nan at row 1"
+        )
+
+    @pytest.mark.parametrize(
+        ("offset", "needed_at", "left"), [(20, 28, 154), (73, 81, 101)]
+    )
+    def test_rbat_014_i64_header_with_n_rows_near_2_64(
+        self, offset, needed_at, left
+    ):
+        # batch 0 (int instance) and batch 1 (str instance) headers
+        body = mixed_body((offset, struct.pack("<Q", 2**64 - 1)))
+        assert decode_error(body) == (
+            "truncated buffer: needed 147573952589676412920 bytes at "
+            f"offset {needed_at}, only {left} left"
+        )
+
+    def test_rbat_015_instance_length_near_2_64(self):
+        body = mixed_body((61, struct.pack("<Q", 2**64 - 1)))
+        assert decode_error(body) == (
+            "truncated buffer: needed 18446744073709551615 bytes at "
+            "offset 69, only 113 left"
+        )
+
+    def test_rbat_016_batch_count_mismatch(self):
+        assert decode_error(mixed_body((6, struct.pack("<I", 0)))) == (
+            "172 trailing bytes after the payload"
+        )
+        assert decode_error(mixed_body((6, struct.pack("<I", 5)))) == (
+            "truncated buffer: needed 1 bytes at offset 182, only 0 left"
+        )
+
+
+#: three batches encoded by the version-1 encoder: a str instance with an
+#: ``i64`` key column, an int instance with str keys, and a tuple instance
+#: with tagged keys
+FROZEN_BODY = bytes.fromhex(
+    "524241540100030000000603000000000000006d6f6e01030000000000000001"
+    "000000000000000000000000010000f9ffffffffffffff000000000000e03f00"
+    "0000000000f03f00000000000002400303000000000000000202000000000000"
+    "00010000000200000061c3a9000000000000f03f000000000000104008020000"
+    "0006010000000000000078030100000000000000000300000000000000000204"
+    "0900000000000000000000000000000040000000000000d03f00000000000000"
+    "802be6708b68120000"
+)
+FROZEN_BATCHES = [
+    ("mon", np.array([1, 2**40, -7], dtype=np.int64), [0.5, 1.0, 2.25]),
+    (3, ["a", "é"], [1.0, 4.0]),
+    (("x", 1), [None, True, 2**70], [0.25, -0.0, 1e-310]),
+]
+
+
+def assert_same_batch(decoded: WireBatch, instance, keys, values) -> None:
+    """Equal instance and keys, down to their types, and bit-equal values."""
+    assert type(decoded.instance) is type(instance)
+    assert decoded.instance == instance
+    values = np.asarray(values, dtype="<f8")
+    assert decoded.values.dtype == np.dtype("<f8")
+    assert decoded.values.tobytes() == values.tobytes()
+    if isinstance(keys, np.ndarray) or (
+        keys and all(type(key) is int and I64_MIN <= key <= I64_MAX for key in keys)
+    ):
+        assert isinstance(decoded.keys, np.ndarray)
+        assert decoded.keys.dtype == np.dtype("<i8")
+        assert decoded.keys.tolist() == list(np.asarray(keys).tolist())
+    else:
+        assert isinstance(decoded.keys, list)
+        assert [type(key) for key in decoded.keys] == [type(key) for key in keys]
+        assert decoded.keys == list(keys)
+
+
+@st.composite
+def interleaved_batches(draw):
+    """Batches the header scan reads (int or str instance, ``i64`` keys)
+    interleaved with ones the Reader decodes."""
+    batches = []
+    for fast in draw(st.lists(st.booleans(), max_size=8)):
+        n = draw(st.integers(min_value=0, max_value=12))
+        if fast:
+            instance = draw(
+                st.one_of(st.integers(I64_MIN, I64_MAX), st.text(max_size=6))
+            )
+            keys = np.array(
+                draw(st.lists(st.integers(I64_MIN, I64_MAX), min_size=n, max_size=n)),
+                dtype=np.int64,
+            )
+        else:
+            instance = draw(labels)
+            keys = draw(key_columns())
+            n = len(keys)
+        values = draw(
+            st.lists(
+                st.floats(allow_nan=False, allow_infinity=False),
+                min_size=n,
+                max_size=n,
+            )
+        )
+        batches.append((instance, keys, values))
+    return batches
+
+
+class TestFormatFreeze:
+    def test_wire_version_is_1(self):
+        assert WIRE_VERSION == 1
+
+    def test_encoder_writes_the_frozen_body(self):
+        assert encode_batches(FROZEN_BATCHES) == FROZEN_BODY
+
+    def test_frozen_body_decodes_to_its_columns(self):
+        decoded = decode_batches(FROZEN_BODY)
+        assert len(decoded) == len(FROZEN_BATCHES)
+        for batch, expected in zip(decoded, FROZEN_BATCHES):
+            assert_same_batch(batch, *expected)
+
+    def test_header_scanned_columns_are_read_only_views(self):
+        body = encode_batches([("mon", np.arange(3, dtype=np.int64), [1.0] * 3)])
+        (batch,) = decode_batches(body)
+        for column in (batch.keys, batch.values):
+            assert not column.flags.writeable
+            assert np.shares_memory(column, np.frombuffer(body, np.uint8))
+
+    @settings(max_examples=80, deadline=None)
+    @given(interleaved_batches())
+    def test_interleaved_paths_round_trip_bit_for_bit(self, batches):
+        decoded = decode_batches(encode_batches(batches))
+        assert len(decoded) == len(batches)
+        for batch, expected in zip(decoded, batches):
+            assert_same_batch(batch, *expected)

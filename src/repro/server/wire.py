@@ -12,12 +12,9 @@ Python objects on the decode path, and non-finite values rejected in one
 vectorized :func:`numpy.isfinite` pass per body so the fast path is also
 the safe path.
 
-The common batch — an int or str instance label over an ``i64`` key
-column — is decoded from its header alone: its key and value columns
-are read-only NumPy views of the body, not copies, so a decoded body
-stays alive until :meth:`~repro.service.SketchStore.submit` has
-coalesced its columns.  Every other batch is read field by field with
-:class:`repro.service.codec.Reader`, from the batch's first byte.
+Decoded ``i64`` key columns and all value columns are read-only NumPy
+views of the body, not copies, so a decoded body stays alive until
+:meth:`~repro.service.SketchStore.submit` has coalesced its columns.
 
 A body carries a *pipelined sequence* of batches, so one request can
 amortize HTTP framing and executor-hop overhead over many logical
@@ -57,21 +54,13 @@ The MIME type for HTTP bodies in this format is
 
 from __future__ import annotations
 
-import struct
 from collections.abc import Iterable, Sequence
 from typing import NamedTuple
 
 import numpy as np
 
 from repro.exceptions import SketchCodecError
-from repro.service.codec import (
-    _TAG_INT,
-    _TAG_STR,
-    Reader,
-    Writer,
-    read_label,
-    write_label,
-)
+from repro.service.codec import Reader, Writer, read_label, write_label
 from repro.service.store import INGEST_FORMATS
 
 __all__ = [
@@ -111,13 +100,6 @@ _KEY_I64 = 1
 _KEY_STR = 2
 
 _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
-
-#: a batch header with an int instance: tag, label, key tag, n_rows
-_INT_HEAD = struct.Struct("<xqBQ")
-#: a str instance label up to its utf-8 bytes: tag, byte length
-_STR_HEAD = struct.Struct("<xQ")
-#: key tag and n_rows, after the instance label
-_COLUMN_HEAD = struct.Struct("<BQ")
 
 
 class WireBatch(NamedTuple):
@@ -242,15 +224,10 @@ def decode_batches(data: bytes) -> list[WireBatch]:
     on reports its first non-finite value, as a batch-by-batch check
     would.
 
-    A batch with an int or str instance and an ``i64`` key column is read
-    straight from its header: its ``keys`` and ``values`` are read-only
-    NumPy views of ``data``, so the body stays alive until
-    :meth:`~repro.service.SketchStore.submit` has coalesced them.  Every
-    other batch, and any header that runs past the end of the body, is
-    read by :class:`~repro.service.codec.Reader` from the batch's first
-    byte, so each error names the offset where decoding failed.
+    ``i64`` key columns and every value column are read-only NumPy
+    views of ``data``, not copies, so the body stays alive until
+    :meth:`~repro.service.SketchStore.submit` has coalesced them.
     """
-    data = bytes(data)
     reader = Reader(data)
     magic = reader.raw(len(MAGIC))
     if magic != MAGIC:
@@ -263,65 +240,28 @@ def decode_batches(data: bytes) -> list[WireBatch]:
             f"unsupported batch wire version {version}; this build reads "
             f"versions 1..{WIRE_VERSION}"
         )
-    n_batches = reader.u32()
-    offset = reader.position
-    size = len(data)
-    names: dict[bytes, str] = {}
     batches: list[WireBatch] = []
     try:
-        for index in range(n_batches):
-            start = offset
-            tag = data[start] if start < size else None
-            column = -1
-            if tag == _TAG_INT and start + _INT_HEAD.size <= size:
-                instance, key_tag, n_rows = _INT_HEAD.unpack_from(data, start)
-                column = start + _INT_HEAD.size
-            elif tag == _TAG_STR and start + _STR_HEAD.size <= size:
-                label = start + _STR_HEAD.size
-                head = label + _STR_HEAD.unpack_from(data, start)[0]
-                if head + _COLUMN_HEAD.size <= size:
-                    raw = data[label:head]
-                    instance = names.get(raw)
-                    if instance is None:
-                        try:
-                            instance = names[raw] = raw.decode("utf-8")
-                        except UnicodeDecodeError:
-                            pass  # the Reader names the corrupt label
-                    if instance is not None:
-                        key_tag, n_rows = _COLUMN_HEAD.unpack_from(data, head)
-                        column = head + _COLUMN_HEAD.size
-            if (
-                column >= 0
-                and key_tag == _KEY_I64
-                and column + 16 * n_rows <= size
-            ):
-                keys = np.frombuffer(data, "<i8", n_rows, column)
-                offset = column + 8 * n_rows
-                values = np.frombuffer(data, "<f8", n_rows, offset)
-                offset += 8 * n_rows
-                batches.append(WireBatch(instance, keys, values))
-            else:
-                reader = Reader(data, start)
-                batches.append(_read_batch(reader, index))
-                offset = reader.position
+        for index in range(reader.u32()):
+            batches.append(_read_batch(reader, index))
     except SketchCodecError:
         _check_finite(batches)
         raise
     _check_finite(batches)
-    Reader(data, offset).expect_end()
+    reader.expect_end()
     return batches
 
 
 def _read_batch(reader: Reader, index: int) -> WireBatch:
-    """Read batch ``index`` field by field, in any key encoding."""
+    """Read batch ``index``, in any key encoding."""
     instance = read_label(reader)
     key_tag = reader.u8()
     n_rows = reader.u64()
     keys: Sequence[object]
     if key_tag == _KEY_I64:
-        keys = np.frombuffer(reader.raw(8 * n_rows), dtype="<i8")
+        keys = reader.column("<i8", n_rows)
     elif key_tag == _KEY_STR:
-        lengths = np.frombuffer(reader.raw(4 * n_rows), dtype="<u4")
+        lengths = reader.column("<u4", n_rows)
         blob = reader.raw(int(lengths.sum(dtype=np.uint64)))
         view = memoryview(blob)
         decoded = []
@@ -339,7 +279,7 @@ def _read_batch(reader: Reader, index: int) -> WireBatch:
         keys = reader.labels(n_rows)
     else:
         raise SketchCodecError(f"batch {index}: unknown key tag {key_tag}")
-    values = np.frombuffer(reader.raw(8 * n_rows), dtype="<f8")
+    values = reader.column("<f8", n_rows)
     return WireBatch(instance, keys, values)
 
 

@@ -147,20 +147,22 @@ class _Writer:
 
 
 class _Reader:
-    """Bounds-checked little-endian byte source, reading ``data`` from
-    offset ``start`` on."""
+    """Bounds-checked little-endian byte source."""
 
-    def __init__(self, data: bytes, start: int = 0) -> None:
+    def __init__(self, data: bytes) -> None:
         self._data = bytes(data)
-        self._pos = start
+        self._pos = 0
+
+    def _truncated(self, n: int) -> SketchCodecError:
+        return SketchCodecError(
+            f"truncated buffer: needed {n} bytes at offset "
+            f"{self._pos}, only {len(self._data) - self._pos} left"
+        )
 
     def _take(self, n: int) -> bytes:
         end = self._pos + n
         if n < 0 or end > len(self._data):
-            raise SketchCodecError(
-                f"truncated buffer: needed {n} bytes at offset "
-                f"{self._pos}, only {len(self._data) - self._pos} left"
-            )
+            raise self._truncated(n)
         chunk = self._data[self._pos:end]
         self._pos = end
         return chunk
@@ -205,11 +207,15 @@ class _Reader:
         except UnicodeDecodeError as exc:
             raise SketchCodecError(f"corrupt string payload: {exc}") from exc
 
-    def f64_column(self, count: int) -> np.ndarray:
-        return np.frombuffer(self._take(8 * count), dtype="<f8")
-
-    def u32_column(self, count: int) -> np.ndarray:
-        return np.frombuffer(self._take(4 * count), dtype="<u4")
+    def column(self, dtype: str, count: int) -> np.ndarray:
+        """Read ``count`` items of ``dtype`` as a read-only view of the
+        buffer: nothing is copied, so the view keeps the buffer alive."""
+        itemsize = np.dtype(dtype).itemsize
+        if count * itemsize > len(self._data) - self._pos:
+            raise self._truncated(count * itemsize)
+        column = np.frombuffer(self._data, dtype, count, self._pos)
+        self._pos += count * itemsize
+        return column
 
     def labels(self, count: int) -> list:
         """Read a run of ``count`` tagged labels.
@@ -398,11 +404,11 @@ def _read_sketch_body(reader: _Reader, kind_byte: int) -> dict:
         state["threshold"] = reader.f64()
     count = reader.u64()
     state["keys"] = reader.labels(count)
-    state["values"] = reader.f64_column(count).tolist()
-    state["ranks"] = reader.f64_column(count).tolist()
+    state["values"] = reader.column("<f8", count).tolist()
+    state["ranks"] = reader.column("<f8", count).tolist()
     if kind_byte == _KIND_BOTTOM_K:
-        state["seeds"] = reader.f64_column(count).tolist()
-        state["positions"] = reader.u32_column(count).tolist()
+        state["seeds"] = reader.column("<f8", count).tolist()
+        state["positions"] = reader.column("<u4", count).tolist()
     return state
 
 

@@ -329,7 +329,6 @@ def decode_error(body: bytes) -> str:
 class TestGoldenMessages:
     """Every error text of the mixed body, pinned word for word.
 
-    Header-scanned batches and Reader-decoded ones report the same text.
     The finiteness pass runs once per body, yet a body with a non-finite
     value and a later defect (a truncation, an unknown tag, trailing
     bytes) reports the non-finite value, as reading batch by batch
@@ -504,12 +503,12 @@ def assert_same_batch(decoded: WireBatch, instance, keys, values) -> None:
 
 @st.composite
 def interleaved_batches(draw):
-    """Batches the header scan reads (int or str instance, ``i64`` keys)
-    interleaved with ones the Reader decodes."""
+    """Batches whose ``i64`` key column decodes as a view interleaved with
+    batches in every other key encoding."""
     batches = []
-    for fast in draw(st.lists(st.booleans(), max_size=8)):
+    for i64_keys in draw(st.lists(st.booleans(), max_size=8)):
         n = draw(st.integers(min_value=0, max_value=12))
-        if fast:
+        if i64_keys:
             instance = draw(
                 st.one_of(st.integers(I64_MIN, I64_MAX), st.text(max_size=6))
             )
@@ -545,7 +544,7 @@ class TestFormatFreeze:
         for batch, expected in zip(decoded, FROZEN_BATCHES):
             assert_same_batch(batch, *expected)
 
-    def test_header_scanned_columns_are_read_only_views(self):
+    def test_i64_key_and_value_columns_are_read_only_views(self):
         body = encode_batches([("mon", np.arange(3, dtype=np.int64), [1.0] * 3)])
         (batch,) = decode_batches(body)
         for column in (batch.keys, batch.values):
@@ -554,7 +553,7 @@ class TestFormatFreeze:
 
     @settings(max_examples=80, deadline=None)
     @given(interleaved_batches())
-    def test_interleaved_paths_round_trip_bit_for_bit(self, batches):
+    def test_interleaved_key_encodings_round_trip_bit_for_bit(self, batches):
         decoded = decode_batches(encode_batches(batches))
         assert len(decoded) == len(batches)
         for batch, expected in zip(decoded, batches):

@@ -3,7 +3,7 @@
 Measures, on synthetic pre-aggregated update columns:
 
 * **concurrent-ingest throughput** of :class:`repro.service.SketchStore`
-  (per-shard locking) for 1/2/4 writer threads, with a correctness gate:
+  (one writer per engine) for 1/2/4 writer threads, with a correctness gate:
   the concurrently built engine must equal serial ingest of the same
   updates;
 * **snapshot/restore latency** of the binary codec (``to_bytes`` /

@@ -5,7 +5,7 @@ long-lived network service using nothing but the standard library: an
 ``asyncio`` accept loop speaking the minimal HTTP/1.1 of
 :mod:`repro.server.protocol`, with every store operation — ingest,
 query, snapshot, merge — pushed onto a worker thread so the event loop
-never blocks on shard locks or estimator math.
+never blocks on an engine lock or estimator math.
 
 Endpoints
 ---------
@@ -48,9 +48,10 @@ else queues behind them.  Each hop records its queue wait as an
 ``executor.wait`` span.  Per-engine in-flight ingest
 batches are bounded by ``ServerConfig.max_pending_batches`` — beyond the
 bound the server answers ``503`` with ``Retry-After`` instead of letting
-queues grow without bound.  Because the store's per-shard locking makes
-concurrent ingest of pre-aggregated updates equal to serial ingest, any
-interleaving of HTTP clients yields bit-identical sketches.
+queues grow without bound.  The store applies one ingest group at a
+time per engine, and ingest of pre-aggregated updates is
+order-insensitive, so any interleaving of HTTP clients yields
+bit-identical sketches.
 
 Graceful shutdown drains in-flight requests, closes idle keep-alive
 connections, waits for the query lane and the pool, and — when

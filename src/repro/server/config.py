@@ -34,7 +34,7 @@ class ServerConfig:
     ingest_threads:
         Size of the thread-pool executor that runs store ingests,
         snapshots, merges, replication and the health/metrics pages,
-        keeping shard-lock waits off the event loop.  Queries the result
+        keeping engine-lock waits off the event loop.  Queries the result
         cache cannot answer run on a separate one-thread query lane.
     max_pending_batches:
         Per-engine bound on ingest batches that may be queued or running

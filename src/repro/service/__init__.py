@@ -10,7 +10,7 @@ state:
   Restoration is state-exact: identical snapshots, identical query
   results, bit-identical subsequent updates;
 * :mod:`repro.service.store` — :class:`SketchStore`, a registry of named
-  engines with thread-safe concurrent ingest (per-shard locking),
+  engines with thread-safe concurrent ingest (one writer per engine),
   monotone version counters, snapshot/restore to disk, and
   distributed-style fan-in of peer snapshot files through the sketch
   merge algebra;

@@ -42,7 +42,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from itertools import islice
 from pathlib import Path
 
@@ -135,23 +134,11 @@ def _cmd_ingest(args) -> dict:
     input_path = Path(args.input)
     fmt = _detect_format(input_path, args.format)
     n_batches = n_rows = 0
-    threads = max(1, args.threads)
-    # Bounded submission: Executor.map would drain the whole update file
-    # into the futures queue; keep only O(threads) groups in flight so
-    # memory stays proportional to --batch-size.
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        in_flight = set()
-        for batches in _read_batches(input_path, fmt, args):
-            n_batches += len(batches)
-            n_rows += sum(len(values) for _, _, values in batches)
-            request = IngestRequest(engine=args.name, batches=batches)
-            in_flight.add(pool.submit(store.submit, request))
-            if len(in_flight) >= 2 * threads:
-                done, in_flight = wait(in_flight, return_when=FIRST_COMPLETED)
-                for future in done:
-                    future.result()
-        for future in in_flight:
-            future.result()
+    # one group of --batch-size rows in memory at a time
+    for batches in _read_batches(input_path, fmt, args):
+        n_batches += len(batches)
+        n_rows += sum(len(values) for _, _, values in batches)
+        store.submit(IngestRequest(engine=args.name, batches=batches))
     store.snapshot(store_path)
     return {
         "command": "ingest",
@@ -495,8 +482,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="share per-key seeds across instances")
     ingest.add_argument("--shards", type=int, default=8)
     ingest.add_argument("--batch-size", type=int, default=8192)
-    ingest.add_argument("--threads", type=int, default=1,
-                        help="concurrent ingest threads")
     ingest.add_argument("--int-keys", action="store_true",
                         help="parse keys as integers")
     ingest.set_defaults(run=_cmd_ingest)

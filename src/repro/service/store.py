@@ -3,10 +3,10 @@
 :class:`SketchStore` is the long-lived state of the serving layer: a
 registry of named :class:`~repro.streaming.StreamEngine` instances with
 
-* **thread-safe concurrent ingest** — per-(instance, shard) locking over
-  the engine's sharded structure, so writer threads touching different
-  shards proceed in parallel while updates to one shard serialize.
-  Because sketch state is insensitive to update order (the streaming
+* **thread-safe concurrent ingest** — one writer per engine: each
+  ingest group is logged, planned and applied under the engine's lock
+  (under the GIL a second writer adds convoy, not compute).  Because
+  sketch state is insensitive to update order (the streaming
   permutation guarantee), concurrent ingest of pre-aggregated updates
   produces sketches identical to serial ingest;
 * **monotone version counters** — every completed ingest bumps the named
@@ -21,9 +21,10 @@ registry of named :class:`~repro.streaming.StreamEngine` instances with
   snapshot file into this store shard-by-shard via the associative merge
   algebra of :mod:`repro.streaming.merge`.
 
-Reads (queries, snapshots, merges) are quiescent: they wait for in-flight
-ingests to drain and briefly block new ones, so every exported state and
-every version observed is a consistent point-in-time view.
+Reads (queries, snapshots, merges) are quiescent: they hold the engine's
+lock, so they wait for at most one group's apply and briefly block new
+ingests, and every exported state and every version observed is a
+consistent point-in-time view.
 
 Every ingest surface — live API calls, binary batch groups, row
 triples (grouped by :func:`group_rows`), recovery replay — funnels
@@ -83,14 +84,12 @@ __all__ = ["INGEST_FORMATS", "IngestFormat", "IngestRequest", "SketchStore",
 
 
 class _StoreEntry:
-    """A named engine plus its concurrency state."""
+    """A named engine plus its lock, version and derived-state caches."""
 
     __slots__ = (
         "engine",
         "version",
-        "cond",
-        "in_flight",
-        "shard_locks",
+        "lock",
         "synced_version",
         "epoch",
         "columns",
@@ -99,12 +98,12 @@ class _StoreEntry:
     def __init__(self, engine: StreamEngine, version: int = 0) -> None:
         self.engine = engine
         self.version = int(version)
-        #: guards version / in_flight / shard-lock creation; readers wait
-        #: on it for quiescence.  Reentrant so pool-mode crash healing
-        #: can re-touch an entry from inside a quiescent read.
-        self.cond = threading.Condition(threading.RLock())
-        self.in_flight = 0
-        self.shard_locks: dict[tuple, threading.Lock] = {}
+        #: the one writer lock: a submit holds it while it logs, plans
+        #: and applies one group, and a read holds it for the whole
+        #: read, so a read waits for at most one group's apply.
+        #: Reentrant so pool-mode crash healing can re-touch an entry
+        #: from inside a read.
+        self.lock = threading.RLock()
         #: multiprocess backend only: the highest version whose effects
         #: are folded into the *parent* engine.  Batches in
         #: ``(synced_version, version]`` live as worker deltas (and WAL
@@ -374,7 +373,7 @@ def _coalesce_batches(
 
 def _check_replay_version(name: str, entry: _StoreEntry, version: int) -> None:
     """Refuse a replayed batch the store already holds (caller holds
-    ``entry.cond``): skipping applied records is the caller's job."""
+    ``entry.lock``): skipping applied records is the caller's job."""
     if version <= entry.version:
         raise InvalidParameterError(
             f"replayed batch for {name!r} carries version {version} but "
@@ -556,7 +555,7 @@ class SketchStore:
         from repro.cluster import WorkerCrashError
 
         pool = self._pool
-        with entry.cond:
+        with entry.lock:
             if entry.synced_version == entry.version:
                 return
         for _ in range(8):
@@ -570,7 +569,7 @@ class SketchStore:
                 f"shard workers kept crashing while folding {name!r}; "
                 "giving up after 8 heal attempts"
             )
-        with entry.cond:
+        with entry.lock:
             with span(
                 "store.fold", engine=name, deltas=len(states)
             ):
@@ -579,7 +578,6 @@ class SketchStore:
                     # the decoded delta sketch bit-exactly
                     entry.engine.fold_delta(codec.from_bytes(blob))
             entry.synced_version = entry.version
-            entry.shard_locks.clear()
 
     def _heal_workers(self) -> None:
         """Respawn dead workers and replay their un-folded WAL tail.
@@ -608,7 +606,7 @@ class SketchStore:
             )
         windows: dict[str, tuple[int, int]] = {}
         for name, entry in list(self._entries.items()):
-            with entry.cond:
+            with entry.lock:
                 if entry.synced_version < entry.version:
                     windows[name] = (entry.synced_version, entry.version)
         records = []
@@ -794,9 +792,9 @@ class SketchStore:
 
         The replication / recovery counterpart of :meth:`register`: a
         follower applying an engine-state record must overwrite whatever
-        it currently holds.  Replacement waits for in-flight ingests to
-        drain, keeps the version monotone (``max(local, version)``), and
-        logs an engine record when a WAL is attached.  The version may
+        it currently holds.  Replacement waits for the group being
+        applied, keeps the version monotone (``max(local, version)``),
+        and logs an engine record when a WAL is attached.  The version may
         stay put, so replacement advances the entry's epoch instead: the
         query caches key on both.
         """
@@ -818,7 +816,6 @@ class SketchStore:
             entry.epoch += 1
             entry.columns = (None, {})
             entry.synced_version = new_version
-            entry.shard_locks.clear()
             pool = self._pool
             if pool is not None:
                 # the read already folded and reset the workers; replace
@@ -872,15 +869,15 @@ class SketchStore:
     def version(self, name: str) -> int:
         """Monotone ingest counter of ``name`` (0 for a fresh engine)."""
         entry = self._entry(name)
-        with entry.cond:
+        with entry.lock:
             return entry.version
 
     def state_hint(self, name: str) -> tuple[int, int]:
         """Lock-free ``(version, epoch)`` of ``name`` — possibly a moment
         stale; the pair keys every cache of query results.
 
-        :meth:`version` waits on the per-engine condition lock, which an
-        in-flight ingest holds while planning a whole batch; serving
+        :meth:`version` waits on the per-engine lock, which an ingest
+        holds while it logs, plans and applies one group; serving
         event loops that must never block (the HTTP server's cache
         probe, metrics scrapes) read the counters without it.  Under the
         GIL each read is atomic, and a stale pair only makes a cache
@@ -905,17 +902,18 @@ class SketchStore:
            ``request.coalesce``) with no lock held, and with a
            write-ahead log attached encode each group's log record, so a
            key the log refuses fails here too.
-        2. *Log, plan and apply* each group in turn.  Under the engine's
-           lock the group takes its version, is appended to the log
-           (append-before-apply) and is planned; it is then applied on
-           the active backend: its shard jobs under per-(instance, shard)
-           locks, so writers to different shards run in parallel, or its
-           rows piped to the shard workers that own them (under the pool
-           lock; a crashed worker is respawned and replayed from the log
-           once the version is published).
+        2. *Log, plan and apply* each group in turn, in one hold of the
+           engine's lock: the group takes its version, is appended to
+           the log (append-before-apply), is planned and is applied on
+           the active backend, either its shard jobs in this thread or
+           its rows piped to the shard workers that own them (under the
+           pool lock; a crashed worker is respawned and replayed from
+           the log once the version is published).  Each engine
+           therefore has one writer at a time, and a read waits for at
+           most one group's apply.  The version is published even when
+           the apply raises, because the log already holds its record.
         3. A *replay* is the same pipeline with a forced version: it
-           waits for in-flight ingests to drain and refuses a version the
-           store already holds.
+           refuses a version the store already holds.
 
         The log keeps one record, and the engine one version, per group.
         A crash between two of a request's appends therefore recovers a
@@ -956,59 +954,41 @@ class SketchStore:
                     instance, keys, values, entry.engine.n_shards,
                     pool.n_workers,
                 )
+            crashed = False
             with pool.lock if pool is not None else nullcontext():
-                with entry.cond:
+                with entry.lock:
                     if forced is None:
-                        # version + in_flight is invariant under
-                        # completions, so planned versions are the exact
-                        # sequence the quiescent counter runs through
-                        planned = entry.version + entry.in_flight + 1
+                        planned = entry.version + 1
                     else:
-                        while entry.in_flight:
-                            entry.cond.wait()
                         _check_replay_version(name, entry, forced)
                         planned = forced
                     if records:
                         # popped: a record on disk is freed at once
                         self._wal.append_batch_blob(name, planned, records.pop(0))
-                    if pool is None:
-                        work = [
-                            (
-                                entry.shard_locks.setdefault(
-                                    (instance, job.shard), threading.Lock()
-                                ),
-                                job,
-                            )
-                            for job in entry.engine.ingest_jobs(
+                    try:
+                        if pool is None:
+                            work = entry.engine.ingest_jobs(
                                 instance, keys, values
                             )
-                        ]
-                    if forced is not None:
-                        # the completion below lands it on the forced one
-                        entry.version = forced - 1
-                    entry.in_flight += 1
-                crashed = False
-                try:
-                    with span("store.ingest", engine=name, rows=len(values)):
-                        if pool is None:
-                            for lock, job in work:
-                                with lock:
+                        with span(
+                            "store.ingest", engine=name, rows=len(values)
+                        ):
+                            if pool is None:
+                                for job in work:
                                     StreamEngine.run_job(job)
-                        else:
-                            try:
-                                pool.dispatch(name, work)
-                            except WorkerCrashError:
-                                crashed = True
-                finally:
-                    with entry.cond:
-                        entry.in_flight -= 1
-                        entry.version += 1
-                        version = entry.version
-                        entry.cond.notify_all()
+                            else:
+                                try:
+                                    pool.dispatch(name, work)
+                                except WorkerCrashError:
+                                    crashed = True
+                    finally:
+                        # the log holds this version's record, so it is
+                        # published even when the apply raised
+                        entry.version = version = planned
                 if crashed:
                     self._heal_workers()
         if version is None:
-            with entry.cond:
+            with entry.lock:
                 return entry.version
         return version
 
@@ -1017,8 +997,9 @@ class SketchStore:
     # ------------------------------------------------------------------
     @contextmanager
     def _read(self, name: str):
-        """Yield the entry once no ingest is in flight, blocking new
-        ingests for the duration (they queue on the condition lock).
+        """Yield the entry under its lock, so no ingest changes it for
+        the duration; the read waits for at most one group's apply, and
+        ingests queue behind it.
 
         With shard workers attached, first folds outstanding worker
         deltas into the parent engine — under the pool lock, so no
@@ -1027,19 +1008,12 @@ class SketchStore:
         """
         entry = self._entry(name)
         pool = self._pool
-        if pool is not None:
-            with pool.lock:
-                if self._pool is pool:  # raced a stop_workers()
-                    self._sync_one(name, entry)
-                with entry.cond:
-                    while entry.in_flight:
-                        entry.cond.wait()
-                    yield entry
-            return
-        with entry.cond:
-            while entry.in_flight:
-                entry.cond.wait()
-            yield entry
+        with pool.lock if pool is not None else nullcontext():
+            # a racing stop_workers() has already folded this pool
+            if pool is not None and self._pool is pool:
+                self._sync_one(name, entry)
+            with entry.lock:
+                yield entry
 
     def snapshot_view(
         self, name: str, instances: Sequence[object]
@@ -1223,7 +1197,6 @@ class SketchStore:
                 # the read folded the workers' deltas, so the peer state
                 # merged into the parent is the whole story
                 entry.synced_version = entry.version
-                entry.shard_locks.clear()
                 if self._wal is not None:
                     # a merge is not replayable from batches — log the
                     # full post-merge state so recovery sees it

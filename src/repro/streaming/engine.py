@@ -57,7 +57,6 @@ class IngestJob(NamedTuple):
     """One shard's share of an ingest batch (see
     :meth:`StreamEngine.ingest_jobs`)."""
 
-    shard: int
     sketch: object
     keys: Sequence[object]
     values: np.ndarray
@@ -200,9 +199,9 @@ class StreamEngine:
         This is the planning half of :meth:`ingest`: it hashes the key
         column, routes each update to its shard, creates missing sketches,
         and advances ``n_updates`` — but applies nothing.  Callers that
-        need to interleave the per-shard work with their own concurrency
-        control (e.g. the per-shard locking of
-        :class:`repro.service.SketchStore`) run the returned jobs through
+        apply the jobs inside their own critical section (e.g. the engine
+        lock of :class:`repro.service.SketchStore`, which logs, plans and
+        applies one group in one hold) run the returned jobs through
         :meth:`run_job` themselves.
         """
         keys, values = self.checked_columns(keys, values)
@@ -213,7 +212,7 @@ class StreamEngine:
         self.change_tick += 1
         if self.n_shards == 1:
             self.shard_updates[0] += len(keys)
-            return [IngestJob(0, shards[0], keys, values, hashes)]
+            return [IngestJob(shards[0], keys, values, hashes)]
         shard_ids = (hashes % np.uint64(self.n_shards)).astype(np.intp)
         jobs = []
         for shard in range(self.n_shards):
@@ -223,7 +222,6 @@ class StreamEngine:
             self.shard_updates[shard] += int(index.size)
             jobs.append(
                 IngestJob(
-                    shard,
                     shards[shard],
                     keys[index] if columnar else [keys[i] for i in index],
                     values[index],

@@ -100,24 +100,6 @@ class TestCliEndToEnd:
         )
         assert l1["value"] == direct.value
 
-    def test_threaded_ingest_matches_single_thread(
-        self, tmp_path, capsys, rows
-    ):
-        write_csv(tmp_path / "updates.csv", rows)
-        for threads, name in (("1", "serial.bin"), ("4", "threaded.bin")):
-            run_cli(
-                capsys,
-                "ingest", "--store", str(tmp_path / name),
-                "--name", "traffic",
-                "--input", str(tmp_path / "updates.csv"),
-                "--kind", "poisson", "--threshold", str(THRESHOLD),
-                "--salt", str(SALT), "--threads", threads,
-                "--batch-size", "256",
-            )
-        serial = SketchStore.restore(tmp_path / "serial.bin")
-        threaded = SketchStore.restore(tmp_path / "threaded.bin")
-        assert threaded.engine("traffic") == serial.engine("traffic")
-
     def test_split_ingest_then_merge_matches_full_ingest(
         self, tmp_path, capsys, rows
     ):

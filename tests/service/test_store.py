@@ -3,6 +3,7 @@ fan-in."""
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -18,6 +19,8 @@ from repro.sampling.seeds import SeedAssigner
 from repro.service.queries import Query, query_value_json
 from repro.service.store import IngestRequest, SketchStore, group_rows
 from repro.streaming.engine import StreamEngine
+from repro.wal import WriteAheadLog, recover_store
+from repro.wal.log import RECORD_BATCH
 
 from ingest_helper import ingest
 
@@ -99,6 +102,79 @@ class TestConcurrentIngest:
         for batch in batches:
             ingest(serial, "traffic", *batch)
         assert store.engine("traffic") == serial.engine("traffic")
+
+
+def test_one_writer_per_engine(monkeypatch):
+    """A second submit to one engine applies nothing while the first
+    is still applying, even when the two touch different instances."""
+    store = build_store("poisson")
+    entered = threading.Event()
+    release = threading.Event()
+    callers: list[str] = []
+    run_job = StreamEngine.run_job
+
+    def gated(job):
+        callers.append(threading.current_thread().name)
+        if len(callers) == 1:
+            entered.set()
+            release.wait(10)
+        run_job(job)
+
+    monkeypatch.setattr(StreamEngine, "run_job", staticmethod(gated))
+    keys = np.arange(400)
+    values = np.ones(400)
+    writer_a = threading.Thread(
+        target=ingest, args=(store, "traffic", "mon", keys, values), name="A"
+    )
+    writer_b = threading.Thread(
+        target=ingest, args=(store, "traffic", "tue", keys, values), name="B"
+    )
+    writer_a.start()
+    assert entered.wait(10)
+    writer_b.start()
+    writer_b.join(0.5)
+    assert "B" not in callers
+    release.set()
+    writer_a.join(10)
+    writer_b.join(10)
+    assert "B" in callers
+    assert store.version("traffic") == 2
+
+
+def test_failed_apply_still_publishes_its_logged_version(
+    monkeypatch, tmp_path
+):
+    store = SketchStore()
+    wal = WriteAheadLog(tmp_path / "wal", fsync="off")
+    store.attach_wal(wal)
+    store.create(
+        "traffic", "poisson", threshold=0.4, n_shards=4,
+        seed_assigner=SeedAssigner(salt=5, coordinated=True),
+    )
+    run_job = StreamEngine.run_job
+    failures = [RuntimeError("injected apply failure")]
+
+    def failing_once(job):
+        if failures:
+            raise failures.pop()
+        run_job(job)
+
+    monkeypatch.setattr(StreamEngine, "run_job", staticmethod(failing_once))
+    with pytest.raises(RuntimeError, match="injected apply failure"):
+        ingest(store, "traffic", "mon", np.arange(100), np.ones(100))
+    assert store.version("traffic") == 1
+    records, _ = wal.read_all()
+    assert [
+        record.version for record in records if record.kind == RECORD_BATCH
+    ] == [1]
+    assert ingest(store, "traffic", "tue", np.arange(100), np.ones(100)) == 2
+    wal.close()
+    log = WriteAheadLog(tmp_path / "wal", fsync="off")
+    try:
+        recovered = recover_store(None, log).store
+    finally:
+        log.close()
+    assert recovered.version("traffic") == 2
 
 
 class TestRegistryAndVersions:

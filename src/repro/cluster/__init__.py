@@ -13,8 +13,10 @@ Layers:
   (row -> shard -> worker); :class:`ShardWorkerPool` pipes every worker
   its slice, collects deltas, probes, and detects and respawns crashed
   workers;
-* :mod:`repro.cluster.worker` — the worker process: ingests its slices
-  through the engine's own plan and ships its delta on ``collect``.
+* :mod:`repro.cluster.worker` — the worker process: builds each engine
+  empty from its template, the engine's configuration (the
+  ``StreamEngine`` keyword arguments), ingests its slices through the
+  engine's own plan and ships its delta on ``collect``.
 
 The store integration lives in :meth:`repro.service.SketchStore.
 start_workers`; a served store opts in with ``serve --workers N`` (an

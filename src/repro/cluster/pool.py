@@ -19,6 +19,11 @@ pool detects a dead worker (``dispatch``/``collect`` raise
 re-registers engine templates, and the *store* replays the WAL tail of
 un-folded batches to the fresh worker — so acked batches survive a
 ``SIGKILL`` of any worker.
+
+An engine template is the engine's configuration: the keyword
+arguments of :class:`~repro.streaming.StreamEngine` (its
+``sketch_config`` plus ``n_shards``), from which a worker builds the
+empty engine it accumulates a delta on.
 """
 
 from __future__ import annotations
@@ -161,9 +166,9 @@ class ShardWorkerPool:
         #: synced-version bookkeeping around it, so crash healing sees a
         #: consistent dispatched-vs-folded state across engines
         self.lock = threading.RLock()
-        #: engine name -> empty-configured-clone blob (worker reset
-        #: template; re-sent to every respawned worker)
-        self._engines: dict[str, bytes] = {}
+        #: engine name -> StreamEngine keyword arguments (the worker's
+        #: template of the engine; re-sent to every respawned worker)
+        self._engines: dict[str, dict[str, Any]] = {}
         #: deltas rescued from a crash-interrupted collect, by name
         self._stray_states: dict[str, list[bytes]] = {}
         #: non-ack replies consumed by opportunistic ack folding, kept
@@ -325,14 +330,15 @@ class ShardWorkerPool:
         self._send(worker, ("batch", self._next_seq(), name, batch))
         worker.sent += 1
 
-    def register_engine(self, name: str, template_blob: bytes) -> None:
-        """Broadcast an engine (reset template) to every worker.
+    def register_engine(self, name: str, config: dict[str, Any]) -> None:
+        """Broadcast an engine template — the ``StreamEngine`` keyword
+        arguments of an empty copy — to every worker.
 
         Also called to *replace* an engine after ``adopt``: workers
         drop their accumulated delta and start from the new template.
         """
         with self.lock:
-            self._engines[name] = bytes(template_blob)
+            self._engines[name] = dict(config)
             dead: list[int] = []
             for worker in self._workers:
                 if not worker.process.is_alive():
@@ -480,8 +486,8 @@ class ShardWorkerPool:
                 rows=old.rows,
                 restarts=old.restarts + 1,
             )
-            for name, blob in self._engines.items():
-                self._send(fresh, ("engine", name, blob))
+            for name, config in self._engines.items():
+                self._send(fresh, ("engine", name, config))
             self._workers[index] = fresh
 
     def probes(self) -> list[dict]:

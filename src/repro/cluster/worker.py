@@ -14,8 +14,10 @@ associative sketch merge reproduces the serial engine *bit-exactly*
 The loop is deliberately dumb: frames arrive in FIFO order over one
 command pipe, and a ``collect`` frame therefore observes every batch
 dispatched before it.  ``collect`` ships the engine's accumulated
-delta and resets it to an empty configured clone, making worker state
-a pure delta since the last fold.  An idle worker sleeps in ``poll``.
+delta and rebuilds the empty engine from its template (the
+``StreamEngine`` keyword arguments the parent registered), making
+worker state a pure delta since the last fold.  An idle worker sleeps
+in ``poll``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import contextlib
 import os
 import traceback
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from repro.service import codec
 from repro.streaming.engine import StreamEngine
@@ -46,8 +48,9 @@ def worker_main(
 
     Frames (parent -> worker):
 
-    * ``("engine", name, blob)`` — adopt the engine state and remember
-      the blob as the post-``collect`` reset template;
+    * ``("engine", name, config)`` — start the engine empty from its
+      ``StreamEngine`` keyword arguments, kept as the template it is
+      rebuilt from after every ``collect``;
     * ``("batch", seq, name, (instance, keys, values))`` — ingest this
       worker's slice of one batch, then ack;
     * ``("collect", seq, name)`` — ship the accumulated delta and reset;
@@ -59,7 +62,7 @@ def worker_main(
     the parent decides whether that is fatal.
     """
     engines: dict[str, StreamEngine] = {}
-    templates: dict[str, bytes] = {}
+    templates: dict[str, dict[str, Any]] = {}
     try:
         while True:
             try:
@@ -77,9 +80,9 @@ def worker_main(
                 return
             try:
                 if kind == "engine":
-                    _, name, blob = message
-                    templates[name] = blob
-                    engines[name] = codec.from_bytes(blob)
+                    _, name, config = message
+                    templates[name] = config
+                    engines[name] = StreamEngine(**config)
                 elif kind == "batch":
                     _, seq, name, (instance, keys, values) = message
                     engine = engines[name]
@@ -93,7 +96,7 @@ def worker_main(
                         reply_conn.send(("state", seq, name, None))
                     else:
                         state = codec.to_bytes(engine)
-                        engines[name] = codec.from_bytes(templates[name])
+                        engines[name] = StreamEngine(**templates[name])
                         reply_conn.send(("state", seq, name, state))
                 else:
                     reply_conn.send(

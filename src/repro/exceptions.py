@@ -53,7 +53,7 @@ class SketchCodecError(ReproError, ValueError):
     """Raised by :mod:`repro.service.codec` when bytes cannot be decoded
     (wrong magic, unsupported format version, truncated or trailing data,
     corrupt payloads) or when state cannot be represented on the wire
-    (custom rank families, factory-built engines, unsupported key types)."""
+    (custom rank families, unsupported key types)."""
 
 
 class WalCorruptionError(SketchCodecError):

@@ -734,11 +734,11 @@ class SketchServer:
         for name in self.store.names():
             try:
                 engine = self.store.engine(name)
-                config = engine.sketch_config or {}
-                if config.get("kind") != "bottom_k":
+                config = engine.sketch_config
+                if config["kind"] != "bottom_k":
                     continue
-                yield name, engine.probe(), int(config["k"])
-            except (UnknownStoreError, KeyError):
+                yield name, engine.probe(), config["k"]
+            except UnknownStoreError:
                 continue
 
     def _probe_sketch_fill(self) -> float | None:
@@ -863,7 +863,7 @@ class SketchServer:
                     f"?window must be a number of seconds, got "
                     f"{raw_window!r}",
                 ) from None
-            if window < 0:
+            if not window >= 0:  # NaN included
                 raise HttpError(400, f"?window must be >= 0, got {window}")
         # unknown metrics raise InvalidParameterError -> 400 (with the
         # known-name list in the message) via the dispatch error mapping

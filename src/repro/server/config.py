@@ -102,17 +102,18 @@ class ServerConfig:
                 raise InvalidParameterError(
                     f"{attribute} must be positive, got {value}"
                 )
-        if self.slow_request_ms < 0:
+        # each check is written so that NaN fails it too
+        if not self.slow_request_ms >= 0:
             raise InvalidParameterError(
                 "slow_request_ms must be >= 0 (0 disables the slow log), "
                 f"got {self.slow_request_ms}"
             )
-        if self.series_interval < 0:
+        if not self.series_interval >= 0:
             raise InvalidParameterError(
                 "series_interval must be >= 0 (0 disables the series "
                 f"sampler), got {self.series_interval}"
             )
-        if self.health_target_p99 <= 0:
+        if not self.health_target_p99 > 0:
             raise InvalidParameterError(
                 "health_target_p99 must be positive, got "
                 f"{self.health_target_p99}"

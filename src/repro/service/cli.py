@@ -46,15 +46,10 @@ from itertools import islice
 from pathlib import Path
 
 from repro.exceptions import ReproError, RowDecodeError
-from repro.sampling.ranks import rank_family_from_name
-from repro.sampling.seeds import SeedAssigner
 from repro.service.queries import Query, query_value_json
 from repro.service.store import INGEST_FORMATS, IngestRequest, SketchStore, group_rows
 
 __all__ = ["main"]
-
-_DEFAULT_FAMILIES = {"bottom_k": "exp", "poisson": "uniform"}
-
 
 # ----------------------------------------------------------------------
 # Update-stream reading
@@ -107,24 +102,17 @@ def _load_store(path: Path) -> SketchStore:
 def _ensure_engine(store: SketchStore, args) -> None:
     if args.name in store:
         return
-    ranks = args.ranks or _DEFAULT_FAMILIES[args.kind]
-    kwargs = {
-        "rank_family": rank_family_from_name(ranks),
-        "seed_assigner": SeedAssigner(
-            salt=args.salt, coordinated=args.coordinated
-        ),
+    store.create_from_config({
+        "name": args.name,
+        "kind": args.kind,
+        # --k has a default, so only a bottom-k engine reads it
+        "k": args.k if args.kind == "bottom_k" else None,
+        "threshold": args.threshold,
+        "ranks": args.ranks,
+        "salt": args.salt,
+        "coordinated": args.coordinated,
         "n_shards": args.shards,
-    }
-    if args.kind == "bottom_k":
-        store.create(args.name, "bottom_k", k=args.k, **kwargs)
-    else:
-        if args.threshold is None:
-            raise SystemExit(
-                "creating a poisson store requires --threshold"
-            )
-        store.create(
-            args.name, "poisson", threshold=args.threshold, **kwargs
-        )
+    })
 
 
 def _cmd_ingest(args) -> dict:

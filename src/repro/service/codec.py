@@ -36,8 +36,7 @@ NumPy speed.
 Decoding failures (bad magic, unsupported version, truncation, trailing
 garbage, corrupt payloads) raise
 :class:`~repro.exceptions.SketchCodecError`, as does encoding state the
-format cannot represent (custom rank families or key types, engines built
-from custom factories).
+format cannot represent (custom rank families or key types).
 """
 
 from __future__ import annotations
@@ -511,10 +510,7 @@ def to_bytes(obj) -> bytes:
         _write_header(writer, _SKETCH_KINDS[state["kind"]])
         _write_sketch_body(writer, state)
     elif isinstance(obj, StreamEngine):
-        try:
-            state = obj.state_dict()
-        except ReproError as exc:
-            raise SketchCodecError(str(exc)) from exc
+        state = obj.state_dict()
         _write_header(writer, _KIND_ENGINE)
         _write_engine_state(writer, state)
     else:

@@ -83,6 +83,12 @@ __all__ = ["INGEST_FORMATS", "IngestFormat", "IngestRequest", "SketchStore",
            "csv_rows", "group_rows", "json_columns", "json_rows", "jsonl_rows"]
 
 
+def _worker_template(engine: StreamEngine) -> dict:
+    """A shard worker's template of ``engine``: the arguments of
+    ``StreamEngine`` that build an empty copy of it."""
+    return {**engine.sketch_config, "n_shards": engine.n_shards}
+
+
 class _StoreEntry:
     """A named engine plus its lock, version and derived-state caches."""
 
@@ -449,14 +455,17 @@ class SketchStore:
         """Swap ingest execution onto ``n_workers`` shard processes.
 
         Each worker owns the shards ``s % n_workers == worker_id`` of
-        every engine and starts from an *empty* configured clone (the
-        parent keeps all pre-existing state); quiescent reads fold the
-        workers' deltas back through the associative merge, bit-exact
-        with single-process ingest.  Call before serving concurrent
-        traffic; engines registered later join the pool automatically.
-        Worker-mode ingest requires engines with a recorded
-        configuration; as on the thread backend, keys need to be
-        wire-encodable only when a write-ahead log is attached.
+        every engine and starts it empty (the parent keeps all
+        pre-existing state); quiescent reads fold the workers' deltas
+        back through the associative merge, bit-exact with
+        single-process ingest.  A worker's template of an engine is the
+        engine's configuration, its ``sketch_config`` plus ``n_shards``:
+        the worker builds the empty engine from it at start and after
+        every ``collect``.  Call before serving concurrent traffic;
+        engines registered or adopted later, and respawned workers, get
+        their templates automatically.  As on the thread backend, keys
+        need to be wire-encodable only when a write-ahead log is
+        attached.
         """
         from repro.cluster import ShardWorkerPool
 
@@ -464,16 +473,13 @@ class SketchStore:
             raise InvalidParameterError(
                 "shard workers are already running for this store"
             )
-        # fail fast (before any process exists) on template-less engines
-        templates = {
-            name: self._engine_template(name, self._entry(name).engine)
-            for name in self.names()
-        }
         pool = ShardWorkerPool(n_workers)
         pool.start()
         try:
-            for name, blob in templates.items():
-                pool.register_engine(name, blob)
+            for name in self.names():
+                pool.register_engine(
+                    name, _worker_template(self._entry(name).engine)
+                )
         except Exception:
             pool.stop()
             raise
@@ -510,38 +516,6 @@ class SketchStore:
         if pool is None:
             return []
         return pool.probes()
-
-    @staticmethod
-    def _engine_template(name: str, engine: StreamEngine) -> bytes:
-        """Empty configured clone of ``engine`` — the worker reset
-        template (workers accumulate pure deltas on top of it)."""
-        config = engine.sketch_config
-        if not config:
-            raise InvalidParameterError(
-                f"engine {name!r} was built from a custom factory and "
-                "carries no recorded configuration; shard workers need "
-                "one to build their empty reset template"
-            )
-        kind = config.get("kind")
-        if kind == "bottom_k":
-            template = StreamEngine.bottom_k(
-                k=config["k"],
-                rank_family=config.get("rank_family"),
-                seed_assigner=config.get("seed_assigner"),
-                n_shards=engine.n_shards,
-            )
-        elif kind == "poisson":
-            template = StreamEngine.poisson(
-                threshold=config["threshold"],
-                rank_family=config.get("rank_family"),
-                seed_assigner=config.get("seed_assigner"),
-                n_shards=engine.n_shards,
-            )
-        else:
-            raise InvalidParameterError(
-                f"engine {name!r} has unknown sketch kind {kind!r}"
-            )
-        return codec.to_bytes(template)
 
     def _sync_one(self, name: str, entry: _StoreEntry) -> None:
         """Fold worker deltas for ``name`` into the parent engine.
@@ -650,41 +624,16 @@ class SketchStore:
         seed_assigner: SeedAssigner | None = None,
         n_shards: int = 8,
     ) -> StreamEngine:
-        """Create, register and return a named engine."""
-        if kind == "bottom_k":
-            if k is None:
-                raise InvalidParameterError(
-                    "a bottom_k store requires the sample size k"
-                )
-            if threshold is not None:
-                raise InvalidParameterError(
-                    "threshold applies to poisson stores only"
-                )
-            engine = StreamEngine.bottom_k(
-                k=k,
-                rank_family=rank_family,
-                seed_assigner=seed_assigner,
-                n_shards=n_shards,
-            )
-        elif kind == "poisson":
-            if threshold is None:
-                raise InvalidParameterError(
-                    "a poisson store requires a threshold"
-                )
-            if k is not None:
-                raise InvalidParameterError(
-                    "k applies to bottom_k stores only"
-                )
-            engine = StreamEngine.poisson(
-                threshold=threshold,
-                rank_family=rank_family,
-                seed_assigner=seed_assigner,
-                n_shards=n_shards,
-            )
-        else:
-            raise InvalidParameterError(
-                f"unknown sketch kind {kind!r}; use 'bottom_k' or 'poisson'"
-            )
+        """Create, register and return a named engine (see
+        :class:`StreamEngine` for the arguments and their rules)."""
+        engine = StreamEngine(
+            kind,
+            k=k,
+            threshold=threshold,
+            rank_family=rank_family,
+            seed_assigner=seed_assigner,
+            n_shards=n_shards,
+        )
         self.register(name, engine)
         return engine
 
@@ -694,11 +643,11 @@ class SketchStore:
         The shared creation path of the serving surfaces — HTTP ``POST
         /engines`` bodies and the serve CLI's ``--create`` specs — so
         both apply identical defaults.  Keys: ``name`` (required),
-        ``kind`` (default ``bottom_k``), ``k`` (default 64),
-        ``threshold`` (required for poisson), ``ranks`` (rank-family
-        name; the family default when omitted), ``salt`` (default 0),
-        ``coordinated`` (bool or "1"/"true"/"yes" string), ``n_shards``
-        (default 8).  Numeric values may arrive as strings.
+        ``kind`` (default ``bottom_k``), ``k`` (bottom-k only, default
+        64), ``threshold`` (poisson only, required), ``ranks``
+        (rank-family name; the family default when omitted), ``salt``
+        (default 0), ``coordinated`` (bool or "1"/"true"/"yes" string),
+        ``n_shards`` (default 8).  Numeric values may arrive as strings.
         """
         allowed = {
             "name", "kind", "k", "threshold", "ranks", "salt",
@@ -716,42 +665,32 @@ class SketchStore:
                 f"engine config requires a string 'name', got {name!r}"
             )
         kind = config.get("kind", "bottom_k")
+        k = config.get("k")
+        if k is None and kind == "bottom_k":
+            k = 64
         ranks = config.get("ranks")
         coordinated = config.get("coordinated", False)
         if isinstance(coordinated, str):
             coordinated = coordinated.lower() in ("1", "true", "yes")
-        kwargs = {
-            "rank_family": (
+        return self.create(
+            name,
+            kind,
+            k=k,
+            threshold=config.get("threshold"),
+            rank_family=(
                 rank_family_from_name(ranks) if ranks is not None else None
             ),
-            "seed_assigner": SeedAssigner(
+            seed_assigner=SeedAssigner(
                 salt=int(config.get("salt", 0)),
                 coordinated=bool(coordinated),
             ),
-            "n_shards": int(config.get("n_shards", 8)),
-        }
-        if kind == "bottom_k":
-            kwargs["k"] = int(config.get("k", 64))
-        elif kind == "poisson":
-            if config.get("threshold") is None:
-                raise InvalidParameterError(
-                    f"a poisson engine requires a 'threshold' "
-                    f"(engine {name!r})"
-                )
-            kwargs["threshold"] = float(config["threshold"])
-        # unknown kinds fall through to create(), which rejects them
-        return self.create(name, kind, **kwargs)
+            n_shards=int(config.get("n_shards", 8)),
+        )
 
     def register(
         self, name: str, engine: StreamEngine, version: int = 0
     ) -> None:
-        """Register an existing engine under ``name``.
-
-        Engines built from custom factories are accepted for in-memory
-        use, but :meth:`snapshot` and :meth:`merge_snapshot` require the
-        recorded configuration of ``StreamEngine.bottom_k`` /
-        ``StreamEngine.poisson`` engines.
-        """
+        """Register an existing engine under ``name``."""
         if not isinstance(name, str) or not name:
             raise InvalidParameterError(
                 f"store names must be non-empty strings, got {name!r}"
@@ -761,9 +700,6 @@ class SketchStore:
                 f"expected a StreamEngine, got {type(engine).__name__}"
             )
         pool = self._pool
-        template = (
-            self._engine_template(name, engine) if pool is not None else None
-        )
         with self._lock:
             if name in self._entries:
                 raise InvalidParameterError(
@@ -774,12 +710,12 @@ class SketchStore:
                     name, int(version), codec.to_bytes(engine)
                 )
             self._entries[name] = _StoreEntry(engine, version)
-            if template is not None:
+            if pool is not None:
                 from repro.cluster import WorkerCrashError
 
                 with pool.lock:
                     try:
-                        pool.register_engine(name, template)
+                        pool.register_engine(name, _worker_template(engine))
                     except WorkerCrashError:
                         # respawn re-sends every template, this one
                         # included
@@ -823,9 +759,7 @@ class SketchStore:
                 from repro.cluster import WorkerCrashError
 
                 try:
-                    pool.register_engine(
-                        name, self._engine_template(name, engine)
-                    )
+                    pool.register_engine(name, _worker_template(engine))
                 except WorkerCrashError:
                     self._heal_workers()
 
@@ -1067,9 +1001,8 @@ class SketchStore:
         for name in self.names():
             with self._read(name) as entry:
                 engine = entry.engine
-                config = engine.sketch_config or {}
                 summary[name] = {
-                    "kind": config.get("kind", "custom"),
+                    "kind": engine.sketch_config["kind"],
                     "version": entry.version,
                     "n_updates": engine.n_updates,
                     "n_shards": engine.n_shards,

@@ -12,7 +12,7 @@ shard-and-reduce shape that later distribution work builds on.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -63,19 +63,45 @@ class IngestJob(NamedTuple):
     hashes: np.ndarray
 
 
+#: the sketch type and default rank family of each engine kind
+_KINDS: dict[str, tuple[type, type[RankFamily]]] = {
+    "bottom_k": (StreamingBottomK, ExpRanks),
+    "poisson": (StreamingPoisson, UniformRanks),
+}
+
+
 class StreamEngine:
     """Shard-parallel ingestion engine over per-instance sketches.
 
+    The paper's multi-instance estimators are unbiased only when every
+    sketch of an instance shares one configuration, and exact shard
+    merges rely on it too, so an engine *is* its configuration: the
+    constructor validates it once and builds every (instance, shard)
+    sketch from it.
+
     Parameters
     ----------
-    sketch_factory:
-        Callable ``instance -> sketch`` building an empty sketch of the
-        instance; it is called once per (instance, shard).  All sketches of
-        one instance must be configured identically — use the convenience
-        constructors :meth:`bottom_k` and :meth:`poisson` for the common
-        cases.
+    kind:
+        ``"bottom_k"`` (a :class:`StreamingBottomK` per instance and
+        shard) or ``"poisson"`` (a :class:`StreamingPoisson`).
+    k:
+        Bottom-k sample size; required for ``bottom_k``, refused for
+        ``poisson``.
+    threshold:
+        Poisson threshold; required for ``poisson``, refused for
+        ``bottom_k``.
+    rank_family:
+        Rank family of every sketch; :class:`ExpRanks` for ``bottom_k``
+        and :class:`UniformRanks` for ``poisson`` when omitted.
+    seed_assigner:
+        Seed assignment of every sketch; ``SeedAssigner()`` when omitted.
     n_shards:
         Number of key-hash shards per instance.
+
+    :attr:`sketch_config` records the keyword arguments other than
+    ``n_shards``, defaults resolved, so
+    ``StreamEngine(**engine.sketch_config, n_shards=engine.n_shards)``
+    is an empty copy of ``engine``.
 
     Examples
     --------
@@ -90,14 +116,59 @@ class StreamEngine:
 
     def __init__(
         self,
-        sketch_factory: Callable[[object], object],
+        kind: str,
+        *,
+        k: int | None = None,
+        threshold: float | None = None,
+        rank_family: RankFamily | None = None,
+        seed_assigner: SeedAssigner | None = None,
         n_shards: int = 8,
     ) -> None:
+        if kind == "bottom_k":
+            if k is None:
+                raise InvalidParameterError(
+                    "a bottom_k engine requires the sample size k"
+                )
+            if threshold is not None:
+                raise InvalidParameterError(
+                    "threshold applies to poisson engines only"
+                )
+            size: dict = {"k": int(k)}
+        elif kind == "poisson":
+            if threshold is None:
+                raise InvalidParameterError(
+                    "a poisson engine requires a threshold"
+                )
+            if k is not None:
+                raise InvalidParameterError(
+                    "k applies to bottom_k engines only"
+                )
+            size = {"threshold": float(threshold)}
+        else:
+            raise InvalidParameterError(
+                f"unknown sketch kind {kind!r}; use 'bottom_k' or 'poisson'"
+            )
         if n_shards <= 0:
             raise InvalidParameterError(
                 f"n_shards must be positive, got {n_shards}"
             )
-        self._factory = sketch_factory
+        sketch_type, default_family = _KINDS[kind]
+        self._sketch_type = sketch_type
+        self._sketch_args = {
+            **size,
+            "rank_family": (
+                rank_family if rank_family is not None else default_family()
+            ),
+            "seed_assigner": (
+                seed_assigner if seed_assigner is not None
+                else SeedAssigner()
+            ),
+        }
+        # the sketch constructor owns the rules on k, the threshold and
+        # their rank family: one throwaway sketch checks them up front
+        self._new_sketch(None)
+        #: the configuration every sketch of the engine shares
+        self.sketch_config: dict = {"kind": kind, **self._sketch_args}
         self.n_shards = int(n_shards)
         self._shards: dict[object, list] = {}
         self.n_updates = 0
@@ -111,10 +182,6 @@ class StreamEngine:
         #: serialized, so a freshly restored engine always reads 0
         #: ("clean").  The serving layer polls it as a cheap dirty probe.
         self.change_tick = 0
-        #: configuration recorded by the :meth:`bottom_k` / :meth:`poisson`
-        #: constructors; ``None`` for custom factories, which therefore
-        #: cannot be serialized or merged engine-to-engine
-        self.sketch_config: dict | None = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -128,27 +195,10 @@ class StreamEngine:
         n_shards: int = 8,
     ) -> "StreamEngine":
         """Engine maintaining a :class:`StreamingBottomK` per instance."""
-        if seed_assigner is None:
-            seed_assigner = SeedAssigner()
-        if rank_family is None:
-            rank_family = ExpRanks()
-
-        def factory(instance: object) -> StreamingBottomK:
-            return StreamingBottomK(
-                k=k,
-                instance=instance,
-                rank_family=rank_family,
-                seed_assigner=seed_assigner,
-            )
-
-        engine = cls(factory, n_shards=n_shards)
-        engine.sketch_config = {
-            "kind": "bottom_k",
-            "k": int(k),
-            "rank_family": rank_family,
-            "seed_assigner": seed_assigner,
-        }
-        return engine
+        return cls(
+            "bottom_k", k=k, rank_family=rank_family,
+            seed_assigner=seed_assigner, n_shards=n_shards,
+        )
 
     @classmethod
     def poisson(
@@ -159,27 +209,13 @@ class StreamEngine:
         n_shards: int = 8,
     ) -> "StreamEngine":
         """Engine maintaining a :class:`StreamingPoisson` per instance."""
-        if seed_assigner is None:
-            seed_assigner = SeedAssigner()
-        if rank_family is None:
-            rank_family = UniformRanks()
+        return cls(
+            "poisson", threshold=threshold, rank_family=rank_family,
+            seed_assigner=seed_assigner, n_shards=n_shards,
+        )
 
-        def factory(instance: object) -> StreamingPoisson:
-            return StreamingPoisson(
-                threshold=threshold,
-                instance=instance,
-                rank_family=rank_family,
-                seed_assigner=seed_assigner,
-            )
-
-        engine = cls(factory, n_shards=n_shards)
-        engine.sketch_config = {
-            "kind": "poisson",
-            "threshold": float(threshold),
-            "rank_family": rank_family,
-            "seed_assigner": seed_assigner,
-        }
-        return engine
+    def _new_sketch(self, instance: object):
+        return self._sketch_type(instance=instance, **self._sketch_args)
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -187,7 +223,7 @@ class StreamEngine:
     def _instance_shards(self, instance: object) -> list:
         shards = self._shards.get(instance)
         if shards is None:
-            shards = [self._factory(instance) for _ in range(self.n_shards)]
+            shards = [self._new_sketch(instance) for _ in range(self.n_shards)]
             self._shards[instance] = shards
         return shards
 
@@ -365,9 +401,11 @@ class StreamEngine:
             "n_instances": len(self._shards),
             "n_shards": self.n_shards,
             "shard_updates": list(self.shard_updates),
+            # one copy of the values: an ingest may add an instance
+            # while this sum runs without the engine lock
             "retained_keys": sum(
                 len(sketch)
-                for shards in self._shards.values()
+                for shards in list(self._shards.values())
                 for sketch in shards
             ),
         }
@@ -375,19 +413,10 @@ class StreamEngine:
     # ------------------------------------------------------------------
     # State export / merge
     # ------------------------------------------------------------------
-    def _require_config(self) -> dict:
-        if self.sketch_config is None:
-            raise InvalidParameterError(
-                "only engines built via StreamEngine.bottom_k() or "
-                "StreamEngine.poisson() record the configuration needed "
-                "to export state or merge engines"
-            )
-        return self.sketch_config
-
     def state_dict(self) -> dict:
         """Complete engine state: configuration plus per-shard sketch
         states of every instance (see the sketches' ``state_dict``)."""
-        config = self._require_config()
+        config = self.sketch_config
         assigner = config["seed_assigner"]
         state = {
             "kind": config["kind"],
@@ -410,32 +439,19 @@ class StreamEngine:
     @classmethod
     def from_state(cls, state: Mapping) -> "StreamEngine":
         """Rebuild an engine from a :meth:`state_dict` snapshot."""
-        kind = state["kind"]
         family = state["rank_family"]
         if isinstance(family, str):
             family = rank_family_from_name(family)
-        assigner = SeedAssigner(
-            salt=state["salt"], coordinated=bool(state["coordinated"])
+        engine = cls(
+            state["kind"],
+            k=state.get("k"),
+            threshold=state.get("threshold"),
+            rank_family=family,
+            seed_assigner=SeedAssigner(
+                salt=state["salt"], coordinated=bool(state["coordinated"])
+            ),
+            n_shards=int(state["n_shards"]),
         )
-        if kind == "bottom_k":
-            engine = cls.bottom_k(
-                k=int(state["k"]),
-                rank_family=family,
-                seed_assigner=assigner,
-                n_shards=int(state["n_shards"]),
-            )
-        elif kind == "poisson":
-            engine = cls.poisson(
-                threshold=float(state["threshold"]),
-                rank_family=family,
-                seed_assigner=assigner,
-                n_shards=int(state["n_shards"]),
-            )
-        else:
-            raise InvalidParameterError(
-                f"unknown engine state kind {kind!r}; expected 'bottom_k' "
-                "or 'poisson'"
-            )
         engine.n_updates = int(state["n_updates"])
         for label, shard_states in state["instances"].items():
             shards = [
@@ -447,13 +463,10 @@ class StreamEngine:
                     f"instance {label!r} carries {len(shards)} shard "
                     f"sketches for an {engine.n_shards}-shard engine"
                 )
-            expected_type = (
-                StreamingBottomK if kind == "bottom_k" else StreamingPoisson
-            )
             for sketch in shards:
-                if type(sketch) is not expected_type:
+                if type(sketch) is not engine._sketch_type:
                     raise InvalidParameterError(
-                        f"{kind} engine state carries a "
+                        f"{state['kind']} engine state carries a "
                         f"{type(sketch).__name__} shard sketch"
                     )
                 if sketch.instance != label:
@@ -461,18 +474,10 @@ class StreamEngine:
                         f"shard sketch of instance {sketch.instance!r} "
                         f"listed under label {label!r}"
                     )
-                if (
-                    sketch.rank_family != family
-                    or sketch.seed_assigner != assigner
-                    or (
-                        kind == "bottom_k"
-                        and sketch.k != engine.sketch_config["k"]
-                    )
-                    or (
-                        kind == "poisson"
-                        and sketch.threshold
-                        != engine.sketch_config["threshold"]
-                    )
+                # the sketch attributes carry the engine argument names
+                if any(
+                    getattr(sketch, name) != value
+                    for name, value in engine._sketch_args.items()
                 ):
                     raise InvalidParameterError(
                         "shard sketch configuration does not match the "
@@ -482,15 +487,9 @@ class StreamEngine:
         return engine
 
     def __eq__(self, other: object) -> bool:
-        """Configuration, counters and per-shard sketch equality.
-
-        Engines built from custom factories (no recorded configuration)
-        only compare equal to themselves.
-        """
+        """Configuration, counters and per-shard sketch equality."""
         if type(other) is not type(self):
             return NotImplemented
-        if self.sketch_config is None or other.sketch_config is None:
-            return self is other
         if (
             self.sketch_config != other.sketch_config
             or self.n_shards != other.n_shards
@@ -514,8 +513,7 @@ class StreamEngine:
         same key-space partition and per-shard merging is exact.  The
         other engine is left untouched.
         """
-        config, other_config = self._require_config(), other._require_config()
-        if config != other_config:
+        if self.sketch_config != other.sketch_config:
             raise InvalidParameterError(
                 "cannot merge engines with different sketch configurations"
             )
@@ -571,8 +569,7 @@ class StreamEngine:
         does not carry the engine-level counter.  The delta is emptied
         to prevent accidental sketch sharing.
         """
-        config, delta_config = self._require_config(), delta._require_config()
-        if config != delta_config:
+        if self.sketch_config != delta.sketch_config:
             raise InvalidParameterError(
                 "cannot fold engines with different sketch configurations"
             )

@@ -346,7 +346,8 @@ class WriteAheadLog:
                 f"fsync policy must be one of {FSYNC_POLICIES}, got "
                 f"{fsync!r}"
             )
-        if float(fsync_interval) < 0:
+        # written so that NaN fails too
+        if not float(fsync_interval) >= 0:
             raise InvalidParameterError(
                 f"fsync_interval must be >= 0, got {fsync_interval}"
             )

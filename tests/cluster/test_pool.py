@@ -75,9 +75,9 @@ def make_batches(
     return batches
 
 
-def load(store: SketchStore, batches) -> None:
+def load(store: SketchStore, batches, name: str = ENGINE) -> None:
     for instance, keys, values in batches:
-        ingest(store, ENGINE, instance, keys, values)
+        ingest(store, name, instance, keys, values)
 
 
 class TestPartition:
@@ -186,6 +186,61 @@ class TestPoolParity:
         finally:
             pooled.stop_workers()
         assert blob == codec.to_bytes(serial.engine("late"))
+
+
+class TestWorkerTemplates:
+    """A worker builds each engine from its template, the engine's
+    configuration; ``adopt``, a late ``create`` and a respawn must each
+    leave every worker on the parent's current configuration."""
+
+    def test_templates_survive_adopt_late_create_and_respawn(self, tmp_path):
+        from repro.streaming.engine import StreamEngine
+        from repro.wal import WriteAheadLog
+
+        batches = make_batches(n_batches=2)
+        serial = SketchStore()
+        pooled = SketchStore()
+        wal = WriteAheadLog(tmp_path / "wal", fsync="off")
+        pooled.attach_wal(wal)
+        pooled.start_workers(2)
+        try:
+            for store in (serial, pooled):
+                store.create("p", "poisson", **make_engine_kwargs("poisson"))
+            for store in (serial, pooled):
+                load(store, batches[:2], "p")
+                store.adopt(
+                    "p",
+                    StreamEngine.poisson(
+                        0.3,
+                        seed_assigner=SeedAssigner(salt=29, coordinated=True),
+                        n_shards=N_SHARDS,
+                    ),
+                )
+                load(store, batches[2:], "p")
+                store.create("b", "bottom_k", **make_engine_kwargs("bottom_k"))
+                load(store, batches[:2], "b")
+
+            victim = pooled.worker_probes()[0]["pid"]
+            os.kill(victim, signal.SIGKILL)
+            deadline = time.monotonic() + 5.0
+            while pooled.worker_probes()[0]["alive"]:
+                assert time.monotonic() < deadline, "worker 0 never died"
+                time.sleep(0.01)
+            for store in (serial, pooled):
+                load(store, batches[:1], "p")
+                load(store, batches[2:], "b")
+            blobs = {
+                name: codec.to_bytes(pooled.engine(name, sync=True))
+                for name in ("p", "b")
+            }
+            restarts = [row["restarts"] for row in pooled.worker_probes()]
+        finally:
+            pooled.stop_workers()
+            wal.close()
+        assert restarts == [1, 0]
+        assert pooled.engine("p").sketch_config["threshold"] == 0.3
+        for name, blob in blobs.items():
+            assert blob == codec.to_bytes(serial.engine(name)), name
 
 
 class TestLifecycle:

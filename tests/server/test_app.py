@@ -106,6 +106,22 @@ class TestBasics:
 
         run_scenario(scenario)
 
+    def test_create_engine_refuses_a_size_field_of_the_other_kind(self, run_scenario):
+        async def scenario(server, client):
+            bodies = {
+                "k": {"kind": "poisson", "threshold": 0.5, "k": 5},
+                "threshold": {"kind": "bottom_k", "k": 8, "threshold": 0.5},
+            }
+            for field, body in bodies.items():
+                status, payload = await client.request(
+                    "POST", "/v1/engines", json_body={"name": "e", **body}
+                )
+                assert status == 400
+                assert payload["error"].startswith(f"{field} applies to")
+            assert server.store.names() == []
+
+        run_scenario(scenario)
+
     def test_ingest_shapes_and_query_parity(self, run_scenario):
         store = make_store()
         reference = make_store()

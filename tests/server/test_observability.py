@@ -15,7 +15,8 @@ import asyncio
 
 import pytest
 
-from repro.server import ClientResponseError
+from repro.exceptions import InvalidParameterError
+from repro.server import ClientResponseError, ServerConfig
 from repro.service import SketchStore, codec
 
 # independently seeded (oblivious) instances: the cross-instance
@@ -136,7 +137,7 @@ class TestMetricsHistory:
     def test_bad_window_is_400(self, run_scenario):
         async def scenario(server, client):
             sample_series(server)
-            for window in ("abc", "-1"):
+            for window in ("abc", "-1", "nan"):
                 status, payload = await client.request(
                     "GET",
                     "/v1/metrics/history",
@@ -190,6 +191,22 @@ class TestMetricsHistory:
             assert server.series.n_samples == 0
 
         run_scenario(scenario, series_interval=0.0)
+
+
+class TestServerConfigBounds:
+    @pytest.mark.parametrize(
+        "field", ["slow_request_ms", "series_interval", "health_target_p99"]
+    )
+    def test_nan_setting_is_refused(self, field):
+        with pytest.raises(InvalidParameterError, match=field):
+            ServerConfig(**{field: float("nan")})
+
+    def test_infinite_settings_are_accepted(self):
+        inf = float("inf")
+        config = ServerConfig(
+            slow_request_ms=inf, series_interval=inf, health_target_p99=inf
+        )
+        assert config.health_target_p99 == inf
 
 
 class TestQueryConfidence:

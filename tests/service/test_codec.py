@@ -314,13 +314,6 @@ class TestEngineRoundTrip:
         with pytest.raises(InvalidParameterError, match="shard"):
             StreamEngine.from_state(mixed)
 
-    def test_custom_factory_engine_is_rejected(self):
-        engine = StreamEngine(
-            lambda instance: StreamingBottomK(k=3, instance=instance)
-        )
-        with pytest.raises(SketchCodecError):
-            to_bytes(engine)
-
 
 class TestStoreBlob:
     def test_store_blob_roundtrip(self):

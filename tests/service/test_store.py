@@ -206,6 +206,23 @@ class TestRegistryAndVersions:
         with pytest.raises(InvalidParameterError, match="poisson"):
             store.create("x", "bottom_k", k=3, threshold=0.5)
 
+    def test_config_creation_refuses_a_size_field_of_the_other_kind(self):
+        store = SketchStore()
+        with pytest.raises(InvalidParameterError, match="k applies to bottom_k"):
+            store.create_from_config(
+                {"name": "p", "kind": "poisson", "threshold": 0.5, "k": 5}
+            )
+        with pytest.raises(
+            InvalidParameterError, match="threshold applies to poisson"
+        ):
+            store.create_from_config(
+                {"name": "b", "kind": "bottom_k", "k": 8, "threshold": 0.5}
+            )
+        assert store.names() == []
+        # a bottom-k engine without k still gets the default size
+        store.create_from_config({"name": "b"})
+        assert store.engine("b").sketch_config["k"] == 64
+
     def test_failed_ingest_changes_nothing(self):
         store = build_store()
         ingest(store, "traffic", "d", [1, 2], [1.0, 2.0])
@@ -410,25 +427,6 @@ class TestFanIn:
         assert peer.engine("traffic").state_dict() == before
         ingest(local, "traffic", "d", [3], [3.0])
         assert peer.engine("traffic").state_dict() == before
-
-
-class TestRegisterCustomEngine:
-    def test_custom_engine_is_usable_but_not_serializable(self, tmp_path):
-        from repro.exceptions import SketchCodecError
-        from repro.streaming.sketch import StreamingBottomK
-
-        store = SketchStore()
-        engine = StreamEngine(
-            lambda instance: StreamingBottomK(
-                k=3, instance=instance, seed_assigner=SeedAssigner(salt=1)
-            ),
-            n_shards=2,
-        )
-        store.register("custom", engine)
-        ingest(store, "custom", "d", [1, 2, 3, 4], [1.0, 2.0, 3.0, 4.0])
-        assert len(store.sample("custom", "d")) == 3
-        with pytest.raises(SketchCodecError):
-            store.snapshot(tmp_path / "nope.bin")
 
 
 class TestSnapshotMarked:

@@ -118,3 +118,55 @@ class TestStreamEngineIngestion:
             engine.sketch("never-seen")
         with pytest.raises(InvalidParameterError):
             StreamEngine.bottom_k(k=4, n_shards=0)
+
+
+class TestStreamEngineConfiguration:
+    def test_sketch_config_builds_an_empty_copy(self):
+        engine = StreamEngine(
+            "poisson", threshold=2.0, rank_family=PpsRanks(),
+            seed_assigner=SeedAssigner(salt=4), n_shards=3,
+        )
+        engine.ingest("d", [1, 2, 3], [1.0, 2.0, 3.0])
+        copy = StreamEngine(**engine.sketch_config, n_shards=engine.n_shards)
+        assert copy.instance_labels == []
+        copy.ingest("d", [1, 2, 3], [1.0, 2.0, 3.0])
+        assert copy == engine
+
+    def test_kind_defaults_the_rank_family(self):
+        assert StreamEngine("bottom_k", k=3).sketch_config["rank_family"].name == "exp"
+        assert (
+            StreamEngine("poisson", threshold=0.5).sketch_config["rank_family"].name
+            == "uniform"
+        )
+
+    @pytest.mark.parametrize(
+        "kind, kwargs, message",
+        [
+            ("bottom_k", {"k": 0}, "k must be positive"),
+            ("poisson", {"threshold": 1.5}, "at most 1"),
+        ],
+    )
+    def test_sketch_rules_are_checked_before_any_ingest(self, kind, kwargs, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            StreamEngine(kind, **kwargs)
+
+
+def test_probe_survives_an_instance_created_while_it_sums(monkeypatch):
+    """``probe()`` runs without the engine lock, so an ingest may add an
+    instance between two of its per-sketch reads."""
+    engine = StreamEngine.poisson(0.5, n_shards=2)
+    engine.ingest("mon", [1, 2, 3], [1.0, 2.0, 3.0])
+    length = StreamingPoisson.__len__
+    calls = []
+
+    def ingest_on_first_call(sketch):
+        if not calls:
+            calls.append(sketch)
+            engine.ingest("tue", [4, 5], [1.0, 2.0])
+        return length(sketch)
+
+    monkeypatch.setattr(StreamingPoisson, "__len__", ingest_on_first_call)
+    probe = engine.probe()
+    assert calls
+    assert probe["retained_keys"] == len(engine.sketch("mon"))
+    assert engine.instance_labels == ["mon", "tue"]

@@ -79,6 +79,7 @@ class TestFraming:
         [
             {"fsync": "sometimes"},
             {"fsync_interval": -0.1},
+            {"fsync_interval": float("nan")},
             {"segment_bytes": 10},
         ],
     )
@@ -253,6 +254,11 @@ class TestFsyncPolicies:
         count = wal.stats()["fsync_count"]
         wal.close()
         assert count >= 3
+
+    def test_infinite_interval_is_accepted(self, tmp_path):
+        wal = WriteAheadLog(tmp_path, fsync="interval", fsync_interval=float("inf"))
+        wal.close()
+        assert wal.fsync_interval == float("inf")
 
     def test_sync_forces_an_fsync(self, tmp_path):
         wal = WriteAheadLog(tmp_path, fsync="off")

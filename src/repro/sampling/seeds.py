@@ -37,6 +37,8 @@ __all__ = [
 
 #: 2**-64 as a float; multiplying a uint64 by this maps it into [0, 1).
 _INV_2_64 = float(np.ldexp(1.0, -64))
+#: the 64-bit mask of unsigned wraparound arithmetic on Python ints
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 #: the bounds of :func:`uniform_from_uint64`'s open interval
 _TINY = np.finfo(np.float64).tiny
 _BELOW_ONE = 1.0 - np.finfo(np.float64).epsneg
@@ -63,6 +65,14 @@ def splitmix64(values: np.ndarray) -> np.ndarray:
     return z
 
 
+def _splitmix64_int(value: int) -> int:
+    """:func:`splitmix64` of one value in ``[0, 2**64)``, in Python ints."""
+    z = (value + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
 def uniform_from_uint64(values: np.ndarray) -> np.ndarray:
     """Map ``uint64`` hash values to floats uniform on the open interval (0, 1).
 
@@ -79,7 +89,7 @@ def uniform_from_uint64(values: np.ndarray) -> np.ndarray:
 def _hash_label(label: object) -> int:
     """Hash an arbitrary (hashable, printable) label to a stable 64-bit int."""
     if isinstance(label, (int, np.integer)) and not isinstance(label, bool):
-        return int(label) & 0xFFFFFFFFFFFFFFFF
+        return int(label) & _MASK64
     digest = hashlib.blake2b(repr(label).encode("utf-8"), digest_size=8)
     return int.from_bytes(digest.digest(), "little")
 
@@ -191,13 +201,13 @@ class SeedAssigner:
 
     def _mix(self, key_hashes: np.ndarray, instance: object) -> np.ndarray:
         instance_hash = 0 if self.coordinated else _hash_label(instance)
+        # one constant per call: mixed in Python ints, which costs far
+        # less than a 0-d NumPy SplitMix64 and gives the same 64 bits
+        constant = _splitmix64_int(
+            (instance_hash * 0x9E3779B97F4A7C15 + self.salt) & _MASK64
+        )
         base = np.asarray(key_hashes, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            mixed = base ^ splitmix64(
-                np.uint64((instance_hash * 0x9E3779B97F4A7C15 + self.salt)
-                          & 0xFFFFFFFFFFFFFFFF)
-            )
-        return splitmix64(mixed)
+        return splitmix64(base ^ np.uint64(constant))
 
     def seed(self, key: object, instance: object = 0) -> float:
         """Return the uniform seed of ``key`` in ``instance``."""

@@ -60,6 +60,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from contextlib import contextmanager, nullcontext
+from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -341,6 +342,10 @@ INGEST_FORMATS: dict[str, IngestFormat] = {
 }
 
 
+_NDIM = attrgetter("ndim")
+_DTYPE = attrgetter("dtype")
+
+
 def _coalesce_batches(
     batches: Iterable[tuple[object, Sequence[object], Sequence[float]]],
 ) -> list[tuple[object, object, object]]:
@@ -348,7 +353,14 @@ def _coalesce_batches(
 
     Safe under the streaming permutation guarantee — sketch state does
     not depend on how a stream is batched — and it amortises per-batch
-    engine planning over the whole group.
+    engine planning over the whole group.  Merging changes no key and
+    no refusal.  Key columns concatenate as one array only when all are
+    1-D arrays of one dtype, since NumPy would promote mixed dtypes
+    (int64 and uint64 keys become float64); other keys join as objects.
+    A group holding a batch of the wrong shape (a key column that is not
+    1-D, values that are not a column of its length) stays apart, so
+    :meth:`StreamEngine.checked_columns` refuses that batch as it would
+    refuse it alone.
     """
     groups: dict[object, tuple[list, list]] = {}
     for instance, keys, values in batches:
@@ -360,20 +372,27 @@ def _coalesce_batches(
     coalesced: list[tuple[object, object, object]] = []
     for instance, (key_columns, value_columns) in groups.items():
         if len(key_columns) == 1:
-            keys, values = key_columns[0], value_columns[0]
-        elif all(
-            isinstance(column, np.ndarray) for column in key_columns
+            coalesced.append((instance, key_columns[0], value_columns[0]))
+            continue
+        value_columns = [np.asarray(col, dtype=float) for col in value_columns]
+        if not (
+            {getattr(column, "ndim", 1) for column in key_columns} == {1}
+            and set(map(_NDIM, value_columns)) == {1}
+            and list(map(len, key_columns)) == list(map(len, value_columns))
+        ):
+            coalesced.extend(
+                (instance, keys, values)
+                for keys, values in zip(key_columns, value_columns)
+            )
+            continue
+        if (
+            set(map(type, key_columns)) == {np.ndarray}
+            and len(set(map(_DTYPE, key_columns))) == 1
         ):
             keys = np.concatenate(key_columns)
-            values = np.concatenate(
-                [np.asarray(col, dtype=float) for col in value_columns]
-            )
         else:
             keys = [key for column in key_columns for key in column]
-            values = np.concatenate(
-                [np.asarray(col, dtype=float) for col in value_columns]
-            )
-        coalesced.append((instance, keys, values))
+        coalesced.append((instance, keys, np.concatenate(value_columns)))
     return coalesced
 
 

@@ -24,7 +24,7 @@ from repro.sampling.ranks import (
     UniformRanks,
     rank_family_from_name,
 )
-from repro.sampling.seeds import SeedAssigner, key_hashes
+from repro.sampling.seeds import SeedAssigner, canonical_kinds, hash_key_column
 from repro.streaming.merge import merge_sketches
 from repro.streaming.sketch import (
     StreamingBottomK,
@@ -54,13 +54,18 @@ def _check_hashable(keys: Sequence[object]) -> None:
 
 
 class IngestJob(NamedTuple):
-    """One shard's share of an ingest batch (see
-    :meth:`StreamEngine.ingest_jobs`)."""
+    """One shard's share of an ingest batch, hashed, seeded and ranked
+    (see :meth:`StreamEngine.ingest_jobs`)."""
 
     sketch: object
     keys: Sequence[object]
     values: np.ndarray
     hashes: np.ndarray
+    seeds: np.ndarray
+    ranks: np.ndarray
+    #: whether this job's key column is canonical
+    #: (:func:`~repro.sampling.seeds.canonical_kinds`)
+    canonical: bool
 
 
 #: the sketch type and default rank family of each engine kind
@@ -230,25 +235,37 @@ class StreamEngine:
     def ingest_jobs(
         self, instance: object, keys: Sequence[object], values
     ) -> list[IngestJob]:
-        """Validate one batch and split it into per-shard update jobs.
+        """Validate one batch, rank it, and split it into per-shard
+        update jobs.
 
-        This is the planning half of :meth:`ingest`: it hashes the key
-        column, routes each update to its shard, creates missing sketches,
-        and advances ``n_updates`` — but applies nothing.  Callers that
-        apply the jobs inside their own critical section (e.g. the engine
-        lock of :class:`repro.service.SketchStore`, which logs, plans and
-        applies one group in one hold) run the returned jobs through
+        This is the planning half of :meth:`ingest`: it hashes, seeds
+        and ranks the whole batch in one vectorised pass (a key's seed
+        and rank depend only on the key, the instance and the value,
+        never on its shard), routes each update to its shard, creates
+        missing sketches, and advances ``n_updates`` — but applies
+        nothing.  Callers that apply the jobs inside their own critical
+        section (e.g. the engine lock of
+        :class:`repro.service.SketchStore`, which logs, plans and applies
+        one group in one hold) run the returned jobs through
         :meth:`run_job` themselves.
         """
         keys, values = self.checked_columns(keys, values)
         columnar = isinstance(keys, np.ndarray)
         shards = self._instance_shards(instance)
-        hashes = key_hashes(keys)
+        hashes, canonical = hash_key_column(keys)
+        # every shard of an instance shares its label and configuration;
+        # seeding with the sketch's own label, not ``instance``, matters
+        # when an equal label of another type (1.0 for 1) finds it
+        seeds, ranks = shards[0]._rank_column(hashes, values)
         self.n_updates += len(keys)
         self.change_tick += 1
         if self.n_shards == 1:
             self.shard_updates[0] += len(keys)
-            return [IngestJob(shards[0], keys, values, hashes)]
+            return [
+                IngestJob(
+                    shards[0], keys, values, hashes, seeds, ranks, canonical
+                )
+            ]
         shard_ids = (hashes % np.uint64(self.n_shards)).astype(np.intp)
         jobs = []
         for shard in range(self.n_shards):
@@ -256,12 +273,17 @@ class StreamEngine:
             if index.size == 0:
                 continue
             self.shard_updates[shard] += int(index.size)
+            shard_keys = keys[index] if columnar else [keys[i] for i in index]
             jobs.append(
                 IngestJob(
                     shards[shard],
-                    keys[index] if columnar else [keys[i] for i in index],
+                    shard_keys,
                     values[index],
                     hashes[index],
+                    seeds[index],
+                    ranks[index],
+                    # a mixed group may still leave one shard canonical
+                    canonical or canonical_kinds(map(type, shard_keys)),
                 )
             )
         return jobs
@@ -303,8 +325,13 @@ class StreamEngine:
 
     @staticmethod
     def run_job(job: IngestJob) -> None:
-        """Apply one shard job produced by :meth:`ingest_jobs`."""
-        job.sketch.update_many(job.keys, job.values, hashes=job.hashes)
+        """Fold one shard job produced by :meth:`ingest_jobs` into its
+        sketch; the job is already validated and ranked, so this only
+        folds."""
+        job.sketch._apply_ranked(
+            job.keys, job.values, job.seeds, job.ranks, job.hashes,
+            job.canonical,
+        )
 
     def ingest(self, instance: object, keys: Sequence[object], values) -> None:
         """Ingest one batch of ``(key, value)`` updates for ``instance``.

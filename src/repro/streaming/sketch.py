@@ -24,13 +24,15 @@ and sketches are deterministic functions of the accumulated data — the
 property that makes them mergeable (see :mod:`repro.streaming.merge`).
 
 Bulk columns of updates go through :meth:`_StreamingSketch.update_many`:
-each chunk is hashed, seeded and ranked in one vectorised pass, then
-folded.  A Poisson row can change the sketch only if its rank passes or
-its key is retained; any other row just counts one discarded key.  So a
-vector mask picks those candidate rows and only they run the exact
-per-row loop, in row order.  A bottom-k chunk of distinct, not yet
-retained keys folds with one ``argpartition``, the heap rebuilt only at
-chunk boundaries.  Both folds find equal keys by equal hashes, which only
+the column is hashed, seeded and ranked in one vectorised pass, then
+:meth:`_StreamingSketch._apply_ranked` folds it chunk by chunk (the
+sharding engine ranks a whole batch once and hands each shard's sketch
+its ranked slice there directly).  A Poisson row can change the sketch
+only if its rank passes or its key is retained; any other row just
+counts one discarded key.  So a vector mask picks those candidate rows
+and only they run the exact per-row loop, in row order.  A bottom-k
+chunk of distinct, not yet retained keys folds with one
+``argpartition``, the heap rebuilt only at chunk boundaries.  Both folds find equal keys by equal hashes, which only
 canonical keys guarantee (see :func:`repro.sampling.seeds.hash_key_column`:
 ``1 == 1.0`` hash apart); other chunks, and bottom-k chunks with repeats,
 replays or a rank tie at the cutoff, take the per-row loop.  Either way
@@ -75,6 +77,9 @@ from repro.sampling.seeds import (
 )
 
 __all__ = ["StreamingBottomK", "StreamingPoisson", "sketch_from_state"]
+
+#: rows per fold of :meth:`_StreamingSketch._apply_ranked`
+_CHUNK_SIZE = 16384
 
 
 def _in_sorted(hashes: np.ndarray, pool: np.ndarray) -> np.ndarray:
@@ -153,23 +158,14 @@ class _StreamingSketch:
         self,
         keys: Sequence[object],
         values,
-        chunk_size: int = 16384,
-        hashes: np.ndarray | None = None,
+        chunk_size: int = _CHUNK_SIZE,
     ) -> None:
         """Chunked NumPy fast path over parallel ``keys`` / ``values``
         columns.
 
-        Each chunk is hashed, seeded and ranked in one vectorised pass and
-        then folded by :meth:`_fold`, which touches key objects only for
-        the few rows that can change the sketch.  The fold needs hash
-        equality to find equal keys, so it runs only when the chunk and
-        the retained keys are canonical
-        (:func:`~repro.sampling.seeds.hash_key_column`); any other chunk,
-        and any chunk the fold declines, takes the exact per-row loop.
-        Either way the final sketch state (entries in insertion order,
-        ranks, threshold, discard counter) is identical to a sequence of
-        :meth:`update` calls.  ``hashes`` lets callers that already
-        hashed the key column (the sharding engine) skip rehashing it.
+        The column is validated, hashed, seeded and ranked in one
+        vectorised pass, then folded chunk by chunk by
+        :meth:`_apply_ranked`.
         """
         if chunk_size <= 0:
             raise InvalidParameterError(
@@ -187,30 +183,56 @@ class _StreamingSketch:
         # Validate the whole column up front so a bad value in a late
         # chunk cannot leave the sketch partially updated.
         _validate_values(values)
-        if hashes is None:
-            hashes, canonical = hash_key_column(keys)
-        elif isinstance(keys, np.ndarray) and keys.dtype.kind in "iu":
-            canonical = True
-        else:
-            canonical = canonical_kinds(map(type, keys))
+        hashes, canonical = hash_key_column(keys)
+        seeds, ranks = self._rank_column(hashes, values)
+        self._apply_ranked(
+            keys, values, seeds, ranks, hashes, canonical, chunk_size
+        )
+
+    def _rank_column(
+        self, hashes: np.ndarray, values: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Seeds and ranks of keys with these hashes and ``values``,
+        under this sketch's seed assigner, instance and rank family."""
+        seeds = self.seed_assigner.seeds_from_hashes(
+            hashes, instance=self.instance
+        )
+        ranks = np.asarray(self.rank_family.rank(values, seeds), dtype=float)
+        return seeds, ranks
+
+    def _apply_ranked(
+        self, keys, values, seeds, ranks, hashes, canonical: bool,
+        chunk_size: int = _CHUNK_SIZE,
+    ) -> None:
+        """Fold validated, hashed, seeded and ranked columns, one chunk of
+        ``chunk_size`` rows at a time.
+
+        Each chunk goes to :meth:`_fold`, which touches key objects only
+        for the few rows that can change the sketch.  The fold needs
+        hash equality to find equal keys, so it runs only when the
+        column and the retained keys are canonical (``canonical``, see
+        :func:`~repro.sampling.seeds.hash_key_column`); any other chunk, and any chunk the fold declines, takes
+        the exact per-row loop.
+        Either way the final sketch state (entries in insertion order,
+        ranks, threshold, discard counter) is identical to a sequence of
+        :meth:`update` calls.  ``seeds`` and ``ranks`` come from
+        :meth:`_rank_column` of a sketch of this instance and
+        configuration.
+        """
         for start in range(0, len(keys), chunk_size):
             rows = slice(start, start + chunk_size)
             chunk_keys, chunk_values = keys[rows], values[rows]
-            seeds = self.seed_assigner.seeds_from_hashes(
-                hashes[rows], instance=self.instance
-            )
-            ranks = np.asarray(
-                self.rank_family.rank(chunk_values, seeds), dtype=float
-            )
+            chunk_seeds, chunk_ranks = seeds[rows], ranks[rows]
             self.n_updates += len(chunk_values)
             if not (
                 canonical
                 and self._fold(
-                    chunk_keys, chunk_values, seeds, ranks, hashes[rows]
+                    chunk_keys, chunk_values, chunk_seeds, chunk_ranks,
+                    hashes[rows],
                 )
             ):
                 self._apply_rows(
-                    chunk_keys, chunk_values, seeds, ranks,
+                    chunk_keys, chunk_values, chunk_seeds, chunk_ranks,
                     np.flatnonzero(chunk_values > 0.0),
                 )
 

@@ -183,3 +183,29 @@ class TestSeedAssigner:
     def test_arbitrary_instance_labels(self, instance):
         seeds = SeedAssigner(salt=9)
         assert 0.0 < seeds.seed("k", instance=instance) < 1.0
+
+
+def _numpy_formula_seeds(assigner, hashes, instance):
+    """The seed formula with the instance constant mixed as a 0-d NumPy
+    SplitMix64, as the column is."""
+    instance_hash = 0 if assigner.coordinated else _hash_label(instance)
+    constant = np.uint64(
+        (instance_hash * 0x9E3779B97F4A7C15 + assigner.salt)
+        & 0xFFFFFFFFFFFFFFFF
+    )
+    with np.errstate(over="ignore"):
+        mixed = np.asarray(hashes, dtype=np.uint64) ^ splitmix64(constant)
+    return uniform_from_uint64(splitmix64(mixed))
+
+
+@pytest.mark.parametrize("coordinated", [False, True])
+@pytest.mark.parametrize("salt", [0, 7, 2**64 - 1])
+@pytest.mark.parametrize("instance", [0, -1, 2**64 + 3, "mon", ("a", 1)])
+def test_instance_constant_mixes_like_the_numpy_formula(
+    instance, salt, coordinated
+):
+    assigner = SeedAssigner(salt=salt, coordinated=coordinated)
+    hashes = key_hashes([0, 1, -5, 2**64 - 1, "k", 3.5])
+    seeds = assigner.seeds_from_hashes(hashes, instance=instance)
+    expected = _numpy_formula_seeds(assigner, hashes, instance)
+    assert seeds.view(np.uint64).tolist() == expected.view(np.uint64).tolist()

@@ -163,3 +163,84 @@ class TestSubmit:
             store.submit(replay)
         assert codec.to_bytes(store.engine("traffic")) == before
 
+
+def _submit_outcome(batches, coalesce):
+    """Engine bytes after one request, or the refusal's message."""
+    store = SketchStore()
+    store.create("e", "poisson", threshold=1.0, n_shards=1)
+    try:
+        store.submit(
+            IngestRequest(engine="e", batches=batches, coalesce=coalesce)
+        )
+    except InvalidParameterError as exc:
+        return f"refused: {exc}"
+    return codec.to_bytes(store.engine("e"))
+
+
+class TestCoalescingKeepsKeys:
+    """Coalescing one instance's batches must not change a key or an
+    error: NumPy promotes mixed dtypes when it concatenates columns."""
+
+    def assert_coalescing_is_invisible(self, batches):
+        coalesced = _submit_outcome(batches, coalesce=True)
+        assert coalesced == _submit_outcome(batches, coalesce=False)
+        return coalesced
+
+    def test_coalesce_001_int64_and_uint64_keys_stay_ints(self):
+        outcome = self.assert_coalescing_is_invisible(
+            (
+                ("a", np.array([2**62 + 1], dtype=np.int64), [1.0]),
+                ("a", np.array([5], dtype=np.uint64), [2.0]),
+            )
+        )
+        # not the float64 keys 4.611686018427388e+18 and 5.0
+        assert codec.from_bytes(outcome).sketch("a")._values == {
+            2**62 + 1: 1.0,
+            5: 2.0,
+        }
+
+    def test_coalesce_002_int64_and_str_keys_stay_apart(self):
+        self.assert_coalescing_is_invisible(
+            (
+                ("a", np.array([2**62 + 1, 7], dtype=np.int64), [1.0, 3.0]),
+                ("a", np.array(["7", "x"]), [2.0, 4.0]),
+            )
+        )
+
+    def test_coalesce_003_a_2d_key_column_is_refused_as_alone(self):
+        outcome = self.assert_coalescing_is_invisible(
+            (
+                ("a", np.array([1], dtype=np.int64), [1.0]),
+                ("a", np.array([[2]], dtype=np.int64), [2.0]),
+            )
+        )
+        assert outcome == "refused: a key column must be 1-D, got shape (1, 1)"
+
+    def test_coalesce_004_one_dtype_still_concatenates(self):
+        self.assert_coalescing_is_invisible(
+            (
+                ("a", np.array([1, 2], dtype=np.int64), [1.0, 2.0]),
+                ("a", np.array([3], dtype=np.int64), [3.0]),
+                ("b", np.array([4], dtype=np.int64), [4.0]),
+            )
+        )
+
+    def test_coalesce_005_misaligned_batches_are_refused_as_alone(self):
+        # equal totals, but the second key would take the third value
+        outcome = self.assert_coalescing_is_invisible(
+            (
+                ("a", [1, 2], [1.0]),
+                ("a", [3], [2.0, 3.0]),
+            )
+        )
+        assert outcome == "refused: keys and values must have matching length"
+
+    def test_coalesce_006_a_2d_value_column_is_refused_as_alone(self):
+        outcome = self.assert_coalescing_is_invisible(
+            (
+                ("a", np.array([1], dtype=np.int64), [1.0]),
+                ("a", np.array([2], dtype=np.int64), [[2.0]]),
+            )
+        )
+        assert outcome == "refused: keys and values must have matching length"
+

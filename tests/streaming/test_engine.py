@@ -4,14 +4,21 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import InvalidParameterError
 from repro.sampling.bottomk import bottom_k_sample
 from repro.sampling.poisson import poisson_uniform_sample
-from repro.sampling.ranks import PpsRanks
-from repro.sampling.seeds import SeedAssigner
+from repro.sampling.ranks import ExpRanks, PpsRanks, UniformRanks
+from repro.sampling.seeds import SeedAssigner, key_hashes
+from repro.service import codec
 from repro.streaming.engine import StreamEngine
-from repro.streaming.sketch import StreamingBottomK, StreamingPoisson
+from repro.streaming.sketch import (
+    _CHUNK_SIZE,
+    StreamingBottomK,
+    StreamingPoisson,
+)
 
 
 def make_columns(n: int = 500, seed: int = 0):
@@ -170,3 +177,134 @@ def test_probe_survives_an_instance_created_while_it_sums(monkeypatch):
     assert calls
     assert probe["retained_keys"] == len(engine.sketch("mon"))
     assert engine.instance_labels == ["mon", "tue"]
+
+
+# ---------------------------------------------------------------------------
+# Differential property: engine ingest == scalar updates of its shards
+# ---------------------------------------------------------------------------
+
+FAMILIES = {
+    "uniform": (UniformRanks, 0.6),
+    "pps": (PpsRanks, 0.8),
+    "exp": (ExpRanks, 0.8),
+}
+#: key columns: an int64 array, an int list (``0`` / ``2**64`` share a
+#: hash), a str list, and keys equal across types (``1`` / ``1.0`` /
+#: ``True`` hash apart, so they may land in different shards)
+KEY_COLUMNS = {
+    "int64": (
+        list(range(-3, 12)) + [2**62],
+        lambda keys: np.array(keys, dtype=np.int64),
+    ),
+    "int": (list(range(12)) + [2**64, 2**64 + 3], list),
+    "str": ([f"k{i}" for i in range(12)], list),
+    "mixed": ([1, 1.0, True, 0, 2, 2.0, "x"], list),
+}
+
+
+def _engine(kind, family, k, n_shards, coordinated):
+    rank_family, threshold = FAMILIES[family]
+    return StreamEngine(
+        kind,
+        k=k if kind == "bottom_k" else None,
+        threshold=threshold if kind == "poisson" else None,
+        rank_family=rank_family(),
+        seed_assigner=SeedAssigner(salt=5, coordinated=coordinated),
+        n_shards=n_shards,
+    )
+
+
+def _scalar_reference(engine, batches):
+    """An empty copy of ``engine`` whose shard sketches got every row of
+    ``batches`` through scalar ``update`` calls, routed by key hash."""
+    reference = StreamEngine(
+        **engine.sketch_config, n_shards=engine.n_shards
+    )
+    for instance, keys, values in batches:
+        shards = reference._instance_shards(instance)
+        reference.n_updates += len(values)
+        routes = (key_hashes(keys) % np.uint64(engine.n_shards)).tolist()
+        for key, value, shard in zip(keys, values, routes):
+            shards[shard].update(key, value)
+    return reference
+
+
+def _assert_engine_parity(kind, family, k, n_shards, coordinated, batches):
+    engine = _engine(kind, family, k, n_shards, coordinated)
+    for instance, keys, values in batches:
+        engine.ingest(instance, keys, values)
+    # an empty batch still creates its instance
+    assert set(engine.instance_labels) == {batch[0] for batch in batches}
+    reference = _scalar_reference(engine, batches)
+    assert codec.to_bytes(engine) == codec.to_bytes(reference)
+
+
+@st.composite
+def engine_batches(draw):
+    batches = []
+    for _ in range(draw(st.integers(1, 4))):
+        pool, column = KEY_COLUMNS[
+            draw(st.sampled_from(sorted(KEY_COLUMNS)))
+        ]
+        rows = draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(pool),
+                    st.sampled_from([0.0, 0.25, 1.0, 2.5, 4.0]),
+                ),
+                max_size=30,
+            )
+        )
+        batches.append(
+            (
+                # ``3`` / ``3.0`` are one instance with two label hashes
+                draw(st.sampled_from(["mon", "tue", 3, 3.0, True])),
+                column([key for key, _ in rows]),
+                [value for _, value in rows],
+            )
+        )
+    return batches
+
+
+ENGINE_CASES = {
+    "kind": st.sampled_from(["bottom_k", "poisson"]),
+    "family": st.sampled_from(sorted(FAMILIES)),
+    "k": st.integers(1, 6),
+    "n_shards": st.sampled_from([1, 3, 8]),
+    "coordinated": st.booleans(),
+    "batches": engine_batches(),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(**ENGINE_CASES)
+# ``1`` and ``1.0`` are one key with two hashes: no fold may see them
+@example("bottom_k", "exp", 1, 1, False, [("mon", [1, 1.0], [0.25, 0.25])])
+@example("poisson", "uniform", 1, 1, True, [("mon", [1, 1.0], [0.25, 0.25])])
+# a later ``3.0`` batch lands in instance ``3`` and must be seeded as ``3``
+@example("poisson", "pps", 1, 3, False, [(3, [1], [1.0]), (3.0, [2, 5], [1.0, 2.5])])
+def test_engine_ingest_matches_scalar_shard_updates(
+    kind, family, k, n_shards, coordinated, batches
+):
+    _assert_engine_parity(kind, family, k, n_shards, coordinated, batches)
+
+
+@pytest.mark.slow
+@settings(max_examples=1000, deadline=None)
+@given(**ENGINE_CASES)
+def test_engine_ingest_matches_scalar_shard_updates_long_sweep(
+    kind, family, k, n_shards, coordinated, batches
+):
+    _assert_engine_parity(kind, family, k, n_shards, coordinated, batches)
+
+
+def test_one_shard_batch_longer_than_a_chunk():
+    # distinct keys: the bottom-k fold runs on each of three chunks
+    rng = np.random.default_rng(17)
+    n_rows = 40_000
+    assert n_rows > 2 * _CHUNK_SIZE
+    keys = rng.permutation(10**6)[:n_rows]
+    values = np.round(rng.random(n_rows) * 4, 2)
+    _assert_engine_parity(
+        "bottom_k", "exp", 16, 1, False, [("mon", keys, values.tolist())]
+    )

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.exceptions import InvalidParameterError
 from repro.sampling.ranks import ExpRanks, PpsRanks, UniformRanks
-from repro.sampling.seeds import SeedAssigner, key_hashes
+from repro.sampling.seeds import SeedAssigner
 from repro.service import codec
 from repro.service.store import IngestRequest, SketchStore, json_columns
 from repro.streaming.sketch import StreamingBottomK, StreamingPoisson
@@ -269,7 +269,6 @@ def update_streams(draw):
                     max_size=40,
                 ),
                 st.booleans(),  # NumPy key column
-                st.booleans(),  # hashes precomputed, as the engine does
                 st.integers(1, 64),  # chunk size
             ),
             min_size=1,
@@ -300,16 +299,11 @@ def test_update_many_matches_update_loop(kind, family, k, salt, calls):
         )
 
     fast, slow = make(), make()
-    for rows, numpy, prehashed, chunk_size in calls:
+    for rows, numpy, chunk_size in calls:
         keys = [key for key, _ in rows]
         values = [value for _, value in rows]
         column = _column(keys, numpy)
-        fast.update_many(
-            column,
-            values,
-            chunk_size=chunk_size,
-            hashes=key_hashes(column) if prehashed else None,
-        )
+        fast.update_many(column, values, chunk_size=chunk_size)
         for key, value in zip(column, values):
             slow.update(key, value)
     assert sketch_state(fast) == sketch_state(slow)

@@ -29,18 +29,6 @@ stays bit-exact equal to the unlogged one *and* that the log alone
 recovers it bit-exactly, and gates WAL-on throughput at
 ``--min-wal-ratio`` of WAL-off (default 0.5x).
 
-A fourth benchmark scales the ingest plane *out*:
-``bench_multiproc_ingest`` drives the same column stream into a
-:class:`~repro.service.store.SketchStore` running the multiprocess
-shard-worker backend (:mod:`repro.cluster`) at 1, 2 and 4 workers,
-asserts every configuration folds back *bit-exact* equal to a serial
-single-process ingest, and gates the 4-vs-1-worker speedup at
-``--min-multiproc-speedup`` (default 2x) — but only when the host
-actually exposes >= 4 CPU cores.  On smaller hosts the measured ratio
-and the core count are recorded as-is and the gate is skipped: a
-single-core box cannot exhibit a parallel speedup, and pretending
-otherwise would poison the trajectory record.
-
 Run directly::
 
     PYTHONPATH=src python benchmarks/bench_server.py
@@ -53,7 +41,6 @@ import argparse
 import asyncio
 import json
 import math
-import os
 import struct
 import tempfile
 import time
@@ -62,7 +49,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.sampling.seeds import SeedAssigner
-from repro.service import codec
 from repro.server import (
     BATCH_CONTENT_TYPE,
     AsyncSketchClient,
@@ -626,96 +612,6 @@ def bench_wal_ingest(
     }
 
 
-def bench_multiproc_ingest(
-    n_updates: int,
-    batch_rows: int = 2_000,
-    worker_counts: tuple = (1, 2, 4),
-    min_speedup: float = 2.0,
-    repeats: int = 2,
-) -> dict:
-    """Scale-out parity and speedup of the shard-worker ingest plane.
-
-    The same column stream is ingested serially (thread backend, the
-    baseline) and through :meth:`SketchStore.start_workers` at each
-    count in ``worker_counts``.  Every pooled run must fold back
-    *bit-exact* equal to the serial engine — one ownership-transferring
-    fold after the load keeps even heap insertion order identical — so
-    the speedup claim never trades correctness for throughput.
-
-    The ``min_speedup`` gate on the 4-vs-1-worker ratio is enforced
-    only when the host schedules >= max(worker_counts) cores; the
-    measured ratio and the visible core count are recorded either way.
-    """
-    cores = len(os.sched_getaffinity(0))
-    batches = make_column_batches(n_updates, batch_rows, seed=5)
-
-    serial = make_store()
-    started = time.perf_counter()
-    for batch in batches:
-        serial.submit(IngestRequest(engine="bench", batches=(batch,)))
-    serial_seconds = time.perf_counter() - started
-    serial_blob = codec.to_bytes(serial.engine("bench"))
-
-    rows_per_second: dict[int, float] = {}
-    for n_workers in worker_counts:
-        best = math.inf
-        for _ in range(repeats):
-            store = make_store()
-            store.start_workers(n_workers)
-            try:
-                attempt_started = time.perf_counter()
-                for batch in batches:
-                    store.submit(IngestRequest(engine="bench", batches=(batch,)))
-                # the fold is part of the work: timing stops only once
-                # the parent holds the fully merged engine
-                blob = codec.to_bytes(store.engine("bench", sync=True))
-                seconds = time.perf_counter() - attempt_started
-            finally:
-                store.stop_workers()
-            assert blob == serial_blob, (
-                f"{n_workers}-worker ingest diverged from serial "
-                "(bit-exact parity is unconditional)"
-            )
-            best = min(best, seconds)
-        rows_per_second[n_workers] = n_updates / best
-
-    low, high = min(worker_counts), max(worker_counts)
-    speedup = rows_per_second[high] / rows_per_second[low]
-    gate_enforced = cores >= high
-    print(
-        f"multiproc ingest ({n_updates} updates, {batch_rows} rows/batch, "
-        f"{cores} cores visible): "
-        f"serial {n_updates / serial_seconds:10.0f} rows/s, "
-        + ", ".join(
-            f"{count}w {rate:10.0f} rows/s"
-            for count, rate in sorted(rows_per_second.items())
-        )
-        + f" -> {speedup:5.2f}x {high}w/{low}w  "
-        f"[parity vs serial: bit-exact at every worker count]  "
-        f"(gate >= {min_speedup:g}x, "
-        f"{'enforced' if gate_enforced else f'skipped: {cores} < {high} cores'})"
-    )
-    if gate_enforced:
-        assert speedup >= min_speedup, (
-            f"{high}-worker ingest speedup {speedup:.2f}x over {low} worker "
-            f"below the {min_speedup:g}x gate on a {cores}-core host"
-        )
-    return {
-        "n_updates": n_updates,
-        "batch_rows": batch_rows,
-        "cores_visible": cores,
-        "serial_rows_per_second": n_updates / serial_seconds,
-        "worker_rows_per_second": {
-            str(count): rate for count, rate in rows_per_second.items()
-        },
-        "speedup": speedup,
-        "speedup_workers": [low, high],
-        "min_speedup_gate": min_speedup,
-        "gate_enforced": gate_enforced,
-        "parity": "bit-exact",
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--updates", type=int, default=200_000,
@@ -732,9 +628,6 @@ def main(argv=None) -> int:
                         help="binary-over-JSON ingest rows/s gate")
     parser.add_argument("--min-wal-ratio", type=float, default=0.5,
                         help="WAL-on over WAL-off ingest rows/s gate")
-    parser.add_argument("--min-multiproc-speedup", type=float, default=2.0,
-                        help="4-vs-1-worker ingest speedup gate "
-                             "(enforced only on hosts with >= 4 cores)")
     parser.add_argument("--smoke", action="store_true",
                         help="small workload for CI (same gates)")
     parser.add_argument("--json", action="store_true", help="print the record as JSON")
@@ -763,10 +656,6 @@ def main(argv=None) -> int:
             rows_per_request=args.rows_per_request,
             ingest_workers=args.ingest_workers,
             min_ratio=args.min_wal_ratio,
-        ),
-        "multiproc_ingest": bench_multiproc_ingest(
-            args.updates,
-            min_speedup=args.min_multiproc_speedup,
         ),
     }
     if args.json:

@@ -4,12 +4,10 @@ Runs the headline benchmarks (exact-enumeration grid, streaming
 ``update_many``, full fast-mode experiment suite, the service layer —
 concurrent store ingest, snapshot/restore codec latency, query-cache
 speedup — the HTTP server's mixed ingest/query load, the binary
-columnar ingest path raced against JSON, the same binary load with a
-write-ahead log attached to measure the durability tax, and the
-multiprocess shard-worker ingest plane scaled across 1/2/4 workers)
-and writes their wall times and throughputs to a ``BENCH_PR<n>.json``
-file at the repository root, so successive PRs leave a comparable perf
-trail::
+columnar ingest path raced against JSON, and the same binary load with
+a write-ahead log attached to measure the durability tax) and writes
+their wall times and throughputs to a ``BENCH_PR<n>.json`` file at the
+repository root, so successive PRs leave a comparable perf trail::
 
     PYTHONPATH=src python benchmarks/record.py --out BENCH_PR12.json
     PYTHONPATH=src python benchmarks/record.py --smoke --out BENCH_PR12.json
@@ -258,9 +256,6 @@ def record_benchmarks(smoke: bool) -> dict:
             ),
             "server_wal_ingest": bench_server.bench_wal_ingest(
                 server_updates
-            ),
-            "service_multiproc_ingest": (
-                bench_server.bench_multiproc_ingest(server_updates)
             ),
         },
     }

@@ -30,9 +30,8 @@ GET      /v1/replicate    WAL tail (or full store delta) since
 GET      /v1/healthz      liveness + uptime; ``?verbose=1`` adds the
                           health rule engine's verdict with reasons
 GET      /v1/statusz      human-readable status page (uptime, engines,
-                          worker probes, sparklines, health reasons)
-GET      /v1/metrics      throughput, cache hit rate, per-engine and
-                          per-worker probes
+                          sparklines, health reasons)
+GET      /v1/metrics      throughput, cache hit rate, per-engine probes
 GET      /v1/metrics/history  ring-buffered time series of one metric
                           (``?metric=<name>&window=<seconds>``)
 =======  ===============  =================================================
@@ -275,9 +274,9 @@ class SketchServer:
         SketchServer(store, config).run()   # returns after SIGINT/SIGTERM
 
     The server serves the store as its caller built it: the caller
-    attaches a write-ahead log or shard worker processes to the store
-    beforehand and stops them after :meth:`shutdown`, in the order of
-    the ``serve`` CLI's boot path.
+    attaches a write-ahead log to the store beforehand and closes it
+    after :meth:`shutdown`, in the order of the ``serve`` CLI's boot
+    path.
     """
 
     def __init__(self, store: SketchStore, config: ServerConfig | None = None) -> None:
@@ -388,8 +387,6 @@ class SketchServer:
             await asyncio.wait(list(self._conn_tasks), timeout=drain_seconds)
         self._query_lane.shutdown(wait=True)
         self._executor.shutdown(wait=True)
-        # the snapshot reads engines through the store, which folds any
-        # outstanding worker deltas first
         if self.config.snapshot_path is not None and self._dirty_engines():
             path = Path(self.config.snapshot_path)
             _, marks = self.store.snapshot_marked(path)
@@ -977,26 +974,6 @@ class SketchServer:
                 )
             )
         lines.append("</table>")
-        worker_probes = self.store.worker_probes()
-        if worker_probes:
-            lines.append("<h2>shard workers</h2><table>")
-            lines.append(
-                "<tr><th>worker</th><th>pid</th><th>alive</th>"
-                "<th>queue depth</th><th>batches</th><th>restarts</th></tr>"
-            )
-            for probe in worker_probes:
-                lines.append(
-                    "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td>"
-                    "<td>{}</td><td>{}</td></tr>".format(
-                        probe.get("worker"),
-                        probe.get("pid"),
-                        probe.get("alive"),
-                        probe.get("queue_depth"),
-                        probe.get("batches"),
-                        probe.get("restarts"),
-                    )
-                )
-            lines.append("</table>")
         lines.append("</body></html>")
         return "\n".join(lines)
 

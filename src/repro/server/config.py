@@ -5,11 +5,10 @@ address, ingest concurrency, backpressure bounds, request-size limits,
 the graceful-shutdown snapshot path and the observability surface — so
 the programmatic API (:class:`repro.server.SketchServer`), the CLI
 (``python -m repro.service serve``), and tests all configure the server
-the same way.  What backs the store — a write-ahead log, shard worker
-processes — is not server configuration: the caller attaches both to
-the :class:`repro.service.SketchStore` before handing it over and stops
-them after shutdown (the ``serve`` CLI does so for ``--wal-dir`` and
-``--workers``).
+the same way.  The write-ahead log that backs the store is not server
+configuration: the caller attaches it to the
+:class:`repro.service.SketchStore` before handing it over and closes it
+after shutdown (the ``serve`` CLI does so for ``--wal-dir``).
 """
 
 from __future__ import annotations

@@ -229,20 +229,6 @@ class ServerMetrics:
             "gauge",
             float(sum(pending.values())),
         )
-        probes = getattr(store, "worker_probes", None)
-        if probes is not None and (rows := probes()):
-            sample["repro_worker_alive"] = (
-                "gauge",
-                float(sum(1 for row in rows if row["alive"])),
-            )
-            sample["repro_worker_queue_depth"] = (
-                "gauge",
-                float(sum(row["queue_depth"] for row in rows)),
-            )
-            sample["repro_worker_restarts_total"] = (
-                "counter",
-                float(sum(row["restarts"] for row in rows)),
-            )
         wal = getattr(store, "wal", None)
         if wal is not None:
             stats = wal.stats()
@@ -334,11 +320,6 @@ class ServerMetrics:
             "engines": self._engine_block(store, pending),
             # getattr: duck-typed store stand-ins in tests predate .wal
             "wal": wal.stats() if (wal := getattr(store, "wal", None)) else None,
-            # multiprocess shard-worker probes ([] without --workers)
-            "workers": (
-                probes() if (probes := getattr(store, "worker_probes", None))
-                else []
-            ),
         }
 
     def prometheus(self, store, planner, pending: dict, health=None) -> str:
@@ -480,47 +461,6 @@ class ServerMetrics:
                 ],
             ),
         ]
-        workers = payload.get("workers") or []
-        if workers:
-            families.extend(
-                [
-                    prom.gauge(
-                        "repro_worker_alive",
-                        "Shard-worker liveness (1 alive, 0 dead), by slot.",
-                        [
-                            ({"worker": str(row["worker"])}, int(row["alive"]))
-                            for row in workers
-                        ],
-                    ),
-                    prom.gauge(
-                        "repro_worker_queue_depth",
-                        "Dispatched batches not yet acked, by worker slot.",
-                        [
-                            (
-                                {"worker": str(row["worker"])},
-                                row["queue_depth"],
-                            )
-                            for row in workers
-                        ],
-                    ),
-                    prom.counter(
-                        "repro_worker_batches_total",
-                        "Batches applied, by worker slot.",
-                        [
-                            ({"worker": str(row["worker"])}, row["batches"])
-                            for row in workers
-                        ],
-                    ),
-                    prom.counter(
-                        "repro_worker_restarts_total",
-                        "Crash respawns, by worker slot.",
-                        [
-                            ({"worker": str(row["worker"])}, row["restarts"])
-                            for row in workers
-                        ],
-                    ),
-                ]
-            )
         wal = getattr(store, "wal", None)
         if wal is not None:
             stats = payload["wal"]

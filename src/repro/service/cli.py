@@ -351,8 +351,8 @@ def _cmd_recover(args) -> dict:
 
 def _cmd_serve(args) -> dict:
     """The one boot path of the server: recover the WAL (when any),
-    create the ``--create`` engines, start the shard workers, serve; on
-    the way out stop the workers, then close the log."""
+    create the ``--create`` engines, serve; on the way out close the
+    log."""
     from repro.server import ServerConfig, SketchServer
 
     store_path = Path(args.store)
@@ -371,8 +371,6 @@ def _cmd_serve(args) -> dict:
             if fields["name"] not in store:
                 _create_from_spec(store, fields)
                 created_engines.append(fields["name"])
-        if args.workers:
-            store.start_workers(args.workers)
         config = ServerConfig(
             host=args.host,
             port=args.port,
@@ -406,13 +404,9 @@ def _cmd_serve(args) -> dict:
 
         server.run(on_ready=on_ready)
     finally:
-        # the shutdown snapshot already folded every worker delta; the
-        # log closes last, after it was checkpointed
-        try:
-            store.stop_workers()
-        finally:
-            if wal is not None:
-                wal.close()
+        # the log closes last, after the shutdown snapshot checkpointed it
+        if wal is not None:
+            wal.close()
     result = {
         "command": "serve",
         "shutdown": "clean",
@@ -548,11 +542,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--threads", type=int, default=4,
                        help="ingest executor threads (cold queries run "
                             "on one dedicated thread)")
-    serve.add_argument("--workers", type=int, default=0,
-                       help="shard-worker processes for the multiprocess "
-                            "ingest plane (0 keeps the in-process "
-                            "backend); requires --wal-dir for crash "
-                            "recovery of in-flight batches")
     serve.add_argument("--max-pending-batches", type=int, default=32,
                        help="per-engine in-flight ingest bound "
                             "(backpressure: 503 beyond it)")

@@ -34,18 +34,6 @@ group of a request before it logs or applies any, so a rejected request
 leaves the store as it was; then it logs, plans and applies the groups
 in turn.  Both the HTTP server and the CLI read the text formats of
 :data:`INGEST_FORMATS` through the row decoders here.
-
-With :meth:`SketchStore.start_workers` the store swaps its in-process
-threaded execution for a multiprocess shard-worker plane
-(:mod:`repro.cluster`): each validated batch is routed once to the
-worker owning each row's shard, appended to the WAL *before* dispatch
-(unchanged kill-9 recovery semantics), and piped to each of the N
-worker processes as only the rows it owns.  Quiescent reads first
-*fold* the workers' accumulated deltas back into the parent engine
-through the associative sketch merge — bit-exact with single-process
-ingest, because every row is owned by exactly one worker.  A crashed
-worker is respawned and replayed its rows of the WAL tail, so
-acknowledged batches survive worker ``SIGKILL``.
 """
 
 from __future__ import annotations
@@ -53,14 +41,15 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import os
+import re
 import threading
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from contextlib import contextmanager, nullcontext
-from operator import attrgetter
+from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -84,12 +73,6 @@ __all__ = ["INGEST_FORMATS", "IngestFormat", "IngestRequest", "SketchStore",
            "csv_rows", "group_rows", "json_columns", "json_rows", "jsonl_rows"]
 
 
-def _worker_template(engine: StreamEngine) -> dict:
-    """A shard worker's template of ``engine``: the arguments of
-    ``StreamEngine`` that build an empty copy of it."""
-    return {**engine.sketch_config, "n_shards": engine.n_shards}
-
-
 class _StoreEntry:
     """A named engine plus its lock, version and derived-state caches."""
 
@@ -97,7 +80,6 @@ class _StoreEntry:
         "engine",
         "version",
         "lock",
-        "synced_version",
         "epoch",
         "columns",
     )
@@ -107,15 +89,9 @@ class _StoreEntry:
         self.version = int(version)
         #: the one writer lock: a submit holds it while it logs, plans
         #: and applies one group, and a read holds it for the whole
-        #: read, so a read waits for at most one group's apply.
-        #: Reentrant so pool-mode crash healing can re-touch an entry
-        #: from inside a read.
-        self.lock = threading.RLock()
-        #: multiprocess backend only: the highest version whose effects
-        #: are folded into the *parent* engine.  Batches in
-        #: ``(synced_version, version]`` live as worker deltas (and WAL
-        #: records — the crash-replay window for a respawned worker).
-        self.synced_version = int(version)
+        #: read, so a read waits for at most one group's apply.  A
+        #: plain Lock, not an RLock: no holder of it ever takes it again.
+        self.lock = threading.Lock()
         #: replacement counter: :meth:`SketchStore.adopt` advances it when
         #: it swaps the engine, which need not move the version, so every
         #: cache of derived state keys on ``(version, epoch)``
@@ -129,8 +105,8 @@ class _StoreEntry:
 class IngestRequest:
     """One validated ingest call shape shared by every execution path.
 
-    The thread backend, the multiprocess shard-worker backend, and
-    recovery replay all consume this via :meth:`SketchStore.submit`:
+    Live ingest and recovery replay both consume this via
+    :meth:`SketchStore.submit`:
 
     ``engine``
         Target engine name.
@@ -139,8 +115,9 @@ class IngestRequest:
         :class:`repro.server.wire` ``WireBatch`` tuples work as-is).
     ``version``
         ``None`` for live ingest (the store assigns the next version);
-        an explicit version turns the submit into a *replay* of a
-        logged batch — quiescent, version-forced, exactly one batch.
+        an explicit version — an integer >= 1, not a bool — turns the
+        submit into a *replay* of a logged batch: quiescent,
+        version-forced, exactly one batch.
     ``coalesce``
         Merge batches of the same instance into one column before
         ingesting (safe under the streaming permutation guarantee, and
@@ -175,6 +152,19 @@ class IngestRequest:
                 ) from None
         object.__setattr__(self, "batches", normalized)
         if self.version is not None:
+            try:
+                version = (
+                    None if isinstance(self.version, bool)
+                    else operator.index(self.version)
+                )
+            except TypeError:
+                version = None
+            if version is None or version < 1:
+                raise InvalidParameterError(
+                    "IngestRequest.version must be None or an integer "
+                    f">= 1, got {self.version!r}"
+                )
+            object.__setattr__(self, "version", version)
             if len(normalized) != 1:
                 raise InvalidParameterError(
                     "a version-forced (replay) IngestRequest carries "
@@ -342,8 +332,8 @@ INGEST_FORMATS: dict[str, IngestFormat] = {
 }
 
 
-_NDIM = attrgetter("ndim")
-_DTYPE = attrgetter("dtype")
+_NDIM = operator.attrgetter("ndim")
+_DTYPE = operator.attrgetter("dtype")
 
 
 def _coalesce_batches(
@@ -396,6 +386,40 @@ def _coalesce_batches(
     return coalesced
 
 
+#: the strings an engine config's ``coordinated`` accepts (lowercased)
+_CONFIG_FLAGS = {
+    "0": False, "1": True, "false": False, "true": True,
+    "no": False, "yes": True,
+}
+
+
+def _config_int(field_name: str, value: object) -> int:
+    """An engine config's integer field: an int (not a bool) or a
+    decimal-integer string; anything else is refused, never coerced."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+", value):
+        return int(value)
+    raise InvalidParameterError(
+        f"engine config {field_name!r} must be an integer, got {value!r}"
+    )
+
+
+def _config_flag(value: object) -> bool:
+    """An engine config's ``coordinated``: a bool, 0/1, or a yes/no
+    string of :data:`_CONFIG_FLAGS`; anything else is refused."""
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, int) and value in (0, 1):
+        return bool(value)
+    if isinstance(value, str) and value.lower() in _CONFIG_FLAGS:
+        return _CONFIG_FLAGS[value.lower()]
+    raise InvalidParameterError(
+        "engine config 'coordinated' must be a bool, 0/1 or one of "
+        f"{sorted(_CONFIG_FLAGS)}, got {value!r}"
+    )
+
+
 def _check_replay_version(name: str, entry: _StoreEntry, version: int) -> None:
     """Refuse a replayed batch the store already holds (caller holds
     ``entry.lock``): skipping applied records is the caller's job."""
@@ -431,9 +455,6 @@ class SketchStore:
         #: duck-typed repro.wal.WriteAheadLog (kept untyped to avoid a
         #: service -> wal -> server import cycle)
         self._wal = None
-        #: duck-typed repro.cluster.ShardWorkerPool; when set, ingest
-        #: dispatches to worker processes instead of running in-process
-        self._pool = None
 
     # ------------------------------------------------------------------
     # Durability log
@@ -461,173 +482,6 @@ class SketchStore:
                 "a write-ahead log is already attached to this store"
             )
         self._wal = wal
-
-    # ------------------------------------------------------------------
-    # Multiprocess shard workers
-    # ------------------------------------------------------------------
-    @property
-    def has_workers(self) -> bool:
-        """Whether the multiprocess shard-worker backend is active."""
-        return self._pool is not None
-
-    def start_workers(self, n_workers: int) -> None:
-        """Swap ingest execution onto ``n_workers`` shard processes.
-
-        Each worker owns the shards ``s % n_workers == worker_id`` of
-        every engine and starts it empty (the parent keeps all
-        pre-existing state); quiescent reads fold the workers' deltas
-        back through the associative merge, bit-exact with
-        single-process ingest.  A worker's template of an engine is the
-        engine's configuration, its ``sketch_config`` plus ``n_shards``:
-        the worker builds the empty engine from it at start and after
-        every ``collect``.  Call before serving concurrent traffic;
-        engines registered or adopted later, and respawned workers, get
-        their templates automatically.  As on the thread backend, keys
-        need to be wire-encodable only when a write-ahead log is
-        attached.
-        """
-        from repro.cluster import ShardWorkerPool
-
-        if self._pool is not None:
-            raise InvalidParameterError(
-                "shard workers are already running for this store"
-            )
-        pool = ShardWorkerPool(n_workers)
-        pool.start()
-        try:
-            for name in self.names():
-                pool.register_engine(
-                    name, _worker_template(self._entry(name).engine)
-                )
-        except Exception:
-            pool.stop()
-            raise
-        # all existing state lives in the parent: the fold frontier is
-        # exactly the current version of every engine
-        for name in self.names():
-            with self._read(name) as entry:
-                entry.synced_version = entry.version
-        self._pool = pool
-
-    def stop_workers(self) -> None:
-        """Fold outstanding worker deltas, then stop every worker.
-
-        The pool is torn down even when the final fold fails (crashed
-        workers without a WAL to heal from): the exception still
-        propagates, but no orphaned worker processes linger.
-        """
-        pool = self._pool
-        if pool is None:
-            return
-        try:
-            with pool.lock:
-                try:
-                    for name, entry in list(self._entries.items()):
-                        self._sync_one(name, entry)
-                finally:
-                    self._pool = None
-        finally:
-            pool.stop()
-
-    def worker_probes(self) -> list[dict]:
-        """Per-worker observability rows (empty without workers)."""
-        pool = self._pool
-        if pool is None:
-            return []
-        return pool.probes()
-
-    def _sync_one(self, name: str, entry: _StoreEntry) -> None:
-        """Fold worker deltas for ``name`` into the parent engine.
-
-        Caller holds ``pool.lock``, so no dispatch can interleave and
-        the fold frontier lands exactly on the current version.  Crashed
-        workers are healed (respawn + WAL-tail replay) and the collect
-        retried; deltas a crash-interrupted collect already reset out of
-        live workers are preserved by the pool and folded here too.
-        """
-        from repro.cluster import WorkerCrashError
-
-        pool = self._pool
-        with entry.lock:
-            if entry.synced_version == entry.version:
-                return
-        for _ in range(8):
-            try:
-                states = pool.collect(name)
-                break
-            except WorkerCrashError:
-                self._heal_workers()
-        else:
-            raise RuntimeError(
-                f"shard workers kept crashing while folding {name!r}; "
-                "giving up after 8 heal attempts"
-            )
-        with entry.lock:
-            with span(
-                "store.fold", engine=name, deltas=len(states)
-            ):
-                for blob in states:
-                    # ownership-transferring fold: untouched shards adopt
-                    # the decoded delta sketch bit-exactly
-                    entry.engine.fold_delta(codec.from_bytes(blob))
-            entry.synced_version = entry.version
-
-    def _heal_workers(self) -> None:
-        """Respawn dead workers and replay their un-folded WAL tail.
-
-        Caller holds ``pool.lock``.  A respawned worker restarts from
-        empty templates, so every batch in ``(synced_version, version]``
-        of every engine — the delta the dead incarnation held — is
-        decoded from the log and re-routed, and the fresh worker is sent
-        its slice.  Those windows never contain engine records:
-        ``adopt``/``merge_store`` advance the fold frontier to the
-        version they write.
-        """
-        from repro.cluster import partition
-        from repro.server.wire import decode_batches
-        from repro.wal.log import RECORD_BATCH
-
-        pool = self._pool
-        dead = pool.dead_workers()
-        if not dead:
-            return
-        if self._wal is None:
-            raise RuntimeError(
-                f"shard worker(s) {dead} died with no write-ahead log "
-                "attached; their un-folded deltas are unrecoverable — "
-                "serve with a WAL to make worker crashes survivable"
-            )
-        windows: dict[str, tuple[int, int]] = {}
-        for name, entry in list(self._entries.items()):
-            with entry.lock:
-                if entry.synced_version < entry.version:
-                    windows[name] = (entry.synced_version, entry.version)
-        records = []
-        if windows:
-            records, _ = self._wal.read_all()
-        with span("store.heal_workers", dead=len(dead)) as attrs:
-            for index in dead:
-                pool.respawn(index)
-            replayed = 0
-            for record in records:
-                window = windows.get(record.name)
-                if record.kind != RECORD_BATCH or window is None:
-                    continue
-                low, high = window
-                if not low < record.version <= high:
-                    continue
-                n_shards = self._entries[record.name].engine.n_shards
-                for instance, keys, values in decode_batches(record.payload):
-                    slices = partition(
-                        instance, keys, values, n_shards, pool.n_workers
-                    )
-                    for index in dead:
-                        if slices[index] is not None:
-                            pool.dispatch_to(
-                                index, record.name, slices[index]
-                            )
-                            replayed += 1
-            attrs["replayed_batches"] = replayed
 
     # ------------------------------------------------------------------
     # Registry
@@ -665,8 +519,12 @@ class SketchStore:
         ``kind`` (default ``bottom_k``), ``k`` (bottom-k only, default
         64), ``threshold`` (poisson only, required), ``ranks``
         (rank-family name; the family default when omitted), ``salt``
-        (default 0), ``coordinated`` (bool or "1"/"true"/"yes" string),
-        ``n_shards`` (default 8).  Numeric values may arrive as strings.
+        (default 0), ``coordinated`` (default false), ``n_shards``
+        (default 8).  ``k``, ``salt`` and ``n_shards`` take an int (not a
+        bool) or a decimal-integer string; ``coordinated`` a bool,
+        ``0``/``1``, or one of the strings ``0``/``1``/``true``/
+        ``false``/``yes``/``no`` in any case.  Any other value is refused
+        rather than coerced.
         """
         allowed = {
             "name", "kind", "k", "threshold", "ranks", "salt",
@@ -688,22 +546,19 @@ class SketchStore:
         if k is None and kind == "bottom_k":
             k = 64
         ranks = config.get("ranks")
-        coordinated = config.get("coordinated", False)
-        if isinstance(coordinated, str):
-            coordinated = coordinated.lower() in ("1", "true", "yes")
         return self.create(
             name,
             kind,
-            k=k,
+            k=None if k is None else _config_int("k", k),
             threshold=config.get("threshold"),
             rank_family=(
                 rank_family_from_name(ranks) if ranks is not None else None
             ),
             seed_assigner=SeedAssigner(
-                salt=int(config.get("salt", 0)),
-                coordinated=bool(coordinated),
+                salt=_config_int("salt", config.get("salt", 0)),
+                coordinated=_config_flag(config.get("coordinated", False)),
             ),
-            n_shards=int(config.get("n_shards", 8)),
+            n_shards=_config_int("n_shards", config.get("n_shards", 8)),
         )
 
     def register(
@@ -718,7 +573,6 @@ class SketchStore:
             raise InvalidParameterError(
                 f"expected a StreamEngine, got {type(engine).__name__}"
             )
-        pool = self._pool
         with self._lock:
             if name in self._entries:
                 raise InvalidParameterError(
@@ -729,16 +583,6 @@ class SketchStore:
                     name, int(version), codec.to_bytes(engine)
                 )
             self._entries[name] = _StoreEntry(engine, version)
-            if pool is not None:
-                from repro.cluster import WorkerCrashError
-
-                with pool.lock:
-                    try:
-                        pool.register_engine(name, _worker_template(engine))
-                    except WorkerCrashError:
-                        # respawn re-sends every template, this one
-                        # included
-                        self._heal_workers()
 
     def adopt(
         self, name: str, engine: StreamEngine, version: int = 0
@@ -770,17 +614,6 @@ class SketchStore:
             entry.version = new_version
             entry.epoch += 1
             entry.columns = (None, {})
-            entry.synced_version = new_version
-            pool = self._pool
-            if pool is not None:
-                # the read already folded and reset the workers; replace
-                # their template so future deltas match the new config
-                from repro.cluster import WorkerCrashError
-
-                try:
-                    pool.register_engine(name, _worker_template(engine))
-                except WorkerCrashError:
-                    self._heal_workers()
 
     def names(self) -> list[str]:
         """Registered engine names, in registration order."""
@@ -801,22 +634,16 @@ class SketchStore:
                     f"{list(self._entries)}"
                 ) from None
 
-    def engine(self, name: str, *, sync: bool = False) -> StreamEngine:
+    def engine(self, name: str) -> StreamEngine:
         """The live engine registered under ``name`` (not a copy).
 
-        With shard workers running the parent's engine object lags the
-        dispatched batches until a quiescent read folds the workers'
-        deltas in; ``sync=True`` forces that fold first.  The default
-        stays cheap (no worker round-trip) for observability probes
-        that tolerate staleness.  Queries never read it: they go through
-        the quiescent reads :meth:`snapshot_view`, :meth:`column_view`
-        and :meth:`merged_sketch`, which sync.  Mutating the returned
-        engine directly bypasses the version, so cached query results and
-        memoised column views would not see the change.
+        Queries never read it: they go through the quiescent reads
+        :meth:`snapshot_view`, :meth:`column_view` and
+        :meth:`merged_sketch`, which hold the engine's lock.  Mutating
+        the returned engine directly bypasses the version, so cached
+        query results and memoised column views would not see the
+        change.
         """
-        if sync:
-            with self._read(name) as entry:
-                return entry.engine
         return self._entry(name).engine
 
     def version(self, name: str) -> int:
@@ -857,13 +684,10 @@ class SketchStore:
            key the log refuses fails here too.
         2. *Log, plan and apply* each group in turn, in one hold of the
            engine's lock: the group takes its version, is appended to
-           the log (append-before-apply), is planned and is applied on
-           the active backend, either its shard jobs in this thread or
-           its rows piped to the shard workers that own them (under the
-           pool lock; a crashed worker is respawned and replayed from
-           the log once the version is published).  Each engine
-           therefore has one writer at a time, and a read waits for at
-           most one group's apply.  The version is published even when
+           the log (append-before-apply), is planned, and its shard jobs
+           are applied in this thread.  Each engine therefore has one
+           writer at a time, and a read waits for at most one group's
+           apply.  The version is published even when
            the apply raises, because the log already holds its record.
         3. A *replay* is the same pipeline with a forced version: it
            refuses a version the store already holds.
@@ -896,50 +720,27 @@ class SketchStore:
             from repro.server.wire import encode_batches
 
             records = [encode_batches([group]) for group in groups]
-        pool = self._pool
-        if pool is not None:
-            from repro.cluster import WorkerCrashError, partition
         forced = request.version
         version: int | None = None
         for instance, keys, values in groups:
-            if pool is not None:
-                work = partition(
-                    instance, keys, values, entry.engine.n_shards,
-                    pool.n_workers,
-                )
-            crashed = False
-            with pool.lock if pool is not None else nullcontext():
-                with entry.lock:
-                    if forced is None:
-                        planned = entry.version + 1
-                    else:
-                        _check_replay_version(name, entry, forced)
-                        planned = forced
-                    if records:
-                        # popped: a record on disk is freed at once
-                        self._wal.append_batch_blob(name, planned, records.pop(0))
-                    try:
-                        if pool is None:
-                            work = entry.engine.ingest_jobs(
-                                instance, keys, values
-                            )
-                        with span(
-                            "store.ingest", engine=name, rows=len(values)
-                        ):
-                            if pool is None:
-                                for job in work:
-                                    StreamEngine.run_job(job)
-                            else:
-                                try:
-                                    pool.dispatch(name, work)
-                                except WorkerCrashError:
-                                    crashed = True
-                    finally:
-                        # the log holds this version's record, so it is
-                        # published even when the apply raised
-                        entry.version = version = planned
-                if crashed:
-                    self._heal_workers()
+            with entry.lock:
+                if forced is None:
+                    planned = entry.version + 1
+                else:
+                    _check_replay_version(name, entry, forced)
+                    planned = forced
+                if records:
+                    # popped: a record on disk is freed at once
+                    self._wal.append_batch_blob(name, planned, records.pop(0))
+                try:
+                    work = entry.engine.ingest_jobs(instance, keys, values)
+                    with span("store.ingest", engine=name, rows=len(values)):
+                        for job in work:
+                            StreamEngine.run_job(job)
+                finally:
+                    # the log holds this version's record, so it is
+                    # published even when the apply raised
+                    entry.version = version = planned
         if version is None:
             with entry.lock:
                 return entry.version
@@ -952,21 +753,10 @@ class SketchStore:
     def _read(self, name: str):
         """Yield the entry under its lock, so no ingest changes it for
         the duration; the read waits for at most one group's apply, and
-        ingests queue behind it.
-
-        With shard workers attached, first folds outstanding worker
-        deltas into the parent engine — under the pool lock, so no
-        dispatch can interleave: the yielded engine is then the exact
-        serial-ingest state at the yielded version.
-        """
+        ingests queue behind it."""
         entry = self._entry(name)
-        pool = self._pool
-        with pool.lock if pool is not None else nullcontext():
-            # a racing stop_workers() has already folded this pool
-            if pool is not None and self._pool is pool:
-                self._sync_one(name, entry)
-            with entry.lock:
-                yield entry
+        with entry.lock:
+            yield entry
 
     def snapshot_view(
         self, name: str, instances: Sequence[object]
@@ -1146,9 +936,6 @@ class SketchStore:
             with self._read(name) as entry:
                 entry.engine.merge_from(peer_engine)
                 entry.version = max(entry.version, peer_version) + 1
-                # the read folded the workers' deltas, so the peer state
-                # merged into the parent is the whole story
-                entry.synced_version = entry.version
                 if self._wal is not None:
                     # a merge is not replayable from batches — log the
                     # full post-merge state so recovery sees it

@@ -299,8 +299,8 @@ class StreamEngine:
         The validation half of :meth:`ingest_jobs`, which runs it before
         any state changes, so a bad row must not leave some shards
         updated and others not.  The store runs it ahead of the
-        write-ahead log and the shard-worker dispatch, so every ingest
-        path rejects a batch with the same message.  Keys must be
+        write-ahead log, so every ingest path rejects a batch with the
+        same message.  Keys must be
         hashable (the sketches key dicts by them).
         """
         # NumPy key columns stay columnar end to end: they hash without
@@ -568,64 +568,3 @@ class StreamEngine:
                     merge_sketches([ours, theirs])
                     for ours, theirs in zip(mine, other_shards)
                 ]
-
-    @staticmethod
-    def _untouched(sketch) -> bool:
-        """Whether a sketch has never seen an update (safe to replace)."""
-        return (
-            sketch.n_updates == 0
-            and sketch.n_discarded_keys == 0
-            and not sketch._values
-        )
-
-    def fold_delta(self, delta: "StreamEngine") -> None:
-        """Fold a *freshly materialised* delta engine into this one,
-        taking ownership of the delta's sketches.
-
-        The multiprocess fan-in path of
-        :class:`repro.service.SketchStore`: ``delta`` is a decoded
-        shard-worker state that is discarded after the fold, so any
-        shard this engine has never touched adopts the delta's sketch
-        object wholesale — preserving the delta's bit-exact state, heap
-        tie-break order included, instead of re-inserting its entries
-        through the merge.  Shards with history on both sides fall back
-        to the associative merge, which is state-equal but rebuilds
-        entry order.  ``shard_updates`` advances by the adopted
-        sketches' own update counters (exact: a shard's routed rows are
-        precisely the rows its sketches counted), since the wire codec
-        does not carry the engine-level counter.  The delta is emptied
-        to prevent accidental sketch sharing.
-        """
-        if self.sketch_config != delta.sketch_config:
-            raise InvalidParameterError(
-                "cannot fold engines with different sketch configurations"
-            )
-        if self.n_shards != delta.n_shards:
-            raise InvalidParameterError(
-                f"cannot fold engines with {self.n_shards} and "
-                f"{delta.n_shards} shards; sharding must partition the "
-                "key space identically"
-            )
-        self.n_updates += delta.n_updates
-        self.change_tick += 1
-        for label in delta.instance_labels:
-            theirs = delta._shards[label]
-            for shard, sketch in enumerate(theirs):
-                self.shard_updates[shard] += sketch.n_updates
-            mine = self._shards.get(label)
-            if mine is None:
-                self._shards[label] = list(theirs)
-                continue
-            self._shards[label] = [
-                (
-                    theirs_sketch
-                    if self._untouched(ours_sketch)
-                    else (
-                        ours_sketch
-                        if self._untouched(theirs_sketch)
-                        else merge_sketches([ours_sketch, theirs_sketch])
-                    )
-                )
-                for ours_sketch, theirs_sketch in zip(mine, theirs)
-            ]
-        delta._shards = {}

@@ -51,7 +51,7 @@ def new_store(wal_dir=None) -> SketchStore:
 
 def state(store: SketchStore) -> tuple:
     """Engine bytes, version, probe and log record count of ``store``."""
-    engine = store.engine(ENGINE, sync=True)
+    engine = store.engine(ENGINE)
     wal = store.wal
     return (
         codec.to_bytes(engine),
@@ -64,7 +64,7 @@ def state(store: SketchStore) -> tuple:
 def assert_retry_counts_once(store: SketchStore) -> None:
     control = new_store()
     control.submit(IngestRequest(engine=ENGINE, batches=(FIRST, FIXED)))
-    engine = store.engine(ENGINE, sync=True)
+    engine = store.engine(ENGINE)
     assert codec.to_bytes(engine) == codec.to_bytes(control.engine(ENGINE))
     assert store.version(ENGINE) == control.version(ENGINE)
 
@@ -82,7 +82,6 @@ def check_submit(store: SketchStore, bad, error, match) -> None:
 def wal_store(tmp_path):
     store = new_store(tmp_path / "wal")
     yield store
-    store.stop_workers()
     store.wal.close()
 
 
@@ -116,14 +115,6 @@ class TestAtomicSubmit:
         check_submit(wal_store, NEGATIVE, InvalidParameterError, "nonnegative")
 
     def test_atomic_003_submit_key_the_log_refuses(self, wal_store):
-        check_submit(wal_store, UNLOGGABLE, SketchCodecError, "frozenset")
-
-    def test_atomic_004_worker_pool_negative_value(self, wal_store):
-        wal_store.start_workers(2)
-        check_submit(wal_store, NEGATIVE, InvalidParameterError, "nonnegative")
-
-    def test_atomic_005_worker_pool_key_the_log_refuses(self, wal_store):
-        wal_store.start_workers(2)
         check_submit(wal_store, UNLOGGABLE, SketchCodecError, "frozenset")
 
     def test_atomic_006_concurrent_requests_with_rejections(self, wal_store):

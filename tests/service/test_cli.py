@@ -464,25 +464,19 @@ class TestServeSpecs:
 
 
 class TestServeCommand:
-    """The ``serve`` boot path owns the store's worker lifecycle."""
+    """The ``serve`` boot path."""
 
-    def test_failed_boot_stops_the_workers_it_started(self, tmp_path, capsys):
-        import multiprocessing
-
-        # the workers start before the server config is built, so the
-        # rejected --threads 0 fails a boot that already has workers
+    def test_bad_server_config_fails_the_boot(self, tmp_path, capsys):
         code = main(
             [
                 "serve",
                 "--store", str(tmp_path / "store.bin"),
                 "--port", "0",
-                "--workers", "2",
                 "--threads", "0",
             ]
         )
         assert code == 2
         assert "ingest_threads must be positive" in capsys.readouterr().err
-        assert multiprocessing.active_children() == []
 
 
 class TestRecoverCommand:

@@ -13,6 +13,7 @@ from repro.exceptions import InvalidParameterError
 from repro.sampling.seeds import SeedAssigner
 from repro.service import codec
 from repro.service.store import IngestRequest, SketchStore
+from repro.wal import WriteAheadLog
 
 from ingest_helper import ingest
 
@@ -30,6 +31,10 @@ def build_store(kind="bottom_k", **kwargs):
         defaults.setdefault("threshold", 0.4)
     store.create("traffic", kind, **defaults)
     return store
+
+
+#: a one-row batch, for requests whose batch does not matter
+ONE_ROW = ("mon", [1], [1.0])
 
 
 def make_columns(n=400, seed=0):
@@ -88,6 +93,36 @@ class TestIngestRequestValidation:
                 )
             )
         assert store.version("traffic") == 0
+
+    def test_ingest_request_002_fractional_version_refused(self):
+        with pytest.raises(InvalidParameterError, match="version must be"):
+            IngestRequest(engine="traffic", batches=[ONE_ROW], version=1.5)
+
+    def test_ingest_request_003_bool_version_refused(self):
+        with pytest.raises(InvalidParameterError, match="version must be"):
+            IngestRequest(engine="traffic", batches=[ONE_ROW], version=True)
+
+    def test_ingest_request_004_string_version_refused(self):
+        with pytest.raises(InvalidParameterError, match="version must be"):
+            IngestRequest(engine="traffic", batches=[ONE_ROW], version="2")
+
+    def test_ingest_request_005_zero_version_refused(self):
+        with pytest.raises(InvalidParameterError, match="version must be"):
+            IngestRequest(engine="traffic", batches=[ONE_ROW], version=0)
+
+    def test_ingest_request_006_store_and_log_agree_on_the_version(self, tmp_path):
+        store = build_store()
+        wal = WriteAheadLog(tmp_path / "wal", fsync="off")
+        store.attach_wal(wal)
+        try:
+            store.submit(
+                IngestRequest(engine="traffic", batches=[ONE_ROW], version=np.int64(2))
+            )
+            (record,) = wal.read_all()[0]
+        finally:
+            wal.close()
+        assert type(store.version("traffic")) is int
+        assert store.version("traffic") == record.version == 2
 
     @pytest.mark.parametrize(
         "field, value", [("source", "http"), ("wal_bypass", True)]
@@ -162,6 +197,39 @@ class TestSubmit:
         with pytest.raises(ValueError, match="already at"):
             store.submit(replay)
         assert codec.to_bytes(store.engine("traffic")) == before
+
+    @pytest.mark.parametrize(
+        "keys, values, message",
+        [
+            (["a", "b", "c"], [1.0, -2.0, 3.0], "values must be nonnegative"),
+            (
+                ["a", "b", "c"],
+                [1.0, float("nan"), 3.0],
+                "must be finite, got nan at row 1",
+            ),
+            (["a", ["x"], "c"], [1.0, 2.0, 3.0], "must be hashable, got list at row 1"),
+            (
+                np.array(["a", "b", {}], dtype=object),
+                [1.0, 2.0, 3.0],
+                "must be hashable, got dict at row 2",
+            ),
+        ],
+        ids=["negative", "nan", "unhashable", "unhashable-object-column"],
+    )
+    def test_bad_batch_gets_its_message_and_changes_nothing(
+        self, keys, values, message
+    ):
+        store = build_store()
+        engine = store.engine("traffic")
+
+        def state():
+            return codec.to_bytes(engine), engine.probe(), engine.instance_labels
+
+        before = state()
+        with pytest.raises(InvalidParameterError, match=message):
+            ingest(store, "traffic", "mon", keys, values)
+        assert store.version("traffic") == 0
+        assert state() == before
 
 
 def _submit_outcome(batches, coalesce):

@@ -11,7 +11,11 @@ to scalar values frozen before the per-class formulas were removed.
 
 All kernels take the canonical :class:`~repro.batch.OutcomeBatch` column
 layout — ``values``/``sampled``/``seeds`` of shape ``(n, r)`` — and return
-a float64 estimate vector of shape ``(n,)``.
+a float64 estimate vector of shape ``(n,)``, except the known-seed PPS
+pair: :func:`pps_max_r2_kernel` takes determining vectors (built from a
+batch by :func:`pps_determining_vector`, or from a pair join's row
+groups by :mod:`repro.streaming.query`) and returns both the
+``max^(HT)`` and the ``max^(L)`` column.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ import numpy as np
 
 from repro.exceptions import InvalidOutcomeError
 
+_NEGATIVE_PHI = "determining vector must be nonnegative"
+
 __all__ = [
     "masked_row_max",
     "ht_oblivious_kernel",
@@ -27,8 +33,10 @@ __all__ = [
     "max_l_uniform_kernel",
     "max_u_kernel",
     "max_uas_kernel",
+    "pps_determining_vector",
     "pps_max_ht_kernel",
-    "pps_max_l_r2_kernel",
+    "pps_max_r2_kernel",
+    "pps_one_sampled",
     "check_binary_columns",
     "known_seed_or_mapping",
 ]
@@ -169,124 +177,153 @@ def pps_max_ht_kernel(
 
     Positive only when every unsampled entry's seed bound lies below the
     largest sampled value; the estimate is then
-    ``M / prod_i min(1, M / tau_star_i)``.
+    ``M / prod_i min(1, M / tau_star_i)``.  A negative sampled value is
+    refused and a NaN one makes its row NaN.  For ``r = 2`` the
+    estimators score through :func:`pps_max_r2_kernel` instead.
     """
+    if np.any(sampled & (values < 0.0)):
+        raise InvalidOutcomeError(_NEGATIVE_PHI)
     tau_star = np.asarray(tau_star, dtype=np.float64)
     top = masked_row_max(values, sampled)
-    if len(tau_star) == 2:
-        bound_ok = (
-            (sampled[:, 0] | (seeds[:, 0] * tau_star[0] <= top))
-            & (sampled[:, 1] | (seeds[:, 1] * tau_star[1] <= top))
-        )
-        in_s_star = (top > 0.0) & bound_ok
-        safe_top = np.where(in_s_star, top, 1.0)
-        probability = np.minimum(1.0, safe_top / tau_star[0]) * np.minimum(
-            1.0, safe_top / tau_star[1]
-        )
-    else:
-        bound_ok = sampled | (seeds * tau_star[None, :] <= top[:, None])
-        in_s_star = (top > 0.0) & bound_ok.all(axis=1)
-        safe_top = np.where(in_s_star, top, 1.0)
-        probability = np.minimum(
-            1.0, safe_top[:, None] / tau_star[None, :]
-        ).prod(axis=1)
-    return np.where(in_s_star, safe_top / probability, 0.0)
+    bound_ok = sampled | (seeds * tau_star[None, :] <= top[:, None])
+    in_s_star = (top > 0.0) & bound_ok.all(axis=1)
+    safe_top = np.where(in_s_star, top, 1.0)
+    probability = np.minimum(
+        1.0, safe_top[:, None] / tau_star[None, :]
+    ).prod(axis=1)
+    return np.where(
+        in_s_star, safe_top / probability, np.where(np.isnan(top), top, 0.0)
+    )
 
 
-def pps_max_l_r2_kernel(
+def pps_one_sampled(
+    value: np.ndarray, bound: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``r = 2`` PPS rows with one sampled entry (Figure 3,
+    ``S = {i}``): the determining-vector entry of the unsampled side,
+    ``min(u_j tau_j, v_i)``, and whether the seed bound ``u_j tau_j``
+    certifies ``v_i`` as the maximum (the ``max^(HT)`` set ``S*``)."""
+    return np.minimum(bound, value), bound <= value
+
+
+def pps_determining_vector(
     values: np.ndarray,
     sampled: np.ndarray,
     seeds: np.ndarray,
     tau1: float,
     tau2: float,
-) -> np.ndarray:
-    """The known-seed PPS ``max^(L)`` for ``r = 2`` (Figure 3 closed forms).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(phi1, phi2, known)`` of ``r = 2`` PPS outcomes with known seeds.
 
-    The determining vector pairs each sampled value with the seed bound of
-    the unsampled entry, and the piecewise closed forms (Eqs. (25), (26),
-    (29), (30) with the corrected log argument, see
-    :class:`repro.core.max_weighted.MaxPpsL`) are applied after sorting.
+    A sampled entry keeps its value, the unsampled entry of a
+    single-sampled row gets :func:`pps_one_sampled`'s bound and empty
+    rows get ``(0, 0)``.  ``known`` marks the rows whose maximum the
+    outcome determines: both entries sampled, or one sampled with the
+    other's seed bound at most its value.
     """
     v1, v2 = values[:, 0], values[:, 1]
     s1, s2 = sampled[:, 0], sampled[:, 1]
-    nonempty = s1 | s2
+    other2, known2 = pps_one_sampled(v1, seeds[:, 1] * tau2)
+    other1, known1 = pps_one_sampled(v2, seeds[:, 0] * tau1)
+    phi1 = np.where(s1, v1, np.where(s2, other1, 0.0))
+    phi2 = np.where(s2, v2, np.where(s1, other2, 0.0))
+    known = np.where(s1, s2 | known2, s2 & known1)
+    return phi1, phi2, known
 
-    # Determining vector: a sampled entry keeps its value, the unsampled
-    # entry of a single-sampled row gets min(seed bound, sampled value),
-    # empty rows get (0, 0).
-    phi1 = np.where(
-        s1, v1, np.where(s2, np.minimum(seeds[:, 0] * tau1, v2), 0.0)
-    )
-    phi2 = np.where(
-        s2, v2, np.where(s1, np.minimum(seeds[:, 1] * tau2, v1), 0.0)
-    )
-    if np.any((phi1 < 0.0) | (phi2 < 0.0)):
-        raise InvalidOutcomeError("determining vector must be nonnegative")
-    both_zero = (phi1 == 0.0) & (phi2 == 0.0)
-    if np.any(~both_zero & (np.minimum(phi1, phi2) <= 0.0)):
-        raise InvalidOutcomeError(
-            "determining vector entries must be positive unless both are zero"
-        )
 
-    first_larger = phi1 >= phi2
-    a = np.where(first_larger, phi1, phi2)
-    b = np.where(first_larger, phi2, phi1)
-    tau_a = np.where(first_larger, tau1, tau2)
-    tau_b = np.where(first_larger, tau2, tau1)
-    total = tau_a + tau_b
+def pps_max_r2_kernel(
+    phi1: np.ndarray,
+    phi2: np.ndarray,
+    known: np.ndarray,
+    tau1: float,
+    tau2: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both known-seed PPS max estimates for ``r = 2``: ``(ht, l)``.
 
-    estimates = np.zeros(len(a), dtype=np.float64)
-    remaining = nonempty & ~both_zero
+    Takes the determining vector ``(phi1, phi2)`` of each outcome and
+    whether the outcome determines its maximum (``known``, see
+    :func:`pps_determining_vector`).  ``max^(HT)`` is ``a / (q_1 q_2)``
+    with ``a = max(phi)`` and ``q_i = min(1, a / tau_i)`` on the known
+    rows; ``max^(L)`` applies the Figure 3 closed forms (Eqs. (25),
+    (26), (29) and (30) with the corrected log argument, see
+    :class:`repro.core.max_weighted.MaxPpsL`) to the sorted vector
+    ``a >= b``.  ``a``, ``q_1`` and ``q_2`` are computed once for both.
 
-    # Eq. (25): equal entries.  Most rows of a served pair fall here, so
-    # the form is evaluated on the full columns and kept where it holds;
-    # the empty and both-zero rows it also visits divide 0 by 0.
-    case = remaining & (a == b)
+    Most rows of a served pair are ties (``a == b``), where Eq. (25)
+    reads ``q_1`` and ``q_2`` as they stand (a tie keeps ``tau_a =
+    tau_1``); every other form is evaluated on its own rows only.  A
+    negative entry, or a zero one beside a positive one, is refused; a
+    NaN entry makes both estimates of its row NaN.
+    """
+    a = np.maximum(phi1, phi2)
+    # fmin skips a NaN entry, so ``b < 0`` finds every negative entry;
+    # every use of ``b`` below is masked by ``a``, which keeps the NaN
+    b = np.fmin(phi1, phi2)
+    positive = a > 0.0
+    if not np.fmin.reduce(b, initial=np.inf) > 0.0:
+        if np.any(b < 0.0):
+            raise InvalidOutcomeError(_NEGATIVE_PHI)
+        if np.any(positive & (b <= 0.0)):
+            raise InvalidOutcomeError(
+                "determining vector entries must be positive unless both "
+                "are zero"
+            )
+    # the zero rows divide 0 by 0 here; np.where drops those quotients
     with np.errstate(divide="ignore", invalid="ignore"):
-        q_a = np.minimum(1.0, a / tau_a)
-        q_b = np.minimum(1.0, a / tau_b)
-        np.copyto(estimates, a / (q_a + (1.0 - q_a) * q_b), where=case)
-    remaining &= ~case
-
-    # Eq. (26): the smaller entry is certain (b >= tau_b).
-    case = remaining & (b >= tau_b)
-    if np.any(case):
-        estimates[case] = b[case] + (a[case] - b[case]) / np.minimum(
-            1.0, a[case] / tau_a[case]
+        q1 = np.minimum(1.0, a / tau1)
+        q2 = np.minimum(1.0, a / tau2)
+        ht = np.where(known & positive, a / (q1 * q2), 0.0)
+        # Eq. (25): equal entries
+        max_l = np.where(
+            positive & (a == b), a / (q1 + (1.0 - q1) * q2), 0.0
         )
-        remaining &= ~case
 
-    # v >= tau_1: the estimate equals the larger entry.
-    case = remaining & (a >= tau_a)
-    if np.any(case):
-        estimates[case] = a[case]
-        remaining &= ~case
+    rest = np.flatnonzero(a > b)
+    if rest.size:
+        a_r, b_r = a[rest], b[rest]
+        first_larger = phi1[rest] == a_r
+        tau_a = np.where(first_larger, tau1, tau2)
+        tau_b = np.where(first_larger, tau2, tau1)
+        # where the larger entry is certain (a >= tau_a), it is the
+        # estimate, unless the smaller one is certain too: Eq. (26)
+        estimates = a_r.copy()
+        certain = b_r >= tau_b
+        case = np.flatnonzero(certain)
+        if case.size:
+            a_c, b_c = a_r[case], b_r[case]
+            q_a = np.where(first_larger[case], q1[rest[case]], q2[rest[case]])
+            estimates[case] = b_c + (a_c - b_c) / q_a
+        low = ~certain & (a_r < tau_a)
+        # Eq. (29): both entries below both thresholds
+        case = np.flatnonzero(low & (a_r <= tau_b))
+        if case.size:
+            a_c, b_c, ta, tb = a_r[case], b_r[case], tau_a[case], tau_b[case]
+            tt = ta + tb
+            tab, ta_a, tt_a, tt_b = ta * tb, ta - a_c, tt - a_c, tt - b_c
+            estimates[case] = (
+                tab / tt_a
+                + tab * ta_a / (a_c * tt)
+                * np.log(tt_b * a_c / (b_c * tt_a))
+                + (a_c - b_c) * ta * tb * ta_a / (a_c * tt_b * tt_a)
+            )
+        # Eq. (30), corrected log argument: b <= tau_b <= a <= tau_a
+        case = np.flatnonzero(low & (a_r > tau_b))
+        if case.size:
+            a_c, b_c, ta, tb = a_r[case], b_r[case], tau_a[case], tau_b[case]
+            tt = ta + tb
+            tab, ta_a, tt_b = ta * tb, ta - a_c, tt - b_c
+            estimates[case] = (
+                ta + tb - tab / a_c
+                + tab * ta_a / (a_c * tt)
+                * np.log(tt_b * tb / (b_c * ta))
+                + tb * ta_a * (tb - b_c) / (tt_b * a_c)
+            )
+        max_l[rest] = estimates
 
-    # Eq. (29): both entries below both thresholds.
-    case = remaining & (a <= tau_b)
-    if np.any(case):
-        a_c, b_c = a[case], b[case]
-        ta, tb, tt = tau_a[case], tau_b[case], total[case]
-        estimates[case] = (
-            ta * tb / (tt - a_c)
-            + ta * tb * (ta - a_c) / (a_c * tt)
-            * np.log((tt - b_c) * a_c / (b_c * (tt - a_c)))
-            + (a_c - b_c) * ta * tb * (ta - a_c)
-            / (a_c * (tt - b_c) * (tt - a_c))
-        )
-        remaining &= ~case
-
-    # Eq. (30), corrected log argument: b <= tau_b <= a <= tau_a.
-    if np.any(remaining):
-        a_c, b_c = a[remaining], b[remaining]
-        ta, tb, tt = tau_a[remaining], tau_b[remaining], total[remaining]
-        estimates[remaining] = (
-            ta + tb - ta * tb / a_c
-            + ta * tb * (ta - a_c) / (a_c * tt)
-            * np.log((tt - b_c) * tb / (b_c * ta))
-            + tb * (ta - a_c) * (tb - b_c) / ((tt - b_c) * a_c)
-        )
-    return estimates
+    if np.isnan(np.maximum.reduce(a, initial=0.0)):
+        undefined = np.isnan(a)
+        ht[undefined] = max_l[undefined] = np.nan
+    return ht, max_l
 
 
 def check_binary_columns(values: np.ndarray, sampled: np.ndarray) -> None:

@@ -24,7 +24,11 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro._validation import check_positive_vector
-from repro.batch.kernels import pps_max_ht_kernel, pps_max_l_r2_kernel
+from repro.batch.kernels import (
+    pps_determining_vector,
+    pps_max_ht_kernel,
+    pps_max_r2_kernel,
+)
 from repro.batch.outcome_batch import OutcomeBatch
 from repro.core.estimator_base import VectorEstimator
 from repro.exceptions import InvalidOutcomeError, UnsupportedConfigurationError
@@ -43,6 +47,14 @@ def _check_seeded(estimator: VectorEstimator, batch: OutcomeBatch) -> None:
     estimator._check_batch(batch)
     if batch.seeds is None:
         raise InvalidOutcomeError(_SEEDS_REQUIRED)
+
+
+def _pps_r2(
+    tau_star: tuple[float, float], values, sampled, seeds
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both ``r = 2`` estimate columns ``(ht, l)`` of seeded outcomes."""
+    phi1, phi2, known = pps_determining_vector(values, sampled, seeds, *tau_star)
+    return pps_max_r2_kernel(phi1, phi2, known, *tau_star)
 
 
 def _seed_knots(q_unsampled: float, grid_size: int) -> np.ndarray:
@@ -85,6 +97,10 @@ class MaxPpsHT(VectorEstimator):
     def estimate_batch(self, batch: OutcomeBatch) -> np.ndarray:
         """Inverse-probability PPS max estimate per outcome."""
         _check_seeded(self, batch)
+        if self.r == 2:
+            return _pps_r2(
+                self.tau_star, batch.values, batch.sampled, batch.seeds
+            )[0]
         return pps_max_ht_kernel(
             batch.values,
             batch.sampled,
@@ -133,8 +149,11 @@ class MaxPpsL(VectorEstimator):
 
     and the closed forms of the bottom table of Figure 3 (equations (25),
     (26), (29) and (30) of the paper) give the estimate as a function of the
-    determining vector; :func:`repro.batch.kernels.pps_max_l_r2_kernel`
-    implements both steps.
+    determining vector.  :func:`repro.batch.kernels.pps_determining_vector`
+    implements the first step and the fused ``r = 2`` kernel
+    :func:`repro.batch.kernels.pps_max_r2_kernel` the second, together
+    with the ``r = 2`` :class:`MaxPpsHT` estimate: both estimators, and
+    the streaming pair query, score through that one kernel.
 
     Eq. (30) (``b <= tau_b <= a <= tau_a``, with ``a >= b`` the sorted
     determining vector and ``tau_a``/``tau_b`` the thresholds of the
@@ -184,9 +203,9 @@ class MaxPpsL(VectorEstimator):
     def estimate_batch(self, batch: OutcomeBatch) -> np.ndarray:
         """Figure 3 closed forms per outcome."""
         _check_seeded(self, batch)
-        return pps_max_l_r2_kernel(
-            batch.values, batch.sampled, batch.seeds, *self.tau_star
-        )
+        return _pps_r2(
+            self.tau_star, batch.values, batch.sampled, batch.seeds
+        )[1]
 
     def estimate_from_determining(self, phi1: float, phi2: float) -> float:
         """Estimate as a function of the determining vector (Figure 3).
@@ -195,12 +214,12 @@ class MaxPpsL(VectorEstimator):
         vector, so this scores the outcome ``S = {0, 1}`` with ``v = phi``.
         """
         return float(
-            pps_max_l_r2_kernel(
-                np.array([[phi1, phi2]], dtype=np.float64),
-                np.ones((1, 2), dtype=bool),
-                np.zeros((1, 2)),
+            pps_max_r2_kernel(
+                np.array([phi1], dtype=np.float64),
+                np.array([phi2], dtype=np.float64),
+                np.ones(1, dtype=bool),
                 *self.tau_star,
-            )[0]
+            )[1][0]
         )
 
     # ------------------------------------------------------------------
@@ -268,14 +287,13 @@ class MaxPpsL(VectorEstimator):
             rows = [row for row, _, _, _ in chunk]
             masks = [mask for _, _, mask, _ in chunk]
             seed_column = np.concatenate(knots)
-            # The kernel reads the seed of unsampled entries only.
-            estimates = pps_max_l_r2_kernel(
+            # Only the seeds of unsampled entries are read.
+            estimates = _pps_r2(
+                self.tau_star,
                 np.repeat(unique_rows[rows], sizes, axis=0),
                 np.repeat(masks, sizes, axis=0),
                 np.column_stack([seed_column, seed_column]),
-                tau1,
-                tau2,
-            )
+            )[1]
             pieces = np.split(estimates, np.cumsum(sizes)[:-1])
             for (row, probability, _, q), points, piece in zip(
                 chunk, knots, pieces

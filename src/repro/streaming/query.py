@@ -17,11 +17,15 @@ immutable columnar view (keys, their hashes, values).  A caller that
 queries one instance many times — the store, which memoises views per
 engine version — builds the view once and passes it wherever a sketch
 is accepted; the join over views then hashes nothing.  A view also
-memoises its hash sort order and its own keys' seeds, so a pair of
-int-keyed or str-keyed views joins with one ``np.searchsorted`` and
-computes seeds only for the keys a view does not retain.  Other key
-types, three or more views and hash collisions keep the exact
-``dict`` join.
+memoises its hash sort order, so a pair of int-keyed or str-keyed views
+joins by merging the two sorted hash columns.  Other key types, three
+or more views and hash collisions keep the exact ``dict`` join.
+
+The pair queries (:func:`distinct_count`, :func:`l1_distance`,
+:func:`max_dominance`) build no outcome batch: they read the join's
+three row groups.  A key both views retain is sampled in both and
+needs no seed; a key one view retains needs only the other view's
+seed, as the seed-selected test or the PPS seed bound.
 
 The multi-instance estimators assume instances were sampled
 *independently*; sketches built from a ``coordinated=True`` seed assigner
@@ -34,6 +38,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import compress, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,9 +48,10 @@ from repro.aggregates.distinct import (
     DistinctCountEstimate,
     distinct_estimate,
 )
+from repro._validation import check_positive_vector
+from repro.batch.kernels import pps_max_r2_kernel, pps_one_sampled
 from repro.batch.outcome_batch import OutcomeBatch
 from repro.core.estimator_base import VectorEstimator
-from repro.core.max_weighted import MaxPpsHT, MaxPpsL
 from repro.exceptions import InvalidParameterError
 from repro.sampling.outcomes import VectorOutcome
 from repro.sampling.ranks import PpsRanks, RankFamily, UniformRanks
@@ -99,8 +105,8 @@ class SketchColumns:
     (:func:`~repro.sampling.seeds.hash_key_column`); only :meth:`of`,
     which hashes the keys, sets it, and a view built directly keeps the
     always exact ``False``.  Every array, including the lazily memoised
-    :attr:`join_index` and :attr:`own_seeds`, is read-only, so one view
-    can be shared by any number of concurrent queries.
+    :attr:`join_index`, is read-only, so one view can be shared by any
+    number of concurrent queries.
     """
 
     instance: object
@@ -133,15 +139,6 @@ class SketchColumns:
             return None
         order.flags.writeable = ordered.flags.writeable = False
         return order, ordered
-
-    @_memoised
-    def own_seeds(self) -> np.ndarray:
-        """The seed of every retained key in this view's instance."""
-        seeds = self.seed_assigner.seeds_from_hashes(
-            self.hashes, instance=self.instance
-        )
-        seeds.flags.writeable = False
-        return seeds
 
     @classmethod
     def of(cls, sketch: StreamingPoisson | SketchColumns) -> SketchColumns:
@@ -213,30 +210,116 @@ def _sorted_rows(first: SketchColumns, second: SketchColumns) -> np.ndarray | No
     when absent), joined on the views' sorted hashes; ``None`` when only
     the dict join is exact.
 
-    ``second``'s sorted hashes are searched in ``first``'s, and only the
-    matched pairs compare keys.  A matched pair whose keys differ is a
-    hash collision, and a view without a :attr:`SketchColumns.join_index`
-    may hold equal keys under different hashes; both leave the join to
-    the dict.
+    The two sorted hash columns are merged by one stable ``argsort`` of
+    their concatenation (two sorted runs, so a linear merge): a hash
+    both views hold lands twice in a row, ``first``'s copy first, and
+    only those matched pairs compare keys.  A matched pair whose keys
+    differ is a hash collision, and a view without a
+    :attr:`SketchColumns.join_index` may hold equal keys under different
+    hashes; both leave the join to the dict.
     """
     index1, index2 = first.join_index, second.join_index
     if index1 is None or index2 is None:
         return None
     (order1, sorted1), (order2, sorted2) = index1, index2
-    rows = np.full(len(second.keys), -1, dtype=np.intp)
-    if not sorted1.size:
-        return rows
-    at = np.searchsorted(sorted1, sorted2)
-    np.minimum(at, sorted1.size - 1, out=at)
-    hit = sorted1[at] == sorted2
-    mine, theirs = order1[at[hit]], order2[hit]
+    merged = np.concatenate((sorted1, sorted2))
+    by_hash = np.argsort(merged, kind="stable")
+    ordered = merged[by_hash]
+    at = np.flatnonzero(ordered[1:] == ordered[:-1])
+    mine = order1[by_hash[at]]
+    theirs = order2[by_hash[at + 1] - len(sorted1)]
     keys1, keys2 = first.keys, second.keys
     if [keys1[row] for row in mine.tolist()] != [
         keys2[row] for row in theirs.tolist()
     ]:
         return None
+    rows = np.full(len(keys2), -1, dtype=np.intp)
     rows[theirs] = mine
     return rows
+
+
+def _dict_rows(index: dict, view: SketchColumns) -> np.ndarray:
+    """The row ``index`` maps each of ``view``'s keys to (``-1`` when
+    absent): the exact join, by key equality."""
+    return np.fromiter(
+        map(index.get, view.keys, repeat(-1)),
+        dtype=np.intp,
+        count=len(view.keys),
+    )
+
+
+def _join_rows(first: SketchColumns, second: SketchColumns) -> np.ndarray:
+    """The pair join: :func:`_sorted_rows`, or the dict join when only
+    it is exact.  Both give the same rows."""
+    rows = _sorted_rows(first, second)
+    if rows is None:
+        rows = _dict_rows(dict(zip(first.keys, range(len(first.keys)))), second)
+    return rows
+
+
+class _PairRows(NamedTuple):
+    """The join of two views as row groups, in union order: ``first``'s
+    rows, then the rows only ``second`` retains.
+
+    Union row ``i < len(rows1)`` is ``first``'s row ``rows1[i]``; its
+    key is retained by both views when ``other[i] >= 0`` (``second``'s
+    row of it), else by ``first`` only (``only1[i]``).  The union rows
+    after those are ``second``'s rows ``rows2``.  A key retained by both
+    is sampled in both; a key retained by one view needs only the other
+    view's seed.
+    """
+
+    first: SketchColumns
+    second: SketchColumns
+    rows1: slice | np.ndarray
+    other: np.ndarray
+    only1: np.ndarray
+    rows2: np.ndarray
+
+    def seeds1(self) -> np.ndarray:
+        """``first``'s seeds of the keys only ``second`` retains."""
+        first = self.first
+        return first.seed_assigner.seeds_from_hashes(
+            self.second.hashes[self.rows2], instance=first.instance
+        )
+
+    def seeds2(self) -> np.ndarray:
+        """``second``'s seeds of the keys only ``first`` retains."""
+        second = self.second
+        return second.seed_assigner.seeds_from_hashes(
+            self.first.hashes[self.rows1][self.only1], instance=second.instance
+        )
+
+
+def _pair_rows(
+    sketch1: StreamingPoisson | SketchColumns,
+    sketch2: StreamingPoisson | SketchColumns,
+    predicate: KeyPredicate | None,
+) -> _PairRows:
+    """The two views' join (:func:`_join_rows`) as :class:`_PairRows`,
+    restricted to the union keys ``predicate`` accepts."""
+    _check_family((sketch1, sketch2))
+    first, second = SketchColumns.of(sketch1), SketchColumns.of(sketch2)
+    rows = _join_rows(first, second)
+    matched = np.flatnonzero(rows >= 0)
+    other = np.full(len(first.keys), -1, dtype=np.intp)
+    other[rows[matched]] = matched
+    rows1: slice | np.ndarray = slice(None)
+    rows2 = np.flatnonzero(rows < 0)
+    if predicate is not None:
+        rows1 = np.flatnonzero(
+            np.fromiter(map(predicate, first.keys), dtype=bool, count=len(other))
+        )
+        other = other[rows1]
+        keys2 = second.keys
+        rows2 = rows2[
+            np.fromiter(
+                (predicate(keys2[row]) for row in rows2.tolist()),
+                dtype=bool,
+                count=len(rows2),
+            )
+        ]
+    return _PairRows(first, second, rows1, other, other < 0, rows2)
 
 
 def _outcome_columns(
@@ -249,15 +332,12 @@ def _outcome_columns(
 
     One join over the sketches' :class:`SketchColumns`: the union rows
     are the first view's keys, then each further view's new keys in its
-    own order.  A pair of views is joined on their memoised sorted
-    hashes (:func:`_sorted_rows`); three or more views, non-canonical
-    keys and hash collisions take one ``dict.get`` pass per further
-    view.  Both joins give the same rows.  The union hashes are the
-    views' hashes at their new rows, so no key is hashed here.  Each
-    view's retained rows take their seeds from
-    :attr:`SketchColumns.own_seeds`, so only the rows a view does not
-    retain get seeds computed.  The union key list is built only for a
-    predicate or when ``with_keys`` asks for it (else ``None``).
+    own order.  A pair of views is joined by :func:`_join_rows`, the
+    join the pair queries read; three or more views take one
+    ``dict.get`` pass per further view.  The union hashes are the views'
+    hashes at their new rows, so no key is hashed here.  The union key
+    list is built only for a predicate or when ``with_keys`` asks for it
+    (else ``None``).
 
     The ``(n, r)`` arrays are column-major (``order="F"``): each view's
     column is one contiguous 1-D array, written through integer rows,
@@ -266,24 +346,14 @@ def _outcome_columns(
     _check_family(sketches)
     views = [SketchColumns.of(sketch) for sketch in sketches]
     first = views[0]
-    n = n_first = len(first.keys)
+    n = len(first.keys)
     need_keys = with_keys or predicate is not None
     keys = list(first.keys) if need_keys else None
-    sorted_rows = _sorted_rows(*views) if len(views) == 2 else None
-    index = (
-        None if sorted_rows is not None else dict(zip(first.keys, range(n)))
-    )
+    index = dict(zip(first.keys, range(n))) if len(views) > 2 else None
     positions: list[slice | np.ndarray] = [slice(0, n)]
     hash_parts = [first.hashes]
     for number, view in enumerate(views[1:], start=2):
-        if index is None:
-            rows = sorted_rows
-        else:
-            rows = np.fromiter(
-                map(index.get, view.keys, repeat(-1)),
-                dtype=np.intp,
-                count=len(view.keys),
-            )
+        rows = _join_rows(first, view) if index is None else _dict_rows(index, view)
         new = rows < 0
         added = int(np.count_nonzero(new))
         rows[new] = np.arange(n, n + added)
@@ -308,36 +378,22 @@ def _outcome_columns(
     seeds = (
         np.empty((n, r), dtype=np.float64, order="F") if include_seeds else None
     )
-    # A view's own seeds are its rows' seeds only where the union hashes
-    # are its own hashes: always for the first view and a sorted join,
-    # but the dict join may match ``1`` to the union's ``True``.
-    own = [True] + [sorted_rows is not None] * (r - 1)
     for column, (view, rows) in enumerate(zip(views, positions)):
         retained[:, column][rows] = True
         values[:, column][rows] = view.values
-        if seeds is not None and own[column]:
-            seeds[:, column][rows] = view.own_seeds
     sampled = retained.copy(order="F")
     for column, view in enumerate(views):
         oblivious = isinstance(view.rank_family, UniformRanks)
         if not (include_seeds or oblivious):
             continue
-        # The rows a view does not retain: for the first view, the union
-        # rows the other views added after its own.
-        if column == 0:
-            fresh = slice(n_first, n)
-        elif own[column]:
-            fresh = np.flatnonzero(~retained[:, column])
-        else:
-            fresh = slice(None)
         seed_column = view.seed_assigner.seeds_from_hashes(
-            hashes[fresh], instance=view.instance
+            hashes, instance=view.instance
         )
         if seeds is not None:
-            seeds[:, column][fresh] = seed_column
+            seeds[:, column] = seed_column
         if oblivious:
             # a seed-selected but unretained key was observed to be zero
-            sampled[:, column][fresh] |= seed_column <= view.threshold
+            sampled[:, column] |= seed_column <= view.threshold
     if predicate is not None:
         keep = np.fromiter(map(predicate, keys), dtype=bool, count=n)
         keys = list(compress(keys, keep.tolist()))
@@ -458,31 +514,32 @@ def distinct_count(
 
     The Section 8.1 estimators with the sketch thresholds as inclusion
     probabilities and the shared seed assigner as the seed oracle.  The
-    five key categories are counted from the outcome columns: ``F11`` is
-    retained by both sketches; a key retained by one sketch only is
+    five key categories are counted from the join's row groups: ``F11``
+    is retained by both sketches; a key retained by one sketch only is
     ``F10``/``F01`` when the other sketch seed-selected it (observed
-    absent there) and ``F1?``/``F?1`` otherwise.
+    absent there) and ``F1?``/``F?1`` otherwise, so only those keys get
+    a seed.
     """
     _check_independent((sketch1, sketch2), "distinct_count")
     p1 = _check_uniform(sketch1, "distinct_count")
     p2 = _check_uniform(sketch2, "distinct_count")
-    _, retained, batch = _outcome_columns(
-        (sketch1, sketch2), predicate, include_seeds=False
+    pair = _pair_rows(sketch1, sketch2, predicate)
+    only1 = pair.only1
+    n_only1 = int(np.count_nonzero(only1))
+    seen2 = int(np.count_nonzero(pair.seeds2() <= p2))
+    seen1 = int(np.count_nonzero(pair.seeds1() <= p1))
+    counts = dict(
+        zip(
+            CATEGORY_NAMES,
+            (
+                len(only1) - n_only1,
+                n_only1 - seen2,
+                seen2,
+                len(pair.rows2) - seen1,
+                seen1,
+            ),
+        )
     )
-    in1, in2 = retained[:, 0], retained[:, 1]
-    sampled1, sampled2 = batch.sampled[:, 0], batch.sampled[:, 1]
-    only1, only2 = in1 & ~in2, in2 & ~in1
-    masks = (
-        in1 & in2,
-        only1 & ~sampled2,
-        only1 & sampled2,
-        only2 & ~sampled1,
-        only2 & sampled1,
-    )
-    counts = {
-        name: int(np.count_nonzero(mask))
-        for name, mask in zip(CATEGORY_NAMES, masks)
-    }
     return distinct_estimate(counts, p1, p2, variant)
 
 
@@ -503,11 +560,21 @@ def l1_distance(
     _check_independent((sketch1, sketch2), "l1_distance")
     p1 = _check_uniform(sketch1, "l1_distance")
     p2 = _check_uniform(sketch2, "l1_distance")
-    _, _, batch = _outcome_columns(
-        (sketch1, sketch2), predicate, include_seeds=False
-    )
-    values = batch.values[batch.all_sampled()]
-    terms = np.abs(values[:, 0] - values[:, 1]) / (p1 * p2)
+    pair = _pair_rows(sketch1, sketch2, predicate)
+    first, second, other = pair.first, pair.second, pair.other
+    only1 = pair.only1
+    # the first union rows: second's value where it retains the key, an
+    # observed zero where it seed-selected it, no term otherwise
+    values2 = np.zeros(len(other), dtype=np.float64)
+    values2[~only1] = second.values[other[~only1]]
+    sampled2 = ~only1
+    sampled2[only1] = pair.seeds2() <= p2
+    terms = np.concatenate(
+        (
+            np.abs(first.values[pair.rows1] - values2)[sampled2],
+            np.abs(second.values[pair.rows2][pair.seeds1() <= p1]),
+        )
+    ) / (p1 * p2)
     # cumsum adds sequentially in union order (``sum`` would add
     # pairwise), so the total is the one a per-key loop computes
     return float(np.cumsum(terms)[-1]) if terms.size else 0.0
@@ -533,6 +600,14 @@ def max_dominance(
     ``u(h) / v(h) < tau``, i.e. it is Poisson PPS sampling with
     ``tau_star = 1 / tau`` — the scheme the ``max^(HT)`` / ``max^(L)``
     known-seed estimators are derived for.
+
+    The determining vector of every union key is built straight from
+    the join's row groups, in union order: a key both sketches retain
+    is its value pair, and a key one sketch retains pairs its value
+    with the other sketch's seed bound
+    (:func:`~repro.batch.kernels.pps_one_sampled`), so only those keys
+    get a seed.  One :func:`~repro.batch.kernels.pps_max_r2_kernel`
+    call scores both estimators.
     """
     _check_independent((sketch1, sketch2), "max_dominance")
     for sketch in (sketch1, sketch2):
@@ -541,14 +616,28 @@ def max_dominance(
                 "max_dominance requires PPS (PpsRanks) sketches; "
                 f"got {sketch.rank_family.name} ranks"
             )
-    tau_star = (1.0 / sketch1.threshold, 1.0 / sketch2.threshold)
-    estimator_ht = MaxPpsHT(tau_star)
-    estimator_l = MaxPpsL(tau_star)
-    _, _, batch = _outcome_columns(
-        (sketch1, sketch2), predicate, include_seeds=True
+    tau1, tau2 = check_positive_vector(
+        (1.0 / sketch1.threshold, 1.0 / sketch2.threshold), "tau_star"
+    )
+    pair = _pair_rows(sketch1, sketch2, predicate)
+    first, second, other = pair.first, pair.second, pair.other
+    only1 = pair.only1
+    values1 = first.values[pair.rows1]
+    phi2 = np.empty(len(other), dtype=np.float64)
+    known = np.ones(len(other), dtype=bool)
+    phi2[~only1] = second.values[other[~only1]]
+    phi2[only1], known[only1] = pps_one_sampled(
+        values1[only1], pair.seeds2() * tau2
+    )
+    values2 = second.values[pair.rows2]
+    phi1, known2 = pps_one_sampled(values2, pair.seeds1() * tau1)
+    ht, max_l = pps_max_r2_kernel(
+        np.concatenate((values1, phi1)),
+        np.concatenate((phi2, values2)),
+        np.concatenate((known, known2)),
+        tau1,
+        tau2,
     )
     return StreamingDominanceEstimate(
-        ht=float(estimator_ht.estimate_batch(batch).sum()),
-        l=float(estimator_l.estimate_batch(batch).sum()),
-        n_sampled_keys=batch.values.shape[0],
+        ht=float(ht.sum()), l=float(max_l.sum()), n_sampled_keys=len(ht)
     )

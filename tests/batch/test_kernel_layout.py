@@ -23,8 +23,9 @@ from repro.batch.kernels import (
     max_l_uniform_kernel,
     max_u_kernel,
     max_uas_kernel,
+    pps_determining_vector,
     pps_max_ht_kernel,
-    pps_max_l_r2_kernel,
+    pps_max_r2_kernel,
 )
 
 TAU = (20.0, 5.0)
@@ -53,7 +54,7 @@ KERNELS = {
     "max_u": lambda v, s, u: max_u_kernel(v, s, 0.3, 0.7),
     "max_uas": lambda v, s, u: max_uas_kernel(v, s, 0.3, 0.7),
     "pps_max_ht": lambda v, s, u: pps_max_ht_kernel(v, s, u, np.array(TAU)),
-    "pps_max_l_r2": lambda v, s, u: pps_max_l_r2_kernel(v, s, u, *TAU),
+    "pps_max_r2": lambda v, s, u: pps_max_r2(v, s, u),
     "known_seed_or_mapping": lambda v, s, u: known_seed_or_mapping(
         s, u, np.array([0.3, 0.7])
     ),
@@ -61,6 +62,13 @@ KERNELS = {
         (v > 0.0).astype(np.float64), s
     ),
 }
+
+
+def pps_max_r2(values, sampled, seeds):
+    """Both columns of the fused r = 2 PPS kernel for a batch."""
+    return pps_max_r2_kernel(
+        *pps_determining_vector(values, sampled, seeds, *TAU), *TAU
+    )
 
 
 def bits(result) -> list:
@@ -102,15 +110,13 @@ def test_pps_max_l_mixing_every_case_is_quiet_and_rowwise():
     seeds = np.array([row[2] for row in rows])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        whole = pps_max_l_r2_kernel(values, sampled, seeds, *TAU)
-        one_by_one = np.concatenate(
-            [
-                pps_max_l_r2_kernel(
-                    values[i : i + 1], sampled[i : i + 1], seeds[i : i + 1], *TAU
-                )
-                for i in range(len(rows))
-            ]
-        )
-    assert whole.tobytes() == one_by_one.tobytes()
-    assert np.all(np.isfinite(whole))
-    assert whole[0] > 0.0 and np.all(whole[-3:] == 0.0)
+        whole = pps_max_r2(values, sampled, seeds)
+        one_by_one = [
+            pps_max_r2(values[i : i + 1], sampled[i : i + 1], seeds[i : i + 1])
+            for i in range(len(rows))
+        ]
+    for column, estimates in enumerate(whole):
+        rowwise = np.concatenate([row[column] for row in one_by_one])
+        assert estimates.tobytes() == rowwise.tobytes()
+        assert np.all(np.isfinite(estimates))
+        assert estimates[0] > 0.0 and np.all(estimates[-3:] == 0.0)

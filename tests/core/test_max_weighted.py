@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import math
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
+from repro.batch import OutcomeBatch
 from repro.core.max_weighted import MaxPpsHT, MaxPpsL
 from repro.exceptions import (
     InvalidOutcomeError,
@@ -12,6 +16,9 @@ from repro.exceptions import (
 )
 from repro.sampling.dispersed import PpsPoissonScheme
 from repro.sampling.outcomes import VectorOutcome
+from repro.sampling.ranks import PpsRanks
+from repro.streaming.query import max_dominance
+from repro.streaming.sketch import StreamingPoisson
 
 
 def outcome_with(values, sampled, seeds):
@@ -237,3 +244,98 @@ class TestMaxPpsLStatisticalProperties:
             r=2, sampled=frozenset({0}), values={0: 6.0}, seeds=seeds,
         )
         assert estimator.estimate(both) >= estimator.estimate(only_first) - 1e-9
+
+
+# ----------------------------------------------------------------------
+# Invalid sampled values: numbered cases
+# ----------------------------------------------------------------------
+NEGATIVE = "determining vector must be nonnegative"
+
+
+class PpsCase(NamedTuple):
+    id: str
+    estimator: object
+    values: tuple
+    sampled: set
+    seeds: tuple
+    #: ``"nan"`` or the refusal text
+    expected: str
+
+
+PPS_CASES = [
+    PpsCase(
+        "pps_001_ht_refuses_a_negative_value_beside_a_positive_one",
+        MaxPpsHT((10.0, 10.0)), (-1.0, 2.0), {0, 1}, (0.05, 0.1), NEGATIVE,
+    ),
+    PpsCase(
+        "pps_002_ht_refuses_a_negative_single_sampled_value",
+        MaxPpsHT((10.0, 10.0)), (-3.0, 0.0), {0}, (0.05, 0.9), NEGATIVE,
+    ),
+    PpsCase(
+        "pps_003_ht_refuses_a_negative_value_for_r3",
+        MaxPpsHT((10.0, 10.0, 10.0)), (2.0, -1.0, 1.0), {0, 1, 2},
+        (0.1, 0.05, 0.05), NEGATIVE,
+    ),
+    PpsCase(
+        "pps_004_ht_propagates_a_nan_sampled_value",
+        MaxPpsHT((10.0, 10.0)), (math.nan, 20.0), {0, 1}, (0.5, 0.5), "nan",
+    ),
+    PpsCase(
+        "pps_005_l_propagates_a_nan_sampled_value",
+        MaxPpsL((10.0, 10.0)), (math.nan, 20.0), {0, 1}, (0.5, 0.5), "nan",
+    ),
+    PpsCase(
+        "pps_006_ht_propagates_a_nan_single_sampled_value",
+        MaxPpsHT((10.0, 10.0)), (math.nan, 0.0), {0}, (0.5, 0.1), "nan",
+    ),
+    PpsCase(
+        "pps_007_ht_propagates_a_nan_value_for_r3",
+        MaxPpsHT((10.0, 10.0, 10.0)), (5.0, math.nan, 1.0), {0, 1, 2},
+        (0.1, 0.5, 0.05), "nan",
+    ),
+]
+
+
+@pytest.mark.parametrize("case", PPS_CASES, ids=[case.id for case in PPS_CASES])
+def test_pps_invalid_sampled_value(case):
+    outcome = outcome_with(case.values, case.sampled, list(case.seeds))
+    batch = OutcomeBatch.from_outcomes([outcome])
+    for score in (
+        lambda: case.estimator.estimate(outcome),
+        lambda: case.estimator.estimate_batch(batch)[0],
+    ):
+        if case.expected == "nan":
+            assert math.isnan(score())
+        else:
+            with pytest.raises(InvalidOutcomeError, match=case.expected):
+                score()
+
+
+def test_pps_008_dominance_of_a_nan_valued_retained_entry_is_nan():
+    """A served dominance query over a NaN-valued retained entry reports
+    NaN, as an L1 query over one does, not a finite number."""
+
+    def sketch(instance, entries):
+        return StreamingPoisson.from_state(
+            {
+                "instance": instance,
+                "rank_family": PpsRanks(),
+                "salt": 3,
+                "coordinated": False,
+                "n_updates": len(entries),
+                "n_discarded_keys": 0,
+                "threshold": 0.1,
+                "keys": list(entries),
+                "values": list(entries.values()),
+                "ranks": [0.0] * len(entries),
+            }
+        )
+
+    first = sketch("x", {0: math.nan, 1: 4.0, 2: 30.0})
+    second = sketch("y", {0: 20.0, 2: 1.0, 3: 6.0})
+    result = max_dominance(first, second)
+    assert math.isnan(result.ht) and math.isnan(result.l)
+    assert result.n_sampled_keys == 4
+    # without the NaN key both estimates are finite again
+    finite = max_dominance(first, second, predicate=lambda key: key != 0)
+    assert math.isfinite(finite.ht) and math.isfinite(finite.l)

@@ -287,7 +287,7 @@ class MaxPpsL(VectorEstimator):
             rows = [row for row, _, _, _ in chunk]
             masks = [mask for _, _, mask, _ in chunk]
             seed_column = np.concatenate(knots)
-            # Only the seeds of unsampled entries are read.
+            # The kernel reads the seed of unsampled entries only.
             estimates = _pps_r2(
                 self.tau_star,
                 np.repeat(unique_rows[rows], sizes, axis=0),

@@ -565,9 +565,9 @@ def l1_distance(
     only1 = pair.only1
     # the first union rows: second's value where it retains the key, an
     # observed zero where it seed-selected it, no term otherwise
-    values2 = np.zeros(len(other), dtype=np.float64)
-    values2[~only1] = second.values[other[~only1]]
     sampled2 = ~only1
+    values2 = np.zeros(len(other), dtype=np.float64)
+    values2[sampled2] = second.values[other[sampled2]]
     sampled2[only1] = pair.seeds2() <= p2
     terms = np.concatenate(
         (
@@ -623,9 +623,10 @@ def max_dominance(
     first, second, other = pair.first, pair.second, pair.other
     only1 = pair.only1
     values1 = first.values[pair.rows1]
+    # both sampled where second retains the key, else its seed bound
+    known = ~only1
     phi2 = np.empty(len(other), dtype=np.float64)
-    known = np.ones(len(other), dtype=bool)
-    phi2[~only1] = second.values[other[~only1]]
+    phi2[known] = second.values[other[known]]
     phi2[only1], known[only1] = pps_one_sampled(
         values1[only1], pair.seeds2() * tau2
     )

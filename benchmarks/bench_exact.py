@@ -96,7 +96,6 @@ def bench_figure2_grid(n_points: int, repeats: int = 2) -> dict:
         "(bit-identical)"
     )
     return {
-        # Key name kept so the BENCH_PR*.json trajectory stays comparable.
         "scalar_seconds": per_point_seconds,
         "grid_seconds": grid_seconds,
         "speedup": speedup,

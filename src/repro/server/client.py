@@ -3,7 +3,7 @@
 :class:`AsyncSketchClient` speaks the same minimal HTTP/1.1 as the
 server over one persistent keep-alive connection (requests on a single
 client serialize on an internal lock — run many clients for
-concurrency, as the load generator in ``benchmarks/bench_server.py``
+concurrency, as the load generator in ``benchmarks/perf/harness.py``
 does).  The typed convenience methods mirror the endpoint surface and
 raise :class:`ClientResponseError` on non-2xx responses; use
 :meth:`request` directly to observe error statuses without exceptions.
@@ -80,7 +80,8 @@ class AsyncSketchClient:
             raise ValueError(
                 f"retry_attempts must be >= 0, got {retry_attempts}"
             )
-        if self.retry_base <= 0 or self.retry_cap < self.retry_base:
+        # written so that NaN fails it too: a NaN delay never wakes up
+        if not 0 < self.retry_base <= self.retry_cap:
             raise ValueError(
                 "need 0 < retry_base <= retry_cap, got "
                 f"{retry_base} / {retry_cap}"
@@ -213,7 +214,12 @@ class AsyncSketchClient:
         parts = status_line.split(None, 2)
         if len(parts) < 2 or not parts[0].startswith("HTTP/1."):
             raise ConnectionResetError(f"malformed status line {status_line!r}")
-        status = int(parts[1])
+        try:
+            status = int(parts[1])
+        except ValueError as exc:
+            raise ConnectionResetError(
+                f"malformed status line {status_line!r}"
+            ) from exc
         headers: dict[str, str] = {}
         for text in header_block.splitlines():
             text = text.strip()

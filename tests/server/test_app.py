@@ -354,6 +354,7 @@ class TestNonFiniteRejection:
             )
             assert status == 400
             assert "line 2" in payload["error"]
+            assert server.store.version("traffic") == 0
             assert server.store.engine("traffic").n_updates == 0
 
         run_scenario(scenario, store=make_store())

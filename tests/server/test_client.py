@@ -1,15 +1,16 @@
 """Transport-level behaviour of :class:`AsyncSketchClient`.
 
 Drives the client against a scripted fake server so the suite can send
-byte-exact malformed responses: a garbage or conflicting
-``Content-Length`` must surface as a *connection* error (the class the
-idempotent retry logic understands), never an unhandled ``ValueError``
-mid-read (the regression this file pins down).
+byte-exact malformed responses: a non-numeric status code or a garbage
+or conflicting ``Content-Length`` must surface as a *connection* error
+(the class the idempotent retry logic understands), never an unhandled
+``ValueError`` mid-read (the regression this file pins down).
 """
 
 from __future__ import annotations
 
 import asyncio
+import math
 
 import pytest
 
@@ -156,6 +157,23 @@ class TestMalformedContentLength:
                     assert status == 200
                     assert payload == {"status": "ok"}
                     assert client.last_request_id == "abc123"
+
+        run(scenario())
+
+
+class TestMalformedStatusCode:
+    """A non-numeric status code frames nothing that follows it, like a
+    malformed Content-Length: a connection error, retried for GET only."""
+
+    @pytest.mark.parametrize("method, sent", [("GET", 2), ("POST", 1)])
+    def test_is_a_connection_error(self, method, sent):
+        async def scenario():
+            responses = [b"HTTP/1.1 2OO OK\r\nContent-Length: 2\r\n\r\n{}"] * 2
+            async with ScriptedServer(responses) as server:
+                async with AsyncSketchClient(host="127.0.0.1", port=server.port) as client:
+                    with pytest.raises(ConnectionResetError, match="2OO"):
+                        await client.request(method, "/v1/ingest", json_body={})
+                assert len(server.requests) == sent
 
         run(scenario())
 
@@ -349,6 +367,8 @@ class TestBackpressureRetry:
             {"retry_attempts": -1},
             {"retry_base": 0.0},
             {"retry_base": 2.0, "retry_cap": 1.0},
+            {"retry_base": math.nan},
+            {"retry_cap": math.nan},
         ],
     )
     def test_bad_retry_configuration_rejected(self, kwargs):

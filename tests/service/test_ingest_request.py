@@ -138,41 +138,6 @@ class TestIngestRequestValidation:
 
 
 class TestSubmit:
-    def test_submit_multi_batch_bumps_version_per_batch(self):
-        store = build_store()
-        keys, values = make_columns(300)
-        request = IngestRequest(
-            engine="traffic",
-            batches=[
-                ("mon", keys[:150], values[:150]),
-                ("tue", keys[150:], values[150:]),
-            ],
-            coalesce=False,
-        )
-        version = store.submit(request)
-        assert version == store.version("traffic") == 2
-
-    def test_submit_coalesces_same_instance_batches(self):
-        keys, values = make_columns(300)
-        split = build_store()
-        split.submit(
-            IngestRequest(
-                engine="traffic",
-                batches=[
-                    ("mon", keys[:100], values[:100]),
-                    ("mon", keys[100:], values[100:]),
-                ],
-                coalesce=True,
-            )
-        )
-        # one coalesced application: a single version bump
-        assert split.version("traffic") == 1
-        whole = build_store()
-        ingest(whole, "traffic", "mon", keys, values)
-        assert codec.to_bytes(split.engine("traffic")) == codec.to_bytes(
-            whole.engine("traffic")
-        )
-
     def test_empty_submit_returns_current_version(self):
         store = build_store()
         assert store.submit(IngestRequest(engine="traffic")) == 0

@@ -1,5 +1,6 @@
-"""Query planner: routing parity with the streaming adapters and the
-version-keyed result cache."""
+"""Query planner: estimator-weighted sums, custom and predicate queries,
+and the version-keyed result cache.  Served query kinds are checked
+against the offline estimators by tests/conformance/test_write_paths.py."""
 
 from __future__ import annotations
 
@@ -8,7 +9,6 @@ import pytest
 
 from repro.core.max_oblivious import MaxObliviousL
 from repro.exceptions import InvalidParameterError, UnknownStoreError
-from repro.sampling.ranks import PpsRanks
 from repro.sampling.seeds import SeedAssigner
 from repro.service.queries import Query, QueryPlanner
 from repro.service.store import SketchStore
@@ -39,45 +39,7 @@ def oblivious_store():
     return store
 
 
-@pytest.fixture
-def pps_store():
-    store = SketchStore()
-    store.create(
-        "flows", "poisson", threshold=10.0, rank_family=PpsRanks(),
-        seed_assigner=SeedAssigner(salt=4), n_shards=2,
-    )
-    keys, values = make_columns(800, seed=5)
-    ingest(store, "flows", "mon", keys[:600], values[:600] / 100.0)
-    ingest(store, "flows", "tue", keys[300:], values[300:] / 100.0)
-    return store
-
-
 class TestRouting:
-    def test_distinct_matches_streaming_adapter(self, oblivious_store):
-        result = oblivious_store.query(
-            "traffic", Query.distinct("mon", "tue")
-        )
-        sketches = [
-            oblivious_store.merged_sketch("traffic", label)
-            for label in ("mon", "tue")
-        ]
-        direct = streaming_query.distinct_count(*sketches, variant="l")
-        assert result.value == direct
-        ht = oblivious_store.query(
-            "traffic", Query.distinct("mon", "tue", variant="ht")
-        )
-        assert ht.value == streaming_query.distinct_count(
-            *sketches, variant="ht"
-        )
-
-    def test_l1_matches_streaming_adapter(self, oblivious_store):
-        result = oblivious_store.query("traffic", Query.l1("mon", "tue"))
-        sketches = [
-            oblivious_store.merged_sketch("traffic", label)
-            for label in ("mon", "tue")
-        ]
-        assert result.value == streaming_query.l1_distance(*sketches)
-
     def test_sum_with_estimator_matches_sum_aggregate(self, oblivious_store):
         estimator = MaxObliviousL((0.5, 0.5))
         result = oblivious_store.query(
@@ -90,33 +52,6 @@ class TestRouting:
         assert result.value == streaming_query.sum_aggregate(
             sketches, estimator
         )
-
-    def test_single_instance_sum_poisson_is_horvitz_thompson(
-        self, oblivious_store
-    ):
-        result = oblivious_store.query("traffic", Query.sum("mon"))
-        sample = oblivious_store.sample("traffic", "mon")
-        assert result.value == sample.horvitz_thompson_total()
-
-    def test_single_instance_sum_bottom_k_is_rank_conditioning(self):
-        store = SketchStore()
-        store.create(
-            "bk", "bottom_k", k=64, seed_assigner=SeedAssigner(salt=2),
-        )
-        keys, values = make_columns(1200, seed=9)
-        ingest(store, "bk", "d", keys, values)
-        result = store.query("bk", Query.sum("d"))
-        assert result.value == store.sample(
-            "bk", "d"
-        ).rank_conditioning_total()
-
-    def test_dominance_matches_streaming_adapter(self, pps_store):
-        result = pps_store.query("flows", Query.dominance("mon", "tue"))
-        sketches = [
-            pps_store.merged_sketch("flows", label)
-            for label in ("mon", "tue")
-        ]
-        assert result.value == streaming_query.max_dominance(*sketches)
 
     def test_custom_query_runs_fn(self, oblivious_store):
         query = Query.custom(

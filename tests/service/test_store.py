@@ -14,7 +14,6 @@ from repro.exceptions import (
     SketchCodecError,
     UnknownStoreError,
 )
-from repro.sampling.ranks import PpsRanks
 from repro.sampling.seeds import SeedAssigner
 from repro.service.queries import Query, query_value_json
 from repro.service.store import IngestRequest, SketchStore, group_rows
@@ -223,18 +222,6 @@ class TestRegistryAndVersions:
         store.create_from_config({"name": "b"})
         assert store.engine("b").sketch_config["k"] == 64
 
-    def test_failed_ingest_changes_nothing(self):
-        store = build_store()
-        ingest(store, "traffic", "d", [1, 2], [1.0, 2.0])
-        before = store.engine("traffic").state_dict()
-        bad_values = np.ones(50)
-        bad_values[-1] = -1.0  # would otherwise fail mid-apply
-        with pytest.raises(InvalidParameterError, match="nonnegative"):
-            ingest(store, "traffic", "d", list(range(100, 150)), bad_values)
-        # atomic rejection: no partial shard updates, no version bump
-        assert store.version("traffic") == 1
-        assert store.engine("traffic").state_dict() == before
-
     def test_group_rows_groups_by_instance(self):
         rows = [("mon", 1, 2.0), ("tue", 2, 3.0), ("mon", 3, 4.0)]
         assert group_rows(rows) == (
@@ -247,49 +234,6 @@ class TestRegistryAndVersions:
         ingest(direct, "traffic", "mon", [1, 3], [2.0, 4.0])
         ingest(direct, "traffic", "tue", [2], [3.0])
         assert store.engine("traffic") == direct.engine("traffic")
-
-
-class TestPersistence:
-    def test_snapshot_restore_is_state_identical(self, tmp_path):
-        store = build_store()
-        store.create(
-            "pps",
-            "poisson",
-            threshold=0.2,
-            rank_family=PpsRanks(),
-            seed_assigner=SeedAssigner(salt=1),
-            n_shards=2,
-        )
-        for instance, keys, values in make_batches(
-            n_keys=2000, instances=("mon", "tue")
-        ):
-            ingest(store, "traffic", instance, keys, values)
-            ingest(store, "pps", instance, keys, values)
-        path = store.snapshot(tmp_path / "store.bin")
-
-        restored = SketchStore.restore(path)
-        assert restored.names() == store.names()
-        for name in store.names():
-            assert restored.version(name) == store.version(name)
-            assert restored.engine(name) == store.engine(name)
-        assert restored.describe() == store.describe()
-
-    def test_restored_store_continues_ingesting_identically(self, tmp_path):
-        batches = make_batches(n_keys=2000, instances=("mon",))
-        store = build_store()
-        for batch in batches[:6]:
-            ingest(store, "traffic", *batch)
-        restored = SketchStore.restore(
-            store.snapshot(tmp_path / "mid.bin")
-        )
-        for batch in batches[6:]:
-            ingest(store, "traffic", *batch)
-            ingest(restored, "traffic", *batch)
-        assert restored.engine("traffic") == store.engine("traffic")
-        assert (
-            restored.engine("traffic").state_dict()
-            == store.engine("traffic").state_dict()
-        )
 
 
 def hourly_rows(n_hours, n_rows, seed=3, as_str=False):

@@ -38,24 +38,6 @@ def reopen_and_recover(wal_dir, snapshot=None):
 
 
 class TestRecoverFromLogAlone:
-    @pytest.mark.parametrize("kind", ["poisson", "bottom_k"])
-    def test_bit_exact_without_a_snapshot(self, tmp_path, kind):
-        store, wal = faults.build_wal_store(tmp_path / "wal", kind)
-        faults.fill(store, 8)
-        wal.close()
-        report = reopen_and_recover(tmp_path / "wal")
-        assert engine_bytes(report.store) == codec.to_bytes(
-            faults.control_after(8, kind)
-        )
-        assert report.snapshot_engines == 0
-        assert report.replayed_records == 9  # engine create + 8 batches
-        assert report.replayed_rows == 8 * 5
-        assert report.skipped_records == 0
-        assert report.last_lsn == 9
-        assert report.torn_tail is None
-        assert report.replay_seconds > 0.0
-        assert report.store.version(faults.ENGINE) == 8
-
     def test_rotated_log_replays_across_segments(self, tmp_path):
         store, wal = faults.build_wal_store(
             tmp_path / "wal", segment_bytes=256

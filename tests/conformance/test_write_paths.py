@@ -92,21 +92,18 @@ KEY_POOLS = {  # key domain -> the distinct keys one stream draws from
     ),
 }
 VALUES = st.sampled_from((0.0, -0.0, 0.5, 1.0, 2.5, 4.0))  # ties; 0 is a no-op
-POISSON = [
-    {"kind": "poisson", "threshold": threshold, "ranks": ranks}
-    for threshold in (0.3, 1.0)
+ENGINE_KINDS = {  # engine kind -> the configs one stream draws from
+    ranks: [{"kind": "poisson", "threshold": tau, "ranks": ranks} for tau in (0.3, 1.0)]
     for ranks in ("uniform", "pps")
-]
-BOTTOM_K = [
-    {"kind": "bottom_k", "k": k, "ranks": ranks}
-    for k in range(2, 7)
-    for ranks in ("exp", "pps")
-]
-ENGINE_CONFIGS = st.builds(
-    lambda config, salt: {**config, "salt": salt},
-    st.sampled_from(POISSON + BOTTOM_K),
-    st.integers(0, 2**16),
-)
+} | {
+    "bottom_k": [
+        {"kind": "bottom_k", "k": k, "ranks": ranks}
+        for k in range(2, 7)
+        for ranks in ("exp", "pps")
+    ]
+}
+SALTS = st.integers(0, 2**16)
+ONCE = (False, True)  # whether a stream sends each key at most once per instance
 
 
 def draw_group(draw, instance, pool, used):
@@ -124,13 +121,14 @@ def draw_group(draw, instance, pool, used):
 
 
 @st.composite
-def streams(draw) -> Stream:
-    config = draw(ENGINE_CONFIGS)
-    domain = draw(st.sampled_from(sorted(KEY_POOLS)))
+def streams(draw, kinds=tuple(ENGINE_KINDS), domains=tuple(KEY_POOLS), once=ONCE):
+    kind = draw(st.sampled_from(kinds))
+    config = {**draw(st.sampled_from(ENGINE_KINDS[kind])), "salt": draw(SALTS)}
+    domain = draw(st.sampled_from(domains))
     pool = draw(KEY_POOLS[domain])
     # each key at most once per instance: then every kind of sketch is
     # exact, and the estimators that sample a data set themselves apply
-    used = {instance: set() for instance in INSTANCES} if draw(st.booleans()) else None
+    used = {i: set() for i in INSTANCES} if draw(st.sampled_from(once)) else None
     steps = []
     for _ in range(draw(st.integers(1, 5))):
         order = draw(st.permutations(INSTANCES))[: draw(st.integers(1, 2))]
@@ -432,10 +430,15 @@ ORACLE = settings(
 )
 
 
-@settings(ORACLE, max_examples=100)
-@given(stream=streams())
-def test_write_paths_agree(stream, run_scenario):
-    check_stream(stream, run_scenario)
+# tier-1 runs each engine kind x key domain x key reuse, 6 examples each
+@pytest.mark.parametrize("once", ONCE, ids=("repeats", "once"))
+@pytest.mark.parametrize("domain", sorted(KEY_POOLS))
+@pytest.mark.parametrize("kind", list(ENGINE_KINDS))
+@settings(ORACLE, max_examples=6)
+@given(data=st.data())
+def test_write_paths_agree(kind, domain, once, data, run_scenario):
+    stream = streams((kind,), (domain,), (once,))
+    check_stream(data.draw(stream, label="stream"), run_scenario)
 
 
 @pytest.mark.slow
@@ -472,6 +475,15 @@ CASES = {
     # a refused first request writes no CLI store file
     "conformance_006_refused_first_request_writes_no_store": Stream(
         UNIFORM, "unicode", (Step((("mon", ["a"], [1.0]),), (1, ("tue", [""], [-1]))),)
+    ),
+    # the RBAT decoder fault's shrunk catch on the CLI path
+    "conformance_007_rbat_batch_of_two_instances": Stream(
+        {**UNIFORM, "salt": 1},
+        "mixed",
+        (
+            Step((("mon", [0], [0.0]),)),
+            Step((("tue", [-1, 0, ">"], [0.5, 0.0, 0.5]), ("mon", [0], [0.0]))),
+        ),
     ),
 }
 

@@ -80,9 +80,10 @@ def _parse_instance(label: str, int_instances: bool) -> object:
 
 def _positive_int(text: str) -> int:
     """The ``--batch-size`` type: argparse refuses all but an int >= 1."""
-    if not text.isdigit() or int(text) < 1:
+    value = int(text)
+    if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return int(text)
+    return value
 
 
 def _read_batches(path: Path, fmt: str, args):

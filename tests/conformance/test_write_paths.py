@@ -17,7 +17,7 @@ import io
 import json
 import tempfile
 from collections import Counter
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import closing, redirect_stderr, redirect_stdout
 from functools import partial
 from pathlib import Path
 from typing import NamedTuple
@@ -91,7 +91,8 @@ KEY_POOLS = {  # key domain -> the distinct keys one stream draws from
         st.lists(TEXT, min_size=1, max_size=4, unique=True),
     ),
 }
-VALUES = st.sampled_from((0.0, -0.0, 0.5, 1.0, 2.5, 4.0))  # ties; 0 is a no-op
+TIES = st.sampled_from((0.0, -0.0, 0.1, 1 / 3, 1.0, 123456.789, 5e-324))  # 0: no-op
+VALUES = TIES | st.floats(0, 1e6, allow_subnormal=True)  # full double precision
 ENGINE_KINDS = {  # engine kind -> the configs one stream draws from
     ranks: [{"kind": "poisson", "threshold": tau, "ranks": ranks} for tau in (0.3, 1.0)]
     for ranks in ("uniform", "pps")
@@ -239,7 +240,6 @@ async def http_send(client, fmt: str, groups, int_keys: bool) -> tuple:
 def run_server(stream, formats, wal_dir, run_scenario, reference) -> tuple:
     """Serve one engine per format; returns the server's store and a
     follower caught up from its ``/replicate`` tail."""
-    store = SketchStore()
     int_keys = stream.domain in ("int64", "bigint")
 
     async def scenario(server, client):
@@ -248,18 +248,17 @@ def run_server(stream, formats, wal_dir, run_scenario, reference) -> tuple:
         version = 0
         for step in stream.steps:
             if step.bad and not step.unloggable():
-                before = state(store, formats)
+                before = state(server.store, formats)
                 for fmt in formats:
                     status, _ = await http_send(client, fmt, step.refused(), int_keys)
                     assert status == 400
-                assert state(store, formats) == before
+                assert state(server.store, formats) == before
             version += len(step.groups)
+            rows, batches = len(rows_of(step.groups)), len(step.groups)
             for fmt in formats:
                 status, report = await http_send(client, fmt, step.groups, int_keys)
-                rows, batches = len(rows_of(step.groups)), len(step.groups)
-                assert status == 200
+                assert status == 200 and report["version"] == version
                 assert (report["rows"], report["batches"]) == (rows, batches)
-                assert report["version"] == version
         for fmt in formats:
             for kind, instances, variant in reference:
                 served = await client.query(
@@ -270,10 +269,9 @@ def run_server(stream, formats, wal_dir, run_scenario, reference) -> tuple:
         cursor = await client.catch_up(follower)
         # a follower catching up again from cursor 0 skips what it has
         assert await client.catch_up(follower, 0) == cursor
-        return follower
+        return server.store, follower
 
-    follower = run_scenario(scenario, store=store, wal_dir=wal_dir, wal_fsync="off")
-    return store, follower
+    return run_scenario(scenario, wal_dir=wal_dir, wal_fsync="off")
 
 
 def cli(*args) -> tuple[int, object]:
@@ -398,11 +396,8 @@ def check_stream(stream: Stream, run_scenario) -> None:
         served, follower = run_server(
             stream, formats, workdir / "server-wal", run_scenario, reference
         )
-        wal = WriteAheadLog(workdir / "server-wal", fsync="off")
-        try:
+        with closing(WriteAheadLog(workdir / "server-wal", fsync="off")) as wal:
             recovery = recover_store(None, wal)
-        finally:
-            wal.close()
         restored = SketchStore.restore(run_cli(stream, workdir, reference))
 
     n_records = len(formats) * (1 + len(stream.groups()))
@@ -449,12 +444,13 @@ def test_write_paths_agree_sweep(stream, run_scenario):
 
 
 UNIFORM = {"kind": "poisson", "threshold": 0.3, "ranks": "uniform", "salt": 0}
+ALL = {**UNIFORM, "threshold": 1.0}  # samples every key
 BIG = 2**64
 CASES = {
     # a zero update is a no-op: the offline reference keeps the data
     # set's positive totals, as the sketch does
     "conformance_001_zero_update_is_a_no_op": Stream(
-        {**UNIFORM, "threshold": 1.0}, "bigint", (Step((("mon", [BIG], [0.0]),)),)
+        ALL, "bigint", (Step((("mon", [BIG], [0.0]),)),)
     ),
     # -0.0 is not negative: every path accepts it as a zero update
     "conformance_002_negative_zero_is_accepted": Stream(
@@ -484,6 +480,11 @@ CASES = {
             Step((("mon", [0], [0.0]),)),
             Step((("tue", [-1, 0, ">"], [0.5, 0.0, 0.5]), ("mon", [0], [0.0]))),
         ),
+    ),
+    # the shrunk catches of a CSV parser or RBAT decoder that rounds
+    # values to float32, which also flushes a subnormal to zero
+    "conformance_008_values_keep_double_precision": Stream(
+        ALL, "bigint", (Step((("mon", [BIG, BIG + 1], [0.1, 5e-324]),)),)
     ),
 }
 

@@ -26,7 +26,7 @@ def new_store(wal_dir=None) -> SketchStore:
     if wal_dir is not None:
         store.attach_wal(WriteAheadLog(wal_dir, fsync="off"))
     seeds = SeedAssigner(salt=7)
-    store.create(ENGINE, "poisson", threshold=0.5, seed_assigner=seeds)
+    store.create(ENGINE, "poisson", threshold=0.5, seed_assigner=seeds, n_shards=4)
     ingest(store, ENGINE, "wed", ["w1", "w2"], [1.0, 2.0])
     return store
 

@@ -40,8 +40,8 @@ _INV_2_64 = float(np.ldexp(1.0, -64))
 #: the 64-bit mask of unsigned wraparound arithmetic on Python ints
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 #: the bounds of :func:`uniform_from_uint64`'s open interval
-_TINY = np.finfo(np.float64).tiny
-_BELOW_ONE = 1.0 - np.finfo(np.float64).epsneg
+_TINY = float(np.finfo(np.float64).tiny)
+_BELOW_ONE = float(1.0 - np.finfo(np.float64).epsneg)
 
 
 def splitmix64(values: np.ndarray) -> np.ndarray:
@@ -199,19 +199,32 @@ class SeedAssigner:
     def __hash__(self) -> int:
         return hash((SeedAssigner, self.salt, self.coordinated))
 
-    def _mix(self, key_hashes: np.ndarray, instance: object) -> np.ndarray:
+    def _constant(self, instance: object) -> int:
+        """The 64 bits every key hash of ``instance`` is mixed with,
+        computed in Python ints: far cheaper than a 0-d NumPy SplitMix64,
+        and the same bits."""
         instance_hash = 0 if self.coordinated else _hash_label(instance)
-        # one constant per call: mixed in Python ints, which costs far
-        # less than a 0-d NumPy SplitMix64 and gives the same 64 bits
-        constant = _splitmix64_int(
+        return _splitmix64_int(
             (instance_hash * 0x9E3779B97F4A7C15 + self.salt) & _MASK64
         )
+
+    def _mix(self, key_hashes: np.ndarray, instance: object) -> np.ndarray:
         base = np.asarray(key_hashes, dtype=np.uint64)
-        return splitmix64(base ^ np.uint64(constant))
+        return splitmix64(base ^ np.uint64(self._constant(instance)))
 
     def seed(self, key: object, instance: object = 0) -> float:
-        """Return the uniform seed of ``key`` in ``instance``."""
-        return float(self.seeds([key], instance=instance)[0])
+        """Return the uniform seed of ``key`` in ``instance``.
+
+        The column formula of :meth:`seeds` for one key, in Python ints
+        and floats: :func:`key_hashes`' SplitMix64 of the key's label
+        hash, :meth:`_mix`, then :func:`uniform_from_uint64`'s scale and
+        clamp.  Every step is exact or correctly rounded in both, so the
+        bits match.
+        """
+        mixed = _splitmix64_int(
+            _splitmix64_int(_hash_label(key)) ^ self._constant(instance)
+        )
+        return min(max(mixed * _INV_2_64, _TINY), _BELOW_ONE)
 
     def seeds(self, keys: Iterable[object], instance: object = 0) -> np.ndarray:
         """Return the uniform seeds of several keys in one instance.

@@ -9,17 +9,17 @@ key and value columns deserialize straight into the arrays
 :meth:`repro.streaming.StreamEngine.ingest` and
 :meth:`repro.service.SketchStore.submit` already want — no per-row
 Python objects on the decode path, and non-finite values rejected in one
-vectorized :func:`numpy.isfinite` pass per body so the fast path is also
-the safe path.
-
-Decoded ``i64`` key columns and all value columns are read-only NumPy
-views of the body, not copies, so a decoded body stays alive until
-:meth:`~repro.service.SketchStore.submit` has coalesced its columns.
+vectorized :func:`numpy.isfinite` pass per instance so the fast path is
+also the safe path.
 
 A body carries a *pipelined sequence* of batches, so one request can
 amortize HTTP framing and executor-hop overhead over many logical
-batches; the server coalesces them per instance before ingesting
-(one coalescing :meth:`repro.service.SketchStore.submit`).
+batches.  :func:`decode_batches` reads the batch headers once and joins
+each instance's batches into one column pair, so everything after the
+decoder — the request, :meth:`repro.service.SketchStore.submit` and the
+engine's shard plan — costs Python per instance, not per batch.  The
+columns of an instance sent as one batch are read-only NumPy views of
+the body, not copies; joined columns are copies.
 
 Layout
 ------
@@ -98,16 +98,19 @@ REPLICA_MODE_STORE = 2
 _KEY_TAGGED = 0
 _KEY_I64 = 1
 _KEY_STR = 2
+#: how many recent batch headers :func:`decode_batches` tries first
+_RECENT_LABELS = 4
 
 _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
 
 
 class WireBatch(NamedTuple):
-    """One decoded ingest batch.
+    """One decoded ingest batch: all of one instance's rows of a body.
 
-    ``keys`` is a read-only ``<i8`` NumPy array (homogeneous integer
-    column), a list of strings, or a list of arbitrary decoded labels;
-    ``values`` is a read-only float64 NumPy array.
+    ``keys`` is an ``<i8`` NumPy array (every batch of the instance had
+    an integer column), a list of strings, or a list of arbitrary
+    decoded labels; ``values`` is a float64 NumPy array.  Both arrays
+    are read-only.
     """
 
     instance: object
@@ -215,18 +218,23 @@ def encode_batches(
 
 
 def decode_batches(data: bytes) -> list[WireBatch]:
-    """Decode a wire blob into :class:`WireBatch` columns.
+    """Decode a wire blob into one :class:`WireBatch` per instance.
+
+    The batch headers are read once, in order, and each instance's
+    batches are joined in first-seen order of the instances, exactly as
+    :meth:`~repro.service.SketchStore.submit` coalesces batches: an
+    instance whose batches all carry ``i64`` keys gets one ``<i8`` key
+    column, and any other instance one key list, in which ``i64`` keys
+    are NumPy integer scalars.  The columns of an instance sent as one
+    batch are read-only NumPy views of ``data``; joined columns are
+    copies.  A zero-row batch keeps its instance in the output.
 
     Raises :class:`~repro.exceptions.SketchCodecError` on any malformed
     payload — including non-finite values, which are detected with one
-    vectorized ``np.isfinite`` pass over the whole body so a poisoned
-    row can never reach a sketch.  A body that is also malformed further
-    on reports its first non-finite value, as a batch-by-batch check
-    would.
-
-    ``i64`` key columns and every value column are read-only NumPy
-    views of ``data``, not copies, so the body stays alive until
-    :meth:`~repro.service.SketchStore.submit` has coalesced them.
+    vectorized ``np.isfinite`` pass per instance so a poisoned row can
+    never reach a sketch.  A non-finite value is reported with the
+    batch it was found in, and a body that is also malformed further on
+    reports its first non-finite value, as a batch-by-batch check would.
     """
     reader = Reader(data)
     magic = reader.raw(len(MAGIC))
@@ -240,62 +248,113 @@ def decode_batches(data: bytes) -> list[WireBatch]:
             f"unsupported batch wire version {version}; this build reads "
             f"versions 1..{WIRE_VERSION}"
         )
-    batches: list[WireBatch] = []
+    batches: list[_RawBatch] = []
     try:
-        for index in range(reader.u32()):
-            batches.append(_read_batch(reader, index))
+        _read_batches(reader, data, batches)
     except SketchCodecError:
         _check_finite(batches)
         raise
-    _check_finite(batches)
+    groups: dict[object, list[_RawBatch]] = {}
+    for batch in batches:
+        groups.setdefault(batch.instance, []).append(batch)
+    decoded = [_join(instance, parts) for instance, parts in groups.items()]
+    if not all(np.isfinite(group.values).all() for group in decoded):
+        _check_finite(batches)
     reader.expect_end()
-    return batches
+    return decoded
 
 
-def _read_batch(reader: Reader, index: int) -> WireBatch:
-    """Read batch ``index``, in any key encoding."""
-    instance = read_label(reader)
-    key_tag = reader.u8()
-    n_rows = reader.u64()
-    keys: Sequence[object]
-    if key_tag == _KEY_I64:
-        keys = reader.column("<i8", n_rows)
-    elif key_tag == _KEY_STR:
-        lengths = reader.column("<u4", n_rows)
-        blob = reader.raw(int(lengths.sum(dtype=np.uint64)))
-        view = memoryview(blob)
-        decoded = []
-        offset = 0
-        try:
-            for length in lengths.tolist():
-                decoded.append(str(view[offset : offset + length], "utf-8"))
-                offset += length
-        except UnicodeDecodeError as exc:
-            raise SketchCodecError(
-                f"batch {index}: corrupt utf-8 key payload: {exc}"
-            ) from exc
-        keys = decoded
-    elif key_tag == _KEY_TAGGED:
-        keys = reader.labels(n_rows)
-    else:
-        raise SketchCodecError(f"batch {index}: unknown key tag {key_tag}")
-    values = reader.column("<f8", n_rows)
-    return WireBatch(instance, keys, values)
+class _RawBatch(NamedTuple):
+    """One batch as read: its ``i64`` keys and its values as byte views."""
+
+    instance: object
+    key_tag: int
+    keys: object
+    values: memoryview
 
 
-def _check_finite(batches: list[WireBatch]) -> None:
+def _read_batches(reader: Reader, data: bytes, out: list[_RawBatch]) -> None:
+    """Read every batch of the body into ``out``, in order."""
+    # A batch whose bytes start with a recent batch's instance label and
+    # key tag has that instance and key tag, since the label union is a
+    # prefix code.  Only int and str labels are reused: two decodes of
+    # another label (a NaN) need not compare equal.
+    recent: list[tuple[bytes, object, int]] = []
+    for index in range(reader.u32()):
+        for prefix, instance, key_tag in recent:
+            if reader.skip(prefix):
+                break
+        else:
+            start = reader.position
+            instance = read_label(reader)
+            key_tag = reader.u8()
+            if type(instance) in (int, str):
+                header = bytes(data[start : reader.position])
+                recent.insert(0, (header, instance, key_tag))
+                del recent[_RECENT_LABELS:]
+        n_rows = reader.u64()
+        keys: object
+        if key_tag == _KEY_I64:
+            keys = reader.view(8 * n_rows)
+        elif key_tag == _KEY_STR:
+            keys = _read_str_keys(reader, n_rows, index)
+        elif key_tag == _KEY_TAGGED:
+            keys = reader.labels(n_rows)
+        else:
+            raise SketchCodecError(f"batch {index}: unknown key tag {key_tag}")
+        out.append(_RawBatch(instance, key_tag, keys, reader.view(8 * n_rows)))
+
+
+def _read_str_keys(reader: Reader, n_rows: int, index: int) -> list[str]:
+    """Read batch ``index``'s ``utf-8`` key column: lengths, then bytes."""
+    lengths = reader.column("<u4", n_rows)
+    view = reader.view(int(lengths.sum(dtype=np.uint64)))
+    decoded = []
+    offset = 0
+    try:
+        for length in lengths.tolist():
+            decoded.append(str(view[offset : offset + length], "utf-8"))
+            offset += length
+    except UnicodeDecodeError as exc:
+        raise SketchCodecError(
+            f"batch {index}: corrupt utf-8 key payload: {exc}"
+        ) from exc
+    return decoded
+
+
+def _column(views: list[memoryview], dtype: str) -> np.ndarray:
+    """One column of byte views: a view of a lone one, else a copy."""
+    return np.frombuffer(views[0] if len(views) == 1 else b"".join(views), dtype)
+
+
+def _join(instance: object, parts: list[_RawBatch]) -> WireBatch:
+    """One instance's batches as one :class:`WireBatch`."""
+    values = _column([part.values for part in parts], "<f8")
+    if all(part.key_tag == _KEY_I64 for part in parts):
+        keys = _column([part.keys for part in parts], "<i8")
+        return WireBatch(instance, keys, values)
+    joined: list = []
+    for part in parts:
+        joined.extend(
+            np.frombuffer(part.keys, "<i8")
+            if part.key_tag == _KEY_I64
+            else part.keys
+        )
+    return WireBatch(instance, joined, values)
+
+
+def _check_finite(batches: list[_RawBatch]) -> None:
     """Reject the first non-finite value of ``batches``: one pass over
     all their values, then a walk to name the batch only on failure."""
-    if not batches or np.isfinite(
-        np.concatenate([batch.values for batch in batches])
-    ).all():
+    columns = [np.frombuffer(batch.values, "<f8") for batch in batches]
+    if not columns or np.isfinite(np.concatenate(columns)).all():
         return
-    for index, (instance, _, values) in enumerate(batches):
+    for index, (batch, values) in enumerate(zip(batches, columns)):
         finite = np.isfinite(values)
         if not finite.all():
             bad = int(np.flatnonzero(~finite)[0])
             raise SketchCodecError(
-                f"batch {index} (instance {instance!r}): non-finite "
+                f"batch {index} (instance {batch.instance!r}): non-finite "
                 f"update value {float(values[bad])!r} at row {bad}"
             )
 

@@ -150,6 +150,7 @@ class _Reader:
 
     def __init__(self, data: bytes) -> None:
         self._data = bytes(data)
+        self._memory = memoryview(self._data)
         self._pos = 0
 
     def _truncated(self, n: int) -> SketchCodecError:
@@ -206,15 +207,27 @@ class _Reader:
         except UnicodeDecodeError as exc:
             raise SketchCodecError(f"corrupt string payload: {exc}") from exc
 
+    def view(self, n: int) -> memoryview:
+        """Read ``n`` bytes as a read-only view of the buffer: nothing is
+        copied, so the view keeps the buffer alive."""
+        end = self._pos + n
+        if end > len(self._data):
+            raise self._truncated(n)
+        view = self._memory[self._pos:end]
+        self._pos = end
+        return view
+
+    def skip(self, prefix: bytes) -> bool:
+        """Step past ``prefix`` if the unread bytes start with it."""
+        if self._data.startswith(prefix, self._pos):
+            self._pos += len(prefix)
+            return True
+        return False
+
     def column(self, dtype: str, count: int) -> np.ndarray:
         """Read ``count`` items of ``dtype`` as a read-only view of the
-        buffer: nothing is copied, so the view keeps the buffer alive."""
-        itemsize = np.dtype(dtype).itemsize
-        if count * itemsize > len(self._data) - self._pos:
-            raise self._truncated(count * itemsize)
-        column = np.frombuffer(self._data, dtype, count, self._pos)
-        self._pos += count * itemsize
-        return column
+        buffer (see :meth:`view`)."""
+        return np.frombuffer(self.view(count * np.dtype(dtype).itemsize), dtype)
 
     def labels(self, count: int) -> list:
         """Read a run of ``count`` tagged labels.

@@ -112,7 +112,8 @@ class IngestRequest:
         Target engine name.
     ``batches``
         ``(instance, keys, values)`` column triples (one or many;
-        :class:`repro.server.wire` ``WireBatch`` tuples work as-is).
+        :class:`repro.server.wire` ``WireBatch`` tuples work as-is, and
+        a decoded binary body already holds one per instance).
     ``version``
         ``None`` for live ingest (the store assigns the next version);
         an explicit version — an integer >= 1, not a bool — turns the
@@ -120,9 +121,11 @@ class IngestRequest:
         version-forced, exactly one batch.
     ``coalesce``
         Merge batches of the same instance into one column before
-        ingesting (safe under the streaming permutation guarantee, and
-        what the binary ingest fast path wants); disable to force one
-        ingest per batch.
+        ingesting (safe under the streaming permutation guarantee);
+        disable to force one ingest per batch.  Row formats (CSV, JSON
+        rows) group per instance already, and the binary decoder joins
+        a body's batches per instance itself, so on the served paths
+        every instance arrives as one batch and this merges nothing.
     """
 
     engine: str
@@ -673,10 +676,12 @@ class SketchStore:
     def submit(self, request: IngestRequest) -> int:
         """Run one :class:`IngestRequest` — the single write pipeline.
 
-        Every surface funnels here: per-batch API ingest, grouped binary
-        batches, row triples (via :func:`group_rows`), and recovery
-        replay (``request.version`` set).  A request is all or nothing:
-        it runs three steps, and a failure in the first changes nothing.
+        Every surface funnels here: per-batch API ingest, binary bodies
+        (one batch per instance, as
+        :func:`~repro.server.wire.decode_batches` joins them), row
+        triples (via :func:`group_rows`), and recovery replay
+        (``request.version`` set).  A request is all or nothing: it runs
+        three steps, and a failure in the first changes nothing.
 
         1. *Validate* every group (one per instance when
            ``request.coalesce``) with no lock held, and with a

@@ -29,6 +29,7 @@ from repro.streaming.merge import merge_sketches
 from repro.streaming.sketch import (
     StreamingBottomK,
     StreamingPoisson,
+    _settle_failing,
     _validate_values,
     sketch_from_state,
 )
@@ -172,6 +173,10 @@ class StreamEngine:
         # the sketch constructor owns the rules on k, the threshold and
         # their rank family: one throwaway sketch checks them up front
         self._new_sketch(None)
+        #: weight-oblivious Poisson: the plan settles the failing rows
+        self._oblivious = kind == "poisson" and isinstance(
+            self._sketch_args["rank_family"], UniformRanks
+        )
         #: the configuration every sketch of the engine shares
         self.sketch_config: dict = {"kind": kind, **self._sketch_args}
         self.n_shards = int(n_shards)
@@ -243,7 +248,13 @@ class StreamEngine:
         and rank depend only on the key, the instance and the value,
         never on its shard), routes each update to its shard, creates
         missing sketches, and advances ``n_updates`` — but applies
-        nothing.  Callers that apply the jobs inside their own critical
+        nothing, with one exception.  A weight-oblivious Poisson group
+        of canonical keys routes only the rows that can change a sketch:
+        the plan settles every other row into its shard's ``n_updates``
+        and ``n_discarded_keys`` itself (see
+        :func:`~repro.streaming.sketch._settle_failing`), so the shards
+        receive the few rows whose rank passes, not the whole group.
+        Callers that apply the jobs inside their own critical
         section (e.g. the engine lock of
         :class:`repro.service.SketchStore`, which logs, plans and applies
         one group in one hold) run the returned jobs through
@@ -259,20 +270,27 @@ class StreamEngine:
         seeds, ranks = shards[0]._rank_column(hashes, values)
         self.n_updates += len(keys)
         self.change_tick += 1
+        shard_ids = (hashes % np.uint64(self.n_shards)).astype(np.intp)
+        per_shard = np.bincount(shard_ids, minlength=self.n_shards).tolist()
+        for shard, count in enumerate(per_shard):
+            self.shard_updates[shard] += count
+        if self._oblivious and canonical:
+            rows = _settle_failing(shards, shard_ids, per_shard, values, ranks)
+            keys = keys[rows] if columnar else [keys[i] for i in rows]
+            values, hashes, seeds, ranks, shard_ids = (
+                column[rows] for column in (values, hashes, seeds, ranks, shard_ids)
+            )
         if self.n_shards == 1:
-            self.shard_updates[0] += len(keys)
             return [
                 IngestJob(
                     shards[0], keys, values, hashes, seeds, ranks, canonical
                 )
             ]
-        shard_ids = (hashes % np.uint64(self.n_shards)).astype(np.intp)
         jobs = []
         for shard in range(self.n_shards):
             index = np.nonzero(shard_ids == shard)[0]
             if index.size == 0:
                 continue
-            self.shard_updates[shard] += int(index.size)
             shard_keys = keys[index] if columnar else [keys[i] for i in index]
             jobs.append(
                 IngestJob(

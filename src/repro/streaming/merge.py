@@ -100,11 +100,15 @@ def merge_poisson(
         # Fold the part wholesale: new keys append in the part's order and
         # keys already merged keep their position.  Shared keys (none when
         # the parts partition the keys, as engine shards do) then add up
-        # as ``old + value`` with the rank recomputed from the total.
+        # as ``old + value`` with the rank recomputed from the total and
+        # the seed of whichever equal key the intersection holds, so a
+        # merged sketch derives its ranks only while no part stores them
+        # and no key is shared.
         shared = list(merged._values.keys() & part._values.keys())
         old = [merged._values[key] for key in shared]
+        if shared or not (merged._derives_ranks() and part._derives_ranks()):
+            merged._stored_ranks().update(part.candidate_ranks())
         merged._values.update(part._values)
-        merged._ranks.update(part._ranks)
         if shared:
             seeds = merged.seed_assigner.seeds(shared, instance=merged.instance)
             for key, before, seed in zip(shared, old, seeds.tolist()):

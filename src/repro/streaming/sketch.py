@@ -651,6 +651,18 @@ class StreamingPoisson(_StreamingSketch):
     tau_star``), with :class:`UniformRanks` it is weight-oblivious Poisson
     sampling with probability ``tau`` — the two schemes the multi-instance
     estimators of :mod:`repro.core` are built for.
+
+    A weight-oblivious sketch derives its ranks instead of storing them:
+    a retained key's uniform rank is its seed, so
+    :meth:`candidate_ranks`, :meth:`state_dict` and equality compute it
+    from the key in one vectorised seed pass, and the sketch keeps only
+    the values.  It starts storing ranks, as a weighted sketch does, only
+    where a rank may differ from its key's seed: after an update by an
+    equal key that hashes differently (``1.0`` or ``True`` for ``1``), a
+    merge of sketches that share a key, or a restore whose ``ranks``
+    column turns out, when first needed, not to be the keys' seeds.
+    Either way the state is the one the per-row update loop builds, bit
+    for bit.
     """
 
     def __init__(
@@ -678,7 +690,13 @@ class StreamingPoisson(_StreamingSketch):
         # sampling strict (``rank < tau``); mirror both exactly
         self._inclusive = isinstance(self.rank_family, UniformRanks)
         self._values: dict[object, float] = {}
-        self._ranks: dict[object, float] = {}
+        #: the retained keys' ranks, or None while they are derived
+        self._ranks: dict[object, float] | None = (
+            None if self._inclusive else {}
+        )
+        #: a restored ranks column of the first retained keys, not yet
+        #: checked against their seeds (see :meth:`_derives_ranks`)
+        self._restored: np.ndarray | None = None
         # What :meth:`_fold` knows of the retained keys, brought up to date
         # by :meth:`_sync_retained`: how many of them it has seen, their
         # types, and (weighted families only) their sorted hashes.
@@ -697,14 +715,15 @@ class StreamingPoisson(_StreamingSketch):
         if old is not None:
             total = old + value
             self._values[key] = total
-            self._ranks[key] = self._rank(total, seed)
+            self._rerank(key, total, seed)
             return
         rank = self._rank(value, seed)
         if not self._keeps(rank):
             self.n_discarded_keys += 1
             return
         self._values[key] = value
-        self._ranks[key] = rank
+        if self._ranks is not None:
+            self._ranks[key] = rank
 
     def _apply_rows(self, keys, values, seeds, ranks, rows) -> None:
         keep = self._keeps(ranks)
@@ -713,12 +732,55 @@ class StreamingPoisson(_StreamingSketch):
             if key in self._values:
                 total = self._values[key] + float(values[i])
                 self._values[key] = total
-                self._ranks[key] = self._rank(total, float(seeds[i]))
+                self._rerank(key, total, float(seeds[i]))
             elif keep[i]:
                 self._values[key] = float(values[i])
-                self._ranks[key] = float(ranks[i])
+                if self._ranks is not None:
+                    self._ranks[key] = float(ranks[i])
             else:
                 self.n_discarded_keys += 1
+
+    def _rerank(self, key: object, total: float, seed: float) -> None:
+        """Rank the retained ``key`` after an update to ``total`` by an
+        equal key whose seed is ``seed``."""
+        if self._derives_ranks():
+            # equal int-like keys, or equal plain strs, hash alike, so
+            # then ``seed`` is the retained key's seed: the derived rank
+            self._sync_retained()
+            if canonical_kinds(self._kinds | {type(key)}):
+                return
+        self._stored_ranks()[key] = self._rank(total, seed)
+
+    def _seeds_of(self, keys: Sequence[object]) -> np.ndarray:
+        """The seeds of ``keys`` in this sketch's instance."""
+        return self.seed_assigner.seeds_from_hashes(
+            key_hashes(keys), instance=self.instance
+        )
+
+    def _ranks_of(self, keys: list) -> list[float]:
+        """The ranks of the retained ``keys``, in order."""
+        if self._derives_ranks():
+            return self._seeds_of(keys).tolist()
+        return [self._ranks[key] for key in keys]
+
+    def _stored_ranks(self) -> dict[object, float]:
+        """The stored ranks; a sketch that derives them starts storing."""
+        if self._derives_ranks():
+            keys = list(self._values)
+            self._ranks = dict(zip(keys, self._ranks_of(keys)))
+        return self._ranks
+
+    def _derives_ranks(self) -> bool:
+        """Whether the ranks are derived, once a restored ranks column
+        is settled: it is stored only if it is not its keys' seeds."""
+        if self._restored is not None:
+            restored, self._restored = self._restored.tolist(), None
+            keys = list(islice(self._values, len(restored)))
+            if self._seeds_of(keys).tolist() != restored:
+                later = list(self._values)[len(keys):]
+                self._ranks = dict(zip(keys, restored))
+                self._ranks.update(zip(later, self._seeds_of(later).tolist()))
+        return self._ranks is None
 
     def _fold(self, keys, values, seeds, ranks, hashes) -> bool:
         """Run the per-row loop on the chunk's candidate rows only.
@@ -788,7 +850,8 @@ class StreamingPoisson(_StreamingSketch):
 
     def candidate_ranks(self) -> dict[object, float]:
         """Current ranks of the retained keys."""
-        return dict(self._ranks)
+        keys = list(self._values)
+        return dict(zip(keys, self._ranks_of(keys)))
 
     def to_sample(self) -> PoissonSample:
         """Snapshot the sketch as an offline :class:`PoissonSample`.
@@ -838,11 +901,12 @@ class StreamingPoisson(_StreamingSketch):
         keys = list(self._values)
         state["keys"] = keys
         state["values"] = list(self._values.values())
-        state["ranks"] = [self._ranks[key] for key in keys]
+        state["ranks"] = self._ranks_of(keys)
         state["entries"] = tuple(zip(keys, state["values"], state["ranks"]))
         return state
 
     def _eq_state(self) -> tuple:
+        keys = list(self._values)
         return (
             self.threshold,
             self.instance,
@@ -850,19 +914,18 @@ class StreamingPoisson(_StreamingSketch):
             self.seed_assigner,
             self.n_updates,
             self.n_discarded_keys,
-            frozenset(
-                (key, self._values[key], self._ranks[key])
-                for key in self._values
-            ),
+            frozenset(zip(keys, self._values.values(), self._ranks_of(keys))),
         )
 
     @classmethod
     def from_state(cls, state: Mapping) -> "StreamingPoisson":
         """Rebuild a sketch from a :meth:`state_dict` snapshot.
 
-        The ``keys``, ``values`` and ``ranks`` columns become the
-        sketch's dicts in one pass each; a state that carries
-        ``entries`` is built from those rows instead.
+        The ``keys`` and ``values`` columns become the sketch's dict in
+        one pass; a state that carries ``entries`` is built from those
+        rows instead.  A weight-oblivious sketch keeps the ``ranks``
+        column as one array, and checks it against the keys' seeds only
+        when its ranks are first read or updated (:meth:`_derives_ranks`).
         """
         family = state["rank_family"]
         if isinstance(family, str):
@@ -881,8 +944,47 @@ class StreamingPoisson(_StreamingSketch):
             state, ("keys", "values", "ranks")
         )
         sketch._values = _keyed_column(keys, values, "Poisson")
-        sketch._ranks = dict(zip(keys, map(float, ranks)))
+        if sketch._inclusive:
+            sketch._restored = np.asarray(ranks, dtype=float)
+        else:
+            sketch._ranks = dict(zip(keys, map(float, ranks)))
         return sketch
+
+
+def _settle_failing(
+    shards: Sequence[StreamingPoisson], shard_ids: np.ndarray,
+    per_shard: Sequence[int], values: np.ndarray, ranks: np.ndarray,
+) -> np.ndarray:
+    """Count the rows of one weight-oblivious group that cannot change
+    their shard's sketch, and return the indices of the other rows.
+
+    :meth:`StreamingPoisson._fold`'s argument, made once for a whole
+    group of canonical keys instead of per shard and chunk: a uniform
+    rank is the key's seed, and every retained key's seed passed, so on
+    a shard whose retained keys are canonical a positive row whose rank
+    fails adds one discarded key and nothing else.  A zero row adds only
+    an update anywhere.  ``shard_ids`` gives each row's index into
+    ``shards``, ``per_shard`` the rows of each shard, and ``ranks`` come
+    from their ``_rank_column``.
+    """
+    positive = values > 0.0
+    route = positive & shards[0]._keeps(ranks)
+    exact = np.array([sketch._sync_retained() for sketch in shards])
+    if not exact.all():
+        route |= positive & ~exact[shard_ids]
+    rows = np.flatnonzero(route)
+    n = len(shards)
+    routed = np.bincount(shard_ids[rows], minlength=n).tolist()
+    active = (
+        per_shard if positive.all()
+        else np.bincount(shard_ids[positive], minlength=n).tolist()
+    )
+    for sketch, total, n_active, n_routed in zip(
+        shards, per_shard, active, routed
+    ):
+        sketch.n_updates += total - n_routed
+        sketch.n_discarded_keys += n_active - n_routed
+    return rows
 
 
 def _state_columns(state: Mapping, names: tuple) -> tuple:

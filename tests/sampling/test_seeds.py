@@ -209,3 +209,34 @@ def test_instance_constant_mixes_like_the_numpy_formula(
     seeds = assigner.seeds_from_hashes(hashes, instance=instance)
     expected = _numpy_formula_seeds(assigner, hashes, instance)
     assert seeds.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+
+#: every key kind the write-path oracle draws (int64, >= 2**64, unicode),
+#: plus floats, bools, tuples, None, negative ints and NumPy integers
+_SCALAR_SEED_KEYS = st.one_of(
+    _INT_KEYS,
+    st.integers(-(2**63), 2**63 - 1),
+    st.integers(2**64, 2**72),
+    st.text(max_size=5),
+    st.floats(allow_nan=True, allow_subnormal=True),
+    st.none(),
+    st.tuples(st.integers(-3, 3), st.text(max_size=2)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    key=_SCALAR_SEED_KEYS,
+    instance=st.one_of(st.integers(-(2**65), 2**65), st.text(max_size=4),
+                       st.floats(allow_nan=False)),
+    salt=st.integers(0, 2**64 - 1),
+    coordinated=st.booleans(),
+)
+def test_scalar_seed_matches_the_column_bit_for_bit(
+    key, instance, salt, coordinated
+):
+    assigner = SeedAssigner(salt=salt, coordinated=coordinated)
+    scalar = assigner.seed(key, instance=instance)
+    column = assigner.seeds([key], instance=instance)
+    assert type(scalar) is float
+    assert np.float64(scalar).view(np.uint64) == column.view(np.uint64)[0]

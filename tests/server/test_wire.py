@@ -16,6 +16,7 @@ Two contracts:
 
 from __future__ import annotations
 
+import hashlib
 import struct
 
 import numpy as np
@@ -25,6 +26,8 @@ from hypothesis import strategies as st
 
 from repro.exceptions import SketchCodecError
 from repro.sampling.seeds import SeedAssigner
+from repro.service import codec
+from repro.service.store import IngestRequest, SketchStore, _coalesce_batches
 from repro.server.wire import (
     MAGIC,
     WIRE_VERSION,
@@ -94,13 +97,22 @@ def normalize_keys(keys):
     ]
 
 
+def coalesced(batches) -> list:
+    """The groups the store builds from ``batches`` sent one per body:
+    what :func:`decode_batches` must return for them in one body."""
+    return _coalesce_batches(
+        [decode_batches(encode_batches([batch]))[0] for batch in batches]
+    )
+
+
 class TestRoundTrip:
     @settings(max_examples=80, deadline=None)
     @given(batch_lists())
     def test_batches_round_trip_exactly(self, batches):
         decoded = decode_batches(encode_batches(batches))
-        assert len(decoded) == len(batches)
-        for (instance, keys, values), batch in zip(batches, decoded):
+        expected = coalesced(batches)
+        assert len(decoded) == len(expected)
+        for (instance, keys, values), batch in zip(expected, decoded):
             assert isinstance(batch, WireBatch)
             assert batch.instance == instance
             assert normalize_keys(batch.keys) == normalize_keys(keys)
@@ -463,6 +475,73 @@ class TestGoldenMessages:
         )
 
 
+#: one instance's batches in every key encoding, an ``i64`` run split by
+#: the others, so the decoder's join must keep each key's type
+RBAT_ONE_INSTANCE = [
+    ("mon", np.array([5, -3, 2**40], dtype=np.int64), [1.0, 2.0, 0.5]),
+    ("mon", ["a", "bc"], [0.5, 1.5]),
+    ("mon", [(1, "x"), 2**70, None, 2.5, True], [2.5, 1.0, 3.0, 0.25, 4.0]),
+    ("mon", np.array([7, 5], dtype=np.int64), [1.0, 0.75]),
+]
+#: sha256 of ``codec.to_bytes`` of an engine of each config after one
+#: submit of ``RBAT_ONE_INSTANCE`` as one body, as the version that
+#: decoded one batch per batch and coalesced them in the store wrote it
+RBAT_ONE_INSTANCE_ENGINES = (
+    (
+        {"kind": "poisson", "threshold": 0.9, "ranks": "uniform", "salt": 7},
+        "1753dae808248de1b0d4cad9ba623d851650dffae65c3c341e29c000a81b34b9",
+    ),
+    (
+        {"kind": "poisson", "threshold": 2.0, "ranks": "pps", "salt": 7},
+        "4ef6c3a83c5a142056146524385795cd62a14e976fc10fad4147d1e59e4f793b",
+    ),
+    (
+        {"kind": "bottom_k", "k": 6, "ranks": "exp", "salt": 7},
+        "0ab7df345a99889ffabb80500e53bb784143cce88d0aa5f40338b654643d8ebe",
+    ),
+)
+
+
+class TestInstanceGroups:
+    """The decoder returns one batch per instance, in first-seen order."""
+
+    def test_rbat_017_interleaved_i64_batches_join_per_instance(self):
+        batches = [
+            ("mon", np.array([1, 2], dtype=np.int64), [0.5, 1.0]),
+            ("tue", np.array([3], dtype=np.int64), [1.5]),
+            ("mon", np.array([-4], dtype=np.int64), [2.0]),
+            ("tue", np.array([5, 2**62], dtype=np.int64), [2.5, 3.0]),
+        ]
+        mon, tue = decode_batches(encode_batches(batches))
+        assert_same_batch(mon, "mon", np.array([1, 2, -4]), [0.5, 1.0, 2.0])
+        assert_same_batch(tue, "tue", np.array([3, 5, 2**62]), [1.5, 2.5, 3.0])
+
+    @pytest.mark.parametrize(("config", "digest"), RBAT_ONE_INSTANCE_ENGINES)
+    def test_rbat_018_mixed_encodings_join_as_the_store_coalesces(self, config, digest):
+        (batch,) = decode_batches(encode_batches(RBAT_ONE_INSTANCE))
+        (group,) = coalesced(RBAT_ONE_INSTANCE)
+        assert_same_batch(batch, *group)
+        assert type(batch.keys[0]) is np.int64
+        store = SketchStore()
+        store.create_from_config({"name": "e", **config})
+        store.submit(IngestRequest(engine="e", batches=(batch,)))
+        engine_bytes = codec.to_bytes(store.engine("e"))
+        assert hashlib.sha256(engine_bytes).hexdigest() == digest
+
+    def test_rbat_019_zero_row_batch_keeps_its_instance(self):
+        batches = [
+            ("mon", np.array([1], dtype=np.int64), [0.5]),
+            ("tue", np.array([], dtype=np.int64), []),
+            ("mon", [], []),
+            ("wed", ["a"], [1.0]),
+            ("wed", [], []),
+        ]
+        mon, tue, wed = decode_batches(encode_batches(batches))
+        assert_same_batch(mon, "mon", [np.int64(1)], [0.5])
+        assert_same_batch(tue, "tue", np.array([], np.int64), [])
+        assert_same_batch(wed, "wed", ["a"], [1.0])
+
+
 #: three batches encoded by the version-1 encoder: a str instance with an
 #: ``i64`` key column, an int instance with str keys, and a tuple instance
 #: with tagged keys
@@ -555,6 +634,7 @@ class TestFormatFreeze:
     @given(interleaved_batches())
     def test_interleaved_key_encodings_round_trip_bit_for_bit(self, batches):
         decoded = decode_batches(encode_batches(batches))
-        assert len(decoded) == len(batches)
-        for batch, expected in zip(decoded, batches):
-            assert_same_batch(batch, *expected)
+        expected = coalesced(batches)
+        assert len(decoded) == len(expected)
+        for batch, group in zip(decoded, expected):
+            assert_same_batch(batch, *group)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,8 @@ from repro.sampling.bottomk import bottom_k_sample
 from repro.sampling.poisson import poisson_pps_sample, poisson_uniform_sample
 from repro.sampling.ranks import ExpRanks, PpsRanks, UniformRanks
 from repro.sampling.seeds import SeedAssigner
+from repro.service import codec
+from repro.streaming.merge import merge_sketches
 from repro.streaming.sketch import StreamingBottomK, StreamingPoisson
 
 
@@ -222,3 +227,92 @@ class TestStreamingPoisson:
         large.update_many(keys, np.full(100, 1000.0), chunk_size=len(keys))
         assert set(small.entries) == set(large.entries)
         assert isinstance(small.rank_family, UniformRanks)
+
+
+def uniform_sketch(salt: int = 1, threshold: float = 0.5) -> StreamingPoisson:
+    return StreamingPoisson(
+        threshold, instance="i", seed_assigner=SeedAssigner(salt=salt)
+    )
+
+
+def assert_ranks_are_seeds(sketch: StreamingPoisson) -> None:
+    keys = list(sketch.entries)
+    assert keys
+    expected = sketch.seed_assigner.seed_map(keys, instance=sketch.instance)
+    assert sketch.candidate_ranks() == expected
+
+
+class TestDerivedUniformRanks:
+    """A weight-oblivious sketch keeps no ranks: a retained key's uniform
+    rank is its seed, whichever path retained it."""
+
+    def test_uniform_ranks_001_after_update(self):
+        sketch = uniform_sketch()
+        for key, value in make_data(300).items():
+            sketch.update(key, value)
+            sketch.update(key, 1.0)
+        assert_ranks_are_seeds(sketch)
+
+    def test_uniform_ranks_002_after_update_many(self):
+        sketch = uniform_sketch()
+        data = make_data(300)
+        sketch.update_many(np.array(list(data), dtype=np.int64), list(data.values()))
+        sketch.update_many(["a", "b", "c", "d"], [1.0, 2.0, 3.0, 4.0])
+        assert_ranks_are_seeds(sketch)
+
+    def test_uniform_ranks_003_after_merge_sketches(self):
+        data = list(make_data(400).items())
+        parts = [uniform_sketch(), uniform_sketch()]
+        for part, rows in zip(parts, (data[:200], data[200:])):
+            part.update_many([key for key, _ in rows], [v for _, v in rows])
+        assert_ranks_are_seeds(merge_sketches(parts))
+
+    def test_uniform_ranks_004_after_codec_round_trip(self):
+        sketch = uniform_sketch()
+        sketch.update_many(list(make_data(300)), np.ones(300))
+        restored = codec.from_bytes(codec.to_bytes(sketch))
+        assert_ranks_are_seeds(restored)
+        assert codec.to_bytes(restored) == codec.to_bytes(sketch)
+
+    def test_uniform_sketch_holds_at_most_128_bytes_per_retained_key(self):
+        keys = np.arange(200_000, dtype=np.int64)
+        values = np.ones(keys.size)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sketch = uniform_sketch()
+            sketch.update_many(keys, values)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(sketch) > 95_000
+        assert held / len(sketch) <= 128
+
+    def test_uniform_ranks_005_equal_key_of_another_type_sets_the_rank(self):
+        # ``True == 1`` but they hash apart: the update's seed becomes
+        # the retained key's rank, as the per-row loop always set it
+        for scalar in (True, False):
+            sketch = uniform_sketch(threshold=1.0)
+            sketch.update_many([1, 2], np.ones(2))
+            if scalar:
+                sketch.update(True, 1.0)
+            else:
+                sketch.update_many([True], [1.0])
+            seed = sketch.seed_assigner.seed(True, instance="i")
+            assert sketch.candidate_ranks()[1] == seed
+            restored = codec.from_bytes(codec.to_bytes(sketch))
+            assert codec.to_bytes(restored) == codec.to_bytes(sketch)
+
+    def test_uniform_ranks_006_restore_keeps_ranks_that_are_not_the_seeds(self):
+        # NumPy str keys restore as plain str, whose seeds differ
+        sketch = uniform_sketch(threshold=1.0)
+        sketch.update_many(np.array(["a", "b", "c"]), np.ones(3))
+        blob = codec.to_bytes(sketch)
+        assert codec.to_bytes(codec.from_bytes(blob)) == blob
+        restored = codec.from_bytes(blob)
+        for copy in (sketch, restored):
+            copy.update_many(["d"], [1.0])
+        assert restored.candidate_ranks() == sketch.candidate_ranks()
+        assert codec.to_bytes(restored) == codec.to_bytes(sketch)

@@ -32,7 +32,7 @@ def sketch_state(sketch) -> dict:
         "bytes": codec.to_bytes(sketch),
         "keys": [(type(key), key) for key in sketch._values],
         "values": dict(sketch._values),
-        "ranks": dict(sketch._ranks),
+        "ranks": sketch.candidate_ranks(),
         "n_updates": sketch.n_updates,
         "n_discarded": sketch.n_discarded_keys,
         "threshold": sketch.threshold,

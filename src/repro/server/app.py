@@ -113,6 +113,7 @@ from repro.server.wire import (
     REPLICA_CONTENT_TYPE,
     REPLICA_MODE_STORE,
     REPLICA_MODE_WAL,
+    batch_count,
     decode_batches,
     encode_replica,
 )
@@ -1012,9 +1013,10 @@ class SketchServer:
         # small payloads parse faster than an executor hop costs; large
         # ones would stall every other connection, so they hop
         if len(request.body) > _PARSE_INLINE_BYTES:
-            ingest, n_rows = await self._in_executor(self._parse_ingest, request)
+            parsed = await self._in_executor(self._parse_ingest, request)
         else:
-            ingest, n_rows = self._parse_ingest(request)
+            parsed = self._parse_ingest(request)
+        ingest, n_rows, n_batches = parsed
         name = ingest.engine
         if name not in self.store:
             raise UnknownStoreError(
@@ -1048,13 +1050,14 @@ class SketchServer:
         return 200, {
             "name": name,
             "rows": n_rows,
-            "batches": len(ingest.batches),
+            "batches": n_batches,
             "version": version,
         }
 
-    def _parse_ingest(self, request: Request) -> tuple[IngestRequest, int]:
+    def _parse_ingest(self, request: Request) -> tuple[IngestRequest, int, int]:
         """Parse an ingest body into its store-ready
-        :class:`IngestRequest` plus the row count.
+        :class:`IngestRequest` plus the row and batch counts: a binary
+        body's wire batches, or else the request's per-instance groups.
 
         ``?format=``, or else the ``Content-Type``, picks the format from
         :data:`repro.service.store.INGEST_FORMATS` (JSON by default).  A
@@ -1089,7 +1092,9 @@ class SketchServer:
                     int_keys = _flag(request.params, "int_keys")
                     batches = group_rows(rows(text, int_keys=int_keys))
         n_rows = sum(len(values) for _, _, values in batches)
-        return IngestRequest(engine=name, batches=batches), n_rows
+        # a binary body counts its wire batches, not its instance groups
+        n_batches = batch_count(request.body) if fmt == "binary" else len(batches)
+        return IngestRequest(engine=name, batches=batches), n_rows, n_batches
 
     def _parse_ingest_json(self, request: Request) -> tuple[str, tuple]:
         payload = request.json()

@@ -73,6 +73,7 @@ __all__ = [
     "REPLICA_VERSION",
     "WIRE_VERSION",
     "WireBatch",
+    "batch_count",
     "decode_batches",
     "decode_replica",
     "encode_batches",
@@ -98,8 +99,6 @@ REPLICA_MODE_STORE = 2
 _KEY_TAGGED = 0
 _KEY_I64 = 1
 _KEY_STR = 2
-#: how many recent batch headers :func:`decode_batches` tries first
-_RECENT_LABELS = 4
 
 _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
 
@@ -250,7 +249,7 @@ def decode_batches(data: bytes) -> list[WireBatch]:
         )
     batches: list[_RawBatch] = []
     try:
-        _read_batches(reader, data, batches)
+        _read_batches(reader, batches)
     except SketchCodecError:
         _check_finite(batches)
         raise
@@ -264,6 +263,15 @@ def decode_batches(data: bytes) -> list[WireBatch]:
     return decoded
 
 
+def batch_count(data: bytes) -> int:
+    """The number of wire batches a body carries, as its header declares
+    them; :func:`decode_batches` returns one batch per instance instead.
+    """
+    reader = Reader(data)
+    reader.raw(len(MAGIC) + 2)  # the magic and the wire version
+    return reader.u32()
+
+
 class _RawBatch(NamedTuple):
     """One batch as read: its ``i64`` keys and its values as byte views."""
 
@@ -273,25 +281,11 @@ class _RawBatch(NamedTuple):
     values: memoryview
 
 
-def _read_batches(reader: Reader, data: bytes, out: list[_RawBatch]) -> None:
+def _read_batches(reader: Reader, out: list[_RawBatch]) -> None:
     """Read every batch of the body into ``out``, in order."""
-    # A batch whose bytes start with a recent batch's instance label and
-    # key tag has that instance and key tag, since the label union is a
-    # prefix code.  Only int and str labels are reused: two decodes of
-    # another label (a NaN) need not compare equal.
-    recent: list[tuple[bytes, object, int]] = []
     for index in range(reader.u32()):
-        for prefix, instance, key_tag in recent:
-            if reader.skip(prefix):
-                break
-        else:
-            start = reader.position
-            instance = read_label(reader)
-            key_tag = reader.u8()
-            if type(instance) in (int, str):
-                header = bytes(data[start : reader.position])
-                recent.insert(0, (header, instance, key_tag))
-                del recent[_RECENT_LABELS:]
+        instance = read_label(reader)
+        key_tag = reader.u8()
         n_rows = reader.u64()
         keys: object
         if key_tag == _KEY_I64:

@@ -87,20 +87,23 @@ def _positive_int(text: str) -> int:
 
 
 def _read_batches(path: Path, fmt: str, args):
-    """Yield an update file's store batches, one group per submit: a
-    binary file whole, a text stream ``--batch-size`` decoded rows at a
-    time.  A bad row raises ``<file>:<line>: <reason>``."""
+    """Yield an update file's store batches, one group per submit, with
+    the number of batches the file holds for it: a binary file whole
+    (its wire batches), a text stream ``--batch-size`` decoded rows at a
+    time (its instances).  A bad row raises ``<file>:<line>: <reason>``."""
     decode = INGEST_FORMATS[fmt].rows
     if decode is None:
-        from repro.server.wire import decode_batches
+        from repro.server.wire import batch_count, decode_batches
 
-        yield decode_batches(path.read_bytes())
+        data = path.read_bytes()
+        yield decode_batches(data), batch_count(data)
         return
     with path.open(newline="", encoding="utf-8") as handle:
         rows = decode(handle, int_keys=args.int_keys)
         try:
             while window := list(islice(rows, args.batch_size)):
-                yield group_rows(window)
+                group = group_rows(window)
+                yield group, len(group)
         except RowDecodeError as exc:
             raise RowDecodeError(f"{path}:{exc.line}", exc.reason, exc.line) from None
 
@@ -138,8 +141,8 @@ def _cmd_ingest(args) -> dict:
     fmt = _detect_format(input_path, args.format)
     n_batches = n_rows = 0
     # one group of --batch-size rows in memory at a time
-    for batches in _read_batches(input_path, fmt, args):
-        n_batches += len(batches)
+    for batches, count in _read_batches(input_path, fmt, args):
+        n_batches += count
         n_rows += sum(len(values) for _, _, values in batches)
         store.submit(IngestRequest(engine=args.name, batches=batches))
     store.snapshot(store_path)
@@ -174,7 +177,7 @@ def _cmd_convert(args) -> dict:
     # exact grouping irrelevant to the final sketch state)
     batches = [
         batch
-        for group in _read_batches(input_path, fmt, args)
+        for group, _ in _read_batches(input_path, fmt, args)
         for batch in group
     ]
     n_rows = sum(len(values) for _, _, values in batches)

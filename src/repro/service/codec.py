@@ -217,13 +217,6 @@ class _Reader:
         self._pos = end
         return view
 
-    def skip(self, prefix: bytes) -> bool:
-        """Step past ``prefix`` if the unread bytes start with it."""
-        if self._data.startswith(prefix, self._pos):
-            self._pos += len(prefix)
-            return True
-        return False
-
     def column(self, dtype: str, count: int) -> np.ndarray:
         """Read ``count`` items of ``dtype`` as a read-only view of the
         buffer (see :meth:`view`)."""

@@ -173,10 +173,6 @@ class StreamEngine:
         # the sketch constructor owns the rules on k, the threshold and
         # their rank family: one throwaway sketch checks them up front
         self._new_sketch(None)
-        #: weight-oblivious Poisson: the plan settles the failing rows
-        self._oblivious = kind == "poisson" and isinstance(
-            self._sketch_args["rank_family"], UniformRanks
-        )
         #: the configuration every sketch of the engine shares
         self.sketch_config: dict = {"kind": kind, **self._sketch_args}
         self.n_shards = int(n_shards)
@@ -274,7 +270,12 @@ class StreamEngine:
         per_shard = np.bincount(shard_ids, minlength=self.n_shards).tolist()
         for shard, count in enumerate(per_shard):
             self.shard_updates[shard] += count
-        if self._oblivious and canonical:
+        # weight-oblivious Poisson: the plan settles the failing rows
+        if (
+            canonical
+            and isinstance(shards[0], StreamingPoisson)
+            and shards[0]._inclusive
+        ):
             rows = _settle_failing(shards, shard_ids, per_shard, values, ranks)
             keys = keys[rows] if columnar else [keys[i] for i in rows]
             values, hashes, seeds, ranks, shard_ids = (

@@ -102,11 +102,18 @@ def merge_poisson(
         # the parts partition the keys, as engine shards do) then add up
         # as ``old + value`` with the rank recomputed from the total and
         # the seed of whichever equal key the intersection holds, so a
-        # merged sketch derives its ranks only while no part stores them
-        # and no key is shared.
+        # merged sketch derives its ranks only while no part stores them,
+        # no key is shared and every part seeds as ``first`` does (an
+        # equal label of another type, 1.0 for 1, may seed apart).
         shared = list(merged._values.keys() & part._values.keys())
         old = [merged._values[key] for key in shared]
-        if shared or not (merged._derives_ranks() and part._derives_ranks()):
+        assigner = merged.seed_assigner
+        if (
+            shared
+            or not (merged._derives_ranks() and part._derives_ranks())
+            or assigner._constant(part.instance)
+            != assigner._constant(merged.instance)
+        ):
             merged._stored_ranks().update(part.candidate_ranks())
         merged._values.update(part._values)
         if shared:

@@ -659,7 +659,8 @@ class StreamingPoisson(_StreamingSketch):
     the values.  It starts storing ranks, as a weighted sketch does, only
     where a rank may differ from its key's seed: after an update by an
     equal key that hashes differently (``1.0`` or ``True`` for ``1``), a
-    merge of sketches that share a key, or a restore whose ``ranks``
+    merge of sketches that share a key or whose equal labels seed apart
+    (``1`` and ``1.0``, uncoordinated), or a restore whose ``ranks``
     column turns out, when first needed, not to be the keys' seeds.
     Either way the state is the one the per-row update loop builds, bit
     for bit.

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from repro.exceptions import SketchCodecError, WalCorruptionError
-from repro.server.wire import decode_batches
+from repro.server.wire import batch_count, decode_batches
 from repro.service import codec
 from repro.service.store import IngestRequest, SketchStore
 from repro.wal.log import RECORD_BATCH, RECORD_ENGINE, WalRecord, WriteAheadLog
@@ -92,10 +92,11 @@ def apply_records(
             ) from exc
         # the store logs one batch per version: any other count cannot
         # be replayed under the record's single version
-        if len(batches) != 1:
+        n_batches = batch_count(record.payload)
+        if n_batches != 1:
             raise WalCorruptionError(
                 f"batch record LSN {record.lsn} for {record.name!r} "
-                f"carries {len(batches)} batches; every batch record "
+                f"carries {n_batches} batches; every batch record "
                 "holds exactly one"
             )
         store.submit(

@@ -196,6 +196,24 @@ class TestBinaryIngest:
 
         run_scenario(scenario, store=make_store(), max_batch_rows=20)
 
+    def test_binary_report_counts_wire_batches_not_instances(self, run_scenario):
+        async def scenario(server, client):
+            batches = [
+                (day, np.arange(4, dtype=np.int64) + shift * 4, np.ones(4))
+                for shift, day in enumerate(["d", "e", "d", "d", "e"])
+            ]
+            status, payload = await client.request(
+                "POST",
+                "/v1/ingest",
+                params={"name": "traffic"},
+                body=encode_batches(batches),
+                content_type=BATCH_CONTENT_TYPE,
+            )
+            assert status == 200
+            assert (payload["rows"], payload["batches"]) == (20, 5)
+
+        run_scenario(scenario, store=make_store())
+
 
 class TestNonFiniteRejection:
     """A NaN/Infinity body must get a 400 on every ingest format and

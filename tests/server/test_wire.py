@@ -97,11 +97,23 @@ def normalize_keys(keys):
     ]
 
 
+def decoded_keys(keys):
+    """A key column as the type it decodes to: an ``<i8`` array for a
+    column the encoder writes as ``i64``, else a list of its keys."""
+    if isinstance(keys, np.ndarray) or (
+        keys and all(type(key) is int and I64_MIN <= key <= I64_MAX for key in keys)
+    ):
+        return np.asarray(keys, dtype=np.int64)
+    return list(keys)
+
+
 def coalesced(batches) -> list:
-    """The groups the store builds from ``batches`` sent one per body:
-    what :func:`decode_batches` must return for them in one body."""
+    """What :func:`decode_batches` must return for ``batches`` sent in
+    one body: the groups the store coalesces from the input columns,
+    each key column taken as the type it decodes to."""
     return _coalesce_batches(
-        [decode_batches(encode_batches([batch]))[0] for batch in batches]
+        (instance, decoded_keys(keys), np.asarray(values, dtype=float))
+        for instance, keys, values in batches
     )
 
 

@@ -206,6 +206,20 @@ class TestConvertAndBinaryIngest:
         assert isinstance(batch.keys, np.ndarray)
         assert list(batch.keys) == list(range(40))
 
+    def test_binary_ingest_counts_wire_batches_not_instances(
+        self, tmp_path, capsys
+    ):
+        from repro.server.wire import encode_batches
+
+        batches = [("d", [key], [1.0]) for key in range(6)] + [("e", [9], [2.0])]
+        (tmp_path / "u.rbat").write_bytes(encode_batches(batches))
+        report = run_cli(
+            capsys,
+            "ingest", "--store", str(tmp_path / "s.bin"), "--name", "t",
+            "--input", str(tmp_path / "u.rbat"),
+        )
+        assert (report["batches"], report["rows_ingested"]) == (7, 7)
+
     def test_convert_refuses_binary_input(self, tmp_path, capsys, rows):
         write_csv(tmp_path / "u.csv", rows[:10], header=False)
         run_cli(

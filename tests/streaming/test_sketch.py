@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -316,3 +317,29 @@ class TestDerivedUniformRanks:
             copy.update_many(["d"], [1.0])
         assert restored.candidate_ranks() == sketch.candidate_ranks()
         assert codec.to_bytes(restored) == codec.to_bytes(sketch)
+
+    @pytest.mark.parametrize(
+        ("label", "digest"),
+        [
+            (1.0, "4ec266c5c69e80072a2bffd5ff289bc76549c1b97d00435e9a37eacec911b7cc"),
+            (True, "95d2bd28574e6ab51d55166f1d915cb532fc6cd7d2ad6839725163b6c39160c1"),
+        ],
+    )
+    def test_uniform_ranks_007_merge_of_equal_labels_that_seed_apart(
+        self, label, digest
+    ):
+        # ``label == 1`` passes the merge check, but uncoordinated seeds
+        # hash the label itself: each part's keys keep its own ranks.
+        # ``digest`` is the merged bytes of the version that stored ranks
+        data = list(make_data(400).items())
+        parts = [
+            StreamingPoisson(0.5, instance=instance, seed_assigner=SeedAssigner(salt=1))
+            for instance in (1, label)
+        ]
+        for part, rows in zip(parts, (data[:200], data[200:])):
+            part.update_many([key for key, _ in rows], [v for _, v in rows])
+        merged = merge_sketches(parts)
+        assert merged.candidate_ranks() == {
+            **parts[0].candidate_ranks(), **parts[1].candidate_ranks()
+        }
+        assert hashlib.sha256(codec.to_bytes(merged)).hexdigest() == digest

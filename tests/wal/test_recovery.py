@@ -162,11 +162,23 @@ class TestEngineRecords:
     ):
         # one record is one version: a record decoding to any other
         # batch count is corruption, refused before any of it applies
+        self.assert_record_refused(
+            tmp_path, [faults.batch(i) for i in range(1, 1 + n_batches)]
+        )
+
+    def test_two_batches_of_one_instance_are_refused(self, tmp_path):
+        # the decoder joins them into one batch, but the record's wire
+        # header still declares two
+        batches = [faults.batch(1), faults.batch(3)]
+        assert batches[0][0] == batches[1][0]
+        self.assert_record_refused(tmp_path, batches)
+
+    @staticmethod
+    def assert_record_refused(tmp_path, batches) -> None:
+        n_batches = len(batches)
         store, wal = faults.build_wal_store(tmp_path / "wal")
         faults.fill(store, 1)
-        blob = encode_batches(
-            [faults.batch(i) for i in range(1, 1 + n_batches)]
-        )
+        blob = encode_batches(batches)
         lsn = wal.append_batch_blob(faults.ENGINE, 2, blob)
         wal.close()
         reader = WriteAheadLog(tmp_path / "wal", fsync="off")

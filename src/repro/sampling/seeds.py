@@ -21,6 +21,7 @@ every instance sees the same seed for a given key.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from collections.abc import Iterable, Sequence
 
@@ -32,6 +33,7 @@ __all__ = [
     "hash_key_column",
     "key_hashes",
     "splitmix64",
+    "uniform_cutoff",
     "uniform_from_uint64",
 ]
 
@@ -52,9 +54,13 @@ def splitmix64(values: np.ndarray) -> np.ndarray:
     assumes.  The function is vectorised so that a whole key column can be
     hashed in one call.
     """
-    # One copied buffer updated in place: the input may be a read-only
-    # memoised column, and uint64 arithmetic already wraps modulo 2**64.
-    z = np.array(values, dtype=np.uint64)
+    # One copied buffer: the input may be a read-only memoised column.
+    return _splitmix64_in_place(np.array(values, dtype=np.uint64))
+
+
+def _splitmix64_in_place(z: np.ndarray) -> np.ndarray:
+    """:func:`splitmix64` of a writable ``uint64`` array, in place."""
+    # uint64 arithmetic already wraps modulo 2**64
     with np.errstate(over="ignore"):
         z += np.uint64(0x9E3779B97F4A7C15)
         z ^= z >> np.uint64(30)
@@ -84,6 +90,34 @@ def uniform_from_uint64(values: np.ndarray) -> np.ndarray:
     np.maximum(u, _TINY, out=u)
     np.minimum(u, _BELOW_ONE, out=u)
     return u
+
+
+@functools.lru_cache(maxsize=256)
+def uniform_cutoff(probability: float) -> int:
+    """The largest ``uint64`` whose :func:`uniform_from_uint64` is at
+    most ``probability``, or ``-1`` when none is.
+
+    :func:`uniform_from_uint64` is nondecreasing (a rounded conversion,
+    an exact power-of-two scale and a clamp), so ``seed <= probability``
+    holds exactly for the values at most this cutoff: a column can be
+    tested in ``uint64`` without converting it to seeds.  Found by
+    bisection on the conversion itself, so it holds bit for bit.
+    """
+
+    def passes(value: int) -> bool:
+        seed = uniform_from_uint64(np.array([value], dtype=np.uint64))[0]
+        return bool(seed <= probability)
+
+    if passes(_MASK64):
+        return _MASK64
+    low, high = -1, _MASK64  # passes(low) (or low is -1), not passes(high)
+    while high - low > 1:
+        middle = (low + high) // 2
+        if passes(middle):
+            low = middle
+        else:
+            high = middle
+    return low
 
 
 def _hash_label(label: object) -> int:
@@ -122,7 +156,10 @@ def hash_key_column(keys: Sequence[object]) -> tuple[np.ndarray, bool]:
         # A NumPy integer column hashes without building per-key Python
         # objects.  Casting to uint64 wraps negatives modulo 2**64 —
         # exactly what ``_hash_label``'s ``int(label) & MASK`` computes —
-        # so the vectorized path is bit-identical to the fallback.
+        # so the vectorized path is bit-identical to the fallback.  A
+        # native 64-bit column is that cast as a view, not a copy.
+        if keys.dtype.isnative and keys.dtype.itemsize == 8:
+            return splitmix64(keys.view(np.uint64)), True
         with np.errstate(over="ignore"):
             return splitmix64(keys.astype(np.uint64)), True
     keys = list(keys)
@@ -209,8 +246,11 @@ class SeedAssigner:
         )
 
     def _mix(self, key_hashes: np.ndarray, instance: object) -> np.ndarray:
+        """The ``uint64`` values :func:`uniform_from_uint64` maps to the
+        seeds of keys with these hashes; the xor's result is the one
+        buffer SplitMix64 then updates in place."""
         base = np.asarray(key_hashes, dtype=np.uint64)
-        return splitmix64(base ^ np.uint64(self._constant(instance)))
+        return _splitmix64_in_place(base ^ np.uint64(self._constant(instance)))
 
     def seed(self, key: object, instance: object = 0) -> float:
         """Return the uniform seed of ``key`` in ``instance``.

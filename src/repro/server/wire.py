@@ -21,6 +21,15 @@ engine's shard plan — costs Python per instance, not per batch.  The
 columns of an instance sent as one batch are read-only NumPy views of
 the body, not copies; joined columns are copies.
 
+The header loop reads each batch straight off the body bytes with
+:func:`struct.unpack_from`: a str or int instance label inline, then
+``(key_tag, n_rows)`` as one record, then the two column views of an
+``i64`` batch as slices of one :class:`memoryview`.  Anything else —
+another label tag, a str or tagged key column, a field cut short — is
+read by the codec's :class:`~repro.service.codec.Reader` from that
+offset, so a malformed body raises exactly the error a field-by-field
+read would, naming the field's size and offset.
+
 Layout
 ------
 Everything is little-endian; the header reuses the magic + version
@@ -54,13 +63,21 @@ The MIME type for HTTP bodies in this format is
 
 from __future__ import annotations
 
+import struct
 from collections.abc import Iterable, Sequence
 from typing import NamedTuple
 
 import numpy as np
 
 from repro.exceptions import SketchCodecError
-from repro.service.codec import Reader, Writer, read_label, write_label
+from repro.service.codec import (
+    LABEL_TAG_INT,
+    LABEL_TAG_STR,
+    Reader,
+    Writer,
+    read_label,
+    write_label,
+)
 from repro.service.store import INGEST_FORMATS
 
 __all__ = [
@@ -101,6 +118,11 @@ _KEY_I64 = 1
 _KEY_STR = 2
 
 _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
+
+_U64 = struct.Struct("<Q")
+_I64 = struct.Struct("<q")
+#: the header fields after a batch's instance label: ``key_tag``, ``n_rows``
+_HEADER = struct.Struct("<BQ")
 
 
 class WireBatch(NamedTuple):
@@ -255,7 +277,7 @@ def decode_batches(data: bytes) -> list[WireBatch]:
         raise
     groups: dict[object, list[_RawBatch]] = {}
     for batch in batches:
-        groups.setdefault(batch.instance, []).append(batch)
+        groups.setdefault(batch[0], []).append(batch)
     decoded = [_join(instance, parts) for instance, parts in groups.items()]
     if not all(np.isfinite(group.values).all() for group in decoded):
         _check_finite(batches)
@@ -272,31 +294,69 @@ def batch_count(data: bytes) -> int:
     return reader.u32()
 
 
-class _RawBatch(NamedTuple):
-    """One batch as read: its ``i64`` keys and its values as byte views."""
-
-    instance: object
-    key_tag: int
-    keys: object
-    values: memoryview
+#: one batch as read: ``(instance, key_tag, keys, values)``, with
+#: ``i64`` keys and the values as byte views of the body
+_RawBatch = tuple[object, int, object, memoryview]
 
 
 def _read_batches(reader: Reader, out: list[_RawBatch]) -> None:
-    """Read every batch of the body into ``out``, in order."""
-    for index in range(reader.u32()):
-        instance = read_label(reader)
-        key_tag = reader.u8()
-        n_rows = reader.u64()
-        keys: object
-        if key_tag == _KEY_I64:
-            keys = reader.view(8 * n_rows)
-        elif key_tag == _KEY_STR:
-            keys = _read_str_keys(reader, n_rows, index)
-        elif key_tag == _KEY_TAGGED:
-            keys = reader.labels(n_rows)
+    """Read every batch of the body into ``out``, in order: the header
+    loop of the module docstring, which hands whatever it does not read
+    inline to ``reader`` at that offset."""
+    count = reader.u32()
+    data = reader.buffer
+    memory = memoryview(data)
+    end = len(data)
+    pos = reader.position
+    for index in range(count):
+        tag = data[pos] if end - pos >= 9 else None
+        if tag == LABEL_TAG_INT:
+            (instance,) = _I64.unpack_from(data, pos + 1)
+            pos += 9
+        elif (
+            tag == LABEL_TAG_STR
+            and (stop := pos + 9 + _U64.unpack_from(data, pos + 1)[0]) <= end
+        ):
+            try:
+                instance = data[pos + 9 : stop].decode("utf-8")
+            except UnicodeDecodeError:
+                reader.seek(pos)
+                read_label(reader)  # raises the codec's corrupt-string error
+            pos = stop
         else:
-            raise SketchCodecError(f"batch {index}: unknown key tag {key_tag}")
-        out.append(_RawBatch(instance, key_tag, keys, reader.view(8 * n_rows)))
+            reader.seek(pos)
+            instance = read_label(reader)
+            pos = reader.position
+        if end - pos >= 9:
+            key_tag, n_rows = _HEADER.unpack_from(data, pos)
+            pos += 9
+        else:
+            reader.seek(pos)
+            key_tag, n_rows = reader.u8(), reader.u64()
+            pos = reader.position
+        size = 8 * n_rows
+        if key_tag == _KEY_I64 and pos + 2 * size <= end:
+            keys: object = memory[pos : pos + size]
+            values = memory[pos + size : pos + 2 * size]
+            pos += 2 * size
+        else:
+            reader.seek(pos)
+            keys = _read_keys(reader, key_tag, n_rows, index)
+            values = reader.view(size)
+            pos = reader.position
+        out.append((instance, key_tag, keys, values))
+    reader.seek(pos)
+
+
+def _read_keys(reader: Reader, key_tag: int, n_rows: int, index: int) -> object:
+    """Read batch ``index``'s key column, field by field."""
+    if key_tag == _KEY_I64:
+        return reader.view(8 * n_rows)
+    if key_tag == _KEY_STR:
+        return _read_str_keys(reader, n_rows, index)
+    if key_tag == _KEY_TAGGED:
+        return reader.labels(n_rows)
+    raise SketchCodecError(f"batch {index}: unknown key tag {key_tag}")
 
 
 def _read_str_keys(reader: Reader, n_rows: int, index: int) -> list[str]:
@@ -316,39 +376,35 @@ def _read_str_keys(reader: Reader, n_rows: int, index: int) -> list[str]:
     return decoded
 
 
-def _column(views: list[memoryview], dtype: str) -> np.ndarray:
+def _column(views: Sequence[memoryview], dtype: str) -> np.ndarray:
     """One column of byte views: a view of a lone one, else a copy."""
     return np.frombuffer(views[0] if len(views) == 1 else b"".join(views), dtype)
 
 
 def _join(instance: object, parts: list[_RawBatch]) -> WireBatch:
     """One instance's batches as one :class:`WireBatch`."""
-    values = _column([part.values for part in parts], "<f8")
-    if all(part.key_tag == _KEY_I64 for part in parts):
-        keys = _column([part.keys for part in parts], "<i8")
-        return WireBatch(instance, keys, values)
+    _, key_tags, key_columns, value_columns = zip(*parts)
+    values = _column(value_columns, "<f8")
+    if key_tags.count(_KEY_I64) == len(key_tags):
+        return WireBatch(instance, _column(key_columns, "<i8"), values)
     joined: list = []
-    for part in parts:
-        joined.extend(
-            np.frombuffer(part.keys, "<i8")
-            if part.key_tag == _KEY_I64
-            else part.keys
-        )
+    for key_tag, keys in zip(key_tags, key_columns):
+        joined.extend(np.frombuffer(keys, "<i8") if key_tag == _KEY_I64 else keys)
     return WireBatch(instance, joined, values)
 
 
 def _check_finite(batches: list[_RawBatch]) -> None:
     """Reject the first non-finite value of ``batches``: one pass over
     all their values, then a walk to name the batch only on failure."""
-    columns = [np.frombuffer(batch.values, "<f8") for batch in batches]
+    columns = [np.frombuffer(raw, "<f8") for _, _, _, raw in batches]
     if not columns or np.isfinite(np.concatenate(columns)).all():
         return
-    for index, (batch, values) in enumerate(zip(batches, columns)):
+    for index, ((instance, _, _, _), values) in enumerate(zip(batches, columns)):
         finite = np.isfinite(values)
         if not finite.all():
             bad = int(np.flatnonzero(~finite)[0])
             raise SketchCodecError(
-                f"batch {index} (instance {batch.instance!r}): non-finite "
+                f"batch {index} (instance {instance!r}): non-finite "
                 f"update value {float(values[bad])!r} at row {bad}"
             )
 

@@ -177,6 +177,17 @@ class _Reader:
         """Bytes left after the current position."""
         return len(self._data) - self._pos
 
+    @property
+    def buffer(self) -> bytes:
+        """The whole buffer, for callers that parse a stretch of it in
+        place and then :meth:`seek` past it."""
+        return self._data
+
+    def seek(self, position: int) -> None:
+        """Move the decode offset to ``position``, an offset of
+        :attr:`buffer`; the reads after it check their own bounds."""
+        self._pos = position
+
     def raw(self, n: int) -> bytes:
         return self._take(n)
 
@@ -596,6 +607,9 @@ Reader = _Reader
 Writer = _Writer
 read_label = _read_label
 write_label = _write_label
+#: the label tags a wire header decodes inline, without :func:`read_label`
+LABEL_TAG_INT = _TAG_INT
+LABEL_TAG_STR = _TAG_STR
 
 
 def store_from_bytes(data: bytes) -> list[tuple[str, int, StreamEngine]]:

@@ -434,6 +434,21 @@ def _check_replay_version(name: str, entry: _StoreEntry, version: int) -> None:
         )
 
 
+def fsync_directory(directory: Path) -> None:
+    """Make a file created, renamed or deleted in ``directory`` durable;
+    a file system that cannot fsync a directory is left as it is."""
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(fd)
+    except OSError:
+        pass
+    finally:
+        os.close(fd)
+
+
 class SketchStore:
     """Named, versioned, concurrently ingestible sketch engines.
 
@@ -867,11 +882,17 @@ class SketchStore:
             path = Path(path)
             # atomic replace: a crash mid-write must never truncate the
             # only copy of the store (the serve CLI snapshots onto
-            # --store itself)
+            # --store itself).  The scratch file is durable before it
+            # replaces the old copy, and the rename is durable before the
+            # WAL drops the records the snapshot now holds.
             scratch = path.with_name(path.name + ".tmp")
             blob = codec.store_to_bytes(items)
-            scratch.write_bytes(blob)
+            with scratch.open("wb") as handle:
+                handle.write(blob)
+                handle.flush()
+                os.fsync(handle.fileno())
             os.replace(scratch, path)
+            fsync_directory(path.parent)
             attrs["engines"] = len(items)
             attrs["bytes"] = len(blob)
             if checkpoint_wal and cutoff is not None:

@@ -249,7 +249,8 @@ class StreamEngine:
         the plan settles every other row into its shard's ``n_updates``
         and ``n_discarded_keys`` itself (see
         :func:`~repro.streaming.sketch._settle_failing`), so the shards
-        receive the few rows whose rank passes, not the whole group.
+        receive the few rows whose rank passes, not the whole group, and
+        only those rows are seeded.
         Callers that apply the jobs inside their own critical
         section (e.g. the engine lock of
         :class:`repro.service.SketchStore`, which logs, plans and applies
@@ -260,27 +261,32 @@ class StreamEngine:
         columnar = isinstance(keys, np.ndarray)
         shards = self._instance_shards(instance)
         hashes, canonical = hash_key_column(keys)
-        # every shard of an instance shares its label and configuration;
-        # seeding with the sketch's own label, not ``instance``, matters
-        # when an equal label of another type (1.0 for 1) finds it
-        seeds, ranks = shards[0]._rank_column(hashes, values)
         self.n_updates += len(keys)
         self.change_tick += 1
         shard_ids = (hashes % np.uint64(self.n_shards)).astype(np.intp)
         per_shard = np.bincount(shard_ids, minlength=self.n_shards).tolist()
         for shard, count in enumerate(per_shard):
             self.shard_updates[shard] += count
-        # weight-oblivious Poisson: the plan settles the failing rows
+        # every shard of an instance shares its label and configuration;
+        # seeding with the sketch's own label, not ``instance``, matters
+        # when an equal label of another type (1.0 for 1) finds it
         if (
             canonical
             and isinstance(shards[0], StreamingPoisson)
             and shards[0]._inclusive
         ):
-            rows = _settle_failing(shards, shard_ids, per_shard, values, ranks)
-            keys = keys[rows] if columnar else [keys[i] for i in rows]
-            values, hashes, seeds, ranks, shard_ids = (
-                column[rows] for column in (values, hashes, seeds, ranks, shard_ids)
+            # weight-oblivious Poisson: the plan settles the failing rows
+            # and seeds only the others, whose ranks are their seeds
+            rows, seeds = _settle_failing(
+                shards, hashes, shard_ids, per_shard, values
             )
+            keys = keys[rows] if columnar else [keys[i] for i in rows]
+            values, hashes, shard_ids = (
+                column[rows] for column in (values, hashes, shard_ids)
+            )
+            ranks = seeds
+        else:
+            seeds, ranks = shards[0]._rank_column(hashes, values)
         if self.n_shards == 1:
             return [
                 IngestJob(

@@ -74,6 +74,8 @@ from repro.sampling.seeds import (
     canonical_kinds,
     hash_key_column,
     key_hashes,
+    uniform_cutoff,
+    uniform_from_uint64,
 )
 
 __all__ = ["StreamingBottomK", "StreamingPoisson", "sketch_from_state"]
@@ -953,23 +955,32 @@ class StreamingPoisson(_StreamingSketch):
 
 
 def _settle_failing(
-    shards: Sequence[StreamingPoisson], shard_ids: np.ndarray,
-    per_shard: Sequence[int], values: np.ndarray, ranks: np.ndarray,
-) -> np.ndarray:
+    shards: Sequence[StreamingPoisson], hashes: np.ndarray,
+    shard_ids: np.ndarray, per_shard: Sequence[int], values: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
     """Count the rows of one weight-oblivious group that cannot change
-    their shard's sketch, and return the indices of the other rows.
+    their shard's sketch; return the indices of the other rows and
+    their seeds, which are also their ranks.
 
     :meth:`StreamingPoisson._fold`'s argument, made once for a whole
     group of canonical keys instead of per shard and chunk: a uniform
     rank is the key's seed, and every retained key's seed passed, so on
     a shard whose retained keys are canonical a positive row whose rank
     fails adds one discarded key and nothing else.  A zero row adds only
-    an update anywhere.  ``shard_ids`` gives each row's index into
-    ``shards``, ``per_shard`` the rows of each shard, and ``ranks`` come
-    from their ``_rank_column``.
+    an update anywhere.  The pass test compares the mixed ``uint64``
+    hashes with :func:`~repro.sampling.seeds.uniform_cutoff`, so only
+    the routed rows, all positive, are turned into seeds.  ``hashes``
+    are the rows' key hashes, ``shard_ids`` give each row's index into
+    ``shards``, and ``per_shard`` the rows of each shard.
     """
+    first = shards[0]
+    mixed = first.seed_assigner._mix(hashes, first.instance)
+    cutoff = uniform_cutoff(first.threshold)
     positive = values > 0.0
-    route = positive & shards[0]._keeps(ranks)
+    if cutoff < 0:  # a threshold below every seed
+        route = np.zeros_like(positive)
+    else:
+        route = positive & (mixed <= np.uint64(cutoff))
     exact = np.array([sketch._sync_retained() for sketch in shards])
     if not exact.all():
         route |= positive & ~exact[shard_ids]
@@ -985,7 +996,7 @@ def _settle_failing(
     ):
         sketch.n_updates += total - n_routed
         sketch.n_discarded_keys += n_active - n_routed
-    return rows
+    return rows, uniform_from_uint64(mixed[rows])
 
 
 def _state_columns(state: Mapping, names: tuple) -> tuple:

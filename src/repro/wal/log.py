@@ -68,6 +68,7 @@ from repro.exceptions import (
 )
 from repro.obs import LatencyHistogram
 from repro.service.codec import Reader, Writer
+from repro.service.store import fsync_directory
 from repro.server.wire import encode_batches
 
 __all__ = [
@@ -447,18 +448,8 @@ class WriteAheadLog:
     def _fsync_directory(self) -> None:
         # a created or deleted segment only survives power loss once the
         # directory entry itself is durable
-        if self.fsync_policy == "off":
-            return
-        try:
-            fd = os.open(self.directory, os.O_RDONLY)
-        except OSError:
-            return
-        try:
-            os.fsync(fd)
-        except OSError:
-            pass
-        finally:
-            os.close(fd)
+        if self.fsync_policy != "off":
+            fsync_directory(self.directory)
 
     # ------------------------------------------------------------------
     # Appending

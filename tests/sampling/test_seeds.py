@@ -12,6 +12,7 @@ from repro.sampling.seeds import (
     _hash_label,
     key_hashes,
     splitmix64,
+    uniform_cutoff,
     uniform_from_uint64,
 )
 
@@ -48,6 +49,23 @@ class TestKeyHashes:
             np.array([_hash_label(key) for key in keys], dtype=np.uint64)
         )
         assert key_hashes(keys).tolist() == expected.tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.integers(-(2**63), 2**63 - 1), max_size=12),
+        st.sampled_from(["<i8", ">i8", "<i4", "u8"]),
+    )
+    def test_numpy_int_columns_match_per_key_hash(self, keys, dtype):
+        if dtype == "<i4":
+            keys = [key % 2**31 for key in keys]
+        if dtype == "u8":
+            keys = [key % 2**64 for key in keys]
+        column = np.array(keys, dtype=dtype)
+        expected = splitmix64(
+            np.array([_hash_label(key) for key in keys], dtype=np.uint64)
+        )
+        assert key_hashes(column).tolist() == expected.tolist()
+        assert column.tolist() == keys
 
     def test_bool_keys_hash_by_repr(self):
         assert key_hashes([True]).tolist() != key_hashes([1]).tolist()
@@ -116,6 +134,35 @@ class TestSplitMix:
         assert uniform_from_uint64(hashes).tolist() == uniforms.tolist()
         assert values.tolist() == [0, 1, 2**63, 2**64 - 1]
         assert hashes.tolist() == self.EDGE_HASHES
+
+
+class TestUniformCutoff:
+    """``m <= uniform_cutoff(p)`` is ``uniform_from_uint64(m) <= p``."""
+
+    @pytest.mark.parametrize(
+        "probability",
+        [0.005, 0.05, 0.3, 0.5, 1.0 - 2.0**-53, 2.0**-64, 2.5e-308, 1e-320, 1.0],
+    )
+    def test_the_cutoff_is_the_pass_boundary(self, probability):
+        cutoff = uniform_cutoff(probability)
+        edges = [value for value in (cutoff, cutoff + 1) if 0 <= value < 2**64]
+        rng = np.random.default_rng(11)
+        values = np.concatenate(
+            [
+                rng.integers(0, 2**64 - 1, 10_000, dtype=np.uint64, endpoint=True),
+                np.array(edges + [0, 2**64 - 1], dtype=np.uint64),
+            ]
+        )
+        passes = uniform_from_uint64(values) <= probability
+        assert (values.astype(object) <= cutoff).tolist() == passes.tolist()
+        if 0 <= cutoff:
+            assert uniform_from_uint64(np.uint64(cutoff)) <= probability
+        if cutoff + 1 < 2**64:
+            assert uniform_from_uint64(np.uint64(cutoff + 1)) > probability
+
+    def test_the_clamps_bound_the_cutoff(self):
+        assert uniform_cutoff(1.0) == 2**64 - 1
+        assert uniform_cutoff(1e-320) == -1
 
 
 class TestSeedAssigner:

@@ -554,6 +554,63 @@ class TestInstanceGroups:
         assert_same_batch(wed, "wed", ["a"], [1.0])
 
 
+    def test_rbat_020_every_label_tag_interleaved_over_200_batches(self):
+        rng = np.random.default_rng(20)
+        batches = []
+        for index in range(200):
+            n = int(rng.integers(0, 6))
+            shape = index % 5
+            if shape == 0:
+                keys = rng.integers(-(2**40), 2**40, n)
+            elif shape == 1:
+                keys = [f"k{key}" for key in rng.integers(0, 50, n).tolist()]
+            elif shape == 2:
+                keys = rng.integers(0, 50, n).tolist()
+            elif shape == 3:
+                keys = [LABEL_TAGS[i] for i in rng.integers(0, 9, n).tolist()]
+            else:
+                keys = [2**70 + key for key in rng.integers(0, 50, n).tolist()]
+            values = rng.random(n) * 4.0
+            batches.append((LABEL_TAGS[index % 9], keys, values))
+        decoded = decode_batches(encode_batches(batches))
+        expected = coalesced(batches)
+        assert [batch.instance for batch in decoded] == LABEL_TAGS
+        assert len(decoded) == len(expected)
+        for batch, group in zip(decoded, expected):
+            assert_same_batch(batch, *group)
+
+    def test_rbat_021_every_cut_of_the_last_of_200_batches(self):
+        batches = [
+            (("mon", "tue")[index % 2], np.arange(100) + 100 * index, np.ones(100))
+            for index in range(200)
+        ]
+        body = encode_batches(batches)
+        last = len(encode_batches(batches[:-1]))
+        for cut in range(last, len(body)):
+            message = field_by_field_error(body[:cut])
+            assert message.startswith("truncated buffer: needed ")
+            assert decode_error(body[:cut]) == message
+
+
+#: one instance label of each tag of the codec's label union
+LABEL_TAGS = [None, False, True, 7, 2**70, 2.5, "mon", b"\x00\xff", (1, "x")]
+
+
+def field_by_field_error(body: bytes) -> str:
+    """The error a read of an all-``i64`` body, one field per read, meets."""
+    reader = codec.Reader(body)
+    with pytest.raises(SketchCodecError) as info:
+        reader.raw(4)
+        reader.u16()
+        for _ in range(reader.u32()):
+            codec.read_label(reader)
+            reader.u8()
+            n_rows = reader.u64()
+            reader.view(8 * n_rows)
+            reader.view(8 * n_rows)
+    return str(info.value)
+
+
 #: three batches encoded by the version-1 encoder: a str instance with an
 #: ``i64`` key column, an int instance with str keys, and a tuple instance
 #: with tagged keys

@@ -3,6 +3,8 @@ fan-in."""
 
 from __future__ import annotations
 
+import os
+import stat
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -391,6 +393,45 @@ class TestSnapshotMarked:
         assert marks["t"] != (
             store.version("t"), store.engine("t").change_tick
         )
+
+    def test_snapshot_001_durable_before_the_wal_checkpoint(
+        self, tmp_path, monkeypatch
+    ):
+        """The scratch file is fsynced before it replaces the snapshot,
+        and the directory after, and only then is the WAL checkpointed."""
+        store = SketchStore()
+        store.create(
+            "t", "poisson", threshold=0.5,
+            seed_assigner=SeedAssigner(salt=7),
+        )
+        wal = WriteAheadLog(tmp_path / "wal", fsync="off")
+        store.attach_wal(wal)
+        ingest(store, "t", "mon", ["a", "b"], [1.0, 2.0])
+        calls = []
+        fsync, replace, checkpoint = os.fsync, os.replace, wal.checkpoint
+
+        def record_fsync(fd):
+            kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+            calls.append(f"fsync {kind}")
+            fsync(fd)
+
+        def record_replace(source, target):
+            calls.append("replace")
+            replace(source, target)
+
+        def record_checkpoint(cutoff):
+            calls.append("checkpoint")
+            return checkpoint(cutoff)
+
+        monkeypatch.setattr(os, "fsync", record_fsync)
+        monkeypatch.setattr(os, "replace", record_replace)
+        monkeypatch.setattr(wal, "checkpoint", record_checkpoint)
+        try:
+            path = store.snapshot(tmp_path / "s.bin")
+        finally:
+            wal.close()
+        assert calls == ["fsync file", "replace", "fsync dir", "checkpoint"]
+        assert SketchStore.restore(path).engine("t") == store.engine("t")
 
 
 class TestCorruptSnapshot:

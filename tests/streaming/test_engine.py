@@ -308,3 +308,67 @@ def test_one_shard_batch_longer_than_a_chunk():
     _assert_engine_parity(
         "bottom_k", "exp", 16, 1, False, [("mon", keys, values.tolist())]
     )
+
+
+def _planned_and_reference(threshold, batches, n_shards=3):
+    """A uniform Poisson engine fed ``batches`` through ``ingest_jobs`` and
+    ``run_job``, and its per-row ``update`` reference; both must match."""
+    engine = StreamEngine(
+        "poisson",
+        threshold=threshold,
+        rank_family=UniformRanks(),
+        seed_assigner=SeedAssigner(salt=5),
+        n_shards=n_shards,
+    )
+    for instance, keys, values in batches:
+        for job in engine.ingest_jobs(instance, keys, values):
+            engine.run_job(job)
+    reference = _scalar_reference(engine, batches)
+    assert engine == reference
+    assert codec.to_bytes(engine) == codec.to_bytes(reference)
+    return engine
+
+
+def _retained(engine, instance):
+    shards = engine._instance_shards(instance)
+    return {key for shard in shards for key in shard.entries}
+
+
+class TestObliviousPlan:
+    """The boundaries of the weight-oblivious plan's pass test."""
+
+    KEYS = np.arange(-20, 60, dtype=np.int64)
+
+    def test_plan_001_a_seed_equal_to_the_threshold_is_retained(self):
+        seed = SeedAssigner(salt=5).seed(17, instance="mon")
+        values = np.ones(len(self.KEYS))
+        engine = _planned_and_reference(seed, [("mon", self.KEYS, values)])
+        assert 17 in _retained(engine, "mon")
+        below = float(np.nextafter(seed, 0.0))
+        engine = _planned_and_reference(below, [("mon", self.KEYS, values)])
+        assert 17 not in _retained(engine, "mon")
+
+    def test_plan_002_zero_rows_are_updates_not_discards(self):
+        values = np.where(self.KEYS % 3 == 0, 0.0, 1.5)
+        engine = _planned_and_reference(0.3, [("mon", self.KEYS, values)] * 2)
+        shards = engine._instance_shards("mon")
+        retained = _retained(engine, "mon")
+        positive = set(self.KEYS[values > 0.0].tolist())
+        assert retained < positive
+        assert sum(shard.n_updates for shard in shards) == 2 * len(self.KEYS)
+        assert sum(shard.n_discarded_keys for shard in shards) == 2 * len(
+            positive - retained
+        )
+
+    def test_plan_003_threshold_one_retains_every_positive_row(self):
+        values = np.where(self.KEYS % 4 == 0, 0.0, 2.0)
+        engine = _planned_and_reference(1.0, [("mon", self.KEYS, values)])
+        assert _retained(engine, "mon") == set(self.KEYS[values > 0.0].tolist())
+        shards = engine._instance_shards("mon")
+        assert sum(shard.n_discarded_keys for shard in shards) == 0
+
+    def test_plan_004_a_threshold_below_every_seed_retains_nothing(self):
+        # a uniform seed is at least the smallest normal float
+        values = np.ones(len(self.KEYS))
+        engine = _planned_and_reference(1e-320, [("mon", self.KEYS, values)])
+        assert _retained(engine, "mon") == set()

@@ -73,9 +73,8 @@ class ConfidenceUnavailableError(ReproError, ValueError):
 
     The paper's variance formulas cover distinct counts (HT and L
     variants) and single-instance subset sums (rank conditioning on
-    bottom-k, Horvitz-Thompson on Poisson).  Dominance, L1 distance,
-    estimator-weighted multi-instance sums and custom queries have no
-    analyzable plug-in variance here, so — mirroring the
+    bottom-k, Horvitz-Thompson on Poisson).  Dominance and L1 distance
+    have no analyzable plug-in variance here, so — mirroring the
     independence-assumption rejection in :mod:`repro.streaming.query` —
     they are refused loudly instead of reporting a made-up interval."""
 

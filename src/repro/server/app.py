@@ -117,7 +117,7 @@ from repro.server.wire import (
     decode_batches,
     encode_replica,
 )
-from repro.service.queries import Query, query_value_json
+from repro.service.queries import QUERY_KINDS, Query, query_value_json
 from repro.service.store import (
     INGEST_FORMATS,
     IngestRequest,
@@ -144,10 +144,6 @@ ROUTE_SPEC: tuple[tuple[str, str, str], ...] = (
     ("POST", "/merge", "_handle_merge"),
     ("GET", "/replicate", "_handle_replicate"),
 )
-
-#: query kinds reachable over HTTP — ``custom`` needs a Python callable
-#: and is therefore CLI/API-only
-_HTTP_QUERY_KINDS = ("distinct", "sum", "dominance", "l1")
 
 _TRUE_VALUES = ("1", "true", "yes")
 
@@ -1125,11 +1121,10 @@ class SketchServer:
         if not name:
             raise HttpError(400, "query requires ?name=<engine>")
         kind = params.get("kind")
-        if kind not in _HTTP_QUERY_KINDS:
+        if kind not in QUERY_KINDS:
             raise HttpError(
                 400,
-                f"query kind must be one of {_HTTP_QUERY_KINDS}, "
-                f"got {kind!r}",
+                f"query kind must be one of {QUERY_KINDS}, got {kind!r}",
             )
         raw_instances = params.get("instances", "")
         labels = [label for label in raw_instances.split(",") if label]

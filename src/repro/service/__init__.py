@@ -14,11 +14,12 @@ state:
   monotone version counters, snapshot/restore to disk, and
   distributed-style fan-in of peer snapshot files through the sketch
   merge algebra;
-* :mod:`repro.service.queries` — declarative :class:`Query` objects and
+* :mod:`repro.service.queries` — plain-data :class:`Query` objects and
   a :class:`QueryPlanner` that routes distinct-count / sum / dominance /
-  L1 / custom queries to the existing :mod:`repro.aggregates` and
-  :mod:`repro.batch` estimator paths, memoising results in a
-  version-keyed cache that every ingest invalidates;
+  L1 queries over the store's memoised column views to the existing
+  :mod:`repro.aggregates` and :mod:`repro.batch` estimator paths,
+  memoising results in a version-keyed cache that every ingest
+  invalidates;
 * :mod:`repro.service.cli` — ``python -m repro.service
   ingest|snapshot|merge|query`` over CSV/JSONL update streams.
 """

@@ -46,7 +46,7 @@ from itertools import islice
 from pathlib import Path
 
 from repro.exceptions import InvalidParameterError, ReproError, RowDecodeError
-from repro.service.queries import Query, query_value_json
+from repro.service.queries import QUERY_KINDS, Query, query_value_json
 from repro.service.store import INGEST_FORMATS, IngestRequest, SketchStore, group_rows
 
 __all__ = ["main"]
@@ -527,8 +527,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument("--store", required=True)
     query.add_argument("--name", required=True)
-    query.add_argument("--kind", required=True,
-                       choices=("distinct", "sum", "dominance", "l1"))
+    query.add_argument("--kind", required=True, choices=QUERY_KINDS)
     query.add_argument("--instances", required=True, nargs="+",
                        help="instance labels (as ingested)")
     query.add_argument("--variant", choices=("l", "ht"), default="l",

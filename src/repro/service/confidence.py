@@ -13,16 +13,17 @@ distinct    exact variance at the plug-in estimate —
             for the HT variant, :func:`~repro.aggregates.distinct.
             distinct_l_variance` with the plug-in Jaccard
             ``F11 / (p1 p2) / D`` for the L variant;
-sum         single bottom-k instance: the unbiased Horvitz-Thompson
-            plug-in ``sum v^2 (1-p)/p^2`` over the sampled keys with
-            ``p`` the rank-conditioned inclusion probability (RC
-            per-key estimates have zero covariance), plus the paper's
-            ``CV <= 1/sqrt(k-2)`` bound; single Poisson instance: the
-            same plug-in with the sample's inclusion probabilities.
+sum         the unbiased Horvitz-Thompson plug-in ``sum v^2 (1-p)/p^2``
+            over the sampled keys (per-key estimates have zero
+            covariance).  Bottom-k: ``p`` is the rank-conditioned
+            inclusion probability, plus the paper's
+            ``CV <= 1/sqrt(k-2)`` bound; Poisson: ``p`` is each key's
+            inclusion probability
+            (:func:`~repro.streaming.query.inclusion_probabilities`),
+            summed over the column view in retention order.
 ========== ==========================================================
 
-Everything else — dominance, L1, estimator-weighted multi-instance
-sums, custom queries — raises
+Dominance and L1 raise
 :class:`~repro.exceptions.ConfidenceUnavailableError`: no variance
 estimator applies, and refusing loudly beats reporting a made-up
 interval (the same policy as the independence-assumption rejection in
@@ -38,13 +39,16 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.aggregates.distinct import (
     distinct_ht_variance,
     distinct_l_variance,
 )
 from repro.analysis.confidence import normal_interval
 from repro.exceptions import ConfidenceUnavailableError
-from repro.streaming.sketch import StreamingBottomK, StreamingPoisson
+from repro.streaming.query import SketchColumns, inclusion_probabilities
+from repro.streaming.sketch import StreamingBottomK
 
 __all__ = ["CONFIDENCE_LEVEL", "query_confidence"]
 
@@ -74,61 +78,39 @@ def _distinct_variance(sketches, query, value) -> float:
     return distinct_l_variance(estimate, jaccard, p1, p2)
 
 
-def _ht_plugin_variance(entries, probability_of, predicate) -> float:
-    """Unbiased HT plug-in variance ``sum v^2 (1 - p) / p^2`` over the
-    sampled keys (zero cross-covariance between per-key estimates)."""
-    variance = 0.0
-    for key, value in entries.items():
-        if predicate is not None and not predicate(key):
-            continue
-        p = probability_of(key)
-        variance += value * value * (1.0 - p) / (p * p)
-    return variance
-
-
-def _sum_confidence(sketches, query) -> tuple[float, dict]:
-    if query.estimator is not None or len(sketches) != 1:
-        raise _refuse(
-            "estimator-weighted multi-instance sums have no plug-in "
-            "variance here"
-        )
-    sketch = sketches[0]
+def _sum_confidence(sketches) -> tuple[float, dict]:
+    """The plug-in variance ``sum v^2 (1 - p) / p^2`` of a one-instance
+    sum (zero cross-covariance between per-key estimates), and the
+    bottom-k ``cv_bound``."""
+    (sketch,) = sketches
     if isinstance(sketch, StreamingBottomK):
         sample = sketch.to_sample()
-        variance = _ht_plugin_variance(
-            sample.entries,
-            sample.conditional_inclusion_probability,
-            query.predicate,
-        )
+        variance = 0.0
+        for key, value in sample.entries.items():
+            p = sample.conditional_inclusion_probability(key)
+            variance += value * value * (1.0 - p) / (p * p)
         extra = {}
         if sample.k > 2:
             # the paper's bound on the coefficient of variation of
             # bottom-k subset-sum estimates
             extra["cv_bound"] = 1.0 / math.sqrt(sample.k - 2)
         return variance, extra
-    if isinstance(sketch, StreamingPoisson):
-        sample = sketch.to_sample()
-        probabilities = sample.inclusion_probabilities
-        variance = _ht_plugin_variance(
-            sample.entries,
-            probabilities.__getitem__,
-            query.predicate,
-        )
-        return variance, {}
-    raise _refuse(
-        f"sum confidence supports streaming sketches, got "
-        f"{type(sketch).__name__}"
-    )
+    view = SketchColumns.of(sketch)
+    p = inclusion_probabilities(view)
+    values = view.values
+    terms = values * values * (1.0 - p) / (p * p)
+    # sequential, in retention order: the per-key loop's sum
+    return (float(np.cumsum(terms)[-1]) if terms.size else 0.0), {}
 
 
 def query_confidence(sketches, query, value) -> dict:
     """The estimate-quality payload of one executed query.
 
-    ``sketches`` are the merged per-instance sketches the query ran
-    on, ``value`` its computed result.  Returns a JSON-encodable dict
-    with ``variance``, ``cv`` (``None`` when the estimate is zero) and
-    a ``ci90`` normal interval; bottom-k sums additionally carry the
-    paper's ``cv_bound``.  Raises
+    ``sketches`` are the per-instance sketches or column views the
+    query ran on, ``value`` its computed result.  Returns a
+    JSON-encodable dict with ``variance``, ``cv`` (``None`` when the
+    estimate is zero) and a ``ci90`` normal interval; bottom-k sums
+    additionally carry the paper's ``cv_bound``.  Raises
     :class:`~repro.exceptions.ConfidenceUnavailableError` for query
     shapes without an applicable variance estimator.
     """
@@ -138,7 +120,7 @@ def query_confidence(sketches, query, value) -> dict:
         variance = _distinct_variance(sketches, query, value)
     elif query.kind == "sum":
         estimate = float(value)
-        variance, extra = _sum_confidence(sketches, query)
+        variance, extra = _sum_confidence(sketches)
     else:
         raise _refuse(
             f"{query.kind!r} queries have no analyzable variance "

@@ -1,21 +1,23 @@
 """Declarative queries over a :class:`~repro.service.SketchStore`.
 
-A :class:`Query` names an aggregate (distinct count, subset sum, max
-dominance, L1 distance, or a custom function) over one or more instances
-of a named engine; :class:`QueryPlanner` routes it to the existing
-estimator paths — the Section-8 aggregate estimators of
-:mod:`repro.aggregates` and the vectorized :mod:`repro.batch` kernels,
-via the :mod:`repro.streaming.query` adapters — and memoises results in a
+A :class:`Query` is plain data: an aggregate kind (distinct count,
+subset sum, max dominance or L1 distance), the instances of a named
+engine it reads, the distinct-count variant and whether to report
+confidence.  :class:`QueryPlanner` routes it to the existing estimator
+paths — the Section-8 aggregate estimators of :mod:`repro.aggregates`
+and the vectorized :mod:`repro.batch` kernels, via the
+:mod:`repro.streaming.query` adapters — and memoises results in a
 **version-keyed cache**: the cache key embeds the engine's monotone
 ingest version and its replacement epoch, so any ingest or engine swap
 invalidates all cached results of that engine automatically and a hit is
 only ever served for the exact state it was computed from.
 
-The two-instance kinds (``distinct``, ``l1``, ``dominance``) read the
-store's memoised column views (:meth:`SketchStore.column_view`), so a
-miss on an instance pair already seen at this engine state folds and
-hashes nothing; ``sum`` and ``custom`` read fresh merged sketches
-(:meth:`SketchStore.snapshot_view`).
+Every kind reads the store's memoised column views
+(:meth:`SketchStore.column_view`): a
+:class:`~repro.streaming.query.SketchColumns` per instance of a Poisson
+engine, the merged sketch per instance of a bottom-k one.  A miss on an
+instance already read at this engine state therefore folds and hashes
+nothing.
 
 Routing
 -------
@@ -24,49 +26,59 @@ kind        path
 ========== ==========================================================
 distinct    :func:`repro.streaming.query.distinct_count`
             (Section 8.1 ``L`` / ``HT`` estimators)
-sum         with ``estimator``: :func:`~repro.streaming.query.
-            sum_aggregate` (vectorized batch path); without: rank
-            conditioning for bottom-k, Horvitz-Thompson for Poisson
+sum         Poisson: the Horvitz-Thompson total ``sum v / p`` over the
+            view's value column, ``p`` from
+            :func:`~repro.streaming.query.inclusion_probabilities`;
+            bottom-k: :func:`~repro.streaming.query.
+            rank_conditioning_total`
 dominance   :func:`repro.streaming.query.max_dominance`
             (``max^(HT)`` / ``max^(L)`` on PPS sketches)
 l1          :func:`repro.streaming.query.l1_distance`
-custom      ``query.fn(sketches)``
 ========== ==========================================================
+
+Predicates, estimator-weighted sums over several instances and other
+functions of the sketches are in-process uses: call
+:mod:`repro.streaming.query` on :meth:`SketchStore.merged_sketch` or
+:meth:`SketchStore.column_view`.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from repro.aggregates.distinct import check_variant
 from repro.exceptions import InvalidParameterError
 from repro.obs import span
 from repro.service.confidence import query_confidence
 from repro.streaming.query import (
+    SketchColumns,
     distinct_count,
+    inclusion_probabilities,
     l1_distance,
     max_dominance,
     rank_conditioning_total,
-    sum_aggregate,
 )
-from repro.streaming.sketch import StreamingBottomK, StreamingPoisson
+from repro.streaming.sketch import StreamingBottomK
 
-__all__ = ["Query", "QueryPlanner", "QueryResult", "query_value_json"]
+__all__ = ["QUERY_KINDS", "Query", "QueryPlanner", "QueryResult", "query_value_json"]
 
-_KINDS = ("distinct", "sum", "dominance", "l1", "custom")
-#: the kinds that run on the store's memoised column views
-_COLUMN_KINDS = frozenset(("distinct", "dominance", "l1"))
+#: every query kind, as HTTP (``?kind=``) and the CLI (``--kind``) take it
+QUERY_KINDS = ("distinct", "sum", "dominance", "l1")
 
 
 @dataclass(frozen=True)
 class Query:
     """A declarative aggregate query over named instances.
 
-    Queries are frozen and hashable (callables hash by identity), which
-    makes them directly usable as cache keys; reuse the same ``Query``
-    object to hit the planner cache for predicate/custom queries.
+    Queries are frozen, hashable plain data, which makes them directly
+    usable as cache keys: two equal queries share one cache entry.
+    Construction refuses an unknown kind, an unhashable instance label
+    and a wrong instance count (``sum`` takes one instance, the other
+    kinds two).
     """
 
     kind: str
@@ -74,25 +86,36 @@ class Query:
     #: distinct-count variant: ``"l"`` (variance-optimal) or ``"ht"``,
     #: case-insensitive; stored lowercase, and as ``"l"`` for other kinds
     variant: str = "l"
-    #: per-key :class:`~repro.core.estimator_base.VectorEstimator` for
-    #: multi-instance sum queries
-    estimator: object = None
-    #: optional key predicate restricting the aggregate to a subset
-    predicate: object = None
-    #: custom query function ``fn(sketches) -> value``
-    fn: object = field(default=None)
     #: report estimate quality (``cv`` / ``ci90``) alongside the value;
     #: raises :class:`~repro.exceptions.ConfidenceUnavailableError` for
     #: query shapes without an applicable variance estimator
     confidence: bool = False
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        if self.kind not in QUERY_KINDS:
             raise InvalidParameterError(
                 f"unknown query kind {self.kind!r}; expected one of "
-                f"{_KINDS}"
+                f"{QUERY_KINDS}"
             )
-        object.__setattr__(self, "instances", tuple(self.instances))
+        instances = tuple(self.instances)
+        object.__setattr__(self, "instances", instances)
+        if self.kind == "sum":
+            if len(instances) != 1:
+                raise InvalidParameterError(
+                    "sum queries take exactly one instance, got "
+                    f"{len(instances)}"
+                )
+        elif len(instances) != 2:
+            raise InvalidParameterError(
+                f"{self.kind} queries take exactly two instances, got "
+                f"{len(instances)}"
+            )
+        try:
+            hash(instances)
+        except TypeError as exc:
+            raise InvalidParameterError(
+                f"query instance labels must be hashable: {exc}"
+            ) from None
         # normalised, so ``HT`` and ``ht`` share one cache entry; other
         # kinds ignore the variant, so it must not split their entries
         variant = check_variant(self.variant)
@@ -104,39 +127,24 @@ class Query:
     # Convenience constructors
     # ------------------------------------------------------------------
     @classmethod
-    def distinct(
-        cls, instance1, instance2, variant: str = "l", predicate=None
-    ) -> "Query":
+    def distinct(cls, instance1, instance2, variant: str = "l") -> "Query":
         """Distinct count (union size) of two instances."""
-        return cls(
-            "distinct",
-            (instance1, instance2),
-            variant=variant,
-            predicate=predicate,
-        )
+        return cls("distinct", (instance1, instance2), variant=variant)
 
     @classmethod
-    def sum(cls, *instances, estimator=None, predicate=None) -> "Query":
-        """Subset-sum over one instance, or an estimator-weighted sum
-        aggregate over several."""
-        return cls(
-            "sum", instances, estimator=estimator, predicate=predicate
-        )
+    def sum(cls, instance) -> "Query":
+        """Subset sum over one instance."""
+        return cls("sum", (instance,))
 
     @classmethod
-    def dominance(cls, instance1, instance2, predicate=None) -> "Query":
+    def dominance(cls, instance1, instance2) -> "Query":
         """Max-dominance norm of two PPS instances."""
-        return cls("dominance", (instance1, instance2), predicate=predicate)
+        return cls("dominance", (instance1, instance2))
 
     @classmethod
-    def l1(cls, instance1, instance2, predicate=None) -> "Query":
+    def l1(cls, instance1, instance2) -> "Query":
         """L1 distance of two weight-oblivious instances."""
-        return cls("l1", (instance1, instance2), predicate=predicate)
-
-    @classmethod
-    def custom(cls, *instances, fn) -> "Query":
-        """Run ``fn`` on the merged sketches of ``instances``."""
-        return cls("custom", instances, fn=fn)
+        return cls("l1", (instance1, instance2))
 
 
 @dataclass(frozen=True)
@@ -160,13 +168,12 @@ class QueryResult:
 class QueryPlanner:
     """Routes queries to the estimator paths, caching by engine version.
 
-    The cache maps ``(store name, engine version, epoch, query)`` to the
-    computed value.  Because the store bumps the version on every ingest
-    and the epoch on every engine replacement, stale entries are never
-    served; they age out of the LRU bound.
-    Unhashable queries (e.g. list-valued instance labels) are computed
-    but never cached; like every computing :meth:`run`, each counts as
-    a miss.
+    The cache maps ``(store name, (engine version, epoch), query)`` to
+    the computed value.  Because the store bumps the version on every
+    ingest and the epoch on every engine replacement, stale entries are
+    never served; they age out of the LRU bound.  A result an engine
+    replacement raced is returned but not cached; like every computing
+    :meth:`run`, it counts as a miss.
     """
 
     def __init__(self, store, max_cache_entries: int = 1024) -> None:
@@ -181,43 +188,6 @@ class QueryPlanner:
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
-
-    @staticmethod
-    def _param_token(value: object):
-        """Hashable cache token of one query parameter.
-
-        Plain values key by value, but behavioural parameters — custom
-        query functions, predicates, estimator objects — key by
-        *identity*: two distinct callables must never share a cache
-        entry even when they compare equal (bound methods of equal
-        instances, or user callables with an ``__eq__`` coarser than
-        their behaviour).  The object itself rides along in the token so
-        its ``id`` cannot be recycled while the cache still holds it.
-        """
-        if value is None or isinstance(
-            value, (str, int, float, bool, bytes, frozenset)
-        ):
-            return value
-        return (id(value), value)
-
-    @classmethod
-    def _cache_key(cls, name: str, state: tuple[int, int], query: Query):
-        key = (
-            name,
-            state,
-            query.kind,
-            query.instances,
-            query.variant,
-            cls._param_token(query.estimator),
-            cls._param_token(query.predicate),
-            cls._param_token(query.fn),
-            bool(query.confidence),
-        )
-        try:
-            hash(key)
-        except TypeError:
-            return None
-        return key
 
     def cache_stats(self) -> dict:
         """Hit/miss counters and current size, for monitoring surfaces."""
@@ -243,9 +213,7 @@ class QueryPlanner:
         follow up with :meth:`run`).
         """
         state = self._store.state_hint(name)
-        key = self._cache_key(name, state, query)
-        if key is None:
-            return None
+        key = (name, state, query)
         with self._lock:
             if key in self._cache:
                 self._cache.move_to_end(key)
@@ -271,7 +239,7 @@ class QueryPlanner:
             # version).  The epoch is read around the view, and a result
             # an engine replacement raced is returned but not cached.
             epoch = self._store.state_hint(name)[1]
-            version, sketches = self._view(name, query)
+            version, sketches = self._store.column_view(name, query.instances)
             value = self._dispatch(sketches, query)
             # computed against the same sketches as the value, so the
             # quality payload describes exactly this estimate (and rides
@@ -281,89 +249,42 @@ class QueryPlanner:
                 if query.confidence
                 else None
             )
-            key = (
-                self._cache_key(name, (version, epoch), query)
-                if self._store.state_hint(name)[1] == epoch
-                else None
-            )
+            cacheable = self._store.state_hint(name)[1] == epoch
             with self._lock:
                 # every computed result is a miss, cached or not
                 self.misses += 1
-                if key is not None:
-                    self._cache[key] = (value, confidence)
+                if cacheable:
+                    self._cache[name, (version, epoch), query] = (
+                        value,
+                        confidence,
+                    )
                     while len(self._cache) > self.max_cache_entries:
                         self._cache.popitem(last=False)
             return QueryResult(value, version, False, confidence)
 
     def execute(self, name: str, query: Query):
         """Uncached execution (always recomputes, never stores)."""
-        _, sketches = self._view(name, query)
+        _, sketches = self._store.column_view(name, query.instances)
         return self._dispatch(sketches, query)
 
-    # ------------------------------------------------------------------
-    # Routing
-    # ------------------------------------------------------------------
-    def _view(self, name: str, query: Query) -> tuple[int, list]:
-        """``(version, sketches)`` of the query's instances: memoised
-        column views for the two-instance kinds, fresh merged sketches
-        for the rest."""
-        if query.kind in _COLUMN_KINDS:
-            return self._store.column_view(name, query.instances)
-        return self._store.snapshot_view(name, query.instances)
-
-    @staticmethod
-    def _pair(sketches: list, kind: str) -> tuple:
-        if len(sketches) != 2:
-            raise InvalidParameterError(
-                f"{kind} queries take exactly two instances, got "
-                f"{len(sketches)}"
-            )
-        return sketches[0], sketches[1]
-
     def _dispatch(self, sketches: list, query: Query):
+        """The value of ``query`` over its instances' column views."""
         kind = query.kind
-        if kind == "distinct":
-            sketch1, sketch2 = self._pair(sketches, kind)
-            return distinct_count(
-                sketch1,
-                sketch2,
-                variant=query.variant,
-                predicate=query.predicate,
-            )
-        if kind == "dominance":
-            sketch1, sketch2 = self._pair(sketches, kind)
-            return max_dominance(
-                sketch1, sketch2, predicate=query.predicate
-            )
-        if kind == "l1":
-            sketch1, sketch2 = self._pair(sketches, kind)
-            return l1_distance(sketch1, sketch2, predicate=query.predicate)
         if kind == "sum":
-            if query.estimator is not None:
-                return sum_aggregate(
-                    sketches, query.estimator, predicate=query.predicate
-                )
-            if len(sketches) != 1:
-                raise InvalidParameterError(
-                    "multi-instance sum queries require an estimator"
-                )
-            sketch = sketches[0]
-            if isinstance(sketch, StreamingBottomK):
-                return rank_conditioning_total(sketch, query.predicate)
-            if isinstance(sketch, StreamingPoisson):
-                return sketch.to_sample().horvitz_thompson_total(
-                    query.predicate
-                )
-            raise InvalidParameterError(
-                "sum queries support streaming sketches, got "
-                f"{type(sketch).__name__}"
-            )
-        # __post_init__ guarantees kind == "custom" here
-        if query.fn is None:
-            raise InvalidParameterError(
-                "custom queries require a query function (fn=...)"
-            )
-        return query.fn(sketches)
+            (view,) = sketches
+            if isinstance(view, StreamingBottomK):
+                return rank_conditioning_total(view)
+            terms = view.values / inclusion_probabilities(view)
+            # cumsum adds sequentially in retention order, as the
+            # sample's per-key Horvitz-Thompson loop does
+            return float(np.cumsum(terms)[-1]) if terms.size else 0.0
+        # a bottom-k engine's merged sketches are refused here
+        first, second = map(SketchColumns.of, sketches)
+        if kind == "distinct":
+            return distinct_count(first, second, variant=query.variant)
+        if kind == "dominance":
+            return max_dominance(first, second)
+        return l1_distance(first, second)
 
 
 def query_value_json(value: object) -> object:
@@ -372,7 +293,7 @@ def query_value_json(value: object) -> object:
     Shared by every serving surface (the CLI and the HTTP front-end):
     plain numbers pass through, the aggregate result objects
     (estimate/counts, ht/l distinct-count pairs) flatten to dicts, and
-    anything else falls back to ``repr``.
+    any other type raises :class:`TypeError`.
     """
     if isinstance(value, (int, float)):
         return value
@@ -388,4 +309,6 @@ def query_value_json(value: object) -> object:
             "l": float(value.l),
             "n_sampled_keys": int(value.n_sampled_keys),
         }
-    return repr(value)
+    raise TypeError(
+        f"no JSON form for a query value of type {type(value).__name__}"
+    )

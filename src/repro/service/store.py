@@ -65,6 +65,7 @@ from repro.sampling.seeds import SeedAssigner
 from repro.service import codec
 from repro.streaming.engine import StreamEngine
 from repro.streaming.query import SketchColumns
+from repro.streaming.sketch import StreamingPoisson
 
 if TYPE_CHECKING:
     from repro.service.queries import QueryPlanner
@@ -97,7 +98,7 @@ class _StoreEntry:
         #: cache of derived state keys on ``(version, epoch)``
         self.epoch = 0
         #: the column-view memo: ``((version, epoch), {instance:
-        #: SketchColumns})``, replaced wholesale when the key moves
+        #: view})``, replaced wholesale when the key moves
         self.columns: tuple[tuple[int, int] | None, dict] = (None, {})
 
 
@@ -781,7 +782,9 @@ class SketchStore:
     def snapshot_view(
         self, name: str, instances: Sequence[object]
     ) -> tuple[int, list]:
-        """A consistent ``(version, merged sketches)`` view of ``name``."""
+        """A consistent ``(version, merged sketches)`` view of ``name``,
+        merged afresh on every call (served queries read the memoised
+        :meth:`column_view`)."""
         with self._read(name) as entry:
             return (
                 entry.version,
@@ -790,15 +793,17 @@ class SketchStore:
 
     def column_view(
         self, name: str, instances: Sequence[object]
-    ) -> tuple[int, list[SketchColumns]]:
-        """A consistent ``(version, column views)`` read of ``name``.
+    ) -> tuple[int, list]:
+        """A consistent ``(version, views)`` read of ``name``: the read
+        every served query makes.
 
-        The views (:class:`~repro.streaming.query.SketchColumns`) of the
-        merged Poisson sketches are memoised per ``(version, epoch)``:
-        the first read of an instance folds its shards and hashes its
-        keys once, and every later read at the same state reuses that
-        work.  The memo holds one state at most; a read at a new state
-        replaces it wholesale.
+        A Poisson engine's view of an instance is the
+        :class:`~repro.streaming.query.SketchColumns` of its merged
+        sketch, a bottom-k engine's the merged sketch itself.  Views are
+        memoised per ``(version, epoch)``: the first read of an instance
+        folds its shards (and hashes its keys) once, and every later
+        read at the same state reuses that work.  The memo holds one
+        state at most; a read at a new state replaces it wholesale.
         """
         with self._read(name) as entry:
             key = (entry.version, entry.epoch)
@@ -810,8 +815,11 @@ class SketchStore:
             if missing:
                 with span("store.columns", engine=name, instances=len(missing)):
                     for label in missing:
-                        views[label] = SketchColumns.of(
-                            entry.engine.sketch(label)
+                        sketch = entry.engine.sketch(label)
+                        views[label] = (
+                            SketchColumns.of(sketch)
+                            if isinstance(sketch, StreamingPoisson)
+                            else sketch
                         )
             return entry.version, [views[label] for label in instances]
 

@@ -63,6 +63,7 @@ __all__ = [
     "StreamingDominanceEstimate",
     "dataset_view",
     "distinct_count",
+    "inclusion_probabilities",
     "l1_distance",
     "max_dominance",
     "outcome_batch",
@@ -166,6 +167,16 @@ class SketchColumns:
         )
         object.__setattr__(view, "canonical", canonical)
         return view
+
+
+def inclusion_probabilities(view: SketchColumns) -> float | np.ndarray:
+    """The Poisson inclusion probability of each of ``view``'s keys, as
+    :meth:`StreamingPoisson.to_sample` gives it: the threshold itself
+    under weight-oblivious ranks, else the rank family's ``cdf`` of the
+    key's value at the threshold."""
+    if isinstance(view.rank_family, UniformRanks):
+        return view.threshold
+    return view.rank_family.cdf(view.values, view.threshold)
 
 
 def _check_family(sketches: Sequence[StreamingPoisson]) -> None:

@@ -359,8 +359,19 @@ def check_offline(stream: Stream, store: SketchStore, payloads: dict) -> None:
         assert samples[instance].entries == offline.entries
     approx = partial(pytest.approx, rel=PIN, abs=PIN)
     p = config.get("threshold")
-    for (kind, instances, variant), (value, _) in payloads.items():
+    for (kind, instances, variant), (value, confidence) in payloads.items():
         sample = samples[instances[0]]
+        if kind == "sum":  # the plug-in variance, one key at a time
+            probability = (
+                sample.conditional_inclusion_probability
+                if config["kind"] == "bottom_k"
+                else sample.inclusion_probabilities.get
+            )
+            variance = 0.0
+            for key, key_value in sample.entries.items():
+                q = probability(key)
+                variance += key_value * key_value * (1.0 - q) / (q * q)
+            assert confidence["variance"] == variance
         if kind == "sum" and config["kind"] == "bottom_k":
             assert value == sample.rank_conditioning_total()
         elif kind == "sum":

@@ -472,8 +472,8 @@ class TestErrorPaths:
         keys, values = make_columns(300)
         ingest(store, "traffic", "monday", keys[:200], values[:200])
         ingest(store, "traffic", "tuesday", keys[100:], values[100:])
-        # every store read a query can make: the pair kinds read the
-        # memoised column views, the others fresh merged sketches
+        # every store read a query could make: each kind reads the
+        # memoised column views, and none the fresh merged sketches
         views = []
 
         def spy(reader):
@@ -498,6 +498,16 @@ class TestErrorPaths:
                 )
                 assert status == 400, payload
                 assert "variant" in payload["error"]
+            refused = (
+                ({**pair, "kind": "sum"}, "exactly one instance"),
+                ({**pair, "kind": "custom"}, "query kind must be one of"),
+            )
+            for params, error in refused:
+                status, payload = await client.request(
+                    "GET", "/v1/query", params=params
+                )
+                assert status == 400, payload
+                assert error in payload["error"]
             assert views == []
             # the variant is case-insensitive: one computation, one entry
             first = await client.query(

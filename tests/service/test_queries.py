@@ -1,19 +1,19 @@
-"""Query planner: estimator-weighted sums, custom and predicate queries,
-and the version-keyed result cache.  Served query kinds are checked
-against the offline estimators by tests/conformance/test_write_paths.py."""
+"""Query planner: construction-time validation of the plain-data
+``Query`` and the version-keyed result cache.  Served query values are
+checked against the offline estimators by
+tests/conformance/test_write_paths.py and the Poisson ``sum`` path by
+tests/service/test_query_confidence.py."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.max_oblivious import MaxObliviousL
 from repro.exceptions import InvalidParameterError, UnknownStoreError
 from repro.sampling.seeds import SeedAssigner
-from repro.service.queries import Query, QueryPlanner
+from repro.service.queries import Query, QueryPlanner, query_value_json
 from repro.service.store import SketchStore
 from repro.streaming import StreamEngine
-from repro.streaming import query as streaming_query
 
 from ingest_helper import ingest
 
@@ -40,51 +40,29 @@ def oblivious_store():
 
 
 class TestRouting:
-    def test_sum_with_estimator_matches_sum_aggregate(self, oblivious_store):
-        estimator = MaxObliviousL((0.5, 0.5))
-        result = oblivious_store.query(
-            "traffic", Query.sum("mon", "tue", estimator=estimator)
-        )
-        sketches = [
-            oblivious_store.merged_sketch("traffic", label)
-            for label in ("mon", "tue")
-        ]
-        assert result.value == streaming_query.sum_aggregate(
-            sketches, estimator
-        )
-
-    def test_custom_query_runs_fn(self, oblivious_store):
-        query = Query.custom(
-            "mon", fn=lambda sketches: len(sketches[0].entries)
-        )
-        result = oblivious_store.query("traffic", query)
-        assert result.value == len(
-            oblivious_store.merged_sketch("traffic", "mon").entries
-        )
-
-    def test_predicate_restricts_aggregate(self, oblivious_store):
-        even = Query.distinct(
-            "mon", "tue", predicate=lambda key: key % 2 == 0
-        )
-        full = oblivious_store.query(
-            "traffic", Query.distinct("mon", "tue")
-        )
-        restricted = oblivious_store.query("traffic", even)
-        assert restricted.value.estimate < full.value.estimate
-
     def test_invalid_queries(self, oblivious_store):
-        with pytest.raises(InvalidParameterError, match="kind"):
-            Query("nonsense", ("mon",))
-        with pytest.raises(InvalidParameterError, match="two instances"):
-            oblivious_store.query("traffic", Query("distinct", ("mon",)))
-        with pytest.raises(InvalidParameterError, match="estimator"):
-            oblivious_store.query("traffic", Query.sum("mon", "tue"))
-        with pytest.raises(InvalidParameterError, match="fn"):
-            oblivious_store.query("traffic", Query("custom", ("mon",)))
+        for kind in ("nonsense", "custom"):
+            with pytest.raises(InvalidParameterError, match="kind"):
+                Query(kind, ("mon",))
+        with pytest.raises(InvalidParameterError, match="exactly two instances"):
+            Query("distinct", ("mon",))
+        with pytest.raises(InvalidParameterError, match="exactly one instance"):
+            Query("sum", ("mon", "tue"))
+        with pytest.raises(InvalidParameterError, match="hashable"):
+            Query("l1", ("mon", ["tue"]))
         with pytest.raises(UnknownStoreError):
             oblivious_store.query("nope", Query.sum("mon"))
         with pytest.raises(InvalidParameterError, match="variant"):
             Query.distinct("mon", "tue", variant="xyz")
+
+    @pytest.mark.parametrize("kind", ["distinct", "l1", "dominance"])
+    def test_pair_query_on_bottom_k_is_refused(self, kind):
+        store = SketchStore()
+        store.create("bk", "bottom_k", k=8, seed_assigner=SeedAssigner(salt=1))
+        ingest(store, "bk", "mon", [1, 2, 3], [1.0, 2.0, 3.0])
+        ingest(store, "bk", "tue", [2, 3, 4], [1.0, 1.0, 1.0])
+        with pytest.raises(InvalidParameterError, match="take Poisson sketches"):
+            store.query("bk", Query(kind, ("mon", "tue")))
 
     def test_variant_is_normalised(self):
         assert Query.distinct("mon", "tue", variant="HT").variant == "ht"
@@ -113,48 +91,6 @@ class TestCache:
         after = oblivious_store.query("traffic", query)
         assert not after.from_cache
         assert after.version == first.version + 1
-
-    def test_predicate_queries_cache_by_identity(self, oblivious_store):
-        query = Query.distinct("mon", "tue", predicate=lambda key: True)
-        first = oblivious_store.query("traffic", query)
-        second = oblivious_store.query("traffic", query)
-        assert not first.from_cache and second.from_cache
-
-    def test_distinct_custom_callables_never_collide(self, oblivious_store):
-        """Regression: the cache used to key on ``Query`` equality alone,
-        so two *distinct* custom callables that compare equal (a user
-        ``__eq__`` coarser than the callable's behaviour, equal bound
-        methods, ...) shared one cache entry at the same store version.
-        Parameters must key by identity."""
-
-        class CutoffQuery:
-            def __init__(self, cutoff):
-                self.cutoff = cutoff
-
-            def __call__(self, sketches):
-                return self.cutoff
-
-            def __eq__(self, other):  # deliberately coarser than behaviour
-                return isinstance(other, CutoffQuery)
-
-            def __hash__(self):
-                return hash(CutoffQuery)
-
-        low, high = CutoffQuery(1.0), CutoffQuery(2.0)
-        query_low = Query.custom("mon", fn=low)
-        query_high = Query.custom("mon", fn=high)
-        assert query_low == query_high  # the collision precondition
-        first = oblivious_store.query("traffic", query_low)
-        second = oblivious_store.query("traffic", query_high)
-        assert not second.from_cache
-        assert (first.value, second.value) == (1.0, 2.0)
-        # the same callable object still hits
-        assert oblivious_store.query("traffic", query_low).from_cache
-        assert (
-            oblivious_store.query("traffic", Query.custom("mon", fn=high))
-            .value
-            == 2.0
-        )
 
     def test_cache_is_bounded_lru(self, oblivious_store):
         planner = QueryPlanner(oblivious_store, max_cache_entries=2)
@@ -210,23 +146,32 @@ class TestCache:
 
     def test_uncacheable_runs_count_as_misses(self, oblivious_store):
         """Regression: ``run`` counted a miss only when it stored the
-        result, so a query whose cache key is unhashable was recomputed
-        on every call without ever showing in the miss rate."""
+        result.  A result an engine replacement raced is returned but
+        not cached, and it still counts as a miss."""
+        store = oblivious_store
+        planner = QueryPlanner(store)
+        read = store.column_view
 
-        class EveryKey:
-            __hash__ = None  # a predicate that cannot key the cache
+        def adopt_after_read(name, instances):
+            view = read(name, instances)
+            store.adopt(name, store.engine(name))  # the epoch moves
+            return view
 
-            def __call__(self, key):
-                return True
-
-        planner = QueryPlanner(oblivious_store)
-        query = Query.distinct("mon", "tue", predicate=EveryKey())
-        for _ in range(2):
-            assert not planner.run("traffic", query).from_cache
+        store.column_view = adopt_after_read
+        query = Query.distinct("mon", "tue")
+        assert not planner.run("traffic", query).from_cache
         stats = planner.cache_stats()
-        assert (stats["hits"], stats["misses"], stats["entries"]) == (0, 2, 0)
+        assert (stats["hits"], stats["misses"], stats["entries"]) == (0, 1, 0)
         assert stats["hit_rate"] == 0.0
+        store.column_view = read
+        assert not planner.run("traffic", query).from_cache
+        assert planner.run("traffic", query).from_cache
 
     def test_float_protocol(self, oblivious_store):
         result = oblivious_store.query("traffic", Query.sum("mon"))
         assert float(result) == float(result.value)
+
+
+def test_value_json_refuses_an_unknown_type():
+    with pytest.raises(TypeError, match="bytes"):
+        query_value_json(b"not a query value")

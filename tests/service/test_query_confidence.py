@@ -4,7 +4,9 @@ The payloads are pinned against the paper's variance estimators computed
 by hand on the same merged sketches the planner queried, the refusal
 policy is checked for every query shape without an applicable estimator,
 and the cache tests assert the quality payload rides the version-keyed
-result cache with its value.
+result cache with its value.  The numbered ``sum`` cases pin the served
+Poisson subset sum and its variance bit for bit against a per-key loop
+over the merged sketch's offline sample.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from repro.aggregates.distinct import (
     distinct_ht_variance,
     distinct_l_variance,
 )
-from repro.core.max_oblivious import MaxObliviousL
 from repro.exceptions import ConfidenceUnavailableError
-from repro.sampling.ranks import PpsRanks
+from repro.obs import TraceRecorder, set_default_recorder
+from repro.sampling.ranks import ExpRanks, PpsRanks, UniformRanks
 from repro.sampling.seeds import SeedAssigner
 from repro.service.confidence import CONFIDENCE_LEVEL, query_confidence
 from repro.service.queries import Query
@@ -151,12 +153,99 @@ class TestSumConfidence:
         assert "cv_bound" not in confidence  # bottom-k only
         assert confidence["ci90"]["upper"] >= result.value
 
-    def test_zero_estimate_has_no_cv(self, oblivious_store):
-        query = Query.sum("mon", predicate=lambda key: False)
-        result = confident(oblivious_store, "traffic", query)
+
+def sequential_sum(store, name, instance) -> tuple[float, float]:
+    """The Horvitz-Thompson total and plug-in variance of one Poisson
+    instance, one key at a time in the sample's order."""
+    sample = store.merged_sketch(name, instance).to_sample()
+    total = variance = 0.0
+    for key, value in sample.entries.items():
+        p = sample.inclusion_probabilities[key]
+        total += value / p
+        variance += value * value * (1.0 - p) / (p * p)
+    return total, variance
+
+
+def poisson_store(threshold, rank_family, values, salt=7) -> SketchStore:
+    store = SketchStore()
+    store.create(
+        "p", "poisson", threshold=threshold, rank_family=rank_family,
+        seed_assigner=SeedAssigner(salt=salt), n_shards=4,
+    )
+    keys = np.random.default_rng(salt).choice(10**6, size=len(values), replace=False)
+    ingest(store, "p", "mon", keys, values)
+    ingest(store, "p", "tue", keys[::2], values[::2] + 1.0)
+    return store
+
+
+def served_sum(store) -> tuple[float, float]:
+    result = store.query("p", Query("sum", ("mon",), confidence=True))
+    return result.value, result.confidence["variance"]
+
+
+class TestPoissonSum:
+    @pytest.mark.parametrize(
+        "rank_family, threshold",
+        [(UniformRanks(), 0.3), (UniformRanks(), 0.005)],
+    )
+    def test_sum_001_uniform_ranks_match_the_per_key_loop(
+        self, rank_family, threshold
+    ):
+        _, values = make_columns(3000, seed=21)
+        store = poisson_store(threshold, rank_family, values)
+        assert served_sum(store) == sequential_sum(store, "p", "mon")
+
+    @pytest.mark.parametrize("threshold", [0.02, 3.0])
+    def test_sum_002_pps_ranks_match_the_per_key_loop(self, threshold):
+        _, values = make_columns(3000, seed=22)
+        store = poisson_store(threshold, PpsRanks(), values)
+        assert served_sum(store) == sequential_sum(store, "p", "mon")
+
+    @pytest.mark.parametrize("threshold", [0.02, 2.0])
+    def test_sum_003_exp_ranks_match_the_per_key_loop(self, threshold):
+        _, values = make_columns(3000, seed=23)
+        store = poisson_store(threshold, ExpRanks(), values)
+        assert served_sum(store) == sequential_sum(store, "p", "mon")
+
+    @pytest.mark.parametrize(
+        "rank_family, threshold",
+        [(UniformRanks(), 0.5), (PpsRanks(), 3.0), (ExpRanks(), 2.0)],
+    )
+    def test_sum_004_subnormal_and_tied_values(self, rank_family, threshold):
+        values = np.full(2000, 1.25)  # ties
+        values[:600] = 5e-324 * np.arange(1, 601)  # subnormals
+        values[600:900] = np.linspace(0.01, 9.0, 300)
+        store = poisson_store(threshold, rank_family, values, salt=3)
+        assert served_sum(store) == sequential_sum(store, "p", "mon")
+
+    def test_sum_005_no_retained_key_has_no_cv(self, oblivious_store):
+        # zero values make an instance that retains no key
+        ingest(oblivious_store, "traffic", "empty", [1, 2, 3], [0.0] * 3)
+        result = confident(oblivious_store, "traffic", Query.sum("empty"))
+        assert len(oblivious_store.merged_sketch("traffic", "empty")) == 0
         assert result.value == 0.0
-        assert result.confidence["cv"] is None
         assert result.confidence["variance"] == 0.0
+        assert result.confidence["cv"] is None
+
+    def test_sum_006_reuses_the_pair_querys_view(self, oblivious_store):
+        engine = oblivious_store.engine("traffic")
+        merge, merged = engine.sketch, []
+        engine.sketch = lambda label: merged.append(label) or merge(label)
+        recorder = TraceRecorder()
+        previous = set_default_recorder(recorder)
+        try:
+            confident(oblivious_store, "traffic", Query.distinct("mon", "tue"))
+            for instance in ("mon", "tue"):
+                result = confident(oblivious_store, "traffic", Query.sum(instance))
+                assert not result.from_cache
+        finally:
+            set_default_recorder(previous)
+        (read,) = recorder.recent(name="store.columns")
+        assert read.attrs["instances"] == 2
+        assert merged == ["mon", "tue"]  # the sums fold no shard
+        assert (result.value, result.confidence["variance"]) == sequential_sum(
+            oblivious_store, "traffic", "tue"
+        )
 
 
 class TestRefusals:
@@ -181,20 +270,6 @@ class TestRefusals:
     def test_l1_refused(self, oblivious_store):
         with pytest.raises(ConfidenceUnavailableError, match="l1"):
             confident(oblivious_store, "traffic", Query.l1("mon", "tue"))
-
-    def test_custom_refused(self, oblivious_store):
-        query = Query.custom("mon", fn=lambda sketches: 42.0)
-        with pytest.raises(
-            ConfidenceUnavailableError, match="no variance estimator"
-        ):
-            confident(oblivious_store, "traffic", query)
-
-    def test_estimator_weighted_sum_refused(self, oblivious_store):
-        query = Query.sum("mon", "tue", estimator=MaxObliviousL((0.5, 0.5)))
-        with pytest.raises(
-            ConfidenceUnavailableError, match="multi-instance"
-        ):
-            confident(oblivious_store, "traffic", query)
 
     def test_refusal_is_a_value_error(self, oblivious_store):
         # the server maps ValueError subclasses to HTTP 400

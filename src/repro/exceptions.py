@@ -82,3 +82,13 @@ class ConfidenceUnavailableError(ReproError, ValueError):
 class UnknownStoreError(ReproError, KeyError):
     """Raised by :class:`repro.service.SketchStore` when a named engine is
     not registered in the store."""
+
+
+class EngineBusyError(RuntimeError):
+    """Raised by a non-waiting read of :class:`repro.service.SketchStore`
+    (``wait=False``) when another thread holds the engine's lock.
+
+    Internal control flow, not a client error: the HTTP server catches
+    it and reruns the query on its query lane, which waits for the lock.
+    It derives from :class:`RuntimeError`, not :class:`ReproError`, so
+    one that escaped would be a loud ``500``, never a ``400``."""

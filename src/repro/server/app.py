@@ -3,9 +3,9 @@
 :class:`SketchServer` turns a :class:`repro.service.SketchStore` into a
 long-lived network service using nothing but the standard library: an
 ``asyncio`` accept loop speaking the minimal HTTP/1.1 of
-:mod:`repro.server.protocol`, with every store operation — ingest,
-query, snapshot, merge — pushed onto a worker thread so the event loop
-never blocks on an engine lock or estimator math.
+:mod:`repro.server.protocol`.  Ingest, snapshot and merge run on worker
+threads, and a query reads an engine only when its lock is free, so the
+event loop never blocks on an engine lock.
 
 Endpoints
 ---------
@@ -41,10 +41,15 @@ Concurrency model
 The event loop parses requests and serializes responses.  Ingest,
 snapshot, merge, replication and the health/metrics pages ``await`` a
 thread pool of ``ServerConfig.ingest_threads``.  A query the result
-cache cannot answer runs on the one-thread query lane instead, so cold
-queries run one at a time rather than convoying on the GIL, and nothing
-else queues behind them.  Each hop records its queue wait as an
-``executor.wait`` span.  Per-engine in-flight ingest
+cache cannot answer runs inline on the event loop when its engine's
+lock is free: a cold query is mostly short NumPy calls, and handing it
+to a thread costs more in GIL trades than the math.  Other connections
+wait for that query's estimator math, but never for an engine lock.
+When a submit, snapshot, merge or adoption holds the lock, the store
+raises :class:`~repro.exceptions.EngineBusyError` before any work and
+the query reruns on the one-thread query lane, which waits for the
+lock there.  Each hop records its queue wait as an ``executor.wait``
+span.  Per-engine in-flight ingest
 batches are bounded by ``ServerConfig.max_pending_batches`` — beyond the
 bound the server answers ``503`` with ``Retry-After`` instead of letting
 queues grow without bound.  The store applies one ingest group at a
@@ -79,6 +84,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from repro.exceptions import (
+    EngineBusyError,
     InvalidParameterError,
     ReproError,
     UnknownStoreError,
@@ -304,11 +310,12 @@ class SketchServer:
             max_workers=self.config.ingest_threads,
             thread_name_prefix="sketch-server",
         )
-        # Cold queries run one at a time on their own thread.  A query is
-        # ~100 short NumPy calls, each releasing and retaking the GIL, so
-        # a second query thread adds convoying, not compute.  The cost: a
-        # query waiting in the store for an in-flight ingest on its
-        # engine holds the lane, and other engines' queries wait with it.
+        # A cold query whose engine is busy waits for the lock here, one
+        # at a time.  A query is ~100 short NumPy calls, each releasing
+        # and retaking the GIL, so a second query thread adds convoying,
+        # not compute.  The cost: a query waiting in the store for an
+        # in-flight ingest on its engine holds the lane, and other busy
+        # engines' queries wait with it.  The thread starts on first use.
         self._query_lane = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="sketch-query"
         )
@@ -1144,13 +1151,16 @@ class SketchServer:
             variant=params.get("variant", "l"),
             confidence=_flag(params, "confidence"),
         )
-        # cache probes are cheap enough for the event loop; only pay the
-        # executor hop when the result actually needs recomputing
+        # cache probes are cheap enough for the event loop, and so is a
+        # recompute on a free engine; only a busy engine pays the lane hop
         result = self.planner.peek(name, query)
         if result is None:
-            result = await self._hop(
-                self._query_lane, partial(self.planner.run, name, query)
-            )
+            try:
+                result = self.planner.run(name, query, wait=False)
+            except EngineBusyError:
+                result = await self._hop(
+                    self._query_lane, partial(self.planner.run, name, query)
+                )
         payload = {
             "name": name,
             "kind": kind,

@@ -34,7 +34,8 @@ class ServerConfig:
         Size of the thread-pool executor that runs store ingests,
         snapshots, merges, replication and the health/metrics pages,
         keeping engine-lock waits off the event loop.  Queries the result
-        cache cannot answer run on a separate one-thread query lane.
+        cache cannot answer run on the event loop when their engine is
+        free, and otherwise on a separate one-thread query lane.
     max_pending_batches:
         Per-engine bound on ingest batches that may be queued or running
         at once.  Requests beyond the bound are rejected with ``503`` and

@@ -207,10 +207,9 @@ class QueryPlanner:
 
         Never computes anything and never waits on the store's
         per-engine locks — a cache probe cheap enough for a serving
-        event loop to call inline before deciding whether to pay for a
-        recompute on a worker thread.  A hit counts toward :attr:`hits`;
-        a miss leaves the counters untouched (the caller is expected to
-        follow up with :meth:`run`).
+        event loop to call inline before it pays for a recompute.  A
+        hit counts toward :attr:`hits`; a miss leaves the counters
+        untouched (the caller is expected to follow up with :meth:`run`).
         """
         state = self._store.state_hint(name)
         key = (name, state, query)
@@ -222,9 +221,16 @@ class QueryPlanner:
                 return QueryResult(value, state[0], True, confidence)
         return None
 
-    def run(self, name: str, query: Query) -> QueryResult:
+    def run(self, name: str, query: Query, *, wait: bool = True) -> QueryResult:
         """Execute ``query`` against store ``name``, serving from the
-        cache when the engine version has not moved."""
+        cache when the engine version has not moved.
+
+        ``wait=False`` never waits for the engine's lock: if another
+        thread holds it, :class:`~repro.exceptions.EngineBusyError` is
+        raised before the view memo, :attr:`misses` or the cache change.
+        That attempt still leaves one ``planner.query`` span, with
+        ``error`` set.
+        """
         with span(
             "planner.query", engine=name, kind=query.kind
         ) as span_attrs:
@@ -239,7 +245,9 @@ class QueryPlanner:
             # version).  The epoch is read around the view, and a result
             # an engine replacement raced is returned but not cached.
             epoch = self._store.state_hint(name)[1]
-            version, sketches = self._store.column_view(name, query.instances)
+            version, sketches = self._store.column_view(
+                name, query.instances, wait=wait
+            )
             value = self._dispatch(sketches, query)
             # computed against the same sketches as the value, so the
             # quality payload describes exactly this estimate (and rides

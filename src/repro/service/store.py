@@ -24,7 +24,9 @@ registry of named :class:`~repro.streaming.StreamEngine` instances with
 Reads (queries, snapshots, merges) are quiescent: they hold the engine's
 lock, so they wait for at most one group's apply and briefly block new
 ingests, and every exported state and every version observed is a
-consistent point-in-time view.
+consistent point-in-time view.  A query read may instead refuse to wait
+(``column_view(..., wait=False)``): it takes the lock only if it is free
+and otherwise raises :class:`~repro.exceptions.EngineBusyError`.
 
 Every ingest surface — live API calls, binary batch groups, row
 triples (grouped by :func:`group_rows`), recovery replay — funnels
@@ -54,6 +56,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from repro.exceptions import (
+    EngineBusyError,
     InvalidParameterError,
     RowDecodeError,
     SketchCodecError,
@@ -90,7 +93,9 @@ class _StoreEntry:
         self.version = int(version)
         #: the one writer lock: a submit holds it while it logs, plans
         #: and applies one group, and a read holds it for the whole
-        #: read, so a read waits for at most one group's apply.  A
+        #: read, so a read waits for at most one group's apply.  A read
+        #: made with ``wait=False`` (the HTTP server's inline query)
+        #: takes it only when it is free, so it never waits at all.  A
         #: plain Lock, not an RLock: no holder of it ever takes it again.
         self.lock = threading.Lock()
         #: replacement counter: :meth:`SketchStore.adopt` advances it when
@@ -771,13 +776,19 @@ class SketchStore:
     # Quiescent reads
     # ------------------------------------------------------------------
     @contextmanager
-    def _read(self, name: str):
+    def _read(self, name: str, wait: bool = True):
         """Yield the entry under its lock, so no ingest changes it for
         the duration; the read waits for at most one group's apply, and
-        ingests queue behind it."""
+        ingests queue behind it.  With ``wait=False`` a held lock raises
+        :class:`~repro.exceptions.EngineBusyError` instead, before the
+        caller reads anything."""
         entry = self._entry(name)
-        with entry.lock:
+        if not entry.lock.acquire(wait):
+            raise EngineBusyError(f"engine {name!r} is busy")
+        try:
             yield entry
+        finally:
+            entry.lock.release()
 
     def snapshot_view(
         self, name: str, instances: Sequence[object]
@@ -792,7 +803,7 @@ class SketchStore:
             )
 
     def column_view(
-        self, name: str, instances: Sequence[object]
+        self, name: str, instances: Sequence[object], *, wait: bool = True
     ) -> tuple[int, list]:
         """A consistent ``(version, views)`` read of ``name``: the read
         every served query makes.
@@ -804,8 +815,13 @@ class SketchStore:
         folds its shards (and hashes its keys) once, and every later
         read at the same state reuses that work.  The memo holds one
         state at most; a read at a new state replaces it wholesale.
+
+        ``wait=False`` never waits for the engine's lock: if a submit,
+        snapshot, merge or adoption holds it, the read raises
+        :class:`~repro.exceptions.EngineBusyError` and leaves the memo
+        as it was.
         """
-        with self._read(name) as entry:
+        with self._read(name, wait) as entry:
             key = (entry.version, entry.epoch)
             memo_key, views = entry.columns
             if memo_key != key:

@@ -479,9 +479,9 @@ class TestErrorPaths:
         def spy(reader):
             read = getattr(store, reader)
 
-            def spied(name, instances):
+            def spied(name, instances, *args, **kwargs):
                 views.append((reader, name, tuple(instances)))
-                return read(name, instances)
+                return read(name, instances, *args, **kwargs)
 
             return spied
 

@@ -152,8 +152,8 @@ class TestCache:
         planner = QueryPlanner(store)
         read = store.column_view
 
-        def adopt_after_read(name, instances):
-            view = read(name, instances)
+        def adopt_after_read(name, instances, **kwargs):
+            view = read(name, instances, **kwargs)
             store.adopt(name, store.engine(name))  # the epoch moves
             return view
 

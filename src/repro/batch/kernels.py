@@ -13,8 +13,8 @@ All kernels take the canonical :class:`~repro.batch.OutcomeBatch` column
 layout — ``values``/``sampled``/``seeds`` of shape ``(n, r)`` — and return
 a float64 estimate vector of shape ``(n,)``, except the known-seed PPS
 pair: :func:`pps_max_r2_kernel` takes determining vectors (built from a
-batch by :func:`pps_determining_vector`, or from a pair join's row
-groups by :mod:`repro.streaming.query`) and returns both the
+batch by :func:`pps_determining_vector`, or from a pair join by
+:mod:`repro.streaming.query`) and returns both the
 ``max^(HT)`` and the ``max^(L)`` column.
 """
 
@@ -271,8 +271,11 @@ def pps_max_r2_kernel(
     # the zero rows divide 0 by 0 here; np.where drops those quotients
     with np.errstate(divide="ignore", invalid="ignore"):
         q1 = np.minimum(1.0, a / tau1)
-        q2 = np.minimum(1.0, a / tau2)
-        ht = np.where(known & positive, a / (q1 * q2), 0.0)
+        q2 = q1 if tau2 == tau1 else np.minimum(1.0, a / tau2)
+        # HT is positive on the known rows only, a fraction of a pair
+        ht = np.zeros(a.shape, dtype=np.float64)
+        scored = np.flatnonzero(known & positive)
+        ht[scored] = a[scored] / (q1[scored] * q2[scored])
         # Eq. (25): equal entries
         max_l = np.where(
             positive & (a == b), a / (q1 + (1.0 - q1) * q2), 0.0

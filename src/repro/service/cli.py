@@ -557,8 +557,10 @@ def _build_parser() -> argparse.ArgumentParser:
                             "ranks=...,salt=...,coordinated=...,"
                             "shards=...); repeatable")
     serve.add_argument("--threads", type=int, default=4,
-                       help="ingest executor threads (cold queries run "
-                            "on one dedicated thread)")
+                       help="ingest, snapshot and health executor "
+                            "threads (a cold query runs inline on the "
+                            "event loop, and on one query thread only "
+                            "while its engine is busy)")
     serve.add_argument("--max-pending-batches", type=int, default=32,
                        help="per-engine in-flight ingest bound "
                             "(backpressure: 503 beyond it)")

@@ -22,10 +22,18 @@ joins by merging the two sorted hash columns.  Other key types, three
 or more views and hash collisions keep the exact ``dict`` join.
 
 The pair queries (:func:`distinct_count`, :func:`l1_distance`,
-:func:`max_dominance`) build no outcome batch: they read the join's
-three row groups.  A key both views retain is sampled in both and
-needs no seed; a key one view retains needs only the other view's
-seed, as the seed-selected test or the PPS seed bound.
+:func:`max_dominance`) build no outcome batch, and most pairs take the
+*candidate join*.  The instances are seeded independently, so a key
+both views retain passes each view's own retention rule.  When both
+views are *self-selected* (every key a view holds passes its rule, a
+memoised check), the matches are looked for only among the first
+view's keys that the second view's rule could keep at its largest
+value: about one key in twenty under weight-oblivious ranks at
+``p = 0.05``.  Any other pair takes the full join; both find the same
+matches, and every per-row term and the union row order are the
+same.  A key both views retain is sampled in both and needs no seed;
+a key one view retains needs only the other view's seed, as the
+seed-selected test or the PPS seed bound.
 
 The multi-instance estimators assume instances were sampled
 *independently*; sketches built from a ``coordinated=True`` seed assigner
@@ -55,7 +63,7 @@ from repro.core.estimator_base import VectorEstimator
 from repro.exceptions import InvalidParameterError
 from repro.sampling.outcomes import VectorOutcome
 from repro.sampling.ranks import PpsRanks, RankFamily, UniformRanks
-from repro.sampling.seeds import SeedAssigner, hash_key_column
+from repro.sampling.seeds import SeedAssigner, hash_key_column, uniform_cutoff
 from repro.streaming.sketch import StreamingBottomK, StreamingPoisson
 
 __all__ = [
@@ -140,6 +148,37 @@ class SketchColumns:
             return None
         order.flags.writeable = ordered.flags.writeable = False
         return order, ordered
+
+    @_memoised
+    def self_selected(self) -> bool:
+        """Whether the view's own retention rule accounts for every key
+        it holds, so a pair join may look for the keys both views
+        retain among the keys that rule could keep (:func:`_pair_join`).
+
+        The view must have a :attr:`join_index` and PPS or
+        weight-oblivious ranks, and each key's rank at its value, from
+        the seed its hash gives, must pass the threshold as
+        :meth:`StreamingPoisson._keeps` compares it.  A restored rank
+        column that is not the keys' seeds, or a NaN or zero value,
+        fails.
+        """
+        family = type(self.rank_family)
+        if self.join_index is None or family not in (UniformRanks, PpsRanks):
+            return False
+        seeds = self.seed_assigner.seeds_from_hashes(self.hashes, self.instance)
+        ranks = self.rank_family.rank(self.values, seeds)
+        if family is UniformRanks:
+            return bool(np.all(ranks <= self.threshold))
+        return bool(np.all(ranks < self.threshold))
+
+    @_memoised
+    def int_span(self) -> tuple[int, int] | None:
+        """The least and the largest key of a canonical view of int
+        keys, or ``None``: a view of ``str`` keys, an empty view, or one
+        that is not canonical."""
+        if not (self.canonical and self.keys) or isinstance(self.keys[0], str):
+            return None
+        return int(min(self.keys)), int(max(self.keys))
 
     @classmethod
     def of(cls, sketch: StreamingPoisson | SketchColumns) -> SketchColumns:
@@ -239,14 +278,37 @@ def _sorted_rows(first: SketchColumns, second: SketchColumns) -> np.ndarray | No
     at = np.flatnonzero(ordered[1:] == ordered[:-1])
     mine = order1[by_hash[at]]
     theirs = order2[by_hash[at + 1] - len(sorted1)]
-    keys1, keys2 = first.keys, second.keys
-    if [keys1[row] for row in mine.tolist()] != [
-        keys2[row] for row in theirs.tolist()
-    ]:
+    if not _same_keys(first, mine, second, theirs):
         return None
-    rows = np.full(len(keys2), -1, dtype=np.intp)
+    rows = np.full(len(second.keys), -1, dtype=np.intp)
     rows[theirs] = mine
     return rows
+
+
+def _same_keys(
+    first: SketchColumns,
+    mine: np.ndarray,
+    second: SketchColumns,
+    theirs: np.ndarray,
+) -> bool:
+    """Whether ``first``'s keys at rows ``mine`` equal ``second``'s at
+    rows ``theirs``, pair by pair, where their hashes do.
+
+    An int key hashes as SplitMix64, a bijection, of its value modulo
+    ``2**64`` (:func:`~repro.sampling.seeds.hash_key_column`), so two
+    int keys with equal hashes are equal unless they differ by a
+    multiple of ``2**64`` (``-1`` and ``2**64 - 1``).  When the keys of
+    both views lie in one window narrower than that
+    (:attr:`SketchColumns.int_span`), the hashes prove the match.
+    """
+    span1, span2 = first.int_span, second.int_span
+    if span1 is not None and span2 is not None:
+        if max(span1[1], span2[1]) - min(span1[0], span2[0]) < 1 << 64:
+            return True
+    keys1, keys2 = first.keys, second.keys
+    return [keys1[row] for row in mine.tolist()] == [
+        keys2[row] for row in theirs.tolist()
+    ]
 
 
 def _dict_rows(index: dict, view: SketchColumns) -> np.ndarray:
@@ -268,69 +330,135 @@ def _join_rows(first: SketchColumns, second: SketchColumns) -> np.ndarray:
     return rows
 
 
-class _PairRows(NamedTuple):
-    """The join of two views as row groups, in union order: ``first``'s
-    rows, then the rows only ``second`` retains.
+def _seed_selected(view: SketchColumns, hashes: np.ndarray) -> np.ndarray:
+    """Whether ``view``'s seed of each key with these hashes is at most
+    its threshold, tested on the mixed ``uint64`` values against
+    :func:`~repro.sampling.seeds.uniform_cutoff`: the same answer as
+    ``seeds <= threshold``, without building the seeds."""
+    cutoff = uniform_cutoff(view.threshold)
+    if cutoff < 0:  # a threshold below every seed
+        return np.zeros(len(hashes), dtype=bool)
+    mixed = view.seed_assigner._mix(hashes, view.instance)
+    return mixed <= np.uint64(cutoff)
 
-    Union row ``i < len(rows1)`` is ``first``'s row ``rows1[i]``; its
-    key is retained by both views when ``other[i] >= 0`` (``second``'s
-    row of it), else by ``first`` only (``only1[i]``).  The union rows
-    after those are ``second``'s rows ``rows2``.  A key retained by both
-    is sampled in both; a key retained by one view needs only the other
-    view's seed.
+
+def _seed_cap(view: SketchColumns) -> float:
+    """A seed bound of a PPS ``view``: every key a
+    :attr:`~SketchColumns.self_selected` view holds has its seed ``u``
+    at most this.
+
+    Such a key passed ``u / max(v, 1e-300) < t``.  The division is
+    correctly rounded and ``t`` is a float, so the exact quotient is
+    below ``t`` too.  So ``u`` is below the exact ``t * max(v, 1e-300)``,
+    which is at most ``t * max(vmax, 1e-300)`` for the view's largest
+    value ``vmax``, and a float below a real number is at most that
+    number's correct rounding, the product computed here.
+    """
+    top = view.values.max(initial=0.0)
+    return view.threshold * max(top, 1e-300)
+
+
+def _candidate_matches(
+    first: SketchColumns, second: SketchColumns, candidates: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The matched row pairs of two views, looked for only among
+    ``first``'s ``candidates`` rows: ``(mine, theirs)``, or ``None`` when
+    a hash match joins unequal keys (a collision).
+
+    The candidates' hashes are sorted, then found in ``second``'s
+    sorted hashes (:attr:`SketchColumns.join_index`, one row per hash).
+    """
+    order2, sorted2 = second.join_index
+    rows = np.flatnonzero(candidates)
+    if not (rows.size and sorted2.size):
+        return rows[:0], rows[:0]
+    hashes = first.hashes[rows]
+    by_hash = np.argsort(hashes)
+    ordered = hashes[by_hash]
+    at = np.searchsorted(sorted2, ordered)
+    np.minimum(at, sorted2.size - 1, out=at)
+    hit = sorted2[at] == ordered
+    mine, theirs = rows[by_hash[hit]], order2[at[hit]]
+    if mine.size and not _same_keys(first, mine, second, theirs):
+        return None
+    return mine, theirs
+
+
+class _PairJoin(NamedTuple):
+    """The join of two views as the rows of their union, in union order:
+    ``first``'s rows ``rows1``, then ``second``'s rows ``only2``.
+
+    ``mine``/``theirs`` pair each of ``first``'s union rows whose key
+    ``second`` retains with ``second``'s row of it, in no set order.
+    ``rows1`` is ``slice(None)`` unless a predicate drops some of
+    ``first``'s keys; ``only2`` masks ``second``'s keys that ``first``
+    does not retain and the predicate accepts.
     """
 
-    first: SketchColumns
-    second: SketchColumns
     rows1: slice | np.ndarray
-    other: np.ndarray
-    only1: np.ndarray
-    rows2: np.ndarray
+    mine: np.ndarray
+    theirs: np.ndarray
+    only2: np.ndarray
 
-    def seeds1(self) -> np.ndarray:
-        """``first``'s seeds of the keys only ``second`` retains."""
-        first = self.first
-        return first.seed_assigner.seeds_from_hashes(
-            self.second.hashes[self.rows2], instance=first.instance
-        )
-
-    def seeds2(self) -> np.ndarray:
-        """``second``'s seeds of the keys only ``first`` retains."""
-        second = self.second
-        return second.seed_assigner.seeds_from_hashes(
-            self.first.hashes[self.rows1][self.only1], instance=second.instance
-        )
+    def positions(self) -> np.ndarray:
+        """The union row of each of ``mine``."""
+        if isinstance(self.rows1, slice):
+            return self.mine
+        return np.searchsorted(self.rows1, self.mine)
 
 
-def _pair_rows(
+def _pair_views(
     sketch1: StreamingPoisson | SketchColumns,
     sketch2: StreamingPoisson | SketchColumns,
-    predicate: KeyPredicate | None,
-) -> _PairRows:
-    """The two views' join (:func:`_join_rows`) as :class:`_PairRows`,
-    restricted to the union keys ``predicate`` accepts."""
+) -> tuple[SketchColumns, SketchColumns]:
     _check_family((sketch1, sketch2))
-    first, second = SketchColumns.of(sketch1), SketchColumns.of(sketch2)
-    rows = _join_rows(first, second)
-    matched = np.flatnonzero(rows >= 0)
-    other = np.full(len(first.keys), -1, dtype=np.intp)
-    other[rows[matched]] = matched
-    rows1: slice | np.ndarray = slice(None)
-    rows2 = np.flatnonzero(rows < 0)
-    if predicate is not None:
-        rows1 = np.flatnonzero(
-            np.fromiter(map(predicate, first.keys), dtype=bool, count=len(other))
-        )
-        other = other[rows1]
-        keys2 = second.keys
-        rows2 = rows2[
-            np.fromiter(
-                (predicate(keys2[row]) for row in rows2.tolist()),
-                dtype=bool,
-                count=len(rows2),
-            )
-        ]
-    return _PairRows(first, second, rows1, other, other < 0, rows2)
+    return SketchColumns.of(sketch1), SketchColumns.of(sketch2)
+
+
+def _pair_join(
+    first: SketchColumns,
+    second: SketchColumns,
+    predicate: KeyPredicate | None,
+    candidates: np.ndarray,
+) -> _PairJoin:
+    """The two views' join as :class:`_PairJoin`, restricted to the
+    union keys ``predicate`` accepts.
+
+    ``candidates`` masks ``first``'s rows that ``second``'s retention
+    rule could keep, applied to ``second``'s seed of each key at
+    ``second``'s largest value: the rows ``second``'s seed selects under
+    weight-oblivious ranks (:func:`_seed_selected`), the rows whose
+    seed is at most :func:`_seed_cap` under PPS ranks.  When both views
+    are :attr:`~SketchColumns.self_selected`, every key both retain is
+    among them, so only they are looked for in ``second``
+    (:func:`_candidate_matches`).  Any other pair, and a candidate match
+    of unequal keys, takes the full join, :func:`_join_rows`.  Both find
+    the same matches.
+    """
+    matches = None
+    if first.self_selected and second.self_selected:
+        matches = _candidate_matches(first, second, candidates)
+    if matches is None:
+        rows = _join_rows(first, second)
+        theirs = np.flatnonzero(rows >= 0)
+        matches = rows[theirs], theirs
+    mine, theirs = matches
+    if predicate is None:
+        only2 = np.ones(len(second.keys), dtype=bool)
+        only2[theirs] = False
+        return _PairJoin(slice(None), mine, theirs, only2)
+    # a key both views retain is first's row, kept or dropped by its key
+    accepted = _accepted(first, predicate)
+    only2 = _accepted(second, predicate)
+    only2[theirs] = False
+    kept = accepted[mine]
+    return _PairJoin(np.flatnonzero(accepted), mine[kept], theirs[kept], only2)
+
+
+def _accepted(view: SketchColumns, predicate: KeyPredicate) -> np.ndarray:
+    return np.fromiter(
+        map(predicate, view.keys), dtype=bool, count=len(view.keys)
+    )
 
 
 def _outcome_columns(
@@ -525,29 +653,36 @@ def distinct_count(
 
     The Section 8.1 estimators with the sketch thresholds as inclusion
     probabilities and the shared seed assigner as the seed oracle.  The
-    five key categories are counted from the join's row groups: ``F11``
-    is retained by both sketches; a key retained by one sketch only is
+    five key categories are counted from the join: ``F11`` is retained
+    by both sketches; a key retained by one sketch only is
     ``F10``/``F01`` when the other sketch seed-selected it (observed
-    absent there) and ``F1?``/``F?1`` otherwise, so only those keys get
-    a seed.
+    absent there) and ``F1?``/``F?1`` otherwise.  The seed tests run on
+    the mixed hashes (:func:`_seed_selected`), and the keys of the first
+    sketch the second selects are the join's candidates.
     """
     _check_independent((sketch1, sketch2), "distinct_count")
     p1 = _check_uniform(sketch1, "distinct_count")
     p2 = _check_uniform(sketch2, "distinct_count")
-    pair = _pair_rows(sketch1, sketch2, predicate)
-    only1 = pair.only1
-    n_only1 = int(np.count_nonzero(only1))
-    seen2 = int(np.count_nonzero(pair.seeds2() <= p2))
-    seen1 = int(np.count_nonzero(pair.seeds1() <= p1))
+    first, second = _pair_views(sketch1, sketch2)
+    seen1 = _seed_selected(second, first.hashes)
+    join = _pair_join(first, second, predicate, seen1)
+    both = len(join.mine)
+    selected1 = seen1[join.rows1]
+    seen_only1 = int(np.count_nonzero(selected1)) - int(
+        np.count_nonzero(seen1[join.mine])
+    )
+    seen_only2 = int(
+        np.count_nonzero(_seed_selected(first, second.hashes) & join.only2)
+    )
     counts = dict(
         zip(
             CATEGORY_NAMES,
             (
-                len(only1) - n_only1,
-                n_only1 - seen2,
-                seen2,
-                len(pair.rows2) - seen1,
-                seen1,
+                both,
+                len(selected1) - both - seen_only1,
+                seen_only1,
+                int(np.count_nonzero(join.only2)) - seen_only2,
+                seen_only2,
             ),
         )
     )
@@ -566,24 +701,26 @@ def l1_distance(
     :func:`repro.aggregates.distance.l1_distance_ht`.  A key that is
     seed-selected but not retained by a sketch was observed to be zero
     there, so keys of one instance seed-selected by the other contribute
-    their full value.
+    their full value.  Terms are computed on those keys only, in union
+    order.
     """
     _check_independent((sketch1, sketch2), "l1_distance")
     p1 = _check_uniform(sketch1, "l1_distance")
     p2 = _check_uniform(sketch2, "l1_distance")
-    pair = _pair_rows(sketch1, sketch2, predicate)
-    first, second, other = pair.first, pair.second, pair.other
-    only1 = pair.only1
-    # the first union rows: second's value where it retains the key, an
-    # observed zero where it seed-selected it, no term otherwise
-    sampled2 = ~only1
-    values2 = np.zeros(len(other), dtype=np.float64)
-    values2[sampled2] = second.values[other[sampled2]]
-    sampled2[only1] = pair.seeds2() <= p2
+    first, second = _pair_views(sketch1, sketch2)
+    seen1 = _seed_selected(second, first.hashes)
+    join = _pair_join(first, second, predicate, seen1)
+    # first's union rows second sampled: retained there, or seed-selected
+    # and so an observed zero
+    seen1[join.mine] = True
+    rows = np.flatnonzero(seen1[join.rows1])
+    values2 = np.zeros(rows.size, dtype=np.float64)
+    values2[np.searchsorted(rows, join.positions())] = second.values[join.theirs]
+    only2 = _seed_selected(first, second.hashes) & join.only2
     terms = np.concatenate(
         (
-            np.abs(first.values[pair.rows1] - values2)[sampled2],
-            np.abs(second.values[pair.rows2][pair.seeds1() <= p1]),
+            np.abs(first.values[join.rows1][rows] - values2),
+            np.abs(second.values[only2]),
         )
     ) / (p1 * p2)
     # cumsum adds sequentially in union order (``sum`` would add
@@ -612,13 +749,15 @@ def max_dominance(
     ``tau_star = 1 / tau`` — the scheme the ``max^(HT)`` / ``max^(L)``
     known-seed estimators are derived for.
 
-    The determining vector of every union key is built straight from
-    the join's row groups, in union order: a key both sketches retain
-    is its value pair, and a key one sketch retains pairs its value
-    with the other sketch's seed bound
-    (:func:`~repro.batch.kernels.pps_one_sampled`), so only those keys
-    get a seed.  One :func:`~repro.batch.kernels.pps_max_r2_kernel`
-    call scores both estimators.
+    The determining vector of every union key is written straight
+    from the join, in union order: a key both sketches retain is its
+    value pair, and a key one sketch retains pairs its value with the
+    other sketch's seed bound
+    (:func:`~repro.batch.kernels.pps_one_sampled`).  The second
+    sketch's seeds of all the first's keys give those bounds and the
+    join's candidates.  One
+    :func:`~repro.batch.kernels.pps_max_r2_kernel` call scores both
+    estimators.
     """
     _check_independent((sketch1, sketch2), "max_dominance")
     for sketch in (sketch1, sketch2):
@@ -630,26 +769,32 @@ def max_dominance(
     tau1, tau2 = check_positive_vector(
         (1.0 / sketch1.threshold, 1.0 / sketch2.threshold), "tau_star"
     )
-    pair = _pair_rows(sketch1, sketch2, predicate)
-    first, second, other = pair.first, pair.second, pair.other
-    only1 = pair.only1
-    values1 = first.values[pair.rows1]
-    # both sampled where second retains the key, else its seed bound
-    known = ~only1
-    phi2 = np.empty(len(other), dtype=np.float64)
-    phi2[known] = second.values[other[known]]
-    phi2[only1], known[only1] = pps_one_sampled(
-        values1[only1], pair.seeds2() * tau2
+    first, second = _pair_views(sketch1, sketch2)
+    # second's seeds of first's keys: the seed bounds of the keys only
+    # first retains, and the join's candidates
+    seeds2 = second.seed_assigner.seeds_from_hashes(
+        first.hashes, instance=second.instance
     )
-    values2 = second.values[pair.rows2]
-    phi1, known2 = pps_one_sampled(values2, pair.seeds1() * tau1)
-    ht, max_l = pps_max_r2_kernel(
-        np.concatenate((values1, phi1)),
-        np.concatenate((phi2, values2)),
-        np.concatenate((known, known2)),
-        tau1,
-        tau2,
+    join = _pair_join(first, second, predicate, seeds2 <= _seed_cap(second))
+    values1 = first.values[join.rows1]
+    rows2 = np.flatnonzero(join.only2)
+    values2 = second.values[rows2]
+    n1 = values1.size
+    phi1 = np.empty(n1 + values2.size, dtype=np.float64)
+    phi2 = np.empty_like(phi1)
+    known = np.empty(phi1.size, dtype=bool)
+    phi1[:n1] = values1
+    phi2[:n1], known[:n1] = pps_one_sampled(values1, seeds2[join.rows1] * tau2)
+    # both sampled where second retains the key
+    at = join.positions()
+    phi2[at] = second.values[join.theirs]
+    known[at] = True
+    seeds1 = first.seed_assigner.seeds_from_hashes(
+        second.hashes[rows2], instance=first.instance
     )
+    phi1[n1:], known[n1:] = pps_one_sampled(values2, seeds1 * tau1)
+    phi2[n1:] = values2
+    ht, max_l = pps_max_r2_kernel(phi1, phi2, known, tau1, tau2)
     return StreamingDominanceEstimate(
         ht=float(ht.sum()), l=float(max_l.sum()), n_sampled_keys=len(ht)
     )

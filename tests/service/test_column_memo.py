@@ -3,6 +3,7 @@ state: replacement invalidation and coherence under interleaving."""
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 import threading
 
@@ -102,10 +103,18 @@ class TestColumnView:
         store = new_store()
         store.query("pps", Query("dominance", ("a", "b")))
         _, views = store.column_view("pps", ("a", "b"))
-        # the query filled the memo (its sorted hashes, and nothing
-        # else: a pair query seeds only the keys one view does not
-        # retain); the test reads it, computes nothing
-        assert all(set(vars(view)) >= {"join_index"} for view in views)
+        # the query filled the memo: each view's sorted hashes and its
+        # self-selected flag, the candidate join's precondition, plus
+        # the key span where keys matched; no column but the sorted
+        # hashes.  The test reads it, computes nothing
+        columns = {field.name for field in dataclasses.fields(SketchColumns)}
+        filled = [set(vars(view)) - columns for view in views]
+        assert all(
+            {"join_index", "self_selected"} <= names
+            <= {"join_index", "self_selected", "int_span"}
+            for names in filled
+        )
+        assert [vars(view)["self_selected"] for view in views] == [True, True]
         memoised = [view.join_index for view in views]
         store.query("pps", Query("dominance", ("b", "a")))
         _, again = store.column_view("pps", ("a", "b"))

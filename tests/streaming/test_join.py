@@ -10,9 +10,10 @@ through the binary codec.
 
 A pair of views joins on sorted hashes unless only the dict join is
 exact; the numbered cases also pin which of the two joins ran, and
-that the pair queries, which read the join's row groups rather than an
-outcome batch, return what ``reference_pair_query`` recomputes from the
-reference join.  Its dominance scores come from the two known-seed PPS
+that the pair queries, which read the join rather than an outcome
+batch, return what ``reference_pair_query`` recomputes from the
+reference join.  A pair query over two self-selected views takes the
+candidate join instead (``test_pairjoin.py``).  Its dominance scores come from the two known-seed PPS
 kernels the fused ``pps_max_r2_kernel`` replaced, frozen below; a
 Hypothesis test pins the fused kernel to them bit for bit.
 """
@@ -434,17 +435,27 @@ class TestJoinEdgeCases:
 # ----------------------------------------------------------------------
 @pytest.fixture
 def join_paths(monkeypatch):
-    """The join each pair of views took, in call order: ``"sorted"``,
-    or ``"dict"`` when the sorted join left the pair to the dict."""
+    """The join each pair of views took, in call order: ``"candidate"``,
+    ``"sorted"``, or ``"dict"`` when the sorted join left the pair to
+    the dict.  A candidate join that meets a collision records the full
+    join that replaced it."""
     paths = []
     sorted_rows = query_module._sorted_rows
+    candidate_matches = query_module._candidate_matches
 
     def spy(first, second):
         rows = sorted_rows(first, second)
         paths.append("dict" if rows is None else "sorted")
         return rows
 
+    def candidate_spy(first, second, candidates):
+        matches = candidate_matches(first, second, candidates)
+        if matches is not None:
+            paths.append("candidate")
+        return matches
+
     monkeypatch.setattr(query_module, "_sorted_rows", spy)
+    monkeypatch.setattr(query_module, "_candidate_matches", candidate_spy)
     return paths
 
 
@@ -565,9 +576,10 @@ def test_view_built_from_columns_joins_by_dict(join_paths):
 def test_store_views_of_integer_columns_join_sorted(join_paths, monkeypatch):
     """The served shape: NumPy int64 key columns ingested through the
     store, read as memoised column views.  A silent fall back to the
-    dict join here would cost the pair queries their speed, and so would
+    full join here would cost the pair queries their speed, and so would
     a detour through the ``(n, 2)`` outcome batch: every pair query
-    takes the sorted join and builds no batch."""
+    takes the candidate join and builds no batch, and an outcome batch
+    over the same views takes the sorted join, not the dict."""
     store = SketchStore()
     store.create("hours", "poisson", threshold=0.3, n_shards=4)
     store.create(
@@ -595,8 +607,11 @@ def test_store_views_of_integer_columns_join_sorted(join_paths, monkeypatch):
                 patch.setattr(query_module, "_outcome_columns", no_batch)
                 join_paths.clear()
                 assert served_pair_query(kind, views) == expected
-            assert join_paths == ["sorted"]
+            assert join_paths == ["candidate"]
             assert served_pair_query(kind, sketches) == expected
+        join_paths.clear()
+        _outcome_columns(views, None, include_seeds=True)
+        assert join_paths == ["sorted"]
         assert_same_join(sketches)
 
 

@@ -53,7 +53,7 @@ The package is organised as follows:
     The persistence and serving layer: a versioned binary wire format for
     sketch and engine state, the :class:`~repro.service.SketchStore`
     registry with thread-safe concurrent ingest, snapshots and
-    distributed-style snapshot fan-in, a version-cached declarative query
+    distributed-style snapshot fan-in, a per-instance cached declarative query
     planner, and the ``python -m repro.service`` CLI.
 
 ``repro.analysis``

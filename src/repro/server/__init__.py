@@ -10,11 +10,12 @@ network, standard-library only:
   with ``Allow``);
 * :mod:`repro.server.app` — :class:`SketchServer`, serving under
   ``/v1``: ``POST /v1/ingest`` (JSON/CSV/binary batches, per-engine
-  backpressure), ``GET /v1/query`` through the version-cached planner,
+  backpressure), ``GET /v1/query`` through the per-instance cached planner,
   ``POST /v1/snapshot`` / ``POST /v1/merge`` codec-backed persistence,
-  ``GET /v1/healthz`` / ``GET /v1/metrics``.  Store work runs on a thread-pool executor; graceful
-  shutdown drains requests and snapshots engines that changed since the
-  last snapshot;
+  ``GET /v1/healthz`` / ``GET /v1/metrics``.  Store work runs on a
+  thread-pool executor, except a cold query or a small ingest on a free
+  engine, which run on the event loop; graceful shutdown drains
+  requests and snapshots engines that changed since the last snapshot;
 * :mod:`repro.server.wire` — the columnar binary batch format behind
   ``Content-Type: application/x-repro-batch``, the ingest fast path
   that decodes straight into NumPy columns, plus the ``/replicate``

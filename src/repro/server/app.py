@@ -3,9 +3,10 @@
 :class:`SketchServer` turns a :class:`repro.service.SketchStore` into a
 long-lived network service using nothing but the standard library: an
 ``asyncio`` accept loop speaking the minimal HTTP/1.1 of
-:mod:`repro.server.protocol`.  Ingest, snapshot and merge run on worker
-threads, and a query reads an engine only when its lock is free, so the
-event loop never blocks on an engine lock.
+:mod:`repro.server.protocol`.  Snapshot, merge and large or durable
+ingest run on worker threads, and a query or small ingest touches an
+engine on the loop only when its lock is free, so the event loop never
+blocks on an engine lock.
 
 Endpoints
 ---------
@@ -20,7 +21,7 @@ POST     /v1/engines      create a named engine (JSON config)
 POST     /v1/ingest       ingest a JSON, CSV or binary update batch (bounded
                           per-engine backpressure; oversized batches 413)
 GET      /v1/query        distinct / sum / dominance / l1 through the
-                          version-cached :class:`QueryPlanner`
+                          per-instance cached :class:`QueryPlanner`
 POST     /v1/snapshot     persist the store through the binary codec
 POST     /v1/merge        fold a peer snapshot file into the store
 GET      /v1/replicate    WAL tail (or full store delta) since
@@ -38,17 +39,31 @@ GET      /v1/metrics/history  ring-buffered time series of one metric
 
 Concurrency model
 -----------------
-The event loop parses requests and serializes responses.  Ingest,
-snapshot, merge, replication and the health/metrics pages ``await`` a
-thread pool of ``ServerConfig.ingest_threads``.  A query the result
-cache cannot answer runs inline on the event loop when its engine's
-lock is free: a cold query is mostly short NumPy calls, and handing it
-to a thread costs more in GIL trades than the math.  Other connections
-wait for that query's estimator math, but never for an engine lock.
-When a submit, snapshot, merge or adoption holds the lock, the store
-raises :class:`~repro.exceptions.EngineBusyError` before any work and
-the query reruns on the one-thread query lane, which waits for the
-lock there.  Each hop records its queue wait as an ``executor.wait``
+The event loop parses requests and serializes responses.  Snapshot,
+merge, replication, the health/metrics pages and the ingests the loop
+does not run itself ``await`` a thread pool of
+``ServerConfig.ingest_threads``.  The loop itself runs two kinds of
+store work, each only when the engine's lock is free, so other
+connections wait for that work but never for an engine lock:
+
+* a query the result cache cannot answer: a cold query is mostly short
+  NumPy calls, and handing it to a thread costs more in GIL trades than
+  the math.  If a submit, snapshot, merge or adoption holds the lock,
+  the store raises :class:`~repro.exceptions.EngineBusyError` before
+  any work and the query reruns on the one-thread query lane, which
+  waits for the lock there;
+* the submit of an ingest body the loop also parses (at most
+  ``_PARSE_INLINE_BYTES``), when the store has no write-ahead log, so
+  the loop never fsyncs.  It takes the lock once for the whole request
+  or not at all: a held lock raises ``EngineBusyError`` before any
+  version, log record or sketch changes, and the submit reruns on the
+  pool.  A larger body, or any body of a WAL-attached store, is parsed
+  and submitted on the pool.
+
+Answers are cached per instance (:class:`QueryPlanner`): an ingest into
+one instance keeps every cached answer and column view of the others,
+and a cached answer reports the engine version it was computed at.
+Each executor hop records its queue wait as an ``executor.wait``
 span.  Per-engine in-flight ingest
 batches are bounded by ``ServerConfig.max_pending_batches`` — beyond the
 bound the server answers ``503`` with ``Retry-After`` instead of letting
@@ -161,8 +176,8 @@ _HTTP_FORMAT_BY_CONTENT_TYPE = {
 }
 
 
-#: ingest bodies up to this size parse on the event loop, larger ones
-#: on the executor
+#: ingest bodies up to this size parse (and, with no WAL, submit) on
+#: the event loop, larger ones on the executor
 _PARSE_INLINE_BYTES = 64 * 1024
 
 #: incoming ``X-Request-Id`` values are adopted only when they look
@@ -1013,12 +1028,13 @@ class SketchServer:
             self._ingest_requests -= 1
 
     async def _ingest_bounded(self, request: Request) -> tuple[int, dict]:
-        # small payloads parse faster than an executor hop costs; large
-        # ones would stall every other connection, so they hop
-        if len(request.body) > _PARSE_INLINE_BYTES:
-            parsed = await self._in_executor(self._parse_ingest, request)
-        else:
+        # small payloads parse (and submit) faster than an executor hop
+        # costs; large ones would stall every other connection, so they hop
+        inline = len(request.body) <= _PARSE_INLINE_BYTES
+        if inline:
             parsed = self._parse_ingest(request)
+        else:
+            parsed = await self._in_executor(self._parse_ingest, request)
         ingest, n_rows, n_batches = parsed
         name = ingest.engine
         if name not in self.store:
@@ -1042,7 +1058,7 @@ class SketchServer:
         self._pending[name] = pending + 1
         started = time.perf_counter()
         try:
-            version = await self._in_executor(self.store.submit, ingest)
+            version = await self._submit(ingest, inline)
         finally:
             remaining = self._pending.get(name, 1) - 1
             if remaining > 0:
@@ -1056,6 +1072,15 @@ class SketchServer:
             "batches": n_batches,
             "version": version,
         }
+
+    async def _submit(self, ingest: IngestRequest, inline: bool) -> int:
+        """Submit on the loop when ``inline``, the store has no log to
+        fsync and the engine is free; otherwise on the pool, which waits
+        for the engine's lock.  A refused inline attempt changed nothing."""
+        if inline and self.store.wal is None:
+            with contextlib.suppress(EngineBusyError):
+                return self.store.submit(ingest, wait=False)
+        return await self._in_executor(self.store.submit, ingest)
 
     def _parse_ingest(self, request: Request) -> tuple[IngestRequest, int, int]:
         """Parse an ingest body into its store-ready

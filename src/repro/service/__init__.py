@@ -18,8 +18,8 @@ state:
   a :class:`QueryPlanner` that routes distinct-count / sum / dominance /
   L1 queries over the store's memoised column views to the existing
   :mod:`repro.aggregates` and :mod:`repro.batch` estimator paths,
-  memoising results in a version-keyed cache that every ingest
-  invalidates;
+  memoising results in a cache keyed per instance: an ingest
+  invalidates the results that read the instance it wrote;
 * :mod:`repro.service.cli` — ``python -m repro.service
   ingest|snapshot|merge|query`` over CSV/JSONL update streams.
 """

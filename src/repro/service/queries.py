@@ -7,17 +7,18 @@ confidence.  :class:`QueryPlanner` routes it to the existing estimator
 paths — the Section-8 aggregate estimators of :mod:`repro.aggregates`
 and the vectorized :mod:`repro.batch` kernels, via the
 :mod:`repro.streaming.query` adapters — and memoises results in a
-**version-keyed cache**: the cache key embeds the engine's monotone
-ingest version and its replacement epoch, so any ingest or engine swap
-invalidates all cached results of that engine automatically and a hit is
-only ever served for the exact state it was computed from.
+**per-instance cache**: the cache key embeds the engine's replacement
+epoch and, for each instance the query reads, the engine version that
+last changed it.  A write to an instance, or an engine swap, invalidates
+exactly the cached results that read it, and a hit is only ever served
+for the exact state of its instances it was computed from.
 
 Every kind reads the store's memoised column views
 (:meth:`SketchStore.column_view`): a
 :class:`~repro.streaming.query.SketchColumns` per instance of a Poisson
 engine, the merged sketch per instance of a bottom-k one.  A miss on an
-instance already read at this engine state therefore folds and hashes
-nothing.
+instance no write has touched since its last read therefore folds and
+hashes nothing.
 
 Routing
 -------
@@ -151,6 +152,10 @@ class Query:
 class QueryResult:
     """A query value plus the engine version it was computed at.
 
+    A cached result keeps the version it was computed at, which can be
+    older than the engine's current one when only other instances have
+    changed since; the value is exact at both.
+
     ``confidence`` carries the estimate-quality payload
     (:func:`repro.service.confidence.query_confidence`) when the query
     asked for it, else ``None``.
@@ -166,14 +171,17 @@ class QueryResult:
 
 
 class QueryPlanner:
-    """Routes queries to the estimator paths, caching by engine version.
+    """Routes queries to the estimator paths, caching per instance.
 
-    The cache maps ``(store name, (engine version, epoch), query)`` to
-    the computed value.  Because the store bumps the version on every
-    ingest and the epoch on every engine replacement, stale entries are
-    never served; they age out of the LRU bound.  A result an engine
-    replacement raced is returned but not cached; like every computing
-    :meth:`run`, it counts as a miss.
+    The cache maps ``(store name, (epoch, last-change versions of the
+    query's instances), query)`` to the computed value and the version
+    it was computed at.  The store moves an instance's last-change
+    version on every submit, replay or merge that changes its sample,
+    and the epoch on every engine replacement, so stale entries are
+    never served; they age out of the LRU bound.  A write to one instance
+    keeps every cached answer that does not read it.  A computed result
+    is cached under the key read in the same lock hold as its views, so
+    it is exact for that key.
     """
 
     def __init__(self, store, max_cache_entries: int = 1024) -> None:
@@ -203,27 +211,29 @@ class QueryPlanner:
         }
 
     def peek(self, name: str, query: Query) -> QueryResult | None:
-        """The cached result at the store's current version, or ``None``.
+        """The cached result at the current state of the query's
+        instances, or ``None``.
 
         Never computes anything and never waits on the store's
         per-engine locks — a cache probe cheap enough for a serving
         event loop to call inline before it pays for a recompute.  A
-        hit counts toward :attr:`hits`; a miss leaves the counters
-        untouched (the caller is expected to follow up with :meth:`run`).
+        hit reports the version it was computed at and counts toward
+        :attr:`hits`; a miss leaves the counters untouched (the caller
+        is expected to follow up with :meth:`run`).
         """
-        state = self._store.state_hint(name)
-        key = (name, state, query)
+        key = (name, self._store.state_hint(name, query.instances)[1], query)
         with self._lock:
-            if key in self._cache:
-                self._cache.move_to_end(key)
-                self.hits += 1
-                value, confidence = self._cache[key]
-                return QueryResult(value, state[0], True, confidence)
-        return None
+            cached = self._cache.get(key)
+            if cached is None:
+                return None
+            self._cache.move_to_end(key)
+            self.hits += 1
+        value, version, confidence = cached
+        return QueryResult(value, version, True, confidence)
 
     def run(self, name: str, query: Query, *, wait: bool = True) -> QueryResult:
         """Execute ``query`` against store ``name``, serving from the
-        cache when the engine version has not moved.
+        cache when none of the instances it reads has changed.
 
         ``wait=False`` never waits for the engine's lock: if another
         thread holds it, :class:`~repro.exceptions.EngineBusyError` is
@@ -239,13 +249,11 @@ class QueryPlanner:
                 span_attrs["cache"] = "hit"
                 return cached
             span_attrs["cache"] = "miss"
-            # A consistent view: the version the sketches are read at is
-            # the version the result is cached under (ingests between the
-            # check above and here just cause a recompute at the newer
-            # version).  The epoch is read around the view, and a result
-            # an engine replacement raced is returned but not cached.
-            epoch = self._store.state_hint(name)[1]
-            version, sketches = self._store.column_view(
+            # the key comes from the lock hold the views were read in, so
+            # the result is cached under exactly the state it describes
+            # (a write between the probe above and here only makes this
+            # a recompute at the newer state)
+            version, key, sketches = self._store.keyed_view(
                 name, query.instances, wait=wait
             )
             value = self._dispatch(sketches, query)
@@ -257,17 +265,11 @@ class QueryPlanner:
                 if query.confidence
                 else None
             )
-            cacheable = self._store.state_hint(name)[1] == epoch
             with self._lock:
-                # every computed result is a miss, cached or not
                 self.misses += 1
-                if cacheable:
-                    self._cache[name, (version, epoch), query] = (
-                        value,
-                        confidence,
-                    )
-                    while len(self._cache) > self.max_cache_entries:
-                        self._cache.popitem(last=False)
+                self._cache[name, key, query] = (value, version, confidence)
+                while len(self._cache) > self.max_cache_entries:
+                    self._cache.popitem(last=False)
             return QueryResult(value, version, False, confidence)
 
     def execute(self, name: str, query: Query):

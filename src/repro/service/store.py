@@ -10,10 +10,13 @@ registry of named :class:`~repro.streaming.StreamEngine` instances with
   permutation guarantee), concurrent ingest of pre-aggregated updates
   produces sketches identical to serial ingest;
 * **monotone version counters** — every completed ingest bumps the named
-  engine's version and every engine replacement its epoch; together they
-  key the query-result cache of :class:`repro.service.queries.QueryPlanner`
-  and the store's own memo of per-instance column views
-  (:meth:`SketchStore.column_view`);
+  engine's version and records it as the last change of the instance
+  whose sample it changed, and every engine replacement bumps the
+  engine's epoch; the epoch and the last-change versions of the
+  instances a read touches key the query-result cache of
+  :class:`repro.service.queries.QueryPlanner` and the store's own memo
+  of per-instance column views (:meth:`SketchStore.column_view`), so a
+  write to one instance leaves the others' views and answers in place;
 * **durability** — :meth:`snapshot` writes the whole store through the
   versioned binary codec and :meth:`restore` brings it back,
   state-identical;
@@ -24,9 +27,10 @@ registry of named :class:`~repro.streaming.StreamEngine` instances with
 Reads (queries, snapshots, merges) are quiescent: they hold the engine's
 lock, so they wait for at most one group's apply and briefly block new
 ingests, and every exported state and every version observed is a
-consistent point-in-time view.  A query read may instead refuse to wait
-(``column_view(..., wait=False)``): it takes the lock only if it is free
-and otherwise raises :class:`~repro.exceptions.EngineBusyError`.
+consistent point-in-time view.  A query read or a submit may instead
+refuse to wait (``column_view(..., wait=False)``, ``submit(...,
+wait=False)``): it takes the lock only if it is free and otherwise
+raises :class:`~repro.exceptions.EngineBusyError` before any change.
 
 Every ingest surface — live API calls, binary batch groups, row
 triples (grouped by :func:`group_rows`), recovery replay — funnels
@@ -47,7 +51,7 @@ import operator
 import os
 import re
 import threading
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,14 +81,55 @@ __all__ = ["INGEST_FORMATS", "IngestFormat", "IngestRequest", "SketchStore",
            "csv_rows", "group_rows", "json_columns", "json_rows", "jsonl_rows"]
 
 
+class _InstanceState(NamedTuple):
+    """Which state of an engine's instances a derived value was read at.
+
+    ``epoch`` counts engine replacements (:meth:`SketchStore.adopt`),
+    and ``ticks`` maps each instance whose sample changed since the last
+    one to the engine version that last changed it; an instance absent
+    from it is at tick 0.  Versions only grow within an epoch and every
+    change takes a new one, so ``(epoch, tick)`` names one state of one
+    instance.  A published value is never mutated: a change publishes a
+    new one, so a lock-free reader sees the epoch and the ticks of one
+    moment.
+    """
+
+    epoch: int
+    ticks: Mapping[object, int]
+
+    def key(self, instances: Iterable[object]) -> tuple:
+        """``(epoch, ticks of instances)``: the cache key of a value
+        derived from exactly these instances."""
+        ticks = self.ticks
+        return self.epoch, tuple([ticks.get(label, 0) for label in instances])
+
+    def moved(self, instances: Iterable[object], version: int) -> "_InstanceState":
+        """This state with ``instances`` last changed at ``version``."""
+        return _InstanceState(
+            self.epoch, {**self.ticks, **dict.fromkeys(instances, version)}
+        )
+
+
 class _StoreEntry:
-    """A named engine plus its lock, version and derived-state caches."""
+    """A named engine plus its lock, version, per-instance change state
+    and column-view memo.
+
+    ``state`` (an :class:`_InstanceState`) keys every cache of derived
+    state: the column memo here and the result cache of
+    :class:`repro.service.queries.QueryPlanner`.  Every path that changes
+    an instance moves that instance's tick under the lock — a submit
+    (live or replayed) the instance of each group whose plan routes a
+    row to a shard, a merge every instance the peer holds — and an
+    engine replacement moves the epoch, so no cached value outlives the
+    state it was read at, and a write to one instance keeps the others'
+    views and answers.
+    """
 
     __slots__ = (
         "engine",
         "version",
         "lock",
-        "epoch",
+        "state",
         "columns",
     )
 
@@ -92,19 +137,20 @@ class _StoreEntry:
         self.engine = engine
         self.version = int(version)
         #: the one writer lock: a submit holds it while it logs, plans
-        #: and applies one group, and a read holds it for the whole
-        #: read, so a read waits for at most one group's apply.  A read
-        #: made with ``wait=False`` (the HTTP server's inline query)
-        #: takes it only when it is free, so it never waits at all.  A
-        #: plain Lock, not an RLock: no holder of it ever takes it again.
+        #: and applies one group (a non-waiting submit, the whole
+        #: request), and a read holds it for the whole read.  A read or
+        #: submit made with ``wait=False`` (the HTTP server's inline
+        #: query and small ingest) takes it only when it is free, so it
+        #: never waits at all.  A plain Lock, not an RLock: no holder of
+        #: it ever takes it again.
         self.lock = threading.Lock()
-        #: replacement counter: :meth:`SketchStore.adopt` advances it when
-        #: it swaps the engine, which need not move the version, so every
-        #: cache of derived state keys on ``(version, epoch)``
-        self.epoch = 0
-        #: the column-view memo: ``((version, epoch), {instance:
-        #: view})``, replaced wholesale when the key moves
-        self.columns: tuple[tuple[int, int] | None, dict] = (None, {})
+        #: published whole by every change, read lock-free by the cache
+        #: probe
+        self.state = _InstanceState(0, {})
+        #: the column-view memo: ``(epoch, {instance: (tick, view)})``;
+        #: a view is rebuilt when its instance's tick moves, and the
+        #: whole memo is replaced when the epoch moves
+        self.columns: tuple[int | None, dict] = (None, {})
 
 
 @dataclass(frozen=True)
@@ -429,6 +475,17 @@ def _config_flag(value: object) -> bool:
     )
 
 
+#: a memo miss: no view, at no tick
+_NO_VIEW = (None, None)
+
+
+def _acquire(name: str, entry: _StoreEntry, wait: bool) -> None:
+    """Take ``entry.lock``; with ``wait=False`` a held lock raises
+    :class:`~repro.exceptions.EngineBusyError` instead."""
+    if not entry.lock.acquire(wait):
+        raise EngineBusyError(f"engine {name!r} is busy")
+
+
 def _check_replay_version(name: str, entry: _StoreEntry, version: int) -> None:
     """Refuse a replayed batch the store already holds (caller holds
     ``entry.lock``): skipping applied records is the caller's job."""
@@ -618,8 +675,8 @@ class SketchStore:
         it currently holds.  Replacement waits for the group being
         applied, keeps the version monotone (``max(local, version)``),
         and logs an engine record when a WAL is attached.  The version may
-        stay put, so replacement advances the entry's epoch instead: the
-        query caches key on both.
+        stay put, so replacement advances the entry's epoch instead, which
+        drops every memoised view and cached answer of the engine.
         """
         if name not in self:
             self.register(name, engine, version=version)
@@ -636,7 +693,7 @@ class SketchStore:
                 )
             entry.engine = engine
             entry.version = new_version
-            entry.epoch += 1
+            entry.state = _InstanceState(entry.state.epoch + 1, {})
             entry.columns = (None, {})
 
     def names(self) -> list[str]:
@@ -676,25 +733,30 @@ class SketchStore:
         with entry.lock:
             return entry.version
 
-    def state_hint(self, name: str) -> tuple[int, int]:
-        """Lock-free ``(version, epoch)`` of ``name`` — possibly a moment
-        stale; the pair keys every cache of query results.
+    def state_hint(
+        self, name: str, instances: Iterable[object] = ()
+    ) -> tuple[int, tuple]:
+        """Lock-free ``(version, key)`` of ``name`` — possibly a moment
+        stale.  ``key`` is ``(epoch, last-change versions of
+        instances)``, the key of every cache of values derived from
+        those instances.
 
         :meth:`version` waits on the per-engine lock, which an ingest
         holds while it logs, plans and applies one group; serving
         event loops that must never block (the HTTP server's cache
-        probe, metrics scrapes) read the counters without it.  Under the
-        GIL each read is atomic, and a stale pair only makes a cache
-        probe miss or return a result correctly labelled with an older
-        state.
+        probe, metrics scrapes) read the counters without it.  The key
+        comes from one published state, so its epoch and ticks belong to
+        one moment; the version is read apart from it.  A stale key only
+        makes a cache probe miss, or return an answer of a state no
+        acknowledged write has left.
         """
         entry = self._entry(name)
-        return entry.version, entry.epoch
+        return entry.version, entry.state.key(instances)
 
     # ------------------------------------------------------------------
     # Ingest
     # ------------------------------------------------------------------
-    def submit(self, request: IngestRequest) -> int:
+    def submit(self, request: IngestRequest, *, wait: bool = True) -> int:
         """Run one :class:`IngestRequest` — the single write pipeline.
 
         Every surface funnels here: per-batch API ingest, binary bodies
@@ -713,10 +775,23 @@ class SketchStore:
            the log (append-before-apply), is planned, and its shard jobs
            are applied in this thread.  Each engine therefore has one
            writer at a time, and a read waits for at most one group's
-           apply.  The version is published even when
+           apply.  Each group's version becomes its instance's last
+           change, so views and cached answers of the request's other
+           instances stay valid.  A group whose plan routes no row (a
+           weight-oblivious Poisson group whose every row the sample
+           discards) moves only update counters, so it changes no
+           instance's last change.  The version is published even when
            the apply raises, because the log already holds its record.
         3. A *replay* is the same pipeline with a forced version: it
            refuses a version the store already holds.
+
+        ``wait=False`` never waits for the engine's lock: it takes the
+        lock once, only if it is free, and holds it for all of the
+        request's groups.  If another thread holds it, the submit raises
+        :class:`~repro.exceptions.EngineBusyError` before any version,
+        log record or sketch changes, so the caller can run the same
+        request again with ``wait=True`` (the HTTP server's inline
+        ingest does, on its executor).
 
         The log keeps one record, and the engine one version, per group.
         A crash between two of a request's appends therefore recovers a
@@ -747,29 +822,38 @@ class SketchStore:
 
             records = [encode_batches([group]) for group in groups]
         forced = request.version
-        version: int | None = None
-        for instance, keys, values in groups:
-            with entry.lock:
-                if forced is None:
-                    planned = entry.version + 1
-                else:
-                    _check_replay_version(name, entry, forced)
-                    planned = forced
-                if records:
-                    # popped: a record on disk is freed at once
-                    self._wal.append_batch_blob(name, planned, records.pop(0))
-                try:
-                    work = entry.engine.ingest_jobs(instance, keys, values)
-                    with span("store.ingest", engine=name, rows=len(values)):
-                        for job in work:
-                            StreamEngine.run_job(job)
-                finally:
-                    # the log holds this version's record, so it is
-                    # published even when the apply raised
-                    entry.version = version = planned
-        if version is None:
-            with entry.lock:
-                return entry.version
+        # one hold per group, or one for the whole request when it must
+        # not wait: a busy engine then refuses it before any change
+        holds = [[group] for group in groups] if wait else [groups]
+        for hold in holds or [[]]:
+            _acquire(name, entry, wait)
+            try:
+                for instance, keys, values in hold:
+                    if forced is None:
+                        planned = entry.version + 1
+                    else:
+                        _check_replay_version(name, entry, forced)
+                        planned = forced
+                    if records:
+                        # popped: a record on disk is freed at once
+                        self._wal.append_batch_blob(name, planned, records.pop(0))
+                    work = None
+                    try:
+                        work = entry.engine.ingest_jobs(instance, keys, values)
+                        with span("store.ingest", engine=name, rows=len(values)):
+                            for job in work:
+                                StreamEngine.run_job(job)
+                    finally:
+                        # the log holds this version's record, so it is
+                        # published even when the apply raised
+                        entry.version = planned
+                        # a plan that routes no row moved only the shards'
+                        # update counters, which no view or answer reads
+                        if work is None or work:
+                            entry.state = entry.state.moved((instance,), planned)
+                version = entry.version
+            finally:
+                entry.lock.release()
         return version
 
     # ------------------------------------------------------------------
@@ -783,8 +867,7 @@ class SketchStore:
         :class:`~repro.exceptions.EngineBusyError` instead, before the
         caller reads anything."""
         entry = self._entry(name)
-        if not entry.lock.acquire(wait):
-            raise EngineBusyError(f"engine {name!r} is busy")
+        _acquire(name, entry, wait)
         try:
             yield entry
         finally:
@@ -811,33 +894,51 @@ class SketchStore:
         A Poisson engine's view of an instance is the
         :class:`~repro.streaming.query.SketchColumns` of its merged
         sketch, a bottom-k engine's the merged sketch itself.  Views are
-        memoised per ``(version, epoch)``: the first read of an instance
-        folds its shards (and hashes its keys) once, and every later
-        read at the same state reuses that work.  The memo holds one
-        state at most; a read at a new state replaces it wholesale.
+        memoised per instance, keyed by the engine's epoch and the
+        version that last changed the instance: the first read of an
+        instance folds its shards (and hashes its keys) once, and every
+        later read reuses that work until a submit, replay or merge
+        changes that instance.  A write to another instance keeps the
+        view; an engine replacement drops the whole memo.
 
         ``wait=False`` never waits for the engine's lock: if a submit,
         snapshot, merge or adoption holds it, the read raises
         :class:`~repro.exceptions.EngineBusyError` and leaves the memo
         as it was.
         """
+        version, _, views = self.keyed_view(name, instances, wait=wait)
+        return version, views
+
+    def keyed_view(
+        self, name: str, instances: Sequence[object], *, wait: bool = True
+    ) -> tuple[int, tuple, list]:
+        """:meth:`column_view` plus the cache key of the state read,
+        ``(epoch, last-change versions of instances)`` as
+        :meth:`state_hint` gives it, taken under the same lock hold as
+        the views: a value derived from them is exact for that key."""
         with self._read(name, wait) as entry:
-            key = (entry.version, entry.epoch)
-            memo_key, views = entry.columns
-            if memo_key != key:
-                views = {}
-                entry.columns = (key, views)
-            missing = [label for label in instances if label not in views]
-            if missing:
-                with span("store.columns", engine=name, instances=len(missing)):
-                    for label in missing:
+            state = entry.state
+            epoch, memo = entry.columns
+            if epoch != state.epoch:
+                memo = {}
+                entry.columns = (state.epoch, memo)
+            key = state.key(instances)
+            stale = [
+                (label, tick)
+                for label, tick in zip(instances, key[1])
+                if memo.get(label, _NO_VIEW)[0] != tick
+            ]
+            if stale:
+                with span("store.columns", engine=name, instances=len(stale)):
+                    for label, tick in stale:
                         sketch = entry.engine.sketch(label)
-                        views[label] = (
+                        memo[label] = (
+                            tick,
                             SketchColumns.of(sketch)
                             if isinstance(sketch, StreamingPoisson)
-                            else sketch
+                            else sketch,
                         )
-            return entry.version, [views[label] for label in instances]
+            return entry.version, key, [memo[label][1] for label in instances]
 
     def merged_sketch(self, name: str, instance: object):
         """The cross-shard merged sketch of one instance."""
@@ -973,7 +1074,9 @@ class SketchStore:
         match); engines only ``other`` has are adopted.  Either way the
         engines are copied through the codec, so the peer store is left
         untouched and shares no state.  Merged names get version
-        ``max(local, peer) + 1`` so cached query results are invalidated.
+        ``max(local, peer) + 1``, which becomes the last change of every
+        instance the peer holds, so those instances' views and cached
+        answers are invalidated and the others' are kept.
         """
         for name in other.names():
             with other._read(name) as peer_entry:
@@ -986,6 +1089,9 @@ class SketchStore:
             with self._read(name) as entry:
                 entry.engine.merge_from(peer_engine)
                 entry.version = max(entry.version, peer_version) + 1
+                entry.state = entry.state.moved(
+                    peer_engine.instance_labels, entry.version
+                )
                 if self._wal is not None:
                     # a merge is not replayable from batches — log the
                     # full post-merge state so recovery sees it
@@ -1001,7 +1107,7 @@ class SketchStore:
     # Queries
     # ------------------------------------------------------------------
     def planner(self) -> "QueryPlanner":
-        """The store's default (version-cached) query planner.
+        """The store's default (per-instance cached) query planner.
 
         Built lazily on first use and shared by every serving surface —
         :meth:`query`, the CLI, and the HTTP front-end — so they all see
@@ -1016,5 +1122,5 @@ class SketchStore:
 
     def query(self, name: str, query):
         """Run a :class:`repro.service.queries.Query` through the store's
-        default (version-cached) planner."""
+        default (per-instance cached) planner."""
         return self.planner().run(name, query)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.sampling.seeds import (
     SeedAssigner,
     _hash_label,
+    _splitmix64_int,
     key_hashes,
     splitmix64,
     uniform_cutoff,
@@ -230,6 +231,22 @@ class TestSeedAssigner:
     def test_arbitrary_instance_labels(self, instance):
         seeds = SeedAssigner(salt=9)
         assert 0.0 < seeds.seed("k", instance=instance) < 1.0
+
+    def test_equal_labels_printed_apart_keep_their_own_constants(self):
+        # 1 == 1.0 == True and (1, 2) == (1.0, 2), but a label seeds by
+        # its int value or its repr text: a memo keyed by the label
+        # itself would hand the first one's constant to the others
+        seeds = SeedAssigner(salt=9)
+        labels = [1, 1.0, True, (1, 2), (1.0, 2)]
+        labels += labels[::-1]
+        constants = [seeds._constant(label) for label in labels]
+        assert constants == [
+            _splitmix64_int(
+                (_hash_label(label) * 0x9E3779B97F4A7C15 + 9)
+                & 0xFFFFFFFFFFFFFFFF
+            )
+            for label in labels
+        ] and len(set(constants)) == 5
 
 
 def _numpy_formula_seeds(assigner, hashes, instance):

@@ -17,6 +17,7 @@ import pytest
 import json
 import struct
 
+from repro.exceptions import EngineBusyError
 from repro.sampling.seeds import SeedAssigner
 from repro.server import AsyncSketchClient, ClientResponseError
 from repro.server.wire import BATCH_CONTENT_TYPE, encode_batches
@@ -485,7 +486,7 @@ class TestErrorPaths:
 
             return spied
 
-        for reader in ("column_view", "snapshot_view"):
+        for reader in ("column_view", "keyed_view", "snapshot_view"):
             setattr(store, reader, spy(reader))
         pair = {"name": "traffic", "instances": "monday,tuesday"}
 
@@ -524,7 +525,7 @@ class TestErrorPaths:
                 "traffic", "l1", ["monday", "tuesday"], variant="ht"
             )
             assert again["from_cache"]
-            pair_read = ("column_view", "traffic", ("monday", "tuesday"))
+            pair_read = ("keyed_view", "traffic", ("monday", "tuesday"))
             assert views == [pair_read, pair_read]
 
         run_scenario(scenario, store=store)
@@ -656,7 +657,9 @@ class GatedStore(SketchStore):
         super().__init__()
         self.gate = threading.Event()
 
-    def submit(self, request):
+    def submit(self, request, *, wait=True):
+        if not wait:  # a blocked engine refuses a submit that must not wait
+            raise EngineBusyError("the test gate is closed")
         assert self.gate.wait(timeout=30), "test gate never opened"
         return super().submit(request)
 

@@ -1,23 +1,28 @@
-"""Where a cold query runs: inline on a free engine, on the lane if busy.
+"""Where store work runs: inline on a free engine, on a thread if busy.
 
 A query the result cache cannot answer runs on the event loop when its
 engine's lock is free, with no executor hop.  When another thread holds
 the lock, the store raises ``EngineBusyError`` before any work and the
 query reruns on the one ``sketch-query`` thread, which waits for the
 lock there; health pages and other engines' ingests answer meanwhile.
-Each executor hop records its queue wait as an ``executor.wait`` span
-under the request's ``http.request`` span.
+An ingest body small enough to parse on the loop is submitted there too
+when the store has no WAL and the engine is free; a larger body, a
+WAL-attached store or a busy engine submits on the ingest pool.  Each
+executor hop records its queue wait as an ``executor.wait`` span under
+the request's ``http.request`` span.
 """
 
 from __future__ import annotations
 
 import asyncio
+import json
 import threading
 
 from repro.exceptions import EngineBusyError
 from repro.sampling.seeds import SeedAssigner
 from repro.server import AsyncSketchClient
-from repro.service import SketchStore
+from repro.server.app import _PARSE_INLINE_BYTES
+from repro.service import SketchStore, codec
 
 from ingest_helper import HeldLock, ingest
 
@@ -71,6 +76,33 @@ class RunSpy:
 
     def on_lane(self) -> bool:
         return any(thread.name.startswith("sketch-query") for thread, _ in self.calls)
+
+
+class SubmitSpy:
+    """Stands in for ``server.store.submit``, noting the thread, the
+    ``wait`` flag and the outcome (``running``, ``busy`` or
+    ``answered``) of each call."""
+
+    def __init__(self, store: SketchStore) -> None:
+        self.calls: list[list] = []
+        self._submit = store.submit
+        store.submit = self
+
+    def __call__(self, request, *, wait=True):
+        call = [threading.current_thread(), wait, "running"]
+        self.calls.append(call)
+        try:
+            version = self._submit(request, wait=wait)
+        except EngineBusyError:
+            call[2] = "busy"
+            raise
+        call[2] = "answered"
+        return version
+
+    def on_pool(self) -> bool:
+        return any(
+            thread.name.startswith("sketch-server") for thread, _, _ in self.calls
+        )
 
 
 async def until(condition) -> None:
@@ -213,5 +245,103 @@ class TestQueryLane:
             assert wait.duration_seconds >= 0.0
             (request,) = request_spans(server, "http.request", "lane-wait-1")
             assert wait.duration_seconds <= request.duration_seconds
+
+        run_scenario(scenario, store=store)
+
+
+class TestInlineIngest:
+    def test_ingest_inline_001_small_body_submits_on_the_event_loop(
+        self, run_scenario
+    ):
+        store = make_store()
+
+        async def scenario(server, client):
+            loop_thread = threading.current_thread()
+            spy = SubmitSpy(store)
+            server.trace.clear()
+            before = store.version("traffic")
+            status, report = await client.request(
+                "POST",
+                "/v1/ingest",
+                json_body={
+                    "name": "traffic",
+                    "instance": "h0",
+                    "keys": ["new0", "new1"],
+                    "values": [1.0, 2.0],
+                },
+                request_id="ingest-inline-1",
+            )
+            assert status == 200 and report["version"] == before + 1
+            assert spy.calls == [[loop_thread, False, "answered"]]
+            assert request_spans(server, "executor.wait", "ingest-inline-1") == []
+
+        run_scenario(scenario, store=store)
+
+    def test_ingest_inline_002_large_body_submits_on_the_pool(self, run_scenario):
+        store = make_store()
+        keys = [f"bulk{key}" for key in range(6000)]
+
+        async def scenario(server, client):
+            spy = SubmitSpy(store)
+            body = json.dumps(
+                {
+                    "name": "traffic",
+                    "instance": "h0",
+                    "keys": keys,
+                    "values": [1.5] * len(keys),
+                }
+            ).encode()
+            assert len(body) > _PARSE_INLINE_BYTES
+            status, report = await client.request(
+                "POST",
+                "/v1/ingest",
+                body=body,
+            )
+            assert status == 200 and report["rows"] == len(keys)
+            ((thread, wait, outcome),) = spy.calls
+            assert thread.name.startswith("sketch-server")
+            assert (wait, outcome) == (True, "answered")
+
+        run_scenario(scenario, store=store)
+
+    def test_ingest_inline_003_wal_attached_store_submits_on_the_pool(
+        self, run_scenario, tmp_path
+    ):
+        async def scenario(server, client):
+            spy = SubmitSpy(server.store)
+            await client.create_engine("traffic", "poisson", threshold=0.5)
+            report = await client.ingest("traffic", "h0", ["a", "b"], [1.0, 2.0])
+            assert report["version"] == 1
+            ((thread, wait, outcome),) = spy.calls
+            assert thread.name.startswith("sketch-server")
+            assert (wait, outcome) == (True, "answered")
+
+        run_scenario(scenario, wal_dir=tmp_path / "wal", wal_fsync="off")
+
+    def test_ingest_inline_004_busy_engine_submits_on_the_pool(self, run_scenario):
+        store = make_store()
+
+        async def scenario(server, client):
+            loop_thread = threading.current_thread()
+            before = (store.version("traffic"), codec.to_bytes(store.engine("traffic")))
+            spy = SubmitSpy(store)
+            with HeldLock(store, "traffic") as lock:
+                ingest = asyncio.ensure_future(
+                    client.ingest("traffic", "h1", ["late"], [2.0])
+                )
+                await until(spy.on_pool)
+                # the refused inline attempt changed nothing
+                assert spy.calls[0] == [loop_thread, False, "busy"]
+                assert store._entry("traffic").version == before[0]
+                assert not ingest.done()
+                lock.release()
+                report = await ingest
+            assert report["version"] == before[0] + 1
+            second, wait, outcome = spy.calls[1]
+            assert second.name.startswith("sketch-server")
+            assert (wait, outcome) == (True, "answered")
+            reference = codec.from_bytes(before[1])
+            reference.ingest("h1", ["late"], [2.0])
+            assert codec.to_bytes(store.engine("traffic")) == codec.to_bytes(reference)
 
         run_scenario(scenario, store=store)

@@ -1,9 +1,12 @@
-"""Non-waiting reads: ``wait=False`` refuses a held engine lock.
+"""Non-waiting reads and submits: ``wait=False`` refuses a held engine
+lock.
 
 ``SketchStore.column_view`` and ``QueryPlanner.run`` take the engine's
 lock only when it is free; otherwise they raise ``EngineBusyError``
 before they touch the view memo, the miss counter or the result cache.
-In every case a second thread holds the lock while the test runs.
+``SketchStore.submit`` likewise raises before any version, WAL record or
+sketch changes.  In every case a second thread holds the lock while the
+test runs.
 """
 
 from __future__ import annotations
@@ -12,8 +15,10 @@ import pytest
 
 from repro.exceptions import EngineBusyError
 from repro.sampling.seeds import SeedAssigner
+from repro.service import codec
 from repro.service.queries import Query, QueryPlanner
-from repro.service.store import SketchStore
+from repro.service.store import IngestRequest, SketchStore
+from repro.wal import WriteAheadLog
 
 from ingest_helper import HeldLock, ingest
 
@@ -22,7 +27,10 @@ QUERY = Query.distinct("mon", "tue")
 
 @pytest.fixture
 def store() -> SketchStore:
-    store = SketchStore()
+    return fill(SketchStore())
+
+
+def fill(store: SketchStore) -> SketchStore:
     store.create(
         "traffic",
         "poisson",
@@ -69,3 +77,34 @@ class TestEngineBusy:
             lock.release()
             value = planner.run("traffic", QUERY, wait=False).value
         assert value == planner.execute("traffic", QUERY)
+
+    def test_busy_004_submit_changes_no_version_record_or_sketch(self, tmp_path):
+        wal = WriteAheadLog(tmp_path / "wal", fsync="off")
+        store = SketchStore()
+        store.attach_wal(wal)
+        try:
+            fill(store)
+            request = IngestRequest(
+                engine="traffic",
+                batches=(("mon", [9001], [1.0]), ("wed", [9002], [2.0])),
+            )
+
+            def state():
+                return (
+                    store._entry("traffic").version,
+                    store.state_hint("traffic", ("mon", "tue", "wed")),
+                    wal.last_lsn,
+                    codec.to_bytes(store.engine("traffic")),
+                )
+
+            before = state()
+            with HeldLock(store, "traffic") as lock:
+                with pytest.raises(EngineBusyError):
+                    store.submit(request, wait=False)
+                lock.release()
+                after = state()
+                version = store.submit(request, wait=False)
+        finally:
+            wal.close()
+        assert after == before
+        assert version == before[0] + 2

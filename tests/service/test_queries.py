@@ -1,5 +1,5 @@
 """Query planner: construction-time validation of the plain-data
-``Query`` and the version-keyed result cache.  Served query values are
+``Query`` and the result cache keyed per instance.  Served query values are
 checked against the offline estimators by
 tests/conformance/test_write_paths.py and the Poisson ``sum`` path by
 tests/service/test_query_confidence.py."""
@@ -85,12 +85,19 @@ class TestCache:
         assert third.from_cache
 
     def test_ingest_invalidates_cache(self, oblivious_store):
-        query = Query.distinct("mon", "tue")
-        first = oblivious_store.query("traffic", query)
-        ingest(oblivious_store, "traffic", "mon", [123456789], [1.0])
-        after = oblivious_store.query("traffic", query)
-        assert not after.from_cache
-        assert after.version == first.version + 1
+        """An ingest invalidates the cached answers that read the
+        instance it wrote, and only those."""
+        store = oblivious_store
+        queries = (Query.distinct("mon", "tue"), Query.sum("mon"), Query.sum("tue"))
+        first = [store.query("traffic", query) for query in queries]
+        version = ingest(store, "traffic", "mon", [123456789], [1.0])
+        pair, mon, tue = (store.query("traffic", query) for query in queries)
+        assert not pair.from_cache and not mon.from_cache
+        assert pair.version == mon.version == version == first[0].version + 1
+        # tue's answer is still exact: it keeps the version it was
+        # computed at
+        assert tue.from_cache and tue.version == first[2].version
+        assert tue.value == store.planner().execute("traffic", queries[2])
 
     def test_cache_is_bounded_lru(self, oblivious_store):
         planner = QueryPlanner(oblivious_store, max_cache_entries=2)
@@ -146,24 +153,25 @@ class TestCache:
 
     def test_uncacheable_runs_count_as_misses(self, oblivious_store):
         """Regression: ``run`` counted a miss only when it stored the
-        result.  A result an engine replacement raced is returned but
-        not cached, and it still counts as a miss."""
+        result.  A result an engine replacement raced counts as a miss,
+        and its entry, keyed by the replaced epoch, is never served."""
         store = oblivious_store
         planner = QueryPlanner(store)
-        read = store.column_view
+        read = store.keyed_view
 
         def adopt_after_read(name, instances, **kwargs):
             view = read(name, instances, **kwargs)
             store.adopt(name, store.engine(name))  # the epoch moves
             return view
 
-        store.column_view = adopt_after_read
+        store.keyed_view = adopt_after_read
         query = Query.distinct("mon", "tue")
         assert not planner.run("traffic", query).from_cache
         stats = planner.cache_stats()
-        assert (stats["hits"], stats["misses"], stats["entries"]) == (0, 1, 0)
+        assert (stats["hits"], stats["misses"]) == (0, 1)
         assert stats["hit_rate"] == 0.0
-        store.column_view = read
+        assert planner.peek("traffic", query) is None
+        store.keyed_view = read
         assert not planner.run("traffic", query).from_cache
         assert planner.run("traffic", query).from_cache
 

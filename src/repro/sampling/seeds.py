@@ -120,25 +120,30 @@ def uniform_cutoff(probability: float) -> int:
     return low
 
 
-def _hash_label(label: object, text_hash=None) -> int:
-    """Hash an arbitrary (hashable, printable) label to a stable 64-bit int.
-
-    An int-like label hashes to its value; any other label to the
-    blake2b digest of its ``repr``, through ``text_hash`` when given."""
+def _hash_label(label: object) -> int:
+    """Hash an arbitrary (hashable, printable) label to a stable 64-bit int."""
     if isinstance(label, (int, np.integer)) and not isinstance(label, bool):
         return int(label) & _MASK64
-    return (text_hash or _hash_text)(repr(label))
-
-
-def _hash_text(text: str) -> int:
-    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8)
+    digest = hashlib.blake2b(repr(label).encode("utf-8"), digest_size=8)
     return int.from_bytes(digest.digest(), "little")
 
 
-#: instance labels are few and are hashed at every seeding, so their
-#: digests are memoised, keyed by the exact text the digest reads: labels
-#: equal under ``==`` but printed apart (``1.0``, ``True``) keep their own
-_hash_instance_text = functools.lru_cache(maxsize=4096)(_hash_text)
+def _hash_instance(label: object) -> int:
+    """:func:`_hash_label` of an instance label.
+
+    Instance labels are few and are hashed at every seeding, so a non-int
+    label's digest is memoised, keyed by the exact text it reads: labels
+    equal under ``==`` but printed apart (``1.0``, ``True``) keep their
+    own."""
+    if isinstance(label, (int, np.integer)) and not isinstance(label, bool):
+        return _hash_label(label)
+    return _hash_instance_text(repr(label))
+
+
+@functools.lru_cache(maxsize=4096)
+def _hash_instance_text(text: str) -> int:
+    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8)
+    return int.from_bytes(digest.digest(), "little")
 
 
 def key_hashes(keys: Sequence[object]) -> np.ndarray:
@@ -253,10 +258,7 @@ class SeedAssigner:
         """The 64 bits every key hash of ``instance`` is mixed with,
         computed in Python ints: far cheaper than a 0-d NumPy SplitMix64,
         and the same bits."""
-        instance_hash = (
-            0 if self.coordinated
-            else _hash_label(instance, _hash_instance_text)
-        )
+        instance_hash = 0 if self.coordinated else _hash_instance(instance)
         return _splitmix64_int(
             (instance_hash * 0x9E3779B97F4A7C15 + self.salt) & _MASK64
         )

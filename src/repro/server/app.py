@@ -53,12 +53,14 @@ connections wait for that work but never for an engine lock:
   any work and the query reruns on the one-thread query lane, which
   waits for the lock there;
 * the submit of an ingest body the loop also parses (at most
-  ``_PARSE_INLINE_BYTES``), when the store has no write-ahead log, so
-  the loop never fsyncs.  It takes the lock once for the whole request
-  or not at all: a held lock raises ``EngineBusyError`` before any
-  version, log record or sketch changes, and the submit reruns on the
-  pool.  A larger body, or any body of a WAL-attached store, is parsed
-  and submitted on the pool.
+  ``_PARSE_INLINE_BYTES``) that holds at most ``_SUBMIT_INLINE_GROUPS``
+  instance groups, when the store has no write-ahead log, so the loop
+  never fsyncs and a submit's cost on it stays bounded (a plan per
+  group).  It takes the lock once for the whole request or not at all:
+  a held lock raises ``EngineBusyError`` before any version, log record
+  or sketch changes, and the submit reruns on the pool.  A larger body
+  is parsed and submitted on the pool; a small body with more groups,
+  or any body of a WAL-attached store, is submitted there.
 
 Answers are cached per instance (:class:`QueryPlanner`): an ingest into
 one instance keeps every cached answer and column view of the others,
@@ -176,9 +178,14 @@ _HTTP_FORMAT_BY_CONTENT_TYPE = {
 }
 
 
-#: ingest bodies up to this size parse (and, with no WAL, submit) on
-#: the event loop, larger ones on the executor
+#: ingest bodies up to this size parse on the event loop, larger ones
+#: on the executor
 _PARSE_INLINE_BYTES = 64 * 1024
+
+#: an inline-parsed body of at most this many instance groups also
+#: submits on the event loop (with no WAL): a submit costs a plan per
+#: group, and a small body can still name thousands of instances
+_SUBMIT_INLINE_GROUPS = 2
 
 #: incoming ``X-Request-Id`` values are adopted only when they look
 #: like header-safe tokens of sane length; anything else gets a fresh ID
@@ -1028,8 +1035,9 @@ class SketchServer:
             self._ingest_requests -= 1
 
     async def _ingest_bounded(self, request: Request) -> tuple[int, dict]:
-        # small payloads parse (and submit) faster than an executor hop
-        # costs; large ones would stall every other connection, so they hop
+        # small payloads parse (and, with few groups, submit) faster than
+        # an executor hop costs; large ones would stall every other
+        # connection, so they hop
         inline = len(request.body) <= _PARSE_INLINE_BYTES
         if inline:
             parsed = self._parse_ingest(request)
@@ -1074,10 +1082,15 @@ class SketchServer:
         }
 
     async def _submit(self, ingest: IngestRequest, inline: bool) -> int:
-        """Submit on the loop when ``inline``, the store has no log to
-        fsync and the engine is free; otherwise on the pool, which waits
-        for the engine's lock.  A refused inline attempt changed nothing."""
-        if inline and self.store.wal is None:
+        """Submit on the loop when ``inline``, the request has at most
+        ``_SUBMIT_INLINE_GROUPS`` groups, the store has no log to fsync
+        and the engine is free; otherwise on the pool, which waits for
+        the engine's lock.  A refused inline attempt changed nothing."""
+        if (
+            inline
+            and len(ingest.batches) <= _SUBMIT_INLINE_GROUPS
+            and self.store.wal is None
+        ):
             with contextlib.suppress(EngineBusyError):
                 return self.store.submit(ingest, wait=False)
         return await self._in_executor(self.store.submit, ingest)

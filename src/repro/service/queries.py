@@ -181,7 +181,9 @@ class QueryPlanner:
     never served; they age out of the LRU bound.  A write to one instance
     keeps every cached answer that does not read it.  A computed result
     is cached under the key read in the same lock hold as its views, so
-    it is exact for that key.
+    it is exact for that key.  A result an engine replacement raced is
+    returned but not cached; like every computing :meth:`run`, it counts
+    as a miss.
     """
 
     def __init__(self, store, max_cache_entries: int = 1024) -> None:
@@ -265,11 +267,16 @@ class QueryPlanner:
                 if query.confidence
                 else None
             )
+            # a result an engine replacement raced is returned but not
+            # cached: no probe can hit its dead epoch's key again
+            cacheable = self._store.state_hint(name)[1][0] == key[0]
             with self._lock:
+                # every computed result is a miss, cached or not
                 self.misses += 1
-                self._cache[name, key, query] = (value, version, confidence)
-                while len(self._cache) > self.max_cache_entries:
-                    self._cache.popitem(last=False)
+                if cacheable:
+                    self._cache[name, key, query] = (value, version, confidence)
+                    while len(self._cache) > self.max_cache_entries:
+                        self._cache.popitem(last=False)
             return QueryResult(value, version, False, confidence)
 
     def execute(self, name: str, query: Query):

@@ -51,7 +51,7 @@ import operator
 import os
 import re
 import threading
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,25 +89,19 @@ class _InstanceState(NamedTuple):
     one to the engine version that last changed it; an instance absent
     from it is at tick 0.  Versions only grow within an epoch and every
     change takes a new one, so ``(epoch, tick)`` names one state of one
-    instance.  A published value is never mutated: a change publishes a
-    new one, so a lock-free reader sees the epoch and the ticks of one
-    moment.
+    instance.  A write moves its instances' ticks in place, under the
+    engine lock; only a replacement publishes a new value, so a
+    lock-free reader always pairs ticks with the epoch they belong to.
     """
 
     epoch: int
-    ticks: Mapping[object, int]
+    ticks: dict[object, int]
 
     def key(self, instances: Iterable[object]) -> tuple:
         """``(epoch, ticks of instances)``: the cache key of a value
         derived from exactly these instances."""
         ticks = self.ticks
         return self.epoch, tuple([ticks.get(label, 0) for label in instances])
-
-    def moved(self, instances: Iterable[object], version: int) -> "_InstanceState":
-        """This state with ``instances`` last changed at ``version``."""
-        return _InstanceState(
-            self.epoch, {**self.ticks, **dict.fromkeys(instances, version)}
-        )
 
 
 class _StoreEntry:
@@ -144,8 +138,8 @@ class _StoreEntry:
         #: never waits at all.  A plain Lock, not an RLock: no holder of
         #: it ever takes it again.
         self.lock = threading.Lock()
-        #: published whole by every change, read lock-free by the cache
-        #: probe
+        #: replaced by an engine replacement, its ticks moved in place
+        #: by every other change; read lock-free by the cache probe
         self.state = _InstanceState(0, {})
         #: the column-view memo: ``(epoch, {instance: (tick, view)})``;
         #: a view is rebuilt when its instance's tick moves, and the
@@ -744,11 +738,13 @@ class SketchStore:
         :meth:`version` waits on the per-engine lock, which an ingest
         holds while it logs, plans and applies one group; serving
         event loops that must never block (the HTTP server's cache
-        probe, metrics scrapes) read the counters without it.  The key
-        comes from one published state, so its epoch and ticks belong to
-        one moment; the version is read apart from it.  A stale key only
-        makes a cache probe miss, or return an answer of a state no
-        acknowledged write has left.
+        probe, metrics scrapes) read the counters without it.  The key's
+        ticks are read from the dict of the epoch it names, and each
+        tick names one state of its instance, so a key read during a
+        write still names states some value is exact for; the version
+        is read apart from it.  A stale key only makes a cache probe
+        miss, or return an answer of a state no acknowledged write has
+        left.
         """
         entry = self._entry(name)
         return entry.version, entry.state.key(instances)
@@ -850,7 +846,7 @@ class SketchStore:
                         # a plan that routes no row moved only the shards'
                         # update counters, which no view or answer reads
                         if work is None or work:
-                            entry.state = entry.state.moved((instance,), planned)
+                            entry.state.ticks[instance] = planned
                 version = entry.version
             finally:
                 entry.lock.release()
@@ -1089,8 +1085,8 @@ class SketchStore:
             with self._read(name) as entry:
                 entry.engine.merge_from(peer_engine)
                 entry.version = max(entry.version, peer_version) + 1
-                entry.state = entry.state.moved(
-                    peer_engine.instance_labels, entry.version
+                entry.state.ticks.update(
+                    dict.fromkeys(peer_engine.instance_labels, entry.version)
                 )
                 if self._wal is not None:
                     # a merge is not replayable from batches — log the

@@ -6,8 +6,9 @@ the lock, the store raises ``EngineBusyError`` before any work and the
 query reruns on the one ``sketch-query`` thread, which waits for the
 lock there; health pages and other engines' ingests answer meanwhile.
 An ingest body small enough to parse on the loop is submitted there too
-when the store has no WAL and the engine is free; a larger body, a
-WAL-attached store or a busy engine submits on the ingest pool.  Each
+when it holds at most two instance groups, the store has no WAL and the
+engine is free; a larger body, a body with more groups, a WAL-attached
+store or a busy engine submits on the ingest pool.  Each
 executor hop records its queue wait as an ``executor.wait`` span under
 the request's ``http.request`` span.
 """
@@ -21,7 +22,7 @@ import threading
 from repro.exceptions import EngineBusyError
 from repro.sampling.seeds import SeedAssigner
 from repro.server import AsyncSketchClient
-from repro.server.app import _PARSE_INLINE_BYTES
+from repro.server.app import _PARSE_INLINE_BYTES, _SUBMIT_INLINE_GROUPS
 from repro.service import SketchStore, codec
 
 from ingest_helper import HeldLock, ingest
@@ -343,5 +344,28 @@ class TestInlineIngest:
             reference = codec.from_bytes(before[1])
             reference.ingest("h1", ["late"], [2.0])
             assert codec.to_bytes(store.engine("traffic")) == codec.to_bytes(reference)
+
+        run_scenario(scenario, store=store)
+
+    def test_ingest_inline_005_small_body_of_many_groups_submits_on_the_pool(
+        self, run_scenario
+    ):
+        store = make_store()
+
+        async def scenario(server, client):
+            loop_thread = threading.current_thread()
+            spy = SubmitSpy(store)
+            for n_groups in (_SUBMIT_INLINE_GROUPS, _SUBMIT_INLINE_GROUPS + 1):
+                rows = [[f"m{group}", f"key{group}", 1.0] for group in range(n_groups)]
+                status, report = await client.request(
+                    "POST",
+                    "/v1/ingest",
+                    json_body={"name": "traffic", "rows": rows},
+                )
+                assert status == 200 and report["rows"] == n_groups
+            (first, wait, outcome), (second, *rest) = spy.calls
+            assert (first, wait, outcome) == (loop_thread, False, "answered")
+            assert second.name.startswith("sketch-server")
+            assert rest == [True, "answered"]
 
         run_scenario(scenario, store=store)

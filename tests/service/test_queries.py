@@ -153,8 +153,8 @@ class TestCache:
 
     def test_uncacheable_runs_count_as_misses(self, oblivious_store):
         """Regression: ``run`` counted a miss only when it stored the
-        result.  A result an engine replacement raced counts as a miss,
-        and its entry, keyed by the replaced epoch, is never served."""
+        result.  A result an engine replacement raced is returned but
+        not cached, and it still counts as a miss."""
         store = oblivious_store
         planner = QueryPlanner(store)
         read = store.keyed_view
@@ -168,7 +168,7 @@ class TestCache:
         query = Query.distinct("mon", "tue")
         assert not planner.run("traffic", query).from_cache
         stats = planner.cache_stats()
-        assert (stats["hits"], stats["misses"]) == (0, 1)
+        assert (stats["hits"], stats["misses"], stats["entries"]) == (0, 1, 0)
         assert stats["hit_rate"] == 0.0
         assert planner.peek("traffic", query) is None
         store.keyed_view = read

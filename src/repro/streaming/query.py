@@ -18,8 +18,9 @@ queries one instance many times — the store, which memoises views per
 engine version — builds the view once and passes it wherever a sketch
 is accepted; the join over views then hashes nothing.  A view also
 memoises its hash sort order, so a pair of int-keyed or str-keyed views
-joins by merging the two sorted hash columns.  Other key types, three
-or more views and hash collisions keep the exact ``dict`` join.
+joins by finding the first view's hashes in the second's sorted hashes:
+the candidate join below, with every row a candidate.  Other key types,
+three or more views and hash collisions keep the exact ``dict`` join.
 
 The pair queries (:func:`distinct_count`, :func:`l1_distance`,
 :func:`max_dominance`) build no outcome batch, and most pairs take the
@@ -255,36 +256,6 @@ def _check_uniform(sketch: StreamingPoisson, name: str) -> float:
     return sketch.threshold
 
 
-def _sorted_rows(first: SketchColumns, second: SketchColumns) -> np.ndarray | None:
-    """The row of each of ``second``'s keys among ``first``'s (``-1``
-    when absent), joined on the views' sorted hashes; ``None`` when only
-    the dict join is exact.
-
-    The two sorted hash columns are merged by one stable ``argsort`` of
-    their concatenation (two sorted runs, so a linear merge): a hash
-    both views hold lands twice in a row, ``first``'s copy first, and
-    only those matched pairs compare keys.  A matched pair whose keys
-    differ is a hash collision, and a view without a
-    :attr:`SketchColumns.join_index` may hold equal keys under different
-    hashes; both leave the join to the dict.
-    """
-    index1, index2 = first.join_index, second.join_index
-    if index1 is None or index2 is None:
-        return None
-    (order1, sorted1), (order2, sorted2) = index1, index2
-    merged = np.concatenate((sorted1, sorted2))
-    by_hash = np.argsort(merged, kind="stable")
-    ordered = merged[by_hash]
-    at = np.flatnonzero(ordered[1:] == ordered[:-1])
-    mine = order1[by_hash[at]]
-    theirs = order2[by_hash[at + 1] - len(sorted1)]
-    if not _same_keys(first, mine, second, theirs):
-        return None
-    rows = np.full(len(second.keys), -1, dtype=np.intp)
-    rows[theirs] = mine
-    return rows
-
-
 def _same_keys(
     first: SketchColumns,
     mine: np.ndarray,
@@ -322,11 +293,24 @@ def _dict_rows(index: dict, view: SketchColumns) -> np.ndarray:
 
 
 def _join_rows(first: SketchColumns, second: SketchColumns) -> np.ndarray:
-    """The pair join: :func:`_sorted_rows`, or the dict join when only
-    it is exact.  Both give the same rows."""
-    rows = _sorted_rows(first, second)
-    if rows is None:
-        rows = _dict_rows(dict(zip(first.keys, range(len(first.keys)))), second)
+    """The row of each of ``second``'s keys among ``first``'s (``-1``
+    when absent).
+
+    When both views have a :attr:`SketchColumns.join_index`, every row
+    of ``first`` is a candidate of :func:`_candidate_matches`.  A view
+    without one may hold equal keys under different hashes, and a match
+    of unequal keys is a hash collision; both leave the join to the
+    exact dict join.  Both give the same rows.
+    """
+    matches = None
+    if first.join_index is not None and second.join_index is not None:
+        every_row = np.ones(len(first.keys), dtype=bool)
+        matches = _candidate_matches(first, second, every_row)
+    if matches is None:
+        return _dict_rows(dict(zip(first.keys, range(len(first.keys)))), second)
+    mine, theirs = matches
+    rows = np.full(len(second.keys), -1, dtype=np.intp)
+    rows[theirs] = mine
     return rows
 
 
@@ -432,8 +416,9 @@ def _pair_join(
     are :attr:`~SketchColumns.self_selected`, every key both retain is
     among them, so only they are looked for in ``second``
     (:func:`_candidate_matches`).  Any other pair, and a candidate match
-    of unequal keys, takes the full join, :func:`_join_rows`.  Both find
-    the same matches.
+    of unequal keys, takes the full join, :func:`_join_rows`: the same
+    search with every row of ``first`` a candidate, or the dict join.
+    All find the same matches.
     """
     matches = None
     if first.self_selected and second.self_selected:

@@ -42,9 +42,12 @@ def apply_records(
 ) -> tuple[int, int, int]:
     """Apply WAL records to ``store``; ``(applied, rows, skipped)``.
 
-    Idempotent: records whose version the store has already reached are
-    skipped, so replaying on top of a snapshot that contains some of the
-    logged effects (the normal crash window) never double-applies.  Used
+    Idempotent: batch records whose version the store has already
+    reached are skipped, so replaying on top of a snapshot that contains
+    some of the logged effects (the normal crash window) never
+    double-applies.  An engine record is skipped only below the store's
+    version: an adoption that kept the version logs its engine at it,
+    and adopting a logged engine again leaves the same state.  Used
     both by recovery (records read from disk) and by replica catch-up
     (records shipped over ``/replicate``).
 
@@ -59,7 +62,7 @@ def apply_records(
         if record.kind == RECORD_ENGINE:
             if (
                 record.name in store
-                and record.version <= store.version(record.name)
+                and record.version < store.version(record.name)
             ):
                 skipped += 1
                 continue

@@ -224,6 +224,8 @@ class TestQueryConfidence:
             assert confidence["cv_bound"] == pytest.approx(
                 1.0 / (BOTTOM_K_CONFIG["k"] - 2) ** 0.5
             )
+            # an estimate, so slack rather than the bound itself
+            assert confidence["cv"] < 3.0 * confidence["cv_bound"]
 
         run_scenario(scenario)
 

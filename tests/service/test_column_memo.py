@@ -1,59 +1,43 @@
 """The store's column-view memo and the query caches keyed per instance
-on the engine's epoch and each instance's last change: invalidation and
-coherence under interleaving."""
+on the engine's epoch and each instance's last change: which views a
+write keeps, and what concurrent reads see.  That every read equals a
+fresh copy's answer after every kind of write is the read-path oracle's
+(tests/conformance/test_read_paths.py)."""
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
-import json
 import sys
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.exceptions import ConfidenceUnavailableError, InvalidParameterError
 from repro.obs import TraceRecorder, set_default_recorder
 from repro.sampling.ranks import PpsRanks
 from repro.sampling.seeds import SeedAssigner
-from repro.service import codec
-from repro.service.confidence import query_confidence
-from repro.service.queries import Query, query_value_json
-from repro.service.store import IngestRequest, SketchStore
+from repro.service.queries import Query
+from repro.service.store import SketchStore
 from repro.streaming import StreamEngine
-from repro.streaming.query import (
-    SketchColumns,
-    distinct_count,
-    l1_distance,
-    max_dominance,
-)
+from repro.streaming.query import SketchColumns
 
 from ingest_helper import ingest
 
 INSTANCES = ("a", "b", "c")
 PAIRS = (("a", "b"), ("b", "c"), ("a", "c"))
-#: engine name -> (config, the pair kinds it serves)
+#: engine name -> config
 ENGINES = {
-    "uni": (
-        {"threshold": 0.5, "seed_assigner": SeedAssigner(salt=3)},
-        ("distinct", "l1"),
-    ),
-    "pps": (
-        {
-            "threshold": 0.4,
-            "rank_family": PpsRanks(),
-            "seed_assigner": SeedAssigner(salt=5),
-        },
-        ("dominance",),
-    ),
+    "uni": {"threshold": 0.5, "seed_assigner": SeedAssigner(salt=3)},
+    "pps": {
+        "threshold": 0.4,
+        "rank_family": PpsRanks(),
+        "seed_assigner": SeedAssigner(salt=5),
+    },
 }
 
 
 def new_engine(name: str) -> StreamEngine:
-    return StreamEngine.poisson(n_shards=2, **ENGINES[name][0])
+    return StreamEngine.poisson(n_shards=2, **ENGINES[name])
 
 
 def new_store(instances: tuple = INSTANCES) -> SketchStore:
@@ -241,198 +225,3 @@ class TestColumnView:
         for label, floor, result in answers:
             counted = sum(version <= result.version for version in acked[label])
             assert float(result.value) == 1 + counted >= 1 + floor, (label, result)
-
-    def test_unknown_instance_leaves_no_view(self):
-        store = new_store()
-        with pytest.raises(InvalidParameterError, match="unknown instance"):
-            store.column_view("uni", ("a", "zzz"))
-        assert set(memo(store, "uni")[1]) == {"a"}
-
-
-# ----------------------------------------------------------------------
-# Coherence under interleaving
-# ----------------------------------------------------------------------
-#: the coherence sweep's instances: each example keeps the first 2-4
-LABELS = ("a", "b", "c", "d")
-
-_values = st.lists(
-    st.floats(min_value=0.1, max_value=5.0), min_size=1, max_size=6
-)
-#: one instance's rows; the instance is an index into the example's labels
-_rows = st.tuples(
-    st.integers(0, len(LABELS) - 1),
-    st.lists(st.integers(0, 40), min_size=1, max_size=6, unique=True),
-    _values,
-)
-_engines = st.sampled_from(sorted(ENGINES))
-_steps = st.one_of(
-    st.tuples(st.just("submit"), _engines, _rows),
-    st.tuples(st.just("replay"), _engines, _rows, st.integers(1, 3)),
-    st.tuples(st.just("query"), _engines, st.integers(0, 10**6)),
-    st.tuples(
-        st.just("adopt"),
-        _engines,
-        st.integers(-3, 3),
-        st.lists(_rows, max_size=3),
-    ),
-    st.tuples(st.just("merge"), _engines, st.lists(_rows, min_size=1, max_size=3)),
-)
-
-
-def _rows_of(labels: tuple, rows) -> list[tuple]:
-    """``(instance, keys, values)`` batches of drawn rows, each instance
-    one of ``labels`` and each value list as long as its keys."""
-    return [
-        (labels[index % len(labels)], keys, (values * len(keys))[: len(keys)])
-        for index, keys, values in rows
-    ]
-
-
-def _apply_rows(target, rows) -> None:
-    """Ingest ``(instance, keys, values)`` batches into an engine or (via
-    ``submit``) into engine ``target = (store, name)``."""
-    for instance, keys, values in rows:
-        if isinstance(target, StreamEngine):
-            target.ingest(instance, keys, values)
-        else:
-            ingest(*target, instance, keys, values)
-
-
-def _pair_queries(name: str, pair: tuple) -> list[Query]:
-    queries = []
-    for kind in ENGINES[name][1]:
-        if kind == "distinct":
-            for variant in ("l", "ht"):
-                queries.append(
-                    Query(kind, pair, variant=variant, confidence=True)
-                )
-        else:
-            queries.append(Query(kind, pair))
-    return queries
-
-
-def _queries(name: str, labels: tuple) -> list[Query]:
-    """Every query the sweep serves: a sum of each instance, with and
-    without confidence, and each pair kind of each pair."""
-    queries = [
-        Query("sum", (label,), confidence=confidence)
-        for label in labels
-        for confidence in (False, True)
-    ]
-    for pair in itertools.combinations(labels, 2):
-        queries += _pair_queries(name, pair)
-    return queries
-
-
-def _fresh_result(copy: StreamEngine, query: Query) -> str:
-    """The query's estimator run on the merged sketches of ``copy``, a
-    codec copy of the engine that has never been memoised, as canonical
-    JSON: equal texts are equal payloads bit for bit."""
-    sketches = [copy.sketch(label) for label in query.instances]
-    if query.kind == "sum":
-        value = sketches[0].to_sample().horvitz_thompson_total()
-    elif query.kind == "distinct":
-        value = distinct_count(*sketches, variant=query.variant)
-    elif query.kind == "l1":
-        value = l1_distance(*sketches)
-    else:
-        value = max_dominance(*sketches)
-    confidence = (
-        query_confidence(sketches, query, value) if query.confidence else None
-    )
-    return _payload(value, confidence)
-
-
-def _payload(value, confidence) -> str:
-    return json.dumps(
-        {"value": query_value_json(value), "confidence": confidence},
-        sort_keys=True,
-    )
-
-
-def _check_coherent(store: SketchStore, labels: tuple) -> None:
-    """Every answer the planner gives — a cache probe's and a run's — is
-    a fresh copy's, and reports a version where it is exact: no later
-    than now, no earlier than the last change of an instance it read."""
-    planner = store.planner()
-    for name in ENGINES:
-        version = store.version(name)
-        copy = codec.from_bytes(codec.to_bytes(store.engine(name)))
-        for query in _queries(name, labels):
-            expected = _fresh_result(copy, query)
-            (_, ticks) = store.state_hint(name, query.instances)[1]
-            for served in (planner.peek(name, query), planner.run(name, query)):
-                if served is None:
-                    continue
-                assert _payload(served.value, served.confidence) == expected
-                assert max(ticks) <= served.version <= version
-        # every instance was just read: each memoised view is the fresh
-        # copy's, at its instance's current tick
-        epoch, ticks = store.state_hint(name, labels)[1]
-        key, views = memo(store, name)
-        assert key == epoch
-        assert memo_ticks(store, name) == dict(zip(labels, ticks))
-        for label, (_, view) in views.items():
-            fresh = SketchColumns.of(copy.sketch(label))
-            assert view.keys == fresh.keys
-            assert np.array_equal(view.hashes, fresh.hashes)
-            assert np.array_equal(view.values, fresh.values)
-
-
-def _run_coherence_sweep(n_labels: int, steps) -> None:
-    labels = LABELS[:n_labels]
-    store = new_store(labels)
-    _check_coherent(store, labels)
-    for step in steps:
-        op, name = step[0], step[1]
-        if op == "submit":
-            _apply_rows((store, name), _rows_of(labels, [step[2]]))
-        elif op == "replay":
-            # a logged batch replayed past a gap, as WAL recovery does
-            (batch,) = _rows_of(labels, [step[2]])
-            store.submit(
-                IngestRequest(
-                    engine=name,
-                    batches=(batch,),
-                    version=store.version(name) + step[3],
-                )
-            )
-        elif op == "query":
-            queries = _queries(name, labels)
-            store.query(name, queries[step[2] % len(queries)])
-        elif op == "adopt":
-            replacement = codec.from_bytes(codec.to_bytes(store.engine(name)))
-            _apply_rows(replacement, _rows_of(labels, step[3]))
-            store.adopt(
-                name,
-                replacement,
-                version=max(0, store.version(name) + step[2]),
-            )
-        else:
-            peer = SketchStore()
-            peer.register(name, new_engine(name))
-            _apply_rows((peer, name), _rows_of(labels, step[2]))
-            store.merge_store(peer)
-        _check_coherent(store, labels)
-
-
-class TestMemoCoherence:
-    """Ingests, replays, merges and adoptions, each into some of 2-4
-    instances, interleaved with queries: no cached answer or view
-    outlives the state of the instances it read."""
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(2, len(LABELS)), st.lists(_steps, min_size=1, max_size=6))
-    def test_served_results_match_a_fresh_copy(self, n_labels, steps):
-        _run_coherence_sweep(n_labels, steps)
-
-    @pytest.mark.slow
-    @settings(max_examples=1000, deadline=None)
-    @given(st.integers(2, len(LABELS)), st.lists(_steps, min_size=1, max_size=6))
-    def test_served_results_match_a_fresh_copy_long_sweep(self, n_labels, steps):
-        _run_coherence_sweep(n_labels, steps)
-
-    def test_confidence_still_refused_for_memoised_kinds(self):
-        store = new_store()
-        with pytest.raises(ConfidenceUnavailableError):
-            store.query("uni", Query("l1", ("a", "b"), confidence=True))

@@ -8,12 +8,13 @@ dicts.  Every edge case below must give the same union key order,
 masks, values and seeds, on the live sketches and on copies restored
 through the binary codec.
 
-A pair of views joins on sorted hashes unless only the dict join is
-exact; the numbered cases also pin which of the two joins ran, and
-that the pair queries, which read the join rather than an outcome
-batch, return what ``reference_pair_query`` recomputes from the
-reference join.  A pair query over two self-selected views takes the
-candidate join instead (``test_pairjoin.py``).  Its dominance scores come from the two known-seed PPS
+A pair of views joins on sorted hashes, the candidate search with
+every row a candidate, unless only the dict join is exact; the
+numbered cases also pin which of the two joins ran, and that the pair
+queries, which read the join rather than an outcome batch, return what
+``reference_pair_query`` recomputes from the reference join.  A pair
+query over two self-selected views searches fewer candidates
+(``test_pairjoin.py``).  Its dominance scores come from the two known-seed PPS
 kernels the fused ``pps_max_r2_kernel`` replaced, frozen below; a
 Hypothesis test pins the fused kernel to them bit for bit.
 """
@@ -435,18 +436,13 @@ class TestJoinEdgeCases:
 # ----------------------------------------------------------------------
 @pytest.fixture
 def join_paths(monkeypatch):
-    """The join each pair of views took, in call order: ``"candidate"``,
-    ``"sorted"``, or ``"dict"`` when the sorted join left the pair to
-    the dict.  A candidate join that meets a collision records the full
-    join that replaced it."""
+    """The join each pair of views took, in call order: ``"candidate"``
+    when the sorted-hash search found the matches, ``"dict"`` when the
+    pair was left to the dict join.  A candidate join that meets a
+    collision records the full join that replaced it."""
     paths = []
-    sorted_rows = query_module._sorted_rows
     candidate_matches = query_module._candidate_matches
-
-    def spy(first, second):
-        rows = sorted_rows(first, second)
-        paths.append("dict" if rows is None else "sorted")
-        return rows
+    dict_rows = query_module._dict_rows
 
     def candidate_spy(first, second, candidates):
         matches = candidate_matches(first, second, candidates)
@@ -454,8 +450,12 @@ def join_paths(monkeypatch):
             paths.append("candidate")
         return matches
 
-    monkeypatch.setattr(query_module, "_sorted_rows", spy)
+    def dict_spy(index, view):
+        paths.append("dict")
+        return dict_rows(index, view)
+
     monkeypatch.setattr(query_module, "_candidate_matches", candidate_spy)
+    monkeypatch.setattr(query_module, "_dict_rows", dict_spy)
     return paths
 
 
@@ -474,7 +474,7 @@ JOIN_CASES = [
         "join_001_numpy_and_python_ints_join_as_one_key",
         {np.int64(5): 1.0, 6: 2.0, np.int64(-3): 0.5, 2**63: 1.5},
         {5: 3.0, np.int64(6): 0.25, 7: 1.0, np.uint64(2**63): 2.0},
-        "sorted",
+        "candidate",
     ),
     JoinCase(
         "join_002_cross_view_hash_collision_falls_back",
@@ -505,7 +505,7 @@ JOIN_CASES = [
         "join_006_str_keys_join_sorted",
         {"a": 1.0, "b": 2.0, "c": 3.0},
         {"b": 1.0, "d": 2.0, "a": 0.5},
-        "sorted",
+        "candidate",
     ),
     JoinCase(
         "join_007_str_subclass_equal_to_str_falls_back",
@@ -517,19 +517,19 @@ JOIN_CASES = [
         "join_008_empty_first_view",
         {},
         {key: 1.0 + key for key in range(6)},
-        "sorted",
+        "candidate",
     ),
     JoinCase(
         "join_009_empty_second_view",
         {key: 1.0 + key for key in range(6)},
         {},
-        "sorted",
+        "candidate",
     ),
     JoinCase(
         "join_010_predicate_over_a_sorted_pair_fills_own_seeds",
         {key: 0.5 + key for key in range(0, 40, 2)},
         {key: 2.0 + key for key in range(0, 60, 3)},
-        "sorted",
+        "candidate",
         predicate=lambda key: key % 4 != 0,
         rank_family=PpsRanks(),
     ),
@@ -611,7 +611,7 @@ def test_store_views_of_integer_columns_join_sorted(join_paths, monkeypatch):
             assert served_pair_query(kind, sketches) == expected
         join_paths.clear()
         _outcome_columns(views, None, include_seeds=True)
-        assert join_paths == ["sorted"]
+        assert join_paths == ["candidate"]
         assert_same_join(sketches)
 
 

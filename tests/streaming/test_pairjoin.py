@@ -171,7 +171,7 @@ class TestPairJoin:
         for pair in (*both_ways((restored, good_uniform)), *both_ways((failing, good_pps))):
             for kind in pair_kinds(pair[0].rank_family):
                 report.append(traced_answer(join_paths, kind, pair))
-                expected.append((["sorted"], reference_answer(kind, pair)))
+                expected.append((["candidate"], reference_answer(kind, pair)))
         assert report == expected
 
     def test_pairjoin_003_a_pps_key_at_the_view_maximum_is_matched(

@@ -1,8 +1,9 @@
 """Query planner: construction-time validation of the plain-data
-``Query``, and the result cache's bound, counters and uncached paths.
-Every served value, cached or not, and every refusal are checked by the
-read-path oracle (tests/conformance/test_read_paths.py), and the
-Poisson ``sum`` path by tests/service/test_query_confidence.py."""
+``Query``, and the result cache's hits, invalidation, bound, counters
+and uncached paths.  Every served value, cached or not, and every
+refusal are checked by the read-path oracle
+(tests/conformance/test_read_paths.py), and the Poisson ``sum`` path by
+tests/service/test_query_confidence.py."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from repro.exceptions import InvalidParameterError, UnknownStoreError
 from repro.sampling.seeds import SeedAssigner
 from repro.service.queries import Query, QueryPlanner, query_value_json
 from repro.service.store import SketchStore
+from repro.streaming import StreamEngine
 
 from ingest_helper import ingest
 
@@ -54,6 +56,15 @@ class TestRouting:
         with pytest.raises(InvalidParameterError, match="variant"):
             Query.distinct("mon", "tue", variant="xyz")
 
+    @pytest.mark.parametrize("kind", ["distinct", "l1", "dominance"])
+    def test_pair_query_on_bottom_k_is_refused(self, kind):
+        store = SketchStore()
+        store.create("bk", "bottom_k", k=8, seed_assigner=SeedAssigner(salt=1))
+        ingest(store, "bk", "mon", [1, 2, 3], [1.0, 2.0, 3.0])
+        ingest(store, "bk", "tue", [2, 3, 4], [1.0, 1.0, 1.0])
+        with pytest.raises(InvalidParameterError, match="take Poisson sketches"):
+            store.query("bk", Query(kind, ("mon", "tue")))
+
     def test_variant_is_normalised(self):
         assert Query.distinct("mon", "tue", variant="HT").variant == "ht"
         assert Query("l1", ("mon", "tue"), variant="ht") == Query.l1(
@@ -62,6 +73,31 @@ class TestRouting:
 
 
 class TestCache:
+    def test_second_run_is_served_from_cache(self, oblivious_store):
+        query = Query.distinct("mon", "tue")
+        first = oblivious_store.query("traffic", query)
+        second = oblivious_store.query("traffic", query)
+        assert not first.from_cache
+        assert second.from_cache
+        assert second.value is first.value
+        assert second.version == first.version
+        # an equal (not identical) query also hits
+        third = oblivious_store.query("traffic", Query.distinct("mon", "tue"))
+        assert third.from_cache
+
+    def test_ingest_invalidates_cache(self, oblivious_store):
+        """An ingest invalidates the cached answers that read the
+        instance it wrote, and only those."""
+        store = oblivious_store
+        queries = (Query.distinct("mon", "tue"), Query.sum("mon"), Query.sum("tue"))
+        first = [store.query("traffic", query) for query in queries]
+        version = ingest(store, "traffic", "mon", [123456789], [1.0])
+        pair, mon, tue = (store.query("traffic", query) for query in queries)
+        assert not pair.from_cache and not mon.from_cache
+        assert pair.version == mon.version == version == first[0].version + 1
+        # tue's answer keeps the version it was computed at
+        assert tue.from_cache and tue.version == first[2].version
+
     def test_cache_is_bounded_lru(self, oblivious_store):
         planner = QueryPlanner(oblivious_store, max_cache_entries=2)
         queries = [
@@ -75,6 +111,35 @@ class TestCache:
         # the oldest entry was evicted, the newest two still hit
         assert planner.run("traffic", queries[2]).from_cache
         assert not planner.run("traffic", queries[0]).from_cache
+
+    @pytest.mark.parametrize("version", [0, 2])
+    def test_adopt_without_version_move_invalidates(
+        self, oblivious_store, version
+    ):
+        """Regression: ``adopt`` at a version <= the current one swaps the
+        engine without moving the version, and the version-keyed cache
+        kept serving the old engine's results."""
+        store = oblivious_store
+        queries = (
+            Query.sum("mon"),
+            Query("distinct", ("mon", "tue"), confidence=True),
+            Query.l1("mon", "tue"),
+        )
+        before = [store.query("traffic", query) for query in queries]
+        replacement = StreamEngine.poisson(
+            threshold=0.5, seed_assigner=SeedAssigner(salt=11), n_shards=4
+        )
+        keys, values = make_columns(1500, seed=8)
+        replacement.ingest("mon", keys[:1000], values[:1000])
+        replacement.ingest("tue", keys[500:], values[500:])
+        store.adopt("traffic", replacement, version=version)
+        assert store.version("traffic") == 2
+        for query, old in zip(queries, before):
+            after = store.query("traffic", query)
+            assert not after.from_cache
+            assert after.version == old.version
+            assert after.value != old.value
+            assert store.query("traffic", query).from_cache
 
     def test_execute_bypasses_cache(self, oblivious_store):
         planner = QueryPlanner(oblivious_store)

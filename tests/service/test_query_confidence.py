@@ -1,21 +1,29 @@
-"""Per-query estimate quality (``cv`` / ``ci90``) of the Poisson ``sum``.
+"""Per-query estimate quality (``cv`` / ``ci90``).
 
-The numbered ``sum`` cases pin the served Poisson subset sum and its
-variance bit for bit against a per-key loop over the merged sketch's
-offline sample.  Every confidence payload of every served kind, against
-the paper's variance estimators, its refusals, and the payload riding
-the result cache with its value, are the read-path oracle's
-(tests/conformance/test_read_paths.py).
+The payloads are pinned against the paper's variance estimators computed
+by hand on the same merged sketches the planner queried.  The numbered
+``sum`` cases pin the served Poisson subset sum and its variance bit for
+bit against a per-key loop over the merged sketch's offline sample.
+Every confidence payload of every served kind at every state, its
+refusals, and the payload riding the result cache with its value, are
+the read-path oracle's (tests/conformance/test_read_paths.py).
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.aggregates.distinct import (
+    distinct_ht_variance,
+    distinct_l_variance,
+)
 from repro.obs import TraceRecorder, set_default_recorder
 from repro.sampling.ranks import ExpRanks, PpsRanks, UniformRanks
 from repro.sampling.seeds import SeedAssigner
+from repro.service.confidence import CONFIDENCE_LEVEL, query_confidence
 from repro.service.queries import Query
 from repro.service.store import SketchStore
 
@@ -43,11 +51,106 @@ def oblivious_store():
     return store
 
 
+@pytest.fixture
+def bottom_k_store():
+    store = SketchStore()
+    store.create(
+        "bk", "bottom_k", k=64, seed_assigner=SeedAssigner(salt=2),
+    )
+    keys, values = make_columns(1200, seed=9)
+    ingest(store, "bk", "d", keys, values)
+    return store
+
+
 def confident(store, name, query):
     """Run ``query`` with the quality request switched on."""
     from dataclasses import replace
 
     return store.query(name, replace(query, confidence=True))
+
+
+class TestDistinctConfidence:
+    def test_ht_variant_uses_exact_ht_variance(self, oblivious_store):
+        result = confident(
+            oblivious_store,
+            "traffic",
+            Query.distinct("mon", "tue", variant="ht"),
+        )
+        sketches = [
+            oblivious_store.merged_sketch("traffic", label)
+            for label in ("mon", "tue")
+        ]
+        p1, p2 = sketches[0].threshold, sketches[1].threshold
+        expected = distinct_ht_variance(result.value.estimate, p1, p2)
+        confidence = result.confidence
+        assert confidence["variance"] == pytest.approx(expected)
+        assert confidence["cv"] == pytest.approx(
+            math.sqrt(expected) / result.value.estimate
+        )
+        assert confidence["ci90"]["confidence"] == CONFIDENCE_LEVEL
+
+    def test_l_variant_uses_plugin_jaccard(self, oblivious_store):
+        result = confident(
+            oblivious_store, "traffic", Query.distinct("mon", "tue")
+        )
+        sketches = [
+            oblivious_store.merged_sketch("traffic", label)
+            for label in ("mon", "tue")
+        ]
+        p1, p2 = sketches[0].threshold, sketches[1].threshold
+        estimate = result.value.estimate
+        intersection = result.value.counts["F11"] / (p1 * p2)
+        jaccard = min(1.0, max(0.0, intersection / estimate))
+        expected = distinct_l_variance(estimate, jaccard, p1, p2)
+        assert result.confidence["variance"] == pytest.approx(expected)
+        # the L estimator dominates HT: its variance is never larger
+        assert expected <= distinct_ht_variance(estimate, p1, p2)
+
+    def test_interval_brackets_the_estimate(self, oblivious_store):
+        result = confident(
+            oblivious_store, "traffic", Query.distinct("mon", "tue")
+        )
+        interval = result.confidence["ci90"]
+        assert interval["lower"] <= result.value.estimate <= interval["upper"]
+        assert interval["lower"] >= 0.0
+
+
+class TestSumConfidence:
+    def test_bottom_k_plugin_variance_and_cv_bound(self, bottom_k_store):
+        result = confident(bottom_k_store, "bk", Query.sum("d"))
+        sample = bottom_k_store.sample("bk", "d")
+        expected = sum(
+            value * value * (1.0 - p) / (p * p)
+            for value, p in (
+                (
+                    value,
+                    sample.conditional_inclusion_probability(key),
+                )
+                for key, value in sample.entries.items()
+            )
+        )
+        confidence = result.confidence
+        assert confidence["variance"] == pytest.approx(expected)
+        assert confidence["cv_bound"] == pytest.approx(
+            1.0 / math.sqrt(sample.k - 2)
+        )
+        # the realized cv should respect the paper's bound in spirit;
+        # it is an estimate, so allow slack rather than asserting <=
+        assert confidence["cv"] < 3.0 * confidence["cv_bound"]
+
+    def test_poisson_plugin_variance(self, oblivious_store):
+        result = confident(oblivious_store, "traffic", Query.sum("mon"))
+        sample = oblivious_store.sample("traffic", "mon")
+        probabilities = sample.inclusion_probabilities
+        expected = sum(
+            value * value * (1.0 - probabilities[key])
+            / (probabilities[key] ** 2)
+            for key, value in sample.entries.items()
+        )
+        confidence = result.confidence
+        assert confidence["variance"] == pytest.approx(expected)
+        assert "cv_bound" not in confidence  # bottom-k only
+        assert confidence["ci90"]["upper"] >= result.value
 
 
 def sequential_sum(store, name, instance) -> tuple[float, float]:
@@ -142,3 +245,18 @@ class TestPoissonSum:
         assert (result.value, result.confidence["variance"]) == sequential_sum(
             oblivious_store, "traffic", "tue"
         )
+
+
+class TestDirectPayload:
+    def test_payload_shape(self, oblivious_store):
+        query = Query("sum", ("mon",), confidence=True)
+        _, sketches = oblivious_store.snapshot_view(
+            "traffic", query.instances
+        )
+        value = oblivious_store.query("traffic", query).value
+        payload = query_confidence(sketches, query, value)
+        assert set(payload) == {"cv", "variance", "ci90"}
+        assert set(payload["ci90"]) == {
+            "lower", "upper", "confidence", "method",
+        }
+        assert payload["ci90"]["method"] == "normal"

@@ -1,6 +1,4 @@
-"""Unit tests for the sketch query adapters.  That the pair estimators
-equal the offline ones, with and without a predicate, is the read-path
-oracle's (tests/conformance/test_read_paths.py)."""
+"""Unit tests for the sketch query adapters."""
 
 from __future__ import annotations
 
@@ -8,6 +6,9 @@ import numpy as np
 import pytest
 
 from repro.aggregates.dataset import MultiInstanceDataset
+from repro.aggregates.distance import l1_distance_ht
+from repro.aggregates.distinct import distinct_count_ht, distinct_count_l
+from repro.aggregates.dominance import max_dominance_estimates
 from repro.aggregates.sum_estimator import sum_aggregate_oblivious
 from repro.core.max_oblivious import MaxObliviousL
 from repro.core.or_estimators import OrObliviousL
@@ -102,10 +103,35 @@ class TestSumAggregate:
             sum_aggregate((s1,), MaxObliviousL([0.5, 0.4]))
 
 
+#: the streaming estimators must equal the offline ones to this tolerance
+PIN = 1e-12
 PREDICATES = [None, lambda key: key % 3 != 0]
 
 
 class TestDistinctCount:
+    @pytest.mark.parametrize("predicate", PREDICATES, ids=["all", "pred"])
+    def test_matches_offline_estimators(self, predicate):
+        day1, day2 = two_instances()
+        s1, s2, assigner = uniform_sketches(day1, day2)
+        seeds1 = {k: assigner.seed(k, instance="day1")
+                  for k in set(day1) | set(day2)}
+        seeds2 = {k: assigner.seed(k, instance="day2")
+                  for k in set(day1) | set(day2)}
+        for variant, offline_estimator in (
+            ("l", distinct_count_l), ("ht", distinct_count_ht)
+        ):
+            offline = offline_estimator(
+                s1.entries, s2.entries, 0.5, 0.4, seeds1, seeds2,
+                predicate=predicate,
+            )
+            streaming = distinct_count(s1, s2, variant, predicate=predicate)
+            assert streaming.counts == offline.counts
+            assert list(streaming.counts) == list(offline.counts)
+            assert streaming.estimator == offline.estimator
+            assert streaming.estimate == pytest.approx(
+                offline.estimate, rel=PIN, abs=PIN
+            )
+
     def test_variant_is_case_insensitive(self):
         day1, day2 = two_instances(60)
         s1, s2, _ = uniform_sketches(day1, day2)
@@ -145,6 +171,18 @@ def l1_reference(s1, s2, predicate=None) -> float:
 
 class TestL1Distance:
     @pytest.mark.parametrize("predicate", PREDICATES, ids=["all", "pred"])
+    def test_matches_offline_pipeline(self, predicate):
+        day1, day2 = two_instances()
+        s1, s2, assigner = uniform_sketches(day1, day2)
+        dataset = MultiInstanceDataset({"day1": day1, "day2": day2})
+        offline = l1_distance_ht(
+            dataset, ["day1", "day2"], [0.5, 0.4], assigner,
+            predicate=predicate,
+        )
+        streaming = l1_distance(s1, s2, predicate=predicate)
+        assert streaming == pytest.approx(offline.estimate, rel=PIN, abs=PIN)
+
+    @pytest.mark.parametrize("predicate", PREDICATES, ids=["all", "pred"])
     def test_bit_identical_to_per_key_loop(self, predicate):
         day1, day2 = two_instances(seed=4)
         s1, s2, _ = uniform_sketches(day1, day2)
@@ -159,6 +197,26 @@ class TestL1Distance:
 
 
 class TestMaxDominance:
+    @pytest.mark.parametrize("predicate", PREDICATES, ids=["all", "pred"])
+    def test_matches_offline_pipeline(self, predicate):
+        day1, day2 = two_instances()
+        assigner = SeedAssigner(salt=23)
+        tau_star = (12.0, 15.0)
+        s1 = StreamingPoisson(1.0 / tau_star[0], instance="day1",
+                              rank_family=PpsRanks(), seed_assigner=assigner)
+        s2 = StreamingPoisson(1.0 / tau_star[1], instance="day2",
+                              rank_family=PpsRanks(), seed_assigner=assigner)
+        s1.update_many(list(day1), list(day1.values()), chunk_size=len(day1))
+        s2.update_many(list(day2), list(day2.values()), chunk_size=len(day2))
+        dataset = MultiInstanceDataset({"day1": day1, "day2": day2})
+        offline = max_dominance_estimates(
+            dataset, ["day1", "day2"], tau_star, assigner, predicate=predicate
+        )
+        streaming = max_dominance(s1, s2, predicate=predicate)
+        assert streaming.n_sampled_keys == offline.n_sampled_keys
+        assert streaming.ht == pytest.approx(offline.ht, rel=PIN, abs=PIN)
+        assert streaming.l == pytest.approx(offline.l, rel=PIN, abs=PIN)
+
     def test_requires_pps_sketches(self):
         day1, day2 = two_instances(60)
         s1, s2, _ = uniform_sketches(day1, day2)

@@ -304,8 +304,7 @@ def _join_rows(first: SketchColumns, second: SketchColumns) -> np.ndarray:
     """
     matches = None
     if first.join_index is not None and second.join_index is not None:
-        every_row = np.ones(len(first.keys), dtype=bool)
-        matches = _candidate_matches(first, second, every_row)
+        matches = _candidate_matches(first, second)
     if matches is None:
         return _dict_rows(dict(zip(first.keys, range(len(first.keys)))), second)
     mine, theirs = matches
@@ -343,22 +342,30 @@ def _seed_cap(view: SketchColumns) -> float:
 
 
 def _candidate_matches(
-    first: SketchColumns, second: SketchColumns, candidates: np.ndarray
+    first: SketchColumns,
+    second: SketchColumns,
+    candidates: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """The matched row pairs of two views, looked for only among
-    ``first``'s ``candidates`` rows: ``(mine, theirs)``, or ``None`` when
-    a hash match joins unequal keys (a collision).
+    ``first``'s ``candidates`` rows (all of them when ``None``):
+    ``(mine, theirs)``, or ``None`` when a hash match joins unequal keys
+    (a collision).
 
-    The candidates' hashes are sorted, then found in ``second``'s
-    sorted hashes (:attr:`SketchColumns.join_index`, one row per hash).
+    The candidates' hashes are sorted (every row's sort order is
+    ``first``'s memoised :attr:`SketchColumns.join_index`), then found
+    in ``second``'s sorted hashes (its ``join_index``, one row per hash).
     """
     order2, sorted2 = second.join_index
-    rows = np.flatnonzero(candidates)
+    if candidates is None:
+        rows = np.arange(len(first.keys))
+        by_hash, ordered = first.join_index
+    else:
+        rows = np.flatnonzero(candidates)
+        hashes = first.hashes[rows]
+        by_hash = np.argsort(hashes)
+        ordered = hashes[by_hash]
     if not (rows.size and sorted2.size):
         return rows[:0], rows[:0]
-    hashes = first.hashes[rows]
-    by_hash = np.argsort(hashes)
-    ordered = hashes[by_hash]
     at = np.searchsorted(sorted2, ordered)
     np.minimum(at, sorted2.size - 1, out=at)
     hit = sorted2[at] == ordered

@@ -436,15 +436,22 @@ class TestJoinEdgeCases:
 # ----------------------------------------------------------------------
 @pytest.fixture
 def join_paths(monkeypatch):
-    """The join each pair of views took, in call order: ``"candidate"``
-    when the sorted-hash search found the matches, ``"dict"`` when the
-    pair was left to the dict join.  A candidate join that meets a
-    collision records the full join that replaced it."""
+    """The joins each pair of views took, in call order: ``"full"`` when
+    the pair took the full join, then how its matches were found:
+    ``"candidate"`` by the sorted-hash search, ``"dict"`` by the dict
+    join.  A self-selected pair's candidate join records
+    ``"candidate"`` alone; one that meets a collision records the full
+    join that replaced it."""
     paths = []
+    join_rows = query_module._join_rows
     candidate_matches = query_module._candidate_matches
     dict_rows = query_module._dict_rows
 
-    def candidate_spy(first, second, candidates):
+    def join_spy(first, second):
+        paths.append("full")
+        return join_rows(first, second)
+
+    def candidate_spy(first, second, candidates=None):
         matches = candidate_matches(first, second, candidates)
         if matches is not None:
             paths.append("candidate")
@@ -454,6 +461,7 @@ def join_paths(monkeypatch):
         paths.append("dict")
         return dict_rows(index, view)
 
+    monkeypatch.setattr(query_module, "_join_rows", join_spy)
     monkeypatch.setattr(query_module, "_candidate_matches", candidate_spy)
     monkeypatch.setattr(query_module, "_dict_rows", dict_spy)
     return paths
@@ -463,7 +471,7 @@ class JoinCase(NamedTuple):
     id: str
     first: dict
     second: dict
-    #: the join the live pair takes
+    #: how the live pair's full join finds its matches
     path: str
     predicate: object = None
     rank_family: object = None
@@ -545,14 +553,14 @@ def test_join_case(case, join_paths):
     assert_same_join(pair, predicate=case.predicate)
     join_paths.clear()
     _outcome_columns(pair, case.predicate, include_seeds=True)
-    assert join_paths == [case.path]
+    assert join_paths == ["full", case.path]
     # the pair queries read the same join, and agree with the reference
     for kind in pair_kinds(pair):
         join_paths.clear()
         assert served_pair_query(kind, pair, case.predicate) == (
             reference_pair_query(kind, pair, case.predicate)
         )
-        assert join_paths == [case.path]
+        assert join_paths == ["full", case.path]
         restored_pair = [restored(sketch) for sketch in pair]
         assert served_pair_query(kind, restored_pair, case.predicate) == (
             reference_pair_query(kind, pair, case.predicate)
@@ -570,7 +578,7 @@ def test_view_built_from_columns_joins_by_dict(join_paths):
     direct = [dataclasses.replace(view) for view in pair]
     assert not any(view.canonical for view in direct)
     assert outcome_batch(direct, None, True)[0] == [1, 2]
-    assert join_paths == ["dict"]
+    assert join_paths == ["full", "dict"]
 
 
 def test_store_views_of_integer_columns_join_sorted(join_paths, monkeypatch):
@@ -579,7 +587,8 @@ def test_store_views_of_integer_columns_join_sorted(join_paths, monkeypatch):
     full join here would cost the pair queries their speed, and so would
     a detour through the ``(n, 2)`` outcome batch: every pair query
     takes the candidate join and builds no batch, and an outcome batch
-    over the same views takes the sorted join, not the dict."""
+    over the same views takes the full join's sorted-hash search, not
+    the dict."""
     store = SketchStore()
     store.create("hours", "poisson", threshold=0.3, n_shards=4)
     store.create(
@@ -611,7 +620,7 @@ def test_store_views_of_integer_columns_join_sorted(join_paths, monkeypatch):
             assert served_pair_query(kind, sketches) == expected
         join_paths.clear()
         _outcome_columns(views, None, include_seeds=True)
-        assert join_paths == ["candidate"]
+        assert join_paths == ["full", "candidate"]
         assert_same_join(sketches)
 
 

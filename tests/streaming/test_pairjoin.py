@@ -6,8 +6,8 @@ view's keys the second view's rule could keep.  Each numbered case
 runs a pair query both ways, with the candidate join and with the full
 join forced by patching the precondition, and requires the same answer
 bit for bit, and the answer ``reference_pair_query`` recomputes from
-the union-dict join.  The Hypothesis sweep checks the candidate
-matches themselves against ``_join_rows`` over engine-built, restored
+the union-dict join.  The Hypothesis sweep checks the sorted-hash
+matches themselves against the dict join over engine-built, restored
 and adopted views.
 """
 
@@ -171,7 +171,9 @@ class TestPairJoin:
         for pair in (*both_ways((restored, good_uniform)), *both_ways((failing, good_pps))):
             for kind in pair_kinds(pair[0].rank_family):
                 report.append(traced_answer(join_paths, kind, pair))
-                expected.append((["candidate"], reference_answer(kind, pair)))
+                expected.append(
+                    (["full", "candidate"], reference_answer(kind, pair))
+                )
         assert report == expected
 
     def test_pairjoin_003_a_pps_key_at_the_view_maximum_is_matched(
@@ -345,11 +347,15 @@ def _assert_candidate_join_matches_full_join(case):
         return found[-1]
 
     for first, second in both_ways(_pair_views(*case)):
-        rows = query_module._join_rows(first, second)
+        index = dict(zip(first.keys, range(len(first.keys))))
+        rows = query_module._dict_rows(index, second)
         theirs = np.flatnonzero(rows >= 0)
         full = sorted(zip(rows[theirs].tolist(), theirs.tolist()))
-        # the candidate join runs once per query, on self-selected views
-        expected = [full] if first.self_selected and second.self_selected else []
+        # one search per query: the candidate join of self-selected
+        # views, else the full join's search over every row (the pools
+        # hold no colliding keys, so no search falls back to the dict)
+        indexed = first.join_index is not None and second.join_index is not None
+        expected = [full] if indexed else []
         for kind in pair_kinds(first.rank_family):
             found.clear()
             with mock.patch.object(query_module, "_candidate_matches", spy):

@@ -148,6 +148,26 @@ class TestEngineRecords:
         assert engine_bytes(report.store) == engine_bytes(replacement)
         assert report.store.version(faults.ENGINE) == 10
 
+    def test_adopt_that_keeps_the_version_is_replayed(self, tmp_path):
+        # the engine record is logged at the store's version, 4: replay
+        # must adopt it, not skip it as already reached
+        store, wal = faults.build_wal_store(tmp_path / "wal")
+        faults.fill(store, 4)
+        replacement = faults.build_store()
+        faults.fill(replacement, 2)
+        store.adopt(faults.ENGINE, replacement.engine(faults.ENGINE))
+        snapshot = tmp_path / "store.bin"
+        store.snapshot_marked(snapshot, checkpoint_wal=False)
+        wal.close()
+        report = reopen_and_recover(tmp_path / "wal")
+        assert engine_bytes(report.store) == engine_bytes(replacement)
+        assert report.store.version(faults.ENGINE) == 4
+        assert (report.replayed_records, report.skipped_records) == (6, 0)
+        # on a snapshot that holds the adoption, re-adopting changes no byte
+        report = reopen_and_recover(tmp_path / "wal", snapshot)
+        assert engine_bytes(report.store) == engine_bytes(replacement)
+        assert (report.replayed_records, report.skipped_records) == (1, 5)
+
     def test_batch_for_unknown_engine_is_corruption(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "wal", fsync="off")
         instance, keys, values = faults.batch(0)

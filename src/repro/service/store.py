@@ -473,6 +473,25 @@ def _config_flag(value: object) -> bool:
 _NO_VIEW = (None, None)
 
 
+def _instance_view(engine: StreamEngine, label: object, memoised: object):
+    """The view of ``label`` that :meth:`SketchStore.column_view` serves.
+
+    ``memoised`` is the memo's view of an earlier state of ``label``, or
+    ``None``.  A Poisson view is grown from it by what each shard
+    changed since (:meth:`SketchColumns.after`).  A first build, a
+    bottom-k engine and keys that are not canonical (``1`` and ``1.0``
+    may sit in two shards) merge every shard instead.
+    """
+    if isinstance(memoised, SketchColumns):
+        view = memoised.after(engine.shard_sketches(label))
+        if view is not None:
+            return view
+    sketch = engine.sketch(label)
+    if isinstance(sketch, StreamingPoisson):
+        return SketchColumns.of(sketch, engine.shard_sketches(label))
+    return sketch
+
+
 def _acquire(name: str, entry: _StoreEntry, wait: bool) -> None:
     """Take ``entry.lock``; with ``wait=False`` a held lock raises
     :class:`~repro.exceptions.EngineBusyError` instead."""
@@ -835,7 +854,9 @@ class SketchStore:
                         self._wal.append_batch_blob(name, planned, records.pop(0))
                     work = None
                     try:
-                        work = entry.engine.ingest_jobs(instance, keys, values)
+                        work = entry.engine.ingest_jobs(
+                            instance, keys, values, checked=True
+                        )
                         with span("store.ingest", engine=name, rows=len(values)):
                             for job in work:
                                 StreamEngine.run_job(job)
@@ -891,11 +912,15 @@ class SketchStore:
         :class:`~repro.streaming.query.SketchColumns` of its merged
         sketch, a bottom-k engine's the merged sketch itself.  Views are
         memoised per instance, keyed by the engine's epoch and the
-        version that last changed the instance: the first read of an
-        instance folds its shards (and hashes its keys) once, and every
-        later read reuses that work until a submit, replay or merge
-        changes that instance.  A write to another instance keeps the
-        view; an engine replacement drops the whole memo.
+        version that last changed the instance, and every read reuses
+        the memoised view until a submit, replay or merge changes that
+        instance.  The first read of an instance merges its shards and
+        hashes every key; a read after such a write rebuilds a Poisson
+        view from the memoised one plus the rows each shard changed,
+        hashing only the new keys
+        (:meth:`~repro.streaming.query.SketchColumns.after`).  A write to
+        another instance keeps the view; an engine replacement drops the
+        whole memo.
 
         ``wait=False`` never waits for the engine's lock: if a submit,
         snapshot, merge or adoption holds it, the read raises
@@ -911,7 +936,12 @@ class SketchStore:
         """:meth:`column_view` plus the cache key of the state read,
         ``(epoch, last-change versions of instances)`` as
         :meth:`state_hint` gives it, taken under the same lock hold as
-        the views: a value derived from them is exact for that key."""
+        the views: a value derived from them is exact for that key.
+
+        A stale view is rebuilt as :func:`_instance_view` says: from the
+        memoised view and what each shard changed since, or, for a first
+        build, a bottom-k engine or keys that are not canonical, by
+        merging every shard."""
         with self._read(name, wait) as entry:
             state = entry.state
             epoch, memo = entry.columns
@@ -927,13 +957,9 @@ class SketchStore:
             if stale:
                 with span("store.columns", engine=name, instances=len(stale)):
                     for label, tick in stale:
-                        sketch = entry.engine.sketch(label)
-                        memo[label] = (
-                            tick,
-                            SketchColumns.of(sketch)
-                            if isinstance(sketch, StreamingPoisson)
-                            else sketch,
-                        )
+                        memoised = memo.get(label, _NO_VIEW)[1]
+                        view = _instance_view(entry.engine, label, memoised)
+                        memo[label] = (tick, view)
             return entry.version, key, [memo[label][1] for label in instances]
 
     def merged_sketch(self, name: str, instance: object):

@@ -234,7 +234,12 @@ class StreamEngine:
         return shards
 
     def ingest_jobs(
-        self, instance: object, keys: Sequence[object], values
+        self,
+        instance: object,
+        keys: Sequence[object],
+        values,
+        *,
+        checked: bool = False,
     ) -> list[IngestJob]:
         """Validate one batch, rank it, and split it into per-shard
         update jobs.
@@ -255,9 +260,13 @@ class StreamEngine:
         section (e.g. the engine lock of
         :class:`repro.service.SketchStore`, which logs, plans and applies
         one group in one hold) run the returned jobs through
-        :meth:`run_job` themselves.
+        :meth:`run_job` themselves.  ``checked=True`` says ``keys`` and
+        ``values`` are what :meth:`checked_columns` returned (the store
+        validates a whole request before it logs any group), so they are
+        not checked again.
         """
-        keys, values = self.checked_columns(keys, values)
+        if not checked:
+            keys, values = self.checked_columns(keys, values)
         columnar = isinstance(keys, np.ndarray)
         shards = self._instance_shards(instance)
         hashes, canonical = hash_key_column(keys)
@@ -323,9 +332,9 @@ class StreamEngine:
 
         The validation half of :meth:`ingest_jobs`, which runs it before
         any state changes, so a bad row must not leave some shards
-        updated and others not.  The store runs it ahead of the
-        write-ahead log, so every ingest path rejects a batch with the
-        same message.  Keys must be
+        updated and others not.  The store runs it once per group, ahead
+        of the write-ahead log, and plans the checked columns, so every
+        ingest path rejects a batch with the same message.  Keys must be
         hashable (the sketches key dicts by them).
         """
         # NumPy key columns stay columnar end to end: they hash without

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import compress, repeat
+from itertools import accumulate, chain, compress, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -65,7 +65,7 @@ from repro.exceptions import InvalidParameterError
 from repro.sampling.outcomes import VectorOutcome
 from repro.sampling.ranks import PpsRanks, RankFamily, UniformRanks
 from repro.sampling.seeds import SeedAssigner, hash_key_column, uniform_cutoff
-from repro.streaming.sketch import StreamingBottomK, StreamingPoisson
+from repro.streaming.sketch import StreamingBottomK, StreamingPoisson, _in_sorted
 
 __all__ = [
     "SketchColumns",
@@ -114,9 +114,13 @@ class SketchColumns:
     this and another canonical view always share a hash
     (:func:`~repro.sampling.seeds.hash_key_column`); only :meth:`of`,
     which hashes the keys, sets it, and a view built directly keeps the
-    always exact ``False``.  Every array, including the lazily memoised
-    :attr:`join_index`, is read-only, so one view can be shared by any
-    number of concurrent queries.
+    always exact ``False``.  ``shard_marks`` are the
+    :meth:`~StreamingPoisson.mark` of each shard sketch the view's rows
+    come from, in turn, their row counts the shard boundaries, when
+    :meth:`after` can rebuild the view from them (else ``None``).
+    Every array, including the lazily memoised :attr:`join_index`, is
+    read-only, so one view can be shared by any number of concurrent
+    queries.
     """
 
     instance: object
@@ -127,6 +131,9 @@ class SketchColumns:
     hashes: np.ndarray
     values: np.ndarray
     canonical: bool = field(default=False, init=False, repr=False)
+    shard_marks: tuple[tuple[int, int], ...] | None = field(
+        default=None, init=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if not len(self.keys) == len(self.hashes) == len(self.values):
@@ -166,9 +173,14 @@ class SketchColumns:
         family = type(self.rank_family)
         if self.join_index is None or family not in (UniformRanks, PpsRanks):
             return False
-        seeds = self.seed_assigner.seeds_from_hashes(self.hashes, self.instance)
-        ranks = self.rank_family.rank(self.values, seeds)
-        if family is UniformRanks:
+        return self._passes(self.hashes, self.values)
+
+    def _passes(self, hashes: np.ndarray, values: np.ndarray) -> bool:
+        """Whether every key with these hashes passes the view's rank
+        test at these values (see :attr:`self_selected`)."""
+        seeds = self.seed_assigner.seeds_from_hashes(hashes, self.instance)
+        ranks = self.rank_family.rank(values, seeds)
+        if isinstance(self.rank_family, UniformRanks):
             return bool(np.all(ranks <= self.threshold))
         return bool(np.all(ranks < self.threshold))
 
@@ -182,8 +194,18 @@ class SketchColumns:
         return int(min(self.keys)), int(max(self.keys))
 
     @classmethod
-    def of(cls, sketch: StreamingPoisson | SketchColumns) -> SketchColumns:
-        """The view of ``sketch``; a view is returned as is."""
+    def of(
+        cls,
+        sketch: StreamingPoisson | SketchColumns,
+        shards: Sequence[StreamingPoisson] | None = None,
+    ) -> SketchColumns:
+        """The view of ``sketch``; a view is returned as is.
+
+        ``shards`` are the sketches ``sketch`` is the merge of, in merge
+        order.  A canonical view of shards that share no key records
+        their :attr:`shard_marks`: the merge lists each shard's keys in
+        turn (:func:`~repro.streaming.merge.merge_poisson`).
+        """
         if isinstance(sketch, cls):
             return sketch
         if not isinstance(sketch, StreamingPoisson):
@@ -206,6 +228,123 @@ class SketchColumns:
             ),
         )
         object.__setattr__(view, "canonical", canonical)
+        if canonical and shards is not None and sum(map(len, shards)) == len(keys):
+            object.__setattr__(
+                view, "shard_marks", tuple(shard.mark() for shard in shards)
+            )
+        return view
+
+    def after(self, shards: Sequence[StreamingPoisson]) -> SketchColumns | None:
+        """The view of the merge of ``shards``, the sketches this view
+        recorded the :attr:`shard_marks` of, as they are now; ``None``
+        when it recorded none or a new key would make the view not
+        canonical (its key types differ).
+
+        Each shard says what changed since its mark
+        (:meth:`~StreamingPoisson.changes_since`): its new keys go after
+        its rows here, and only they are hashed; its values are read
+        again only when a retained one moved.  What this view memoised
+        carries forward: the new hashes are merged into the sorted
+        :attr:`join_index`, :attr:`self_selected` ranks only the new keys
+        of shards whose values moved (a key appended to another shard
+        passed that test at the value it still has, and a retained key's
+        rank only falls as its value grows), and :attr:`int_span` is
+        widened.  The result
+        equals :meth:`of` of the merged sketch field for field, and is
+        this view when no shard changed.
+        """
+        marks = self.shard_marks
+        if marks is None:
+            return None
+        changes = [
+            shard.changes_since(mark) for shard, mark in zip(shards, marks)
+        ]
+        if not any(keys or moved for keys, _, moved in changes):
+            return self
+        new_keys = list(chain.from_iterable(keys for keys, _, _ in changes))
+        new_hashes, canonical = hash_key_column(new_keys)
+        if not canonical or (
+            new_keys
+            and self.keys
+            and (type(new_keys[0]) is str) != (type(self.keys[0]) is str)
+        ):
+            return None
+        counts = [count for count, _ in marks]
+        sizes = [len(keys) for keys, _, _ in changes]
+        moved = [shard_moved for _, _, shard_moved in changes]
+        ends = list(accumulate(counts))
+        at = np.repeat(ends, sizes)  # the row of this view each new key goes before
+        new_values = np.concatenate(
+            [values[len(values) - n :] for (_, values, _), n in zip(changes, sizes)]
+        )
+        values = np.insert(self.values, at, new_values)
+        start = 0
+        for count, (shard_keys, shard_values, shard_moved) in zip(counts, changes):
+            if shard_moved:
+                values[start : start + len(shard_values)] = shard_values
+            start += count + len(shard_keys)
+        keys = list(self.keys)
+        for end, (shard_keys, _, _) in zip(ends[::-1], changes[::-1]):
+            keys[end:end] = shard_keys  # back to front: the ends stay put
+        view = SketchColumns(
+            instance=self.instance,
+            threshold=self.threshold,
+            rank_family=self.rank_family,
+            seed_assigner=self.seed_assigner,
+            keys=tuple(keys),
+            hashes=np.insert(self.hashes, at, new_hashes),
+            values=values,
+        )
+        object.__setattr__(view, "canonical", True)
+        object.__setattr__(
+            view, "shard_marks", tuple(shard.mark() for shard in shards)
+        )
+        # a copy: a query may be filling this view's memo meanwhile
+        memo, carried = dict(self.__dict__), view.__dict__
+        if "join_index" in memo:
+            index = memo["join_index"]
+            if index is not None and new_keys:
+                by_hash = np.argsort(new_hashes)
+                ordered_new = new_hashes[by_hash]
+                order, ordered = index
+                if np.any(ordered_new[1:] == ordered_new[:-1]) or np.any(
+                    _in_sorted(ordered_new, ordered)
+                ):
+                    index = None
+                else:
+                    slots = np.searchsorted(ordered, ordered_new)
+                    # a row moves down by the new keys of the shards before its own
+                    before = np.cumsum(sizes) - sizes
+                    order = order + np.repeat(before, counts)[order]
+                    rows = at + np.arange(len(new_keys))
+                    order = np.insert(order, slots, rows[by_hash])
+                    ordered = np.insert(ordered, slots, ordered_new)
+                    order.flags.writeable = ordered.flags.writeable = False
+                    index = order, ordered
+            carried["join_index"] = index
+        if "self_selected" in memo:
+            if memo["self_selected"]:
+                # a key a shard appended passed this rank test at its value
+                # then, which only a move changes (a merge replaces the
+                # shard and may append keys that fail)
+                tested = np.repeat(moved, sizes)
+                carried["self_selected"] = carried["join_index"] is not None and (
+                    not tested.any()
+                    or self._passes(new_hashes[tested], new_values[tested])
+                )
+            elif not any(moved):
+                # the key that failed still fails at the same value
+                carried["self_selected"] = False
+        if "int_span" in memo:
+            span = memo["int_span"]
+            if span is not None and new_keys:
+                span = (
+                    min(span[0], int(min(new_keys))),
+                    max(span[1], int(max(new_keys))),
+                )
+            # a view of str keys keeps None; an empty view's span waits
+            if span is not None or self.keys:
+                carried["int_span"] = span
         return view
 
 

@@ -56,7 +56,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
-from itertools import islice
+from itertools import count, islice
 
 import numpy as np
 
@@ -82,6 +82,11 @@ __all__ = ["StreamingBottomK", "StreamingPoisson", "sketch_from_state"]
 
 #: rows per fold of :meth:`_StreamingSketch._apply_ranked`
 _CHUNK_SIZE = 16384
+
+#: value revisions of :class:`StreamingPoisson`: a sketch takes a new one
+#: when it is built and whenever a retained key's value moves, so no two
+#: sketches, and no two sets of retained values of one sketch, share one
+_REVISIONS = count()
 
 
 def _in_sorted(hashes: np.ndarray, pool: np.ndarray) -> np.ndarray:
@@ -706,6 +711,8 @@ class StreamingPoisson(_StreamingSketch):
         self._synced = 0
         self._kinds: set[type] = set()
         self._hash_cache = np.empty(0, dtype=np.uint64)
+        #: see :data:`_REVISIONS` and :meth:`mark`
+        self._revision = next(_REVISIONS)
 
     def _keeps(self, rank):
         """Whether a rank (or each of an array of ranks) passes."""
@@ -718,6 +725,7 @@ class StreamingPoisson(_StreamingSketch):
         if old is not None:
             total = old + value
             self._values[key] = total
+            self._revision = next(_REVISIONS)
             self._rerank(key, total, seed)
             return
         rank = self._rank(value, seed)
@@ -735,6 +743,7 @@ class StreamingPoisson(_StreamingSketch):
             if key in self._values:
                 total = self._values[key] + float(values[i])
                 self._values[key] = total
+                self._revision = next(_REVISIONS)
                 self._rerank(key, total, float(seeds[i]))
             elif keep[i]:
                 self._values[key] = float(values[i])
@@ -845,6 +854,43 @@ class StreamingPoisson(_StreamingSketch):
 
     def __contains__(self, key: object) -> bool:
         return key in self._values
+
+    def mark(self) -> tuple[int, int]:
+        """``(retained keys, value revision)``: the point of this
+        sketch's history that :meth:`changes_since` reads from."""
+        return len(self._values), self._revision
+
+    def changes_since(
+        self, mark: tuple[int, int]
+    ) -> tuple[list, np.ndarray, bool]:
+        """What changed since :meth:`mark` gave ``mark``: ``(keys,
+        values, moved)``.
+
+        ``keys`` are the keys retained since, in retention order: the
+        sketch never drops a key and appends new ones (see
+        :meth:`_sync_retained`), so they are the newest.  Unless a
+        retained value moved since (``moved``), ``values`` are those
+        keys' values; else they are every retained value, in order.  An
+        engine merge replaces a shard by a new sketch that lists the old
+        one's keys first, in order; the old sketch's mark reads on it as
+        ``moved``.
+        """
+        before, revision = mark
+        added = len(self._values) - before
+        keys = list(islice(reversed(self._values), added))
+        keys.reverse()
+        moved = revision != self._revision
+        if moved:
+            values = np.fromiter(
+                self._values.values(), dtype=np.float64, count=len(self._values)
+            )
+        else:
+            values = np.fromiter(
+                islice(reversed(self._values.values()), added),
+                dtype=np.float64,
+                count=added,
+            )[::-1]
+        return keys, values, moved
 
     @property
     def entries(self) -> dict[object, float]:

@@ -1,4 +1,5 @@
-"""One-call store ingest for tests, and a held engine lock.
+"""One-call store ingest for tests, a held engine lock, and the check
+that a memoised view equals a fresh one.
 
 The store has a single write funnel, ``SketchStore.submit(IngestRequest)``;
 most tests only need "ingest this column batch", which this wraps.
@@ -7,9 +8,14 @@ most tests only need "ingest this column batch", which this wraps.
 
 from __future__ import annotations
 
+import copy
 import threading
 
 from repro.service.store import IngestRequest, SketchStore
+from repro.streaming.query import SketchColumns
+
+#: what a view memoises on first use
+MEMOISED = ("join_index", "self_selected", "int_span")
 
 
 def ingest(
@@ -48,3 +54,28 @@ class HeldLock:
 
     def __exit__(self, *exc_info) -> None:
         self.release()
+
+
+def assert_fresh_view(store: SketchStore, name: str, label: object, view) -> None:
+    """Assert that ``view``, a served view of ``label``, equals a view
+    built afresh from the merged sketch, field for field: keys (and their
+    types), hashes, values bit for bit, ``canonical``, and each memoised
+    property, the ones it holds and the ones it would compute; and that
+    a view that is not canonical records no shard marks, so a rebuild
+    merges its shards.  The check fills no memo of ``view``."""
+    fresh = SketchColumns.of(store.engine(name).sketch(label))
+    assert view.keys == fresh.keys
+    assert list(map(type, view.keys)) == list(map(type, fresh.keys))
+    assert view.hashes.tobytes() == fresh.hashes.tobytes()
+    assert view.values.tobytes() == fresh.values.tobytes()
+    assert view.canonical == fresh.canonical
+    assert view.canonical or view.shard_marks is None
+    assert not (view.hashes.flags.writeable or view.values.flags.writeable)
+    probe = copy.copy(view)  # computes what ``view`` has not memoised
+    for attr in MEMOISED:
+        mine, theirs = getattr(probe, attr), getattr(fresh, attr)
+        if attr == "join_index" and mine is not None and theirs is not None:
+            assert not any(column.flags.writeable for column in mine)
+            mine = [(column.dtype, column.tobytes()) for column in mine]
+            theirs = [(column.dtype, column.tobytes()) for column in theirs]
+        assert mine == theirs, (label, attr)

@@ -1,7 +1,8 @@
 """The store's column-view memo and the query caches keyed per instance
 on the engine's epoch and each instance's last change: which views a
-write keeps, and what concurrent reads see.  That every read equals a
-fresh copy's answer after every kind of write is the read-path oracle's
+write keeps, how a view it makes stale is rebuilt, and what concurrent
+reads see.  That every read equals a fresh copy's answer after every
+kind of write is the read-path oracle's
 (tests/conformance/test_read_paths.py)."""
 
 from __future__ import annotations
@@ -19,9 +20,12 @@ from repro.sampling.seeds import SeedAssigner
 from repro.service.queries import Query
 from repro.service.store import SketchStore
 from repro.streaming import StreamEngine
+from repro.streaming import engine as engine_module
+from repro.streaming import query as query_module
 from repro.streaming.query import SketchColumns
+from repro.streaming.sketch import StreamingPoisson
 
-from ingest_helper import ingest
+from ingest_helper import assert_fresh_view, ingest
 
 INSTANCES = ("a", "b", "c")
 PAIRS = (("a", "b"), ("b", "c"), ("a", "c"))
@@ -225,3 +229,126 @@ class TestColumnView:
         for label, floor, result in answers:
             counted = sum(version <= result.version for version in acked[label])
             assert float(result.value) == 1 + counted >= 1 + floor, (label, result)
+
+
+def eight_shards(keys) -> SketchStore:
+    """An 8-shard engine keeping every key, its instance "a" holding
+    ``keys`` at value 1, its memoised view read and queried once."""
+    store = SketchStore()
+    store.create("all", "poisson", threshold=1.0, n_shards=8)
+    ingest(store, "all", "a", keys, np.ones(len(keys)))
+    ingest(store, "all", "b", keys[::2], np.ones(len(keys[::2])))
+    store.query("all", Query("distinct", ("a", "b")))
+    return store
+
+
+@pytest.fixture
+def merges(monkeypatch) -> list:
+    """The labels of every merge of an instance's shards."""
+    merged, merge = [], engine_module.merge_sketches
+
+    def spy(sketches):
+        sketches = list(sketches)
+        merged.append(sketches[0].instance)
+        return merge(sketches)
+
+    monkeypatch.setattr(engine_module, "merge_sketches", spy)
+    return merged
+
+
+class TestViewRebuild:
+    """A stale Poisson view is rebuilt from the memoised one and the rows
+    its shards changed; only keys that are not canonical merge again."""
+
+    def test_view_001_one_new_key_is_the_only_key_hashed(self, merges, monkeypatch):
+        store = eight_shards(list(range(200)))
+        merges.clear()  # the first builds merge
+        hashed, hash_column = [], query_module.hash_key_column
+
+        def spy(keys):
+            keys = list(keys)
+            hashed.append(keys)
+            return hash_column(keys)
+
+        monkeypatch.setattr(query_module, "hash_key_column", spy)
+        ingest(store, "all", "a", [10_000], [2.0])
+        _, (view, _) = store.column_view("all", ("a", "b"))
+        assert merges == [] and hashed == [[10_000]]
+        assert len(view.keys) == 201
+        assert {"join_index", "self_selected"} <= set(vars(view))  # carried
+        assert_fresh_view(store, "all", "a", view)
+
+    def test_view_002_a_repeated_key_rereads_only_its_shards_values(
+        self, merges, monkeypatch
+    ):
+        store = eight_shards(list(range(200)))
+        merges.clear()
+        reads, changes_since = [], StreamingPoisson.changes_since
+
+        def spy(sketch, mark):
+            keys, values, moved = changes_since(sketch, mark)
+            reads.append((7 in sketch, len(values)))
+            return keys, values, moved
+
+        monkeypatch.setattr(StreamingPoisson, "changes_since", spy)
+        ingest(store, "all", "a", [7], [2.0])
+        _, (view,) = store.column_view("all", ("a",))
+        shard = next(s for s in store.engine("all").shard_sketches("a") if 7 in s)
+        assert merges == []
+        assert sorted(reads) == [(False, 0)] * 7 + [(True, len(shard))]
+        assert view.values[view.keys.index(7)] == 3.0
+        assert_fresh_view(store, "all", "a", view)
+
+    def test_view_003_a_mixed_int_and_str_instance_merges_its_shards(self, merges):
+        store = eight_shards([*range(100), *map(str, range(100))])
+        _, (view,) = store.column_view("all", ("a",))
+        assert not view.canonical and view.shard_marks is None
+        merges.clear()
+        ingest(store, "all", "a", [10_000, "new"], [2.0, 2.0])
+        _, (view,) = store.column_view("all", ("a",))
+        assert merges == ["a"]
+        assert_fresh_view(store, "all", "a", view)
+
+    def test_view_004_a_key_failing_its_rank_test_passes_once_its_value_grows(self):
+        # a hand-built state holds key 7 at a value its rank test fails,
+        # so the view is not self-selected until 7's value grows
+        engine = StreamEngine.poisson(0.5, rank_family=PpsRanks(), n_shards=4)
+        engine.ingest("a", list(range(50)), np.full(50, 100.0))
+        (shard,) = [s for s in engine.shard_sketches("a") if 7 in s]
+        shard._values[7] = 1e-9
+        store = SketchStore()
+        store.register("pps", engine)
+        _, (view,) = store.column_view("pps", ("a",))
+        assert view.join_index is not None and not view.self_selected
+        ingest(store, "pps", "a", [7], [100.0])
+        _, (view,) = store.column_view("pps", ("a",))
+        assert view.self_selected
+        assert_fresh_view(store, "pps", "a", view)
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_view_005_an_empty_view_grows_its_memo(self, engine, merges):
+        store = SketchStore()
+        store.register(engine, new_engine(engine))
+        ingest(store, engine, "a", [5], [0.0])  # the instance retains nothing
+        _, (view,) = store.column_view(engine, ("a",))
+        assert view.keys == () and view.join_index is not None
+        assert view.int_span is None and view.self_selected
+        merges.clear()
+        ingest(store, engine, "a", list(range(40)), np.full(40, 50.0))
+        _, (view,) = store.column_view(engine, ("a",))
+        assert merges == [] and view.keys
+        assert {"join_index", "self_selected"} <= set(vars(view))
+        assert_fresh_view(store, engine, "a", view)
+
+    def test_view_006_a_merge_may_bring_a_key_failing_its_rank_test(self):
+        store = new_store()
+        store.query("pps", Query("dominance", ("a", "b")))
+        peer = SketchStore()
+        peer.register("pps", new_engine("pps"))
+        ingest(peer, "pps", "a", [500, 501], [100.0, 100.0])
+        (shard,) = [s for s in peer.engine("pps").shard_sketches("a") if 500 in s]
+        shard._values[500] = 1e-9  # a hand-built state: 500 fails its test
+        store.merge_store(peer)
+        _, (view,) = store.column_view("pps", ("a",))
+        assert "self_selected" in vars(view) and not view.self_selected
+        assert_fresh_view(store, "pps", "a", view)

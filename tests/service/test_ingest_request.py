@@ -13,7 +13,8 @@ from repro.exceptions import InvalidParameterError
 from repro.sampling.seeds import SeedAssigner
 from repro.service import codec
 from repro.service.store import IngestRequest, SketchStore
-from repro.wal import WriteAheadLog
+from repro.streaming import StreamEngine
+from repro.wal import WriteAheadLog, recover_store
 
 from ingest_helper import ingest
 
@@ -195,6 +196,38 @@ class TestSubmit:
             ingest(store, "traffic", "mon", keys, values)
         assert store.version("traffic") == 0
         assert state() == before
+
+    def test_each_group_is_validated_once(self, monkeypatch, tmp_path):
+        checked = []
+        check = StreamEngine.checked_columns
+
+        def spy(keys, values):
+            checked.append(len(keys))
+            return check(keys, values)
+
+        monkeypatch.setattr(StreamEngine, "checked_columns", staticmethod(spy))
+        keys, values = make_columns(120)
+        request = IngestRequest(
+            engine="traffic",
+            batches=[("mon", keys, values), ("tue", keys[:30], values[:30])],
+        )
+        wal = WriteAheadLog(tmp_path / "wal", fsync="off")
+        try:
+            store = SketchStore()
+            store.attach_wal(wal)
+            store.create("traffic", "poisson", threshold=0.4, n_shards=4)
+            assert store.submit(request) == 2
+            assert checked == [120, 30]
+            checked.clear()
+            replayed = recover_store(None, wal).store  # one submit per record
+            assert checked == [120, 30]
+        finally:
+            wal.close()
+        engines = [codec.to_bytes(s.engine("traffic")) for s in (store, replayed)]
+        assert engines[0] == engines[1]
+        # a direct call of the planner still validates its columns
+        with pytest.raises(InvalidParameterError, match="must be finite"):
+            store.engine("traffic").ingest_jobs("mon", [1], [float("inf")])
 
 
 def _submit_outcome(batches, coalesce):

@@ -3,11 +3,13 @@
 Measures, on a synthetic Zipf-like stream of ``(key, value)`` updates:
 
 * ingest throughput (updates/second) of the sharded :class:`StreamEngine`
-  for bottom-k and Poisson sketches, for several shard counts;
+  for bottom-k, weight-oblivious Poisson and PPS Poisson sketches, for
+  several shard counts;
 * merge latency of combining the per-shard sketches into the instance
   sketch;
-* a correctness cross-check: the merged bottom-k sketch must equal the
-  offline sample of the accumulated data.
+* a correctness cross-check: the merged bottom-k and PPS Poisson
+  sketches of a pre-aggregated stream must equal the offline samples of
+  the accumulated data.
 
 Run directly (it is a script, not a pytest-benchmark module)::
 
@@ -24,6 +26,8 @@ import time
 import numpy as np
 
 from repro.sampling.bottomk import bottom_k_sample
+from repro.sampling.poisson import poisson_weighted_sample
+from repro.sampling.ranks import PpsRanks
 from repro.sampling.seeds import SeedAssigner
 from repro.streaming.engine import StreamEngine
 
@@ -51,9 +55,34 @@ def accumulate(batches) -> dict[int, float]:
     return totals
 
 
-def bench_engine(
-    make_engine, name: str, args, check_offline: bool = False
-) -> None:
+def bottom_k_offline(totals, args, assigner):
+    return bottom_k_sample(
+        totals, args.k, seed_assigner=assigner, instance="bench",
+    )
+
+
+def pps_offline(totals, args, assigner):
+    return poisson_weighted_sample(
+        totals, PpsRanks(), threshold=args.threshold,
+        seed_assigner=assigner, instance="bench",
+    )
+
+
+def same_sample(streamed, offline) -> bool:
+    """Whether a streamed sample equals an offline one: entries, plus
+    ranks and threshold (bottom-k) or inclusion probabilities (Poisson)."""
+    if streamed.entries != offline.entries:
+        return False
+    if hasattr(offline, "ranks"):
+        return (streamed.ranks == offline.ranks
+                and streamed.threshold == offline.threshold)
+    return streamed.inclusion_probabilities == offline.inclusion_probabilities
+
+
+def bench_engine(make_engine, name: str, args, offline=None) -> None:
+    """Time ``args``' stream into ``make_engine()``; with ``offline``
+    (the offline sampler of the engine's scheme), also check the
+    pre-aggregated stream against it."""
     engine = make_engine()
     start = time.perf_counter()
     for keys, values in synthetic_stream(
@@ -73,14 +102,11 @@ def bench_engine(
         f"retained {len(sketch.candidates()) if hasattr(sketch, 'candidates') else len(sketch):>6d}"
     )
 
-    if check_offline:
+    if offline is not None:
         totals = accumulate(
             synthetic_stream(args.updates, args.keys, args.batch, args.seed)
         )
-        assigner = engine.sketch("bench").seed_assigner
-        offline = bottom_k_sample(
-            totals, args.k, seed_assigner=assigner, instance="bench",
-        )
+        expected = offline(totals, args, engine.sketch("bench").seed_assigner)
         # Exactness guarantee: a pre-aggregated stream (each key once) is
         # byte-for-byte identical to the offline sample.
         exact_engine = make_engine()
@@ -89,19 +115,18 @@ def bench_engine(
             np.fromiter(totals, dtype=np.uint64, count=len(totals)),
             np.fromiter(totals.values(), dtype=float, count=len(totals)),
         )
-        exact = exact_engine.sample("bench")
-        if not (exact.entries == offline.entries
-                and exact.ranks == offline.ranks
-                and exact.threshold == offline.threshold):
-            raise SystemExit("streaming sketch diverged from offline sample")
+        if not same_sample(exact_engine.sample("bench"), expected):
+            raise SystemExit(
+                f"{name}: streaming sketch diverged from offline sample"
+            )
         # The raw additive stream is exact only while keys stay retained
         # (evicted keys that reappear lose their earlier mass); report how
         # close it lands.
         snapshot = sketch.to_sample()
-        overlap = len(set(snapshot.entries) & set(offline.entries))
+        overlap = len(set(snapshot.entries) & set(expected.entries))
         print(
             f"{'':28} offline equivalence: pre-aggregated OK, additive "
-            f"stream overlap {overlap}/{len(offline.entries)}"
+            f"stream overlap {overlap}/{len(expected.entries)}"
         )
 
 
@@ -116,7 +141,8 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--k", type=int, default=256,
                         help="bottom-k sample size")
     parser.add_argument("--threshold", type=float, default=0.01,
-                        help="Poisson (weight-oblivious) threshold")
+                        help="Poisson threshold: the weight-oblivious "
+                        "probability and the PPS tau")
     parser.add_argument("--shards", type=int, nargs="*", default=[1, 4, 8],
                         help="shard counts to benchmark")
     parser.add_argument("--seed", type=int, default=7, help="stream seed")
@@ -129,6 +155,10 @@ def main(argv: list[str] | None = None) -> None:
         parser.error("--shards needs at least one positive shard count")
 
     assigner = SeedAssigner(salt=args.seed)
+
+    def check(n_shards: int) -> bool:
+        return not args.skip_check and n_shards == args.shards[-1]
+
     print(
         f"stream: {args.updates:,d} updates over <= {args.keys:,d} keys, "
         f"batch {args.batch:,d}"
@@ -140,7 +170,7 @@ def main(argv: list[str] | None = None) -> None:
             ),
             f"bottom-k (k={args.k}, s={n_shards})",
             args,
-            check_offline=(not args.skip_check and n_shards == args.shards[-1]),
+            offline=bottom_k_offline if check(n_shards) else None,
         )
     for n_shards in args.shards:
         bench_engine(
@@ -149,6 +179,18 @@ def main(argv: list[str] | None = None) -> None:
             ),
             f"poisson (p={args.threshold}, s={n_shards})",
             args,
+        )
+    # weighted Poisson rows have no vector filter: every positive row
+    # runs the exact per-row loop, checked against the offline sampler
+    for n_shards in args.shards:
+        bench_engine(
+            lambda: StreamEngine.poisson(
+                args.threshold, rank_family=PpsRanks(),
+                seed_assigner=assigner, n_shards=n_shards,
+            ),
+            f"poisson pps (tau={args.threshold}, s={n_shards})",
+            args,
+            offline=pps_offline if check(n_shards) else None,
         )
 
 

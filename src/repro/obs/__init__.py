@@ -17,8 +17,8 @@ serving layer shares:
   counters, gauges and histogram series;
 * :mod:`repro.obs.series` — :class:`MetricSeries` /
   :class:`SeriesCollector`: bounded in-process metrics time series
-  (monotonic timestamps, counter→rate derivation, merge-safe
-  snapshots) behind ``GET /metrics/history``;
+  (monotonic timestamps, counter→rate derivation) behind
+  ``GET /metrics/history``;
 * :mod:`repro.obs.health` — :class:`HealthRule` / :class:`HealthMonitor`:
   declarative health rules with asymmetric hysteresis folding into one
   ``healthy`` / ``degraded`` / ``unhealthy`` verdict.

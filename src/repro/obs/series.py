@@ -17,10 +17,6 @@ Design points:
   cumulative values; :meth:`MetricSeries.rates` derives per-second
   rates between consecutive points on read, clamping negative deltas
   (a counter reset) to zero.
-* **Merge-safe snapshots.**  :meth:`MetricSeries.merge_from`
-  interleaves two rings by timestamp and re-bounds, so per-worker
-  series fold into fleet-wide ones the same way the latency histograms
-  and the sketches themselves merge.
 * **Fixed capacity.**  Each series holds at most ``capacity`` points;
   retention is ``capacity * interval`` seconds and memory is bounded
   no matter how long the process lives.
@@ -137,26 +133,6 @@ class MetricSeries:
             )
         return rates
 
-    def merge_from(self, other: "MetricSeries") -> None:
-        """Fold another series' points in, interleaved by timestamp.
-
-        Merging is how per-worker snapshots become fleet views; the
-        ring stays bounded, keeping the newest points overall.  Kind
-        mismatches are rejected — a counter merged into a gauge would
-        corrupt rate derivation downstream.
-        """
-        if other.kind != self.kind:
-            raise InvalidParameterError(
-                f"cannot merge {other.kind} series {other.name!r} into "
-                f"{self.kind} series {self.name!r}"
-            )
-        theirs = other.points()
-        with self._lock:
-            merged = sorted(
-                list(self._points) + theirs, key=lambda point: point.monotonic
-            )
-            self._points = deque(merged, maxlen=self._points.maxlen)
-
     def to_dict(self, window: float | None = None) -> dict:
         """JSON-encodable snapshot (the ``/metrics/history`` payload)."""
         points = self.points(window=window)
@@ -245,10 +221,3 @@ class SeriesCollector:
         payload = self.series(metric).to_dict(window=window)
         payload["interval_seconds"] = self.interval
         return payload
-
-    def merge_from(self, other: "SeriesCollector") -> None:
-        """Fold every series of ``other`` in (fleet-level roll-up)."""
-        with other._lock:
-            theirs = dict(other._series)
-        for name, series in theirs.items():
-            self.series(name, series.kind).merge_from(series)

@@ -35,6 +35,7 @@ __all__ = [
     "splitmix64",
     "uniform_cutoff",
     "uniform_from_uint64",
+    "uniform_selected",
 ]
 
 #: 2**-64 as a float; multiplying a uint64 by this maps it into [0, 1).
@@ -118,6 +119,16 @@ def uniform_cutoff(probability: float) -> int:
         else:
             high = middle
     return low
+
+
+def uniform_selected(mixed: np.ndarray, probability: float) -> np.ndarray:
+    """Whether the seed :func:`uniform_from_uint64` makes of each of the
+    ``uint64`` values ``mixed`` is at most ``probability``, tested
+    against :func:`uniform_cutoff` without building the seeds."""
+    cutoff = uniform_cutoff(probability)
+    if cutoff < 0:  # a probability below every seed
+        return np.zeros(np.shape(mixed), dtype=bool)
+    return mixed <= np.uint64(cutoff)
 
 
 def _hash_label(label: object) -> int:

@@ -141,10 +141,11 @@ class _StoreEntry:
         #: replaced by an engine replacement, its ticks moved in place
         #: by every other change; read lock-free by the cache probe
         self.state = _InstanceState(0, {})
-        #: the column-view memo: ``(epoch, {instance: (tick, view)})``;
-        #: a view is rebuilt when its instance's tick moves, and the
-        #: whole memo is replaced when the epoch moves
-        self.columns: tuple[int | None, dict] = (None, {})
+        #: the column-view memo, ``{instance: (tick, view)}`` of the
+        #: current epoch: a view is rebuilt when its instance's tick
+        #: moves, and an engine replacement empties the memo in the lock
+        #: hold that moves the epoch
+        self.columns: dict = {}
 
 
 @dataclass(frozen=True)
@@ -707,7 +708,7 @@ class SketchStore:
             entry.engine = engine
             entry.version = new_version
             entry.state = _InstanceState(entry.state.epoch + 1, {})
-            entry.columns = (None, {})
+            entry.columns = {}
 
     def names(self) -> list[str]:
         """Registered engine names, in registration order."""
@@ -943,12 +944,8 @@ class SketchStore:
         build, a bottom-k engine or keys that are not canonical, by
         merging every shard."""
         with self._read(name, wait) as entry:
-            state = entry.state
-            epoch, memo = entry.columns
-            if epoch != state.epoch:
-                memo = {}
-                entry.columns = (state.epoch, memo)
-            key = state.key(instances)
+            memo = entry.columns
+            key = entry.state.key(instances)
             stale = [
                 (label, tick)
                 for label, tick in zip(instances, key[1])

@@ -65,7 +65,8 @@ class IngestJob(NamedTuple):
     seeds: np.ndarray
     ranks: np.ndarray
     #: whether this job's key column is canonical
-    #: (:func:`~repro.sampling.seeds.canonical_kinds`)
+    #: (:func:`~repro.sampling.seeds.canonical_kinds`); only the
+    #: bottom-k array fold (``StreamingBottomK._fold``) reads it
     canonical: bool
 
 
@@ -253,9 +254,9 @@ class StreamEngine:
         of canonical keys routes only the rows that can change a sketch:
         the plan settles every other row into its shard's ``n_updates``
         and ``n_discarded_keys`` itself (see
-        :func:`~repro.streaming.sketch._settle_failing`), so the shards
-        receive the few rows whose rank passes, not the whole group, and
-        only those rows are seeded.
+        :func:`~repro.streaming.sketch._settle_failing`, the one filter
+        of such rows), so the shards receive the few rows whose rank
+        passes, not the whole group, and only those rows are seeded.
         Callers that apply the jobs inside their own critical
         section (e.g. the engine lock of
         :class:`repro.service.SketchStore`, which logs, plans and applies

@@ -64,8 +64,8 @@ from repro.core.estimator_base import VectorEstimator
 from repro.exceptions import InvalidParameterError
 from repro.sampling.outcomes import VectorOutcome
 from repro.sampling.ranks import PpsRanks, RankFamily, UniformRanks
-from repro.sampling.seeds import SeedAssigner, hash_key_column, uniform_cutoff
-from repro.streaming.sketch import StreamingBottomK, StreamingPoisson, _in_sorted
+from repro.sampling.seeds import SeedAssigner, hash_key_column, uniform_selected
+from repro.streaming.sketch import StreamingBottomK, StreamingPoisson, _keeps
 
 __all__ = [
     "SketchColumns",
@@ -80,6 +80,14 @@ __all__ = [
     "sum_aggregate",
     "vector_outcomes",
 ]
+
+
+def _in_sorted(hashes: np.ndarray, pool: np.ndarray) -> np.ndarray:
+    """Mask of the ``hashes`` found in the sorted array ``pool``."""
+    if not pool.size:
+        return np.zeros(hashes.shape, dtype=bool)
+    slots = np.minimum(np.searchsorted(pool, hashes), pool.size - 1)
+    return pool[slots] == hashes
 
 
 def _memoised(method):
@@ -165,8 +173,8 @@ class SketchColumns:
 
         The view must have a :attr:`join_index` and PPS or
         weight-oblivious ranks, and each key's rank at its value, from
-        the seed its hash gives, must pass the threshold as
-        :meth:`StreamingPoisson._keeps` compares it.  A restored rank
+        the seed its hash gives, must pass the threshold as the sketch
+        compares it (:func:`~repro.streaming.sketch._keeps`).  A restored rank
         column that is not the keys' seeds, or a NaN or zero value,
         fails.
         """
@@ -180,9 +188,7 @@ class SketchColumns:
         test at these values (see :attr:`self_selected`)."""
         seeds = self.seed_assigner.seeds_from_hashes(hashes, self.instance)
         ranks = self.rank_family.rank(values, seeds)
-        if isinstance(self.rank_family, UniformRanks):
-            return bool(np.all(ranks <= self.threshold))
-        return bool(np.all(ranks < self.threshold))
+        return bool(np.all(_keeps(ranks, self.threshold, self.rank_family)))
 
     @_memoised
     def int_span(self) -> tuple[int, int] | None:
@@ -454,14 +460,12 @@ def _join_rows(first: SketchColumns, second: SketchColumns) -> np.ndarray:
 
 def _seed_selected(view: SketchColumns, hashes: np.ndarray) -> np.ndarray:
     """Whether ``view``'s seed of each key with these hashes is at most
-    its threshold, tested on the mixed ``uint64`` values against
-    :func:`~repro.sampling.seeds.uniform_cutoff`: the same answer as
-    ``seeds <= threshold``, without building the seeds."""
-    cutoff = uniform_cutoff(view.threshold)
-    if cutoff < 0:  # a threshold below every seed
-        return np.zeros(len(hashes), dtype=bool)
+    its threshold: the engine plan's test
+    (:func:`~repro.sampling.seeds.uniform_selected` on the mixed
+    ``uint64`` values), the same answer as ``seeds <= threshold``
+    without building the seeds."""
     mixed = view.seed_assigner._mix(hashes, view.instance)
-    return mixed <= np.uint64(cutoff)
+    return uniform_selected(mixed, view.threshold)
 
 
 def _seed_cap(view: SketchColumns) -> float:

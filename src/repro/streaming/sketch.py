@@ -27,18 +27,22 @@ Bulk columns of updates go through :meth:`_StreamingSketch.update_many`:
 the column is hashed, seeded and ranked in one vectorised pass, then
 :meth:`_StreamingSketch._apply_ranked` folds it chunk by chunk (the
 sharding engine ranks a whole batch once and hands each shard's sketch
-its ranked slice there directly).  A Poisson row can change the sketch
-only if its rank passes or its key is retained; any other row just
-counts one discarded key.  So a vector mask picks those candidate rows
-and only they run the exact per-row loop, in row order.  A bottom-k
+its ranked slice there directly).  One rule filters the rows of a
+weight-oblivious Poisson column of canonical keys before they are
+seeded: :func:`_settle_failing`, which the engine plan and
+:meth:`StreamingPoisson.update_many` share, counts a row whose seed
+fails as one discarded key, since it cannot change the sketch.  Every
+other Poisson row, and every row of a weighted (PPS or exponential)
+Poisson sketch, runs the exact per-row loop, in row order.  A bottom-k
 chunk of distinct, not yet retained keys folds with one
-``argpartition``, the heap rebuilt only at chunk boundaries.  Both folds find equal keys by equal hashes, which only
+``argpartition``, the heap rebuilt only at chunk boundaries.  Both the
+filter and the fold find equal keys by equal hashes, which only
 canonical keys guarantee (see :func:`repro.sampling.seeds.hash_key_column`:
-``1 == 1.0`` hash apart); other chunks, and bottom-k chunks with repeats,
-replays or a rank tie at the cutoff, take the per-row loop.  Either way
-the sketch ends identical to a sequence of scalar :meth:`update` calls —
-entry order and discard counter included, so snapshots match byte for
-byte.
+``1 == 1.0`` hash apart); other columns, and bottom-k chunks with
+repeats, replays or a rank tie at the cutoff, take the per-row loop.
+Either way the sketch ends identical to a sequence of scalar
+:meth:`update` calls — entry order and discard counter included, so
+snapshots match byte for byte.
 
 Update semantics are *additive*: repeated updates of a key accumulate.
 Because ranks are nonincreasing in the value for every rank family, a key
@@ -74,8 +78,8 @@ from repro.sampling.seeds import (
     canonical_kinds,
     hash_key_column,
     key_hashes,
-    uniform_cutoff,
     uniform_from_uint64,
+    uniform_selected,
 )
 
 __all__ = ["StreamingBottomK", "StreamingPoisson", "sketch_from_state"]
@@ -89,12 +93,17 @@ _CHUNK_SIZE = 16384
 _REVISIONS = count()
 
 
-def _in_sorted(hashes: np.ndarray, pool: np.ndarray) -> np.ndarray:
-    """Mask of the ``hashes`` found in the sorted array ``pool``."""
-    if not pool.size:
-        return np.zeros(hashes.shape, dtype=bool)
-    slots = np.minimum(np.searchsorted(pool, hashes), pool.size - 1)
-    return pool[slots] == hashes
+def _keeps(ranks, threshold: float, rank_family: RankFamily):
+    """Whether a rank (or each of an array of ranks) passes a Poisson
+    ``threshold``.
+
+    Offline weight-oblivious sampling is inclusive (``seed <= p``),
+    weighted sampling strict (``rank < tau``); a sketch and every view
+    of it mirror both exactly.
+    """
+    if isinstance(rank_family, UniformRanks):
+        return ranks <= threshold
+    return ranks < threshold
 
 
 def _validate_values(values: np.ndarray) -> None:
@@ -171,7 +180,9 @@ class _StreamingSketch:
         columns.
 
         The column is validated, hashed, seeded and ranked in one
-        vectorised pass, then folded chunk by chunk by
+        vectorised pass (of a weight-oblivious Poisson column, only the
+        rows that can change the sketch are seeded: see
+        :meth:`_ranked_rows`), then folded chunk by chunk by
         :meth:`_apply_ranked`.
         """
         if chunk_size <= 0:
@@ -191,10 +202,18 @@ class _StreamingSketch:
         # chunk cannot leave the sketch partially updated.
         _validate_values(values)
         hashes, canonical = hash_key_column(keys)
-        seeds, ranks = self._rank_column(hashes, values)
+        keys, values, hashes, seeds, ranks = self._ranked_rows(
+            keys, values, hashes, canonical
+        )
         self._apply_ranked(
             keys, values, seeds, ranks, hashes, canonical, chunk_size
         )
+
+    def _ranked_rows(self, keys, values, hashes, canonical: bool) -> tuple:
+        """``(keys, values, hashes, seeds, ranks)`` of the rows of a
+        checked column that :meth:`_apply_ranked` folds: here every
+        row."""
+        return (keys, values, hashes, *self._rank_column(hashes, values))
 
     def _rank_column(
         self, hashes: np.ndarray, values: np.ndarray
@@ -214,14 +233,17 @@ class _StreamingSketch:
         """Fold validated, hashed, seeded and ranked columns, one chunk of
         ``chunk_size`` rows at a time.
 
-        Each chunk goes to :meth:`_fold`, which touches key objects only
-        for the few rows that can change the sketch.  The fold needs
-        hash equality to find equal keys, so it runs only when the
-        column and the retained keys are canonical (``canonical``, see
-        :func:`~repro.sampling.seeds.hash_key_column`); any other chunk, and any chunk the fold declines, takes
-        the exact per-row loop.
-        Either way the final sketch state (entries in insertion order,
-        ranks, threshold, discard counter) is identical to a sequence of
+        A bottom-k chunk goes to :meth:`_fold`, which folds it with
+        array operations when it can.  The fold needs hash equality to
+        find equal keys, so it runs only when the column and the
+        retained keys are canonical (``canonical``, see
+        :func:`~repro.sampling.seeds.hash_key_column`).  Any other
+        chunk, any chunk the fold declines, and every Poisson chunk
+        take the exact per-row loop over the positive rows; a
+        weight-oblivious Poisson column reaches it already filtered by
+        :func:`_settle_failing`, its failing rows counted.  Either way
+        the final sketch state (entries in insertion order, ranks,
+        threshold, discard counter) is identical to a sequence of
         :meth:`update` calls.  ``seeds`` and ``ranks`` come from
         :meth:`_rank_column` of a sketch of this instance and
         configuration.
@@ -245,8 +267,9 @@ class _StreamingSketch:
 
     def _fold(self, keys, values, seeds, ranks, hashes) -> bool:
         """Fold one chunk of canonical keys with array operations; return
-        False to fall back to the per-row loop."""
-        raise NotImplementedError
+        False to fall back to the per-row loop, as a sketch with no
+        array fold always does."""
+        return False
 
     def _apply_rows(self, keys, values, seeds, ranks, rows) -> None:
         """Per-row reference loop over ``rows`` (positive-value row
@@ -694,8 +717,8 @@ class StreamingPoisson(_StreamingSketch):
             )
         super().__init__(instance, rank_family, seed_assigner)
         self.threshold = threshold
-        # offline oblivious sampling is inclusive (``seed <= p``), weighted
-        # sampling strict (``rank < tau``); mirror both exactly
+        #: whether ranks are weight-oblivious, so the threshold is
+        #: inclusive (see :func:`_keeps`)
         self._inclusive = isinstance(self.rank_family, UniformRanks)
         self._values: dict[object, float] = {}
         #: the retained keys' ranks, or None while they are derived
@@ -705,20 +728,12 @@ class StreamingPoisson(_StreamingSketch):
         #: a restored ranks column of the first retained keys, not yet
         #: checked against their seeds (see :meth:`_derives_ranks`)
         self._restored: np.ndarray | None = None
-        # What :meth:`_fold` knows of the retained keys, brought up to date
-        # by :meth:`_sync_retained`: how many of them it has seen, their
-        # types, and (weighted families only) their sorted hashes.
+        # The types of the retained keys, brought up to date by
+        # :meth:`_sync_retained`, and how many keys it has seen.
         self._synced = 0
         self._kinds: set[type] = set()
-        self._hash_cache = np.empty(0, dtype=np.uint64)
         #: see :data:`_REVISIONS` and :meth:`mark`
         self._revision = next(_REVISIONS)
-
-    def _keeps(self, rank):
-        """Whether a rank (or each of an array of ranks) passes."""
-        if self._inclusive:
-            return rank <= self.threshold
-        return rank < self.threshold
 
     def _ingest(self, key: object, value: float, seed: float) -> None:
         old = self._values.get(key)
@@ -729,7 +744,7 @@ class StreamingPoisson(_StreamingSketch):
             self._rerank(key, total, seed)
             return
         rank = self._rank(value, seed)
-        if not self._keeps(rank):
+        if not _keeps(rank, self.threshold, self.rank_family):
             self.n_discarded_keys += 1
             return
         self._values[key] = value
@@ -737,7 +752,7 @@ class StreamingPoisson(_StreamingSketch):
             self._ranks[key] = rank
 
     def _apply_rows(self, keys, values, seeds, ranks, rows) -> None:
-        keep = self._keeps(ranks)
+        keep = _keeps(ranks, self.threshold, self.rank_family)
         for i in rows.tolist():
             key = keys[i]
             if key in self._values:
@@ -794,42 +809,27 @@ class StreamingPoisson(_StreamingSketch):
                 self._ranks.update(zip(later, self._seeds_of(later).tolist()))
         return self._ranks is None
 
-    def _fold(self, keys, values, seeds, ranks, hashes) -> bool:
-        """Run the per-row loop on the chunk's candidate rows only.
+    def _ranked_rows(self, keys, values, hashes, canonical: bool) -> tuple:
+        """The rows of a checked column the per-row loop must see.
 
-        A row changes the sketch only if its rank passes or its key is
-        already retained (before the chunk, or by an earlier passing row);
-        any other positive row adds one to the discard counter and
-        nothing else.  The candidates are the positive rows that pass,
-        plus — for the weighted families, whose rank of one row can fail
-        while the key is retained — the positive rows whose hash matches
-        a retained key's or a passing row's.  With canonical keys equal
-        keys have equal hashes, so no row of a retained key escapes, and
-        a colliding hash only adds a candidate.  A weight-oblivious rank
-        is the key's seed whatever the value, and every retained key's
-        seed passed, so its candidates are just the passing rows.  The
-        loop sees the candidates in row order and the other rows leave
-        the entries alone, so the result is the full loop's, insertion
-        order included.
+        A weight-oblivious column of canonical keys is planned as the
+        engine plans a group, as a plan of one shard: the rows that
+        cannot change the sketch are counted by :func:`_settle_failing`,
+        and only the others are seeded and returned.  Any other column
+        returns every row.
         """
-        if not self._sync_retained():
-            return False
-        positive = values > 0.0
-        candidate = positive & self._keeps(ranks)
-        if not self._inclusive:
-            passing = np.sort(hashes[candidate])
-            candidate |= positive & (
-                _in_sorted(hashes, self._hash_cache)
-                | _in_sorted(hashes, passing)
-            )
-        rows = np.flatnonzero(candidate)
-        self.n_discarded_keys += int(np.count_nonzero(positive)) - rows.size
-        self._apply_rows(keys, values, seeds, ranks, rows)
-        return True
+        if not (canonical and self._inclusive):
+            return super()._ranked_rows(keys, values, hashes, canonical)
+        rows, seeds = _settle_failing(
+            [self], hashes, np.zeros(len(hashes), dtype=np.intp),
+            [len(hashes)], values,
+        )
+        keys = keys[rows] if isinstance(keys, np.ndarray) else [keys[i] for i in rows]
+        return keys, values[rows], hashes[rows], seeds, seeds
 
     def _sync_retained(self) -> bool:
-        """Catch up with the keys retained since the last call; return
-        whether all retained keys are canonical.
+        """Catch up with the types of the keys retained since the last
+        call; return whether all retained keys are canonical.
 
         A Poisson sketch never drops a retained key, and new keys append
         to ``_values`` in insertion order (in every ingest path, merges
@@ -837,15 +837,7 @@ class StreamingPoisson(_StreamingSketch):
         """
         added = len(self._values) - self._synced
         if added:
-            new_keys = list(islice(reversed(self._values), added))
-            self._kinds.update(map(type, new_keys))
-            if not self._inclusive:
-                new_hashes = np.sort(key_hashes(new_keys))
-                self._hash_cache = np.insert(
-                    self._hash_cache,
-                    np.searchsorted(self._hash_cache, new_hashes),
-                    new_hashes,
-                )
+            self._kinds.update(map(type, islice(reversed(self._values), added)))
             self._synced = len(self._values)
         return canonical_kinds(self._kinds)
 
@@ -1008,25 +1000,23 @@ def _settle_failing(
     their shard's sketch; return the indices of the other rows and
     their seeds, which are also their ranks.
 
-    :meth:`StreamingPoisson._fold`'s argument, made once for a whole
-    group of canonical keys instead of per shard and chunk: a uniform
-    rank is the key's seed, and every retained key's seed passed, so on
-    a shard whose retained keys are canonical a positive row whose rank
-    fails adds one discarded key and nothing else.  A zero row adds only
-    an update anywhere.  The pass test compares the mixed ``uint64``
-    hashes with :func:`~repro.sampling.seeds.uniform_cutoff`, so only
-    the routed rows, all positive, are turned into seeds.  ``hashes``
-    are the rows' key hashes, ``shard_ids`` give each row's index into
+    The one filter of weight-oblivious rows, run once for a whole
+    group of canonical keys, by the engine plan
+    (:meth:`~repro.streaming.engine.StreamEngine.ingest_jobs`) and by
+    :meth:`StreamingPoisson.update_many`: a uniform rank is the key's
+    seed, and every retained key's seed passed, so on a shard whose
+    retained keys are canonical a positive row whose rank fails adds
+    one discarded key and nothing else.  A zero row adds only an update
+    anywhere.  The pass test compares the mixed ``uint64`` hashes with
+    :func:`~repro.sampling.seeds.uniform_selected`, so only the routed
+    rows, all positive, are turned into seeds.  ``hashes`` are the
+    rows' key hashes, ``shard_ids`` give each row's index into
     ``shards``, and ``per_shard`` the rows of each shard.
     """
     first = shards[0]
     mixed = first.seed_assigner._mix(hashes, first.instance)
-    cutoff = uniform_cutoff(first.threshold)
     positive = values > 0.0
-    if cutoff < 0:  # a threshold below every seed
-        route = np.zeros_like(positive)
-    else:
-        route = positive & (mixed <= np.uint64(cutoff))
+    route = positive & uniform_selected(mixed, first.threshold)
     exact = np.array([sketch._sync_retained() for sketch in shards])
     if not exact.all():
         route |= positive & ~exact[shard_ids]

@@ -266,7 +266,8 @@ def frozen(store: SketchStore) -> tuple:
     and state key, the view memo, and the cache with its counters."""
     planner, engines = store.planner(), []
     for name in ENGINES:
-        epoch, memo = store._entry(name).columns
+        entry = store._entry(name)
+        epoch, memo = entry.state.epoch, entry.columns
         views = {label: (tick, id(view)) for label, (tick, view) in memo.items()}
         hint = store.state_hint(name, store.engine(name).instance_labels)
         engines.append((to_bytes(store.engine(name)), hint, epoch, views))

@@ -1,4 +1,4 @@
-"""Metrics time series: ring bounds, rate derivation, merge algebra."""
+"""Metrics time series: ring bounds and rate derivation."""
 
 from __future__ import annotations
 
@@ -76,23 +76,6 @@ class TestMetricSeries:
         with pytest.raises(InvalidParameterError, match="counter"):
             series.rates()
 
-    def test_merge_interleaves_by_timestamp_and_rebounds(self):
-        ours = MetricSeries("m", "gauge", capacity=4)
-        theirs = MetricSeries("m", "gauge", capacity=4)
-        for i in (0, 2, 4):
-            ours.record(float(i), monotonic=float(i))
-        for i in (1, 3, 5):
-            theirs.record(float(i), monotonic=float(i))
-        ours.merge_from(theirs)
-        # six points sorted by time, re-bounded to the newest four
-        assert [point.value for point in ours.points()] == [2, 3, 4, 5]
-
-    def test_merge_rejects_kind_mismatch(self):
-        counter = MetricSeries("m", "counter")
-        gauge = MetricSeries("m", "gauge")
-        with pytest.raises(InvalidParameterError, match="cannot merge"):
-            counter.merge_from(gauge)
-
     def test_to_dict_shape(self):
         series = MetricSeries("m", "counter")
         series.record(0.0, monotonic=0.0, wall=100.0)
@@ -144,17 +127,6 @@ class TestSeriesCollector:
         payload = collector.history("m")
         assert payload["interval_seconds"] == 0.25
         assert payload["points"] == [[50.0, 5.0]]
-
-    def test_merge_from_folds_every_series(self):
-        ours = SeriesCollector()
-        theirs = SeriesCollector()
-        ours.collect({"m": ("gauge", 1.0)}, monotonic=1.0)
-        theirs.collect(
-            {"m": ("gauge", 2.0), "n": ("counter", 7.0)}, monotonic=2.0
-        )
-        ours.merge_from(theirs)
-        assert ours.names() == ["m", "n"]
-        assert [point.value for point in ours.series("m").points()] == [1, 2]
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):

@@ -55,8 +55,9 @@ def new_store(instances: tuple = INSTANCES) -> SketchStore:
 
 
 def memo(store: SketchStore, name: str):
-    """The entry's memo: ``(epoch or None, {instance: (tick, view)})``."""
-    return store._entry(name).columns
+    """The entry's epoch and memo: ``(epoch, {instance: (tick, view)})``."""
+    entry = store._entry(name)
+    return entry.state.epoch, entry.columns
 
 
 def memo_ticks(store: SketchStore, name: str) -> dict:
@@ -138,7 +139,7 @@ class TestColumnView:
         replacement = new_engine("uni")
         replacement.ingest("a", list(range(100, 160)), np.full(60, 9.0))
         store.adopt("uni", replacement, version=0)
-        assert memo(store, "uni") == (None, {})
+        assert memo(store, "uni") == (1, {})
         _, (view,) = store.column_view("uni", ("a",))
         assert memo(store, "uni")[0] == 1
         assert memo_ticks(store, "uni") == {"a": 0}

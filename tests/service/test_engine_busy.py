@@ -45,8 +45,9 @@ def fill(store: SketchStore) -> SketchStore:
 
 
 def memo(store: SketchStore) -> tuple:
-    key, views = store._entry("traffic").columns
-    return key, {label: id(view) for label, view in views.items()}
+    entry = store._entry("traffic")
+    views = entry.columns
+    return entry.state.epoch, {label: id(view) for label, view in views.items()}
 
 
 class TestEngineBusy:

@@ -372,3 +372,97 @@ class TestObliviousPlan:
         values = np.ones(len(self.KEYS))
         engine = _planned_and_reference(1e-320, [("mon", self.KEYS, values)])
         assert _retained(engine, "mon") == set()
+
+
+def _direct_and_reference(make_sketch, columns):
+    """A sketch fed ``columns`` through ``update_many`` and its per-row
+    ``update`` reference; their states, counters included, must match."""
+    sketch, reference = make_sketch(), make_sketch()
+    for keys, values in columns:
+        sketch.update_many(keys, values)
+        for key, value in zip(keys, values):
+            reference.update(key, value)
+    assert sketch.state_dict() == reference.state_dict()
+    assert (sketch.n_updates, sketch.n_discarded_keys) == (
+        reference.n_updates,
+        reference.n_discarded_keys,
+    )
+    assert codec.to_bytes(sketch) == codec.to_bytes(reference)
+    return sketch
+
+
+class TestDirectPlan:
+    """The one rule on columns given to a sketch's own ``update_many``."""
+
+    KEYS = np.arange(-20, 60, dtype=np.int64)
+
+    @staticmethod
+    def uniform(threshold, salt=5):
+        return lambda: StreamingPoisson(
+            threshold,
+            rank_family=UniformRanks(),
+            seed_assigner=SeedAssigner(salt=salt),
+        )
+
+    def test_plan_005_a_retained_float_key_takes_its_int_rows(self, monkeypatch):
+        # pins: a sketch retaining ``1.0`` is not canonical, so the plan
+        # routes every positive row, and the ``1`` rows, whose own seed
+        # fails, accumulate into ``1.0``
+        assigner = SeedAssigner(salt=8)
+        assert assigner.seed(1.0) <= 0.5 < assigner.seed(1)
+        routed = []
+        apply_rows = StreamingPoisson._apply_rows
+
+        def spy(self, keys, values, seeds, ranks, rows):
+            routed.append(len(rows))
+            apply_rows(self, keys, values, seeds, ranks, rows)
+
+        monkeypatch.setattr(StreamingPoisson, "_apply_rows", spy)
+        keys = np.array([1, 2, 1, 3, 4, 1, 5], dtype=np.int64)
+        values = np.array([0.5, 1.0, 0.0, 2.0, 1.5, 0.25, 3.0])
+        sketch = _direct_and_reference(
+            self.uniform(0.5, salt=8), [([1.0], [2.0]), (keys, values)]
+        )
+        assert routed[-1] == np.count_nonzero(values)
+        (one,) = [key for key in sketch.entries if key == 1]
+        assert type(one) is float
+        assert sketch.entries[one] == 2.0 + 0.5 + 0.25
+
+    def test_plan_006_zero_rows_are_updates_not_discards(self):
+        # pins: ``0.0`` and ``-0.0`` rows add an update each and no
+        # discarded key, whatever their seed
+        values = np.where(self.KEYS % 3 == 0, 0.0, 1.5)
+        values[self.KEYS % 3 == 1] = -0.0
+        sketch = _direct_and_reference(
+            self.uniform(0.3), [(self.KEYS, values)] * 2
+        )
+        positive = set(self.KEYS[values > 0.0].tolist())
+        assert set(sketch.entries) < positive
+        assert sketch.n_updates == 2 * len(self.KEYS)
+        assert sketch.n_discarded_keys == 2 * len(positive - set(sketch.entries))
+
+    def test_plan_007_a_retained_pps_key_takes_a_failing_row(self):
+        # pins: a PPS row whose own rank fails still accumulates into its
+        # retained key, whose rank is recomputed from the total
+        assigner = SeedAssigner(salt=5)
+        seed = assigner.seed(3)
+        threshold = 2.0 * seed  # value 1 passes, value 0.25 fails alone
+        sketch = _direct_and_reference(
+            lambda: StreamingPoisson(
+                threshold, rank_family=PpsRanks(), seed_assigner=assigner
+            ),
+            [([3, 7], [1.0, 0.0]), ([7, 3, 3], [0.0, 0.25, 0.25])],
+        )
+        assert PpsRanks().rank(0.25, seed) >= threshold
+        assert sketch.entries == {3: 1.5}
+        assert sketch.candidate_ranks() == {3: PpsRanks().rank(1.5, seed)}
+
+    def test_plan_008_a_threshold_below_every_seed_retains_nothing(self):
+        # pins: no seed passes 1e-320 (a uniform seed is at least the
+        # smallest normal float), so every positive row is discarded
+        values = np.where(self.KEYS % 5 == 0, 0.0, 1.0)
+        sketch = _direct_and_reference(
+            self.uniform(1e-320), [(self.KEYS, values)]
+        )
+        assert sketch.entries == {}
+        assert sketch.n_discarded_keys == np.count_nonzero(values)
